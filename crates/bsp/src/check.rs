@@ -1,18 +1,22 @@
 //! Runtime verification of the BSP barrier protocol (debug builds only).
 //!
 //! The engine's determinism claims rest on a strict superstep protocol:
-//! compute happens in parallel, *all* message routing happens in the
-//! single-threaded exchange phase, and the barrier evaluates halting from
-//! the built-in messages-sent aggregate. [`RunChecker`] asserts that
-//! protocol as a state machine while the engine runs:
+//! compute (and the senders' encode) happens in parallel, *all* message
+//! movement between workers happens in the exchange phase that follows —
+//! the driver hands each destination its frames, the destinations decode
+//! and group them in parallel — and the barrier evaluates halting from the
+//! built-in messages-sent aggregate. The checker lives on the driver
+//! thread: the driver records what it hands over per batch and what each
+//! receiver reports back per inbox, never per message. [`RunChecker`]
+//! asserts that protocol as a state machine while the engine runs:
 //!
 //! 1. **Phase discipline** — message batches are delivered to next-step
 //!    inboxes only during the exchange phase; a delivery after the barrier
 //!    (or during compute) is a protocol violation.
-//! 2. **Ledger balance** — every message recorded as sent by an outbox is
-//!    delivered exactly once, and the built-in [`MESSAGES_SENT_AGG`]
-//!    aggregate published at the barrier equals the router's send/receive
-//!    ledger.
+//! 2. **Ledger balance** — every message the driver counted out of an
+//!    outbox (from batch and frame lengths) is reported delivered by a
+//!    receiver exactly once, and the built-in [`MESSAGES_SENT_AGG`]
+//!    aggregate published at the barrier equals that send/receive ledger.
 //! 3. **Halt-vote monotonicity** — vertices implicitly vote to halt every
 //!    superstep (Sec. IV-A2); once a barrier observes zero messages in
 //!    flight and no `ForceContinue` master decision, the vote is final and
@@ -34,7 +38,8 @@ enum Phase {
     Barrier,
     /// Worker threads are computing; outboxes accumulate, nothing routes.
     Compute,
-    /// The single-threaded router is moving batches into next-step inboxes.
+    /// The driver is handing batches and frames to the receivers, which
+    /// decode and group them into next-step inboxes.
     Exchange,
 }
 
@@ -124,7 +129,8 @@ impl RunChecker {
         }
     }
 
-    /// Compute ended; the single-threaded exchange begins.
+    /// Compute and send-side encode ended on every worker; the exchange
+    /// (driver hand-off, then the parallel receive phase) begins.
     #[inline]
     pub fn begin_exchange(&mut self) {
         #[cfg(debug_assertions)]
@@ -138,7 +144,7 @@ impl RunChecker {
         }
     }
 
-    /// An outbox handed `count` messages to the router.
+    /// The driver handed a receiver one batch or frame of `count` messages.
     #[inline]
     pub fn record_sent(&mut self, count: u64) {
         let _ = count;
@@ -153,7 +159,8 @@ impl RunChecker {
         }
     }
 
-    /// `count` messages were delivered into a next-step inbox.
+    /// A receiver reported `count` messages grouped into its next-step
+    /// inbox.
     #[inline]
     pub fn record_delivered(&mut self, count: u64) {
         let _ = count;

@@ -2,10 +2,24 @@
 //!
 //! This is the substrate that replaces Apache Giraph in our reproduction: a
 //! shared-nothing engine where each *worker* owns a disjoint vertex
-//! partition, supersteps alternate a parallel compute phase (one OS thread
-//! per worker) with a message-exchange phase at a global barrier, and every
-//! message that crosses a worker boundary is serialized through the
-//! [`crate::codec::Wire`] format and charged to the run's byte counters.
+//! partition and every superstep is two parallel phases around one global
+//! barrier (one resident OS thread per worker runs both):
+//!
+//! 1. **compute + send-encode** — each worker runs its logic, then
+//!    serializes its remote batches through the [`crate::codec::Wire`]
+//!    format into per-destination frames;
+//! 2. **barrier** — the driver thread does only what must be ordered:
+//!    message/byte accounting, fault draws, aggregator merge, and handing
+//!    each destination its frames;
+//! 3. **receive-group** — each worker verifies and decodes the frames
+//!    addressed to it and groups the arrivals per vertex.
+//!
+//! Once every receiver is done the driver runs the master hook over the
+//! merged aggregators and takes the halt vote.
+//!
+//! The exchange itself — frames, inboxes, the grouping scatter and the
+//! delivery-order contract — lives in [`crate::exchange`]; every message
+//! that crosses a worker boundary is charged to the run's byte counters.
 //!
 //! Both the interval-centric engine (`graphite-icm`) and the four baseline
 //! platforms (`graphite-baselines`) run on this driver, which mirrors the
@@ -29,14 +43,15 @@
 
 use crate::aggregate::{Aggregators, MasterDecision};
 use crate::check::RunChecker;
-use crate::codec::{decode_batch, encode_batch, get_varint, put_varint, Wire, BATCH_TRAILER};
+use crate::codec::{Wire, BATCH_TRAILER};
 use crate::error::BspError;
+use crate::exchange::{execute_receive, Arrival, GroupTable, ReceiveDone, ReceiveJob};
+pub use crate::exchange::{Inbox, Outbox};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::metrics::{now, RunMetrics, StepTiming, UserCounters};
 use crate::partition::PartitionMap;
 use crate::snapshot::{Checkpoint, Snapshot};
 use crate::trace::{duration_ns, TraceConfig, TraceEvent, TraceSink};
-use graphite_tgraph::graph::VIdx;
 use graphite_tgraph::rng::SplitMix64;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -99,209 +114,21 @@ impl Default for BspConfig {
     }
 }
 
-/// The messages delivered to one worker at the start of a superstep,
-/// grouped per destination vertex and iterable in vertex order (the engine
-/// is deterministic end to end for a fixed worker count).
-///
-/// Flat storage, reused across supersteps: arrivals accumulate in a
-/// staging vector during the exchange phase, then `Inbox::seal` groups
-/// them into one contiguous message vector plus a per-vertex range index.
-/// Clearing retains every allocation, so a steady workload delivers all
-/// its messages through capacity acquired in the first supersteps.
-pub struct Inbox<M> {
-    /// Arrivals staged during the exchange, tagged with their arrival
-    /// sequence number so sealing can keep per-vertex delivery order.
-    staging: Vec<(VIdx, u32, M)>,
-    /// Sealed messages, contiguous per destination vertex.
-    msgs: Vec<M>,
-    /// `(vertex, start, end)` ranges into `msgs`, ascending vertex order.
-    index: Vec<(VIdx, usize, usize)>,
-}
-
-impl<M> Default for Inbox<M> {
-    fn default() -> Self {
-        Inbox {
-            staging: Vec::new(),
-            msgs: Vec::new(),
-            index: Vec::new(),
-        }
-    }
-}
-
-impl<M> Inbox<M> {
-    /// `true` when no vertex received anything.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Number of vertices that received messages.
-    pub fn active_vertices(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Total number of messages.
-    pub fn total_messages(&self) -> usize {
-        self.msgs.len()
-    }
-
-    /// Iterates `(vertex, messages)` in ascending vertex order.
-    pub fn iter(&self) -> impl Iterator<Item = (VIdx, &[M])> + '_ {
-        self.index.iter().map(|&(v, s, e)| (v, &self.msgs[s..e]))
-    }
-
-    /// The messages for one vertex, if any.
-    pub fn messages_for(&self, v: VIdx) -> Option<&[M]> {
-        let i = self
-            .index
-            .binary_search_by_key(&v, |&(vertex, _, _)| vertex)
-            .ok()?;
-        let (_, s, e) = self.index[i];
-        Some(&self.msgs[s..e])
-    }
-
-    fn push(&mut self, v: VIdx, m: M) {
-        let seq = self.staging.len() as u32;
-        self.staging.push((v, seq, m));
-    }
-
-    /// Groups the staged arrivals per vertex. The `(vertex, sequence)` key
-    /// is unique, so the in-place unstable sort is deterministic and
-    /// reproduces exactly the per-vertex delivery order the router chose —
-    /// the same grouping the previous tree-based inbox produced, without
-    /// its per-vertex node allocations.
-    fn seal(&mut self) {
-        // Arrivals are frequently already vertex-grouped (single-source
-        // routing, low fan-in steps); skipping the sort then saves the
-        // dominant cost of sealing.
-        let sorted = self
-            .staging
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1));
-        if !sorted {
-            self.staging.sort_unstable_by_key(|&(v, seq, _)| (v, seq));
-        }
-        for (v, _, m) in self.staging.drain(..) {
-            let start = self.msgs.len();
-            match self.index.last_mut() {
-                Some((last, _, end)) if *last == v => *end += 1,
-                _ => self.index.push((v, start, start + 1)),
-            }
-            self.msgs.push(m);
-        }
-    }
-
-    fn clear(&mut self) {
-        self.staging.clear();
-        self.msgs.clear();
-        self.index.clear();
-    }
-
-    /// Summed capacity of the retained buffers, in elements (allocation
-    /// probe for the routing-growth metric).
-    fn capacity_units(&self) -> usize {
-        self.staging.capacity() + self.msgs.capacity() + self.index.capacity()
-    }
-}
-
-impl<M: Wire> Inbox<M> {
-    /// Appends this sealed inbox's in-flight messages to `buf` in delivery
-    /// order (checkpoint capture happens at barriers, where staging is
-    /// empty and the inbox is sealed).
-    pub(crate) fn checkpoint(&self, buf: &mut Vec<u8>) {
-        put_varint(self.msgs.len() as u64, buf);
-        for &(v, s, e) in &self.index {
-            for m in &self.msgs[s..e] {
-                put_varint(u64::from(v.0), buf);
-                m.encode(buf);
-            }
-        }
-    }
-
-    /// Replaces this inbox's contents with the messages encoded by
-    /// [`Inbox::checkpoint`], re-sealed. Re-pushing in the recorded order
-    /// reassigns ascending sequence numbers, so sealing reproduces the
-    /// exact per-vertex delivery order of the captured barrier.
-    pub(crate) fn restore(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
-        self.clear();
-        let mut cur = bytes;
-        let count = get_varint(&mut cur).ok_or("inbox message count")?;
-        for _ in 0..count {
-            let raw = get_varint(&mut cur).ok_or("inbox vertex id")?;
-            let v = u32::try_from(raw).map_err(|_| "inbox vertex id exceeds u32")?;
-            let m = M::decode(&mut cur).ok_or("inbox message payload")?;
-            self.push(VIdx(v), m);
-        }
-        if !cur.is_empty() {
-            return Err("trailing bytes in inbox checkpoint");
-        }
-        self.seal();
-        Ok(())
-    }
-}
-
-/// Where a worker's superstep deposits outgoing messages. Routing to the
-/// owning worker happens immediately; encoding happens at the barrier for
-/// remote destinations. One outbox per worker lives for the whole run —
-/// the exchange phase drains the batches in place, so their capacity (and
-/// that of the shared wire buffer) is reused every superstep.
-pub struct Outbox<M> {
-    partition: Arc<PartitionMap>,
-    batches: Vec<Vec<(VIdx, M)>>,
-}
-
-impl<M> Outbox<M> {
-    fn new(partition: Arc<PartitionMap>) -> Self {
-        let workers = partition.workers();
-        Outbox {
-            partition,
-            batches: (0..workers).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Sends `msg` to vertex `dst` for delivery next superstep.
-    #[inline]
-    pub fn send(&mut self, dst: VIdx, msg: M) {
-        let w = self.partition.worker_of(dst);
-        self.batches[w].push((dst, msg));
-    }
-
-    /// Messages queued so far.
-    pub fn len(&self) -> usize {
-        self.batches.iter().map(Vec::len).sum()
-    }
-
-    /// `true` when nothing was sent.
-    pub fn is_empty(&self) -> bool {
-        self.batches.iter().all(Vec::is_empty)
-    }
-
-    /// Drops all queued batches, keeping capacity (rollback discards the
-    /// faulted superstep's partially-drained outboxes).
-    fn clear_batches(&mut self) {
-        for b in &mut self.batches {
-            b.clear();
-        }
-    }
-
-    /// Summed capacity of the per-destination batches (allocation probe).
-    fn capacity_units(&self) -> usize {
-        self.batches.iter().map(Vec::capacity).sum()
-    }
-}
-
-/// Total element capacity of every reusable routing buffer: all outbox
-/// batches, both inbox double-buffers, and the shared wire byte buffer.
-/// Nothing on the routing path ever shrinks a retained buffer, so a
-/// snapshot pair around one superstep detects any routing allocation.
+/// Total element capacity of every reusable exchange buffer: all outbox
+/// batches and per-(src, dst) frames, both inbox double-buffers, and the
+/// per-worker count tables. Nothing on the exchange path ever shrinks a
+/// retained buffer, and every lent buffer is home again when a superstep
+/// ends, so a snapshot pair around one superstep detects any allocation.
 fn routing_capacity<M>(
     outboxes: &[Outbox<M>],
     front: &[Inbox<M>],
     back: &[Inbox<M>],
-    wire_capacity: usize,
+    tables: &[GroupTable],
 ) -> usize {
-    let batches: usize = outboxes.iter().map(Outbox::capacity_units).sum();
+    let outboxes: usize = outboxes.iter().map(Outbox::capacity_units).sum();
     let inboxes: usize = front.iter().chain(back).map(Inbox::capacity_units).sum();
-    batches + inboxes + wire_capacity
+    let tables: usize = tables.iter().map(GroupTable::capacity_units).sum();
+    outboxes + inboxes + tables
 }
 
 /// Per-worker state and behaviour. One instance per worker; the engine
@@ -354,11 +181,11 @@ pub fn schedule_order(n: usize, perturb: Option<u64>, step: u64, salt: u64) -> V
     order
 }
 
-/// What one worker's compute phase hands back to the exchange phase (its
-/// outbox stays in place in the per-worker outbox pool).
+/// What one worker's compute phase hands the barrier (its outbox stays in
+/// place in the per-worker outbox pool).
 type ComputeSlot = (Aggregators, UserCounters, TraceSink);
 
-/// Per-worker trace snapshot taken during exchange: the worker's counter
+/// Per-worker trace snapshot taken at the barrier: the worker's counter
 /// delta for this step plus the extras its sink accumulated.
 type TraceSnap = (UserCounters, Vec<(&'static str, u64)>);
 
@@ -401,21 +228,28 @@ struct ComputeDone<L: WorkerLogic> {
     partial: Aggregators,
     counters: UserCounters,
     sink: TraceSink,
+    /// Time in the worker's logic.
     took: Duration,
+    /// Time encoding the outbox's remote batches afterwards — exchange
+    /// work, reported under `messaging`, never under `compute`.
+    encode: Duration,
     panic: Option<String>,
 }
 
-/// Runs one worker's compute phase to completion: the single execution
-/// path shared by the pool threads and the inline (small-step) path, so
-/// fault arming, timing and panic capture are identical wherever a
-/// superstep runs.
+/// Runs one worker's compute phase to completion — its logic, then the
+/// send side of the exchange over what the logic emitted. The single
+/// execution path shared by the pool threads and the inline (small-step)
+/// path, so fault arming, timing and panic capture are identical wherever
+/// a superstep runs.
 fn execute_compute<L: WorkerLogic>(mut job: ComputeJob<L>) -> ComputeDone<L> {
     let mut partial = Aggregators::new();
     let mut counters = UserCounters::default();
     let mut sink = TraceSink::new(job.trace);
     let (step, w, bomb) = (job.step, job.worker, job.bomb);
-    let t0 = now();
+    let mut took = Duration::ZERO;
+    let mut encode = Duration::ZERO;
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let t0 = now();
         assert!(!bomb, "injected fault: worker {w} at superstep {step}");
         job.logic.superstep(
             step,
@@ -426,8 +260,11 @@ fn execute_compute<L: WorkerLogic>(mut job: ComputeJob<L>) -> ComputeDone<L> {
             &mut counters,
             &mut sink,
         );
+        took = t0.elapsed();
+        let t1 = now();
+        job.outbox.encode_remote(w);
+        encode = t1.elapsed();
     }));
-    let took = t0.elapsed();
     ComputeDone {
         logic: job.logic,
         inbox: job.inbox,
@@ -436,51 +273,61 @@ fn execute_compute<L: WorkerLogic>(mut job: ComputeJob<L>) -> ComputeDone<L> {
         counters,
         sink,
         took,
+        encode,
         panic: outcome.err().map(panic_message),
     }
 }
 
-/// A superstep whose total staged work (owned vertices at superstep 1,
-/// delivered messages afterwards) is at or below this bound runs its
-/// compute phases *inline* on the driver thread instead of fanning out to
-/// the pool. At that scale a worker's compute costs a few microseconds —
-/// less than a single cross-thread wakeup — so parallelism is pure loss.
-/// The measure is a deterministic function of the message flow, never of
-/// wall time, so the same run always picks the same path (and results are
-/// path-independent anyway: both paths feed identical per-worker products
-/// to the same single-threaded exchange).
+/// A phase whose total staged work (owned vertices at superstep 1,
+/// delivered messages afterwards for compute; messages sent for receive)
+/// is at or below this bound runs *inline* on the driver thread instead of
+/// fanning out to the pool. At that scale a worker's share costs a few
+/// microseconds — less than a single cross-thread wakeup — so parallelism
+/// is pure loss. The measure is a deterministic function of the message
+/// flow, never of wall time, so the same run always picks the same path
+/// (and results are path-independent anyway: both paths run the same
+/// `execute_*` function over the same per-worker inputs).
 const INLINE_COMPUTE_WORK: usize = 4096;
 
-/// A resident pool of compute threads, one per worker, living for a whole
-/// run. Spawning OS threads per superstep costs tens of microseconds per
-/// barrier — comparable to an entire superstep's compute on bench-sized
-/// graphs — so the pool amortizes thread creation across the run and
-/// synchronizes each phase with two channel hops instead of spawn + join.
-/// Threads spawn lazily at the first dispatched superstep: a run whose
-/// supersteps all stay under [`INLINE_COMPUTE_WORK`] never creates them.
+/// What a pool thread is asked to run for its worker.
+enum PoolJob<L: WorkerLogic> {
+    Compute(ComputeJob<L>),
+    Receive(ReceiveJob<L::Msg>),
+}
+
+/// A resident pool of threads, one per worker, living for a whole run and
+/// executing both parallel phases of every superstep: compute (+ send-side
+/// encode) and receive. Spawning OS threads per superstep costs tens of
+/// microseconds per barrier — comparable to an entire superstep's compute
+/// on bench-sized graphs — so the pool amortizes thread creation across
+/// the run and synchronizes each phase with two channel hops instead of
+/// spawn + join. Threads spawn lazily at the first dispatched phase: a run
+/// whose supersteps all stay under [`INLINE_COMPUTE_WORK`] never creates
+/// them.
 ///
-/// Determinism is unaffected: the same per-worker products are handed to
-/// the same single-threaded exchange phase, and worker panics are caught
+/// Determinism is unaffected: each phase's outputs depend only on the
+/// per-worker inputs the driver assembled, and worker panics are caught
 /// and reported through the same [`BspError::WorkerPanicked`] path
 /// (message text included) as thread-per-step joins produced.
 pub(crate) struct ComputePool<'scope, 'env, L: WorkerLogic> {
     scope: &'scope std::thread::Scope<'scope, 'env>,
     n: usize,
-    jobs: Vec<mpsc::Sender<ComputeJob<L>>>,
-    dones: Vec<mpsc::Receiver<ComputeDone<L>>>,
+    jobs: Vec<mpsc::Sender<PoolJob<L>>>,
+    computed: Vec<mpsc::Receiver<ComputeDone<L>>>,
+    received: Vec<mpsc::Receiver<ReceiveDone<L::Msg>>>,
 }
 
 impl<'scope, 'env, L: WorkerLogic + 'scope> ComputePool<'scope, 'env, L> {
     /// A pool of `n` threads attached to `scope`. Threads are not created
-    /// until the first [`dispatch`](Self::dispatch); once spawned they exit
-    /// when the pool (and with it the job senders) drops, and the scope
-    /// then joins them.
+    /// until the first dispatch; once spawned they exit when the pool (and
+    /// with it the job senders) drops, and the scope then joins them.
     pub(crate) fn start(scope: &'scope std::thread::Scope<'scope, 'env>, n: usize) -> Self {
         ComputePool {
             scope,
             n,
             jobs: Vec::new(),
-            dones: Vec::new(),
+            computed: Vec::new(),
+            received: Vec::new(),
         }
     }
 
@@ -489,32 +336,46 @@ impl<'scope, 'env, L: WorkerLogic + 'scope> ComputePool<'scope, 'env, L> {
             return;
         }
         for _ in 0..self.n {
-            let (jtx, jrx) = mpsc::channel::<ComputeJob<L>>();
-            let (dtx, drx) = mpsc::channel::<ComputeDone<L>>();
+            let (jtx, jrx) = mpsc::channel::<PoolJob<L>>();
+            let (ctx, crx) = mpsc::channel::<ComputeDone<L>>();
+            let (rtx, rrx) = mpsc::channel::<ReceiveDone<L::Msg>>();
             self.scope.spawn(move || {
                 while let Ok(job) = jrx.recv() {
-                    if dtx.send(execute_compute(job)).is_err() {
+                    let delivered = match job {
+                        PoolJob::Compute(job) => ctx.send(execute_compute(job)).is_ok(),
+                        PoolJob::Receive(job) => rtx.send(execute_receive(job)).is_ok(),
+                    };
+                    if !delivered {
                         break; // driver gone; shut down
                     }
                 }
             });
             self.jobs.push(jtx);
-            self.dones.push(drx);
+            self.computed.push(crx);
+            self.received.push(rrx);
         }
     }
 
-    /// Hands a worker's compute phase to its pool thread.
-    fn dispatch(&mut self, job: ComputeJob<L>) -> Result<(), BspError> {
+    /// Hands worker `w`'s next phase to its pool thread.
+    fn dispatch(&mut self, step: u64, w: usize, job: PoolJob<L>) -> Result<(), BspError> {
         self.ensure_spawned();
-        let (step, w) = (job.step, job.worker);
         self.jobs[w]
             .send(job)
             .map_err(|_| Self::thread_lost(step, w))
     }
 
     /// Blocks until worker `w`'s compute phase finishes.
-    fn collect(&mut self, step: u64, w: usize) -> Result<ComputeDone<L>, BspError> {
-        self.dones[w].recv().map_err(|_| Self::thread_lost(step, w))
+    fn collect_compute(&mut self, step: u64, w: usize) -> Result<ComputeDone<L>, BspError> {
+        self.computed[w]
+            .recv()
+            .map_err(|_| Self::thread_lost(step, w))
+    }
+
+    /// Blocks until worker `w`'s receive phase finishes.
+    fn collect_receive(&mut self, step: u64, w: usize) -> Result<ReceiveDone<L::Msg>, BspError> {
+        self.received[w]
+            .recv()
+            .map_err(|_| Self::thread_lost(step, w))
     }
 
     /// A pool thread disappeared without handing its pieces back. Panics
@@ -537,7 +398,8 @@ pub(crate) struct RunState<L: WorkerLogic> {
     inboxes: Vec<Inbox<L::Msg>>,
     spare: Vec<Inbox<L::Msg>>,
     outboxes: Vec<Outbox<L::Msg>>,
-    wire: Vec<u8>,
+    /// One grouping table per worker, lent to its receive phase.
+    tables: Vec<GroupTable>,
     globals: Aggregators,
     checker: RunChecker,
     pub(crate) metrics: RunMetrics,
@@ -565,7 +427,9 @@ impl<L: WorkerLogic> RunState<L> {
             inboxes: (0..n).map(|_| Inbox::default()).collect(),
             spare: (0..n).map(|_| Inbox::default()).collect(),
             outboxes: (0..n).map(|_| Outbox::new(Arc::clone(partition))).collect(),
-            wire: Vec::new(),
+            tables: (0..n)
+                .map(|w| GroupTable::new(Arc::clone(partition), w))
+                .collect(),
             globals: Aggregators::new(),
             checker: RunChecker::new(),
             metrics: RunMetrics::default(),
@@ -575,10 +439,11 @@ impl<L: WorkerLogic> RunState<L> {
         })
     }
 
-    /// Executes superstep `self.step + 1`: parallel compute, single-threaded
-    /// exchange, barrier. On success `self.step` advances and `self.halted`
-    /// reflects the halt vote; on error the state is mid-superstep garbage
-    /// and must be either dropped or rolled back before reuse.
+    /// Executes superstep `self.step + 1`: parallel compute + send-encode,
+    /// the barrier, parallel receive-group. On success `self.step` advances
+    /// and `self.halted` reflects the halt vote; on error the state is
+    /// mid-superstep garbage and must be either dropped or rolled back
+    /// before reuse.
     pub(crate) fn superstep<'scope>(
         &mut self,
         config: &BspConfig,
@@ -593,14 +458,19 @@ impl<L: WorkerLogic> RunState<L> {
         let step = self.step + 1;
         self.checker.begin_compute(step);
         let step_start = now();
-        let cap_before = routing_capacity(
-            &self.outboxes,
-            &self.inboxes,
-            &self.spare,
-            self.wire.capacity(),
-        );
+        let cap_before = routing_capacity(&self.outboxes, &self.inboxes, &self.spare, &self.tables);
         let join_order = schedule_order(n, config.perturb_schedule, step, 0x4a4f_494e);
         let route_order = schedule_order(n, config.perturb_schedule, step, 0x524f_5554);
+        // Each sender's frames are visited in their own (possibly
+        // perturbed) destination order.
+        let dst_order = |src: usize| {
+            schedule_order(
+                n,
+                config.perturb_schedule,
+                step ^ (src as u64).wrapping_mul(0x517c_c1b7_2722_0a95),
+                0x4445_5354,
+            )
+        };
         // Injected panics are armed up front on the driver thread, so the
         // injector needs no synchronization with the worker threads.
         let bombs: Vec<bool> = (0..n).map(|w| injector.arm_panic(w, step)).collect();
@@ -618,7 +488,7 @@ impl<L: WorkerLogic> RunState<L> {
             Vec::new()
         };
 
-        // --- Compute phase: inline for small steps, pooled for large. ---
+        // --- Compute + send-encode: inline for small steps, else pooled. ---
         // The workers, inboxes and outboxes move to the compute phases and
         // come home with the per-step products. When the staged work is at
         // or below INLINE_COMPUTE_WORK the phases run sequentially right
@@ -636,6 +506,7 @@ impl<L: WorkerLogic> RunState<L> {
         let inline = n <= 1 || work <= INLINE_COMPUTE_WORK;
         let mut slots: Vec<Option<ComputeSlot>> = (0..n).map(|_| None).collect();
         let mut compute_max = Duration::ZERO;
+        let mut encode_max = Duration::ZERO;
         let mut tooks: Vec<Duration> = if trace_full {
             vec![Duration::ZERO; n]
         } else {
@@ -668,10 +539,10 @@ impl<L: WorkerLogic> RunState<L> {
             }
         } else {
             for job in jobs {
-                pool.dispatch(job)?;
+                pool.dispatch(step, job.worker, PoolJob::Compute(job))?;
             }
             for &w in &join_order {
-                returned[w] = Some(pool.collect(step, w)?);
+                returned[w] = Some(pool.collect_compute(step, w)?);
             }
         }
         self.workers = Vec::with_capacity(n);
@@ -688,6 +559,7 @@ impl<L: WorkerLogic> RunState<L> {
                 Some(msg) => panicked.push((w, msg)),
                 None => {
                     compute_max = compute_max.max(done.took);
+                    encode_max = encode_max.max(done.encode);
                     if trace_full {
                         tooks[w] = done.took;
                     }
@@ -704,75 +576,58 @@ impl<L: WorkerLogic> RunState<L> {
         let after_compute = now();
         self.checker.begin_exchange();
 
-        // --- Exchange phase: route, serialize remote batches, regroup. ---
-        // Single-threaded by design: all cross-worker message movement
-        // happens here, between the compute phases, which is what makes the
-        // barrier protocol checkable and the run replayable. Batches drain
-        // in place so every buffer keeps its capacity for the next step.
-        for inbox in self.spare.iter_mut() {
-            inbox.clear();
-        }
+        // --- Barrier: account, draw faults, hand frames to receivers. ---
+        // The only serial part of the exchange, and it touches no message:
+        // counts come from batch and frame lengths, and each destination's
+        // arrivals — its senders' frames plus its own typed batch — are
+        // *moved* into its receive job in route order, which fixes the
+        // delivery order before any receiver runs.
         let mut step_partial = Aggregators::new();
         let mut total_sent = 0u64;
         // Per-worker (counter delta, sink extras) snapshots, taken in route
-        // order but re-emitted in worker order at the barrier.
+        // order but re-emitted in worker order at the end of the step.
         let mut worker_snaps: Vec<Option<TraceSnap>> = if tracing {
             (0..n).map(|_| None).collect()
         } else {
             Vec::new()
         };
+        let mut arrivals: Vec<Vec<Arrival<L::Msg>>> =
+            (0..n).map(|_| Vec::with_capacity(n)).collect();
         for &src in &route_order {
             let Some((partial, mut counters, mut sink)) = slots[src].take() else {
                 continue;
             };
-            let dst_order = schedule_order(
-                n,
-                config.perturb_schedule,
-                step ^ (src as u64).wrapping_mul(0x517c_c1b7_2722_0a95),
-                0x4445_5354,
-            );
-            for &dst_worker in &dst_order {
-                let batch = &mut self.outboxes[src].batches[dst_worker];
-                if batch.is_empty() {
+            let outbox = &mut self.outboxes[src];
+            for dst in dst_order(src) {
+                let len = if dst == src {
+                    outbox.batches[src].len()
+                } else {
+                    outbox.frames[dst].count
+                } as u64;
+                if len == 0 {
                     continue;
                 }
-                let len = batch.len() as u64;
                 counters.messages_sent += len;
                 total_sent += len;
                 self.checker.record_sent(len);
-                if dst_worker == src {
-                    self.checker.record_delivered(len);
-                    for (v, m) in batch.drain(..) {
-                        self.spare[dst_worker].push(v, m);
-                    }
+                let arrival = if dst == src {
+                    Arrival::Local(std::mem::take(&mut outbox.batches[src]))
                 } else {
                     counters.remote_messages += len;
-                    // Serialize then deserialize: the wire format is
-                    // exercised for real and its size is the byte metric.
-                    // The integrity trailer is framing, not payload, so it
-                    // is excluded from the paper's message-size counter.
-                    self.wire.clear();
-                    encode_batch(batch, &mut self.wire);
-                    counters.bytes_sent += (self.wire.len() - BATCH_TRAILER) as u64;
-                    if let Some(draw) = injector.arm_corruption(dst_worker, step) {
-                        // Flip one deterministically-chosen bit; the batch
-                        // checksum guarantees the decoder reports it.
-                        let pos = (draw as usize) % self.wire.len();
-                        self.wire[pos] ^= 1 << ((draw >> 32) % 8);
+                    let mut frame = std::mem::take(&mut outbox.frames[dst]);
+                    // The frame's size is the byte metric. The integrity
+                    // trailer is framing, not payload, so it is excluded
+                    // from the paper's message-size counter.
+                    counters.bytes_sent += (frame.bytes.len() - BATCH_TRAILER) as u64;
+                    if let Some(draw) = injector.arm_corruption(dst, step) {
+                        // Flip one deterministically-chosen bit; the frame
+                        // checksum guarantees the receiver reports it.
+                        let pos = (draw as usize) % frame.bytes.len();
+                        frame.bytes[pos] ^= 1 << ((draw >> 32) % 8);
                     }
-                    let checker = &mut self.checker;
-                    let dst = &mut self.spare[dst_worker];
-                    decode_batch::<L::Msg>(&self.wire, batch.len(), |v, m| {
-                        checker.record_delivered(1);
-                        dst.push(v, m);
-                    })
-                    .map_err(|detail| BspError::Codec {
-                        worker: dst_worker,
-                        step,
-                        detail,
-                    })?;
-                    batch.clear();
-                }
+                    Arrival::Remote { src, frame }
+                };
+                arrivals[dst].push(arrival);
             }
             // Aggregator and counter folds are commutative, so the
             // perturbed route order cannot change their totals.
@@ -782,17 +637,81 @@ impl<L: WorkerLogic> RunState<L> {
                 worker_snaps[src] = Some((counters, sink.take_extras()));
             }
         }
-        for inbox in self.spare.iter_mut() {
-            inbox.seal();
+
+        // --- Receive-group: inline for small steps, else pooled. ---
+        // Every destination decodes and groups its own arrivals; nothing is
+        // shared between receivers, so the phase parallelizes trivially.
+        let spare = std::mem::take(&mut self.spare);
+        let tables = std::mem::take(&mut self.tables);
+        let jobs = spare
+            .into_iter()
+            .zip(tables)
+            .zip(arrivals)
+            .map(|((inbox, table), arrivals)| ReceiveJob {
+                inbox,
+                table,
+                arrivals,
+            });
+        let before_receive = now();
+        let mut received: Vec<Option<ReceiveDone<L::Msg>>> = (0..n).map(|_| None).collect();
+        if n <= 1 || total_sent as usize <= INLINE_COMPUTE_WORK {
+            for (w, job) in jobs.enumerate() {
+                received[w] = Some(execute_receive(job));
+            }
+        } else {
+            for (w, job) in jobs.enumerate() {
+                pool.dispatch(step, w, PoolJob::Receive(job))?;
+            }
+            for &w in &join_order {
+                received[w] = Some(pool.collect_receive(step, w)?);
+            }
+        }
+        let after_receive = now();
+        // Every lent buffer goes home — frames and batches to the outboxes
+        // they came from, so their capacity serves the next superstep —
+        // before any failure is reported: a faulted step must leave the
+        // state whole for rollback.
+        let mut receive_max = Duration::ZERO;
+        let mut failed: Vec<(usize, usize, &'static str)> = Vec::new();
+        for (dst, done) in received.into_iter().enumerate() {
+            let Some(done) = done else {
+                continue; // unreachable: every index was collected above
+            };
+            receive_max = receive_max.max(done.took);
+            self.checker
+                .record_delivered(done.inbox.total_messages() as u64);
+            if let Some((src, detail)) = done.failed {
+                failed.push((dst, src, detail));
+            }
+            for arrival in done.arrivals {
+                match arrival {
+                    Arrival::Local(batch) => self.outboxes[dst].batches[dst] = batch,
+                    Arrival::Remote { src, frame } => self.outboxes[src].frames[dst] = frame,
+                }
+            }
+            self.spare.push(done.inbox);
+            self.tables.push(done.table);
+        }
+        if !failed.is_empty() {
+            // Several receivers may have met a bad frame in the same step.
+            // The one reported is the first in the barrier's own walk —
+            // senders in route order, each sender's destinations in its
+            // order — whichever thread happened to finish first.
+            let &(worker, _, detail) = route_order
+                .iter()
+                .flat_map(|&src| dst_order(src).into_iter().map(move |dst| (dst, src)))
+                .find_map(|at| failed.iter().find(|&&(dst, src, _)| (dst, src) == at))
+                .unwrap_or(&failed[0]);
+            return Err(BspError::Codec {
+                worker,
+                step,
+                detail,
+            });
         }
         let after_exchange = now();
         if step > 2
-            && routing_capacity(
-                &self.outboxes,
-                &self.inboxes,
-                &self.spare,
-                self.wire.capacity(),
-            ) > cap_before
+            && routing_capacity(&self.outboxes, &self.inboxes, &self.spare, &self.tables)
+                > cap_before
         {
             self.metrics.routing_growths += 1;
         }
@@ -806,10 +725,19 @@ impl<L: WorkerLogic> RunState<L> {
             None => MasterDecision::Continue,
         };
 
+        // Each parallel phase is charged its slowest worker; what remains
+        // of the phase's wall time is orchestration. The exchange is the
+        // senders' encode, the driver's routing, and the receivers' decode
+        // and grouping — encode ran on the compute threads but is not
+        // compute.
+        let compute_wall = after_compute - step_start;
+        let receive_wall = after_receive - before_receive;
+        let routing = (after_exchange - after_compute).saturating_sub(receive_wall);
         let timing = StepTiming {
             compute: compute_max,
-            messaging: after_exchange - after_compute,
-            barrier: (after_compute - step_start).saturating_sub(compute_max),
+            messaging: encode_max + routing + receive_max,
+            barrier: compute_wall.saturating_sub(compute_max + encode_max)
+                + receive_wall.saturating_sub(receive_max),
         };
         self.metrics
             .record_step(timing, config.keep_per_step_timing);
@@ -935,11 +863,12 @@ impl<L: WorkerLogic + Snapshot> RunState<L> {
 
     /// Transplants the run back to `ckpt`'s superstep boundary, discarding
     /// everything since: worker states and in-flight inboxes are restored
-    /// from the blobs, partially-drained outboxes and the staging inboxes
-    /// are dropped, and the metrics rewind — except the recovery counters
-    /// and the trace stream, which are monotone over the whole recovered
-    /// run (the trace keeps the rolled-back steps' events; the recovery
-    /// driver marks the rewind with a [`TraceEvent::Rollback`]).
+    /// from the blobs, the faulted superstep's outboxes (batches and
+    /// frames) and half-filled inboxes are dropped, and the metrics rewind
+    /// — except the recovery counters and the trace stream, which are
+    /// monotone over the whole recovered run (the trace keeps the
+    /// rolled-back steps' events; the recovery driver marks the rewind
+    /// with a [`TraceEvent::Rollback`]).
     pub(crate) fn rollback(&mut self, ckpt: &Checkpoint) -> Result<(), BspError> {
         if ckpt.worker_states.len() != self.workers.len()
             || ckpt.inboxes.len() != self.inboxes.len()
@@ -958,8 +887,9 @@ impl<L: WorkerLogic + Snapshot> RunState<L> {
                 detail: format!("worker {i} state: {d}"),
             })?;
         }
-        for (i, (ib, blob)) in self.inboxes.iter_mut().zip(&ckpt.inboxes).enumerate() {
-            ib.restore(blob).map_err(|d| BspError::Checkpoint {
+        let restores = self.inboxes.iter_mut().zip(&mut self.tables);
+        for (i, ((ib, table), blob)) in restores.zip(&ckpt.inboxes).enumerate() {
+            ib.restore(blob, table).map_err(|d| BspError::Checkpoint {
                 detail: format!("worker {i} inbox: {d}"),
             })?;
         }
@@ -967,7 +897,7 @@ impl<L: WorkerLogic + Snapshot> RunState<L> {
             ib.clear();
         }
         for ob in &mut self.outboxes {
-            ob.clear_batches();
+            ob.clear();
         }
         self.globals = ckpt.globals.clone();
         let recovery = self.metrics.recovery;
@@ -1020,7 +950,7 @@ pub fn run_bsp<L: WorkerLogic>(
 mod tests {
     use super::*;
     use graphite_tgraph::builder::TemporalGraphBuilder;
-    use graphite_tgraph::graph::{TemporalGraph, VertexId};
+    use graphite_tgraph::graph::{TemporalGraph, VIdx, VertexId};
     use graphite_tgraph::time::Interval;
 
     fn ring(n: u64) -> TemporalGraph {
@@ -1434,28 +1364,5 @@ mod tests {
             assert_eq!(metrics.counters.bytes_sent, baseline.1.counters.bytes_sent);
             assert_eq!(metrics.supersteps, baseline.1.supersteps);
         }
-    }
-
-    #[test]
-    fn inbox_checkpoint_round_trips_delivery_order() {
-        let mut ib: Inbox<u64> = Inbox::default();
-        for (v, m) in [(3u32, 30u64), (1, 10), (3, 31), (0, 0), (1, 11), (3, 32)] {
-            ib.push(VIdx(v), m);
-        }
-        ib.seal();
-        let mut blob = Vec::new();
-        ib.checkpoint(&mut blob);
-        let mut restored: Inbox<u64> = Inbox::default();
-        restored.restore(&blob).expect("restore");
-        let orig: Vec<(VIdx, Vec<u64>)> = ib.iter().map(|(v, ms)| (v, ms.to_vec())).collect();
-        let back: Vec<(VIdx, Vec<u64>)> = restored.iter().map(|(v, ms)| (v, ms.to_vec())).collect();
-        assert_eq!(orig, back);
-        // Corrupt blobs are rejected, not mis-restored.
-        let mut bad = blob.clone();
-        bad.truncate(bad.len() - 1);
-        assert!(restored.restore(&bad).is_err());
-        let mut extra = blob;
-        extra.push(0);
-        assert!(restored.restore(&extra).is_err());
     }
 }

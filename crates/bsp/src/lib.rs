@@ -2,11 +2,12 @@
 //!
 //! A shared-nothing, multi-worker bulk-synchronous-parallel engine that
 //! stands in for Apache Giraph in this reproduction of the ICM paper.
-//! Workers are OS threads owning hash-partitioned vertex sets; supersteps
-//! alternate a parallel compute phase with a barrier-synchronized message
-//! exchange; messages crossing worker boundaries are serialized through a
-//! compact wire codec (with the paper's varint interval compression) and
-//! all primitive counts and time splits are recorded per run.
+//! Workers are OS threads owning hash-partitioned vertex sets; a superstep
+//! is a parallel compute-and-encode phase, a barrier, and a parallel
+//! receive-and-group phase ([`exchange`]); messages crossing worker
+//! boundaries are serialized through a compact wire codec (with the paper's
+//! varint interval compression) and all primitive counts and time splits
+//! are recorded per run.
 //!
 //! The interval-centric engine (`graphite-icm`) and all four baseline
 //! platforms (`graphite-baselines`) execute on this substrate, so — as in
@@ -32,6 +33,7 @@ pub mod check;
 pub mod codec;
 pub mod engine;
 pub mod error;
+pub mod exchange;
 pub mod fault;
 pub mod metrics;
 pub mod partition;

@@ -65,9 +65,13 @@ pub struct StepTiming {
     /// parallel, so the slowest one gates the barrier) — the paper's
     /// "compute+" contribution.
     pub compute: Duration,
-    /// Message exchange (serialize, route, deserialize, regroup).
+    /// Message exchange: the slowest sender's encode, the driver's
+    /// routing at the barrier, and the slowest receiver's decode and
+    /// regroup. Encode runs on the compute threads but is charged here,
+    /// never to `compute`.
     pub messaging: Duration,
-    /// Synchronization overhead: thread orchestration around the barrier.
+    /// Synchronization overhead: what the two parallel phases' wall time
+    /// exceeds their slowest worker by (thread orchestration).
     pub barrier: Duration,
 }
 
@@ -117,7 +121,7 @@ pub struct RunMetrics {
     /// Aggregated user-logic counters over all workers and supersteps.
     pub counters: UserCounters,
     /// Supersteps after the second whose exchange grew any reusable
-    /// routing buffer (outbox batches, inbox storage, the wire buffer).
+    /// buffer (outbox batches and frames, inbox storage, count tables).
     /// Ramp-up growth in the first two supersteps is expected and not
     /// counted; a steady workload must keep this at zero thereafter — the
     /// allocation-regression test pins exactly that.

@@ -61,6 +61,11 @@ pub struct PartitionMap {
     /// Vertices per worker, precomputed so ownership lists and per-worker
     /// buffers can be sized exactly instead of growing incrementally.
     counts: Vec<u32>,
+    /// Each vertex's rank among the vertices of its own worker, in index
+    /// order: a dense per-worker key (`0..owned_count`) that sorts like
+    /// the vertex index, so per-worker tables need one slot per *owned*
+    /// vertex instead of one per vertex of the graph.
+    local: Vec<u32>,
 }
 
 impl PartitionMap {
@@ -78,15 +83,27 @@ impl PartitionMap {
             .vertices()
             .map(|(_, v)| hash_partition(v.vid, workers) as u16)
             .collect();
+        Ok(Self::from_checked(assignment, workers))
+    }
+
+    /// Derives the per-worker counts and local ranks of an assignment
+    /// whose entries are all `< workers`.
+    fn from_checked(assignment: Vec<u16>, workers: usize) -> Self {
         let mut counts = vec![0u32; workers];
-        for &w in &assignment {
-            counts[w as usize] += 1;
-        }
-        Ok(PartitionMap {
+        let local = assignment
+            .iter()
+            .map(|&w| {
+                let rank = counts[w as usize];
+                counts[w as usize] += 1;
+                rank
+            })
+            .collect();
+        PartitionMap {
             assignment,
             workers,
             counts,
-        })
+            local,
+        }
     }
 
     /// Builds a map from an explicit per-vertex assignment (indexed by
@@ -114,15 +131,7 @@ impl PartitionMap {
                 ),
             });
         }
-        let mut counts = vec![0u32; workers];
-        for &w in &assignment {
-            counts[w as usize] += 1;
-        }
-        Ok(PartitionMap {
-            assignment,
-            workers,
-            counts,
-        })
+        Ok(Self::from_checked(assignment, workers))
     }
 
     /// Number of workers.
@@ -144,6 +153,13 @@ impl PartitionMap {
     #[inline]
     pub fn worker_of(&self, v: VIdx) -> usize {
         self.assignment[v.idx()] as usize
+    }
+
+    /// The rank of `v` among the vertices its worker owns, in index order
+    /// (`owned_by(worker_of(v))[local_index(v)] == v`).
+    #[inline]
+    pub fn local_index(&self, v: VIdx) -> usize {
+        self.local[v.idx()] as usize
     }
 
     /// Number of vertices owned by `worker`.
@@ -197,9 +213,15 @@ mod tests {
             // Matches the direct hash of the external id.
             assert_eq!(w, hash_partition(g.vertex(v).vid, 4));
         }
-        // Every vertex appears in exactly one ownership list.
+        // Every vertex appears in exactly one ownership list, at the
+        // position its local index names.
         let total: usize = (0..4).map(|w| p.owned_by(w).len()).sum();
         assert_eq!(total, 100);
+        for w in 0..4 {
+            for (rank, v) in p.owned_by(w).into_iter().enumerate() {
+                assert_eq!(p.local_index(v), rank);
+            }
+        }
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //!    `bench::timing` for wall-clock access.
 //!
 //! Collection is lock-free: each worker thread owns a [`TraceSink`]
-//! (plain `Vec` accumulation, no sharing) that the single-threaded
-//! exchange loop drains at the barrier, so `TraceLevel::Off` costs one
-//! branch per worker per superstep.
+//! (plain `Vec` accumulation, no sharing) that the driver drains at the
+//! barrier, between the compute and receive phases, so `TraceLevel::Off`
+//! costs one branch per worker per superstep.
 //!
 //! Serialization is the versioned JSONL schema `graphite-trace/1`
 //! ([`RunTrace::to_jsonl`]): a header object naming the schema and run
@@ -173,7 +173,9 @@ pub enum TraceEvent {
         halted: bool,
         /// Slowest worker's compute span (timing content).
         compute_ns: u64,
-        /// Single-threaded exchange span (timing content).
+        /// The exchange: slowest sender's encode + the driver's routing at
+        /// the barrier + slowest receiver's decode-and-group (timing
+        /// content; encode is never folded into `compute_ns`).
         messaging_ns: u64,
         /// Barrier/bookkeeping remainder of the step (timing content).
         barrier_ns: u64,
@@ -403,8 +405,8 @@ pub(crate) fn duration_ns(d: Duration) -> u64 {
 /// A worker-thread-local event accumulator.
 ///
 /// Each worker owns one sink per superstep; user logic records operator
-/// extras through it ([`Self::add`], [`Self::timed`]) and the exchange
-/// loop drains it at the barrier into [`TraceEvent::WorkerStep`]
+/// extras through it ([`Self::add`], [`Self::timed`]) and the driver
+/// drains it at the barrier into [`TraceEvent::WorkerStep`]
 /// `extras`. No locks, no sharing: determinism and the Off-mode cost
 /// model both fall out of single ownership.
 #[derive(Debug, Default)]

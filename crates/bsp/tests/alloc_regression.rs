@@ -1,10 +1,12 @@
-//! Allocation regression guard for the routing hot path: on a steady
+//! Allocation regression guard for the exchange hot path: on a steady
 //! workload (constant message volume per superstep) the engine's reusable
-//! routing buffers — per-worker outboxes, the inbox double-buffer, the
-//! shared wire buffer — must stop growing after the two ramp-up
-//! supersteps. `RunMetrics::routing_growths` counts supersteps (after the
-//! second) whose exchange grew any of those capacities; a steady run must
-//! report zero, and this test pins that.
+//! exchange buffers — every outbox's typed batches and per-(src, dst)
+//! frames, the inbox double-buffer, the per-worker count tables — must
+//! stop growing after the two ramp-up supersteps, even though frames and
+//! local batches are lent to the receivers and handed back every step.
+//! `RunMetrics::routing_growths` counts supersteps (after the second)
+//! whose exchange grew any of those capacities; a steady run must report
+//! zero, and this test pins that.
 //!
 //! A deliberately growing workload (message volume doubling every
 //! superstep) must report growth — proving the counter actually observes
@@ -102,8 +104,18 @@ fn steady_workload_allocates_nothing_after_ramp_up() {
 
 #[test]
 fn steady_workload_is_allocation_free_on_one_worker_too() {
-    // Single worker: the all-local path (no wire buffer involved).
+    // Single worker: the all-local path (typed batch only, no frames).
     let metrics = run_volume(1, 12, |_| 4);
+    assert_eq!(metrics.routing_growths, 0);
+}
+
+#[test]
+fn steady_workload_is_allocation_free_through_the_worker_pool() {
+    // 4 800 messages a superstep: past the inline threshold, so frames,
+    // local batches, inboxes and count tables all travel to the pool
+    // threads and back every step — and must come home with their capacity.
+    let metrics = run_volume(3, 12, |_| 400);
+    assert!(metrics.counters.remote_messages > 0, "no remote traffic");
     assert_eq!(metrics.routing_growths, 0);
 }
 

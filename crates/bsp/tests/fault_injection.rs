@@ -17,6 +17,7 @@ use graphite_bsp::{
 };
 use graphite_tgraph::builder::TemporalGraphBuilder;
 use graphite_tgraph::graph::{EdgeId, TemporalGraph, VIdx, VertexId};
+use graphite_tgraph::rng::SplitMix64;
 use graphite_tgraph::time::Interval;
 use std::sync::Arc;
 
@@ -307,4 +308,211 @@ fn disk_checkpoints_survive_rollback() {
     assert_eq!(rm.recovery.rollbacks, 1);
     assert!(rm.recovery.checkpoint_bytes > 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Fault semantics of the parallel receive phase.
+// ---------------------------------------------------------------------------
+
+const FLOOD_VERTICES: u32 = 512;
+const FLOOD_FANOUT: u32 = 16;
+const FLOOD_STEPS: u64 = 5;
+
+/// Every vertex sends to its next `FLOOD_FANOUT` ring successors for
+/// `FLOOD_STEPS` supersteps — 8 192 messages a step, well past the
+/// engine's inline threshold, so both exchange phases run on the worker
+/// pool and every worker sends a frame to every other worker every step.
+/// `digest` folds every delivery in inbox order, so it pins the grouping
+/// *and* the per-vertex delivery order.
+#[derive(Debug)]
+struct Flood {
+    owned: Vec<VIdx>,
+    digest: u64,
+}
+
+impl WorkerLogic for Flood {
+    type Msg = u64;
+    fn superstep(
+        &mut self,
+        step: u64,
+        inbox: &Inbox<u64>,
+        outbox: &mut Outbox<u64>,
+        _globals: &Aggregators,
+        _partial: &mut Aggregators,
+        _counters: &mut UserCounters,
+        _sink: &mut TraceSink,
+    ) {
+        for (v, msgs) in inbox.iter() {
+            for &m in msgs {
+                self.digest = (self.digest ^ u64::from(v.0) ^ m).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        if step > FLOOD_STEPS {
+            return;
+        }
+        for &v in &self.owned {
+            for hop in 1..=FLOOD_FANOUT {
+                let to = VIdx((v.0 + hop) % FLOOD_VERTICES);
+                outbox.send(to, step << 32 | u64::from(v.0) << 8 | u64::from(hop));
+            }
+        }
+    }
+}
+
+impl Snapshot for Flood {
+    fn checkpoint(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.digest.to_le_bytes());
+    }
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
+        let arr: [u8; 8] = bytes.try_into().map_err(|_| "flood blob")?;
+        self.digest = u64::from_le_bytes(arr);
+        Ok(())
+    }
+}
+
+/// Round-robin over 4 workers: with 16 successors per vertex, every
+/// worker addresses every other.
+fn flood_partition() -> Arc<PartitionMap> {
+    let assignment = (0..FLOOD_VERTICES).map(|v| (v % 4) as u16).collect();
+    Arc::new(PartitionMap::from_assignment(assignment, 4).expect("partition"))
+}
+
+fn flood_workers(partition: &Arc<PartitionMap>) -> Vec<Flood> {
+    (0..partition.workers())
+        .map(|w| Flood {
+            owned: partition.owned_by(w),
+            digest: 0,
+        })
+        .collect()
+}
+
+fn flood_digests(ws: &[Flood]) -> Vec<u64> {
+    ws.iter().map(|w| w.digest).collect()
+}
+
+fn corruption(worker: usize, step: u64) -> Fault {
+    Fault {
+        worker,
+        step,
+        kind: FaultKind::WireCorruption,
+        mode: FaultMode::Transient,
+    }
+}
+
+/// The `(worker, step)` of the codec error a plain flood run dies with.
+fn flood_codec_error(partition: &Arc<PartitionMap>, config: &BspConfig) -> (usize, u64) {
+    match run_bsp(
+        config,
+        flood_workers(partition),
+        Arc::clone(partition),
+        None,
+    ) {
+        Err(BspError::Codec { worker, step, .. }) => (worker, step),
+        Err(other) => panic!("expected a codec error, got {other:?}"),
+        Ok(_) => panic!("the corruption plan never fired"),
+    }
+}
+
+/// Two corruption faults drawn from `seed` over 4 workers and the flood's
+/// supersteps.
+fn seeded_corruptions(seed: u64) -> FaultPlan {
+    let mut rng = SplitMix64::new(seed);
+    let mut draw = || {
+        let worker = (rng.next_u64() % 4) as usize;
+        corruption(worker, 1 + rng.next_u64() % FLOOD_STEPS)
+    };
+    FaultPlan::default().and(draw()).and(draw())
+}
+
+#[test]
+fn seeded_corruption_plans_hit_the_pinned_frames() {
+    // Recorded on the serial exchange this engine replaced: the parallel
+    // receive must report exactly the frame the serial decoder stopped at.
+    // Seeds 2, 5 and 6 draw both faults in one superstep; seed 6 pairs
+    // workers 0 and 2, and reports 2 — worker 0's first remote frame comes
+    // from sender 1, after sender 0 has already addressed everyone else.
+    const PINNED: [(usize, u64); 12] = [
+        (3, 1),
+        (2, 1),
+        (2, 2),
+        (1, 2),
+        (3, 3),
+        (2, 5),
+        (2, 4),
+        (2, 4),
+        (2, 3),
+        (0, 2),
+        (1, 2),
+        (1, 1),
+    ];
+    let partition = flood_partition();
+    for (seed, &want) in PINNED.iter().enumerate() {
+        let plan = seeded_corruptions(seed as u64);
+        let got = flood_codec_error(&partition, &faulted(plan.clone()));
+        assert_eq!(got, want, "seed {seed}: {plan:?}");
+    }
+}
+
+#[test]
+fn concurrent_corrupt_frames_report_the_first_in_route_order() {
+    let partition = flood_partition();
+    let plan = FaultPlan::default()
+        .and(corruption(3, 2))
+        .and(corruption(1, 2));
+    // Workers 1 and 3 both receive a corrupt frame from sender 0 in
+    // superstep 2 and fail on their own threads; sender 0 addresses
+    // worker 1 first, so that is the error — every time, whichever
+    // receiver finished first.
+    for _ in 0..24 {
+        assert_eq!(
+            flood_codec_error(&partition, &faulted(plan.clone())),
+            (1, 2)
+        );
+    }
+    // A perturbed schedule walks senders and destinations in another
+    // order, so it may name the other worker — but one seed names one.
+    for seed in 0..8u64 {
+        let config = BspConfig {
+            perturb_schedule: Some(seed),
+            ..faulted(plan.clone())
+        };
+        let first = flood_codec_error(&partition, &config);
+        assert!(first == (1, 2) || first == (3, 2), "seed {seed}: {first:?}");
+        for _ in 0..4 {
+            assert_eq!(flood_codec_error(&partition, &config), first, "seed {seed}");
+        }
+    }
+}
+
+#[test]
+fn corrupt_frames_deliver_nothing_and_replay_clean() {
+    let partition = flood_partition();
+    let (clean, cm) = run_bsp(
+        &BspConfig::default(),
+        flood_workers(&partition),
+        Arc::clone(&partition),
+        None,
+    )
+    .unwrap();
+    let plan = FaultPlan::default()
+        .and(corruption(3, 2))
+        .and(corruption(1, 2))
+        .and(corruption(0, 4));
+    let (rec, rm) = run_bsp_recoverable(
+        &faulted(plan),
+        &RecoveryConfig::every(2),
+        flood_workers(&partition),
+        Arc::clone(&partition),
+        None,
+    )
+    .unwrap();
+    // An order-sensitive digest of every delivery: had a corrupt frame (or
+    // the frames decoded before it) leaked a single message into the
+    // replay, or the replay regrouped differently, it would differ.
+    assert_eq!(flood_digests(&rec), flood_digests(&clean));
+    assert_eq!(rm.counters, cm.counters);
+    assert_eq!(rm.supersteps, cm.supersteps);
+    // Both superstep-2 frames are drawn in the attempt that runs the step
+    // (their receivers are concurrent), so one rollback clears both.
+    assert_eq!(rm.recovery.rollbacks, 2);
 }

@@ -148,6 +148,10 @@ struct IcmWorker<P: IntervalProgram> {
     /// assembled (and combiner-folded) here instead of allocating a fresh
     /// vector per compute call.
     group: Vec<P::Msg>,
+    /// Reusable per-time-point buckets of the suppressed path, indexed by
+    /// offset from the vertex's lifespan start; all empty between vertices.
+    /// A unit-lifespan graph only ever uses the first.
+    buckets: Vec<Vec<P::Msg>>,
 }
 
 impl<P: IntervalProgram> IcmWorker<P> {
@@ -166,13 +170,6 @@ impl<P: IntervalProgram> IcmWorker<P> {
         }
         msgs.clear();
         msgs.push(acc);
-    }
-
-    /// Owned-vector variant of [`fold_in_place`](Self::fold_in_place) for
-    /// the per-point suppressed path, whose buckets are already owned.
-    fn fold(&self, mut msgs: Vec<P::Msg>) -> Vec<P::Msg> {
-        self.fold_in_place(&mut msgs);
-        msgs
     }
 
     /// Runs scatter over the changed sub-intervals of vertex `v`.
@@ -392,11 +389,12 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
                 active.push((v, self.precombine(raw)));
             }
         }
-        // The warp arena and group buffer move into locals for the
+        // The warp arena and the message buffers move into locals for the
         // superstep so their borrows don't pin `self` while
         // `fold_in_place`/`scatter_changes` run.
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut group = std::mem::take(&mut self.group);
+        let mut buckets = std::mem::take(&mut self.buckets);
         for (v, msgs) in active {
             // Take the vertex state out of the map for the superstep and
             // reinsert it after the writes are applied: one lookup, no
@@ -413,26 +411,28 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
             // handles those supersteps.
             if !all_active && self.should_suppress(lifespan, &msgs) {
                 counters.warp_suppressions += 1;
-                // Time-point-centric fallback: bucket messages per point.
-                // A dense offset-indexed table avoids per-vertex tree
-                // allocations (bounded lifespans are a precondition of
-                // suppression).
+                // Time-point-centric fallback: bucket messages per point
+                // in a dense offset-indexed table (bounded lifespans are a
+                // precondition of suppression). The table is the worker's,
+                // so no superstep allocates one.
                 let base = lifespan.start();
-                let mut table: Vec<Vec<P::Msg>> = vec![Vec::new(); lifespan.len() as usize];
+                let points = lifespan.len() as usize;
+                if buckets.len() < points {
+                    buckets.resize_with(points, Vec::new);
+                }
                 for (iv, m) in msgs.iter() {
                     let Some(clipped) = iv.intersect(lifespan) else {
                         continue;
                     };
                     for t in clipped.points() {
-                        table[(t - base) as usize].push(m.clone());
+                        buckets[(t - base) as usize].push(m.clone());
                     }
                 }
-                let buckets = table
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, b)| !b.is_empty())
-                    .map(|(off, b)| (base + off as Time, b));
-                for (t, bucket) in buckets {
+                for (off, bucket) in buckets[..points].iter_mut().enumerate() {
+                    if bucket.is_empty() {
+                        continue;
+                    }
+                    let t = base + off as Time;
                     let point = Interval::point(t);
                     let state = partition
                         .value_at(t)
@@ -441,7 +441,7 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
                         // partition covers the lifespan by construction.
                         .expect("bucket inside lifespan")
                         .clone();
-                    let bucket = self.fold(bucket);
+                    self.fold_in_place(bucket);
                     let mut ctx = ComputeContext {
                         graph: &graph,
                         vertex: v,
@@ -453,7 +453,8 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
                         direct: &mut direct,
                     };
                     counters.compute_calls += 1;
-                    self.program.compute(&mut ctx, point, &state, &bucket);
+                    self.program.compute(&mut ctx, point, &state, bucket);
+                    bucket.clear();
                 }
             } else {
                 counters.warp_invocations += 1;
@@ -513,6 +514,7 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
         }
         self.scratch = scratch;
         self.group = group;
+        self.buckets = buckets;
         for (v, iv, m) in direct {
             outbox.send(v, (iv, m));
         }
@@ -690,16 +692,20 @@ fn build_workers<P: IntervalProgram>(
     partition: &Arc<PartitionMap>,
 ) -> Vec<IcmWorker<P>> {
     (0..config.workers)
-        .map(|w| IcmWorker {
-            graph: Arc::clone(graph),
-            program: Arc::clone(program),
-            owned: partition.owned_by(w),
-            combiner: config.combiner,
-            suppression: config.suppression_threshold,
-            states: StateArena::new(&partition.owned_by(w)),
-            scratch: WarpScratch::new(),
-            emitted: Vec::new(),
-            group: Vec::new(),
+        .map(|w| {
+            let owned = partition.owned_by(w);
+            IcmWorker {
+                graph: Arc::clone(graph),
+                program: Arc::clone(program),
+                combiner: config.combiner,
+                suppression: config.suppression_threshold,
+                states: StateArena::new(&owned),
+                owned,
+                scratch: WarpScratch::new(),
+                emitted: Vec::new(),
+                group: Vec::new(),
+                buckets: Vec::new(),
+            }
         })
         .collect()
 }

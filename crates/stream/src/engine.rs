@@ -6,7 +6,7 @@
 //! pre-batch graph, (2) applies the delta through the [`DeltaOverlay`]
 //! (with its deterministic compaction cadence), (3) re-converges every
 //! registered algorithm from its previous fixpoint via
-//! [`Resumed`](crate::resume::Resumed), and (4) on the configured
+//! [`Resumed`], and (4) on the configured
 //! differential cadence re-runs each algorithm from scratch and demands
 //! bit-identical result digests — the correctness instrument the whole
 //! subsystem is pinned by.

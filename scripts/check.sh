@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local verification gate — everything CI runs, in the same order.
 # Fast failures first: formatting, then static analysis (clippy + the
-# repo's own graphite-analyze pass), then the full workspace test suite.
+# repo's own graphite-analyze pass), then the full workspace test suite,
+# the release-mode matrices, and the end-to-end benchmark's smoke pass.
 #
 # Usage: scripts/check.sh          (from anywhere inside the repo)
 set -euo pipefail
@@ -39,5 +40,8 @@ scripts/stream_soak.sh
 
 echo "==> chaos soak (release)"
 scripts/chaos_soak.sh
+
+echo "==> end-to-end benchmark smoke (release)"
+bash benchmark/run.sh --smoke
 
 echo "==> all checks passed"
