@@ -372,13 +372,24 @@ impl ServeEngine {
     /// This is the serving side of the streaming loop (DESIGN.md §17):
     /// `graphite-stream` refreshes the graph per update batch and the
     /// serving layer re-points at it between queries.
+    ///
+    /// The write lock is held for the pointer swap only: the new
+    /// generation (cost model included) is built before taking it, and
+    /// the previous one — usually the last reference to a whole graph —
+    /// is dropped after releasing it, so a submitter or executor
+    /// snapshotting the epoch never waits on a measurement or a
+    /// deallocation.
     pub fn install_graph(&self, graph: Arc<TemporalGraph>) -> u64 {
-        let mut slot = match self.shared.epoch.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
+        let mut next = Epoch::over(0, graph);
+        let (serial, previous) = {
+            let mut slot = match self.shared.epoch.write() {
+                Ok(g) => g,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            next.serial = slot.serial + 1;
+            (next.serial, std::mem::replace(&mut *slot, Arc::new(next)))
         };
-        let serial = slot.serial + 1;
-        *slot = Arc::new(Epoch::over(serial, graph));
+        drop(previous);
         serial
     }
 

@@ -4,7 +4,9 @@
 //!
 //! Per batch the engine (1) computes the dirty vertex set against the
 //! pre-batch graph, (2) applies the delta through the [`DeltaOverlay`]
-//! (with its deterministic compaction cadence), (3) re-converges every
+//! (validated as a whole — a rejected batch leaves the engine exactly
+//! where it was — then patched in, with the overlay's deterministic
+//! verification cadence), (3) re-converges every
 //! registered algorithm from its previous fixpoint via
 //! [`Resumed`], and (4) on the configured
 //! differential cadence re-runs each algorithm from scratch and demands
@@ -15,7 +17,7 @@
 //! extras in the `graphite-trace/1` vocabulary); stream code never touches
 //! the clock directly.
 
-use crate::resume::{dirty_vertices, PrevStates, Resumed};
+use crate::resume::{dirty_vertices_with, PrevStates, Resumed};
 use graphite_algorithms::bfs::IcmBfs;
 use graphite_algorithms::common::{digest_interval_states, AlgLabels};
 use graphite_algorithms::td_paths::{IcmEat, IcmReach};
@@ -41,7 +43,8 @@ pub struct StreamConfig {
     /// Verifying-compaction cadence of the delta overlay: every
     /// `compact_every`-th batch re-derives the structure digest from
     /// content and fails on drift. `0` disables verification (every batch
-    /// is a fast freeze).
+    /// is a plain freeze). The cadence never changes what a batch's graph
+    /// contains.
     pub compact_every: u64,
     /// Differential cadence: every `check_every`-th batch re-runs each
     /// registered algorithm from scratch and compares result digests.
@@ -341,13 +344,20 @@ impl StreamEngine {
     ///
     /// # Errors
     ///
-    /// [`StreamError::Graph`] on a rejected delta or digest drift;
+    /// [`StreamError::Graph`] on a rejected delta (nothing changed: the
+    /// graph, the batch count and the carried fixpoints are those of the
+    /// previous batch, and the next valid batch applies as if the bad
+    /// one had never arrived) or digest drift;
     /// [`StreamError::Run`] on a failed maintenance run;
     /// [`StreamError::DifferentialMismatch`] when an incremental result
     /// diverges from the from-scratch recomputation.
     pub fn ingest(&mut self, delta: &GraphDelta) -> Result<BatchReport, StreamError> {
-        let dirty = Arc::new(dirty_vertices(&self.graph, delta));
+        // The overlay still holds the pre-batch graph here, so its `eid`
+        // index resolves the touched edges without scanning.
         let overlay = &mut self.overlay;
+        let dirty = Arc::new(dirty_vertices_with(&self.graph, delta, |eid| {
+            overlay.edge_endpoints(eid)
+        }));
         let graph = Arc::new(
             self.sink
                 .timed("stream_apply_ns", || overlay.apply_and_freeze(delta))?,
@@ -532,4 +542,224 @@ where
     };
     slot.prev_bool = Arc::new(r.states);
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use graphite_datagen::stream::derive_update_stream;
+    use graphite_datagen::{GenParams, LifespanModel, PropModel, UpdateStream};
+    use graphite_tgraph::graph::{EIdx, EdgeId, VIdx};
+    use graphite_tgraph::property::PropValue;
+
+    fn churny(seed: u64, snapshots: Time) -> GenParams {
+        GenParams {
+            vertices: 60,
+            edges: 260,
+            snapshots,
+            vertex_lifespans: LifespanModel::Geometric { mean: 9.0 },
+            edge_lifespans: LifespanModel::Geometric { mean: 5.0 },
+            props: PropModel {
+                mean_segment: 3.0,
+                max_cost: 10,
+                max_travel_time: 2,
+            },
+            ..GenParams::small(seed)
+        }
+    }
+
+    fn engine_over(stream: &UpdateStream) -> StreamEngine {
+        let source = stream
+            .base
+            .vertices()
+            .map(|(_, v)| v.vid)
+            .min()
+            .expect("non-empty base");
+        let mut engine = StreamEngine::new(
+            Arc::new(stream.base.clone()),
+            StreamConfig {
+                compact_every: 2,
+                ..StreamConfig::default()
+            },
+        );
+        for spec in [
+            AlgoSpec::Bfs { source },
+            AlgoSpec::Eat { source, start: 0 },
+            AlgoSpec::Reach { source, start: 0 },
+        ] {
+            engine.register(spec).expect("register");
+        }
+        engine
+    }
+
+    fn digests(report: &BatchReport) -> (u64, u64, Vec<u64>) {
+        (
+            report.batch,
+            report.graph_digest,
+            report.algos.iter().map(|a| a.result_digest).collect(),
+        )
+    }
+
+    /// A rejected batch is invisible: the engine that saw valid → invalid
+    /// (one per error class, each a valid batch with one bad op slipped
+    /// in, so a prefix of it *would* apply) → valid reports exactly what
+    /// the engine that only ever saw the valid batches reports.
+    #[test]
+    fn a_rejected_batch_leaves_the_stream_where_it_was() {
+        let stream = derive_update_stream(&churny(71, 16), 4);
+        let mut clean = engine_over(&stream);
+        let mut tested = engine_over(&stream);
+        let first = tested.ingest(&stream.batches[0]).expect("valid batch");
+        assert_eq!(
+            digests(&first),
+            digests(&clean.ingest(&stream.batches[0]).expect("valid batch"))
+        );
+
+        // Entities of the current graph for the bad ops to aim at.
+        let g = tested.graph();
+        let vertex = g.vertex(VIdx(0));
+        let edge = g.edge(EIdx(0));
+        let (src, dst) = (g.vertex(edge.src).vid, g.vertex(edge.dst).vid);
+        let next = &stream.batches[1];
+        assert!(!next.insert_vertices.is_empty() && !next.edge_props.is_empty());
+        type Spoil = fn(&mut GraphDelta, VertexId, (EdgeId, VertexId, VertexId, Interval));
+        type Expect = fn(&GraphError) -> bool;
+        let cases: [(&str, Spoil, Expect); 6] = [
+            (
+                "duplicate vertex",
+                |d, vid, _| d.insert_vertex(vid, Interval::new(0, 1)),
+                |e| matches!(e, GraphError::DuplicateVertex(_)),
+            ),
+            (
+                "duplicate edge",
+                |d, _, (eid, s, t, life)| d.insert_edge(eid, s, t, life),
+                |e| matches!(e, GraphError::DuplicateEdge(_)),
+            ),
+            (
+                "unknown endpoint",
+                |d, _, (_, s, _, life)| {
+                    d.insert_edge(EdgeId(u64::MAX), s, VertexId(u64::MAX), life);
+                },
+                |e| matches!(e, GraphError::UnknownVertex(_)),
+            ),
+            (
+                "non-monotone extension",
+                |d, _, (eid, _, _, life)| d.extend_edge(eid, life.start()),
+                |e| matches!(e, GraphError::NonMonotoneExtension { .. }),
+            ),
+            (
+                "property outside lifespan",
+                |d, _, (eid, _, _, life)| {
+                    let past = Interval::new(life.start(), life.end() + 1_000);
+                    d.edge_property(eid, "fresh-label", past, PropValue::Long(1));
+                },
+                |e| matches!(e, GraphError::PropertyOutsideLifespan { .. }),
+            ),
+            (
+                // Every op but the very last one applied is valid.
+                "error in the last op",
+                |d, _, _| {
+                    let last = d.edge_props.last().cloned();
+                    d.edge_props.extend(last);
+                },
+                |e| matches!(e, GraphError::PropertyOverlap { .. }),
+            ),
+        ];
+        for (what, spoil, expected) in cases {
+            let mut bad = next.clone();
+            spoil(&mut bad, vertex.vid, (edge.eid, src, dst, edge.lifespan));
+            match tested.ingest(&bad) {
+                Err(StreamError::Graph(e)) if expected(&e) => {}
+                other => panic!("{what}: expected a typed rejection, got {other:?}"),
+            }
+            assert_eq!(tested.batches(), 1, "{what}: batch counted");
+            assert!(Arc::ptr_eq(&tested.graph(), &g), "{what}: graph replaced");
+            assert_eq!(tested.structure_digest(), first.graph_digest, "{what}");
+        }
+
+        for delta in &stream.batches[1..] {
+            let seen = tested.ingest(delta).expect("valid batch after rejections");
+            let want = clean.ingest(delta).expect("valid batch");
+            assert_eq!(digests(&seen), digests(&want));
+        }
+        assert_eq!(tested.structure_digest(), stream.final_digest);
+        assert_eq!(tested.graph().content_digest(), stream.final_digest);
+    }
+
+    /// Everything of a graph the public read API shows, copied out.
+    fn deep_copy(g: &TemporalGraph) -> Vec<String> {
+        let props = |p: &graphite_tgraph::property::Properties| {
+            p.iter()
+                .map(|(l, iv, v)| format!("{:?}={iv:?}:{v:?}", g.labels().name(l)))
+                .collect::<Vec<_>>()
+        };
+        let mut rows = vec![format!("{:?}", g.lifespan())];
+        for (v, row) in g.vertices() {
+            let (out, inc) = (g.out_run(v), g.in_run(v));
+            rows.push(format!(
+                "{:?} {:?} {:?} out {:?} {:?} {:?} in {:?} {:?} {:?}",
+                row.vid,
+                row.lifespan,
+                props(row.props),
+                out.edges,
+                out.nbr,
+                out.span,
+                inc.edges,
+                inc.nbr,
+                inc.span
+            ));
+        }
+        for (e, row) in g.edges() {
+            rows.push(format!(
+                "{:?} {:?}->{:?} {:?} {:?} {:?}",
+                row.eid,
+                row.src,
+                row.dst,
+                row.lifespan,
+                props(row.props),
+                g.scatter_segments(e)
+            ));
+        }
+        rows
+    }
+
+    /// An epoch handed out stays what it was: later batches extend and
+    /// re-label entities it shares property rows with, and none of that
+    /// may show through the held `Arc`.
+    #[test]
+    fn a_held_epoch_is_isolated_from_later_batches() {
+        let stream = derive_update_stream(&churny(73, 24), 10);
+        let mut engine = engine_over(&stream);
+        let at_k = engine.ingest(&stream.batches[0]).expect("batch k");
+        let held = engine.graph();
+        let before = deep_copy(&held);
+
+        // What the later batches do to entities alive in epoch k.
+        let (mut extended, mut relabelled, mut widened) = (0, 0, 0);
+        let in_k: BTreeSet<EdgeId> = held.edges().map(|(_, row)| row.eid).collect();
+        let alive = |eid: &EdgeId| in_k.contains(eid);
+        for delta in &stream.batches[1..] {
+            extended += delta.extend_edges.iter().filter(|(e, _)| alive(e)).count();
+            relabelled += delta.edge_props.iter().filter(|(e, ..)| alive(e)).count();
+            widened += delta
+                .extend_edge_props
+                .iter()
+                .filter(|(e, ..)| alive(e))
+                .count();
+            engine.ingest(delta).expect("later batch");
+        }
+        assert!(stream.batches.len() > 8 && extended > 0 && relabelled > 0 && widened > 0);
+        assert_ne!(engine.structure_digest(), at_k.graph_digest);
+
+        assert_eq!(held.structure_digest(), at_k.graph_digest);
+        assert_eq!(held.content_digest(), at_k.graph_digest, "content changed");
+        assert_eq!(deep_copy(&held), before);
+        // BFS and EAT from scratch over the held epoch give what the
+        // engine reported when that epoch was current.
+        let mut cold = StreamEngine::new(Arc::clone(&held), StreamConfig::default());
+        for (slot, report) in engine.slots.iter().zip(&at_k.algos).take(2) {
+            let digest = cold.register(slot.spec).expect("cold run over epoch k");
+            assert_eq!(digest, report.result_digest, "{}", report.name);
+        }
+    }
 }

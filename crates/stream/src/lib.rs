@@ -5,10 +5,10 @@
 //! frozen at load time; this crate keeps results *current* against a
 //! stream of timestamped update batches:
 //!
-//! * [`graphite_tgraph::delta`] (re-exported through the prelude) stages
-//!   [`GraphDelta`](graphite_tgraph::delta::GraphDelta) batches over the
-//!   frozen CSR graph and compacts back with the structure digest folded
-//!   incrementally;
+//! * [`graphite_tgraph::delta`] (re-exported through the prelude)
+//!   validates [`GraphDelta`](graphite_tgraph::delta::GraphDelta)
+//!   batches and patches them into the frozen CSR columns, with the
+//!   structure digest folded incrementally and each epoch a flat clone;
 //! * [`resume`] wraps any monotone
 //!   [`IntervalProgram`](graphite_icm::prelude::IntervalProgram) so it
 //!   re-converges from a previous fixpoint, re-seeding only the vertices

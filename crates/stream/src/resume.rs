@@ -27,7 +27,7 @@
 
 use graphite_icm::prelude::*;
 use graphite_tgraph::delta::GraphDelta;
-use graphite_tgraph::graph::{TemporalGraph, VertexId};
+use graphite_tgraph::graph::{EdgeId, TemporalGraph, VertexId};
 use graphite_tgraph::time::{Interval, Time};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -136,7 +136,44 @@ impl<P: IntervalProgram> IntervalProgram for Resumed<P> {
 /// Over-approximation is sound (a dirty vertex merely re-announces its
 /// fixpoint); under-approximation is what the differential harness exists
 /// to catch.
+///
+/// This stand-alone form resolves the touched edges with one scan over
+/// `base`'s edge rows; [`StreamEngine::ingest`](crate::engine::StreamEngine::ingest)
+/// computes the same set through its overlay's `eid` index instead.
 pub fn dirty_vertices(base: &TemporalGraph, delta: &GraphDelta) -> BTreeSet<VertexId> {
+    let touched: BTreeSet<EdgeId> = touched_edges(delta).collect();
+    let mut endpoints = BTreeMap::new();
+    if !touched.is_empty() {
+        for (_, row) in base.edges().filter(|(_, row)| touched.contains(&row.eid)) {
+            endpoints.insert(
+                row.eid,
+                (base.vertex(row.src).vid, base.vertex(row.dst).vid),
+            );
+        }
+    }
+    dirty_vertices_with(base, delta, |eid| endpoints.get(&eid).copied())
+}
+
+/// The pre-existing edges `delta` extends or re-labels (edges the batch
+/// itself inserts may appear too; they resolve to nothing in the pre-batch
+/// graph and are covered as inserts).
+fn touched_edges(delta: &GraphDelta) -> impl Iterator<Item = EdgeId> + '_ {
+    delta
+        .extend_edges
+        .iter()
+        .map(|&(eid, _)| eid)
+        .chain(delta.edge_props.iter().map(|(eid, _, _, _)| *eid))
+        .chain(delta.extend_edge_props.iter().map(|(eid, _, _)| *eid))
+}
+
+/// [`dirty_vertices`] with the touched edges' endpoints resolved by the
+/// caller: `endpoints(eid)` answers for the *pre-batch* graph (`None` for
+/// an edge it does not hold).
+pub(crate) fn dirty_vertices_with(
+    base: &TemporalGraph,
+    delta: &GraphDelta,
+    endpoints: impl Fn(EdgeId) -> Option<(VertexId, VertexId)>,
+) -> BTreeSet<VertexId> {
     let mut dirty = BTreeSet::new();
     for &(vid, _) in &delta.insert_vertices {
         dirty.insert(vid);
@@ -145,39 +182,15 @@ pub fn dirty_vertices(base: &TemporalGraph, delta: &GraphDelta) -> BTreeSet<Vert
         dirty.insert(src);
         dirty.insert(dst);
     }
-    // Endpoints of touched pre-existing edges, resolved against the base
-    // rows (one id→endpoints table for the whole batch); edges inserted by
-    // this very batch are already covered above.
-    let touched: Vec<graphite_tgraph::graph::EdgeId> = delta
-        .extend_edges
-        .iter()
-        .map(|&(eid, _)| eid)
-        .chain(delta.edge_props.iter().map(|(eid, _, _, _)| *eid))
-        .chain(delta.extend_edge_props.iter().map(|(eid, _, _)| *eid))
-        .collect();
-    if !touched.is_empty() {
-        let endpoints: std::collections::HashMap<_, _> = base
-            .edge_indices()
-            .map(|e| {
-                let row = base.edge(e);
-                (
-                    row.eid,
-                    (base.vertex(row.src).vid, base.vertex(row.dst).vid),
-                )
-            })
-            .collect();
-        for eid in touched {
-            if let Some(&(src, dst)) = endpoints.get(&eid) {
-                dirty.insert(src);
-                dirty.insert(dst);
-            }
-        }
+    for (src, dst) in touched_edges(delta).filter_map(endpoints) {
+        dirty.insert(src);
+        dirty.insert(dst);
     }
     for &(vid, _) in &delta.extend_vertices {
         dirty.insert(vid);
         if let Some(v) = base.vertex_index(vid) {
-            for &e in base.in_edges(v) {
-                dirty.insert(base.vertex(base.edge(e).src).vid);
+            for &nbr in base.in_run(v).nbr {
+                dirty.insert(base.vertex(nbr).vid);
             }
         }
         // Same-batch inserted edges pointing at the extended vertex.
@@ -188,4 +201,74 @@ pub fn dirty_vertices(base: &TemporalGraph, delta: &GraphDelta) -> BTreeSet<Vert
         }
     }
     dirty
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use graphite_tgraph::builder::TemporalGraphBuilder;
+    use graphite_tgraph::delta::DeltaOverlay;
+    use graphite_tgraph::rng::SplitMix64;
+
+    /// Both resolvers — the scan over the pre-batch graph and the
+    /// overlay's `eid` index — must give the same dirty set, on deltas
+    /// that touch known edges, unknown edges and edges of their own.
+    #[test]
+    fn scan_and_index_resolution_agree_on_random_deltas() {
+        let mut rng = SplitMix64::new(0x0064_6972_7479); // "dirty"
+        let (n, m) = (40u64, 160u64);
+        let mut b = TemporalGraphBuilder::new();
+        for v in 0..n {
+            b.add_vertex(VertexId(v), Interval::new(0, 20)).unwrap();
+        }
+        for e in 0..m {
+            let (s, d) = (rng.next_u64() % n, rng.next_u64() % n);
+            let start = (rng.next_u64() % 10) as i64;
+            b.add_edge(
+                EdgeId(e * 3),
+                VertexId(s),
+                VertexId(d),
+                Interval::new(start, start + 5),
+            )
+            .unwrap();
+        }
+        let base = b.build().unwrap();
+        let overlay = DeltaOverlay::new(&base, 0);
+        let mut non_trivial = 0;
+        for case in 0..320u64 {
+            let mut delta = GraphDelta::new();
+            // Edge ids are multiples of 3, so two thirds of the draws name
+            // an edge the graph does not hold.
+            let eid = |rng: &mut SplitMix64| EdgeId(rng.next_u64() % (m * 3 + 6));
+            for _ in 0..rng.next_u64() % 4 {
+                delta.extend_edge(eid(&mut rng), 30);
+            }
+            for _ in 0..rng.next_u64() % 4 {
+                delta.edge_property(eid(&mut rng), "w", Interval::new(0, 1), 1i64.into());
+            }
+            for _ in 0..rng.next_u64() % 3 {
+                delta.extend_edge_property(eid(&mut rng), "w", 30);
+            }
+            for k in 0..rng.next_u64() % 3 {
+                let fresh = VertexId(1000 + case * 8 + k);
+                delta.insert_vertex(fresh, Interval::new(0, 9));
+                let new_edge = EdgeId(100_000 + case * 8 + k);
+                delta.insert_edge(
+                    new_edge,
+                    fresh,
+                    VertexId(rng.next_u64() % n),
+                    Interval::new(1, 4),
+                );
+                delta.extend_edge(new_edge, 6);
+            }
+            for _ in 0..rng.next_u64() % 3 {
+                delta.extend_vertex(VertexId(rng.next_u64() % (n + 4)), 40);
+            }
+            let scanned = dirty_vertices(&base, &delta);
+            let indexed = dirty_vertices_with(&base, &delta, |e| overlay.edge_endpoints(e));
+            assert_eq!(scanned, indexed, "case {case}");
+            non_trivial += usize::from(scanned.len() > 2);
+        }
+        assert!(non_trivial >= 256, "only {non_trivial} non-trivial deltas");
+    }
 }

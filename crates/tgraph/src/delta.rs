@@ -1,25 +1,35 @@
 //! Live graph updates (DESIGN.md §17): [`GraphDelta`] batches of inserts
 //! and lifespan/property extensions, applied to a frozen [`TemporalGraph`]
-//! through the row-staging [`DeltaOverlay`].
+//! through the patching [`DeltaOverlay`].
 //!
-//! The frozen CSR/SoA layout (DESIGN.md §16) is immutable by design, so
-//! mutation happens in two phases:
+//! The overlay owns a working copy of the frozen CSR/SoA graph (DESIGN.md
+//! §16) plus the `eid` index, and refreshes it per batch at the cost of the
+//! batch, not of the graph:
 //!
-//! 1. **Overlay** — the overlay holds the graph in its builder-shaped row
-//!    staging form (entity rows plus id indexes) and applies delta batches
-//!    directly to the rows, enforcing exactly the builder's soundness
-//!    constraints plus the streaming monotonicity rule (lifespans and
-//!    property intervals may only *extend* to the right). Alongside the
-//!    rows it carries the structure digest's section accumulators,
-//!    updated **incrementally** — O(changed records) per batch, never a
-//!    re-hash of the graph.
-//! 2. **Compaction** — [`DeltaOverlay::freeze`] assembles the rows back
-//!    into a frozen CSR graph carrying the memoized accumulators;
-//!    [`DeltaOverlay::compact`] additionally re-derives the digest from
-//!    content and fails with [`GraphError::DigestDrift`] on divergence.
+//! 1. **Validate** — the whole batch is checked first, op by op in the
+//!    documented order, against the working copy and a *write set* holding
+//!    the would-be final row of every entity the batch touches. Validation
+//!    enforces exactly the builder's soundness constraints plus the
+//!    streaming monotonicity rule (lifespans and property intervals may
+//!    only *extend* to the right). A rejected batch changes nothing: the
+//!    write set is dropped and the overlay stays usable.
+//! 2. **Commit** — the write set is patched into the columns
+//!    (`graph::patch`): new rows append, edited rows are overwritten, the
+//!    structure digest's section accumulators are updated in O(changed
+//!    records), and adjacency and scatter segments are spliced so the flat
+//!    columns are byte for byte what a from-scratch assembly of the same
+//!    rows would hold.
+//! 3. **Freeze** — [`DeltaOverlay::freeze`] is a flat clone of the working
+//!    copy: a `memcpy` of the plain columns plus one reference-count bump
+//!    per property row ([`Properties`] is
+//!    copy-on-write), so an epoch shares every property row it did not
+//!    edit with its neighbours. [`DeltaOverlay::compact`] is that clone
+//!    plus a re-derivation of the digest from content, failing with
+//!    [`GraphError::DigestDrift`] on divergence.
 //!    [`DeltaOverlay::apply_and_freeze`] runs the configured cadence:
 //!    every `compact_every`-th batch is a verifying compaction, the rest
-//!    are fast freezes.
+//!    are plain freezes — the cadence decides only how often the digest is
+//!    verified, never what the frozen graph contains.
 //!
 //! Because the digest folds records by their *external* identities (vid,
 //! eid, label names) into an order-independent multiset sum, a delta-built
@@ -28,11 +38,8 @@
 //! path (pinned by `tests/layout_equiv.rs`).
 
 use crate::error::GraphError;
-use crate::graph::{
-    combine_digest, edge_record_hash, vertex_record_hash, EdgeData, EdgeId, TemporalGraph, VIdx,
-    VertexData, VertexId,
-};
-use crate::property::{LabelInterner, PropValue, Properties};
+use crate::graph::{EIdx, EdgeData, EdgeId, RowPatch, TemporalGraph, VIdx, VertexData, VertexId};
+use crate::property::{LabelId, PropValue, Properties};
 use crate::time::{Interval, Time};
 use std::collections::HashMap;
 
@@ -141,55 +148,41 @@ impl GraphDelta {
     }
 }
 
-/// Mutable row-staging overlay over a frozen [`TemporalGraph`] (module
-/// docs). Create one per update stream, feed it [`GraphDelta`] batches,
-/// and freeze/compact back into CSR form per batch.
+/// Patching overlay over a frozen [`TemporalGraph`] (module docs). Create
+/// one per update stream, feed it [`GraphDelta`] batches, and freeze the
+/// refreshed graph per batch.
 #[derive(Debug)]
 pub struct DeltaOverlay {
-    labels: LabelInterner,
-    vertices: Vec<VertexData>,
-    edges: Vec<EdgeData>,
-    vid_index: HashMap<VertexId, VIdx>,
+    /// The current graph: the overlay's own working copy, patched in place.
+    graph: TemporalGraph,
     eid_index: HashMap<EdgeId, u32>,
-    v_acc: u64,
-    e_acc: u64,
     batches: u64,
     compact_every: u64,
 }
 
 impl DeltaOverlay {
-    /// Thaws `base` into row staging. `compact_every` sets the verifying
+    /// Takes a working copy of `base` (a flat clone sharing its property
+    /// rows) and indexes its edge ids. `compact_every` sets the verifying
     /// compaction cadence of [`apply_and_freeze`](Self::apply_and_freeze)
-    /// (`0` = never verify, every freeze is a fast freeze).
+    /// (`0` = never verify, every freeze is a plain freeze).
     pub fn new(base: &TemporalGraph, compact_every: u64) -> Self {
-        let (labels, vertices, edges, vid_index) = base.clone_rows();
-        let eid_index = edges
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.eid, i as u32))
-            .collect();
-        let (v_acc, e_acc) = base.digest_accumulators();
+        let eid_index = base.edges().map(|(e, row)| (row.eid, e.0)).collect();
         DeltaOverlay {
-            labels,
-            vertices,
-            edges,
-            vid_index,
+            graph: base.clone(),
             eid_index,
-            v_acc,
-            e_acc,
             batches: 0,
             compact_every,
         }
     }
 
-    /// Number of vertices currently staged.
+    /// Number of vertices in the current graph.
     pub fn num_vertices(&self) -> usize {
-        self.vertices.len()
+        self.graph.num_vertices()
     }
 
-    /// Number of edges currently staged.
+    /// Number of edges in the current graph.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.graph.num_edges()
     }
 
     /// Number of delta batches applied so far.
@@ -197,22 +190,26 @@ impl DeltaOverlay {
         self.batches
     }
 
-    /// The structure digest the staged rows will have once frozen —
-    /// predicted purely from the incrementally-folded accumulators, O(1).
+    /// The structure digest of the current graph (what the next freeze
+    /// will carry) — the incrementally-folded accumulators, O(1).
     pub fn structure_digest(&self) -> u64 {
-        combine_digest(
-            self.vertices.len() as u64,
-            self.edges.len() as u64,
-            self.v_acc,
-            self.e_acc,
-        )
+        self.graph.structure_digest()
     }
 
-    /// Applies one batch, op by op in the documented order. Validation
-    /// mirrors the builder's Constraints 1–3 plus streaming monotonicity;
-    /// the first violation aborts the batch mid-application, so callers
-    /// treating a delta as transactional should discard the overlay on
-    /// error.
+    /// The endpoints `(src, dst)` of edge `eid` in the current graph, by
+    /// external id — an O(1) lookup through the overlay's `eid` index.
+    pub fn edge_endpoints(&self, eid: EdgeId) -> Option<(VertexId, VertexId)> {
+        let row = self.graph.edge(EIdx(*self.eid_index.get(&eid)?));
+        Some((
+            self.graph.vertex(row.src).vid,
+            self.graph.vertex(row.dst).vid,
+        ))
+    }
+
+    /// Applies one batch transactionally: the whole batch is validated
+    /// first (op by op in the documented order; the builder's Constraints
+    /// 1–3 plus streaming monotonicity), then committed. On error nothing
+    /// has changed and the overlay carries on from the previous batch.
     ///
     /// # Errors
     ///
@@ -220,69 +217,42 @@ impl DeltaOverlay {
     /// produce, plus [`GraphError::NonMonotoneExtension`] and
     /// [`GraphError::UnknownProperty`] for invalid extensions.
     pub fn apply(&mut self, delta: &GraphDelta) -> Result<(), GraphError> {
-        for &(vid, lifespan) in &delta.insert_vertices {
-            self.insert_vertex(vid, lifespan)?;
-        }
-        for &(vid, new_end) in &delta.extend_vertices {
-            self.extend_vertex(vid, new_end)?;
-        }
-        for &(eid, src, dst, lifespan) in &delta.insert_edges {
-            self.insert_edge(eid, src, dst, lifespan)?;
-        }
-        for &(eid, new_end) in &delta.extend_edges {
-            self.extend_edge(eid, new_end)?;
-        }
-        for (eid, label, new_end) in &delta.extend_edge_props {
-            self.extend_edge_property(*eid, label, *new_end)?;
-        }
-        for (vid, label, interval, value) in &delta.vertex_props {
-            self.vertex_property(*vid, label, *interval, value.clone())?;
-        }
-        for (eid, label, interval, value) in &delta.edge_props {
-            self.edge_property(*eid, label, *interval, value.clone())?;
-        }
+        let Txn {
+            patch, new_eids, ..
+        } = Txn::validate(&self.graph, &self.eid_index, delta)?;
+        self.eid_index.extend(new_eids);
+        self.graph.commit(patch);
         self.batches += 1;
         Ok(())
     }
 
-    /// Freezes the staged rows back into a CSR graph, carrying the
-    /// memoized digest accumulators — no re-hash of the content.
+    /// The current graph as a frozen epoch: a flat clone — `memcpy` of the
+    /// plain columns, a reference-count bump per property row, no re-hash
+    /// and no re-sort.
     pub fn freeze(&self) -> TemporalGraph {
-        TemporalGraph::assemble_with_digest(
-            self.labels.clone(),
-            self.vertices.clone(),
-            self.edges.clone(),
-            self.vid_index.clone(),
-            (self.v_acc, self.e_acc),
-        )
+        self.graph.clone()
     }
 
-    /// Verifying compaction: assembles the rows with a full digest
-    /// re-fold from content and checks it against the incremental
-    /// prediction.
+    /// Verifying compaction: a [`freeze`](Self::freeze) whose digest is
+    /// first re-derived from content and checked against the incrementally
+    /// folded one.
     ///
     /// # Errors
     ///
     /// [`GraphError::DigestDrift`] when the incrementally-folded digest
     /// disagrees with the re-derived one.
     pub fn compact(&self) -> Result<TemporalGraph, GraphError> {
-        let g = TemporalGraph::assemble(
-            self.labels.clone(),
-            self.vertices.clone(),
-            self.edges.clone(),
-            self.vid_index.clone(),
-        );
         let expected = self.structure_digest();
-        let actual = g.structure_digest();
+        let actual = self.graph.content_digest();
         if expected != actual {
             return Err(GraphError::DigestDrift { expected, actual });
         }
-        Ok(g)
+        Ok(self.freeze())
     }
 
     /// Applies `delta` and returns the refreshed frozen graph, running a
     /// verifying [`compact`](Self::compact) on every `compact_every`-th
-    /// batch (deterministic cadence) and a fast [`freeze`](Self::freeze)
+    /// batch (deterministic cadence) and a plain [`freeze`](Self::freeze)
     /// otherwise.
     ///
     /// # Errors
@@ -297,45 +267,145 @@ impl DeltaOverlay {
             Ok(self.freeze())
         }
     }
+}
 
-    fn vertex_hash(&self, v: VIdx) -> u64 {
-        let row = &self.vertices[v.idx()];
-        vertex_record_hash(&self.labels, row.vid, row.lifespan, &row.props)
+/// One batch's validation pass: reads fall through the write set to the
+/// graph, writes land in the write set only. What survives
+/// [`validate`](Self::validate) is committed as is.
+struct Txn<'a> {
+    graph: &'a TemporalGraph,
+    eid_index: &'a HashMap<EdgeId, u32>,
+    new_vids: HashMap<VertexId, VIdx>,
+    new_eids: HashMap<EdgeId, u32>,
+    patch: RowPatch,
+}
+
+impl<'a> Txn<'a> {
+    fn validate(
+        graph: &'a TemporalGraph,
+        eid_index: &'a HashMap<EdgeId, u32>,
+        delta: &GraphDelta,
+    ) -> Result<Self, GraphError> {
+        let mut txn = Txn {
+            graph,
+            eid_index,
+            new_vids: HashMap::new(),
+            new_eids: HashMap::new(),
+            patch: RowPatch::default(),
+        };
+        for &(vid, lifespan) in &delta.insert_vertices {
+            txn.insert_vertex(vid, lifespan)?;
+        }
+        for &(vid, new_end) in &delta.extend_vertices {
+            txn.extend_vertex(vid, new_end)?;
+        }
+        for &(eid, src, dst, lifespan) in &delta.insert_edges {
+            txn.insert_edge(eid, src, dst, lifespan)?;
+        }
+        for &(eid, new_end) in &delta.extend_edges {
+            txn.extend_edge(eid, new_end)?;
+        }
+        for (eid, label, new_end) in &delta.extend_edge_props {
+            txn.extend_edge_property(*eid, label, *new_end)?;
+        }
+        for (vid, label, interval, value) in &delta.vertex_props {
+            txn.vertex_property(*vid, label, *interval, value.clone())?;
+        }
+        for (eid, label, interval, value) in &delta.edge_props {
+            txn.edge_property(*eid, label, *interval, value.clone())?;
+        }
+        Ok(txn)
     }
 
-    fn edge_hash(&self, e: u32) -> u64 {
-        let row = &self.edges[e as usize];
-        edge_record_hash(
-            &self.labels,
-            row.eid,
-            self.vertices[row.src.idx()].vid,
-            self.vertices[row.dst.idx()].vid,
-            row.lifespan,
-            &row.props,
-        )
+    fn vertex_index(&self, vid: VertexId) -> Result<VIdx, GraphError> {
+        self.graph
+            .vertex_index(vid)
+            .or_else(|| self.new_vids.get(&vid).copied())
+            .ok_or(GraphError::UnknownVertex(vid))
+    }
+
+    fn edge_index(&self, eid: EdgeId) -> Result<u32, GraphError> {
+        self.eid_index
+            .get(&eid)
+            .or_else(|| self.new_eids.get(&eid))
+            .copied()
+            .ok_or(GraphError::UnknownEdge(eid))
+    }
+
+    /// The vertex's id and lifespan as the batch has left them so far.
+    fn vertex(&self, v: VIdx) -> (VertexId, Interval) {
+        match self.patch.vertices.get(&v.0) {
+            Some(row) => (row.vid, row.lifespan),
+            None => (self.graph.vertex(v).vid, self.graph.vertex_lifespan(v)),
+        }
+    }
+
+    /// The vertex's row in the write set, copied in from the graph (the
+    /// property row by reference) on first touch.
+    fn vertex_mut(&mut self, v: VIdx) -> &mut VertexData {
+        let graph = self.graph;
+        self.patch.vertices.entry(v.0).or_insert_with(|| {
+            let row = graph.vertex(v);
+            VertexData {
+                vid: row.vid,
+                lifespan: row.lifespan,
+                props: row.props.clone(),
+            }
+        })
+    }
+
+    /// The edge's row in the write set, copied in on first touch.
+    fn edge_mut(&mut self, e: u32) -> &mut EdgeData {
+        let graph = self.graph;
+        self.patch.edges.entry(e).or_insert_with(|| {
+            let row = graph.edge(EIdx(e));
+            EdgeData {
+                eid: row.eid,
+                src: row.src,
+                dst: row.dst,
+                lifespan: row.lifespan,
+                props: row.props.clone(),
+            }
+        })
+    }
+
+    /// Interns `label` for this batch: the graph's id when it has one,
+    /// otherwise the id the commit will assign.
+    fn intern(&mut self, label: &str) -> LabelId {
+        if let Some(id) = self.graph.label(label) {
+            return id;
+        }
+        let base = self.graph.labels().len();
+        let at = match self.patch.labels.iter().position(|l| l == label) {
+            Some(at) => at,
+            None => {
+                self.patch.labels.push(label.to_owned());
+                self.patch.labels.len() - 1
+            }
+        };
+        LabelId((base + at) as u32)
     }
 
     fn insert_vertex(&mut self, vid: VertexId, lifespan: Interval) -> Result<(), GraphError> {
-        if self.vid_index.contains_key(&vid) {
+        if self.vertex_index(vid).is_ok() {
             return Err(GraphError::DuplicateVertex(vid));
         }
-        let idx = VIdx(self.vertices.len() as u32);
-        self.vertices.push(VertexData {
-            vid,
-            lifespan,
-            props: Properties::new(),
-        });
-        self.vid_index.insert(vid, idx);
-        self.v_acc = self.v_acc.wrapping_add(self.vertex_hash(idx));
+        let idx = (self.graph.num_vertices() + self.new_vids.len()) as u32;
+        self.new_vids.insert(vid, VIdx(idx));
+        self.patch.vertices.insert(
+            idx,
+            VertexData {
+                vid,
+                lifespan,
+                props: Properties::new(),
+            },
+        );
         Ok(())
     }
 
     fn extend_vertex(&mut self, vid: VertexId, new_end: Time) -> Result<(), GraphError> {
-        let v = *self
-            .vid_index
-            .get(&vid)
-            .ok_or(GraphError::UnknownVertex(vid))?;
-        let current = self.vertices[v.idx()].lifespan;
+        let v = self.vertex_index(vid)?;
+        let (_, current) = self.vertex(v);
         if new_end <= current.end() {
             return Err(GraphError::NonMonotoneExtension {
                 owner: format!("vertex {}", vid.0),
@@ -343,10 +413,28 @@ impl DeltaOverlay {
                 requested_end: new_end,
             });
         }
-        let old = self.vertex_hash(v);
-        self.vertices[v.idx()].lifespan = Interval::new(current.start(), new_end);
-        let new = self.vertex_hash(v);
-        self.v_acc = self.v_acc.wrapping_sub(old).wrapping_add(new);
+        self.vertex_mut(v).lifespan = Interval::new(current.start(), new_end);
+        Ok(())
+    }
+
+    /// Constraint 2 for one edge lifespan against both endpoints.
+    fn check_within_endpoints(
+        &self,
+        eid: EdgeId,
+        edge: Interval,
+        endpoints: [VIdx; 2],
+    ) -> Result<(), GraphError> {
+        for v in endpoints {
+            let (vid, vertex) = self.vertex(v);
+            if !edge.during_or_equals(vertex) {
+                return Err(GraphError::EdgeOutsideVertexLifespan {
+                    eid,
+                    vid,
+                    edge,
+                    vertex,
+                });
+            }
+        }
         Ok(())
     }
 
@@ -357,48 +445,30 @@ impl DeltaOverlay {
         dst: VertexId,
         lifespan: Interval,
     ) -> Result<(), GraphError> {
-        if self.eid_index.contains_key(&eid) {
+        if self.edge_index(eid).is_ok() {
             return Err(GraphError::DuplicateEdge(eid));
         }
-        let s = *self
-            .vid_index
-            .get(&src)
-            .ok_or(GraphError::UnknownVertex(src))?;
-        let d = *self
-            .vid_index
-            .get(&dst)
-            .ok_or(GraphError::UnknownVertex(dst))?;
-        for (vid, v) in [(src, s), (dst, d)] {
-            let vspan = self.vertices[v.idx()].lifespan;
-            if !lifespan.during_or_equals(vspan) {
-                return Err(GraphError::EdgeOutsideVertexLifespan {
-                    eid,
-                    vid,
-                    edge: lifespan,
-                    vertex: vspan,
-                });
-            }
-        }
-        let idx = self.edges.len() as u32;
-        self.eid_index.insert(eid, idx);
-        self.edges.push(EdgeData {
-            eid,
-            src: s,
-            dst: d,
-            lifespan,
-            props: Properties::new(),
-        });
-        self.e_acc = self.e_acc.wrapping_add(self.edge_hash(idx));
+        let (s, d) = (self.vertex_index(src)?, self.vertex_index(dst)?);
+        self.check_within_endpoints(eid, lifespan, [s, d])?;
+        let idx = (self.graph.num_edges() + self.new_eids.len()) as u32;
+        self.new_eids.insert(eid, idx);
+        self.patch.edges.insert(
+            idx,
+            EdgeData {
+                eid,
+                src: s,
+                dst: d,
+                lifespan,
+                props: Properties::new(),
+            },
+        );
         Ok(())
     }
 
     fn extend_edge(&mut self, eid: EdgeId, new_end: Time) -> Result<(), GraphError> {
-        let e = *self
-            .eid_index
-            .get(&eid)
-            .ok_or(GraphError::UnknownEdge(eid))?;
+        let e = self.edge_index(eid)?;
         let (current, src, dst) = {
-            let row = &self.edges[e as usize];
+            let row = self.edge_mut(e);
             (row.lifespan, row.src, row.dst)
         };
         if new_end <= current.end() {
@@ -409,21 +479,8 @@ impl DeltaOverlay {
             });
         }
         let extended = Interval::new(current.start(), new_end);
-        for v in [src, dst] {
-            let vspan = self.vertices[v.idx()].lifespan;
-            if !extended.during_or_equals(vspan) {
-                return Err(GraphError::EdgeOutsideVertexLifespan {
-                    eid,
-                    vid: self.vertices[v.idx()].vid,
-                    edge: extended,
-                    vertex: vspan,
-                });
-            }
-        }
-        let old = self.edge_hash(e);
-        self.edges[e as usize].lifespan = extended;
-        let new = self.edge_hash(e);
-        self.e_acc = self.e_acc.wrapping_sub(old).wrapping_add(new);
+        self.check_within_endpoints(eid, extended, [src, dst])?;
+        self.edge_mut(e).lifespan = extended;
         Ok(())
     }
 
@@ -434,11 +491,8 @@ impl DeltaOverlay {
         interval: Interval,
         value: PropValue,
     ) -> Result<(), GraphError> {
-        let v = *self
-            .vid_index
-            .get(&vid)
-            .ok_or(GraphError::UnknownVertex(vid))?;
-        let lifespan = self.vertices[v.idx()].lifespan;
+        let v = self.vertex_index(vid)?;
+        let (_, lifespan) = self.vertex(v);
         if !interval.during_or_equals(lifespan) {
             return Err(GraphError::PropertyOutsideLifespan {
                 owner: format!("vertex {}", vid.0),
@@ -446,18 +500,14 @@ impl DeltaOverlay {
                 lifespan,
             });
         }
-        let lid = self.labels.intern(label);
-        let old = self.vertex_hash(v);
-        self.vertices[v.idx()]
+        let lid = self.intern(label);
+        self.vertex_mut(v)
             .props
             .insert(lid, interval, value)
             .map_err(|source| GraphError::PropertyOverlap {
                 owner: format!("vertex {}", vid.0),
                 source,
-            })?;
-        let new = self.vertex_hash(v);
-        self.v_acc = self.v_acc.wrapping_sub(old).wrapping_add(new);
-        Ok(())
+            })
     }
 
     fn edge_property(
@@ -467,11 +517,8 @@ impl DeltaOverlay {
         interval: Interval,
         value: PropValue,
     ) -> Result<(), GraphError> {
-        let e = *self
-            .eid_index
-            .get(&eid)
-            .ok_or(GraphError::UnknownEdge(eid))?;
-        let lifespan = self.edges[e as usize].lifespan;
+        let e = self.edge_index(eid)?;
+        let lifespan = self.edge_mut(e).lifespan;
         if !interval.during_or_equals(lifespan) {
             return Err(GraphError::PropertyOutsideLifespan {
                 owner: format!("edge {}", eid.0),
@@ -479,18 +526,14 @@ impl DeltaOverlay {
                 lifespan,
             });
         }
-        let lid = self.labels.intern(label);
-        let old = self.edge_hash(e);
-        self.edges[e as usize]
+        let lid = self.intern(label);
+        self.edge_mut(e)
             .props
             .insert(lid, interval, value)
             .map_err(|source| GraphError::PropertyOverlap {
                 owner: format!("edge {}", eid.0),
                 source,
-            })?;
-        let new = self.edge_hash(e);
-        self.e_acc = self.e_acc.wrapping_sub(old).wrapping_add(new);
-        Ok(())
+            })
     }
 
     fn extend_edge_property(
@@ -499,30 +542,24 @@ impl DeltaOverlay {
         label: &str,
         new_end: Time,
     ) -> Result<(), GraphError> {
-        let e = *self
-            .eid_index
-            .get(&eid)
-            .ok_or(GraphError::UnknownEdge(eid))?;
-        let owner = || format!("edge {}", eid.0);
-        let lid = self
-            .labels
-            .get(label)
-            .ok_or_else(|| GraphError::UnknownProperty {
-                owner: owner(),
-                label: label.to_owned(),
-            })?;
-        let lifespan = self.edges[e as usize].lifespan;
+        let e = self.edge_index(eid)?;
+        let unknown = || GraphError::UnknownProperty {
+            owner: format!("edge {}", eid.0),
+            label: label.to_owned(),
+        };
+        // Extensions run before the batch's property inserts, so the label
+        // and the entry are ones an earlier batch (or the base) wrote.
+        let lid = self.graph.label(label).ok_or_else(unknown)?;
+        let row = self.edge_mut(e);
         // The right-most entry of the label's timeline: entries never
-        // overlap, so the maximal end is also the only entry an extension
-        // to the right can target without colliding.
-        let target = self.edges[e as usize]
+        // overlap, so it is the only one an extension to the right can
+        // target without colliding.
+        let target = row
             .props
             .timeline(lid)
-            .and_then(|tl| tl.iter().map(|(iv, _)| iv).max_by_key(|iv| iv.end()))
-            .ok_or_else(|| GraphError::UnknownProperty {
-                owner: owner(),
-                label: label.to_owned(),
-            })?;
+            .and_then(|tl| tl.iter().last())
+            .map(|(iv, _)| iv)
+            .ok_or_else(unknown)?;
         if new_end <= target.end() {
             return Err(GraphError::NonMonotoneExtension {
                 owner: format!("property {label:?} on edge {}", eid.0),
@@ -531,34 +568,14 @@ impl DeltaOverlay {
             });
         }
         let extended = Interval::new(target.start(), new_end);
-        if !extended.during_or_equals(lifespan) {
+        if !extended.during_or_equals(row.lifespan) {
             return Err(GraphError::PropertyOutsideLifespan {
-                owner: owner(),
+                owner: format!("edge {}", eid.0),
                 property: extended,
-                lifespan,
+                lifespan: row.lifespan,
             });
         }
-        let old = self.edge_hash(e);
-        // Properties are append-only by API; rebuild the entity's set with
-        // the one entry widened (timelines are small — a handful of
-        // segments per label).
-        let mut rebuilt = Properties::new();
-        for (l, iv, value) in self.edges[e as usize].props.iter() {
-            let iv = if l == lid && iv == target {
-                extended
-            } else {
-                iv
-            };
-            rebuilt
-                .insert(l, iv, value.clone())
-                .map_err(|source| GraphError::PropertyOverlap {
-                    owner: owner(),
-                    source,
-                })?;
-        }
-        self.edges[e as usize].props = rebuilt;
-        let new = self.edge_hash(e);
-        self.e_acc = self.e_acc.wrapping_sub(old).wrapping_add(new);
+        row.props.extend_last(lid, new_end);
         Ok(())
     }
 }
@@ -566,7 +583,7 @@ impl DeltaOverlay {
 impl TemporalGraph {
     /// Applies one delta batch to this graph, returning the updated frozen
     /// graph — one-shot convenience over [`DeltaOverlay`] (which amortizes
-    /// the row thaw across many batches).
+    /// the working copy and the `eid` index across many batches).
     ///
     /// # Errors
     ///
@@ -574,7 +591,7 @@ impl TemporalGraph {
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<TemporalGraph, GraphError> {
         let mut overlay = DeltaOverlay::new(self, 0);
         overlay.apply(delta)?;
-        Ok(overlay.freeze())
+        Ok(overlay.graph)
     }
 }
 

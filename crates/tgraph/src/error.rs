@@ -65,12 +65,12 @@ pub enum GraphError {
         label: String,
     },
     /// The incrementally-folded digest accumulators disagreed with a full
-    /// re-fold from content at a compaction point — the overlay and the
-    /// compacted CSR graph have diverged.
+    /// re-fold from content at a compaction point — the overlay's patched
+    /// graph and its carried digest have diverged.
     DigestDrift {
         /// Digest predicted by the incremental fold.
         expected: u64,
-        /// Digest re-derived from the compacted content.
+        /// Digest re-derived from the content.
         actual: u64,
     },
 }

@@ -21,6 +21,10 @@
 //!
 //! [`scatter_segments`]: TemporalGraph::scatter_segments
 
+mod patch;
+
+pub(crate) use patch::RowPatch;
+
 use crate::iset::IntervalMap;
 use crate::property::{LabelId, LabelInterner, PropValue, Properties};
 use crate::time::{Interval, Time};
@@ -167,23 +171,18 @@ pub struct TemporalGraph {
     e_lifespan: Vec<Interval>,
     e_props: Vec<Properties>,
     vid_index: HashMap<VertexId, VIdx>,
-    // CSR adjacency with lifespan-sorted runs and aligned mirror columns.
-    out_offsets: Vec<u32>,
-    out_edges: Vec<EIdx>,
-    out_dst: Vec<VIdx>,
-    out_span: Vec<Interval>,
-    in_offsets: Vec<u32>,
-    in_edges: Vec<EIdx>,
-    in_src: Vec<VIdx>,
-    in_span: Vec<Interval>,
+    // CSR adjacency, one per direction: out-runs mirror `dst`, in-runs
+    // mirror `src`.
+    out: Adjacency,
+    inc: Adjacency,
     // Property-refined scatter segments, CSR-shaped over `EIdx`.
     seg_offsets: Vec<u32>,
     segs: Vec<Interval>,
     lifespan: Interval,
     // Memoized structure-digest section accumulators: wrapping sums of the
     // identity-keyed per-record hashes of every vertex / edge row. Computed
-    // once at assembly and carried forward incrementally by delta
-    // application (`crate::delta`), so `structure_digest` is O(1).
+    // once at assembly and carried forward incrementally by every patch
+    // (`patch`), so `structure_digest` is O(1).
     digest_v_acc: u64,
     digest_e_acc: u64,
 }
@@ -284,149 +283,125 @@ pub(crate) fn combine_digest(nv: u64, ne: u64, v_acc: u64, e_acc: u64) -> u64 {
     mix(h, e_acc)
 }
 
-/// Builds one direction of CSR adjacency: offsets, lifespan-sorted edge
-/// runs, and the aligned neighbor/span mirror columns. `key(e)` is the
-/// vertex each edge is charged to; `nbr(e)` the mirrored endpoint.
-fn build_csr(
-    n: usize,
-    edges: &[EdgeData],
-    key: impl Fn(&EdgeData) -> VIdx,
-    nbr: impl Fn(&EdgeData) -> VIdx,
-) -> (Vec<u32>, Vec<EIdx>, Vec<VIdx>, Vec<Interval>) {
-    let mut degree = vec![0u32; n];
-    for e in edges {
-        degree[key(e).idx()] += 1;
+/// One direction of CSR adjacency: per-vertex offsets into lifespan-sorted
+/// edge runs, with the neighbor/span mirror columns aligned index by index.
+#[derive(Clone, Debug)]
+struct Adjacency {
+    offsets: Vec<u32>,
+    edges: Vec<EIdx>,
+    nbr: Vec<VIdx>,
+    span: Vec<Interval>,
+}
+
+impl Adjacency {
+    /// Builds the direction over `n` vertices from the edge columns:
+    /// `key[e]` is the vertex edge `e` is charged to, `nbr[e]` the mirrored
+    /// endpoint.
+    fn build(n: usize, key: &[VIdx], nbr: &[VIdx], lifespan: &[Interval]) -> Self {
+        let mut degree = vec![0u32; n];
+        for k in key {
+            degree[k.idx()] += 1;
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        let mut acc = 0u32;
+        for &d in &degree {
+            acc += d;
+            offsets.push(acc);
+        }
+        // One global sort produces every per-vertex run already ordered by
+        // (lifespan start, lifespan end, EIdx): the CSR fill below preserves
+        // the relative order of a vertex's edges.
+        let mut order: Vec<u32> = (0..key.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| {
+            let life = lifespan[i as usize];
+            (key[i as usize].0, life.start(), life.end(), i)
+        });
+        let mut run = vec![EIdx(0); key.len()];
+        let mut mirror_nbr = vec![VIdx(0); key.len()];
+        let mut mirror_span = vec![Interval::all(); key.len()];
+        let mut fill = offsets.clone();
+        for &i in &order {
+            let slot = &mut fill[key[i as usize].idx()];
+            run[*slot as usize] = EIdx(i);
+            mirror_nbr[*slot as usize] = nbr[i as usize];
+            mirror_span[*slot as usize] = lifespan[i as usize];
+            *slot += 1;
+        }
+        Adjacency {
+            offsets,
+            edges: run,
+            nbr: mirror_nbr,
+            span: mirror_span,
+        }
     }
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0u32);
-    let mut acc = 0u32;
-    for &d in &degree {
-        acc += d;
-        offsets.push(acc);
+
+    #[inline]
+    fn bounds(&self, v: VIdx) -> (usize, usize) {
+        (
+            self.offsets[v.idx()] as usize,
+            self.offsets[v.idx() + 1] as usize,
+        )
     }
-    // One global sort produces every per-vertex run already ordered by
-    // (lifespan start, lifespan end, EIdx): the CSR fill below preserves
-    // the relative order of a vertex's edges.
-    let mut order: Vec<u32> = (0..edges.len() as u32).collect();
-    order.sort_unstable_by_key(|&i| {
-        let e = &edges[i as usize];
-        (key(e).0, e.lifespan.start(), e.lifespan.end(), i)
-    });
-    let mut run = vec![EIdx(0); edges.len()];
-    let mut mirror_nbr = vec![VIdx(0); edges.len()];
-    let mut mirror_span = vec![Interval::all(); edges.len()];
-    let mut fill = offsets.clone();
-    for &i in &order {
-        let e = &edges[i as usize];
-        let slot = &mut fill[key(e).idx()];
-        run[*slot as usize] = EIdx(i);
-        mirror_nbr[*slot as usize] = nbr(e);
-        mirror_span[*slot as usize] = e.lifespan;
-        *slot += 1;
+
+    #[inline]
+    fn run(&self, v: VIdx) -> AdjRun<'_> {
+        let (s, e) = self.bounds(v);
+        AdjRun {
+            edges: &self.edges[s..e],
+            nbr: &self.nbr[s..e],
+            span: &self.span[s..e],
+        }
     }
-    (offsets, run, mirror_nbr, mirror_span)
+}
+
+/// Appends the property-refined scatter segments of one edge to `out`
+/// (Sec. IV-A: "scatter is called once for each overlapping interval of
+/// its out-edges having a distinct property"): the lifespan split at every
+/// property boundary. `bounds` is scratch, reused across edges.
+fn refine_segments(
+    life: Interval,
+    props: &Properties,
+    bounds: &mut Vec<Time>,
+    out: &mut Vec<Interval>,
+) {
+    bounds.clear();
+    bounds.push(life.start());
+    bounds.push(life.end());
+    for (_, iv, _) in props.iter() {
+        bounds.push(iv.start());
+        bounds.push(iv.end());
+    }
+    bounds.sort_unstable();
+    bounds.dedup();
+    out.extend(
+        bounds
+            .windows(2)
+            .filter_map(|w| Interval::try_new(w[0], w[1]))
+            .filter_map(|iv| iv.intersect(life)),
+    );
 }
 
 impl TemporalGraph {
     /// Assembles (freezes) a graph from validated row-shaped parts: the
     /// rows are decomposed into columns, CSR adjacency is built with
-    /// lifespan-sorted runs and mirror columns, and every edge's
-    /// property-refined scatter segments are precomputed. Intended for the
-    /// builder; most users should go through
-    /// [`crate::builder::TemporalGraphBuilder`].
+    /// lifespan-sorted runs and mirror columns, every edge's
+    /// property-refined scatter segments are precomputed, and the digest
+    /// accumulators are folded from the content. The builder's path (and
+    /// the oracle the patch tests rebuild through); live updates patch the
+    /// frozen columns in place instead ([`patch`]).
     pub(crate) fn assemble(
         labels: LabelInterner,
         vertices: Vec<VertexData>,
         edges: Vec<EdgeData>,
         vid_index: HashMap<VertexId, VIdx>,
     ) -> Self {
-        Self::assemble_inner(labels, vertices, edges, vid_index, None)
-    }
-
-    /// [`assemble`](Self::assemble) with pre-folded digest accumulators —
-    /// the delta-application path ([`crate::delta`]) carries them forward
-    /// incrementally instead of re-hashing every row per batch. The caller
-    /// is responsible for their correctness; compaction verifies them by
-    /// re-deriving from content.
-    pub(crate) fn assemble_with_digest(
-        labels: LabelInterner,
-        vertices: Vec<VertexData>,
-        edges: Vec<EdgeData>,
-        // lint:allow(determinism-flow) — the map is only the id→row index;
-        // the digest accumulators arrive pre-folded and no iteration order
-        // feeds them
-        vid_index: HashMap<VertexId, VIdx>,
-        digest_acc: (u64, u64),
-    ) -> Self {
-        Self::assemble_inner(labels, vertices, edges, vid_index, Some(digest_acc))
-    }
-
-    fn assemble_inner(
-        labels: LabelInterner,
-        vertices: Vec<VertexData>,
-        edges: Vec<EdgeData>,
-        vid_index: HashMap<VertexId, VIdx>,
-        digest_acc: Option<(u64, u64)>,
-    ) -> Self {
         let n = vertices.len();
-        // Digest section accumulators: either adopted from an incremental
-        // fold, or derived from the rows in one pass.
-        let (digest_v_acc, digest_e_acc) = digest_acc.unwrap_or_else(|| {
-            let mut va = 0u64;
-            for v in &vertices {
-                va = va.wrapping_add(vertex_record_hash(&labels, v.vid, v.lifespan, &v.props));
-            }
-            let mut ea = 0u64;
-            for e in &edges {
-                ea = ea.wrapping_add(edge_record_hash(
-                    &labels,
-                    e.eid,
-                    vertices[e.src.idx()].vid,
-                    vertices[e.dst.idx()].vid,
-                    e.lifespan,
-                    &e.props,
-                ));
-            }
-            (va, ea)
-        });
-        let (out_offsets, out_edges, out_dst, out_span) =
-            build_csr(n, &edges, |e| e.src, |e| e.dst);
-        let (in_offsets, in_edges, in_src, in_span) = build_csr(n, &edges, |e| e.dst, |e| e.src);
         let lifespan = vertices
             .iter()
             .map(|v| v.lifespan)
             .reduce(|a, b| a.span(b))
             .unwrap_or_else(Interval::all);
-
-        // Property-refined scatter segments (Sec. IV-A: "scatter is called
-        // once for each overlapping interval of its out-edges having a
-        // distinct property"): the edge lifespan split at every property
-        // boundary. Pooled CSR-style so the common no-property case costs
-        // one interval and zero extra allocations.
-        let mut seg_offsets = Vec::with_capacity(edges.len() + 1);
-        seg_offsets.push(0u32);
-        let mut segs = Vec::with_capacity(edges.len());
-        let mut bounds: Vec<Time> = Vec::new();
-        for e in &edges {
-            let life = e.lifespan;
-            bounds.clear();
-            bounds.push(life.start());
-            bounds.push(life.end());
-            for (_, iv, _) in e.props.iter() {
-                bounds.push(iv.start());
-                bounds.push(iv.end());
-            }
-            bounds.sort_unstable();
-            bounds.dedup();
-            segs.extend(
-                bounds
-                    .windows(2)
-                    .filter_map(|w| Interval::try_new(w[0], w[1]))
-                    .filter_map(|iv| iv.intersect(life)),
-            );
-            seg_offsets.push(segs.len() as u32);
-        }
-
         let mut v_vid = Vec::with_capacity(n);
         let mut v_lifespan = Vec::with_capacity(n);
         let mut v_props = Vec::with_capacity(n);
@@ -448,7 +423,19 @@ impl TemporalGraph {
             e_lifespan.push(e.lifespan);
             e_props.push(e.props);
         }
-        TemporalGraph {
+        // Pooled CSR-style so the common no-property case costs one
+        // interval and zero extra allocations.
+        let mut seg_offsets = Vec::with_capacity(m + 1);
+        seg_offsets.push(0u32);
+        let mut segs = Vec::with_capacity(m);
+        let mut bounds: Vec<Time> = Vec::new();
+        for (life, props) in e_lifespan.iter().zip(&e_props) {
+            refine_segments(*life, props, &mut bounds, &mut segs);
+            seg_offsets.push(segs.len() as u32);
+        }
+        let mut graph = TemporalGraph {
+            out: Adjacency::build(n, &e_src, &e_dst, &e_lifespan),
+            inc: Adjacency::build(n, &e_dst, &e_src, &e_lifespan),
             labels,
             v_vid,
             v_lifespan,
@@ -459,20 +446,60 @@ impl TemporalGraph {
             e_lifespan,
             e_props,
             vid_index,
-            out_offsets,
-            out_edges,
-            out_dst,
-            out_span,
-            in_offsets,
-            in_edges,
-            in_src,
-            in_span,
             seg_offsets,
             segs,
             lifespan,
-            digest_v_acc,
-            digest_e_acc,
-        }
+            digest_v_acc: 0,
+            digest_e_acc: 0,
+        };
+        (graph.digest_v_acc, graph.digest_e_acc) = graph.fold_content();
+        graph
+    }
+
+    fn vertex_hash(&self, v: usize) -> u64 {
+        vertex_record_hash(
+            &self.labels,
+            self.v_vid[v],
+            self.v_lifespan[v],
+            &self.v_props[v],
+        )
+    }
+
+    fn edge_hash(&self, e: usize) -> u64 {
+        edge_record_hash(
+            &self.labels,
+            self.e_eid[e],
+            self.v_vid[self.e_src[e].idx()],
+            self.v_vid[self.e_dst[e].idx()],
+            self.e_lifespan[e],
+            &self.e_props[e],
+        )
+    }
+
+    /// Folds the section accumulators `(vertex sum, edge sum)` from the
+    /// content — one hash per row. Assembly seeds the memoized pair with
+    /// it; the streaming overlay's verifying compaction compares it against
+    /// the pair it carried forward incrementally.
+    fn fold_content(&self) -> (u64, u64) {
+        let v_acc = (0..self.v_vid.len()).fold(0u64, |a, v| a.wrapping_add(self.vertex_hash(v)));
+        let e_acc = (0..self.e_eid.len()).fold(0u64, |a, e| a.wrapping_add(self.edge_hash(e)));
+        (v_acc, e_acc)
+    }
+
+    /// The structure digest re-derived from the content, ignoring the
+    /// memoized accumulators — O(graph). Equal to
+    /// [`structure_digest`](Self::structure_digest) unless incremental
+    /// maintenance drifted, which is what
+    /// [`DeltaOverlay::compact`](crate::delta::DeltaOverlay::compact)
+    /// checks.
+    pub fn content_digest(&self) -> u64 {
+        let (v_acc, e_acc) = self.fold_content();
+        combine_digest(
+            self.v_vid.len() as u64,
+            self.e_eid.len() as u64,
+            v_acc,
+            e_acc,
+        )
     }
 
     /// Number of vertices.
@@ -521,12 +548,6 @@ impl TemporalGraph {
             self.digest_v_acc,
             self.digest_e_acc,
         )
-    }
-
-    /// The memoized digest section accumulators `(vertex sum, edge sum)` —
-    /// the incremental fold state that delta application carries forward.
-    pub(crate) fn digest_accumulators(&self) -> (u64, u64) {
-        (self.digest_v_acc, self.digest_e_acc)
     }
 
     /// The label interner (for resolving property names).
@@ -612,43 +633,29 @@ impl TemporalGraph {
     /// `(start, end, EIdx)`.
     #[inline]
     pub fn out_edges(&self, v: VIdx) -> &[EIdx] {
-        let s = self.out_offsets[v.idx()] as usize;
-        let e = self.out_offsets[v.idx() + 1] as usize;
-        &self.out_edges[s..e]
+        let (s, e) = self.out.bounds(v);
+        &self.out.edges[s..e]
     }
 
     /// In-edge indices of `v`, sorted by edge lifespan `(start, end, EIdx)`.
     #[inline]
     pub fn in_edges(&self, v: VIdx) -> &[EIdx] {
-        let s = self.in_offsets[v.idx()] as usize;
-        let e = self.in_offsets[v.idx() + 1] as usize;
-        &self.in_edges[s..e]
+        let (s, e) = self.inc.bounds(v);
+        &self.inc.edges[s..e]
     }
 
     /// The out-adjacency run of `v` with its aligned mirror columns
     /// (neighbor = `dst`) — the scatter hot loop's view.
     #[inline]
     pub fn out_run(&self, v: VIdx) -> AdjRun<'_> {
-        let s = self.out_offsets[v.idx()] as usize;
-        let e = self.out_offsets[v.idx() + 1] as usize;
-        AdjRun {
-            edges: &self.out_edges[s..e],
-            nbr: &self.out_dst[s..e],
-            span: &self.out_span[s..e],
-        }
+        self.out.run(v)
     }
 
     /// The in-adjacency run of `v` with its aligned mirror columns
     /// (neighbor = `src`).
     #[inline]
     pub fn in_run(&self, v: VIdx) -> AdjRun<'_> {
-        let s = self.in_offsets[v.idx()] as usize;
-        let e = self.in_offsets[v.idx() + 1] as usize;
-        AdjRun {
-            edges: &self.in_edges[s..e],
-            nbr: &self.in_src[s..e],
-            span: &self.in_span[s..e],
-        }
+        self.inc.run(v)
     }
 
     /// The precomputed property-refined scatter segments of edge `e`: its
@@ -742,36 +749,6 @@ impl TemporalGraph {
     /// Value of vertex property `label` on `v` at time `t`.
     pub fn vertex_property_at(&self, v: VIdx, label: LabelId, t: Time) -> Option<&PropValue> {
         self.v_props[v.idx()].value_at(label, t)
-    }
-
-    /// Clones the graph back into builder-shaped rows (the staging form
-    /// [`crate::delta::DeltaOverlay`] mutates): label interner, vertex
-    /// rows, edge rows, and the vid index.
-    pub(crate) fn clone_rows(
-        &self,
-    ) -> (
-        LabelInterner,
-        Vec<VertexData>,
-        Vec<EdgeData>,
-        HashMap<VertexId, VIdx>,
-    ) {
-        let vertices = (0..self.v_vid.len())
-            .map(|i| VertexData {
-                vid: self.v_vid[i],
-                lifespan: self.v_lifespan[i],
-                props: self.v_props[i].clone(),
-            })
-            .collect();
-        let edges = (0..self.e_eid.len())
-            .map(|i| EdgeData {
-                eid: self.e_eid[i],
-                src: self.e_src[i],
-                dst: self.e_dst[i],
-                lifespan: self.e_lifespan[i],
-                props: self.e_props[i].clone(),
-            })
-            .collect();
-        (self.labels.clone(), vertices, edges, self.vid_index.clone())
     }
 
     /// Rebuilds the transient lookup structures after deserialization.

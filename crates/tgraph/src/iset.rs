@@ -132,6 +132,15 @@ impl<V> IntervalMap<V> {
             .map(|(iv, v)| (*iv, v))
     }
 
+    /// Moves the end of the right-most entry to `new_end`, which the
+    /// caller has checked lies past its current end — nothing sits to its
+    /// right, so the map stays sorted and overlap-free.
+    pub(crate) fn extend_last(&mut self, new_end: Time) {
+        if let Some((iv, _)) = self.entries.last_mut() {
+            *iv = Interval::new(iv.start(), new_end);
+        }
+    }
+
     /// The smallest interval spanning all entries, or `None` when empty.
     pub fn span(&self) -> Option<Interval> {
         match (self.entries.first(), self.entries.last()) {

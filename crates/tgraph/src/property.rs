@@ -4,11 +4,17 @@
 //! edge. A label may hold distinct values over non-overlapping intervals
 //! within the entity's lifespan. Labels are interned to compact `LabelId`s
 //! so hot algorithm loops never compare strings.
+//!
+//! An entity's timelines live behind the copy-on-write [`Properties`]
+//! handle: cloning a graph (which is what a live-update freeze is,
+//! `crate::delta`) copies one pointer per entity, and only the entities a
+//! batch edits get a row of their own.
 
 use crate::iset::{IntervalMap, OverlapError};
 use crate::time::{Interval, Time};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An interned property-label identifier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -155,17 +161,34 @@ impl LabelInterner {
     }
 }
 
+/// One label's timeline inside a [`Properties`] row.
+type Timeline = (LabelId, IntervalMap<PropValue>);
+
 /// All temporal properties of a single vertex or edge: one timeline per
 /// label, each a gap-permitting [`IntervalMap`] of values.
+///
+/// The handle is **copy-on-write**: an entity's timelines are one shared
+/// allocation (`Arc<[Timeline]>`, the slice stored inline behind the
+/// reference counts), so `clone` is a pointer copy and a live-updated graph
+/// shares every row it has not edited with the epochs frozen before it
+/// (DESIGN.md §§16.1, 17.1). An edit goes through `Arc::make_mut` — in
+/// place while the row is unshared (the builder's case), one row copy
+/// otherwise. An entity without properties holds no allocation at all.
+/// Reads take the same two hops as a plain `Vec` of timelines would:
+/// handle → row, row → the timeline's entries.
 #[derive(Clone, Debug, Default)]
 pub struct Properties {
-    timelines: Vec<(LabelId, IntervalMap<PropValue>)>,
+    timelines: Option<Arc<[Timeline]>>,
 }
 
 impl Properties {
     /// No properties.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn rows(&self) -> &[Timeline] {
+        self.timelines.as_deref().unwrap_or(&[])
     }
 
     /// Inserts `value` for `label` over `interval`; errors when the label
@@ -177,20 +200,44 @@ impl Properties {
         interval: Interval,
         value: PropValue,
     ) -> Result<(), OverlapError> {
-        match self.timelines.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, tl)) => tl.insert(interval, value),
-            None => {
-                let mut tl = IntervalMap::new();
-                tl.insert(interval, value)?;
-                self.timelines.push((label, tl));
-                Ok(())
-            }
+        let at = self.rows().iter().position(|(l, _)| *l == label);
+        if let (Some(at), Some(rows)) = (at, self.timelines.as_mut()) {
+            return Arc::make_mut(rows)[at].1.insert(interval, value);
+        }
+        // First value under this label: the row grows by one timeline,
+        // which re-allocates it (labels per entity are a handful). An
+        // unshared row hands its timelines over instead of cloning them.
+        let mut timeline = IntervalMap::new();
+        timeline.insert(interval, value)?;
+        let last = std::iter::once((label, timeline));
+        self.timelines = Some(match self.timelines.take() {
+            None => last.collect(),
+            Some(mut old) => match Arc::get_mut(&mut old) {
+                Some(own) => own
+                    .iter_mut()
+                    .map(|(l, tl)| (*l, std::mem::take(tl)))
+                    .chain(last)
+                    .collect(),
+                None => old.iter().cloned().chain(last).collect(),
+            },
+        });
+        Ok(())
+    }
+
+    /// Moves the end of `label`'s right-most entry to `new_end` (the
+    /// streaming property extension, `crate::delta`). The caller has
+    /// checked that the entry exists and that `new_end` lies past its end;
+    /// nothing can sit to its right, so no overlap can arise.
+    pub(crate) fn extend_last(&mut self, label: LabelId, new_end: Time) {
+        let at = self.rows().iter().position(|(l, _)| *l == label);
+        if let (Some(at), Some(rows)) = (at, self.timelines.as_mut()) {
+            Arc::make_mut(rows)[at].1.extend_last(new_end);
         }
     }
 
     /// The timeline for `label`, if any value was ever set.
     pub fn timeline(&self, label: LabelId) -> Option<&IntervalMap<PropValue>> {
-        self.timelines
+        self.rows()
             .iter()
             .find(|(l, _)| *l == label)
             .map(|(_, tl)| tl)
@@ -203,24 +250,35 @@ impl Properties {
 
     /// Iterates `(label, interval, value)` over all timelines.
     pub fn iter(&self) -> impl Iterator<Item = (LabelId, Interval, &PropValue)> + '_ {
-        self.timelines
+        self.rows()
             .iter()
             .flat_map(|(l, tl)| tl.iter().map(move |(iv, v)| (*l, iv, v)))
     }
 
     /// Distinct labels present.
     pub fn labels(&self) -> impl Iterator<Item = LabelId> + '_ {
-        self.timelines.iter().map(|(l, _)| *l)
+        self.rows().iter().map(|(l, _)| *l)
     }
 
     /// `true` when no property is set.
     pub fn is_empty(&self) -> bool {
-        self.timelines.is_empty()
+        self.timelines.is_none()
     }
 
     /// Total number of `(label, interval, value)` entries.
     pub fn len(&self) -> usize {
-        self.timelines.iter().map(|(_, tl)| tl.len()).sum()
+        self.rows().iter().map(|(_, tl)| tl.len()).sum()
+    }
+
+    /// `true` when both handles point at the same shared row (or both
+    /// hold none) — the copy-on-write tests' probe.
+    #[cfg(test)]
+    pub(crate) fn shares_row_with(&self, other: &Properties) -> bool {
+        match (&self.timelines, &other.timelines) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        }
     }
 
     /// Average lifespan (in time units) of the property entries, or `None`
@@ -231,7 +289,7 @@ impl Properties {
             return None;
         }
         let total: i64 = self
-            .timelines
+            .rows()
             .iter()
             .flat_map(|(_, tl)| tl.iter())
             .fold(0i64, |acc, (iv, _)| acc.saturating_add(iv.len()));
@@ -296,6 +354,43 @@ mod tests {
         assert!(p.insert(time, Interval::new(10, 12), 2i64.into()).is_ok());
         assert_eq!(p.len(), 4);
         assert_eq!(p.labels().count(), 2);
+    }
+
+    #[test]
+    fn clones_share_the_row_until_one_side_edits() {
+        let (cost, time) = (LabelId(0), LabelId(1));
+        let mut a = Properties::new();
+        assert!(a.shares_row_with(&Properties::new()), "empty holds no row");
+        a.insert(cost, Interval::new(0, 4), 1i64.into()).unwrap();
+        let frozen = a.clone();
+        assert!(a.shares_row_with(&frozen));
+        // Every kind of edit detaches the editor and leaves the clone as
+        // it was: a value under an existing label, a new label, a widened
+        // entry, and a rejected insert (which changes neither).
+        a.insert(cost, Interval::new(4, 6), 2i64.into()).unwrap();
+        assert!(!a.shares_row_with(&frozen));
+        a.insert(time, Interval::new(0, 6), 3i64.into()).unwrap();
+        a.extend_last(cost, 9);
+        assert!(a.insert(cost, Interval::new(8, 12), 9i64.into()).is_err());
+        assert_eq!(frozen.len(), 1);
+        assert_eq!(frozen.value_at(cost, 4), None);
+        assert_eq!(frozen.timeline(time).map(IntervalMap::len), None);
+        let got: Vec<_> = a.iter().map(|(l, iv, v)| (l, iv, v.as_long())).collect();
+        assert_eq!(
+            got,
+            vec![
+                (cost, Interval::new(0, 4), Some(1)),
+                (cost, Interval::new(4, 9), Some(2)),
+                (time, Interval::new(0, 6), Some(3)),
+            ]
+        );
+        // An unshared row is edited where it is.
+        let before = a.clone();
+        drop(before);
+        let again = a.clone();
+        a.extend_last(time, 7);
+        assert_eq!(again.value_at(time, 6), None);
+        assert_eq!(a.value_at(time, 6).and_then(PropValue::as_long), Some(3));
     }
 
     #[test]

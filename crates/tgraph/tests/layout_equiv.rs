@@ -10,8 +10,8 @@
 
 use graphite_tgraph::builder::TemporalGraphBuilder;
 use graphite_tgraph::delta::{DeltaOverlay, GraphDelta};
-use graphite_tgraph::graph::{EdgeId, TemporalGraph, VertexId};
-use graphite_tgraph::property::PropValue;
+use graphite_tgraph::graph::{EIdx, EdgeId, TemporalGraph, VertexId};
+use graphite_tgraph::property::{PropValue, Properties};
 use graphite_tgraph::time::Interval;
 
 /// splitmix64: the repo's standard seeded generator (DESIGN.md §10).
@@ -404,4 +404,480 @@ fn delta_built_graphs_satisfy_the_full_property_suite() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Patch == rebuild, field for field (DESIGN.md §17.1): the overlay patches
+// the frozen columns in place, and after every batch they must be exactly
+// what the builder assembles from the same content in the same insertion
+// order.
+// ---------------------------------------------------------------------
+
+type ModelProps = Vec<(String, Interval, i64)>;
+
+/// The logical content of a live graph, rows in insertion order (vertex
+/// `vid` and edge `eid` equal their row index). Batches are generated
+/// against it and applied to it in the documented op order.
+struct Model {
+    vertices: Vec<(Interval, ModelProps)>,
+    edges: Vec<(u64, u64, Interval, ModelProps)>,
+}
+
+/// Which of the cases the issue names a run of batches actually produced.
+#[derive(Default)]
+struct Coverage {
+    repositioned: u32,
+    segment_count_changed: u32,
+    parallel_equal: u32,
+    isolated_vertex: u32,
+    edge_between_fresh: u32,
+    empty_batch: u32,
+    new_label: u32,
+    inserted_then_extended: u32,
+}
+
+impl Model {
+    fn of(reference: &RefGraph) -> Model {
+        Model {
+            vertices: reference
+                .vertices
+                .iter()
+                .map(|&(_, life)| (life, Vec::new()))
+                .collect(),
+            edges: reference
+                .edges
+                .iter()
+                .map(|e| {
+                    let props = e
+                        .props
+                        .iter()
+                        .map(|&(l, iv, v)| (l.to_owned(), iv, v))
+                        .collect();
+                    (e.src, e.dst, e.lifespan, props)
+                })
+                .collect(),
+        }
+    }
+
+    fn rebuild(&self) -> TemporalGraph {
+        let mut b = TemporalGraphBuilder::new();
+        for (vid, (life, props)) in self.vertices.iter().enumerate() {
+            b.add_vertex(VertexId(vid as u64), *life).unwrap();
+            for (label, iv, v) in props {
+                b.vertex_property(VertexId(vid as u64), label, *iv, PropValue::Long(*v))
+                    .unwrap();
+            }
+        }
+        for (eid, (src, dst, life, props)) in self.edges.iter().enumerate() {
+            b.add_edge(EdgeId(eid as u64), VertexId(*src), VertexId(*dst), *life)
+                .unwrap();
+            for (label, iv, v) in props {
+                b.edge_property(EdgeId(eid as u64), label, *iv, PropValue::Long(*v))
+                    .unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// The free tail `[after the label's right-most entry, life.end)`.
+    fn free_tail(props: &ModelProps, label: &str, life: Interval) -> Option<Interval> {
+        let from = props
+            .iter()
+            .filter(|(l, _, _)| l == label)
+            .map(|(_, iv, _)| iv.end())
+            .max()
+            .unwrap_or(life.start());
+        Interval::try_new(from, life.end())
+    }
+
+    /// Generates batch `k` against the model, applying it to the model as
+    /// it goes (so every op is valid where the overlay will meet it).
+    fn random_batch(&mut self, rng: &mut u64, k: usize, cov: &mut Coverage) -> GraphDelta {
+        let mut d = GraphDelta::new();
+        if k % 5 == 4 {
+            cov.empty_batch += 1;
+            return d;
+        }
+        let horizon = 44i64;
+        // Vertex inserts.
+        let first_fresh = self.vertices.len() as u64;
+        for _ in 0..pick(rng, 4) {
+            let start = pick(rng, (horizon - 6) as u64) as i64;
+            let life = Interval::new(start, start + 2 + pick(rng, 5) as i64);
+            d.insert_vertex(VertexId(self.vertices.len() as u64), life);
+            self.vertices.push((life, Vec::new()));
+        }
+        let fresh = self.vertices.len() as u64 - first_fresh;
+        // Vertex extensions.
+        for _ in 0..pick(rng, 4) {
+            let v = pick(rng, self.vertices.len() as u64) as usize;
+            let life = self.vertices[v].0;
+            let end = life.end() + 1 + pick(rng, 4) as i64;
+            d.extend_vertex(VertexId(v as u64), end);
+            self.vertices[v].0 = Interval::new(life.start(), end);
+        }
+        // Edge inserts.
+        let first_new_edge = self.edges.len();
+        let mut fresh_used = vec![false; fresh as usize];
+        for _ in 0..pick(rng, 7) {
+            let n = self.vertices.len() as u64;
+            let (s, t, life) = match pick(rng, 4) {
+                // A parallel twin of an existing edge: same endpoints,
+                // same lifespan, ordered after it by `EIdx` alone.
+                0 if !self.edges.is_empty() => {
+                    let (s, t, life, _) = self.edges[pick(rng, self.edges.len() as u64) as usize];
+                    cov.parallel_equal += 1;
+                    (s, t, life)
+                }
+                // Between two vertices this very batch inserted.
+                1 if fresh >= 2 => {
+                    let s = first_fresh + pick(rng, fresh);
+                    let t = first_fresh + (s - first_fresh + 1 + pick(rng, fresh - 1)) % fresh;
+                    let Some(shared) = self.vertices[s as usize]
+                        .0
+                        .intersect(self.vertices[t as usize].0)
+                    else {
+                        continue;
+                    };
+                    cov.edge_between_fresh += 1;
+                    (s, t, shared)
+                }
+                _ => {
+                    let (s, t) = (pick(rng, n), pick(rng, n));
+                    let Some(shared) = self.vertices[s as usize]
+                        .0
+                        .intersect(self.vertices[t as usize].0)
+                    else {
+                        continue;
+                    };
+                    let off = pick(rng, shared.len() as u64) as i64;
+                    let len = 1 + pick(rng, (shared.len() - off) as u64) as i64;
+                    let start = shared.start() + off;
+                    (s, t, Interval::new(start, start + len))
+                }
+            };
+            for v in [s, t] {
+                if v >= first_fresh {
+                    fresh_used[(v - first_fresh) as usize] = true;
+                }
+            }
+            d.insert_edge(
+                EdgeId(self.edges.len() as u64),
+                VertexId(s),
+                VertexId(t),
+                life,
+            );
+            self.edges.push((s, t, life, Vec::new()));
+        }
+        cov.isolated_vertex += fresh_used.iter().filter(|used| !**used).count() as u32;
+        // Edge extensions, biased toward edges with a later equal twin
+        // (extending the earlier twin must move it past the later one)
+        // and toward edges the batch has only just inserted.
+        for _ in 0..pick(rng, 5) {
+            if self.edges.is_empty() {
+                break;
+            }
+            let mut e = pick(rng, self.edges.len() as u64) as usize;
+            match pick(rng, 4) {
+                0 | 1 => {
+                    let twin = (0..self.edges.len()).find(|&a| {
+                        let (s, t, life, _) = &self.edges[a];
+                        self.edges[a + 1..]
+                            .iter()
+                            .any(|(s2, t2, l2, _)| (s, t, life) == (s2, t2, l2))
+                    });
+                    e = twin.unwrap_or(e);
+                }
+                // An edge this very batch inserted.
+                2 if first_new_edge < self.edges.len() => {
+                    e = first_new_edge
+                        + pick(rng, (self.edges.len() - first_new_edge) as u64) as usize;
+                }
+                _ => {}
+            }
+            let (s, t, life, _) = self.edges[e];
+            let room = self.vertices[s as usize]
+                .0
+                .end()
+                .min(self.vertices[t as usize].0.end());
+            if life.end() >= room {
+                continue;
+            }
+            let end = life.end() + 1 + pick(rng, (room - life.end()) as u64) as i64;
+            d.extend_edge(EdgeId(e as u64), end);
+            self.edges[e].2 = Interval::new(life.start(), end);
+            if e >= first_new_edge {
+                cov.inserted_then_extended += 1;
+            }
+        }
+        // Edge-property extensions: a label's right-most entry, to the right.
+        for _ in 0..pick(rng, 4) {
+            if self.edges.is_empty() {
+                break;
+            }
+            let e = pick(rng, self.edges.len() as u64) as usize;
+            let (_, _, life, props) = &mut self.edges[e];
+            if props.is_empty() {
+                continue;
+            }
+            let label = props[pick(rng, props.len() as u64) as usize].0.clone();
+            let last = props
+                .iter_mut()
+                .filter(|(l, _, _)| *l == label)
+                .max_by_key(|(_, iv, _)| iv.end())
+                .unwrap();
+            if last.1.end() >= life.end() {
+                continue;
+            }
+            let end = last.1.end() + 1 + pick(rng, (life.end() - last.1.end()) as u64) as i64;
+            d.extend_edge_property(EdgeId(e as u64), &label, end);
+            last.1 = Interval::new(last.1.start(), end);
+        }
+        // Property inserts; every third batch brings a label of its own.
+        let fresh_label = format!("x{k}");
+        let mut fresh_label_used = false;
+        let mut label_for = |rng: &mut u64, base: &str| {
+            if k % 3 == 1 && pick(rng, 2) == 0 {
+                fresh_label_used = true;
+                fresh_label.clone()
+            } else {
+                base.to_owned()
+            }
+        };
+        for _ in 0..pick(rng, 3) {
+            let v = pick(rng, self.vertices.len() as u64) as usize;
+            let label = label_for(rng, "c");
+            let (life, props) = &mut self.vertices[v];
+            let Some(tail) = Model::free_tail(props, &label, *life) else {
+                continue;
+            };
+            let iv = Interval::new(
+                tail.start(),
+                tail.start() + 1 + pick(rng, tail.len() as u64) as i64,
+            );
+            let value = pick(rng, 9) as i64;
+            d.vertex_property(VertexId(v as u64), &label, iv, PropValue::Long(value));
+            props.push((label, iv, value));
+        }
+        for _ in 0..pick(rng, 6) {
+            if self.edges.is_empty() {
+                break;
+            }
+            let e = pick(rng, self.edges.len() as u64) as usize;
+            let label = label_for(rng, "w");
+            let (_, _, life, props) = &mut self.edges[e];
+            let Some(tail) = Model::free_tail(props, &label, *life) else {
+                continue;
+            };
+            // Sometimes leave a gap before the entry: one more boundary.
+            let start = tail.start() + pick(rng, 2).min(tail.len() as u64 - 1) as i64;
+            let iv = Interval::new(
+                start,
+                start + 1 + pick(rng, (tail.end() - start) as u64) as i64,
+            );
+            let value = pick(rng, 9) as i64;
+            d.edge_property(EdgeId(e as u64), &label, iv, PropValue::Long(value));
+            props.push((label, iv, value));
+        }
+        cov.new_label += u32::from(fresh_label_used);
+        d
+    }
+}
+
+/// An entity's property entries with labels resolved to names (label ids
+/// depend on interning order, which a rebuild need not reproduce).
+fn named_props<'a>(
+    g: &'a TemporalGraph,
+    props: &'a Properties,
+) -> Vec<(&'a str, Interval, &'a PropValue)> {
+    props
+        .iter()
+        .map(|(l, iv, v)| (g.labels().name(l).unwrap(), iv, v))
+        .collect()
+}
+
+/// Field-for-field equality through the public read API.
+fn assert_same_graph(got: &TemporalGraph, want: &TemporalGraph, ctx: &str) {
+    assert_eq!(got.num_vertices(), want.num_vertices(), "{ctx}: |V|");
+    assert_eq!(got.num_edges(), want.num_edges(), "{ctx}: |E|");
+    assert_eq!(got.lifespan(), want.lifespan(), "{ctx}: lifespan");
+    assert_eq!(
+        got.structure_digest(),
+        want.structure_digest(),
+        "{ctx}: structure digest"
+    );
+    assert_eq!(
+        got.content_digest(),
+        got.structure_digest(),
+        "{ctx}: folded digest drifted from content"
+    );
+    for v in want.vertex_indices() {
+        let (a, b) = (got.vertex(v), want.vertex(v));
+        assert_eq!((a.vid, a.lifespan), (b.vid, b.lifespan), "{ctx}: {v:?} row");
+        assert_eq!(
+            named_props(got, a.props),
+            named_props(want, b.props),
+            "{ctx}: {v:?} properties"
+        );
+        assert_eq!(got.vertex_index(a.vid), Some(v), "{ctx}: {v:?} vid index");
+        for (dir, x, y) in [
+            ("out", got.out_run(v), want.out_run(v)),
+            ("in", got.in_run(v), want.in_run(v)),
+        ] {
+            assert_eq!(x.edges, y.edges, "{ctx}: {v:?} {dir} run edges");
+            assert_eq!(x.nbr, y.nbr, "{ctx}: {v:?} {dir} run nbr");
+            assert_eq!(x.span, y.span, "{ctx}: {v:?} {dir} run span");
+        }
+        assert_eq!(
+            got.vertex_temporal_weight(v),
+            want.vertex_temporal_weight(v),
+            "{ctx}: {v:?} temporal weight"
+        );
+    }
+    for e in want.edge_indices() {
+        let (a, b) = (got.edge(e), want.edge(e));
+        assert_eq!(
+            (a.eid, a.src, a.dst, a.lifespan),
+            (b.eid, b.src, b.dst, b.lifespan),
+            "{ctx}: {e:?} row"
+        );
+        assert_eq!(
+            named_props(got, a.props),
+            named_props(want, b.props),
+            "{ctx}: {e:?} properties"
+        );
+        assert_eq!(
+            got.scatter_segments(e),
+            want.scatter_segments(e),
+            "{ctx}: {e:?} scatter segments"
+        );
+    }
+}
+
+/// Position of `e` among the `old` (pre-batch) edges of `v`'s out-run.
+fn rank_among_old(g: &TemporalGraph, e: EIdx, old: usize) -> usize {
+    g.out_run(g.edge(e).src)
+        .edges
+        .iter()
+        .filter(|x| x.idx() < old)
+        .position(|&x| x == e)
+        .unwrap()
+}
+
+#[test]
+fn patched_graphs_equal_a_rebuild_field_for_field() {
+    const BATCHES: usize = 16;
+    let mut cov = Coverage::default();
+    for seed in SEEDS {
+        let (base, reference) = random_graph(seed, 24, 120);
+        let mut model = Model::of(&reference);
+        assert_same_graph(&base, &model.rebuild(), &format!("seed {seed} base"));
+        // compact_every = 3: plain freezes and verifying compactions
+        // interleave, and both must hand out the same columns.
+        let mut overlay = DeltaOverlay::new(&base, 3);
+        let mut rng = seed ^ 0x0070_6174_6368; // "patch"
+        let mut prev = base;
+        for k in 0..BATCHES {
+            let delta = model.random_batch(&mut rng, k, &mut cov);
+            let labels_before = prev.labels().len();
+            let next = overlay.apply_and_freeze(&delta).unwrap();
+            let ctx = format!("seed {seed} batch {k}");
+            assert_same_graph(&next, &model.rebuild(), &ctx);
+            assert_eq!(overlay.structure_digest(), next.structure_digest(), "{ctx}");
+            assert_eq!(overlay.batches_applied(), k as u64 + 1);
+            if delta.is_empty() {
+                assert_eq!(next.structure_digest(), prev.structure_digest(), "{ctx}");
+            }
+            // Which of the required cases did this batch hit?
+            let old = prev.num_edges();
+            for &(eid, _) in &delta.extend_edges {
+                let e = EIdx(eid.0 as u32);
+                if e.idx() < old && rank_among_old(&prev, e, old) != rank_among_old(&next, e, old) {
+                    cov.repositioned += 1;
+                }
+            }
+            for e in prev.edge_indices() {
+                if prev.scatter_segments(e).len() != next.scatter_segments(e).len()
+                    && delta.edge_props.iter().any(|(eid, ..)| eid.0 == e.0 as u64)
+                {
+                    cov.segment_count_changed += 1;
+                }
+            }
+            if next.labels().len() > labels_before {
+                assert!(cov.new_label > 0, "{ctx}: label interned unannounced");
+            }
+            prev = next;
+        }
+    }
+    // The generator must actually have produced every case the patch path
+    // has a branch for.
+    for (case, hits) in [
+        ("extension moves an edge inside its run", cov.repositioned),
+        (
+            "property insert changes a segment count",
+            cov.segment_count_changed,
+        ),
+        ("parallel edges with equal lifespans", cov.parallel_equal),
+        ("new vertex with no edges", cov.isolated_vertex),
+        (
+            "edge between two same-batch vertices",
+            cov.edge_between_fresh,
+        ),
+        ("empty batch", cov.empty_batch),
+        ("batch interning a new label", cov.new_label),
+        (
+            "edge inserted and extended in one batch",
+            cov.inserted_then_extended,
+        ),
+    ] {
+        assert!(hits > 0, "case never generated: {case}");
+    }
+}
+
+#[test]
+fn a_rejected_batch_leaves_the_overlay_untouched() {
+    let (base, _) = random_graph(21, 24, 120);
+    let mut overlay = DeltaOverlay::new(&base, 1);
+    // Every op before the failing one is valid, and the failure is the
+    // last op of the last kind applied — the whole prefix must roll back.
+    let mut bad = GraphDelta::new();
+    bad.insert_vertex(VertexId(900), Interval::new(0, 9));
+    bad.extend_vertex(VertexId(0), 99);
+    bad.insert_edge(
+        EdgeId(9000),
+        VertexId(900),
+        VertexId(900),
+        Interval::new(1, 4),
+    );
+    bad.edge_property(
+        EdgeId(9000),
+        "fresh-label",
+        Interval::new(1, 3),
+        PropValue::Long(1),
+    );
+    bad.edge_property(
+        EdgeId(9000),
+        "fresh-label",
+        Interval::new(2, 4),
+        PropValue::Long(2),
+    );
+    assert!(overlay.apply(&bad).is_err());
+    assert_eq!(overlay.batches_applied(), 0);
+    assert_eq!(overlay.edge_endpoints(EdgeId(9000)), None);
+    let untouched = overlay.compact().unwrap();
+    assert_same_graph(&untouched, &base, "after the rejected batch");
+    assert_eq!(untouched.label("fresh-label"), None);
+    // The overlay carries on: the same batch minus the bad op applies.
+    bad.edge_props.pop();
+    let next = overlay.apply_and_freeze(&bad).unwrap();
+    assert_same_graph(
+        &next,
+        &base.apply_delta(&bad).unwrap(),
+        "after the good batch",
+    );
+    assert_eq!(next.num_vertices(), base.num_vertices() + 1);
+    assert_eq!(
+        overlay.edge_endpoints(EdgeId(9000)),
+        Some((VertexId(900), VertexId(900)))
+    );
 }

@@ -7,7 +7,8 @@
 #
 #   * crates/tgraph delta unit tests + tests/layout_equiv.rs — the
 #     delta-built graphs satisfy the full 8-seed layout property suite,
-#     digests folded incrementally match from-scratch assembly.
+#     digests folded incrementally match from-scratch assembly, and the
+#     patched columns equal a builder rebuild field for field.
 #   * crates/stream/tests/differential.rs — {BFS, EAT, Reach} x {2,5}
 #     workers x perturb seeds x partition strategies, every batch
 #     differentially checked against full recomputation.
@@ -15,12 +16,15 @@
 #     batches: each install re-keys the cache through the new structure
 #     digest and matches a solo engine bit-for-bit.
 #   * graphite-stream + graphite-datagen unit tests — updates text
-#     format round-trip, update-stream derivation digest convergence.
+#     format round-trip, update-stream derivation digest convergence,
+#     rejected batches leave the engine untouched, held epochs stay
+#     isolated from later batches, scan == index dirty sets.
 #
 # A sustained end-to-end pass through the CLI follows: derive a stream
 # from a profile, replay it through `graphite stream` with the
-# differential check on every batch, and serve queries against the
-# final graph.
+# differential check on every batch, replay it again under both extreme
+# `--compact-every` cadences and diff the digests, and serve queries
+# against the final graph.
 #
 # Usage: scripts/stream_soak.sh [extra cargo-test args...]
 set -euo pipefail
@@ -57,6 +61,19 @@ grep -q "final graph digest $final_digest" "$tmp/stream.log" || {
     cat "$tmp/stream.log" >&2
     exit 1
 }
+# The verification cadence must be invisible: verifying after every
+# batch and never verifying replay to the same per-batch graph and result
+# digests (timings and the `checked` flag aside, so compare digests only).
+for every in 1 0; do
+    cargo run --release -q --bin graphite -- stream "$tmp/g.tg" "$tmp/g.tg.updates" \
+        --algo bfs,eat,reach --workers 2 --compact-every "$every" 2>/dev/null \
+        | grep -o '"batch": *[0-9]*\|"[a-z_]*digest": *"[^"]*"' > "$tmp/digests.$every" \
+        || true # an empty file fails the check below, with a message
+done
+if ! [ -s "$tmp/digests.1" ] || ! diff "$tmp/digests.1" "$tmp/digests.0" >&2; then
+    echo "stream end-to-end: --compact-every 1 and 0 replays disagree" >&2
+    exit 1
+fi
 # The fully-replayed graph serves queries like a one-shot generation.
 cat > "$tmp/batch.txt" <<'EOF'
 bfs icm workers=2
