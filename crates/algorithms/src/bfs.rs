@@ -125,7 +125,8 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         for (t, snapshot) in &msb.per_snapshot {
             for (v, depth) in snapshot {
                 let vid = graph.vertex(graphite_tgraph::graph::VIdx(*v)).vid;
@@ -184,7 +185,8 @@ mod tests {
                 workers: 1,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         // MSB pays one compute call per live vertex per snapshot at
         // minimum; ICM's interval sharing does far better.
         assert!(icm.metrics.counters.compute_calls < msb.metrics.counters.compute_calls);

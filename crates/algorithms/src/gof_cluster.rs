@@ -167,7 +167,8 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         for (t, snapshot) in &gof.per_snapshot {
             for (v, count) in snapshot {
                 let vid = graph.vertex(graphite_tgraph::graph::VIdx(*v)).vid;
@@ -196,7 +197,8 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         for (t, snapshot) in &gof.per_snapshot {
             for (v, count) in snapshot {
                 let vid = graph.vertex(graphite_tgraph::graph::VIdx(*v)).vid;

@@ -321,7 +321,8 @@ mod tests {
                 weights: weights(&g),
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let idx = |vid| g.vertex_index(vid).unwrap().0;
         // Earliest arrivals (within the window [0,9)): C=2, D=2, B=4, E=6.
         assert_eq!(r.states[&idx(transit_ids::C)], 2);
@@ -344,7 +345,8 @@ mod tests {
                 weights: weights(&g),
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let idx = |vid| g.vertex_index(vid).unwrap().0;
         assert_eq!(r.states[&idx(transit_ids::B)].0, 1);
         assert_eq!(r.states[&idx(transit_ids::C)].0, 1);
@@ -370,7 +372,8 @@ mod tests {
                 reverse: true,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let idx = |vid| g.vertex_index(vid).unwrap().0;
         // Deadline 8 (within the window): only the C route works.
         assert_eq!(r.states[&idx(transit_ids::C)], 6);
@@ -393,7 +396,8 @@ mod tests {
                 weights: weights(&g),
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let idx = |vid| g.vertex_index(vid).unwrap().0;
         assert_eq!(r.states[&idx(transit_ids::B)].1, transit_ids::A.0);
         assert_eq!(r.states[&idx(transit_ids::E)].1, transit_ids::C.0);
@@ -414,7 +418,8 @@ mod tests {
                 weights: weights(&g),
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let idx = |vid| g.vertex_index(vid).unwrap().0;
         for vid in [
             transit_ids::B,

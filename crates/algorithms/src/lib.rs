@@ -4,15 +4,18 @@
 //! SCC, PageRank) and eight time-dependent ones (SSSP, EAT, FAST, LD,
 //! TMST, RH, LCC, TC), each in interval-centric form plus the
 //! vertex-centric / transformed-graph / GoFFish forms the baselines
-//! execute. The [`registry`] module exposes a uniform
-//! `(algorithm × platform)` runner for the benchmark harness, including
-//! per-(vertex, time-point) result digests used to assert that every
-//! platform produces identical outcomes (Sec. VII-B1).
+//! execute. The [`catalog`] module is the one table of them — names,
+//! program construction, digest encoders — and the [`registry`] module
+//! builds on it a uniform `(algorithm × platform)` runner for the
+//! benchmark harness, including per-(vertex, time-point) result digests
+//! used to assert that every platform produces identical outcomes
+//! (Sec. VII-B1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bfs;
+pub mod catalog;
 pub mod common;
 pub mod gof_cluster;
 pub mod gof_paths;

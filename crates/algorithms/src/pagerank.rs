@@ -183,7 +183,8 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         for (t, snapshot) in &msb.per_snapshot {
             for (v, rank) in snapshot {
                 let vid = graph.vertex(VIdx(*v)).vid;

@@ -4,13 +4,15 @@
 //! result digest so the harness can assert that all platforms produce
 //! identical outcomes (paper Sec. VII-B1).
 
-use crate::common::{digest_interval_states, AlgLabels, ResultDigest};
-use crate::{bfs, gof_cluster, gof_paths, lcc, pagerank, scc, tc, td_paths, tgb_paths, wcc};
+use crate::catalog::{enc, visit_icm, IcmParams, IcmVisitor};
+pub use crate::catalog::{Algo, Platform};
+use crate::common::{digest_interval_states, ResultDigest};
+use crate::{bfs, gof_cluster, gof_paths, pagerank, scc, tgb_paths, wcc};
 use graphite_baselines::chlonos::{run_chlonos, ChlConfig};
-use graphite_baselines::goffish::{run_goffish, GofConfig};
+use graphite_baselines::goffish::{run_goffish, GofConfig, GofProgram};
 use graphite_baselines::msb::{run_msb, MsbConfig};
-use graphite_baselines::tgb::run_tgb;
-use graphite_baselines::vcm::VcmConfig;
+use graphite_baselines::tgb::{run_tgb, TgbResult};
+use graphite_baselines::vcm::{VcmConfig, VcmProgram};
 use graphite_baselines::EdgeWeights;
 use graphite_bsp::codec::Wire;
 use graphite_bsp::error::BspError;
@@ -21,137 +23,11 @@ use graphite_bsp::trace::TraceConfig;
 use graphite_icm::prelude::*;
 use graphite_icm::PartitionStrategy;
 use graphite_tgraph::graph::{TemporalGraph, VIdx, VertexId};
-use graphite_tgraph::snapshot::snapshot_window;
-use graphite_tgraph::time::{Interval, Time};
+use graphite_tgraph::time::Time;
 use graphite_tgraph::transform::{transform_for_paths, TransformOptions, TransformedGraph};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// The paper's 12 algorithms (Sec. VII-A1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Algo {
-    /// Breadth-first search (TI).
-    Bfs,
-    /// Weakly connected components (TI).
-    Wcc,
-    /// Strongly connected components (TI).
-    Scc,
-    /// PageRank (TI).
-    Pr,
-    /// Temporal single-source shortest path (TD).
-    Sssp,
-    /// Earliest arrival time (TD).
-    Eat,
-    /// Fastest path (TD).
-    Fast,
-    /// Latest departure (TD).
-    Ld,
-    /// Time-minimum spanning tree (TD).
-    Tmst,
-    /// Temporal reachability (TD).
-    Reach,
-    /// Local clustering coefficient (TD clustering).
-    Lcc,
-    /// Triangle counting (TD clustering).
-    Tc,
-}
-
-impl Algo {
-    /// All twelve, in the paper's order.
-    pub const ALL: [Algo; 12] = [
-        Algo::Bfs,
-        Algo::Wcc,
-        Algo::Scc,
-        Algo::Pr,
-        Algo::Sssp,
-        Algo::Eat,
-        Algo::Fast,
-        Algo::Ld,
-        Algo::Tmst,
-        Algo::Reach,
-        Algo::Lcc,
-        Algo::Tc,
-    ];
-
-    /// Whether this is a time-independent algorithm.
-    pub fn is_ti(&self) -> bool {
-        matches!(self, Algo::Bfs | Algo::Wcc | Algo::Scc | Algo::Pr)
-    }
-
-    /// Short display name as used in the paper's figures.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algo::Bfs => "BFS",
-            Algo::Wcc => "WCC",
-            Algo::Scc => "SCC",
-            Algo::Pr => "PR",
-            Algo::Sssp => "SSSP",
-            Algo::Eat => "EAT",
-            Algo::Fast => "FAST",
-            Algo::Ld => "LD",
-            Algo::Tmst => "TMST",
-            Algo::Reach => "RH",
-            Algo::Lcc => "LCC",
-            Algo::Tc => "TC",
-        }
-    }
-}
-
-/// The five platforms of the evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Platform {
-    /// GRAPHITE / the interval-centric model.
-    Icm,
-    /// Multi-snapshot baseline (TI).
-    Msb,
-    /// Chronos clone (TI).
-    Chlonos,
-    /// Transformed-graph baseline (TD).
-    Tgb,
-    /// GoFFish-TS (TD).
-    Goffish,
-}
-
-impl Platform {
-    /// All five.
-    pub const ALL: [Platform; 5] = [
-        Platform::Icm,
-        Platform::Msb,
-        Platform::Chlonos,
-        Platform::Tgb,
-        Platform::Goffish,
-    ];
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Platform::Icm => "ICM",
-            Platform::Msb => "MSB",
-            Platform::Chlonos => "CHL",
-            Platform::Tgb => "TGB",
-            Platform::Goffish => "GOF",
-        }
-    }
-
-    /// Whether `algo` runs on this platform, mirroring the paper's matrix:
-    /// TI algorithms on ICM/MSB/Chlonos; TD algorithms on ICM/TGB/GoFFish,
-    /// except the clustering pair on TGB (the transformation is
-    /// path-family-specific).
-    pub fn supports(&self, algo: Algo) -> bool {
-        match self {
-            Platform::Icm => true,
-            Platform::Msb | Platform::Chlonos => algo.is_ti(),
-            Platform::Goffish => !algo.is_ti(),
-            Platform::Tgb => {
-                matches!(
-                    algo,
-                    Algo::Sssp | Algo::Eat | Algo::Fast | Algo::Ld | Algo::Tmst | Algo::Reach
-                )
-            }
-        }
-    }
-}
 
 /// Options for a registry run.
 #[derive(Clone, Debug)]
@@ -170,29 +46,28 @@ pub struct RunOpts {
     pub combiner: bool,
     /// ICM warp suppression threshold.
     pub suppression: Option<f64>,
-    /// PageRank iterations.
-    pub pr_iterations: u64,
-    /// Superstep safety cap.
+    /// Superstep safety cap, threaded to every platform (per inner run on
+    /// MSB/Chlonos/GoFFish). Spending it is the typed
+    /// [`graphite_bsp::error::BspError::SuperstepLimit`].
     pub max_supersteps: u64,
     /// Optional per-query execution budget below the safety cap, forwarded
-    /// to the ICM engine config and the TGB runner's inner VCM config
-    /// (like [`RunOpts::fault_plan`], wrapper platforms do not thread it).
+    /// to the ICM engine config and the TGB runner's inner VCM config (the
+    /// MSB/Chlonos/GoFFish configs carry only the safety cap, which bounds
+    /// each of their per-snapshot inner runs).
     /// Exhausting it is the typed
     /// [`graphite_bsp::error::BspError::BudgetExceeded`] — the serving
     /// layer derives this from its admission cost model (DESIGN.md §15).
     pub superstep_budget: Option<u64>,
     /// Compute the result digest (costs per-point expansion).
     pub digest: bool,
-    /// Let MSB/Chlonos reuse a single snapshot on fully static topologies
-    /// (the paper's manual optimization on USRN, Sec. VII-B6; on by
-    /// default to mirror the paper's Table 2 setup).
-    pub static_topology_reuse: bool,
-    /// Structured-trace recording level, forwarded to the ICM/VCM engine
-    /// configs (the wrapper platforms run their inner engines untraced).
+    /// Structured-trace recording level, forwarded to the ICM engine config
+    /// and the TGB runner's inner VCM config (MSB/Chlonos/GoFFish run
+    /// their per-snapshot inner engines untraced).
     /// Off by default; results are bit-identical at every level.
     pub trace: TraceConfig,
-    /// Vertex-placement strategy, forwarded to the ICM/VCM engine configs
-    /// (see `graphite-part`; results are placement-invariant). Hash — the
+    /// Vertex-placement strategy, forwarded to the ICM engine config and
+    /// the TGB runner's inner VCM config (see `graphite-part`; results are
+    /// placement-invariant; MSB/Chlonos/GoFFish always hash). Hash — the
     /// paper's — by default.
     pub partition: PartitionStrategy,
     /// Schedule-perturbation seed, forwarded to the ICM engine config and
@@ -201,7 +76,7 @@ pub struct RunOpts {
     /// their per-snapshot inner engines unperturbed.
     pub perturb_schedule: Option<u64>,
     /// Deterministic fault injection, applied to `Platform::Icm` runs
-    /// (wrapper platforms do not thread fault plans). Without
+    /// only (no baseline platform threads fault plans). Without
     /// [`RunOpts::recovery`] an injected fault fails the run with a typed
     /// error via [`try_run`]; with it, the run rolls back and replays to a
     /// bit-identical result.
@@ -222,11 +97,9 @@ impl Default for RunOpts {
             batch_size: 16,
             combiner: true,
             suppression: Some(0.7),
-            pr_iterations: pagerank::DEFAULT_ITERATIONS,
             max_supersteps: 100_000,
             superstep_budget: None,
             digest: true,
-            static_topology_reuse: true,
             trace: TraceConfig::default(),
             partition: PartitionStrategy::default(),
             perturb_schedule: None,
@@ -303,51 +176,6 @@ impl From<BspError> for RunError {
     }
 }
 
-fn weights(graph: &TemporalGraph) -> EdgeWeights {
-    EdgeWeights {
-        w1: graph.label("travel-cost"),
-        w2: graph.label("travel-time"),
-    }
-}
-
-fn default_source(graph: &TemporalGraph) -> VertexId {
-    graph
-        .vertices()
-        .map(|(_, v)| v.vid)
-        .min()
-        .unwrap_or(VertexId(0))
-}
-
-/// Digest per-snapshot platform results (`Vec<(Time, HashMap<dense, S>)>`).
-fn digest_per_snapshot<S, F>(
-    graph: &TemporalGraph,
-    // lint:allow(determinism-flow) — ResultDigest::fold is an
-    // order-independent (wrapping-add) combiner, so hash iteration
-    // order cannot change the digest
-    per_snapshot: &[(Time, HashMap<u32, S>)],
-    mut encode: F,
-) -> ResultDigest
-where
-    F: FnMut(&S) -> u64,
-{
-    let mut d = ResultDigest::default();
-    for (t, snapshot) in per_snapshot {
-        for (v, s) in snapshot {
-            d.fold(graph.vertex(VIdx(*v)).vid, *t, encode(s));
-        }
-    }
-    d
-}
-
-/// Digest ICM interval states over the snapshot window.
-fn digest_icm<S, F>(graph: &TemporalGraph, result: &IcmResult<S>, encode: F) -> ResultDigest
-where
-    F: FnMut(&S) -> u64,
-{
-    let window = snapshot_window(graph).unwrap_or_else(|| Interval::new(0, 1));
-    digest_interval_states(&result.states, window, encode)
-}
-
 /// Runs `algo` on `platform` over a *borrowed* `graph` (the caller keeps
 /// its handle — resident processes execute many runs against one load). A
 /// pre-built transformed graph may be supplied for TGB runs (otherwise one
@@ -372,29 +200,220 @@ pub fn run(
     }
 }
 
-/// All ICM algorithm states are wire-encodable scalars or tuples, so any
-/// registry cell on `Platform::Icm` can execute over the
-/// checkpoint/rollback driver when the caller requests recovery.
-fn icm_run<P>(
-    graph: &Arc<TemporalGraph>,
-    program: Arc<P>,
-    cfg: &IcmConfig,
-    recovery: Option<&RecoveryConfig>,
-) -> Result<IcmResult<P::State>, BspError>
-where
-    P: IntervalProgram,
-    P::State: Wire,
-{
-    match recovery {
-        Some(rc) => try_run_icm_recoverable(graph, program, cfg, rc),
-        None => try_run_icm(graph, program, cfg),
+/// One registry run — the graph, its options and its resolved parameters
+/// — with one helper per baseline platform. Each helper owns that
+/// platform's config literal and the packaging of its result into a
+/// [`RunOutcome`], so a baseline cell of [`try_run`] is one expression:
+/// the platform, the program, the digest encoder.
+struct Run<'a> {
+    graph: &'a Arc<TemporalGraph>,
+    transformed: Option<&'a Arc<TransformedGraph>>,
+    opts: &'a RunOpts,
+    params: IcmParams,
+}
+
+impl Run<'_> {
+    fn weights(&self) -> EdgeWeights {
+        EdgeWeights {
+            w1: self.params.labels.travel_cost,
+            w2: self.params.labels.travel_time,
+        }
+    }
+
+    /// Packages a snapshot-indexed baseline result (dense vertex → state
+    /// per time-point), digesting it when asked and possible.
+    fn per_snapshot<S>(
+        &self,
+        metrics: RunMetrics,
+        // lint:allow(determinism-flow) — ResultDigest::fold is an
+        // order-independent (wrapping-add) combiner, so hash iteration
+        // order cannot change the digest
+        per_snapshot: &[(Time, HashMap<u32, S>)],
+        encode: Option<fn(&S) -> u64>,
+    ) -> RunOutcome {
+        let digest = encode.filter(|_| self.opts.digest).map(|encode| {
+            let mut d = ResultDigest::default();
+            for (t, snapshot) in per_snapshot {
+                for (v, s) in snapshot {
+                    d.fold(self.graph.vertex(VIdx(*v)).vid, *t, encode(s));
+                }
+            }
+            d
+        });
+        RunOutcome { metrics, digest }
+    }
+
+    /// MSB, with the paper's static-topology reuse (Sec. VII-B6; on to
+    /// mirror the paper's Table 2 setup).
+    fn msb<P: VcmProgram>(
+        &self,
+        need_in_edges: bool,
+        program: P,
+        encode: fn(&P::State) -> u64,
+    ) -> Result<RunOutcome, BspError> {
+        let config = MsbConfig {
+            workers: self.opts.workers,
+            max_supersteps: self.opts.max_supersteps,
+            weights: self.weights(),
+            window: Some(self.params.window),
+            collect_states: self.opts.digest,
+            need_in_edges,
+            exploit_static_topology: true,
+        };
+        let program = Arc::new(program);
+        let r = run_msb(Arc::clone(self.graph), |_| Arc::clone(&program), &config)?;
+        Ok(self.per_snapshot(r.metrics, &r.per_snapshot, Some(encode)))
+    }
+
+    /// Chlonos, with the same static-topology reuse as [`Run::msb`].
+    fn chlonos<P>(
+        &self,
+        need_in_edges: bool,
+        program: P,
+        encode: fn(&P::State) -> u64,
+    ) -> Result<RunOutcome, BspError>
+    where
+        P: VcmProgram,
+        P::Msg: PartialEq,
+    {
+        let config = ChlConfig {
+            workers: self.opts.workers,
+            batch_size: self.opts.batch_size,
+            max_supersteps: self.opts.max_supersteps,
+            weights: self.weights(),
+            window: Some(self.params.window),
+            collect_states: self.opts.digest,
+            need_in_edges,
+            exploit_static_topology: true,
+        };
+        let r = run_chlonos(Arc::clone(self.graph), Arc::new(program), &config)?;
+        Ok(self.per_snapshot(r.metrics, &r.per_snapshot, Some(encode)))
+    }
+
+    /// GoFFish-TS; `reverse` walks the snapshots backwards (LD).
+    fn goffish<P: GofProgram>(
+        &self,
+        reverse: bool,
+        program: P,
+        encode: Option<fn(&P::State) -> u64>,
+    ) -> Result<RunOutcome, BspError> {
+        let config = GofConfig {
+            workers: self.opts.workers,
+            max_supersteps: self.opts.max_supersteps,
+            weights: self.weights(),
+            window: Some(self.params.window),
+            collect_states: self.opts.digest,
+            reverse,
+        };
+        let r = run_goffish(Arc::clone(self.graph), Arc::new(program), &config)?;
+        Ok(self.per_snapshot(r.metrics, &r.per_snapshot, encode))
+    }
+
+    /// TGB: `make` builds the program over the transformed graph (the
+    /// caller's, or one built here); `project` digests the replica states
+    /// for the one cell whose projection is comparable (SSSP).
+    fn tgb<P: VcmProgram>(
+        &self,
+        need_in_edges: bool,
+        make: impl FnOnce(Arc<TransformedGraph>) -> P,
+        project: Option<Projection<P::State>>,
+    ) -> Result<RunOutcome, BspError> {
+        let transform_opts = TransformOptions {
+            window: Some(self.params.window),
+            ..Default::default()
+        };
+        let transformed = self
+            .transformed
+            .cloned()
+            .unwrap_or_else(|| Arc::new(transform_for_paths(self.graph, &transform_opts)));
+        let config = VcmConfig {
+            workers: self.opts.workers,
+            max_supersteps: self.opts.max_supersteps,
+            superstep_budget: self.opts.superstep_budget,
+            need_in_edges,
+            perturb_schedule: self.opts.perturb_schedule,
+            trace: self.opts.trace,
+            // Only `Platform::Icm` threads fault plans (see RunOpts docs).
+            fault_plan: None,
+            partition: self.opts.partition.clone(),
+        };
+        let r = run_tgb(
+            Arc::clone(self.graph),
+            Some(Arc::clone(&transformed)),
+            &transform_opts,
+            Arc::new(make(transformed)),
+            &config,
+        )?;
+        let digest = project
+            .filter(|_| self.opts.digest)
+            .map(|project| project(self, &r));
+        Ok(RunOutcome {
+            metrics: r.vcm.metrics,
+            digest,
+        })
+    }
+}
+
+/// Digests a TGB run's replica states (see [`Run::tgb`]).
+type Projection<S> = fn(&Run<'_>, &TgbResult<S>) -> ResultDigest;
+
+/// The [`Projection`] of TGB SSSP onto ICM's interval states.
+fn project_sssp(run: &Run<'_>, r: &TgbResult<i64>) -> ResultDigest {
+    let IcmParams { source, window, .. } = run.params;
+    let mut projected = r.project(run.graph, crate::common::INF);
+    // Alg. 1 pins the source's cost to 0 for its whole lifespan; the
+    // replica projection only starts at the source's first replica, so
+    // align it explicitly.
+    projected.insert(source, vec![(window, 0)]);
+    digest_interval_states(&projected, window, enc::long)
+}
+
+/// The `Platform::Icm` cell of every algorithm: run the catalog's program
+/// — over the checkpoint/rollback driver when the caller asked for
+/// recovery (every ICM state is wire-encodable, so the whole catalog is
+/// recoverable) — then digest its interval states if asked.
+struct RunCell<'a>(&'a Run<'a>);
+
+impl IcmVisitor for RunCell<'_> {
+    type Out = Result<RunOutcome, BspError>;
+
+    fn visit<P>(self, program: P, encode: Option<fn(&P::State) -> u64>) -> Self::Out
+    where
+        P: IntervalProgram,
+        P::State: Wire,
+    {
+        let Run { graph, opts, .. } = *self.0;
+        let config = IcmConfig {
+            workers: opts.workers,
+            combiner: opts.combiner,
+            suppression_threshold: opts.suppression,
+            max_supersteps: opts.max_supersteps,
+            superstep_budget: opts.superstep_budget,
+            perturb_schedule: opts.perturb_schedule,
+            trace: opts.trace,
+            fault_plan: opts.fault_plan.clone(),
+            partition: opts.partition.clone(),
+        };
+        let program = Arc::new(program);
+        let r = match &opts.recovery {
+            Some(recovery) => try_run_icm_recoverable(graph, program, &config, recovery),
+            None => try_run_icm(graph, program, &config),
+        }?;
+        let digest = encode
+            .filter(|_| opts.digest)
+            .map(|encode| digest_interval_states(&r.states, self.0.params.window, encode));
+        Ok(RunOutcome {
+            metrics: r.metrics,
+            digest,
+        })
     }
 }
 
 /// Fallible [`run`]: execution failures (injected faults without recovery,
-/// worker panics, exhausted recovery budgets) surface as [`RunError::Bsp`]
-/// instead of panicking. This is the entry point the serving layer uses —
-/// a failing query must never take the resident engine down with it.
+/// worker panics, exhausted recovery budgets, a spent superstep cap) on
+/// *every* platform surface as [`RunError::Bsp`] instead of panicking.
+/// This is the entry point the serving layer uses — a failing query must
+/// never take the resident engine down with it.
 ///
 /// # Errors
 ///
@@ -407,577 +426,106 @@ pub fn try_run(
     transformed: Option<&Arc<TransformedGraph>>,
     opts: &RunOpts,
 ) -> Result<RunOutcome, RunError> {
+    let unsupported = RunError::Unsupported(Unsupported { algo, platform });
     if !platform.supports(algo) {
-        return Err(RunError::Unsupported(Unsupported { algo, platform }));
+        return Err(unsupported);
     }
-    let labels = AlgLabels::resolve(graph);
-    let w = weights(graph);
-    let source = opts.source.unwrap_or_else(|| default_source(graph));
-    let window = snapshot_window(graph).unwrap_or_else(|| Interval::new(0, 1));
-    let deadline = opts.deadline.unwrap_or(window.end() - 1);
+    let params = IcmParams::resolve(graph, opts.source, opts.start, opts.deadline);
+    let run = Run {
+        graph,
+        transformed,
+        opts,
+        params,
+    };
+    let IcmParams {
+        source,
+        start,
+        deadline,
+        ..
+    } = params;
+    let target = source;
+    let iterations = pagerank::DEFAULT_ITERATIONS;
+    let outcome = match (platform, algo) {
+        (Platform::Icm, _) => visit_icm(algo, &params, RunCell(&run)),
 
-    let icm_cfg = IcmConfig {
-        workers: opts.workers,
-        combiner: opts.combiner,
-        suppression_threshold: opts.suppression,
-        max_supersteps: opts.max_supersteps,
-        superstep_budget: opts.superstep_budget,
-        keep_per_step_timing: false,
-        perturb_schedule: opts.perturb_schedule,
-        trace: opts.trace,
-        fault_plan: opts.fault_plan.clone(),
-        partition: opts.partition.clone(),
-    };
-    let msb_cfg = |need_in: bool| MsbConfig {
-        workers: opts.workers,
-        max_supersteps: opts.max_supersteps,
-        weights: w,
-        window: Some(window),
-        collect_states: opts.digest,
-        need_in_edges: need_in,
-        exploit_static_topology: opts.static_topology_reuse,
-    };
-    let chl_cfg = |need_in: bool| ChlConfig {
-        workers: opts.workers,
-        batch_size: opts.batch_size,
-        max_supersteps: opts.max_supersteps,
-        weights: w,
-        window: Some(window),
-        collect_states: opts.digest,
-        need_in_edges: need_in,
-        exploit_static_topology: opts.static_topology_reuse,
-    };
-    let gof_cfg = |reverse: bool| GofConfig {
-        workers: opts.workers,
-        max_supersteps: opts.max_supersteps,
-        weights: w,
-        window: Some(window),
-        collect_states: opts.digest,
-        reverse,
-    };
-    let vcm_cfg = |need_in: bool| VcmConfig {
-        workers: opts.workers,
-        max_supersteps: opts.max_supersteps,
-        superstep_budget: opts.superstep_budget,
-        need_in_edges: need_in,
-        keep_per_step_timing: false,
-        perturb_schedule: opts.perturb_schedule,
-        trace: opts.trace,
-        // Wrapper platforms do not thread fault plans (see RunOpts docs).
-        fault_plan: None,
-        partition: opts.partition.clone(),
-    };
-    let transform_opts = TransformOptions {
-        window: Some(window),
-        ..Default::default()
-    };
-    let get_transformed = || {
-        transformed
-            .cloned()
-            .unwrap_or_else(|| Arc::new(transform_for_paths(graph, &transform_opts)))
-    };
-
-    // Encoders shared by equivalent state types across platforms.
-    let enc_i64 = |s: &i64| *s as u64;
-    let enc_bool = |s: &bool| u64::from(*s);
-    let enc_u64 = |s: &u64| *s;
-
-    let outcome = match (algo, platform) {
-        // ---------------- TI ----------------
-        (Algo::Bfs, Platform::Icm) => {
-            let r = icm_run(
-                graph,
-                Arc::new(bfs::IcmBfs { source }),
-                &icm_cfg,
-                opts.recovery.as_ref(),
-            )?;
-            RunOutcome {
-                digest: opts.digest.then(|| digest_icm(graph, &r, enc_i64)),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Bfs, Platform::Msb) => {
-            let r = run_msb(
-                Arc::clone(graph),
-                |_| Arc::new(bfs::VcmBfs { source }),
-                &msb_cfg(false),
-            );
-            RunOutcome {
-                digest: opts
-                    .digest
-                    .then(|| digest_per_snapshot(graph, &r.per_snapshot, enc_i64)),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Bfs, Platform::Chlonos) => {
-            let r = run_chlonos(
-                Arc::clone(graph),
-                Arc::new(bfs::VcmBfs { source }),
-                &chl_cfg(false),
-            );
-            RunOutcome {
-                digest: opts
-                    .digest
-                    .then(|| digest_per_snapshot(graph, &r.per_snapshot, enc_i64)),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Wcc, Platform::Icm) => {
-            let r = icm_run(
-                graph,
-                Arc::new(wcc::IcmWcc),
-                &icm_cfg,
-                opts.recovery.as_ref(),
-            )?;
-            RunOutcome {
-                digest: opts.digest.then(|| digest_icm(graph, &r, enc_u64)),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Wcc, Platform::Msb) => {
-            let r = run_msb(Arc::clone(graph), |_| Arc::new(wcc::VcmWcc), &msb_cfg(true));
-            RunOutcome {
-                digest: opts
-                    .digest
-                    .then(|| digest_per_snapshot(graph, &r.per_snapshot, enc_u64)),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Wcc, Platform::Chlonos) => {
-            let r = run_chlonos(Arc::clone(graph), Arc::new(wcc::VcmWcc), &chl_cfg(true));
-            RunOutcome {
-                digest: opts
-                    .digest
-                    .then(|| digest_per_snapshot(graph, &r.per_snapshot, enc_u64)),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Scc, Platform::Icm) => {
-            let r = icm_run(
-                graph,
-                Arc::new(scc::IcmScc),
-                &icm_cfg,
-                opts.recovery.as_ref(),
-            )?;
-            RunOutcome {
-                digest: opts
-                    .digest
-                    .then(|| digest_icm(graph, &r, |s: &scc::SccState| s.0)),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Scc, Platform::Msb) => {
-            let r = run_msb(Arc::clone(graph), |_| Arc::new(scc::VcmScc), &msb_cfg(true));
-            RunOutcome {
-                digest: opts
-                    .digest
-                    .then(|| digest_per_snapshot(graph, &r.per_snapshot, |s: &scc::SccState| s.0)),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Scc, Platform::Chlonos) => {
-            let r = run_chlonos(Arc::clone(graph), Arc::new(scc::VcmScc), &chl_cfg(true));
-            RunOutcome {
-                digest: opts
-                    .digest
-                    .then(|| digest_per_snapshot(graph, &r.per_snapshot, |s: &scc::SccState| s.0)),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Pr, Platform::Icm) => {
-            let r = icm_run(
-                graph,
-                Arc::new(pagerank::IcmPageRank {
-                    iterations: opts.pr_iterations,
-                }),
-                &icm_cfg,
-                opts.recovery.as_ref(),
-            )?;
-            RunOutcome {
-                digest: opts.digest.then(|| {
-                    digest_icm(graph, &r, |s: &pagerank::PrState| {
-                        // lint:allow(determinism-flow) — same 1e-6
-                        // quantization as ResultDigest::fold_f64
-                        (s.1 * 1e6).round() as u64
-                    })
-                }),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Pr, Platform::Msb) => {
-            let r = run_msb(
-                Arc::clone(graph),
-                |_| {
-                    Arc::new(pagerank::VcmPageRank {
-                        iterations: opts.pr_iterations,
-                    })
-                },
-                &msb_cfg(false),
-            );
-            RunOutcome {
-                digest: opts.digest.then(|| {
-                    digest_per_snapshot(graph, &r.per_snapshot, |s: &f64| (s * 1e6).round() as u64)
-                }),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Pr, Platform::Chlonos) => {
-            let r = run_chlonos(
-                Arc::clone(graph),
-                Arc::new(pagerank::VcmPageRank {
-                    iterations: opts.pr_iterations,
-                }),
-                &chl_cfg(false),
-            );
-            RunOutcome {
-                digest: opts.digest.then(|| {
-                    digest_per_snapshot(graph, &r.per_snapshot, |s: &f64| (s * 1e6).round() as u64)
-                }),
-                metrics: r.metrics,
-            }
+        (Platform::Msb, Algo::Bfs) => run.msb(false, bfs::VcmBfs { source }, enc::long),
+        (Platform::Msb, Algo::Wcc) => run.msb(true, wcc::VcmWcc, enc::label),
+        (Platform::Msb, Algo::Scc) => run.msb(true, scc::VcmScc, enc::scc),
+        (Platform::Msb, Algo::Pr) => {
+            run.msb(false, pagerank::VcmPageRank { iterations }, enc::rank)
         }
 
-        // ---------------- TD paths ----------------
-        (Algo::Sssp, Platform::Icm) => {
-            let r = icm_run(
-                graph,
-                Arc::new(td_paths::IcmSssp { source, labels }),
-                &icm_cfg,
-                opts.recovery.as_ref(),
-            )?;
-            RunOutcome {
-                digest: opts.digest.then(|| digest_icm(graph, &r, enc_i64)),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Sssp, Platform::Goffish) => {
-            let r = run_goffish(
-                Arc::clone(graph),
-                Arc::new(gof_paths::GofSssp { source }),
-                &gof_cfg(false),
-            );
-            RunOutcome {
-                digest: opts
-                    .digest
-                    .then(|| digest_per_snapshot(graph, &r.per_snapshot, enc_i64)),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Sssp, Platform::Tgb) => {
-            let r = run_tgb(
-                Arc::clone(graph),
-                Some(get_transformed()),
-                &transform_opts,
-                Arc::new(tgb_paths::TgbSssp { source }),
-                &vcm_cfg(false),
-            );
-            let digest = opts.digest.then(|| {
-                let mut projected = r.project(graph, crate::common::INF);
-                // Alg. 1 pins the source's cost to 0 for its whole
-                // lifespan; the replica projection only starts at the
-                // source's first replica, so align it explicitly.
-                projected.insert(source, vec![(window, 0)]);
-                digest_interval_states(&projected, window, enc_i64)
-            });
-            RunOutcome {
-                digest,
-                metrics: r.vcm.metrics,
-            }
-        }
-        (Algo::Eat, Platform::Icm) => {
-            let r = icm_run(
-                graph,
-                Arc::new(td_paths::IcmEat {
-                    source,
-                    start: opts.start,
-                    labels,
-                }),
-                &icm_cfg,
-                opts.recovery.as_ref(),
-            )?;
-            RunOutcome {
-                digest: opts.digest.then(|| digest_icm(graph, &r, enc_i64)),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Eat, Platform::Goffish) => {
-            let r = run_goffish(
-                Arc::clone(graph),
-                Arc::new(gof_paths::GofEat {
-                    source,
-                    start: opts.start,
-                }),
-                &gof_cfg(false),
-            );
-            RunOutcome {
-                digest: opts
-                    .digest
-                    .then(|| digest_per_snapshot(graph, &r.per_snapshot, enc_i64)),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Eat, Platform::Tgb) => {
-            let tg = get_transformed();
-            let r = run_tgb(
-                Arc::clone(graph),
-                Some(Arc::clone(&tg)),
-                &transform_opts,
-                Arc::new(tgb_paths::TgbReach {
-                    source,
-                    start: opts.start,
-                    transformed: Arc::clone(&tg),
-                }),
-                &vcm_cfg(false),
-            );
-            RunOutcome {
-                digest: None,
-                metrics: r.vcm.metrics,
-            }
-        }
-        (Algo::Fast, Platform::Icm) => {
-            let r = icm_run(
-                graph,
-                Arc::new(td_paths::IcmFast { source, labels }),
-                &icm_cfg,
-                opts.recovery.as_ref(),
-            )?;
-            RunOutcome {
-                digest: None,
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Fast, Platform::Goffish) => {
-            let r = run_goffish(
-                Arc::clone(graph),
-                Arc::new(gof_paths::GofFast { source }),
-                &gof_cfg(false),
-            );
-            RunOutcome {
-                digest: None,
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Fast, Platform::Tgb) => {
-            let tg = get_transformed();
-            let r = run_tgb(
-                Arc::clone(graph),
-                Some(Arc::clone(&tg)),
-                &transform_opts,
-                Arc::new(tgb_paths::TgbFast {
-                    source,
-                    transformed: Arc::clone(&tg),
-                }),
-                &vcm_cfg(false),
-            );
-            RunOutcome {
-                digest: None,
-                metrics: r.vcm.metrics,
-            }
-        }
-        (Algo::Ld, Platform::Icm) => {
-            let r = icm_run(
-                graph,
-                Arc::new(td_paths::IcmLd {
-                    target: source,
-                    deadline,
-                    labels,
-                }),
-                &icm_cfg,
-                opts.recovery.as_ref(),
-            )?;
-            RunOutcome {
-                digest: None,
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Ld, Platform::Goffish) => {
-            let r = run_goffish(
-                Arc::clone(graph),
-                Arc::new(gof_paths::GofLd {
-                    target: source,
-                    deadline,
-                }),
-                &gof_cfg(true),
-            );
-            RunOutcome {
-                digest: None,
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Ld, Platform::Tgb) => {
-            let tg = get_transformed();
-            let r = run_tgb(
-                Arc::clone(graph),
-                Some(Arc::clone(&tg)),
-                &transform_opts,
-                Arc::new(tgb_paths::TgbLd {
-                    target: source,
-                    deadline,
-                    transformed: Arc::clone(&tg),
-                }),
-                &vcm_cfg(true),
-            );
-            RunOutcome {
-                digest: None,
-                metrics: r.vcm.metrics,
-            }
-        }
-        (Algo::Tmst, Platform::Icm) => {
-            let r = icm_run(
-                graph,
-                Arc::new(td_paths::IcmTmst {
-                    source,
-                    start: opts.start,
-                    labels,
-                }),
-                &icm_cfg,
-                opts.recovery.as_ref(),
-            )?;
-            RunOutcome {
-                digest: opts.digest.then(|| {
-                    digest_icm(graph, &r, |s: &td_paths::TmstState| {
-                        (s.0 as u64).wrapping_mul(31).wrapping_add(s.1)
-                    })
-                }),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Tmst, Platform::Goffish) => {
-            let r = run_goffish(
-                Arc::clone(graph),
-                Arc::new(gof_paths::GofTmst {
-                    source,
-                    start: opts.start,
-                }),
-                &gof_cfg(false),
-            );
-            RunOutcome {
-                digest: opts.digest.then(|| {
-                    digest_per_snapshot(graph, &r.per_snapshot, |s: &gof_paths::TmstState| {
-                        (s.0 as u64).wrapping_mul(31).wrapping_add(s.1)
-                    })
-                }),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Tmst, Platform::Tgb) => {
-            let tg = get_transformed();
-            let r = run_tgb(
-                Arc::clone(graph),
-                Some(Arc::clone(&tg)),
-                &transform_opts,
-                Arc::new(tgb_paths::TgbTmst {
-                    source,
-                    start: opts.start,
-                    transformed: Arc::clone(&tg),
-                }),
-                &vcm_cfg(false),
-            );
-            RunOutcome {
-                digest: None,
-                metrics: r.vcm.metrics,
-            }
-        }
-        (Algo::Reach, Platform::Icm) => {
-            let r = icm_run(
-                graph,
-                Arc::new(td_paths::IcmReach {
-                    source,
-                    start: opts.start,
-                    labels,
-                }),
-                &icm_cfg,
-                opts.recovery.as_ref(),
-            )?;
-            RunOutcome {
-                digest: opts.digest.then(|| digest_icm(graph, &r, enc_bool)),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Reach, Platform::Goffish) => {
-            let r = run_goffish(
-                Arc::clone(graph),
-                Arc::new(gof_paths::GofReach {
-                    source,
-                    start: opts.start,
-                }),
-                &gof_cfg(false),
-            );
-            RunOutcome {
-                digest: opts
-                    .digest
-                    .then(|| digest_per_snapshot(graph, &r.per_snapshot, enc_bool)),
-                metrics: r.metrics,
-            }
-        }
-        (Algo::Reach, Platform::Tgb) => {
-            let tg = get_transformed();
-            let r = run_tgb(
-                Arc::clone(graph),
-                Some(Arc::clone(&tg)),
-                &transform_opts,
-                Arc::new(tgb_paths::TgbReach {
-                    source,
-                    start: opts.start,
-                    transformed: Arc::clone(&tg),
-                }),
-                &vcm_cfg(false),
-            );
-            RunOutcome {
-                digest: None,
-                metrics: r.vcm.metrics,
-            }
+        (Platform::Chlonos, Algo::Bfs) => run.chlonos(false, bfs::VcmBfs { source }, enc::long),
+        (Platform::Chlonos, Algo::Wcc) => run.chlonos(true, wcc::VcmWcc, enc::label),
+        (Platform::Chlonos, Algo::Scc) => run.chlonos(true, scc::VcmScc, enc::scc),
+        (Platform::Chlonos, Algo::Pr) => {
+            run.chlonos(false, pagerank::VcmPageRank { iterations }, enc::rank)
         }
 
-        // ---------------- TD clustering ----------------
-        (Algo::Lcc, Platform::Icm) => {
-            let r = icm_run(
-                graph,
-                Arc::new(lcc::IcmLcc),
-                &icm_cfg,
-                opts.recovery.as_ref(),
-            )?;
-            RunOutcome {
-                digest: opts.digest.then(|| digest_icm(graph, &r, enc_u64)),
-                metrics: r.metrics,
-            }
+        (Platform::Goffish, Algo::Sssp) => {
+            run.goffish(false, gof_paths::GofSssp { source }, Some(enc::long))
         }
-        (Algo::Lcc, Platform::Goffish) => {
-            let r = run_goffish(
-                Arc::clone(graph),
-                Arc::new(gof_cluster::GofLcc),
-                &gof_cfg(false),
-            );
-            RunOutcome {
-                digest: opts
-                    .digest
-                    .then(|| digest_per_snapshot(graph, &r.per_snapshot, enc_u64)),
-                metrics: r.metrics,
-            }
+        (Platform::Goffish, Algo::Eat) => {
+            run.goffish(false, gof_paths::GofEat { source, start }, Some(enc::long))
         }
-        (Algo::Tc, Platform::Icm) => {
-            let r = icm_run(graph, Arc::new(tc::IcmTc), &icm_cfg, opts.recovery.as_ref())?;
-            RunOutcome {
-                digest: opts.digest.then(|| digest_icm(graph, &r, enc_u64)),
-                metrics: r.metrics,
-            }
+        (Platform::Goffish, Algo::Fast) => run.goffish(false, gof_paths::GofFast { source }, None),
+        (Platform::Goffish, Algo::Ld) => {
+            run.goffish(true, gof_paths::GofLd { target, deadline }, None)
         }
-        (Algo::Tc, Platform::Goffish) => {
-            let r = run_goffish(
-                Arc::clone(graph),
-                Arc::new(gof_cluster::GofTc),
-                &gof_cfg(false),
-            );
-            RunOutcome {
-                digest: opts
-                    .digest
-                    .then(|| digest_per_snapshot(graph, &r.per_snapshot, enc_u64)),
-                metrics: r.metrics,
-            }
+        (Platform::Goffish, Algo::Tmst) => {
+            run.goffish(false, gof_paths::GofTmst { source, start }, Some(enc::tmst))
         }
-        _ => return Err(RunError::Unsupported(Unsupported { algo, platform })),
+        (Platform::Goffish, Algo::Reach) => run.goffish(
+            false,
+            gof_paths::GofReach { source, start },
+            Some(enc::flag),
+        ),
+        (Platform::Goffish, Algo::Lcc) => run.goffish(false, gof_cluster::GofLcc, Some(enc::label)),
+        (Platform::Goffish, Algo::Tc) => run.goffish(false, gof_cluster::GofTc, Some(enc::label)),
+
+        (Platform::Tgb, Algo::Sssp) => {
+            run.tgb(false, |_| tgb_paths::TgbSssp { source }, Some(project_sssp))
+        }
+        // One replica program serves both: EAT is extracted from the
+        // reached flags (`tgb_paths::tgb_earliest_arrivals`).
+        (Platform::Tgb, Algo::Eat | Algo::Reach) => run.tgb(
+            false,
+            |transformed| tgb_paths::TgbReach {
+                source,
+                start,
+                transformed,
+            },
+            None,
+        ),
+        (Platform::Tgb, Algo::Fast) => run.tgb(
+            false,
+            |transformed| tgb_paths::TgbFast {
+                source,
+                transformed,
+            },
+            None,
+        ),
+        (Platform::Tgb, Algo::Ld) => run.tgb(
+            true,
+            |transformed| tgb_paths::TgbLd {
+                target,
+                deadline,
+                transformed,
+            },
+            None,
+        ),
+        (Platform::Tgb, Algo::Tmst) => run.tgb(
+            false,
+            |transformed| tgb_paths::TgbTmst {
+                source,
+                start,
+                transformed,
+            },
+            None,
+        ),
+        _ => return Err(unsupported),
     };
-    Ok(outcome)
+    Ok(outcome?)
 }
 
 #[cfg(test)]
@@ -1004,6 +552,45 @@ mod tests {
         let err = run(Algo::Bfs, Platform::Tgb, &g, None, &RunOpts::default()).unwrap_err();
         assert_eq!(err.algo, Algo::Bfs);
         assert!(err.to_string().contains("TGB"));
+    }
+
+    /// A spent superstep cap is the same typed error on every platform —
+    /// the wrappers' inner engines report it, they do not panic.
+    #[test]
+    fn every_platform_reports_the_superstep_cap_as_a_typed_error() {
+        let g = Arc::new(transit_graph());
+        let capped = RunOpts {
+            max_supersteps: 1,
+            ..RunOpts::default()
+        };
+        for (algo, platform) in [
+            (Algo::Bfs, Platform::Icm),
+            (Algo::Bfs, Platform::Msb),
+            (Algo::Bfs, Platform::Chlonos),
+            // GoFFish path messages all travel to later snapshots (one
+            // inner superstep each); clustering exchanges within one.
+            (Algo::Lcc, Platform::Goffish),
+            (Algo::Sssp, Platform::Tgb),
+        ] {
+            let err = try_run(algo, platform, &g, None, &capped).unwrap_err();
+            let limit = BspError::SuperstepLimit { limit: 1 };
+            assert_eq!(err, RunError::Bsp(limit), "{algo:?} on {platform:?}");
+        }
+        let nobody = RunOpts {
+            workers: 0,
+            ..RunOpts::default()
+        };
+        for platform in Platform::ALL {
+            let algo = if platform.supports(Algo::Bfs) {
+                Algo::Bfs
+            } else {
+                Algo::Sssp
+            };
+            match try_run(algo, platform, &g, None, &nobody) {
+                Err(RunError::Bsp(BspError::Config { .. })) => {}
+                other => panic!("{platform:?}: expected a config error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

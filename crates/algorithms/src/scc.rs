@@ -437,7 +437,8 @@ mod tests {
                 need_in_edges: true,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         for (t, snapshot) in &msb.per_snapshot {
             for (v, (comp, _, _)) in snapshot {
                 let vid = graph.vertex(VIdx(*v)).vid;

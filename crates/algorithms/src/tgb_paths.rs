@@ -342,7 +342,8 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let eat = tgb_earliest_arrivals(&tg, &g, &r.vcm.states);
         assert_eq!(eat.get(&transit_ids::C), Some(&2));
         assert_eq!(eat.get(&transit_ids::D), Some(&2));
@@ -366,7 +367,8 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let fast = tgb_fastest_durations(&tg, &g, &r.vcm.states);
         assert_eq!(fast.get(&transit_ids::B), Some(&1));
         assert_eq!(fast.get(&transit_ids::C), Some(&1));
@@ -392,7 +394,8 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let parents = tgb_tmst_parents(&tg, &g, &r.vcm.states);
         assert_eq!(parents[&transit_ids::B].1, transit_ids::A.0);
         assert_eq!(parents[&transit_ids::C].1, transit_ids::A.0);
@@ -418,7 +421,8 @@ mod tests {
                 need_in_edges: true,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let ld = tgb_latest_departures(&tg, &g, &r.vcm.states);
         assert_eq!(ld.get(&transit_ids::B), Some(&8));
         assert_eq!(ld.get(&transit_ids::C), Some(&6));

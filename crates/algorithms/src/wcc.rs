@@ -94,7 +94,7 @@ mod tests {
     use super::*;
     use graphite_baselines::msb::{run_msb, MsbConfig};
     use graphite_baselines::vcm::VcmConfig;
-    use graphite_baselines::{run_vcm, SnapshotTopology};
+    use graphite_baselines::{try_run_vcm, SnapshotTopology};
     use graphite_tgraph::fixtures::{transit_graph, transit_ids};
     use std::sync::Arc;
 
@@ -117,7 +117,8 @@ mod tests {
                 need_in_edges: true,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         for (t, snapshot) in &msb.per_snapshot {
             for (v, label) in snapshot {
                 let vid = graph.vertex(graphite_tgraph::graph::VIdx(*v)).vid;
@@ -152,7 +153,7 @@ mod tests {
             2,
             Default::default(),
         ));
-        let r = run_vcm(
+        let r = try_run_vcm(
             &topo,
             Arc::new(VcmWcc),
             &VcmConfig {
@@ -160,7 +161,8 @@ mod tests {
                 need_in_edges: true,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         // Live at t=2: A->C, A->D, E->F. Components {A,C,D}, {B}, {E,F}.
         let idx = |vid: VertexId| graph.vertex_index(vid).unwrap().0;
         assert_eq!(r.states[&idx(transit_ids::A)], 0);

@@ -12,6 +12,7 @@ use crate::topology::EdgeWeights;
 use crate::vcm::{VcmContext, VcmEdge, VcmProgram};
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::engine::{run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
+use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::PartitionMap;
 use graphite_bsp::trace::TraceSink;
@@ -297,11 +298,16 @@ where
 }
 
 /// Runs `program` over the window in batches of `batch_size` snapshots.
+///
+/// # Errors
+///
+/// [`BspError::Config`] for an unusable worker count, else the first
+/// failing batch run's [`BspError`].
 pub fn run_chlonos<P>(
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
     config: &ChlConfig,
-) -> ChlResult<P::State>
+) -> Result<ChlResult<P::State>, BspError>
 where
     P: VcmProgram,
     P::Msg: PartialEq,
@@ -310,7 +316,7 @@ where
         .window
         .or_else(|| snapshot_window(&graph))
         .expect("graph with no bounded window needs an explicit one");
-    let partition = Arc::new(PartitionMap::hash(&graph, config.workers).expect("partition"));
+    let partition = Arc::new(PartitionMap::hash(&graph, config.workers)?);
     let mut metrics = RunMetrics::default();
     let mut per_snapshot = Vec::new();
     let mut batches = 0usize;
@@ -355,8 +361,7 @@ where
             }
         };
         let (workers, batch_metrics) =
-            run_bsp(&bsp, workers, Arc::clone(&partition), Some(&mut wrapper))
-                .unwrap_or_else(|e| panic!("Chlonos batch run failed: {e}"));
+            run_bsp(&bsp, workers, Arc::clone(&partition), Some(&mut wrapper))?;
         metrics.merge(&batch_metrics);
         if config.collect_states {
             let mut maps: Vec<HashMap<u32, P::State>> =
@@ -383,11 +388,11 @@ where
             }
         }
     }
-    ChlResult {
+    Ok(ChlResult {
         per_snapshot,
         metrics,
         batches,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -445,7 +450,8 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         for batch_size in [1, 3, 9, 100] {
             let chl = run_chlonos(
                 Arc::clone(&graph),
@@ -457,7 +463,8 @@ mod tests {
                     batch_size,
                     ..Default::default()
                 },
-            );
+            )
+            .unwrap();
             assert_eq!(chl.per_snapshot.len(), 9);
             for (t, states) in &msb.per_snapshot {
                 for (v, s) in states {
@@ -485,7 +492,8 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let chl = run_chlonos(
             Arc::clone(&graph),
             Arc::new(Bfs {
@@ -496,7 +504,8 @@ mod tests {
                 batch_size: 9,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         // Sec. VII-B1: MSB and Chlonos have the same number of compute
         // calls for an algorithm on a graph.
         assert_eq!(
@@ -521,7 +530,8 @@ mod tests {
                 batch_size: 9,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let many = run_chlonos(
             Arc::clone(&graph),
             Arc::new(Bfs {
@@ -531,7 +541,8 @@ mod tests {
                 batch_size: 1,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(many.batches, 9);
         assert!(many.metrics.counters.messages_sent >= one.metrics.counters.messages_sent);
         assert_eq!(

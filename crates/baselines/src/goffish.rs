@@ -13,6 +13,7 @@ use crate::vcm::VcmEdge;
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::Wire;
 use graphite_bsp::engine::{run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
+use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::PartitionMap;
 use graphite_bsp::trace::TraceSink;
@@ -331,16 +332,21 @@ impl<S> GofResult<S> {
 }
 
 /// Runs `program` snapshot by snapshot over the window.
+///
+/// # Errors
+///
+/// [`BspError::Config`] for an unusable worker count, else the first
+/// failing snapshot run's [`BspError`].
 pub fn run_goffish<P: GofProgram>(
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
     config: &GofConfig,
-) -> GofResult<P::State> {
+) -> Result<GofResult<P::State>, BspError> {
     let window = config
         .window
         .or_else(|| snapshot_window(&graph))
         .expect("graph with no bounded window needs an explicit one");
-    let partition = Arc::new(PartitionMap::hash(&graph, config.workers).expect("partition"));
+    let partition = Arc::new(PartitionMap::hash(&graph, config.workers)?);
     let mut queue: BTreeMap<Time, HashMap<u32, Vec<P::Msg>>> = BTreeMap::new();
     let mut states: HashMap<u32, P::State> = HashMap::new();
     let mut metrics = RunMetrics::default();
@@ -387,8 +393,7 @@ pub fn run_goffish<P: GofProgram>(
             max_supersteps: config.max_supersteps,
             ..Default::default()
         };
-        let (workers, snap_metrics) = run_bsp(&bsp, workers, Arc::clone(&partition), None)
-            .unwrap_or_else(|e| panic!("GoFFish snapshot run failed: {e}"));
+        let (workers, snap_metrics) = run_bsp(&bsp, workers, Arc::clone(&partition), None)?;
         metrics.merge(&snap_metrics);
         for worker in workers {
             // Temporal messages are charged as messages (they travel via
@@ -409,11 +414,11 @@ pub fn run_goffish<P: GofProgram>(
             per_snapshot.push((t, states.clone()));
         }
     }
-    GofResult {
+    Ok(GofResult {
         states,
         per_snapshot,
         metrics,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -487,7 +492,8 @@ mod tests {
                 weights: weights(&graph),
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let idx = |vid| graph.vertex_index(vid).unwrap().0;
         // B: inf before 4, 4 during [4,6), 3 from 6 (within window end 9).
         let b = idx(transit_ids::B);
@@ -519,7 +525,8 @@ mod tests {
                 weights: weights(&graph),
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         // ICM sends 6 messages for this fixture; GoFFish re-scatters per
         // snapshot and must send strictly more.
         assert!(r.metrics.counters.messages_sent > 6);

@@ -31,6 +31,6 @@ pub use msb::{run_msb, MsbConfig, MsbResult};
 pub use tgb::{run_tgb, TgbResult};
 pub use topology::{EdgeWeights, SnapshotTopology, TransformedTopology};
 pub use vcm::{
-    run_vcm, run_vcm_with_master, try_run_vcm, try_run_vcm_recoverable, try_run_vcm_with_master,
-    VcmConfig, VcmContext, VcmEdge, VcmProgram, VcmResult, VcmTopology,
+    try_run_vcm, try_run_vcm_recoverable, try_run_vcm_with_master, VcmConfig, VcmContext, VcmEdge,
+    VcmProgram, VcmResult, VcmTopology,
 };

@@ -4,7 +4,8 @@
 //! does in the paper. Used for the TI algorithms.
 
 use crate::topology::{EdgeWeights, SnapshotTopology};
-use crate::vcm::{run_vcm, VcmConfig, VcmProgram};
+use crate::vcm::{try_run_vcm, VcmConfig, VcmProgram};
+use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::RunMetrics;
 use graphite_tgraph::graph::TemporalGraph;
 use graphite_tgraph::snapshot::snapshot_window;
@@ -71,11 +72,15 @@ impl<S> MsbResult<S> {
 
 /// Runs `make_program(t)` on every snapshot in the window, independently,
 /// accumulating metrics — the paper's MSB.
+///
+/// # Errors
+///
+/// The first failing snapshot run's [`BspError`].
 pub fn run_msb<P, F>(
     graph: Arc<TemporalGraph>,
     make_program: F,
     config: &MsbConfig,
-) -> MsbResult<P::State>
+) -> Result<MsbResult<P::State>, BspError>
 where
     P: VcmProgram,
     F: Fn(Time) -> Arc<P>,
@@ -102,30 +107,30 @@ where
             t0,
             config.weights,
         ));
-        let result = run_vcm(&topo, make_program(t0), &vcm);
+        let result = try_run_vcm(&topo, make_program(t0), &vcm)?;
         metrics.merge(&result.metrics);
         if config.collect_states {
             for t in window.points() {
                 per_snapshot.push((t, result.states.clone()));
             }
         }
-        return MsbResult {
+        return Ok(MsbResult {
             per_snapshot,
             metrics,
-        };
+        });
     }
     for t in window.points() {
         let topo = Arc::new(SnapshotTopology::new(Arc::clone(&graph), t, config.weights));
-        let result = run_vcm(&topo, make_program(t), &vcm);
+        let result = try_run_vcm(&topo, make_program(t), &vcm)?;
         metrics.merge(&result.metrics);
         if config.collect_states {
             per_snapshot.push((t, result.states));
         }
     }
-    MsbResult {
+    Ok(MsbResult {
         per_snapshot,
         metrics,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -185,7 +190,8 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         // Window is [0,9): nine snapshot runs.
         assert_eq!(r.per_snapshot.len(), 9);
         // A is level 0 everywhere.
@@ -216,7 +222,8 @@ mod tests {
                 collect_states: false,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert!(r.per_snapshot.is_empty());
         assert!(r.metrics.counters.compute_calls > 0);
     }

@@ -6,7 +6,8 @@
 //! charges to TGB on top of the application's own traffic.
 
 use crate::topology::TransformedTopology;
-use crate::vcm::{run_vcm, VcmConfig, VcmProgram, VcmResult};
+use crate::vcm::{try_run_vcm, VcmConfig, VcmProgram, VcmResult};
+use graphite_bsp::error::BspError;
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
 use graphite_tgraph::time::{Interval, Time};
 use graphite_tgraph::transform::{transform_for_paths, TransformOptions, TransformedGraph};
@@ -77,18 +78,22 @@ impl<S: Clone + PartialEq> TgbResult<S> {
 
 /// Builds the transformed graph (unless one is supplied) and runs
 /// `program` over it.
+///
+/// # Errors
+///
+/// The replica run's [`BspError`].
 pub fn run_tgb<P: VcmProgram>(
     graph: Arc<TemporalGraph>,
     transformed: Option<Arc<TransformedGraph>>,
     transform_opts: &TransformOptions,
     program: Arc<P>,
     config: &VcmConfig,
-) -> TgbResult<P::State> {
+) -> Result<TgbResult<P::State>, BspError> {
     let transformed =
         transformed.unwrap_or_else(|| Arc::new(transform_for_paths(&graph, transform_opts)));
     let topology = Arc::new(TransformedTopology::new(Arc::clone(&graph), transformed));
-    let vcm = run_vcm(&topology, program, config);
-    TgbResult { vcm, topology }
+    let vcm = try_run_vcm(&topology, program, config)?;
+    Ok(TgbResult { vcm, topology })
 }
 
 #[cfg(test)]
@@ -146,7 +151,8 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let projected = r.project(&graph, i64::MAX);
         // Paper results: E costs 7 over [6,9) (via C, arriving 6..7 is
         // replica 6 then 7), 5 from 9 on; B costs 4 over [4,6), 3 after.
@@ -196,7 +202,8 @@ mod tests {
                 workers: 1,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert!(r.vcm.metrics.counters.messages_sent > 6);
         assert!(r.vcm.metrics.counters.compute_calls > 12);
     }

@@ -174,8 +174,6 @@ pub struct VcmConfig {
     pub superstep_budget: Option<u64>,
     /// Also materialize in-edges for the user logic.
     pub need_in_edges: bool,
-    /// Record per-superstep timing.
-    pub keep_per_step_timing: bool,
     /// Forwarded to [`BspConfig::perturb_schedule`]: permute the BSP
     /// scheduling freedoms with this seed (race-harness use; results must
     /// not change).
@@ -200,7 +198,6 @@ impl Default for VcmConfig {
             max_supersteps: 100_000,
             superstep_budget: None,
             need_in_edges: false,
-            keep_per_step_timing: false,
             perturb_schedule: None,
             trace: TraceConfig::default(),
             fault_plan: None,
@@ -396,38 +393,8 @@ fn topology_partition<T: VcmTopology>(
     strategy.build(&b.build().expect("synthetic partition graph"), workers)
 }
 
-/// Runs `program` over `topology` to convergence.
-///
-/// # Panics
-///
-/// Panics when the run fails (a worker thread panicked or the wire codec
-/// rejected a batch); use [`try_run_vcm`] to handle those as errors.
-pub fn run_vcm<T: VcmTopology, P: VcmProgram>(
-    topology: &Arc<T>,
-    program: Arc<P>,
-    config: &VcmConfig,
-) -> VcmResult<P::State> {
-    try_run_vcm(topology, program, config).unwrap_or_else(|e| panic!("VCM run failed: {e}"))
-}
-
-/// [`run_vcm`] with a MasterCompute hook.
-///
-/// # Panics
-///
-/// Panics when the run fails; use [`try_run_vcm_with_master`] to handle
-/// failures as errors.
-pub fn run_vcm_with_master<T: VcmTopology, P: VcmProgram>(
-    topology: &Arc<T>,
-    program: Arc<P>,
-    config: &VcmConfig,
-    master: Option<MasterHook<'_>>,
-) -> VcmResult<P::State> {
-    try_run_vcm_with_master(topology, program, config, master)
-        .unwrap_or_else(|e| panic!("VCM run failed: {e}"))
-}
-
-/// Fallible [`run_vcm`]: surfaces poisoned workers and codec corruption as
-/// [`BspError`] instead of panicking.
+/// Runs `program` over `topology` to convergence, surfacing poisoned
+/// workers, codec corruption and spent superstep caps as [`BspError`].
 ///
 /// # Errors
 ///
@@ -440,7 +407,7 @@ pub fn try_run_vcm<T: VcmTopology, P: VcmProgram>(
     try_run_vcm_with_master(topology, program, config, None)
 }
 
-/// Fallible [`run_vcm_with_master`].
+/// [`try_run_vcm`] with a MasterCompute hook.
 ///
 /// # Errors
 ///
@@ -520,7 +487,6 @@ fn bsp_config(config: &VcmConfig) -> BspConfig {
     BspConfig {
         max_supersteps: config.max_supersteps,
         superstep_budget: config.superstep_budget,
-        keep_per_step_timing: config.keep_per_step_timing,
         perturb_schedule: config.perturb_schedule,
         trace: config.trace,
         fault_plan: config.fault_plan.clone(),
@@ -626,14 +592,15 @@ mod tests {
     #[test]
     fn static_sssp_converges() {
         for workers in [1, 2, 3] {
-            let r = run_vcm(
+            let r = try_run_vcm(
                 &Arc::new(Dag),
                 Arc::new(Sssp),
                 &VcmConfig {
                     workers,
                     ..Default::default()
                 },
-            );
+            )
+            .unwrap();
             assert_eq!(r.states[&0], 0);
             assert_eq!(r.states[&1], 5);
             assert_eq!(r.states[&2], 9, "workers={workers}");
@@ -642,22 +609,24 @@ mod tests {
 
     #[test]
     fn counts_are_stable_across_workers() {
-        let r1 = run_vcm(
+        let r1 = try_run_vcm(
             &Arc::new(Dag),
             Arc::new(Sssp),
             &VcmConfig {
                 workers: 1,
                 ..Default::default()
             },
-        );
-        let r3 = run_vcm(
+        )
+        .unwrap();
+        let r3 = try_run_vcm(
             &Arc::new(Dag),
             Arc::new(Sssp),
             &VcmConfig {
                 workers: 3,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(
             r1.metrics.counters.compute_calls,
             r3.metrics.counters.compute_calls
@@ -702,11 +671,12 @@ mod tests {
 
     #[test]
     fn inactive_vertices_are_skipped() {
-        let r = run_vcm(
+        let r = try_run_vcm(
             &Arc::new(HalfActive),
             Arc::new(CountOnly),
             &VcmConfig::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(r.metrics.counters.compute_calls, 2);
         assert!(r.states.contains_key(&0));
         assert!(!r.states.contains_key(&1));

@@ -47,7 +47,6 @@ fn cfg() -> IcmConfig {
         suppression_threshold: Some(0.7),
         max_supersteps: 10_000,
         superstep_budget: None,
-        keep_per_step_timing: false,
         perturb_schedule: None,
         trace: graphite_bsp::trace::TraceConfig::default(),
         fault_plan: None,

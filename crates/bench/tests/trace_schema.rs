@@ -50,7 +50,6 @@ fn full_trace_cfg() -> IcmConfig {
         suppression_threshold: Some(0.7),
         max_supersteps: 10_000,
         superstep_budget: None,
-        keep_per_step_timing: false,
         perturb_schedule: None,
         trace: TraceConfig::full(),
         fault_plan: None,

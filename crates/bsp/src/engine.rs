@@ -72,8 +72,6 @@ pub struct BspConfig {
     /// clock is involved. `None` (the default) enforces nothing beyond
     /// `max_supersteps`.
     pub superstep_budget: Option<u64>,
-    /// Record per-superstep timing splits in the metrics.
-    pub keep_per_step_timing: bool,
     /// When `Some(seed)`, deterministically permutes — per superstep — the
     /// scheduling freedoms the BSP contract leaves open: worker thread join
     /// order and remote-batch delivery order. A correct program's results
@@ -106,7 +104,6 @@ impl Default for BspConfig {
         BspConfig {
             max_supersteps: Self::DEFAULT_MAX_SUPERSTEPS,
             superstep_budget: None,
-            keep_per_step_timing: false,
             perturb_schedule: None,
             fault_plan: None,
             trace: TraceConfig::default(),
@@ -739,8 +736,7 @@ impl<L: WorkerLogic> RunState<L> {
             barrier: compute_wall.saturating_sub(compute_max + encode_max)
                 + receive_wall.saturating_sub(receive_max),
         };
-        self.metrics
-            .record_step(timing, config.keep_per_step_timing);
+        self.metrics.record_step(timing);
         std::mem::swap(&mut self.inboxes, &mut self.spare);
 
         let idle_halt = total_sent == 0 && decision != MasterDecision::ForceContinue;
@@ -809,19 +805,30 @@ impl<L: WorkerLogic> RunState<L> {
         L: 'scope,
     {
         while !self.halted {
-            if self.step >= config.max_supersteps {
-                return Err(BspError::SuperstepLimit {
-                    limit: config.max_supersteps,
-                });
-            }
-            if let Some(budget) = config.superstep_budget {
-                if self.step >= budget {
-                    return Err(BspError::BudgetExceeded { budget });
-                }
-            }
+            self.admit_next_step(config)?;
             self.superstep(config, master, injector, pool)?;
         }
         Ok(())
+    }
+
+    /// The one admission check every superstep loop makes before running
+    /// the next superstep of an unhalted run.
+    ///
+    /// # Errors
+    ///
+    /// [`BspError::SuperstepLimit`] once `config.max_supersteps` are spent,
+    /// [`BspError::BudgetExceeded`] once an explicit
+    /// `config.superstep_budget` is.
+    pub(crate) fn admit_next_step(&self, config: &BspConfig) -> Result<(), BspError> {
+        if self.step >= config.max_supersteps {
+            return Err(BspError::SuperstepLimit {
+                limit: config.max_supersteps,
+            });
+        }
+        match config.superstep_budget {
+            Some(budget) if self.step >= budget => Err(BspError::BudgetExceeded { budget }),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -1144,7 +1151,7 @@ mod tests {
     }
 
     #[test]
-    fn per_step_timing_is_recorded_when_asked() {
+    fn makespan_covers_the_compute_split() {
         let graph = Arc::new(ring(4));
         let partition = Arc::new(PartitionMap::hash(&graph, 1).expect("partition"));
         let logics = vec![TokenLogic {
@@ -1153,12 +1160,7 @@ mod tests {
             seen: Vec::new(),
             hops: 4,
         }];
-        let config = BspConfig {
-            keep_per_step_timing: true,
-            ..Default::default()
-        };
-        let (_, metrics) = run_bsp(&config, logics, partition, None).unwrap();
-        assert_eq!(metrics.per_step.len() as u64, metrics.supersteps);
+        let (_, metrics) = run_bsp(&BspConfig::default(), logics, partition, None).unwrap();
         assert!(metrics.makespan >= metrics.compute_plus);
     }
 

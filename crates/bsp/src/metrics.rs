@@ -129,8 +129,6 @@ pub struct RunMetrics {
     /// Checkpoint/rollback counters (all zero for non-recoverable runs).
     /// Excluded from result digests, like `routing_growths`.
     pub recovery: RecoveryMetrics,
-    /// Per-superstep timing splits (empty unless requested).
-    pub per_step: Vec<StepTiming>,
     /// Structured trace events (empty unless [`crate::trace::TraceConfig`]
     /// enables tracing). Like the timing fields, trace content never
     /// enters result digests or pinned counter keys.
@@ -139,14 +137,11 @@ pub struct RunMetrics {
 
 impl RunMetrics {
     /// Accumulates one superstep's timing.
-    pub fn record_step(&mut self, timing: StepTiming, keep_per_step: bool) {
+    pub fn record_step(&mut self, timing: StepTiming) {
         self.supersteps += 1;
         self.compute_plus += timing.compute;
         self.messaging += timing.messaging;
         self.barrier += timing.barrier;
-        if keep_per_step {
-            self.per_step.push(timing);
-        }
     }
 
     /// Merges counters from one worker-superstep.
@@ -166,7 +161,6 @@ impl RunMetrics {
         self.counters += other.counters;
         self.routing_growths += other.routing_growths;
         self.recovery += other.recovery;
-        self.per_step.extend(other.per_step.iter().copied());
         self.trace.events.extend(other.trace.events.iter().cloned());
     }
 }
@@ -196,20 +190,16 @@ mod tests {
     #[test]
     fn run_metrics_record_and_merge() {
         let mut m = RunMetrics::default();
-        m.record_step(
-            StepTiming {
-                compute: Duration::from_millis(10),
-                messaging: Duration::from_millis(4),
-                barrier: Duration::from_millis(1),
-            },
-            true,
-        );
+        m.record_step(StepTiming {
+            compute: Duration::from_millis(10),
+            messaging: Duration::from_millis(4),
+            barrier: Duration::from_millis(1),
+        });
         m.absorb_counters(UserCounters {
             compute_calls: 7,
             ..Default::default()
         });
         assert_eq!(m.supersteps, 1);
-        assert_eq!(m.per_step.len(), 1);
 
         let mut total = RunMetrics::default();
         total.merge(&m);
@@ -217,12 +207,5 @@ mod tests {
         assert_eq!(total.supersteps, 2);
         assert_eq!(total.counters.compute_calls, 14);
         assert_eq!(total.compute_plus, Duration::from_millis(20));
-    }
-
-    #[test]
-    fn per_step_is_opt_in() {
-        let mut m = RunMetrics::default();
-        m.record_step(StepTiming::default(), false);
-        assert!(m.per_step.is_empty());
     }
 }

@@ -28,7 +28,6 @@ use crate::partition::PartitionMap;
 use crate::snapshot::{Checkpoint, CheckpointStorage, CheckpointStore, Snapshot};
 use crate::trace::TraceEvent;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Configuration of the recovery driver, orthogonal to [`BspConfig`].
 #[derive(Clone, Debug)]
@@ -40,11 +39,6 @@ pub struct RecoveryConfig {
     /// How many rollbacks the driver performs before giving up with
     /// [`BspError::RecoveryExhausted`].
     pub max_attempts: u64,
-    /// Sleep inserted before each replay, doubling per consecutive
-    /// rollback (transient environmental faults often need time to clear).
-    /// [`Duration::ZERO`] — the default, and what every test uses — never
-    /// sleeps and never reads the clock.
-    pub backoff: Duration,
     /// Where checkpoint payloads live.
     pub storage: CheckpointStorage,
 }
@@ -54,7 +48,6 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             checkpoint_interval: 8,
             max_attempts: 3,
-            backoff: Duration::ZERO,
             storage: CheckpointStorage::Memory,
         }
     }
@@ -120,16 +113,7 @@ pub fn run_bsp_recoverable<L: WorkerLogic + Snapshot>(
     std::thread::scope(|scope| {
         let mut pool = ComputePool::start(scope, n);
         while !state.halted {
-            if state.step >= config.max_supersteps {
-                return Err(BspError::SuperstepLimit {
-                    limit: config.max_supersteps,
-                });
-            }
-            if let Some(budget) = config.superstep_budget {
-                if state.step >= budget {
-                    return Err(BspError::BudgetExceeded { budget });
-                }
-            }
+            state.admit_next_step(config)?;
             match state.superstep(config, &mut master, &mut injector, &mut pool) {
                 Ok(()) => {
                     since_checkpoint += 1;
@@ -146,11 +130,6 @@ pub fn run_bsp_recoverable<L: WorkerLogic + Snapshot>(
                             last: Box::new(err),
                             history,
                         });
-                    }
-                    if !recovery.backoff.is_zero() {
-                        // Exponential: 1x, 2x, 4x, ... per consecutive rollback.
-                        let factor = 1u32 << rollbacks.min(16) as u32;
-                        std::thread::sleep(recovery.backoff.saturating_mul(factor));
                     }
                     let ckpt: Checkpoint = store.load()?.ok_or_else(|| BspError::Checkpoint {
                         detail: "no checkpoint available for rollback".into(),

@@ -112,7 +112,6 @@ fn icm_cfg(fault_plan: Option<FaultPlan>, perturb: Option<u64>) -> IcmConfig {
         suppression_threshold: Some(0.7),
         max_supersteps: 10_000,
         superstep_budget: None,
-        keep_per_step_timing: false,
         perturb_schedule: perturb,
         trace: TraceConfig::default(),
         fault_plan,
@@ -126,7 +125,6 @@ fn vcm_cfg(fault_plan: Option<FaultPlan>, perturb: Option<u64>) -> VcmConfig {
         max_supersteps: 10_000,
         superstep_budget: None,
         need_in_edges: false,
-        keep_per_step_timing: false,
         perturb_schedule: perturb,
         trace: TraceConfig::default(),
         fault_plan,

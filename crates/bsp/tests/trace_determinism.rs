@@ -82,7 +82,6 @@ fn icm_cfg(trace: TraceConfig, perturb: Option<u64>) -> IcmConfig {
         suppression_threshold: Some(0.7),
         max_supersteps: 10_000,
         superstep_budget: None,
-        keep_per_step_timing: false,
         perturb_schedule: perturb,
         trace,
         fault_plan: None,

@@ -61,8 +61,6 @@ pub struct IcmConfig {
     /// [`graphite_bsp::error::BspError::BudgetExceeded`] (serving-layer
     /// fault domain, DESIGN.md §15).
     pub superstep_budget: Option<u64>,
-    /// Record per-superstep timing splits.
-    pub keep_per_step_timing: bool,
     /// Forwarded to [`BspConfig::perturb_schedule`]: permute the BSP
     /// scheduling freedoms with this seed (race-harness use; results must
     /// not change).
@@ -89,7 +87,6 @@ impl Default for IcmConfig {
             suppression_threshold: Some(0.7),
             max_supersteps: 100_000,
             superstep_budget: None,
-            keep_per_step_timing: false,
             perturb_schedule: None,
             trace: TraceConfig::default(),
             fault_plan: None,
@@ -715,7 +712,6 @@ fn bsp_config(config: &IcmConfig) -> BspConfig {
     BspConfig {
         max_supersteps: config.max_supersteps,
         superstep_budget: config.superstep_budget,
-        keep_per_step_timing: config.keep_per_step_timing,
         perturb_schedule: config.perturb_schedule,
         trace: config.trace,
         fault_plan: config.fault_plan.clone(),

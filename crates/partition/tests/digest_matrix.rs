@@ -125,7 +125,6 @@ fn icm_cfg(strategy: PartitionStrategy, workers: usize) -> IcmConfig {
         suppression_threshold: Some(0.7),
         max_supersteps: 10_000,
         superstep_budget: None,
-        keep_per_step_timing: false,
         perturb_schedule: None,
         trace: TraceConfig::default(),
         fault_plan: None,
@@ -139,7 +138,6 @@ fn vcm_cfg(strategy: PartitionStrategy, workers: usize) -> VcmConfig {
         max_supersteps: 10_000,
         superstep_budget: None,
         need_in_edges: false,
-        keep_per_step_timing: false,
         perturb_schedule: None,
         trace: TraceConfig::default(),
         fault_plan: None,

@@ -47,7 +47,6 @@ use std::collections::{BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Sizing and policy of a [`ServeEngine`].
 #[derive(Clone, Copy, Debug)]
@@ -80,11 +79,7 @@ pub struct ServeConfig {
     /// no `budget=` override. `None` (the default) derives a per-query
     /// budget from [`CostModel::superstep_budget`].
     pub default_budget: Option<u64>,
-    /// Base delay of the seeded retry backoff. [`Duration::ZERO`] — the
-    /// default, and what every test uses — never sleeps and never reads
-    /// a clock ([`faultdom::backoff`]).
-    pub backoff_base: Duration,
-    /// Seed for quarantine decay and retry backoff draws.
+    /// Seed for quarantine decay draws.
     pub fault_seed: u64,
 }
 
@@ -99,7 +94,6 @@ impl Default for ServeConfig {
             quarantine_after: 3,
             shed_watermark: None,
             default_budget: None,
-            backoff_base: Duration::ZERO,
             fault_seed: 0x5EED_FA17,
         }
     }
@@ -674,17 +668,15 @@ fn serve_one(shared: &Shared, job: &Job) -> Result<QueryOutcome, BspError> {
 /// The serve-level retry loop above [`execute`]: transient failures are
 /// retried up to the query's allowance (`retries=` or the engine
 /// default), each attempt escalating the inner recovery budget
-/// ([`faultdom::escalate`]) and optionally sleeping a seeded,
-/// attempt-indexed backoff (never with the zero default base). Terminal
-/// errors — including budget overruns, which are deterministic and would
-/// only overrun again — propagate immediately.
+/// ([`faultdom::escalate`]). Terminal errors — including budget overruns,
+/// which are deterministic and would only overrun again — propagate
+/// immediately.
 fn execute_with_retries(
     shared: &Shared,
     epoch: &Epoch,
     spec: &QuerySpec,
 ) -> Result<RunOutcome, BspError> {
     let allowance = spec.retries.unwrap_or(shared.cfg.retries);
-    let key = faultdom::quarantine_key(spec);
     let mut attempt: u64 = 0;
     loop {
         let run = if attempt == 0 {
@@ -701,11 +693,6 @@ fn execute_with_retries(
             }
             Err(e) if e.is_transient() && attempt < allowance => {
                 lock(&shared.state).stats.retries += 1;
-                let delay =
-                    faultdom::backoff(shared.cfg.backoff_base, shared.cfg.fault_seed, key, attempt);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
                 attempt += 1;
             }
             Err(e) => return Err(e),
@@ -713,12 +700,13 @@ fn execute_with_retries(
     }
 }
 
-/// One isolated registry execution over the shared graph. Panics from the
-/// wrapper platforms (whose inner engines use panicking entry points) are
-/// converted to a typed error so one poisoned query can never take down
-/// the pool or its neighbors. Every run gets a superstep budget: the
-/// spec's own `budget=`, else the engine's `default_budget`, else the
-/// cost model's derived ceiling (DESIGN.md §15).
+/// One isolated registry execution over the shared graph. Every platform
+/// reports its failures as typed errors; `catch_unwind` remains as the
+/// guard for real panics (a bug in a program or an engine), converted to
+/// a typed error so one poisoned query can never take down the pool or
+/// its neighbors. Every run gets a superstep budget: the spec's own
+/// `budget=`, else the engine's `default_budget`, else the cost model's
+/// derived ceiling (DESIGN.md §15).
 fn execute(shared: &Shared, epoch: &Epoch, spec: &QuerySpec) -> Result<RunOutcome, BspError> {
     let transformed = if spec.platform == Platform::Tgb {
         Some(Arc::clone(epoch.transformed.get_or_init(|| {

@@ -1,9 +1,9 @@
-//! The serving-layer fault domain: quarantine, retry backoff, and health.
+//! The serving-layer fault domain: quarantine, retry escalation, and health.
 //!
 //! The BSP layer already recovers *within* one run — checkpoint, roll
 //! back, replay (`run_bsp_recoverable`). This module is the layer above:
 //! what the resident engine does when a whole run comes back failed.
-//! Three mechanisms, all deterministic (DESIGN.md §15):
+//! Two mechanisms, both deterministic (DESIGN.md §15):
 //!
 //! 1. **Quarantine** ([`QuarantineTable`]): queries that terminally fail
 //!    with a *transient-classed* error `after` consecutive times are
@@ -12,11 +12,7 @@
 //!    [`BspError::Quarantined`](graphite_bsp::error::BspError::Quarantined)
 //!    until a seeded decay (counted in engine-wide successful
 //!    completions, never wall clock) releases them.
-//! 2. **Seeded retry backoff** ([`backoff`]): the serve-level retry loop
-//!    may sleep between attempts; the delay is a pure function of
-//!    `(seed, query, attempt)`, and the default base of zero never
-//!    sleeps at all — tests exercise the full retry path without timing.
-//! 3. **Escalation** ([`escalate`]): a deterministic engine replays the
+//! 2. **Escalation** ([`escalate`]): a deterministic engine replays the
 //!    *same* faults on a bare re-run, so a serve-level retry is only
 //!    meaningful if it changes something. It multiplies the inner
 //!    recovery attempt budget by the attempt index, giving checkpoint
@@ -28,7 +24,6 @@
 //! sees serving-layer faults with no new format.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use crate::spec::QuerySpec;
 use graphite_bsp::metrics::UserCounters;
@@ -152,22 +147,6 @@ impl QuarantineTable {
             e.release_after > 0
         });
     }
-}
-
-/// Deterministic retry backoff: a pure function of `(seed, key, attempt)`.
-///
-/// A zero `base` — the engine default — always yields [`Duration::ZERO`],
-/// so the retry path never sleeps and never reads a clock unless the
-/// operator opted in. With a nonzero base the delay is `base` scaled by
-/// `attempt + 1` plus a seeded jitter of at most one extra `base`,
-/// identical on every replay.
-pub fn backoff(base: Duration, seed: u64, key: u64, attempt: u64) -> Duration {
-    if base.is_zero() {
-        return Duration::ZERO;
-    }
-    let jitter_num = SplitMix64::new(seed ^ key ^ attempt).next_u64() % 256;
-    let scaled = base.saturating_mul((attempt + 1).min(u32::MAX as u64) as u32);
-    scaled + base.mul_f64(jitter_num as f64 / 256.0)
 }
 
 /// The retry spec for attempt `attempt` (1-based over retries): same
@@ -318,19 +297,6 @@ mod tests {
             assert!(!table.note_failure(1));
         }
         assert_eq!(table.check(1), None);
-    }
-
-    #[test]
-    fn backoff_is_zero_for_zero_base_and_deterministic_otherwise() {
-        assert_eq!(backoff(Duration::ZERO, 1, 2, 3), Duration::ZERO);
-        let base = Duration::from_millis(10);
-        assert_eq!(backoff(base, 1, 2, 0), backoff(base, 1, 2, 0));
-        assert!(
-            backoff(base, 1, 2, 3) >= backoff(base, 1, 2, 0),
-            "later attempts wait at least as long as the first"
-        );
-        assert!(backoff(base, 1, 2, 0) >= base);
-        assert!(backoff(base, 1, 2, 0) < base * 2);
     }
 
     #[test]

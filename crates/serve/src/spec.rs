@@ -129,11 +129,13 @@ impl QuerySpec {
     }
 
     /// Whether results of this query may be cached and served from the
-    /// cache. Fault-injected queries execute for real every time — their
-    /// *results* are bit-identical to clean runs, but their recovery
-    /// metrics are the thing under test, so caching would mask them.
+    /// cache. Fault-injected and recoverable queries execute for real
+    /// every time — their *results* are bit-identical to clean runs, but
+    /// their recovery metrics (faults rolled back, checkpoints taken) are
+    /// the thing under test and not part of
+    /// [`QuerySpec::params_digest`], so caching would mask them.
     pub fn cacheable(&self) -> bool {
-        self.fault_plan.is_none()
+        self.fault_plan.is_none() && self.recovery.is_none()
     }
 
     /// Canonical digest of every result-relevant parameter — the
@@ -151,8 +153,8 @@ impl QuerySpec {
             acc = acc.wrapping_mul(0xbf58_476d_1ce4_e5b9);
             acc ^= acc >> 32;
         };
-        fold(algo_index(self.algo));
-        fold(platform_index(self.platform));
+        fold(self.algo.index());
+        fold(self.platform.index());
         fold(self.workers as u64);
         fold(match self.source {
             None => u64::MAX,
@@ -187,11 +189,11 @@ impl QuerySpec {
             detail: format!("serve batch: {what} {tok:?} in line {line:?}"),
         };
         let algo_tok = tokens.next().unwrap_or_default();
-        let Some(algo) = parse_algo(algo_tok) else {
+        let Some(algo) = Algo::parse(algo_tok) else {
             return Err(bad("unknown algorithm", algo_tok));
         };
         let platform_tok = tokens.next().unwrap_or_default();
-        let Some(platform) = parse_platform(platform_tok) else {
+        let Some(platform) = Platform::parse(platform_tok) else {
             return Err(bad("unknown platform", platform_tok));
         };
         let mut spec = QuerySpec::new(algo, platform);
@@ -260,19 +262,6 @@ impl QuerySpec {
     }
 }
 
-/// Stable index of `algo` in [`Algo::ALL`] (the cache-key encoding).
-fn algo_index(algo: Algo) -> u64 {
-    // lint:allow(no-unwrap) — Algo::ALL contains every variant by
-    // construction; position() cannot miss.
-    Algo::ALL.iter().position(|a| *a == algo).unwrap() as u64
-}
-
-/// Stable index of `platform` in [`Platform::ALL`].
-fn platform_index(platform: Platform) -> u64 {
-    // lint:allow(no-unwrap) — Platform::ALL contains every variant.
-    Platform::ALL.iter().position(|p| *p == platform).unwrap() as u64
-}
-
 /// Canonical tag of a partition strategy for the params digest. Explicit
 /// tables fold their full pinned assignment, so two different tables
 /// never share a cache key.
@@ -292,37 +281,6 @@ fn partition_tag(strategy: &PartitionStrategy) -> u64 {
         PartitionStrategy::Ldg => 3,
         PartitionStrategy::TemporalBalance => 4,
     }
-}
-
-/// CLI algorithm names (lower-case; mirrors `graphite run --algo`).
-pub fn parse_algo(s: &str) -> Option<Algo> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "bfs" => Algo::Bfs,
-        "wcc" => Algo::Wcc,
-        "scc" => Algo::Scc,
-        "pr" | "pagerank" => Algo::Pr,
-        "sssp" => Algo::Sssp,
-        "eat" => Algo::Eat,
-        "fast" => Algo::Fast,
-        "ld" => Algo::Ld,
-        "tmst" => Algo::Tmst,
-        "rh" | "reach" => Algo::Reach,
-        "lcc" => Algo::Lcc,
-        "tc" => Algo::Tc,
-        _ => return None,
-    })
-}
-
-/// CLI platform names (mirrors `graphite run --platform`).
-pub fn parse_platform(s: &str) -> Option<Platform> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "icm" | "graphite" => Platform::Icm,
-        "msb" => Platform::Msb,
-        "chl" | "chlonos" => Platform::Chlonos,
-        "tgb" => Platform::Tgb,
-        "gof" | "goffish" => Platform::Goffish,
-        _ => return None,
-    })
 }
 
 #[cfg(test)]
@@ -407,9 +365,16 @@ mod tests {
             assert!(!seen.contains(&d), "digest collision for {v:?}");
             seen.push(d);
         }
-        // Fault plans are deliberately NOT part of the digest: faulted
-        // queries never touch the cache at all.
+        // Fault plans and recovery configs are deliberately NOT part of
+        // the digest: such queries never touch the cache at all, so a
+        // recoverable query is never answered with a plain run's metrics.
         assert!(base.cacheable());
+        let recoverable = QuerySpec {
+            recovery: Some(RecoveryConfig::every(2)),
+            ..base.clone()
+        };
+        assert_eq!(recoverable.params_digest(), base.params_digest());
+        assert!(!recoverable.cacheable(), "recovery metrics must be real");
         assert_eq!(base.params_digest(), seen[0], "digest must be stable");
         // Budget and retries are also outside the digest: neither can
         // change a completed result, and a cache hit costs zero

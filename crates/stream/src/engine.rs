@@ -18,9 +18,9 @@
 //! the clock directly.
 
 use crate::resume::{dirty_vertices_with, PrevStates, Resumed};
-use graphite_algorithms::bfs::IcmBfs;
-use graphite_algorithms::common::{digest_interval_states, AlgLabels};
-use graphite_algorithms::td_paths::{IcmEat, IcmReach};
+use graphite_algorithms::catalog::{visit_icm, Algo, IcmParams, IcmVisitor};
+use graphite_algorithms::common::digest_interval_states;
+use graphite_bsp::codec::Wire;
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::UserCounters;
 use graphite_bsp::trace::{RunTrace, TraceConfig, TraceEvent, TraceSink};
@@ -29,8 +29,8 @@ use graphite_part::PartitionStrategy;
 use graphite_tgraph::delta::{DeltaOverlay, GraphDelta};
 use graphite_tgraph::error::GraphError;
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
-use graphite_tgraph::snapshot::snapshot_window;
 use graphite_tgraph::time::{Interval, Time};
+use std::any::Any;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -133,6 +133,28 @@ impl AlgoSpec {
             AlgoSpec::Reach { .. } => "reach",
         }
     }
+
+    /// The spec that maintains `algo` from `source` (departing at `start`,
+    /// where the algorithm has a start time), or `None` when `algo` is not
+    /// one of the monotone programs the incremental protocol is sound for.
+    pub fn of(algo: Algo, source: VertexId, start: Time) -> Option<Self> {
+        match algo {
+            Algo::Bfs => Some(AlgoSpec::Bfs { source }),
+            Algo::Eat => Some(AlgoSpec::Eat { source, start }),
+            Algo::Reach => Some(AlgoSpec::Reach { source, start }),
+            _ => None,
+        }
+    }
+
+    /// The catalog entry this spec runs, with its source and start time
+    /// (BFS has no start; the catalog ignores it).
+    fn lower(&self) -> (Algo, VertexId, Time) {
+        match *self {
+            AlgoSpec::Bfs { source } => (Algo::Bfs, source, 0),
+            AlgoSpec::Eat { source, start } => (Algo::Eat, source, start),
+            AlgoSpec::Reach { source, start } => (Algo::Reach, source, start),
+        }
+    }
 }
 
 /// Per-algorithm slice of a [`BatchReport`].
@@ -220,11 +242,15 @@ impl From<BspError> for StreamError {
     }
 }
 
+/// A run's converged [`PrevStates`], type-erased so fixpoints of different
+/// state types share one slot field; only [`Maintain::visit`], which the
+/// catalog hands the same program type every batch, looks inside.
+type Fixpoint = Box<dyn Any + Send + Sync>;
+
 /// One registered algorithm plus its carried fixpoint.
 struct Slot {
     spec: AlgoSpec,
-    prev_long: PrevStates<i64>,
-    prev_bool: PrevStates<bool>,
+    prev: Fixpoint,
 }
 
 /// The resident streaming engine. See the module docs for the per-batch
@@ -277,10 +303,6 @@ impl StreamEngine {
         }
     }
 
-    fn window(graph: &TemporalGraph) -> Interval {
-        snapshot_window(graph).unwrap_or(Interval::new(0, 1))
-    }
-
     /// Registers `spec` and runs its initial from-scratch computation on
     /// the current graph, returning the initial result digest.
     ///
@@ -288,53 +310,18 @@ impl StreamEngine {
     ///
     /// [`StreamError::Run`] when the initial computation fails.
     pub fn register(&mut self, spec: AlgoSpec) -> Result<u64, StreamError> {
-        let cfg = self.icm_config();
-        let window = Self::window(&self.graph);
-        let mut slot = Slot {
+        let (algo, source, start) = spec.lower();
+        let params = IcmParams::resolve(&self.graph, Some(source), start, None);
+        let initial = Maintain {
             spec,
-            prev_long: Arc::new(Default::default()),
-            prev_bool: Arc::new(Default::default()),
+            graph: &self.graph,
+            cfg: &self.icm_config(),
+            window: params.window,
+            start: Start::Initial,
         };
-        let digest = match spec {
-            AlgoSpec::Bfs { source } => {
-                let r = try_run_icm(&self.graph, Arc::new(IcmBfs { source }), &cfg)?;
-                let d = digest_interval_states(&r.states, window, |s: &i64| *s as u64);
-                slot.prev_long = Arc::new(r.states);
-                d.0
-            }
-            AlgoSpec::Eat { source, start } => {
-                let labels = AlgLabels::resolve(&self.graph);
-                let r = try_run_icm(
-                    &self.graph,
-                    Arc::new(IcmEat {
-                        source,
-                        start,
-                        labels,
-                    }),
-                    &cfg,
-                )?;
-                let d = digest_interval_states(&r.states, window, |s: &i64| *s as u64);
-                slot.prev_long = Arc::new(r.states);
-                d.0
-            }
-            AlgoSpec::Reach { source, start } => {
-                let labels = AlgLabels::resolve(&self.graph);
-                let r = try_run_icm(
-                    &self.graph,
-                    Arc::new(IcmReach {
-                        source,
-                        start,
-                        labels,
-                    }),
-                    &cfg,
-                )?;
-                let d = digest_interval_states(&r.states, window, |s: &bool| u64::from(*s));
-                slot.prev_bool = Arc::new(r.states);
-                d.0
-            }
-        };
-        self.slots.push(slot);
-        Ok(digest)
+        let (report, prev) = visit_icm(algo, &params, initial)?;
+        self.slots.push(Slot { spec, prev });
+        Ok(report.result_digest)
     }
 
     /// Ingests one update batch: applies the delta (with the overlay's
@@ -366,67 +353,56 @@ impl StreamEngine {
         let batch = self.batches;
         let check = self.cfg.check_every > 0 && batch.is_multiple_of(self.cfg.check_every);
         let cfg = self.icm_config();
-        let window = Self::window(&graph);
 
         let mut algos = Vec::with_capacity(self.slots.len());
         let mut inc_compute = 0u64;
+        // Window and labels are the graph's, not the algorithm's: the
+        // first slot resolves them, the rest only swap their journey in.
+        let mut of_graph: Option<IcmParams> = None;
         for slot in &mut self.slots {
-            let report = match slot.spec {
-                AlgoSpec::Bfs { source } => maintain_long(
-                    &graph,
-                    |prev, dirty| Resumed::new(IcmBfs { source }, prev, dirty),
-                    || IcmBfs { source },
-                    slot,
-                    &dirty,
-                    &cfg,
-                    window,
-                    check,
-                    batch,
-                    &mut self.sink,
-                )?,
-                AlgoSpec::Eat { source, start } => {
-                    let labels = AlgLabels::resolve(&graph);
-                    let mk = |l: &AlgLabels| IcmEat {
-                        source,
-                        start,
-                        labels: *l,
-                    };
-                    maintain_long(
-                        &graph,
-                        |prev, dirty| Resumed::new(mk(&labels), prev, dirty),
-                        || mk(&labels),
-                        slot,
-                        &dirty,
-                        &cfg,
-                        window,
-                        check,
-                        batch,
-                        &mut self.sink,
-                    )?
-                }
-                AlgoSpec::Reach { source, start } => {
-                    let labels = AlgLabels::resolve(&graph);
-                    let mk = |l: &AlgLabels| IcmReach {
-                        source,
-                        start,
-                        labels: *l,
-                    };
-                    maintain_bool(
-                        &graph,
-                        |prev, dirty| Resumed::new(mk(&labels), prev, dirty),
-                        || mk(&labels),
-                        slot,
-                        &dirty,
-                        &cfg,
-                        window,
-                        check,
-                        batch,
-                        &mut self.sink,
-                    )?
-                }
+            let spec = slot.spec;
+            let (algo, source, start) = spec.lower();
+            let resolve = || IcmParams::resolve(&graph, Some(source), start, None);
+            let of_graph = *of_graph.get_or_insert_with(resolve);
+            let params = IcmParams {
+                source,
+                start,
+                ..of_graph
             };
+            let warm = Maintain {
+                spec,
+                graph: &graph,
+                cfg: &cfg,
+                window: params.window,
+                start: Start::Warm {
+                    sink: &mut self.sink,
+                    prev: slot.prev.as_ref(),
+                    dirty: &dirty,
+                },
+            };
+            let (report, prev) = visit_icm(algo, &params, warm)?;
+            if check {
+                let scratch = Maintain {
+                    spec,
+                    graph: &graph,
+                    cfg: &cfg,
+                    window: params.window,
+                    start: Start::FullCheck(&mut self.sink),
+                };
+                let (expect, _) = visit_icm(algo, &params, scratch)?;
+                if report.result_digest != expect.result_digest {
+                    self.sink.add("stream_digest_mismatches", 1);
+                    return Err(StreamError::DifferentialMismatch {
+                        algo: spec.name(),
+                        batch,
+                        incremental: report.result_digest,
+                        from_scratch: expect.result_digest,
+                    });
+                }
+            }
             inc_compute += report.compute_calls;
             algos.push(report);
+            slot.prev = prev;
         }
 
         self.sink.add("stream_batches", 1);
@@ -449,99 +425,66 @@ impl StreamEngine {
     }
 }
 
-/// Warm-started maintenance for `i64`-state programs (BFS, EAT), with the
-/// optional differential check.
-#[allow(clippy::too_many_arguments)]
-fn maintain_long<P, W, C>(
-    graph: &Arc<TemporalGraph>,
-    warm: W,
-    cold: C,
-    slot: &mut Slot,
-    dirty: &Arc<BTreeSet<VertexId>>,
-    cfg: &IcmConfig,
-    window: Interval,
-    check: bool,
-    batch: u64,
-    sink: &mut TraceSink,
-) -> Result<AlgoReport, StreamError>
-where
-    P: IntervalProgram<State = i64>,
-    W: FnOnce(PrevStates<i64>, Arc<BTreeSet<VertexId>>) -> Resumed<P>,
-    C: FnOnce() -> P,
-{
-    let program = Arc::new(warm(Arc::clone(&slot.prev_long), Arc::clone(dirty)));
-    let r = sink.timed("stream_incremental_ns", || try_run_icm(graph, program, cfg))?;
-    let digest = digest_interval_states(&r.states, window, |s: &i64| *s as u64);
-    if check {
-        let scratch = sink.timed("stream_full_check_ns", || {
-            try_run_icm(graph, Arc::new(cold()), cfg)
-        })?;
-        let expect = digest_interval_states(&scratch.states, window, |s: &i64| *s as u64);
-        if digest != expect {
-            sink.add("stream_digest_mismatches", 1);
-            return Err(StreamError::DifferentialMismatch {
-                algo: slot.spec.name(),
-                batch,
-                incremental: digest.0,
-                from_scratch: expect.0,
-            });
-        }
-    }
-    let report = AlgoReport {
-        name: slot.spec.name(),
-        result_digest: digest.0,
-        supersteps: r.metrics.supersteps,
-        compute_calls: r.metrics.counters.compute_calls,
-    };
-    slot.prev_long = Arc::new(r.states);
-    Ok(report)
+/// How a maintenance run starts, and which `stream_*_ns` extra its
+/// wall-clock span accrues to.
+enum Start<'a> {
+    /// From scratch, untimed: the initial run of [`StreamEngine::register`].
+    Initial,
+    /// From scratch: the differential check's oracle.
+    FullCheck(&'a mut TraceSink),
+    /// [`Resumed`] from the slot's previous fixpoint, re-seeding only the
+    /// batch's dirty vertices.
+    Warm {
+        sink: &'a mut TraceSink,
+        prev: &'a (dyn Any + Send + Sync),
+        dirty: &'a Arc<BTreeSet<VertexId>>,
+    },
 }
 
-/// Warm-started maintenance for `bool`-state programs (Reachability).
-#[allow(clippy::too_many_arguments)]
-fn maintain_bool<P, W, C>(
-    graph: &Arc<TemporalGraph>,
-    warm: W,
-    cold: C,
-    slot: &mut Slot,
-    dirty: &Arc<BTreeSet<VertexId>>,
-    cfg: &IcmConfig,
+/// One maintenance run of `spec`'s program over `graph`: cold or warm, one
+/// generic body for every state type the catalog hands it.
+struct Maintain<'a> {
+    spec: AlgoSpec,
+    graph: &'a Arc<TemporalGraph>,
+    cfg: &'a IcmConfig,
     window: Interval,
-    check: bool,
-    batch: u64,
-    sink: &mut TraceSink,
-) -> Result<AlgoReport, StreamError>
-where
-    P: IntervalProgram<State = bool>,
-    W: FnOnce(PrevStates<bool>, Arc<BTreeSet<VertexId>>) -> Resumed<P>,
-    C: FnOnce() -> P,
-{
-    let program = Arc::new(warm(Arc::clone(&slot.prev_bool), Arc::clone(dirty)));
-    let r = sink.timed("stream_incremental_ns", || try_run_icm(graph, program, cfg))?;
-    let digest = digest_interval_states(&r.states, window, |s: &bool| u64::from(*s));
-    if check {
-        let scratch = sink.timed("stream_full_check_ns", || {
-            try_run_icm(graph, Arc::new(cold()), cfg)
-        })?;
-        let expect = digest_interval_states(&scratch.states, window, |s: &bool| u64::from(*s));
-        if digest != expect {
-            sink.add("stream_digest_mismatches", 1);
-            return Err(StreamError::DifferentialMismatch {
-                algo: slot.spec.name(),
-                batch,
-                incremental: digest.0,
-                from_scratch: expect.0,
-            });
-        }
+    start: Start<'a>,
+}
+
+impl IcmVisitor for Maintain<'_> {
+    type Out = Result<(AlgoReport, Fixpoint), BspError>;
+
+    fn visit<P>(self, program: P, encode: Option<fn(&P::State) -> u64>) -> Self::Out
+    where
+        P: IntervalProgram,
+        P::State: Wire,
+    {
+        let Maintain { graph, cfg, .. } = self;
+        let encode = encode.expect("every streamed algorithm has a result digest");
+        let r = match self.start {
+            Start::Initial => try_run_icm(graph, Arc::new(program), cfg),
+            Start::FullCheck(sink) => sink.timed("stream_full_check_ns", || {
+                try_run_icm(graph, Arc::new(program), cfg)
+            }),
+            Start::Warm { sink, prev, dirty } => {
+                let prev = prev
+                    .downcast_ref::<PrevStates<P::State>>()
+                    .expect("a slot carries the states of its own algorithm");
+                let resumed = Resumed::new(program, Arc::clone(prev), Arc::clone(dirty));
+                sink.timed("stream_incremental_ns", || {
+                    try_run_icm(graph, Arc::new(resumed), cfg)
+                })
+            }
+        }?;
+        let states: PrevStates<P::State> = Arc::new(r.states);
+        let report = AlgoReport {
+            name: self.spec.name(),
+            result_digest: digest_interval_states(&states, self.window, encode).0,
+            supersteps: r.metrics.supersteps,
+            compute_calls: r.metrics.counters.compute_calls,
+        };
+        Ok((report, Box::new(states)))
     }
-    let report = AlgoReport {
-        name: slot.spec.name(),
-        result_digest: digest.0,
-        supersteps: r.metrics.supersteps,
-        compute_calls: r.metrics.counters.compute_calls,
-    };
-    slot.prev_bool = Arc::new(r.states);
-    Ok(report)
 }
 
 #[cfg(test)]

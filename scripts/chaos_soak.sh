@@ -14,7 +14,7 @@
 #     pinned Display strings, pinned kind() tags, pinned transience
 #     classification per variant.
 #   * graphite-serve unit tests — the faultdom module (quarantine table,
-#     seeded backoff, escalation, health trace export).
+#     escalation, health trace export).
 #
 # Then an end-to-end pass through the `graphite serve` CLI exercises the
 # same mechanisms from the outside, pinning the JSONL status taxonomy

@@ -56,7 +56,7 @@
 
 #![forbid(unsafe_code)]
 
-use graphite::algorithms::registry::{run, Algo, Platform, RunOpts};
+use graphite::algorithms::registry::{try_run, Algo, Platform, RunOpts};
 use graphite::bsp::trace::TraceConfig;
 use graphite::datagen::Profile;
 use graphite::part::{ExplicitAssignment, PartitionStrategy};
@@ -81,35 +81,6 @@ fn usage() -> ExitCode {
          [--check-every K] [--partition hash|chunked|ldg|temporal]"
     );
     ExitCode::from(2)
-}
-
-fn parse_algo(s: &str) -> Option<Algo> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "bfs" => Algo::Bfs,
-        "wcc" => Algo::Wcc,
-        "scc" => Algo::Scc,
-        "pr" | "pagerank" => Algo::Pr,
-        "sssp" => Algo::Sssp,
-        "eat" => Algo::Eat,
-        "fast" => Algo::Fast,
-        "ld" => Algo::Ld,
-        "tmst" => Algo::Tmst,
-        "rh" | "reach" => Algo::Reach,
-        "lcc" => Algo::Lcc,
-        "tc" => Algo::Tc,
-        _ => return None,
-    })
-}
-
-fn parse_platform(s: &str) -> Option<Platform> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "icm" | "graphite" => Platform::Icm,
-        "msb" => Platform::Msb,
-        "chl" | "chlonos" => Platform::Chlonos,
-        "tgb" => Platform::Tgb,
-        "gof" | "goffish" => Platform::Goffish,
-        _ => return None,
-    })
 }
 
 /// A tiny flag parser: `--name value` pairs after the positional args.
@@ -159,13 +130,13 @@ fn cmd_stats(path: &str) -> ExitCode {
 }
 
 fn cmd_run(path: &str, flags: &Flags) -> ExitCode {
-    let Some(algo) = flags.get("--algo").and_then(parse_algo) else {
+    let Some(algo) = flags.get("--algo").and_then(Algo::parse) else {
         eprintln!("missing or unknown --algo");
         return usage();
     };
     let platform = match flags.get("--platform") {
         None => Platform::Icm,
-        Some(p) => match parse_platform(p) {
+        Some(p) => match Platform::parse(p) {
             Some(p) => p,
             None => {
                 eprintln!("unknown platform {p:?}");
@@ -222,7 +193,7 @@ fn cmd_run(path: &str, flags: &Flags) -> ExitCode {
         },
     };
 
-    match run(algo, platform, &graph, None, &opts) {
+    match try_run(algo, platform, &graph, None, &opts) {
         Ok(outcome) => {
             let m = &outcome.metrics;
             m.trace
@@ -400,14 +371,10 @@ fn cmd_stream(path: &str, updates_path: &str, flags: &Flags) -> ExitCode {
     let mut engine = StreamEngine::new(graph, cfg);
     let algo_list = flags.get("--algo").unwrap_or("bfs,eat,reach");
     for name in algo_list.split(',').filter(|s| !s.is_empty()) {
-        let spec = match name.trim().to_ascii_lowercase().as_str() {
-            "bfs" => AlgoSpec::Bfs { source },
-            "eat" => AlgoSpec::Eat { source, start },
-            "rh" | "reach" => AlgoSpec::Reach { source, start },
-            other => {
-                eprintln!("unknown stream algo {other:?} (bfs|eat|reach)");
-                return usage();
-            }
+        let streamable = |algo| AlgoSpec::of(algo, source, start);
+        let Some(spec) = Algo::parse(name.trim()).and_then(streamable) else {
+            eprintln!("unknown stream algo {name:?} (bfs|eat|reach)");
+            return usage();
         };
         if let Err(e) = engine.register(spec) {
             eprintln!("cannot register {name}: {e}");
