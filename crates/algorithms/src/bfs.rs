@@ -113,7 +113,9 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .expect("ICM run");
         let msb = run_msb(
             Arc::clone(&graph),
             |_| {
@@ -148,7 +150,9 @@ mod tests {
                 source: transit_ids::A,
             }),
             &IcmConfig::default(),
-        );
+            None,
+        )
+        .expect("ICM run");
         // B is depth 1 exactly while A->B exists: [3,6).
         assert_eq!(icm.state_at(transit_ids::B, 2), Some(&INF));
         assert_eq!(icm.state_at(transit_ids::B, 3), Some(&1));
@@ -173,7 +177,9 @@ mod tests {
                 workers: 1,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .expect("ICM run");
         let msb = run_msb(
             Arc::clone(&graph),
             |_| {

@@ -17,7 +17,6 @@
 
 use crate::common::AlgLabels;
 use crate::{bfs, lcc, pagerank, scc, tc, td_paths, wcc};
-use graphite_bsp::codec::Wire;
 use graphite_icm::IntervalProgram;
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
 use graphite_tgraph::snapshot::snapshot_window;
@@ -240,8 +239,7 @@ pub trait IcmVisitor {
     /// digested (FAST, LD).
     fn visit<P>(self, program: P, encode: Option<fn(&P::State) -> u64>) -> Self::Out
     where
-        P: IntervalProgram,
-        P::State: Wire;
+        P: IntervalProgram;
 }
 
 /// Digest encoders, shared with the baseline cells of the registry whose

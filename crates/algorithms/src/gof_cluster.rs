@@ -159,7 +159,9 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .expect("ICM run");
         let gof = run_goffish(
             Arc::clone(&graph),
             Arc::new(GofLcc),
@@ -189,7 +191,9 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .expect("ICM run");
         let gof = run_goffish(
             Arc::clone(&graph),
             Arc::new(GofTc),

@@ -228,7 +228,9 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .expect("ICM run");
         // The triangle (0→1, 1→2, 0→2) is concurrent over [2,6): vertex 0
         // counts one neighbour-edge (1→2) there, zero elsewhere.
         let zero = &r.states[&VertexId(0)];
@@ -251,7 +253,7 @@ mod tests {
     #[test]
     fn coefficients_divide_by_degree_pairs() {
         let graph = Arc::new(triangle_graph());
-        let r = run_icm(&graph, Arc::new(IcmLcc), &IcmConfig::default());
+        let r = run_icm(&graph, Arc::new(IcmLcc), &IcmConfig::default(), None).expect("ICM run");
         let coeffs = lcc_coefficients(&graph, &r);
         // Vertex 0 has out-degree 2 over [0,6): d(d-1) = 2 and count 1 on
         // [2,6) -> coefficient 0.5 there.
@@ -277,7 +279,9 @@ mod tests {
                 workers: 1,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .expect("ICM run");
         let r4 = run_icm(
             &graph,
             Arc::new(IcmLcc),
@@ -285,7 +289,9 @@ mod tests {
                 workers: 4,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .expect("ICM run");
         assert_eq!(r1.states, r4.states);
         assert_eq!(
             r1.metrics.counters.messages_sent,

@@ -175,7 +175,9 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .expect("ICM run");
         let msb = run_msb(
             Arc::clone(&graph),
             |_| Arc::new(VcmPageRank { iterations }),
@@ -241,7 +243,9 @@ mod tests {
             &graph,
             Arc::new(IcmPageRank::default()),
             &IcmConfig::default(),
-        );
+            None,
+        )
+        .expect("ICM run");
         for i in 0..4 {
             let s = icm.state_at(VertexId(i), 2).unwrap();
             assert!((s.1 - 1.0).abs() < 1e-12, "vertex {i} rank {}", s.1);
@@ -258,7 +262,9 @@ mod tests {
             &graph,
             Arc::new(IcmPageRank { iterations: 5 }),
             &IcmConfig::default(),
-        );
+            None,
+        )
+        .expect("ICM run");
         assert_eq!(icm.metrics.supersteps, 5);
     }
 }

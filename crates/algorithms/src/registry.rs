@@ -14,7 +14,7 @@ use graphite_baselines::msb::{run_msb, MsbConfig};
 use graphite_baselines::tgb::{run_tgb, TgbResult};
 use graphite_baselines::vcm::{VcmConfig, VcmProgram};
 use graphite_baselines::EdgeWeights;
-use graphite_bsp::codec::Wire;
+use graphite_bsp::engine::BspConfig;
 use graphite_bsp::error::BspError;
 use graphite_bsp::fault::FaultPlan;
 use graphite_bsp::metrics::RunMetrics;
@@ -30,6 +30,12 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Options for a registry run.
+///
+/// The five substrate options — `max_supersteps`, `superstep_budget`,
+/// `trace`, `perturb_schedule`, `fault_plan` — stay flat here and are
+/// lowered in one place (the private `RunOpts::bsp`) onto the
+/// [`BspConfig`] that the ICM config and the TGB runner's inner VCM config
+/// embed.
 #[derive(Clone, Debug)]
 pub struct RunOpts {
     /// BSP workers.
@@ -50,19 +56,17 @@ pub struct RunOpts {
     /// MSB/Chlonos/GoFFish). Spending it is the typed
     /// [`graphite_bsp::error::BspError::SuperstepLimit`].
     pub max_supersteps: u64,
-    /// Optional per-query execution budget below the safety cap, forwarded
-    /// to the ICM engine config and the TGB runner's inner VCM config (the
-    /// MSB/Chlonos/GoFFish configs carry only the safety cap, which bounds
-    /// each of their per-snapshot inner runs).
+    /// Optional per-query execution budget below the safety cap, for ICM
+    /// and TGB runs (the MSB/Chlonos/GoFFish configs carry only the safety
+    /// cap, which bounds each of their per-snapshot inner runs).
     /// Exhausting it is the typed
     /// [`graphite_bsp::error::BspError::BudgetExceeded`] — the serving
     /// layer derives this from its admission cost model (DESIGN.md §15).
     pub superstep_budget: Option<u64>,
     /// Compute the result digest (costs per-point expansion).
     pub digest: bool,
-    /// Structured-trace recording level, forwarded to the ICM engine config
-    /// and the TGB runner's inner VCM config (MSB/Chlonos/GoFFish run
-    /// their per-snapshot inner engines untraced).
+    /// Structured-trace recording level, for ICM and TGB runs
+    /// (MSB/Chlonos/GoFFish run their per-snapshot inner engines untraced).
     /// Off by default; results are bit-identical at every level.
     pub trace: TraceConfig,
     /// Vertex-placement strategy, forwarded to the ICM engine config and
@@ -70,21 +74,35 @@ pub struct RunOpts {
     /// placement-invariant; MSB/Chlonos/GoFFish always hash). Hash — the
     /// paper's — by default.
     pub partition: PartitionStrategy,
-    /// Schedule-perturbation seed, forwarded to the ICM engine config and
-    /// the TGB runner's inner VCM config (race-harness use; results are
-    /// bit-identical for every seed). The MSB/Chlonos/GoFFish wrappers run
-    /// their per-snapshot inner engines unperturbed.
+    /// Schedule-perturbation seed, for ICM and TGB runs (race-harness use;
+    /// results are bit-identical for every seed). The MSB/Chlonos/GoFFish
+    /// wrappers run their per-snapshot inner engines unperturbed.
     pub perturb_schedule: Option<u64>,
     /// Deterministic fault injection, applied to `Platform::Icm` runs
-    /// only (no baseline platform threads fault plans). Without
+    /// only (the TGB cell clears it from the lowered config; no other
+    /// baseline threads fault plans). Without
     /// [`RunOpts::recovery`] an injected fault fails the run with a typed
     /// error via [`try_run`]; with it, the run rolls back and replays to a
     /// bit-identical result.
     pub fault_plan: Option<FaultPlan>,
-    /// When set, `Platform::Icm` runs execute over the checkpoint/rollback
-    /// driver with this recovery configuration (every ICM algorithm state
-    /// is wire-encodable, so the whole registry is recoverable).
+    /// When set, `Platform::Icm` runs checkpoint on this schedule and roll
+    /// back on recoverable faults (`IcmConfig::recovery`; every program
+    /// state is wire-encodable, so the whole registry is recoverable).
     pub recovery: Option<RecoveryConfig>,
+}
+
+impl RunOpts {
+    /// The single lowering of the flat engine options onto the substrate's
+    /// config, shared by every platform that threads them (ICM and TGB).
+    fn bsp(&self) -> BspConfig {
+        BspConfig {
+            max_supersteps: self.max_supersteps,
+            superstep_budget: self.superstep_budget,
+            perturb_schedule: self.perturb_schedule,
+            fault_plan: self.fault_plan.clone(),
+            trace: self.trace,
+        }
+    }
 }
 
 impl Default for RunOpts {
@@ -97,7 +115,7 @@ impl Default for RunOpts {
             batch_size: 16,
             combiner: true,
             suppression: Some(0.7),
-            max_supersteps: 100_000,
+            max_supersteps: BspConfig::DEFAULT_MAX_SUPERSTEPS,
             superstep_budget: None,
             digest: true,
             trace: TraceConfig::default(),
@@ -328,14 +346,15 @@ impl Run<'_> {
             .unwrap_or_else(|| Arc::new(transform_for_paths(self.graph, &transform_opts)));
         let config = VcmConfig {
             workers: self.opts.workers,
-            max_supersteps: self.opts.max_supersteps,
-            superstep_budget: self.opts.superstep_budget,
             need_in_edges,
-            perturb_schedule: self.opts.perturb_schedule,
-            trace: self.opts.trace,
-            // Only `Platform::Icm` threads fault plans (see RunOpts docs).
-            fault_plan: None,
             partition: self.opts.partition.clone(),
+            // Only `Platform::Icm` threads fault plans and recovery (see
+            // the RunOpts docs).
+            recovery: None,
+            bsp: BspConfig {
+                fault_plan: None,
+                ..self.opts.bsp()
+            },
         };
         let r = run_tgb(
             Arc::clone(self.graph),
@@ -369,9 +388,8 @@ fn project_sssp(run: &Run<'_>, r: &TgbResult<i64>) -> ResultDigest {
 }
 
 /// The `Platform::Icm` cell of every algorithm: run the catalog's program
-/// — over the checkpoint/rollback driver when the caller asked for
-/// recovery (every ICM state is wire-encodable, so the whole catalog is
-/// recoverable) — then digest its interval states if asked.
+/// — checkpointed and recoverable when the caller asked for recovery —
+/// then digest its interval states if asked.
 struct RunCell<'a>(&'a Run<'a>);
 
 impl IcmVisitor for RunCell<'_> {
@@ -380,25 +398,17 @@ impl IcmVisitor for RunCell<'_> {
     fn visit<P>(self, program: P, encode: Option<fn(&P::State) -> u64>) -> Self::Out
     where
         P: IntervalProgram,
-        P::State: Wire,
     {
         let Run { graph, opts, .. } = *self.0;
         let config = IcmConfig {
             workers: opts.workers,
             combiner: opts.combiner,
             suppression_threshold: opts.suppression,
-            max_supersteps: opts.max_supersteps,
-            superstep_budget: opts.superstep_budget,
-            perturb_schedule: opts.perturb_schedule,
-            trace: opts.trace,
-            fault_plan: opts.fault_plan.clone(),
             partition: opts.partition.clone(),
+            recovery: opts.recovery.clone(),
+            bsp: opts.bsp(),
         };
-        let program = Arc::new(program);
-        let r = match &opts.recovery {
-            Some(recovery) => try_run_icm_recoverable(graph, program, &config, recovery),
-            None => try_run_icm(graph, program, &config),
-        }?;
+        let r = run_icm(graph, Arc::new(program), &config, None)?;
         let digest = encode
             .filter(|_| opts.digest)
             .map(|encode| digest_interval_states(&r.states, self.0.params.window, encode));

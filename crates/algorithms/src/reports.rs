@@ -103,7 +103,7 @@ mod tests {
     #[test]
     fn component_reports_on_transit() {
         let g = Arc::new(transit_graph());
-        let wcc = run_icm(&g, Arc::new(IcmWcc), &IcmConfig::default());
+        let wcc = run_icm(&g, Arc::new(IcmWcc), &IcmConfig::default(), None).expect("ICM run");
         // t=4: live edges A->B and E->F => components {A,B},{C},{D},{E,F}.
         let sizes = component_sizes_at(&g, &wcc, 4);
         assert_eq!(sizes.len(), 4);
@@ -126,7 +126,9 @@ mod tests {
                 labels,
             }),
             &IcmConfig::default(),
-        );
+            None,
+        )
+        .expect("ICM run");
         let coverage = coverage_over_time(&sssp, Interval::new(0, 12));
         // Coverage grows: only A at t=0; A,C,D by 2; +B at 4; +E at 6.
         assert_eq!(coverage[0].1, 1);

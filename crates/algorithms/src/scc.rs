@@ -398,7 +398,9 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .expect("ICM run");
         let comp = |vid: u64, t: i64| icm.state_at(VertexId(vid), t).map(|s| s.0).unwrap();
         // While edge 3->2 lives ([0,3)): SCCs {0,1}, {2,3}, {4}.
         for t in 0..3 {
@@ -428,7 +430,9 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .expect("ICM run");
         let msb = run_msb(
             Arc::clone(&graph),
             |_| Arc::new(VcmScc),
@@ -465,7 +469,7 @@ mod tests {
         b.add_edge(EdgeId(1), VertexId(1), VertexId(2), life)
             .unwrap();
         let graph = Arc::new(b.build().unwrap());
-        let icm = run_icm(&graph, Arc::new(IcmScc), &IcmConfig::default());
+        let icm = run_icm(&graph, Arc::new(IcmScc), &IcmConfig::default(), None).expect("ICM run");
         for i in 0..3 {
             assert_eq!(icm.state_at(VertexId(i), 1).map(|s| s.0), Some(i));
         }

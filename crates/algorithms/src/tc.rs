@@ -208,7 +208,9 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .expect("ICM run");
         // The three edges coexist over [2,7).
         for t in [0, 1, 7, 9] {
             assert_eq!(triangles_at(&r, t), 0, "t={t}");
@@ -241,7 +243,9 @@ mod tests {
                 workers: 1,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .expect("ICM run");
         let r3 = run_icm(
             &graph,
             Arc::new(IcmTc),
@@ -249,7 +253,9 @@ mod tests {
                 workers: 3,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .expect("ICM run");
         assert_eq!(r1.states, r3.states);
     }
 }

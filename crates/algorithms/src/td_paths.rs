@@ -408,7 +408,9 @@ mod tests {
                 labels: labels(&g),
             }),
             &IcmConfig::default(),
-        );
+            None,
+        )
+        .expect("ICM run");
         assert_eq!(r.state_at(transit_ids::E, 7), Some(&7));
         assert_eq!(r.state_at(transit_ids::E, 9), Some(&5));
         assert_eq!(r.state_at(transit_ids::B, 5), Some(&4));
@@ -426,7 +428,9 @@ mod tests {
                 labels: labels(&g),
             }),
             &IcmConfig::default(),
-        );
+            None,
+        )
+        .expect("ICM run");
         // A departs: to C at 1 -> arrive 2; to D at 1 -> 2; to B at 3 -> 4.
         assert_eq!(IcmEat::earliest(&r, transit_ids::C), Some(2));
         assert_eq!(IcmEat::earliest(&r, transit_ids::D), Some(2));
@@ -443,7 +447,9 @@ mod tests {
                 labels: labels(&g),
             }),
             &IcmConfig::default(),
-        );
+            None,
+        )
+        .expect("ICM run");
         assert_eq!(IcmEat::earliest(&late, transit_ids::B), None);
     }
 
@@ -458,7 +464,9 @@ mod tests {
                 labels: labels(&g),
             }),
             &IcmConfig::default(),
-        );
+            None,
+        )
+        .expect("ICM run");
         let parent = |vid: VertexId| {
             r.states[&vid]
                 .iter()
@@ -485,7 +493,9 @@ mod tests {
                 labels: labels(&g),
             }),
             &IcmConfig::default(),
-        );
+            None,
+        )
+        .expect("ICM run");
         // One hop is always duration 1 (depart d, arrive d+1).
         assert_eq!(IcmFast::fastest(&r, transit_ids::B), Some(1));
         assert_eq!(IcmFast::fastest(&r, transit_ids::C), Some(1));
@@ -511,7 +521,9 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .expect("ICM run");
         // Depart B at 8 (arrive E at 9 <= 9): LD(B) = 8.
         assert_eq!(IcmLd::latest(&r, transit_ids::B), Some(8));
         // Depart C at 6 (arrive E at 7): LD(C) = 6.
@@ -531,7 +543,9 @@ mod tests {
                 labels: labels(&g),
             }),
             &IcmConfig::default(),
-        );
+            None,
+        )
+        .expect("ICM run");
         assert_eq!(IcmLd::latest(&tight, transit_ids::B), None);
         assert_eq!(IcmLd::latest(&tight, transit_ids::C), Some(6));
         assert_eq!(IcmLd::latest(&tight, transit_ids::A), Some(2));
@@ -548,7 +562,9 @@ mod tests {
                 labels: labels(&g),
             }),
             &IcmConfig::default(),
-        );
+            None,
+        )
+        .expect("ICM run");
         for vid in [
             transit_ids::B,
             transit_ids::C,

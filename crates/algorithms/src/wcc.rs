@@ -94,7 +94,7 @@ mod tests {
     use super::*;
     use graphite_baselines::msb::{run_msb, MsbConfig};
     use graphite_baselines::vcm::VcmConfig;
-    use graphite_baselines::{try_run_vcm, SnapshotTopology};
+    use graphite_baselines::{run_vcm, SnapshotTopology};
     use graphite_tgraph::fixtures::{transit_graph, transit_ids};
     use std::sync::Arc;
 
@@ -108,7 +108,9 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .expect("ICM run");
         let msb = run_msb(
             Arc::clone(&graph),
             |_| Arc::new(VcmWcc),
@@ -130,7 +132,7 @@ mod tests {
     #[test]
     fn components_follow_edge_lifespans() {
         let graph = Arc::new(transit_graph());
-        let icm = run_icm(&graph, Arc::new(IcmWcc), &IcmConfig::default());
+        let icm = run_icm(&graph, Arc::new(IcmWcc), &IcmConfig::default(), None).expect("ICM run");
         // At t=4 the live edges are A->B and E->F: components {A,B},
         // {C}, {D}, {E,F}.
         assert_eq!(icm.state_at(transit_ids::A, 4), Some(&0));
@@ -153,7 +155,7 @@ mod tests {
             2,
             Default::default(),
         ));
-        let r = try_run_vcm(
+        let r = run_vcm(
             &topo,
             Arc::new(VcmWcc),
             &VcmConfig {

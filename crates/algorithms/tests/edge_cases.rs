@@ -43,7 +43,9 @@ fn travel_time_greater_than_one() {
             labels: labels(&g),
         }),
         &IcmConfig::default(),
-    );
+        None,
+    )
+    .expect("ICM run");
     // Depart at 2 (earliest), arrive 5.
     assert_eq!(sssp.state_at(VertexId(1), 4), Some(&INF));
     assert_eq!(sssp.state_at(VertexId(1), 5), Some(&4));
@@ -55,7 +57,9 @@ fn travel_time_greater_than_one() {
             labels: labels(&g),
         }),
         &IcmConfig::default(),
-    );
+        None,
+    )
+    .expect("ICM run");
     assert_eq!(IcmEat::earliest(&eat, VertexId(1)), Some(5));
     // Starting after the edge's last departure (5): unreachable.
     let late = run_icm(
@@ -66,7 +70,9 @@ fn travel_time_greater_than_one() {
             labels: labels(&g),
         }),
         &IcmConfig::default(),
-    );
+        None,
+    )
+    .expect("ICM run");
     assert_eq!(IcmEat::earliest(&late, VertexId(1)), None);
 }
 
@@ -94,7 +100,9 @@ fn parallel_edges_with_different_costs() {
             labels: labels(&g),
         }),
         &IcmConfig::default(),
-    );
+        None,
+    )
+    .expect("ICM run");
     // Arrivals 1..4 only via the expensive edge; from 5 the cheap one.
     assert_eq!(sssp.state_at(VertexId(1), 1), Some(&9));
     assert_eq!(sssp.state_at(VertexId(1), 4), Some(&9));
@@ -123,7 +131,9 @@ fn ld_deadline_boundaries() {
             labels: labels(&g),
         }),
         &IcmConfig::default(),
-    );
+        None,
+    )
+    .expect("ICM run");
     assert_eq!(IcmLd::latest(&tight, VertexId(0)), None, "arrival is 5 > 4");
     let exact = run_icm(
         &g,
@@ -133,7 +143,9 @@ fn ld_deadline_boundaries() {
             labels: labels(&g),
         }),
         &IcmConfig::default(),
-    );
+        None,
+    )
+    .expect("ICM run");
     assert_eq!(IcmLd::latest(&exact, VertexId(0)), Some(4));
 }
 
@@ -169,7 +181,9 @@ fn tmst_tie_breaks_deterministically() {
                 workers,
                 ..Default::default()
             },
-        );
+            None,
+        )
+        .expect("ICM run");
         let parent = r.states[&VertexId(3)]
             .iter()
             .map(|(_, s)| *s)
@@ -194,10 +208,12 @@ fn singleton_graph_terminates() {
             labels: labels(&g),
         }),
         &IcmConfig::default(),
-    );
+        None,
+    )
+    .expect("ICM run");
     assert_eq!(sssp.state_at(VertexId(7), 0), Some(&0));
     assert_eq!(sssp.metrics.supersteps, 1);
-    let wcc = run_icm(&g, Arc::new(IcmWcc), &IcmConfig::default());
+    let wcc = run_icm(&g, Arc::new(IcmWcc), &IcmConfig::default(), None).expect("ICM run");
     assert_eq!(wcc.state_at(VertexId(7), 4), Some(&7));
 }
 
@@ -227,7 +243,9 @@ fn fast_prefers_late_departures() {
             labels: labels(&g),
         }),
         &IcmConfig::default(),
-    );
+        None,
+    )
+    .expect("ICM run");
     assert_eq!(IcmFast::fastest(&fast, VertexId(2)), Some(1));
 }
 
@@ -252,7 +270,9 @@ fn death_clips_propagation() {
             labels: labels(&g),
         }),
         &IcmConfig::default(),
-    );
+        None,
+    )
+    .expect("ICM run");
     // 1 is reached at 3 (within its life); its relay departs at 3, arrives
     // at 2 at 4 — fine for vertex 2.
     assert_eq!(sssp.state_at(VertexId(1), 3), Some(&0));

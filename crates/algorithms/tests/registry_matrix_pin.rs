@@ -10,7 +10,6 @@
 
 use graphite_algorithms::catalog::{visit_icm, IcmParams, IcmVisitor};
 use graphite_algorithms::registry::{try_run, Algo, Platform, RunError, RunOpts};
-use graphite_bsp::codec::Wire;
 use graphite_datagen::{generate, GenParams, LifespanModel};
 use graphite_icm::IntervalProgram;
 use graphite_tgraph::graph::TemporalGraph;
@@ -163,7 +162,6 @@ impl IcmVisitor for Describe {
     fn visit<P>(self, _program: P, encode: Option<fn(&P::State) -> u64>) -> Self::Out
     where
         P: IntervalProgram,
-        P::State: Wire,
     {
         (std::any::type_name::<P>(), encode.is_some())
     }

@@ -11,7 +11,7 @@
 use crate::topology::EdgeWeights;
 use crate::vcm::{VcmContext, VcmEdge, VcmProgram};
 use graphite_bsp::aggregate::Aggregators;
-use graphite_bsp::engine::{run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
+use graphite_bsp::engine::{keep_alive, run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::PartitionMap;
@@ -50,7 +50,7 @@ impl Default for ChlConfig {
         ChlConfig {
             workers: 4,
             batch_size: 8,
-            max_supersteps: 100_000,
+            max_supersteps: BspConfig::DEFAULT_MAX_SUPERSTEPS,
             weights: EdgeWeights::default(),
             window: None,
             collect_states: true,
@@ -352,16 +352,14 @@ where
         };
         // Keep phased programs alive through idle barriers when they
         // request an all-active next superstep.
-        let prog = Arc::clone(&program);
-        let mut wrapper = move |step: u64, globals: &Aggregators| {
-            if prog.all_active(step + 1, globals) {
-                graphite_bsp::aggregate::MasterDecision::ForceContinue
-            } else {
-                graphite_bsp::aggregate::MasterDecision::Continue
-            }
-        };
-        let (workers, batch_metrics) =
-            run_bsp(&bsp, workers, Arc::clone(&partition), Some(&mut wrapper))?;
+        let mut master = keep_alive(|step, globals| program.all_active(step, globals), None);
+        let (workers, batch_metrics) = run_bsp(
+            &bsp,
+            None,
+            workers,
+            Arc::clone(&partition),
+            Some(&mut master),
+        )?;
         metrics.merge(&batch_metrics);
         if config.collect_states {
             let mut maps: Vec<HashMap<u32, P::State>> =

@@ -299,7 +299,7 @@ impl Default for GofConfig {
     fn default() -> Self {
         GofConfig {
             workers: 4,
-            max_supersteps: 100_000,
+            max_supersteps: BspConfig::DEFAULT_MAX_SUPERSTEPS,
             weights: EdgeWeights::default(),
             window: None,
             collect_states: true,
@@ -393,7 +393,7 @@ pub fn run_goffish<P: GofProgram>(
             max_supersteps: config.max_supersteps,
             ..Default::default()
         };
-        let (workers, snap_metrics) = run_bsp(&bsp, workers, Arc::clone(&partition), None)?;
+        let (workers, snap_metrics) = run_bsp(&bsp, None, workers, Arc::clone(&partition), None)?;
         metrics.merge(&snap_metrics);
         for worker in workers {
             // Temporal messages are charged as messages (they travel via

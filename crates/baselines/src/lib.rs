@@ -30,7 +30,4 @@ pub use goffish::{run_goffish, GofConfig, GofContext, GofProgram, GofResult};
 pub use msb::{run_msb, MsbConfig, MsbResult};
 pub use tgb::{run_tgb, TgbResult};
 pub use topology::{EdgeWeights, SnapshotTopology, TransformedTopology};
-pub use vcm::{
-    try_run_vcm, try_run_vcm_recoverable, try_run_vcm_with_master, VcmConfig, VcmContext, VcmEdge,
-    VcmProgram, VcmResult, VcmTopology,
-};
+pub use vcm::{run_vcm, VcmConfig, VcmContext, VcmEdge, VcmProgram, VcmResult, VcmTopology};

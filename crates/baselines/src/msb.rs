@@ -4,7 +4,8 @@
 //! does in the paper. Used for the TI algorithms.
 
 use crate::topology::{EdgeWeights, SnapshotTopology};
-use crate::vcm::{try_run_vcm, VcmConfig, VcmProgram};
+use crate::vcm::{run_vcm, VcmConfig, VcmProgram};
+use graphite_bsp::engine::BspConfig;
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::RunMetrics;
 use graphite_tgraph::graph::TemporalGraph;
@@ -40,7 +41,7 @@ impl Default for MsbConfig {
     fn default() -> Self {
         MsbConfig {
             workers: 4,
-            max_supersteps: 100_000,
+            max_supersteps: BspConfig::DEFAULT_MAX_SUPERSTEPS,
             weights: EdgeWeights::default(),
             window: None,
             collect_states: true,
@@ -91,8 +92,11 @@ where
         .expect("graph with no bounded window needs an explicit one");
     let vcm = VcmConfig {
         workers: config.workers,
-        max_supersteps: config.max_supersteps,
         need_in_edges: config.need_in_edges,
+        bsp: BspConfig {
+            max_supersteps: config.max_supersteps,
+            ..Default::default()
+        },
         ..Default::default()
     };
     let mut metrics = RunMetrics::default();
@@ -107,7 +111,7 @@ where
             t0,
             config.weights,
         ));
-        let result = try_run_vcm(&topo, make_program(t0), &vcm)?;
+        let result = run_vcm(&topo, make_program(t0), &vcm)?;
         metrics.merge(&result.metrics);
         if config.collect_states {
             for t in window.points() {
@@ -121,7 +125,7 @@ where
     }
     for t in window.points() {
         let topo = Arc::new(SnapshotTopology::new(Arc::clone(&graph), t, config.weights));
-        let result = try_run_vcm(&topo, make_program(t), &vcm)?;
+        let result = run_vcm(&topo, make_program(t), &vcm)?;
         metrics.merge(&result.metrics);
         if config.collect_states {
             per_snapshot.push((t, result.states));

@@ -6,7 +6,7 @@
 //! charges to TGB on top of the application's own traffic.
 
 use crate::topology::TransformedTopology;
-use crate::vcm::{try_run_vcm, VcmConfig, VcmProgram, VcmResult};
+use crate::vcm::{run_vcm, VcmConfig, VcmProgram, VcmResult};
 use graphite_bsp::error::BspError;
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
 use graphite_tgraph::time::{Interval, Time};
@@ -92,7 +92,7 @@ pub fn run_tgb<P: VcmProgram>(
     let transformed =
         transformed.unwrap_or_else(|| Arc::new(transform_for_paths(&graph, transform_opts)));
     let topology = Arc::new(TransformedTopology::new(Arc::clone(&graph), transformed));
-    let vcm = try_run_vcm(&topology, program, config)?;
+    let vcm = run_vcm(&topology, program, config)?;
     Ok(TgbResult { vcm, topology })
 }
 

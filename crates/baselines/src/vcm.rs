@@ -8,17 +8,15 @@
 //! baseline on the same BSP substrate as GRAPHITE keeps the programming
 //! primitives — not the runtime — as the experimental variable.
 
-use graphite_bsp::aggregate::{Aggregators, MasterDecision};
+use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::{get_varint, put_varint, Wire};
-use graphite_bsp::engine::{run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
+use graphite_bsp::engine::{keep_alive, run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
-use graphite_bsp::fault::FaultPlan;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::{splitmix64, PartitionMap};
-use graphite_bsp::recover::{run_bsp_recoverable, RecoveryConfig};
+use graphite_bsp::recover::{Recovery, RecoveryConfig};
 use graphite_bsp::snapshot::Snapshot;
-use graphite_bsp::trace::{TraceConfig, TraceSink};
-use graphite_bsp::MasterHook;
+use graphite_bsp::trace::TraceSink;
 use graphite_part::PartitionStrategy;
 use graphite_tgraph::builder::TemporalGraphBuilder;
 use graphite_tgraph::graph::{VIdx, VertexId};
@@ -74,8 +72,9 @@ pub trait VcmTopology: Send + Sync + 'static {
 
 /// Pregel-style user logic.
 pub trait VcmProgram: Send + Sync + 'static {
-    /// Per-vertex state.
-    type State: Clone + Send + Sync + 'static;
+    /// Per-vertex state; wire-encodable, so every run can be checkpointed
+    /// ([`VcmConfig::recovery`]).
+    type State: Wire;
     /// Message payload.
     type Msg: Wire;
 
@@ -166,42 +165,30 @@ impl<'a, M> VcmContext<'a, M> {
 pub struct VcmConfig {
     /// Number of BSP workers.
     pub workers: usize,
-    /// Safety cap on supersteps.
-    pub max_supersteps: u64,
-    /// Forwarded to [`BspConfig::superstep_budget`]: an optional per-query
-    /// execution budget below the safety cap (serving-layer fault domain,
-    /// DESIGN.md §15).
-    pub superstep_budget: Option<u64>,
     /// Also materialize in-edges for the user logic.
     pub need_in_edges: bool,
-    /// Forwarded to [`BspConfig::perturb_schedule`]: permute the BSP
-    /// scheduling freedoms with this seed (race-harness use; results must
-    /// not change).
-    pub perturb_schedule: Option<u64>,
-    /// Forwarded to [`BspConfig::trace`]: structured-trace recording
-    /// level. Off by default; results are bit-identical at every level.
-    pub trace: TraceConfig,
-    /// Forwarded to [`BspConfig::fault_plan`]: deterministic fault
-    /// injection (fault-tolerance harness use; recovered results must be
-    /// bit-identical to fault-free ones).
-    pub fault_plan: Option<FaultPlan>,
     /// Vertex-placement strategy applied to the synthetic partition-key
     /// graph (see `graphite-part`, DESIGN.md §13). Results are
     /// placement-invariant. Default: hash, the paper's (Sec. VII-A4).
     pub partition: PartitionStrategy,
+    /// When set, the run checkpoints on this schedule and recoverable
+    /// faults — injected via [`BspConfig::fault_plan`], or real worker
+    /// panics — roll it back to the last checkpoint and replay instead of
+    /// failing it. `None` (the default) fails at the first fault.
+    pub recovery: Option<RecoveryConfig>,
+    /// The substrate's own options — superstep cap and budget, schedule
+    /// perturbation, fault injection, tracing — passed through unchanged.
+    pub bsp: BspConfig,
 }
 
 impl Default for VcmConfig {
     fn default() -> Self {
         VcmConfig {
             workers: 4,
-            max_supersteps: 100_000,
-            superstep_budget: None,
             need_in_edges: false,
-            perturb_schedule: None,
-            trace: TraceConfig::default(),
-            fault_plan: None,
             partition: PartitionStrategy::default(),
+            recovery: None,
+            bsp: BspConfig::default(),
         }
     }
 }
@@ -331,15 +318,11 @@ impl<T: VcmTopology, P: VcmProgram> WorkerLogic for VcmWorker<T, P> {
     }
 }
 
-/// Checkpointing for VCM workers (available when the program's state is
-/// wire-encodable): the per-vertex state map is the complete user state —
-/// the scratch edge buffers are ephemeral and the config fields never
-/// change mid-run. Keys are serialized in sorted order so the blob is
+/// Checkpointing for VCM workers: the per-vertex state map is the complete
+/// user state — the scratch edge buffers are ephemeral and the config
+/// fields never change mid-run. Keys are serialized in sorted order so the blob is
 /// canonical regardless of hash-map iteration order.
-impl<T: VcmTopology, P: VcmProgram> Snapshot for VcmWorker<T, P>
-where
-    P::State: Wire,
-{
+impl<T: VcmTopology, P: VcmProgram> Snapshot for VcmWorker<T, P> {
     fn checkpoint(&self, buf: &mut Vec<u8>) {
         put_varint(self.states.len() as u64, buf);
         let mut keys: Vec<u32> = self.states.keys().copied().collect();
@@ -393,72 +376,30 @@ fn topology_partition<T: VcmTopology>(
     strategy.build(&b.build().expect("synthetic partition graph"), workers)
 }
 
-/// Runs `program` over `topology` to convergence, surfacing poisoned
-/// workers, codec corruption and spent superstep caps as [`BspError`].
+/// Runs `program` over `topology` to convergence — the one way to start a
+/// vertex-centric run.
 ///
 /// # Errors
 ///
-/// See [`BspError`].
-pub fn try_run_vcm<T: VcmTopology, P: VcmProgram>(
+/// Poisoned workers, codec corruption, a spent superstep cap or budget,
+/// an unusable worker count or recovery schedule, an exhausted retry
+/// budget ([`BspError::RecoveryExhausted`]): see [`BspError`].
+pub fn run_vcm<T: VcmTopology, P: VcmProgram>(
     topology: &Arc<T>,
     program: Arc<P>,
     config: &VcmConfig,
 ) -> Result<VcmResult<P::State>, BspError> {
-    try_run_vcm_with_master(topology, program, config, None)
-}
-
-/// [`try_run_vcm`] with a MasterCompute hook.
-///
-/// # Errors
-///
-/// See [`BspError`].
-pub fn try_run_vcm_with_master<T: VcmTopology, P: VcmProgram>(
-    topology: &Arc<T>,
-    program: Arc<P>,
-    config: &VcmConfig,
-    master: Option<MasterHook<'_>>,
-) -> Result<VcmResult<P::State>, BspError> {
+    let recovery = config.recovery.as_ref().map(Recovery::new).transpose()?;
     let partition = Arc::new(topology_partition(
         topology.as_ref(),
         config.workers,
         &config.partition,
     )?);
     let workers = build_workers(topology, &program, config, &partition);
-    let bsp = bsp_config(config);
-    let mut wrapper = keepalive_master(Arc::clone(&program), master);
-    let (workers, metrics) = run_bsp(&bsp, workers, partition, Some(&mut wrapper))?;
-    Ok(collect_result(workers, metrics))
-}
-
-/// Fault-tolerant [`try_run_vcm`]: runs over the checkpoint/rollback
-/// driver ([`run_bsp_recoverable`]), so faults injected via
-/// [`VcmConfig::fault_plan`] — or real worker panics — roll the run back
-/// to the last checkpoint and replay instead of failing it. Requires the
-/// program state to be wire-encodable.
-///
-/// # Errors
-///
-/// See [`BspError`]; exhausting the retry budget is
-/// [`BspError::RecoveryExhausted`].
-pub fn try_run_vcm_recoverable<T: VcmTopology, P: VcmProgram>(
-    topology: &Arc<T>,
-    program: Arc<P>,
-    config: &VcmConfig,
-    recovery: &RecoveryConfig,
-) -> Result<VcmResult<P::State>, BspError>
-where
-    P::State: Wire,
-{
-    let partition = Arc::new(topology_partition(
-        topology.as_ref(),
-        config.workers,
-        &config.partition,
-    )?);
-    let workers = build_workers(topology, &program, config, &partition);
-    let bsp = bsp_config(config);
-    let mut wrapper = keepalive_master(Arc::clone(&program), None);
-    let (workers, metrics) =
-        run_bsp_recoverable(&bsp, recovery, workers, partition, Some(&mut wrapper))?;
+    // Phased programs stay alive through idle barriers when they request an
+    // all-active next superstep.
+    let mut master = keep_alive(move |step, globals| program.all_active(step, globals), None);
+    let (workers, metrics) = run_bsp(&config.bsp, recovery, workers, partition, Some(&mut master))?;
     Ok(collect_result(workers, metrics))
 }
 
@@ -480,36 +421,6 @@ fn build_workers<T: VcmTopology, P: VcmProgram>(
             scratch_in: Vec::new(),
         })
         .collect()
-}
-
-/// The VCM-level config lowered onto the BSP substrate.
-fn bsp_config(config: &VcmConfig) -> BspConfig {
-    BspConfig {
-        max_supersteps: config.max_supersteps,
-        superstep_budget: config.superstep_budget,
-        perturb_schedule: config.perturb_schedule,
-        trace: config.trace,
-        fault_plan: config.fault_plan.clone(),
-    }
-}
-
-/// Keeps phased programs alive through idle barriers when they request an
-/// all-active next superstep.
-fn keepalive_master<'a, P: VcmProgram>(
-    program: Arc<P>,
-    mut user_master: Option<MasterHook<'a>>,
-) -> impl FnMut(u64, &Aggregators) -> MasterDecision + 'a {
-    move |step: u64, globals: &Aggregators| {
-        let user = match user_master.as_mut() {
-            Some(hook) => hook(step, globals),
-            None => MasterDecision::Continue,
-        };
-        if user == MasterDecision::Continue && program.all_active(step + 1, globals) {
-            MasterDecision::ForceContinue
-        } else {
-            user
-        }
-    }
 }
 
 /// Merges the per-worker state maps into the result.
@@ -592,7 +503,7 @@ mod tests {
     #[test]
     fn static_sssp_converges() {
         for workers in [1, 2, 3] {
-            let r = try_run_vcm(
+            let r = run_vcm(
                 &Arc::new(Dag),
                 Arc::new(Sssp),
                 &VcmConfig {
@@ -609,7 +520,7 @@ mod tests {
 
     #[test]
     fn counts_are_stable_across_workers() {
-        let r1 = try_run_vcm(
+        let r1 = run_vcm(
             &Arc::new(Dag),
             Arc::new(Sssp),
             &VcmConfig {
@@ -618,7 +529,7 @@ mod tests {
             },
         )
         .unwrap();
-        let r3 = try_run_vcm(
+        let r3 = run_vcm(
             &Arc::new(Dag),
             Arc::new(Sssp),
             &VcmConfig {
@@ -635,6 +546,17 @@ mod tests {
             r1.metrics.counters.messages_sent,
             r3.metrics.counters.messages_sent
         );
+    }
+
+    #[test]
+    fn zero_checkpoint_interval_is_rejected() {
+        let config = VcmConfig {
+            recovery: Some(RecoveryConfig::every(0)),
+            ..Default::default()
+        };
+        let err = run_vcm(&Arc::new(Dag), Arc::new(Sssp), &config)
+            .expect_err("a recovery schedule that never checkpoints");
+        assert!(matches!(err, BspError::Checkpoint { .. }));
     }
 
     /// Inactive vertices are skipped at superstep 1 and never computed.
@@ -671,7 +593,7 @@ mod tests {
 
     #[test]
     fn inactive_vertices_are_skipped() {
-        let r = try_run_vcm(
+        let r = run_vcm(
             &Arc::new(HalfActive),
             Arc::new(CountOnly),
             &VcmConfig::default(),

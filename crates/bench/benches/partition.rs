@@ -11,8 +11,9 @@
 use graphite_algorithms::bfs::IcmBfs;
 use graphite_bench::record::Recorder;
 use graphite_bench::timing::bench;
+use graphite_bsp::engine::BspConfig;
 use graphite_datagen::{generate, GenParams, LifespanModel, PropModel, Topology};
-use graphite_icm::engine::{try_run_icm, IcmConfig};
+use graphite_icm::engine::{run_icm, IcmConfig};
 use graphite_part::{stats, PartitionStrategy};
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
 use std::hint::black_box;
@@ -55,12 +56,12 @@ fn cfg(strategy: PartitionStrategy) -> IcmConfig {
         workers: WORKERS,
         combiner: true,
         suppression_threshold: Some(0.7),
-        max_supersteps: 10_000,
-        superstep_budget: None,
-        perturb_schedule: None,
-        trace: graphite_bsp::trace::TraceConfig::default(),
-        fault_plan: None,
         partition: strategy,
+        recovery: None,
+        bsp: BspConfig {
+            max_supersteps: 10_000,
+            ..Default::default()
+        },
     }
 }
 
@@ -91,7 +92,7 @@ fn main() {
         let quality = stats(&graph, &map);
         let mut last_metrics = None;
         let result = bench(&format!("skew/{}", strategy.name()), || {
-            let outcome = try_run_icm(&graph, Arc::clone(&bfs), &cfg(strategy.clone()))
+            let outcome = run_icm(&graph, Arc::clone(&bfs), &cfg(strategy.clone()), None)
                 .expect("bench run must succeed");
             last_metrics = Some(outcome.metrics.clone());
             black_box(outcome)

@@ -1,6 +1,6 @@
 //! Micro-bench: checkpoint/rollback overhead. ICM BFS and EAT on the
-//! small long-lifespan graph, fault-free, with recovery off vs. the
-//! recoverable driver at checkpoint intervals 16 and 4. The interval-16
+//! small long-lifespan graph, fault-free, with `IcmConfig::recovery` off
+//! vs. on at checkpoint intervals 16 and 4. The interval-16
 //! column is the headline number — EXPERIMENTS.md documents the budget
 //! (≤15% makespan overhead vs. off); interval 4 shows how the cost
 //! scales as checkpoints get denser. The recorded counters include the
@@ -12,9 +12,10 @@ use graphite_algorithms::td_paths::IcmEat;
 use graphite_algorithms::AlgLabels;
 use graphite_bench::record::Recorder;
 use graphite_bench::timing::bench;
+use graphite_bsp::engine::BspConfig;
 use graphite_bsp::recover::RecoveryConfig;
 use graphite_datagen::{generate, GenParams, LifespanModel, PropModel, Topology};
-use graphite_icm::engine::{try_run_icm, try_run_icm_recoverable, IcmConfig};
+use graphite_icm::engine::{run_icm, IcmConfig};
 use graphite_icm::program::IntervalProgram;
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
 use std::hint::black_box;
@@ -40,17 +41,18 @@ fn small_long_lifespan() -> Arc<TemporalGraph> {
     Arc::new(generate(&params))
 }
 
-fn cfg() -> IcmConfig {
+/// The run config of one cell; `interval` 0 means recovery off.
+fn cfg(interval: u64) -> IcmConfig {
     IcmConfig {
         workers: 2,
         combiner: true,
         suppression_threshold: Some(0.7),
-        max_supersteps: 10_000,
-        superstep_budget: None,
-        perturb_schedule: None,
-        trace: graphite_bsp::trace::TraceConfig::default(),
-        fault_plan: None,
         partition: Default::default(),
+        recovery: (interval > 0).then(|| RecoveryConfig::every(interval)),
+        bsp: BspConfig {
+            max_supersteps: 10_000,
+            ..Default::default()
+        },
     }
 }
 
@@ -62,8 +64,7 @@ fn source(graph: &TemporalGraph) -> VertexId {
         .expect("non-empty graph")
 }
 
-/// Benchmarks one (program, checkpoint interval) cell; `interval` 0 means
-/// the plain, non-recoverable driver.
+/// Benchmarks one (program, checkpoint interval) cell.
 fn case<P>(
     rec: &mut Recorder,
     label: &str,
@@ -75,17 +76,8 @@ fn case<P>(
 {
     let mut last_metrics = None;
     let result = bench(label, || {
-        let outcome = if interval == 0 {
-            try_run_icm(graph, Arc::clone(program), &cfg())
-        } else {
-            try_run_icm_recoverable(
-                graph,
-                Arc::clone(program),
-                &cfg(),
-                &RecoveryConfig::every(interval),
-            )
-        }
-        .expect("bench run must succeed");
+        let outcome = run_icm(graph, Arc::clone(program), &cfg(interval), None)
+            .expect("bench run must succeed");
         last_metrics = Some(outcome.metrics.clone());
         black_box(outcome)
     });

@@ -8,10 +8,11 @@ use graphite_algorithms::bfs::IcmBfs;
 use graphite_algorithms::td_paths::IcmEat;
 use graphite_algorithms::AlgLabels;
 use graphite_bench::tracefmt;
+use graphite_bsp::engine::BspConfig;
 use graphite_bsp::metrics::RunMetrics;
 use graphite_bsp::trace::{RunTrace, TraceConfig};
 use graphite_datagen::{generate, GenParams, LifespanModel, PropModel, Topology};
-use graphite_icm::engine::{try_run_icm, IcmConfig};
+use graphite_icm::engine::{run_icm, IcmConfig};
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
 use std::sync::Arc;
 
@@ -48,12 +49,13 @@ fn full_trace_cfg() -> IcmConfig {
         workers: 3,
         combiner: true,
         suppression_threshold: Some(0.7),
-        max_supersteps: 10_000,
-        superstep_budget: None,
-        perturb_schedule: None,
-        trace: TraceConfig::full(),
-        fault_plan: None,
         partition: Default::default(),
+        recovery: None,
+        bsp: BspConfig {
+            max_supersteps: 10_000,
+            trace: TraceConfig::full(),
+            ..Default::default()
+        },
     }
 }
 
@@ -115,7 +117,7 @@ fn bfs_full_trace_round_trips_and_reconciles() {
     let program = Arc::new(IcmBfs {
         source: source(&graph),
     });
-    let r = try_run_icm(&graph, program, &full_trace_cfg()).expect("traced BFS run succeeds");
+    let r = run_icm(&graph, program, &full_trace_cfg(), None).expect("traced BFS run succeeds");
     let doc = round_trip(&r.metrics.trace, "bfs/icm");
     assert_reconciles(&doc, &r.metrics, "bfs/icm");
     // A rendered report mentions every superstep and the totals line.
@@ -132,7 +134,7 @@ fn eat_full_trace_carries_warp_extras() {
         start: 0,
         labels: AlgLabels::resolve(&graph),
     });
-    let r = try_run_icm(&graph, program, &full_trace_cfg()).expect("traced EAT run succeeds");
+    let r = run_icm(&graph, program, &full_trace_cfg(), None).expect("traced EAT run succeeds");
     let doc = round_trip(&r.metrics.trace, "eat/icm");
     assert_reconciles(&doc, &r.metrics, "eat/icm");
     // EAT exercises warp: the extras must survive serialization, and at

@@ -81,7 +81,7 @@ impl RunChecker {
     }
 
     /// Rewinds the checker to the barrier after superstep `step`, as if the
-    /// run had just completed that superstep. Used by the recovery driver
+    /// run had just completed that superstep. Used by the recovery session
     /// when rolling a run back to a checkpoint: the replayed supersteps are
     /// re-verified against the full protocol, but the step-monotonicity and
     /// halt-finality state of the abandoned attempt must not leak into the

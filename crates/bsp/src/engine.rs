@@ -33,13 +33,13 @@
 //! order) to detect accidental order dependence.
 //!
 //! The run loop itself lives in `RunState`, one resumable superstep at a
-//! time: [`run_bsp`] drives it straight through, while the recovery driver
-//! ([`crate::recover::run_bsp_recoverable`]) interleaves checkpoints and
-//! rolls it back to the last [`crate::snapshot::Checkpoint`] after a
-//! recoverable fault. Deterministic fault injection
-//! ([`BspConfig::fault_plan`]) is plain configuration evaluated on every
-//! build — never `cfg`-gated — so recovery is exercised against exactly
-//! the code that ships.
+//! time, and there is exactly one of it: [`run_bsp`] drives it straight
+//! through, and — handed a [`crate::recover::Recovery`] session — the same
+//! loop interleaves checkpoints and rolls back to the last
+//! [`crate::snapshot::Checkpoint`] after a recoverable fault.
+//! Deterministic fault injection ([`BspConfig::fault_plan`]) is plain
+//! configuration evaluated on every build — never `cfg`-gated — so
+//! recovery is exercised against exactly the code that ships.
 
 use crate::aggregate::{Aggregators, MasterDecision};
 use crate::check::RunChecker;
@@ -50,6 +50,7 @@ pub use crate::exchange::{Inbox, Outbox};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::metrics::{now, RunMetrics, StepTiming, UserCounters};
 use crate::partition::PartitionMap;
+use crate::recover::Recovery;
 use crate::snapshot::{Checkpoint, Snapshot};
 use crate::trace::{duration_ns, TraceConfig, TraceEvent, TraceSink};
 use graphite_tgraph::rng::SplitMix64;
@@ -85,8 +86,8 @@ pub struct BspConfig {
     /// Deterministic fault schedule (worker panics, wire bit-flips) to
     /// inject while running. `None` (the default) injects nothing. This is
     /// runtime configuration, not a test-build feature: the hooks execute
-    /// in release builds so `run_bsp_recoverable` is validated against
-    /// production code paths.
+    /// in release builds so recovery is validated against production code
+    /// paths.
     pub fault_plan: Option<FaultPlan>,
     /// Structured-trace recording level (Off / Counters / Full; see
     /// [`crate::trace`]). Off by default; results and deterministic
@@ -161,6 +162,25 @@ pub trait WorkerLogic: Send {
 /// The master hook, run at each barrier over the merged aggregators.
 pub type MasterHook<'a> = &'a mut dyn FnMut(u64, &Aggregators) -> MasterDecision;
 
+/// Wraps the `user` master hook so that programs requesting an all-active
+/// next superstep (`all_active(step + 1, globals)`) keep the run alive
+/// through idle (message-free) barriers.
+pub fn keep_alive<'a>(
+    all_active: impl Fn(u64, &Aggregators) -> bool + 'a,
+    mut user: Option<MasterHook<'a>>,
+) -> impl FnMut(u64, &Aggregators) -> MasterDecision + 'a {
+    move |step, globals| {
+        let user = user
+            .as_mut()
+            .map_or(MasterDecision::Continue, |hook| hook(step, globals));
+        if user == MasterDecision::Continue && all_active(step + 1, globals) {
+            MasterDecision::ForceContinue
+        } else {
+            user
+        }
+    }
+}
+
 /// Name of the built-in aggregator the engine injects after every
 /// superstep: the total number of messages that superstep emitted
 /// (readable as `globals.get_sum_u64(MESSAGES_SENT_AGG)`).
@@ -217,7 +237,7 @@ struct ComputeJob<L: WorkerLogic> {
 /// worker's per-step products. `panic` carries the payload message when
 /// the logic panicked — the logic itself still comes home (mid-superstep
 /// garbage, exactly like the panicked-thread state of a spawn-per-step
-/// scheme), so the recovery driver can roll it back and retry.
+/// scheme), so a recovery session can roll it back and retry.
 struct ComputeDone<L: WorkerLogic> {
     logic: L,
     inbox: Inbox<L::Msg>,
@@ -306,7 +326,7 @@ enum PoolJob<L: WorkerLogic> {
 /// per-worker inputs the driver assembled, and worker panics are caught
 /// and reported through the same [`BspError::WorkerPanicked`] path
 /// (message text included) as thread-per-step joins produced.
-pub(crate) struct ComputePool<'scope, 'env, L: WorkerLogic> {
+struct ComputePool<'scope, 'env, L: WorkerLogic> {
     scope: &'scope std::thread::Scope<'scope, 'env>,
     n: usize,
     jobs: Vec<mpsc::Sender<PoolJob<L>>>,
@@ -318,7 +338,7 @@ impl<'scope, 'env, L: WorkerLogic + 'scope> ComputePool<'scope, 'env, L> {
     /// A pool of `n` threads attached to `scope`. Threads are not created
     /// until the first dispatch; once spawned they exit when the pool (and
     /// with it the job senders) drops, and the scope then joins them.
-    pub(crate) fn start(scope: &'scope std::thread::Scope<'scope, 'env>, n: usize) -> Self {
+    fn start(scope: &'scope std::thread::Scope<'scope, 'env>, n: usize) -> Self {
         ComputePool {
             scope,
             n,
@@ -388,10 +408,10 @@ impl<'scope, 'env, L: WorkerLogic + 'scope> ComputePool<'scope, 'env, L> {
 }
 
 /// The complete state of a run between superstep boundaries. [`run_bsp`]
-/// drives it to convergence in one sweep; the recovery driver additionally
-/// captures it into [`Checkpoint`]s and rolls it back after faults.
+/// drives it to convergence; a [`Recovery`] session additionally captures
+/// it into [`Checkpoint`]s and rolls it back after faults.
 pub(crate) struct RunState<L: WorkerLogic> {
-    pub(crate) workers: Vec<L>,
+    workers: Vec<L>,
     inboxes: Vec<Inbox<L::Msg>>,
     spare: Vec<Inbox<L::Msg>>,
     outboxes: Vec<Outbox<L::Msg>>,
@@ -411,7 +431,7 @@ pub(crate) struct RunState<L: WorkerLogic> {
 }
 
 impl<L: WorkerLogic> RunState<L> {
-    pub(crate) fn new(workers: Vec<L>, partition: &Arc<PartitionMap>) -> Result<Self, BspError> {
+    fn new(workers: Vec<L>, partition: &Arc<PartitionMap>) -> Result<Self, BspError> {
         if workers.len() != partition.workers() {
             return Err(BspError::WorkerMismatch {
                 logics: workers.len(),
@@ -441,7 +461,7 @@ impl<L: WorkerLogic> RunState<L> {
     /// and `self.halted` reflects the halt vote; on error the state is
     /// mid-superstep garbage and must be either dropped or rolled back
     /// before reuse.
-    pub(crate) fn superstep<'scope>(
+    fn superstep<'scope>(
         &mut self,
         config: &BspConfig,
         master: &mut Option<MasterHook<'_>>,
@@ -787,16 +807,23 @@ impl<L: WorkerLogic> RunState<L> {
         Ok(())
     }
 
-    /// Drives the run until it halts.
+    /// Drives the run until it halts — the only superstep loop. With a
+    /// `recovery` session the virgin state is checkpointed first (the very
+    /// first superstep may be the one that faults), a checkpoint follows
+    /// every `checkpoint_interval` completed supersteps, and a recoverable
+    /// failure rolls back to the latest one and replays.
     ///
     /// # Errors
     ///
-    /// Propagates superstep failures; exhausting `config.max_supersteps`
+    /// Propagates superstep failures (recoverable ones only once the
+    /// session's retry budget is spent, as
+    /// [`BspError::RecoveryExhausted`]); exhausting `config.max_supersteps`
     /// without halting is [`BspError::SuperstepLimit`]; exhausting an
     /// explicit `config.superstep_budget` is [`BspError::BudgetExceeded`].
-    pub(crate) fn drive<'scope>(
+    fn drive<'scope>(
         &mut self,
         config: &BspConfig,
+        mut recovery: Option<Recovery<L>>,
         master: &mut Option<MasterHook<'_>>,
         injector: &mut FaultInjector,
         pool: &mut ComputePool<'scope, '_, L>,
@@ -804,22 +831,37 @@ impl<L: WorkerLogic> RunState<L> {
     where
         L: 'scope,
     {
+        let tracing = config.trace.is_enabled();
+        if let Some(session) = &mut recovery {
+            session.checkpoint(self, tracing)?;
+        }
         while !self.halted {
             self.admit_next_step(config)?;
-            self.superstep(config, master, injector, pool)?;
+            match (
+                self.superstep(config, master, injector, pool),
+                &mut recovery,
+            ) {
+                (Ok(()), None) => {}
+                (Ok(()), Some(session)) => session.step_completed(self, tracing)?,
+                (Err(err), Some(session)) if err.is_recoverable() => {
+                    session.roll_back(self, err, tracing)?;
+                    injector.next_attempt();
+                }
+                (Err(err), _) => return Err(err),
+            }
         }
         Ok(())
     }
 
-    /// The one admission check every superstep loop makes before running
-    /// the next superstep of an unhalted run.
+    /// The admission check the loop makes before running the next
+    /// superstep of an unhalted run.
     ///
     /// # Errors
     ///
     /// [`BspError::SuperstepLimit`] once `config.max_supersteps` are spent,
     /// [`BspError::BudgetExceeded`] once an explicit
     /// `config.superstep_budget` is.
-    pub(crate) fn admit_next_step(&self, config: &BspConfig) -> Result<(), BspError> {
+    fn admit_next_step(&self, config: &BspConfig) -> Result<(), BspError> {
         if self.step >= config.max_supersteps {
             return Err(BspError::SuperstepLimit {
                 limit: config.max_supersteps,
@@ -874,7 +916,7 @@ impl<L: WorkerLogic + Snapshot> RunState<L> {
     /// frames) and half-filled inboxes are dropped, and the metrics rewind
     /// — except the recovery counters and the trace stream, which are
     /// monotone over the whole recovered run (the trace keeps the
-    /// rolled-back steps' events; the recovery driver marks the rewind
+    /// rolled-back steps' events; the recovery session marks the rewind
     /// with a [`TraceEvent::Rollback`]).
     pub(crate) fn rollback(&mut self, ckpt: &Checkpoint) -> Result<(), BspError> {
         if ckpt.worker_states.len() != self.workers.len()
@@ -927,16 +969,28 @@ impl<L: WorkerLogic + Snapshot> RunState<L> {
 /// at the first superstep that emits no messages. The first superstep always
 /// runs (with empty inboxes) so programs can initialize.
 ///
+/// `recovery` is the loop's fault-tolerance option. Without it, a fault —
+/// real, or injected via [`BspConfig::fault_plan`] — kills the run at first
+/// trigger. With a [`Recovery`] session (constructible only for
+/// [`Snapshot`] worker logic) recoverable faults roll the run back to the
+/// latest checkpoint and replay; the compute pool lives across checkpoints,
+/// rollbacks and retries, so recovery pays thread creation once.
+///
 /// # Errors
 ///
 /// Surfaces poisoned workers (worker threads panicking mid-superstep) and
 /// wire-codec corruption as [`BspError`] instead of panicking, per the
 /// failure-injection intent of DESIGN.md §7, and non-convergence within
-/// `config.max_supersteps` as [`BspError::SuperstepLimit`]. Faults injected
-/// via [`BspConfig::fault_plan`] kill this driver at first trigger — use
-/// [`crate::recover::run_bsp_recoverable`] to survive them.
+/// `config.max_supersteps` as [`BspError::SuperstepLimit`]. With recovery,
+/// those two fault classes trigger rollback instead, and once the session's
+/// `max_attempts` rollbacks are spent the run fails with
+/// [`BspError::RecoveryExhausted`] carrying the full fault history;
+/// non-recoverable failures ([`BspError::WorkerMismatch`],
+/// [`BspError::SuperstepLimit`], [`BspError::BudgetExceeded`],
+/// [`BspError::Checkpoint`]) propagate immediately either way.
 pub fn run_bsp<L: WorkerLogic>(
     config: &BspConfig,
+    recovery: Option<Recovery<L>>,
     workers: Vec<L>,
     partition: Arc<PartitionMap>,
     mut master: Option<MasterHook<'_>>,
@@ -947,7 +1001,7 @@ pub fn run_bsp<L: WorkerLogic>(
     let n = state.workers.len();
     std::thread::scope(|scope| {
         let mut pool = ComputePool::start(scope, n);
-        state.drive(config, &mut master, &mut injector, &mut pool)
+        state.drive(config, recovery, &mut master, &mut injector, &mut pool)
     })?;
     state.metrics.makespan = run_start.elapsed();
     Ok((state.workers, state.metrics))
@@ -1043,7 +1097,7 @@ mod tests {
                 hops,
             })
             .collect();
-        run_bsp(config, logics, partition, None).unwrap()
+        run_bsp(config, None, logics, partition, None).unwrap()
     }
 
     #[test]
@@ -1090,7 +1144,14 @@ mod tests {
             }
             MasterDecision::Continue
         };
-        run_bsp(&BspConfig::default(), logics, partition, Some(&mut hook)).unwrap();
+        run_bsp(
+            &BspConfig::default(),
+            None,
+            logics,
+            partition,
+            Some(&mut hook),
+        )
+        .unwrap();
         assert_eq!(max_seen, (1..=6).collect::<Vec<_>>());
     }
 
@@ -1113,8 +1174,14 @@ mod tests {
                 MasterDecision::Continue
             }
         };
-        let (_, metrics) =
-            run_bsp(&BspConfig::default(), logics, partition, Some(&mut hook)).unwrap();
+        let (_, metrics) = run_bsp(
+            &BspConfig::default(),
+            None,
+            logics,
+            partition,
+            Some(&mut hook),
+        )
+        .unwrap();
         assert_eq!(metrics.supersteps, 3);
     }
 
@@ -1132,7 +1199,7 @@ mod tests {
             max_supersteps: 5,
             ..Default::default()
         };
-        let Err(err) = run_bsp(&config, logics, partition, None) else {
+        let Err(err) = run_bsp(&config, None, logics, partition, None) else {
             panic!("non-convergence must not be a silent Ok");
         };
         assert_eq!(err, BspError::SuperstepLimit { limit: 5 });
@@ -1160,7 +1227,7 @@ mod tests {
             seen: Vec::new(),
             hops: 4,
         }];
-        let (_, metrics) = run_bsp(&BspConfig::default(), logics, partition, None).unwrap();
+        let (_, metrics) = run_bsp(&BspConfig::default(), None, logics, partition, None).unwrap();
         assert!(metrics.makespan >= metrics.compute_plus);
     }
 
@@ -1174,7 +1241,7 @@ mod tests {
             seen: Vec::new(),
             hops: 1,
         }];
-        let Err(err) = run_bsp(&BspConfig::default(), logics, partition, None) else {
+        let Err(err) = run_bsp(&BspConfig::default(), None, logics, partition, None) else {
             panic!("mismatched worker count must not run");
         };
         assert_eq!(
@@ -1223,7 +1290,7 @@ mod tests {
                 bad: vec![1],
             })
             .collect();
-        let Err(err) = run_bsp(&BspConfig::default(), logics, partition, None) else {
+        let Err(err) = run_bsp(&BspConfig::default(), None, logics, partition, None) else {
             panic!("poisoned run must not succeed");
         };
         match err {
@@ -1255,7 +1322,7 @@ mod tests {
                 perturb_schedule: perturb,
                 ..Default::default()
             };
-            let Err(err) = run_bsp(&config, logics, partition, None) else {
+            let Err(err) = run_bsp(&config, None, logics, partition, None) else {
                 panic!("poisoned run must not succeed");
             };
             let BspError::WorkerPanicked { step, workers } = err else {
@@ -1286,7 +1353,7 @@ mod tests {
             fault_plan: Some(FaultPlan::panic_at(1, 3)),
             ..Default::default()
         };
-        let Err(err) = run_bsp(&config, logics, partition, None) else {
+        let Err(err) = run_bsp(&config, None, logics, partition, None) else {
             panic!("injected fault must surface");
         };
         let BspError::WorkerPanicked { step, workers } = err else {
@@ -1320,7 +1387,7 @@ mod tests {
                 fault_plan: Some(FaultPlan::corrupt_at(dst, 2)),
                 ..Default::default()
             };
-            match run_bsp(&config, logics, Arc::clone(&partition), None) {
+            match run_bsp(&config, None, logics, Arc::clone(&partition), None) {
                 Err(BspError::Codec {
                     worker,
                     step,

@@ -1,12 +1,12 @@
-//! Engine-level failures surfaced by [`crate::engine::run_bsp`] and the
-//! recovery driver [`crate::recover::run_bsp_recoverable`].
+//! Engine-level failures surfaced by [`crate::engine::run_bsp`], with or
+//! without a [`crate::recover::Recovery`] session.
 //!
 //! DESIGN.md §7 ("failure injection") requires the engine to *surface*
 //! poisoned-worker conditions instead of panicking inside the barrier
 //! logic: worker threads that panic mid-superstep, or a remote batch
 //! whose self-encoded bytes fail to decode, are reported to the caller as
 //! a typed error carrying the worker indices and superstep for diagnosis.
-//! The recovery driver classifies these per [`BspError::is_recoverable`]
+//! A recovery session classifies these per [`BspError::is_recoverable`]
 //! and, when its retry budget runs out, wraps the full fault history in
 //! [`BspError::RecoveryExhausted`].
 
@@ -79,7 +79,7 @@ pub enum BspError {
         /// Queue occupancy at rejection time (queued + in-flight).
         occupancy: usize,
     },
-    /// The recovery driver's retry budget ran out: every attempt ended in
+    /// The recovery session's retry budget ran out: every attempt ended in
     /// a recoverable fault. Carries the full fault history for diagnosis.
     RecoveryExhausted {
         /// Number of failed execution attempts (initial run + replays).

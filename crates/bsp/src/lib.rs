@@ -14,9 +14,10 @@
 //! the paper — the programming primitives are the experimental variable,
 //! not the runtime.
 //!
-//! Runs are fault-tolerant on request: [`run_bsp_recoverable`] checkpoints
-//! worker [`Snapshot`]s and in-flight inboxes every few supersteps and
-//! rolls back on recoverable faults, while a deterministic [`FaultPlan`]
+//! Runs are fault-tolerant on request: handed a [`Recovery`] session,
+//! [`run_bsp`]'s one superstep loop checkpoints worker [`Snapshot`]s and
+//! in-flight inboxes every few supersteps and rolls back on recoverable
+//! faults, while a deterministic [`FaultPlan`]
 //! on [`BspConfig`] injects worker panics and wire bit-flips to prove —
 //! via pinned digests — that recovered results are bit-identical to
 //! fault-free ones.
@@ -44,11 +45,13 @@ pub mod trace;
 pub use aggregate::{Agg, Aggregators, MasterDecision};
 pub use check::RunChecker;
 pub use codec::Wire;
-pub use engine::{run_bsp, BspConfig, Inbox, MasterHook, Outbox, WorkerLogic, MESSAGES_SENT_AGG};
+pub use engine::{
+    keep_alive, run_bsp, BspConfig, Inbox, MasterHook, Outbox, WorkerLogic, MESSAGES_SENT_AGG,
+};
 pub use error::BspError;
 pub use fault::{Fault, FaultInjector, FaultKind, FaultMode, FaultPlan};
 pub use metrics::{RecoveryMetrics, RunMetrics, StepTiming, UserCounters};
 pub use partition::{hash_partition, PartitionMap};
-pub use recover::{run_bsp_recoverable, RecoveryConfig};
+pub use recover::{Recovery, RecoveryConfig};
 pub use snapshot::{Checkpoint, CheckpointStorage, CheckpointStore, Snapshot};
 pub use trace::{RunTrace, TraceConfig, TraceEvent, TraceLevel, TraceSink};

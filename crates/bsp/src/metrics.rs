@@ -76,7 +76,7 @@ pub struct StepTiming {
 }
 
 /// Counters of the checkpoint/rollback recovery layer
-/// (`run_bsp_recoverable`). Like [`RunMetrics::routing_growths`], these
+/// ([`crate::recover::Recovery`]). Like [`RunMetrics::routing_growths`], these
 /// describe the *execution*, not the *result*: a recovered run must be
 /// bit-identical to a fault-free run in states and [`UserCounters`], so
 /// recovery counters never enter a result digest.

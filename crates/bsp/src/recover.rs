@@ -1,42 +1,43 @@
-//! Checkpoint/rollback recovery driver for the BSP engine.
+//! Checkpoint/rollback recovery: an option of the one superstep loop.
 //!
-//! [`run_bsp_recoverable`] wraps the plain superstep loop of
-//! [`crate::engine::run_bsp`] with fault tolerance: it captures a
-//! [`Checkpoint`] of the complete run state (worker [`Snapshot`] blobs,
-//! in-flight inboxes, aggregator globals, metrics) every
-//! [`RecoveryConfig::checkpoint_interval`] supersteps, and on a
-//! *recoverable* failure ([`BspError::is_recoverable`]: poisoned workers,
-//! wire corruption) rolls the run back to the latest checkpoint and
-//! replays. Replays are bit-deterministic — the fault-matrix tests pin
+//! There is a single loop, `RunState::drive` in [`crate::engine`]; handing
+//! [`crate::engine::run_bsp`] a [`Recovery`] session makes that loop
+//! fault-tolerant: it captures a [`Checkpoint`] of the complete run state
+//! (worker [`Snapshot`] blobs, in-flight inboxes, aggregator globals,
+//! metrics) every [`RecoveryConfig::checkpoint_interval`] supersteps, and
+//! on a *recoverable* failure ([`BspError::is_recoverable`]: poisoned
+//! workers, wire corruption) rolls the run back to the latest checkpoint
+//! and replays. Replays are bit-deterministic — the fault-matrix tests pin
 //! that a recovered run's result digest is identical to the fault-free
 //! digest — because everything the computation can observe is inside the
 //! checkpoint, and everything outside it (the fault injector's
 //! fired-state, the recovery counters) is invisible to the computation.
 //!
 //! The retry budget is bounded: after [`RecoveryConfig::max_attempts`]
-//! rollbacks the driver gives up with [`BspError::RecoveryExhausted`],
+//! rollbacks the loop gives up with [`BspError::RecoveryExhausted`],
 //! carrying the complete fault history — a persistent fault (same failure
 //! on every replay) must terminate with a diagnosis, not loop forever or
 //! return a wrong answer. Non-recoverable errors (configuration mismatch,
 //! non-convergence, checkpoint I/O) propagate immediately.
+//!
+//! Checkpointability is a *compile-time* property: a [`Recovery`] can only
+//! be constructed for worker logic that is [`Snapshot`], so a run whose
+//! workers cannot be captured cannot ask for recovery at all.
 
-use crate::engine::{BspConfig, ComputePool, MasterHook, RunState, WorkerLogic};
+use crate::engine::{RunState, WorkerLogic};
 use crate::error::BspError;
-use crate::fault::FaultInjector;
-use crate::metrics::{now, RunMetrics};
-use crate::partition::PartitionMap;
 use crate::snapshot::{Checkpoint, CheckpointStorage, CheckpointStore, Snapshot};
 use crate::trace::TraceEvent;
-use std::sync::Arc;
 
-/// Configuration of the recovery driver, orthogonal to [`BspConfig`].
+/// Configuration of a recovery session, orthogonal to
+/// [`crate::engine::BspConfig`].
 #[derive(Clone, Debug)]
 pub struct RecoveryConfig {
     /// Take a checkpoint after every this-many completed supersteps (a
     /// checkpoint at superstep 0 — before the first — is always taken, so
     /// the run can roll back to the beginning). Must be at least 1.
     pub checkpoint_interval: u64,
-    /// How many rollbacks the driver performs before giving up with
+    /// How many rollbacks the loop performs before giving up with
     /// [`BspError::RecoveryExhausted`].
     pub max_attempts: u64,
     /// Where checkpoint payloads live.
@@ -64,133 +65,136 @@ impl RecoveryConfig {
     }
 }
 
-/// Runs `workers` to convergence like [`crate::engine::run_bsp`], but
-/// survives recoverable faults by rolling back to the latest checkpoint
-/// and replaying.
+/// One run's recovery session: the checkpoint store, the retry ledger, and
+/// the two [`Snapshot`]-requiring operations on the run state, captured as
+/// `fn` items at construction — which is what keeps the superstep loop
+/// itself free of the `Snapshot` bound.
 ///
-/// The happy path is identical to the plain driver apart from checkpoint
-/// capture: same superstep loop, same convergence rule, same metrics —
-/// plus [`crate::metrics::RecoveryMetrics`] accounting for checkpoints
+/// The happy path of a recovered run is the plain run plus checkpoint
+/// capture: same convergence rule, same metrics — plus
+/// [`crate::metrics::RecoveryMetrics`] accounting for checkpoints
 /// taken/bytes, rollbacks, and replayed supersteps (which never enter
 /// result digests, like the other environment-sensitive metrics).
-///
-/// # Errors
-///
-/// Non-recoverable failures ([`BspError::WorkerMismatch`],
-/// [`BspError::SuperstepLimit`], [`BspError::BudgetExceeded`],
-/// [`BspError::Checkpoint`]) propagate immediately. Recoverable faults trigger rollback; once
-/// `recovery.max_attempts` rollbacks are spent, the driver returns
-/// [`BspError::RecoveryExhausted`] with the full fault history.
-pub fn run_bsp_recoverable<L: WorkerLogic + Snapshot>(
-    config: &BspConfig,
-    recovery: &RecoveryConfig,
-    workers: Vec<L>,
-    partition: Arc<PartitionMap>,
-    mut master: Option<MasterHook<'_>>,
-) -> Result<(Vec<L>, RunMetrics), BspError> {
-    if recovery.checkpoint_interval == 0 {
-        return Err(BspError::Checkpoint {
-            detail: "checkpoint_interval must be at least 1".into(),
-        });
-    }
-    let mut injector = FaultInjector::new(config.fault_plan.clone());
-    let mut state = RunState::new(workers, &partition)?;
-    let mut store = CheckpointStore::new(recovery.storage.clone());
-    let mut history: Vec<BspError> = Vec::new();
-    let mut rollbacks = 0u64;
-    let run_start = now();
-
-    let tracing = config.trace.is_enabled();
-    // Always checkpoint the virgin state: the very first superstep may be
-    // the one that faults.
-    save_checkpoint(&mut store, &mut state, tracing)?;
-    let mut since_checkpoint = 0u64;
-
-    // The compute pool lives for the whole recovered run — across
-    // checkpoints, rollbacks and retries — so recovery pays thread
-    // creation once, like the straight-through driver.
-    let n = state.workers.len();
-    std::thread::scope(|scope| {
-        let mut pool = ComputePool::start(scope, n);
-        while !state.halted {
-            state.admit_next_step(config)?;
-            match state.superstep(config, &mut master, &mut injector, &mut pool) {
-                Ok(()) => {
-                    since_checkpoint += 1;
-                    if !state.halted && since_checkpoint >= recovery.checkpoint_interval {
-                        save_checkpoint(&mut store, &mut state, tracing)?;
-                        since_checkpoint = 0;
-                    }
-                }
-                Err(err) if err.is_recoverable() => {
-                    history.push(err.clone());
-                    if rollbacks >= recovery.max_attempts {
-                        return Err(BspError::RecoveryExhausted {
-                            attempts: history.len() as u64,
-                            last: Box::new(err),
-                            history,
-                        });
-                    }
-                    let ckpt: Checkpoint = store.load()?.ok_or_else(|| BspError::Checkpoint {
-                        detail: "no checkpoint available for rollback".into(),
-                    })?;
-                    // Supersteps to re-execute: the completed ones since the
-                    // checkpoint, plus the faulted superstep's retry.
-                    let lost = state.step.saturating_sub(ckpt.step) + 1;
-                    let from_step = state.step;
-                    state.rollback(&ckpt)?;
-                    if tracing {
-                        state.metrics.trace.push(TraceEvent::Rollback {
-                            from_step,
-                            to_step: ckpt.step,
-                        });
-                    }
-                    state.metrics.recovery.rollbacks += 1;
-                    state.metrics.recovery.supersteps_replayed += lost;
-                    rollbacks += 1;
-                    since_checkpoint = 0;
-                    injector.next_attempt();
-                }
-                Err(err) => return Err(err),
-            }
-        }
-        Ok(())
-    })?;
-    state.metrics.makespan = run_start.elapsed();
-    Ok((state.workers, state.metrics))
+pub struct Recovery<L: WorkerLogic> {
+    checkpoint_interval: u64,
+    max_attempts: u64,
+    store: CheckpointStore,
+    capture: fn(&RunState<L>) -> Checkpoint,
+    restore: fn(&mut RunState<L>, &Checkpoint) -> Result<(), BspError>,
+    history: Vec<BspError>,
+    since_checkpoint: u64,
 }
 
-/// Captures and persists the current boundary, bumping the recovery
-/// counters (and, when tracing, marking the trace stream).
-fn save_checkpoint<L: WorkerLogic + Snapshot>(
-    store: &mut CheckpointStore,
-    state: &mut RunState<L>,
-    tracing: bool,
-) -> Result<(), BspError> {
-    let ckpt = state.take_checkpoint();
-    let bytes = store.save(ckpt)?;
-    state.metrics.recovery.checkpoints_taken += 1;
-    state.metrics.recovery.checkpoint_bytes += bytes;
-    if tracing {
-        state.metrics.trace.push(TraceEvent::Checkpoint {
-            step: state.step,
-            bytes,
-        });
+impl<L: WorkerLogic + Snapshot> Recovery<L> {
+    /// A session over `config`, for one run.
+    ///
+    /// # Errors
+    ///
+    /// [`BspError::Checkpoint`] when `config.checkpoint_interval` is 0.
+    pub fn new(config: &RecoveryConfig) -> Result<Self, BspError> {
+        if config.checkpoint_interval == 0 {
+            return Err(BspError::Checkpoint {
+                detail: "checkpoint_interval must be at least 1".into(),
+            });
+        }
+        Ok(Recovery {
+            checkpoint_interval: config.checkpoint_interval,
+            max_attempts: config.max_attempts,
+            store: CheckpointStore::new(config.storage.clone()),
+            capture: RunState::take_checkpoint,
+            restore: RunState::rollback,
+            history: Vec::new(),
+            since_checkpoint: 0,
+        })
     }
-    Ok(())
+}
+
+impl<L: WorkerLogic> Recovery<L> {
+    /// Captures and persists the current boundary, bumping the recovery
+    /// counters (and, when tracing, marking the trace stream).
+    pub(crate) fn checkpoint(
+        &mut self,
+        state: &mut RunState<L>,
+        tracing: bool,
+    ) -> Result<(), BspError> {
+        let bytes = self.store.save((self.capture)(state))?;
+        state.metrics.recovery.checkpoints_taken += 1;
+        state.metrics.recovery.checkpoint_bytes += bytes;
+        if tracing {
+            state.metrics.trace.push(TraceEvent::Checkpoint {
+                step: state.step,
+                bytes,
+            });
+        }
+        self.since_checkpoint = 0;
+        Ok(())
+    }
+
+    /// A superstep completed: checkpoint if the interval is due.
+    pub(crate) fn step_completed(
+        &mut self,
+        state: &mut RunState<L>,
+        tracing: bool,
+    ) -> Result<(), BspError> {
+        self.since_checkpoint += 1;
+        if !state.halted && self.since_checkpoint >= self.checkpoint_interval {
+            self.checkpoint(state, tracing)?;
+        }
+        Ok(())
+    }
+
+    /// A superstep failed with the recoverable `err`: roll `state` back to
+    /// the latest checkpoint, or give up once the retry budget is spent.
+    pub(crate) fn roll_back(
+        &mut self,
+        state: &mut RunState<L>,
+        err: BspError,
+        tracing: bool,
+    ) -> Result<(), BspError> {
+        // Every earlier entry of the history was rolled back, so the budget
+        // is spent once the history outgrows it.
+        self.history.push(err.clone());
+        if self.history.len() as u64 > self.max_attempts {
+            return Err(BspError::RecoveryExhausted {
+                attempts: self.history.len() as u64,
+                last: Box::new(err),
+                history: std::mem::take(&mut self.history),
+            });
+        }
+        let ckpt = self.store.load()?.ok_or_else(|| BspError::Checkpoint {
+            detail: "no checkpoint available for rollback".into(),
+        })?;
+        // Supersteps to re-execute: the completed ones since the
+        // checkpoint, plus the faulted superstep's retry.
+        let lost = state.step.saturating_sub(ckpt.step) + 1;
+        let from_step = state.step;
+        (self.restore)(state, &ckpt)?;
+        if tracing {
+            state.metrics.trace.push(TraceEvent::Rollback {
+                from_step,
+                to_step: ckpt.step,
+            });
+        }
+        state.metrics.recovery.rollbacks += 1;
+        state.metrics.recovery.supersteps_replayed += lost;
+        self.since_checkpoint = 0;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate::{Aggregators, MasterDecision};
-    use crate::engine::{Inbox, Outbox};
+    use crate::engine::{run_bsp, BspConfig, Inbox, MasterHook, Outbox};
     use crate::fault::{Fault, FaultKind, FaultMode, FaultPlan};
-    use crate::metrics::UserCounters;
+    use crate::metrics::{RunMetrics, UserCounters};
+    use crate::partition::PartitionMap;
     use crate::trace::TraceSink;
     use graphite_tgraph::builder::TemporalGraphBuilder;
     use graphite_tgraph::graph::{EdgeId, TemporalGraph, VIdx, VertexId};
     use graphite_tgraph::time::Interval;
+    use std::sync::Arc;
 
     fn ring(n: u64) -> TemporalGraph {
         let mut b = TemporalGraphBuilder::new();
@@ -283,18 +287,30 @@ mod tests {
         workers.iter().map(|w| w.total).sum()
     }
 
+    fn run_recoverable(
+        config: &BspConfig,
+        recovery: &RecoveryConfig,
+        workers: Vec<CountingToken>,
+        partition: Arc<PartitionMap>,
+        master: Option<MasterHook<'_>>,
+    ) -> Result<(Vec<CountingToken>, RunMetrics), BspError> {
+        let session = Recovery::new(recovery)?;
+        run_bsp(config, Some(session), workers, partition, master)
+    }
+
     #[test]
     fn fault_free_recoverable_run_matches_plain_run() {
         let graph = Arc::new(ring(8));
         let partition = Arc::new(PartitionMap::hash(&graph, 3).expect("partition"));
-        let (plain, pm) = crate::engine::run_bsp(
+        let (plain, pm) = run_bsp(
             &BspConfig::default(),
+            None,
             logics(&graph, &partition, 8),
             Arc::clone(&partition),
             None,
         )
         .unwrap();
-        let (rec, rm) = run_bsp_recoverable(
+        let (rec, rm) = run_recoverable(
             &BspConfig::default(),
             &RecoveryConfig::every(2),
             logics(&graph, &partition, 8),
@@ -318,8 +334,9 @@ mod tests {
     fn transient_panic_is_rolled_back_and_replayed() {
         let graph = Arc::new(ring(8));
         let partition = Arc::new(PartitionMap::hash(&graph, 3).expect("partition"));
-        let (plain, pm) = crate::engine::run_bsp(
+        let (plain, pm) = run_bsp(
             &BspConfig::default(),
+            None,
             logics(&graph, &partition, 8),
             Arc::clone(&partition),
             None,
@@ -329,7 +346,7 @@ mod tests {
             fault_plan: Some(FaultPlan::panic_at(1, 5)),
             ..Default::default()
         };
-        let (rec, rm) = run_bsp_recoverable(
+        let (rec, rm) = run_recoverable(
             &config,
             &RecoveryConfig::every(2),
             logics(&graph, &partition, 8),
@@ -360,7 +377,7 @@ mod tests {
             max_attempts: 3,
             ..Default::default()
         };
-        let err = run_bsp_recoverable(
+        let err = run_recoverable(
             &config,
             &recovery,
             logics(&graph, &partition, 8),
@@ -391,8 +408,9 @@ mod tests {
     fn multiple_transient_faults_across_attempts_recover() {
         let graph = Arc::new(ring(12));
         let partition = Arc::new(PartitionMap::hash(&graph, 4).expect("partition"));
-        let (plain, _) = crate::engine::run_bsp(
+        let (plain, _) = run_bsp(
             &BspConfig::default(),
+            None,
             logics(&graph, &partition, 12),
             Arc::clone(&partition),
             None,
@@ -410,7 +428,7 @@ mod tests {
             fault_plan: Some(plan),
             ..Default::default()
         };
-        let (rec, rm) = run_bsp_recoverable(
+        let (rec, rm) = run_recoverable(
             &config,
             &RecoveryConfig::every(3),
             logics(&graph, &partition, 12),
@@ -426,8 +444,9 @@ mod tests {
     fn wire_corruption_recovers_on_disk_store() {
         let graph = Arc::new(ring(8));
         let partition = Arc::new(PartitionMap::hash(&graph, 4).expect("partition"));
-        let (plain, _) = crate::engine::run_bsp(
+        let (plain, _) = run_bsp(
             &BspConfig::default(),
+            None,
             logics(&graph, &partition, 8),
             Arc::clone(&partition),
             None,
@@ -455,7 +474,7 @@ mod tests {
             storage: CheckpointStorage::Disk(dir.clone()),
             ..Default::default()
         };
-        let (rec, rm) = run_bsp_recoverable(
+        let (rec, rm) = run_recoverable(
             &config,
             &recovery,
             logics(&graph, &partition, 8),
@@ -477,7 +496,7 @@ mod tests {
             checkpoint_interval: 0,
             ..Default::default()
         };
-        let err = run_bsp_recoverable(
+        let err = run_recoverable(
             &BspConfig::default(),
             &recovery,
             logics(&graph, &partition, 4),
@@ -506,7 +525,7 @@ mod tests {
             steps_seen.push(step);
             MasterDecision::Continue
         };
-        let (rec, rm) = run_bsp_recoverable(
+        let (rec, rm) = run_recoverable(
             &config,
             &RecoveryConfig::every(2),
             logics(&graph, &partition, 8),

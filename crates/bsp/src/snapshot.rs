@@ -19,8 +19,8 @@ use crate::metrics::RunMetrics;
 use std::path::{Path, PathBuf};
 
 /// Worker logic whose user state can round-trip through bytes. Implemented
-/// by the ICM and VCM workers; required by
-/// [`crate::recover::run_bsp_recoverable`].
+/// by the ICM and VCM workers; required to construct a
+/// [`crate::recover::Recovery`] session.
 ///
 /// The contract mirrors [`crate::codec::Wire`], but at worker granularity
 /// and fallible on restore: `restore(buf)` after `checkpoint(&mut buf)`

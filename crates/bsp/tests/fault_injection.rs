@@ -10,11 +10,13 @@
 //! poisoned-worker reporting, checksum-detected corruption, bounded retry
 //! budgets, and end-to-end determinism of seeded fault plans.
 
+use graphite_algorithms::bfs::IcmBfs;
 use graphite_bsp::{
-    run_bsp, run_bsp_recoverable, Aggregators, BspConfig, BspError, CheckpointStorage, Fault,
-    FaultKind, FaultMode, FaultPlan, Inbox, MasterHook, Outbox, PartitionMap, RecoveryConfig,
-    RunMetrics, Snapshot, TraceSink, UserCounters, WorkerLogic,
+    run_bsp, Aggregators, BspConfig, BspError, CheckpointStorage, Fault, FaultKind, FaultMode,
+    FaultPlan, Inbox, MasterDecision, Outbox, PartitionMap, Recovery, RecoveryConfig, RunMetrics,
+    Snapshot, TraceConfig, TraceEvent, TraceSink, UserCounters, WorkerLogic,
 };
+use graphite_icm::engine::{run_icm, IcmConfig};
 use graphite_tgraph::builder::TemporalGraphBuilder;
 use graphite_tgraph::graph::{EdgeId, TemporalGraph, VIdx, VertexId};
 use graphite_tgraph::rng::SplitMix64;
@@ -118,18 +120,23 @@ fn faulted(plan: FaultPlan) -> BspConfig {
     }
 }
 
+/// The one way in: `recovery` is the loop's option, not another driver.
+fn run<L: WorkerLogic + Snapshot>(
+    config: &BspConfig,
+    recovery: Option<&RecoveryConfig>,
+    workers: Vec<L>,
+    partition: &Arc<PartitionMap>,
+) -> Result<(Vec<L>, RunMetrics), BspError> {
+    let session = recovery.map(Recovery::new).transpose()?;
+    run_bsp(config, session, workers, Arc::clone(partition), None)
+}
+
 fn run_plain(
     graph: &Arc<TemporalGraph>,
     partition: &Arc<PartitionMap>,
     config: &BspConfig,
 ) -> Result<(Vec<RingSum>, RunMetrics), BspError> {
-    let master: Option<MasterHook<'_>> = None;
-    run_bsp(
-        config,
-        workers(graph, partition),
-        Arc::clone(partition),
-        master,
-    )
+    run(config, None, workers(graph, partition), partition)
 }
 
 fn run_recover(
@@ -138,13 +145,7 @@ fn run_recover(
     config: &BspConfig,
     recovery: &RecoveryConfig,
 ) -> Result<(Vec<RingSum>, RunMetrics), BspError> {
-    run_bsp_recoverable(
-        config,
-        recovery,
-        workers(graph, partition),
-        Arc::clone(partition),
-        None,
-    )
+    run(config, Some(recovery), workers(graph, partition), partition)
 }
 
 #[test]
@@ -180,7 +181,7 @@ fn non_convergence_is_a_typed_error() {
         ..Default::default()
     };
     // The ring needs 13 supersteps; the cap must surface as a typed
-    // error, not a silent truncated result — for both drivers.
+    // error, not a silent truncated result — with and without recovery.
     let err = run_plain(&graph, &partition, &config).unwrap_err();
     assert!(matches!(err, BspError::SuperstepLimit { limit: 5 }));
     let err = run_recover(&graph, &partition, &config, &RecoveryConfig::every(2)).unwrap_err();
@@ -399,14 +400,26 @@ fn corruption(worker: usize, step: u64) -> Fault {
     }
 }
 
+/// A flood run that must succeed, checkpointing every `every` supersteps
+/// when asked to.
+fn flood_run(
+    partition: &Arc<PartitionMap>,
+    config: &BspConfig,
+    every: Option<u64>,
+) -> (Vec<Flood>, RunMetrics) {
+    let recovery = every.map(RecoveryConfig::every);
+    run(
+        config,
+        recovery.as_ref(),
+        flood_workers(partition),
+        partition,
+    )
+    .expect("flood run")
+}
+
 /// The `(worker, step)` of the codec error a plain flood run dies with.
 fn flood_codec_error(partition: &Arc<PartitionMap>, config: &BspConfig) -> (usize, u64) {
-    match run_bsp(
-        config,
-        flood_workers(partition),
-        Arc::clone(partition),
-        None,
-    ) {
+    match run(config, None, flood_workers(partition), partition) {
         Err(BspError::Codec { worker, step, .. }) => (worker, step),
         Err(other) => panic!("expected a codec error, got {other:?}"),
         Ok(_) => panic!("the corruption plan never fired"),
@@ -487,25 +500,12 @@ fn concurrent_corrupt_frames_report_the_first_in_route_order() {
 #[test]
 fn corrupt_frames_deliver_nothing_and_replay_clean() {
     let partition = flood_partition();
-    let (clean, cm) = run_bsp(
-        &BspConfig::default(),
-        flood_workers(&partition),
-        Arc::clone(&partition),
-        None,
-    )
-    .unwrap();
+    let (clean, cm) = flood_run(&partition, &BspConfig::default(), None);
     let plan = FaultPlan::default()
         .and(corruption(3, 2))
         .and(corruption(1, 2))
         .and(corruption(0, 4));
-    let (rec, rm) = run_bsp_recoverable(
-        &faulted(plan),
-        &RecoveryConfig::every(2),
-        flood_workers(&partition),
-        Arc::clone(&partition),
-        None,
-    )
-    .unwrap();
+    let (rec, rm) = flood_run(&partition, &faulted(plan), Some(2));
     // An order-sensitive digest of every delivery: had a corrupt frame (or
     // the frames decoded before it) leaked a single message into the
     // replay, or the replay regrouped differently, it would differ.
@@ -515,4 +515,89 @@ fn corrupt_frames_deliver_nothing_and_replay_clean() {
     // Both superstep-2 frames are drawn in the attempt that runs the step
     // (their receivers are concurrent), so one rollback clears both.
     assert_eq!(rm.recovery.rollbacks, 2);
+}
+
+#[test]
+fn same_step_corruptions_on_two_destinations_cost_one_rollback() {
+    let partition = flood_partition();
+    let (clean, cm) = flood_run(&partition, &BspConfig::default(), None);
+    let plan = FaultPlan::default()
+        .and(corruption(3, 2))
+        .and(corruption(1, 2));
+    let (rec, rm) = flood_run(&partition, &faulted(plan), Some(2));
+    assert_eq!(flood_digests(&rec), flood_digests(&clean));
+    assert_eq!(rm.counters, cm.counters);
+    assert_eq!(rm.supersteps, cm.supersteps);
+    // Both frames are drawn — and both transient faults spent — in the one
+    // attempt that runs superstep 2; the rollback lands on the virgin
+    // checkpoint, so step 1 and the faulted step 2 are re-executed.
+    assert_eq!(rm.recovery.rollbacks, 1);
+    assert_eq!(rm.recovery.supersteps_replayed, 2);
+}
+
+#[test]
+fn fault_free_recovery_is_invisible_outside_the_checkpoints() {
+    let partition = flood_partition();
+    let config = BspConfig {
+        trace: TraceConfig::full(),
+        ..Default::default()
+    };
+    let (plain, pm) = flood_run(&partition, &config, None);
+    assert_eq!(pm.recovery.checkpoints_taken, 0);
+    for every in [1, 2, 64] {
+        let (rec, rm) = flood_run(&partition, &config, Some(every));
+        assert_eq!(flood_digests(&rec), flood_digests(&plain), "every {every}");
+        assert_eq!(rm.supersteps, pm.supersteps, "every {every}");
+        assert_eq!(rm.counters, pm.counters, "every {every}");
+        assert_eq!(rm.recovery.rollbacks, 0);
+        // The virgin checkpoint, then one per full interval short of the halt.
+        let expected = 1 + (pm.supersteps - 1) / every;
+        assert_eq!(rm.recovery.checkpoints_taken, expected, "every {every}");
+        let mut events = rm.trace.normalized().events;
+        events.retain(|e| !matches!(e, TraceEvent::Checkpoint { .. }));
+        assert_eq!(events, pm.trace.normalized().events, "every {every}");
+    }
+}
+
+#[test]
+fn user_master_hook_composes_with_recovery() {
+    let graph = ring(16);
+    let program = Arc::new(IcmBfs {
+        source: VertexId(0),
+    });
+    // The hook's decisions are all `Continue`, so what it *saw* is the
+    // whole of its effect: record every barrier it is consulted at.
+    let hooked = |config: &IcmConfig| {
+        let mut seen = Vec::new();
+        let mut hook = |step: u64, _: &Aggregators| {
+            seen.push(step);
+            MasterDecision::Continue
+        };
+        let r = run_icm(&graph, Arc::clone(&program), config, Some(&mut hook)).expect("ICM run");
+        (r, seen)
+    };
+    let config = IcmConfig {
+        workers: 4,
+        ..Default::default()
+    };
+    let (clean, clean_seen) = hooked(&config);
+    let steps = clean.metrics.supersteps;
+    assert_eq!(clean_seen, (1..=steps).collect::<Vec<_>>());
+    assert!(steps > 6, "the ring walk outlasts the faulted superstep");
+
+    let (rec, seen) = hooked(&IcmConfig {
+        recovery: Some(RecoveryConfig::every(4)),
+        bsp: faulted(FaultPlan::panic_at(2, 6)),
+        ..config
+    });
+    assert_eq!(rec.states, clean.states);
+    assert_eq!(rec.metrics.supersteps, steps);
+    assert_eq!(rec.metrics.counters, clean.metrics.counters);
+    assert_eq!(rec.metrics.recovery.rollbacks, 1);
+    // Barriers 1..=5 completed, superstep 6 panicked before its barrier,
+    // the run rolled back to the checkpoint after superstep 4: the hook is
+    // consulted for exactly the fault-free barriers plus the replayed 5.
+    let expected: Vec<u64> = (1..=5).chain(5..=steps).collect();
+    assert_eq!(seen, expected);
+    assert_eq!(rec.metrics.recovery.supersteps_replayed, 2);
 }

@@ -14,15 +14,15 @@
 use graphite_algorithms::bfs::{IcmBfs, VcmBfs};
 use graphite_algorithms::td_paths::IcmEat;
 use graphite_algorithms::AlgLabels;
-use graphite_baselines::vcm::{try_run_vcm, try_run_vcm_recoverable, VcmConfig};
+use graphite_baselines::vcm::{run_vcm, VcmConfig};
 use graphite_baselines::{EdgeWeights, SnapshotTopology};
+use graphite_bsp::engine::BspConfig;
 use graphite_bsp::error::BspError;
 use graphite_bsp::fault::{Fault, FaultKind, FaultMode, FaultPlan};
 use graphite_bsp::metrics::{RecoveryMetrics, RunMetrics};
 use graphite_bsp::recover::RecoveryConfig;
-use graphite_bsp::trace::TraceConfig;
 use graphite_datagen::{generate, GenParams, LifespanModel, PropModel, Topology};
-use graphite_icm::engine::{try_run_icm, try_run_icm_recoverable, IcmConfig};
+use graphite_icm::engine::{run_icm, IcmConfig};
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
 use std::sync::Arc;
 
@@ -98,7 +98,7 @@ fn fingerprint<P>(graph: &Arc<TemporalGraph>, program: Arc<P>) -> (u64, [u64; 8]
 where
     P: graphite_icm::program::IntervalProgram<State = i64>,
 {
-    let r = try_run_icm(graph, program, &icm_cfg(None, None)).expect("pinned run must succeed");
+    let r = run_icm(graph, program, &icm_cfg(None, None), None).expect("pinned run must succeed");
     (
         fnv1a(format!("{:?}", r.states).as_bytes()),
         counter_key(&r.metrics),
@@ -110,25 +110,29 @@ fn icm_cfg(fault_plan: Option<FaultPlan>, perturb: Option<u64>) -> IcmConfig {
         workers: 4,
         combiner: true,
         suppression_threshold: Some(0.7),
-        max_supersteps: 10_000,
-        superstep_budget: None,
-        perturb_schedule: perturb,
-        trace: TraceConfig::default(),
-        fault_plan,
         partition: Default::default(),
+        recovery: None,
+        bsp: BspConfig {
+            max_supersteps: 10_000,
+            perturb_schedule: perturb,
+            fault_plan,
+            ..Default::default()
+        },
     }
 }
 
 fn vcm_cfg(fault_plan: Option<FaultPlan>, perturb: Option<u64>) -> VcmConfig {
     VcmConfig {
         workers: 4,
-        max_supersteps: 10_000,
-        superstep_budget: None,
         need_in_edges: false,
-        perturb_schedule: perturb,
-        trace: TraceConfig::default(),
-        fault_plan,
         partition: Default::default(),
+        recovery: None,
+        bsp: BspConfig {
+            max_supersteps: 10_000,
+            perturb_schedule: perturb,
+            fault_plan,
+            ..Default::default()
+        },
     }
 }
 
@@ -234,13 +238,12 @@ fn icm_recovered_fingerprint<P>(
 where
     P: graphite_icm::program::IntervalProgram<State = i64>,
 {
-    let r = try_run_icm_recoverable(
-        graph,
-        Arc::clone(program),
-        &icm_cfg(Some(plan), perturb),
-        &RecoveryConfig::every(2),
-    )
-    .expect("recoverable ICM run must converge");
+    let cfg = IcmConfig {
+        recovery: Some(RecoveryConfig::every(2)),
+        ..icm_cfg(Some(plan), perturb)
+    };
+    let r =
+        run_icm(graph, Arc::clone(program), &cfg, None).expect("recoverable ICM run must converge");
     (
         fnv1a(format!("{:?}", r.states).as_bytes()),
         counter_key(&r.metrics),
@@ -337,17 +340,16 @@ fn recovered_vcm_digests_match_fault_free() {
         let program = Arc::new(VcmBfs {
             source: source(&graph),
         });
-        let base = try_run_vcm(&topo, Arc::clone(&program), &vcm_cfg(None, None))
+        let base = run_vcm(&topo, Arc::clone(&program), &vcm_cfg(None, None))
             .expect("fault-free VCM run must succeed");
         let baseline = (vcm_digest(base.states), counter_key(&base.metrics));
         assert_matrix_recovers(&format!("VCM/BFS/{name}"), baseline, |plan| {
-            let r = try_run_vcm_recoverable(
-                &topo,
-                Arc::clone(&program),
-                &vcm_cfg(Some(plan), None),
-                &RecoveryConfig::every(2),
-            )
-            .expect("recoverable VCM run must converge");
+            let cfg = VcmConfig {
+                recovery: Some(RecoveryConfig::every(2)),
+                ..vcm_cfg(Some(plan), None)
+            };
+            let r = run_vcm(&topo, Arc::clone(&program), &cfg)
+                .expect("recoverable VCM run must converge");
             (
                 vcm_digest(r.states),
                 counter_key(&r.metrics),
@@ -437,17 +439,15 @@ fn persistent_fault_exhausts_recovery_with_history() {
         source: source(&graph),
     });
     let plan = FaultPlan::panic_at(0, 2).persistent();
-    let recovery = RecoveryConfig {
-        max_attempts: 2,
-        ..RecoveryConfig::every(2)
+    let cfg = IcmConfig {
+        recovery: Some(RecoveryConfig {
+            max_attempts: 2,
+            ..RecoveryConfig::every(2)
+        }),
+        ..icm_cfg(Some(plan), None)
     };
-    let err = try_run_icm_recoverable(
-        &graph,
-        Arc::clone(&bfs),
-        &icm_cfg(Some(plan), None),
-        &recovery,
-    )
-    .expect_err("a persistent fault must not converge");
+    let err = run_icm(&graph, Arc::clone(&bfs), &cfg, None)
+        .expect_err("a persistent fault must not converge");
     let BspError::RecoveryExhausted {
         attempts,
         last,

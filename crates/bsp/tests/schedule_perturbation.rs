@@ -20,12 +20,12 @@
 use graphite_algorithms::bfs::{IcmBfs, VcmBfs};
 use graphite_algorithms::td_paths::IcmEat;
 use graphite_algorithms::AlgLabels;
-use graphite_baselines::vcm::{try_run_vcm, VcmConfig};
+use graphite_baselines::vcm::{run_vcm, VcmConfig};
 use graphite_baselines::{EdgeWeights, SnapshotTopology};
+use graphite_bsp::engine::BspConfig;
 use graphite_bsp::metrics::RunMetrics;
-use graphite_bsp::trace::TraceConfig;
 use graphite_datagen::{generate, GenParams, LifespanModel, PropModel, Topology};
-use graphite_icm::engine::{try_run_icm, IcmConfig};
+use graphite_icm::engine::{run_icm, IcmConfig};
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
 use std::sync::Arc;
 
@@ -112,25 +112,27 @@ fn icm_cfg(perturb: Option<u64>) -> IcmConfig {
         workers: WORKERS,
         combiner: true,
         suppression_threshold: Some(0.7),
-        max_supersteps: 10_000,
-        superstep_budget: None,
-        perturb_schedule: perturb,
-        trace: TraceConfig::default(),
-        fault_plan: None,
         partition: Default::default(),
+        recovery: None,
+        bsp: BspConfig {
+            max_supersteps: 10_000,
+            perturb_schedule: perturb,
+            ..Default::default()
+        },
     }
 }
 
 fn vcm_cfg(perturb: Option<u64>) -> VcmConfig {
     VcmConfig {
         workers: WORKERS,
-        max_supersteps: 10_000,
-        superstep_budget: None,
         need_in_edges: false,
-        perturb_schedule: perturb,
-        trace: TraceConfig::default(),
-        fault_plan: None,
         partition: Default::default(),
+        recovery: None,
+        bsp: BspConfig {
+            max_supersteps: 10_000,
+            perturb_schedule: perturb,
+            ..Default::default()
+        },
     }
 }
 
@@ -143,7 +145,7 @@ fn icm_fingerprint<P>(
 where
     P: graphite_icm::program::IntervalProgram<State = i64>,
 {
-    let r = try_run_icm(graph, Arc::clone(program), &icm_cfg(perturb))
+    let r = run_icm(graph, Arc::clone(program), &icm_cfg(perturb), None)
         .expect("perturbed ICM run must succeed");
     // BTreeMap renders in vid order; the interval lists are canonical
     // (sorted, coalesced) by construction.
@@ -158,7 +160,7 @@ fn vcm_fingerprint(
     program: &Arc<VcmBfs>,
     perturb: Option<u64>,
 ) -> (u64, [u64; 8]) {
-    let r = try_run_vcm(topo, Arc::clone(program), &vcm_cfg(perturb))
+    let r = run_vcm(topo, Arc::clone(program), &vcm_cfg(perturb))
         .expect("perturbed VCM run must succeed");
     let mut states: Vec<(u32, i64)> = r.states.into_iter().collect();
     states.sort_unstable();

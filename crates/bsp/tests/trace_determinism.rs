@@ -17,12 +17,13 @@
 use graphite_algorithms::bfs::IcmBfs;
 use graphite_algorithms::td_paths::IcmEat;
 use graphite_algorithms::AlgLabels;
+use graphite_bsp::engine::BspConfig;
 use graphite_bsp::fault::FaultPlan;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::recover::RecoveryConfig;
 use graphite_bsp::trace::{TraceConfig, TraceEvent};
 use graphite_datagen::{generate, GenParams, LifespanModel, PropModel, Topology};
-use graphite_icm::engine::{try_run_icm, try_run_icm_recoverable, IcmConfig};
+use graphite_icm::engine::{run_icm, IcmConfig};
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
 use std::sync::Arc;
 
@@ -80,12 +81,14 @@ fn icm_cfg(trace: TraceConfig, perturb: Option<u64>) -> IcmConfig {
         workers: 4,
         combiner: true,
         suppression_threshold: Some(0.7),
-        max_supersteps: 10_000,
-        superstep_budget: None,
-        perturb_schedule: perturb,
-        trace,
-        fault_plan: None,
         partition: Default::default(),
+        recovery: None,
+        bsp: BspConfig {
+            max_supersteps: 10_000,
+            perturb_schedule: perturb,
+            trace,
+            ..Default::default()
+        },
     }
 }
 
@@ -97,7 +100,8 @@ fn bfs_run(
     let program = Arc::new(IcmBfs {
         source: source(graph),
     });
-    let r = try_run_icm(graph, program, &icm_cfg(trace, perturb)).expect("traced run must succeed");
+    let r =
+        run_icm(graph, program, &icm_cfg(trace, perturb), None).expect("traced run must succeed");
     (
         fnv1a(format!("{:?}", r.states).as_bytes()),
         counter_key(&r.metrics),
@@ -111,7 +115,7 @@ fn eat_run(graph: &Arc<TemporalGraph>, trace: TraceConfig) -> (u64, [u64; 8], Ru
         start: 0,
         labels: AlgLabels::resolve(graph),
     });
-    let r = try_run_icm(graph, program, &icm_cfg(trace, None)).expect("traced run must succeed");
+    let r = run_icm(graph, program, &icm_cfg(trace, None), None).expect("traced run must succeed");
     (
         fnv1a(format!("{:?}", r.states).as_bytes()),
         counter_key(&r.metrics),
@@ -216,9 +220,9 @@ fn recovery_markers_bracket_replayed_supersteps() {
     });
     let baseline = bfs_run(&graph, TraceConfig::off(), None);
     let mut cfg = icm_cfg(TraceConfig::counters(), None);
-    cfg.fault_plan = Some(FaultPlan::panic_at(1, 3));
-    let r = try_run_icm_recoverable(&graph, program, &cfg, &RecoveryConfig::every(2))
-        .expect("recoverable traced run must converge");
+    cfg.bsp.fault_plan = Some(FaultPlan::panic_at(1, 3));
+    cfg.recovery = Some(RecoveryConfig::every(2));
+    let r = run_icm(&graph, program, &cfg, None).expect("recoverable traced run must converge");
     assert_eq!(
         fnv1a(format!("{:?}", r.states).as_bytes()),
         baseline.0,

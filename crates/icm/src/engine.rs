@@ -22,16 +22,15 @@ use crate::program::{
 };
 use crate::state::{StateArena, StateUpdates};
 use crate::warp::WarpScratch;
-use graphite_bsp::aggregate::{Aggregators, MasterDecision};
+use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::{get_varint, put_varint, Wire};
-use graphite_bsp::engine::{run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
+use graphite_bsp::engine::{keep_alive, run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
-use graphite_bsp::fault::FaultPlan;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::PartitionMap;
-use graphite_bsp::recover::{run_bsp_recoverable, RecoveryConfig};
+use graphite_bsp::recover::{Recovery, RecoveryConfig};
 use graphite_bsp::snapshot::Snapshot;
-use graphite_bsp::trace::{TraceConfig, TraceSink};
+use graphite_bsp::trace::TraceSink;
 use graphite_bsp::MasterHook;
 use graphite_part::PartitionStrategy;
 use graphite_tgraph::graph::{TemporalGraph, VIdx, VertexId};
@@ -54,29 +53,23 @@ pub struct IcmConfig {
     /// per time-point (Sec. VI; paper default 70 %, ablated in Fig. 6(c)).
     /// `None` disables suppression.
     pub suppression_threshold: Option<f64>,
-    /// Safety cap on supersteps.
-    pub max_supersteps: u64,
-    /// Forwarded to [`BspConfig::superstep_budget`]: an optional per-query
-    /// execution budget below the safety cap, surfaced as
-    /// [`graphite_bsp::error::BspError::BudgetExceeded`] (serving-layer
-    /// fault domain, DESIGN.md §15).
-    pub superstep_budget: Option<u64>,
-    /// Forwarded to [`BspConfig::perturb_schedule`]: permute the BSP
-    /// scheduling freedoms with this seed (race-harness use; results must
-    /// not change).
-    pub perturb_schedule: Option<u64>,
-    /// Forwarded to [`BspConfig::trace`]: structured-trace recording
-    /// level. Off by default; results are bit-identical at every level.
-    pub trace: TraceConfig,
-    /// Forwarded to [`BspConfig::fault_plan`]: deterministic fault
-    /// injection (fault-tolerance harness use; recovered results must be
-    /// bit-identical to fault-free ones).
-    pub fault_plan: Option<FaultPlan>,
     /// Vertex-placement strategy (see `graphite-part`, DESIGN.md §13).
     /// Results are placement-invariant — strategies only move work and
     /// message traffic between workers. Default: hash, the paper's
     /// (Sec. VII-A4).
     pub partition: PartitionStrategy,
+    /// When set, the run checkpoints on this schedule and recoverable
+    /// faults — injected via [`BspConfig::fault_plan`], or real worker
+    /// panics — roll it back to the last checkpoint and replay instead of
+    /// failing it. Recovered results are bit-identical to fault-free ones
+    /// (pinned by the fault-matrix digests); only the
+    /// [`RunMetrics::recovery`] counters — which never enter digests —
+    /// reveal that recovery happened. `None` (the default) fails at the
+    /// first fault.
+    pub recovery: Option<RecoveryConfig>,
+    /// The substrate's own options — superstep cap and budget, schedule
+    /// perturbation, fault injection, tracing — passed through unchanged.
+    pub bsp: BspConfig,
 }
 
 impl Default for IcmConfig {
@@ -85,12 +78,9 @@ impl Default for IcmConfig {
             workers: 4,
             combiner: true,
             suppression_threshold: Some(0.7),
-            max_supersteps: 100_000,
-            superstep_budget: None,
-            perturb_schedule: None,
-            trace: TraceConfig::default(),
-            fault_plan: None,
             partition: PartitionStrategy::default(),
+            recovery: None,
+            bsp: BspConfig::default(),
         }
     }
 }
@@ -518,17 +508,13 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
     }
 }
 
-/// Checkpointing for ICM workers (available when the program's state is
-/// wire-encodable): the per-vertex interval partitions are the complete
-/// user state — `scratch` and `emitted` are ephemeral, scatter segments
+/// Checkpointing for ICM workers: the per-vertex interval partitions are
+/// the complete user state — `scratch` and `emitted` are ephemeral, scatter segments
 /// live precomputed in the frozen graph, and the config fields never
 /// change mid-run. The arena iterates in ascending vertex-id order, so
 /// the encoding is byte-identical to the ordered-map representation it
 /// replaced (and stable across checkpoint/restore cycles).
-impl<P: IntervalProgram> Snapshot for IcmWorker<P>
-where
-    P::State: Wire,
-{
+impl<P: IntervalProgram> Snapshot for IcmWorker<P> {
     fn checkpoint(&self, buf: &mut Vec<u8>) {
         put_varint(self.states.len() as u64, buf);
         for (v, partition) in self.states.iter() {
@@ -579,105 +565,39 @@ where
     }
 }
 
-/// Runs `program` over `graph` with `config`, returning final states and
-/// metrics. Deterministic for a fixed worker count.
+/// Runs `program` over `graph` with `config` — the one way to start an
+/// interval-centric run — returning final states and metrics.
+/// Deterministic for a fixed worker count.
 ///
 /// The graph is *borrowed*: the engine clones the `Arc` per worker, so a
 /// resident process (the serving layer, a bench loop) can execute many
 /// runs against one loaded graph without ever giving up its handle.
 ///
-/// # Panics
+/// `master` is the optional MasterCompute hook, evaluated at every barrier
+/// (Sec. IV-A2); it composes with [`IcmConfig::recovery`] — after a
+/// rollback it is consulted again for the replayed supersteps.
 ///
-/// Panics when the run fails (a worker thread panicked or the wire codec
-/// rejected a batch); use [`try_run_icm`] to handle those as errors.
+/// # Errors
+///
+/// Poisoned workers, codec corruption, a spent superstep cap or budget,
+/// an unusable worker count or recovery schedule, an exhausted retry
+/// budget ([`BspError::RecoveryExhausted`]): see [`BspError`].
 pub fn run_icm<P: IntervalProgram>(
     graph: &Arc<TemporalGraph>,
     program: Arc<P>,
     config: &IcmConfig,
-) -> IcmResult<P::State> {
-    // lint:allow(no-unwrap) — documented panicking convenience wrapper.
-    try_run_icm(graph, program, config).unwrap_or_else(|e| panic!("ICM run failed: {e}"))
-}
-
-/// [`run_icm`] with a MasterCompute hook evaluated at every barrier.
-///
-/// # Panics
-///
-/// Panics when the run fails; use [`try_run_icm_with_master`] to handle
-/// failures as errors.
-pub fn run_icm_with_master<P: IntervalProgram>(
-    graph: &Arc<TemporalGraph>,
-    program: Arc<P>,
-    config: &IcmConfig,
-    master: Option<MasterHook<'_>>,
-) -> IcmResult<P::State> {
-    // lint:allow(no-unwrap) — documented panicking convenience wrapper.
-    try_run_icm_with_master(graph, program, config, master)
-        .unwrap_or_else(|e| panic!("ICM run failed: {e}"))
-}
-
-/// Fallible [`run_icm`]: surfaces poisoned workers and codec corruption as
-/// [`BspError`] instead of panicking.
-///
-/// # Errors
-///
-/// See [`BspError`].
-pub fn try_run_icm<P: IntervalProgram>(
-    graph: &Arc<TemporalGraph>,
-    program: Arc<P>,
-    config: &IcmConfig,
-) -> Result<IcmResult<P::State>, BspError> {
-    try_run_icm_with_master(graph, program, config, None)
-}
-
-/// Fallible [`run_icm_with_master`].
-///
-/// # Errors
-///
-/// See [`BspError`].
-pub fn try_run_icm_with_master<P: IntervalProgram>(
-    graph: &Arc<TemporalGraph>,
-    program: Arc<P>,
-    config: &IcmConfig,
     master: Option<MasterHook<'_>>,
 ) -> Result<IcmResult<P::State>, BspError> {
+    let recovery = config.recovery.as_ref().map(Recovery::new).transpose()?;
     let partition = Arc::new(config.partition.build(graph, config.workers)?);
     let workers = build_workers(graph, &program, config, &partition);
-    let bsp = bsp_config(config);
-    let mut wrapper = keepalive_master(Arc::clone(&program), master);
-    let (workers, metrics) = run_bsp(&bsp, workers, partition, Some(&mut wrapper))?;
-    Ok(collect_result(workers, metrics))
-}
-
-/// Fault-tolerant [`try_run_icm`]: runs over the checkpoint/rollback
-/// driver ([`run_bsp_recoverable`]), so faults injected via
-/// [`IcmConfig::fault_plan`] — or real worker panics — roll the run back
-/// to the last checkpoint and replay instead of failing it. Requires the
-/// program state to be wire-encodable.
-///
-/// Recovered results are bit-identical to fault-free ones (pinned by the
-/// fault-matrix digests); only the [`RunMetrics::recovery`] counters —
-/// which never enter digests — reveal that recovery happened.
-///
-/// # Errors
-///
-/// See [`BspError`]; exhausting the retry budget is
-/// [`BspError::RecoveryExhausted`].
-pub fn try_run_icm_recoverable<P: IntervalProgram>(
-    graph: &Arc<TemporalGraph>,
-    program: Arc<P>,
-    config: &IcmConfig,
-    recovery: &RecoveryConfig,
-) -> Result<IcmResult<P::State>, BspError>
-where
-    P::State: Wire,
-{
-    let partition = Arc::new(config.partition.build(graph, config.workers)?);
-    let workers = build_workers(graph, &program, config, &partition);
-    let bsp = bsp_config(config);
-    let mut wrapper = keepalive_master(Arc::clone(&program), None);
-    let (workers, metrics) =
-        run_bsp_recoverable(&bsp, recovery, workers, partition, Some(&mut wrapper))?;
+    // Programs requesting an all-active next superstep keep the run alive
+    // through idle (message-free) barriers.
+    let mut master = keep_alive(
+        move |step, globals| program.all_active(step, globals),
+        master,
+    );
+    let (workers, metrics) = run_bsp(&config.bsp, recovery, workers, partition, Some(&mut master))?;
     Ok(collect_result(workers, metrics))
 }
 
@@ -705,36 +625,6 @@ fn build_workers<P: IntervalProgram>(
             }
         })
         .collect()
-}
-
-/// The ICM-level config lowered onto the BSP substrate.
-fn bsp_config(config: &IcmConfig) -> BspConfig {
-    BspConfig {
-        max_supersteps: config.max_supersteps,
-        superstep_budget: config.superstep_budget,
-        perturb_schedule: config.perturb_schedule,
-        trace: config.trace,
-        fault_plan: config.fault_plan.clone(),
-    }
-}
-
-/// Wraps the user master hook so that programs requesting an all-active
-/// next superstep keep the run alive through idle (message-free) barriers.
-fn keepalive_master<'a, P: IntervalProgram>(
-    program: Arc<P>,
-    mut user_master: Option<MasterHook<'a>>,
-) -> impl FnMut(u64, &Aggregators) -> MasterDecision + 'a {
-    move |step: u64, globals: &Aggregators| {
-        let user = match user_master.as_mut() {
-            Some(hook) => hook(step, globals),
-            None => MasterDecision::Continue,
-        };
-        if user == MasterDecision::Continue && program.all_active(step + 1, globals) {
-            MasterDecision::ForceContinue
-        } else {
-            user
-        }
-    }
 }
 
 /// Coalesces the per-worker partitions into the externally-keyed result.

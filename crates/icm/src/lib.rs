@@ -43,7 +43,7 @@
 //!     tt: g.label("travel-time").unwrap(),
 //!     tc: g.label("travel-cost").unwrap(),
 //! });
-//! let result = run_icm(&g, prog, &IcmConfig::default());
+//! let result = run_icm(&g, prog, &IcmConfig::default(), None).expect("ICM run");
 //! assert_eq!(result.state_at(transit_ids::E, 10), Some(&5));
 //! ```
 
@@ -55,20 +55,14 @@ pub mod program;
 pub mod state;
 pub mod warp;
 
-pub use engine::{
-    run_icm, run_icm_with_master, try_run_icm, try_run_icm_recoverable, try_run_icm_with_master,
-    IcmConfig, IcmResult,
-};
+pub use engine::{run_icm, IcmConfig, IcmResult};
 pub use graphite_part::PartitionStrategy;
 pub use program::{ComputeContext, EdgeDirection, IntervalProgram, ScatterContext, VertexContext};
 pub use warp::{time_join, time_warp, time_warp_spans, warp_view, JoinTuple, WarpTuple};
 
 /// The common imports: `use graphite_icm::prelude::*;`.
 pub mod prelude {
-    pub use crate::engine::{
-        run_icm, run_icm_with_master, try_run_icm, try_run_icm_recoverable,
-        try_run_icm_with_master, IcmConfig, IcmResult,
-    };
+    pub use crate::engine::{run_icm, IcmConfig, IcmResult};
     pub use crate::program::{
         ComputeContext, EdgeDirection, IntervalProgram, ScatterContext, VertexContext,
     };
@@ -128,14 +122,18 @@ mod engine_tests {
         }
     }
 
-    fn run(config: &IcmConfig) -> IcmResult<i64> {
+    fn try_run(config: &IcmConfig) -> Result<IcmResult<i64>, graphite_bsp::BspError> {
         let g = Arc::new(transit_graph());
         let prog = Arc::new(Sssp {
             source: transit_ids::A,
             tt: g.label("travel-time").unwrap(),
             tc: g.label("travel-cost").unwrap(),
         });
-        run_icm(&g, prog, config)
+        run_icm(&g, prog, config, None)
+    }
+
+    fn run(config: &IcmConfig) -> IcmResult<i64> {
+        try_run(config).expect("ICM run")
     }
 
     fn expected_states() -> Vec<(VertexId, Vec<(Interval, i64)>)> {
@@ -244,6 +242,16 @@ mod engine_tests {
             ..Default::default()
         });
         assert_eq!(with.states, without.states);
+    }
+
+    #[test]
+    fn zero_checkpoint_interval_is_rejected() {
+        let err = try_run(&IcmConfig {
+            recovery: Some(graphite_bsp::RecoveryConfig::every(0)),
+            ..Default::default()
+        })
+        .expect_err("a recovery schedule that never checkpoints");
+        assert!(matches!(err, graphite_bsp::BspError::Checkpoint { .. }));
     }
 
     #[test]

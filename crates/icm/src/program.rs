@@ -38,8 +38,9 @@ pub enum EdgeDirection {
 /// messages. An optional associative `combine` enables the inline warp
 /// combiner (Sec. VI).
 pub trait IntervalProgram: Send + Sync + 'static {
-    /// Per-interval vertex state.
-    type State: Clone + PartialEq + Send + Sync + 'static;
+    /// Per-interval vertex state; wire-encodable, so every run can be
+    /// checkpointed (`IcmConfig::recovery`).
+    type State: Wire + PartialEq;
     /// Message payload (the engine pairs it with an interval on the wire).
     type Msg: Wire;
 

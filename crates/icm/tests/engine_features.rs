@@ -51,7 +51,7 @@ impl IntervalProgram for Prepartitioned {
 #[test]
 fn prepartition_splits_initial_state_and_compute_calls() {
     let g = Arc::new(line(3, 8));
-    let r = run_icm(&g, Arc::new(Prepartitioned), &IcmConfig::default());
+    let r = run_icm(&g, Arc::new(Prepartitioned), &IcmConfig::default(), None).expect("ICM run");
     // Lifespan [0,8) split at 2 and 5: superstep-1 computes saw entries of
     // lengths 2, 3 and 3; result extraction coalesces the two adjacent
     // equal values into [2,8) -> 3.
@@ -115,7 +115,9 @@ fn direct_sends_bypass_scatter_and_respect_intervals() {
             workers: 2,
             ..Default::default()
         },
-    );
+        None,
+    )
+    .expect("ICM run");
     // The token was injected over [2,6) and hops stay within it.
     let v3 = &r.states[&VertexId(3)];
     assert_eq!(r.state_at(VertexId(3), 3), Some(&3));
@@ -171,7 +173,7 @@ impl IntervalProgram for BothFlood {
 #[test]
 fn both_direction_reaches_ancestors_and_descendants() {
     let g = Arc::new(line(5, 4));
-    let r = run_icm(&g, Arc::new(BothFlood), &IcmConfig::default());
+    let r = run_icm(&g, Arc::new(BothFlood), &IcmConfig::default(), None).expect("ICM run");
     for v in 0..5 {
         assert_eq!(r.state_at(VertexId(v), 0), Some(&true), "vertex {v}");
     }
@@ -211,7 +213,7 @@ fn all_active_supersteps_compute_without_messages() {
         per_step.push(globals.get_sum_u64("calls").unwrap_or(0));
         graphite_bsp::MasterDecision::Continue
     };
-    let r = run_icm_with_master(
+    let r = run_icm(
         &g,
         Arc::new(CountAllActive),
         &IcmConfig {
@@ -219,7 +221,8 @@ fn all_active_supersteps_compute_without_messages() {
             ..Default::default()
         },
         Some(&mut hook),
-    );
+    )
+    .expect("ICM run");
     // Steps 1..=3 each run compute on all 4 vertices despite zero
     // messages in flight at any point.
     assert_eq!(r.metrics.counters.messages_sent, 0);
@@ -268,7 +271,9 @@ fn non_combinable_messages_arrive_individually() {
             combiner: true,
             ..Default::default()
         },
-    );
+        None,
+    )
+    .expect("ICM run");
     // Vertex 1 received both copies despite the combiner being enabled
     // (the program declines to combine).
     assert_eq!(r.state_at(VertexId(1), 0), Some(&2));

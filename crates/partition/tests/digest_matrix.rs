@@ -20,14 +20,14 @@
 use graphite_algorithms::bfs::{IcmBfs, VcmBfs};
 use graphite_algorithms::td_paths::IcmEat;
 use graphite_algorithms::AlgLabels;
-use graphite_baselines::vcm::{try_run_vcm, try_run_vcm_recoverable, VcmConfig};
+use graphite_baselines::vcm::{run_vcm, VcmConfig};
 use graphite_baselines::{EdgeWeights, SnapshotTopology};
+use graphite_bsp::engine::BspConfig;
 use graphite_bsp::fault::FaultPlan;
 use graphite_bsp::metrics::RunMetrics;
 use graphite_bsp::recover::RecoveryConfig;
-use graphite_bsp::trace::TraceConfig;
 use graphite_datagen::{generate, GenParams, LifespanModel, PropModel, Topology};
-use graphite_icm::engine::{try_run_icm, try_run_icm_recoverable, IcmConfig};
+use graphite_icm::engine::{run_icm, IcmConfig};
 use graphite_part::PartitionStrategy;
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
 use std::sync::Arc;
@@ -123,25 +123,25 @@ fn icm_cfg(strategy: PartitionStrategy, workers: usize) -> IcmConfig {
         workers,
         combiner: true,
         suppression_threshold: Some(0.7),
-        max_supersteps: 10_000,
-        superstep_budget: None,
-        perturb_schedule: None,
-        trace: TraceConfig::default(),
-        fault_plan: None,
         partition: strategy,
+        recovery: None,
+        bsp: BspConfig {
+            max_supersteps: 10_000,
+            ..Default::default()
+        },
     }
 }
 
 fn vcm_cfg(strategy: PartitionStrategy, workers: usize) -> VcmConfig {
     VcmConfig {
         workers,
-        max_supersteps: 10_000,
-        superstep_budget: None,
         need_in_edges: false,
-        perturb_schedule: None,
-        trace: TraceConfig::default(),
-        fault_plan: None,
         partition: strategy,
+        recovery: None,
+        bsp: BspConfig {
+            max_supersteps: 10_000,
+            ..Default::default()
+        },
     }
 }
 
@@ -153,7 +153,7 @@ fn icm_fingerprint<P>(
 where
     P: graphite_icm::program::IntervalProgram<State = i64>,
 {
-    let r = try_run_icm(graph, Arc::clone(program), cfg).expect("matrix run must succeed");
+    let r = run_icm(graph, Arc::clone(program), cfg, None).expect("matrix run must succeed");
     (
         fnv1a(format!("{:?}", r.states).as_bytes()),
         inv_counters(&r.metrics),
@@ -246,7 +246,7 @@ fn vcm_digests_are_placement_invariant() {
         let program = Arc::new(VcmBfs {
             source: source(&graph),
         });
-        let base = try_run_vcm(
+        let base = run_vcm(
             &topo,
             Arc::clone(&program),
             &vcm_cfg(PartitionStrategy::Hash, 4),
@@ -255,7 +255,7 @@ fn vcm_digests_are_placement_invariant() {
         let baseline = (vcm_digest(base.states), inv_counters(&base.metrics));
         for strategy in PartitionStrategy::ALL {
             for workers in WORKER_COUNTS {
-                let r = try_run_vcm(
+                let r = run_vcm(
                     &topo,
                     Arc::clone(&program),
                     &vcm_cfg(strategy.clone(), workers),
@@ -284,10 +284,8 @@ fn strategies_compose_with_schedule_perturbation() {
     let baseline = icm_fingerprint(&graph, &bfs, &icm_cfg(PartitionStrategy::Hash, 4));
     for strategy in PartitionStrategy::ALL {
         for seed in [1u64, 0xDEAD_BEEF] {
-            let cfg = IcmConfig {
-                perturb_schedule: Some(seed),
-                ..icm_cfg(strategy.clone(), 4)
-            };
+            let mut cfg = icm_cfg(strategy.clone(), 4);
+            cfg.bsp.perturb_schedule = Some(seed);
             let got = icm_fingerprint(&graph, &bfs, &cfg);
             assert_eq!(
                 got,
@@ -312,17 +310,11 @@ fn faulted_runs_under_alternative_strategies_recover_to_clean_hash_digest() {
         let clean_hash = icm_fingerprint(&graph, &bfs, &icm_cfg(PartitionStrategy::Hash, 4));
         for strategy in [PartitionStrategy::Ldg, PartitionStrategy::TemporalBalance] {
             for step in [2u64, 3] {
-                let cfg = IcmConfig {
-                    fault_plan: Some(FaultPlan::panic_at(1, step)),
-                    ..icm_cfg(strategy.clone(), 4)
-                };
-                let r = try_run_icm_recoverable(
-                    &graph,
-                    Arc::clone(&bfs),
-                    &cfg,
-                    &RecoveryConfig::every(2),
-                )
-                .expect("recoverable run must converge");
+                let mut cfg = icm_cfg(strategy.clone(), 4);
+                cfg.bsp.fault_plan = Some(FaultPlan::panic_at(1, step));
+                cfg.recovery = Some(RecoveryConfig::every(2));
+                let r = run_icm(&graph, Arc::clone(&bfs), &cfg, None)
+                    .expect("recoverable run must converge");
                 assert_eq!(
                     (
                         fnv1a(format!("{:?}", r.states).as_bytes()),
@@ -395,19 +387,17 @@ fn faulted_vcm_runs_under_temporal_balance_recover_to_clean_hash_digest() {
     let program = Arc::new(VcmBfs {
         source: source(&graph),
     });
-    let clean = try_run_vcm(
+    let clean = run_vcm(
         &topo,
         Arc::clone(&program),
         &vcm_cfg(PartitionStrategy::Hash, 4),
     )
     .expect("clean VCM run must succeed");
     let baseline = (vcm_digest(clean.states), inv_counters(&clean.metrics));
-    let cfg = VcmConfig {
-        fault_plan: Some(FaultPlan::panic_at(1, 2)),
-        ..vcm_cfg(PartitionStrategy::TemporalBalance, 4)
-    };
-    let r = try_run_vcm_recoverable(&topo, Arc::clone(&program), &cfg, &RecoveryConfig::every(2))
-        .expect("recoverable VCM run must converge");
+    let mut cfg = vcm_cfg(PartitionStrategy::TemporalBalance, 4);
+    cfg.bsp.fault_plan = Some(FaultPlan::panic_at(1, 2));
+    cfg.recovery = Some(RecoveryConfig::every(2));
+    let r = run_vcm(&topo, Arc::clone(&program), &cfg).expect("recoverable VCM run must converge");
     assert_eq!(
         (vcm_digest(r.states), inv_counters(&r.metrics)),
         baseline,

@@ -1,8 +1,9 @@
 //! The serving-layer fault domain: quarantine, retry escalation, and health.
 //!
 //! The BSP layer already recovers *within* one run — checkpoint, roll
-//! back, replay (`run_bsp_recoverable`). This module is the layer above:
-//! what the resident engine does when a whole run comes back failed.
+//! back, replay (a `Recovery` session on `run_bsp`'s loop). This module is
+//! the layer above: what the resident engine does when a whole run comes
+//! back failed.
 //! Two mechanisms, both deterministic (DESIGN.md §15):
 //!
 //! 1. **Quarantine** ([`QuarantineTable`]): queries that terminally fail

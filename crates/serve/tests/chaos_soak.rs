@@ -367,8 +367,10 @@ fn quarantine_decay_releases_after_engine_successes() {
             .expect("clean query succeeds");
         match engine.submit(poison.clone()) {
             Ok(ticket) => {
-                // Admitted again: the key was released at this instant.
-                assert_eq!(engine.health().quarantined_now, 0);
+                // Admitted again: the ticket itself is the proof of
+                // release. (Reading `health()` here would race the
+                // executor, which may already have failed the poison and
+                // re-quarantined the key.)
                 ticket.wait().expect_err("still poison");
                 released = true;
                 break;

@@ -20,7 +20,7 @@
 use crate::resume::{dirty_vertices_with, PrevStates, Resumed};
 use graphite_algorithms::catalog::{visit_icm, Algo, IcmParams, IcmVisitor};
 use graphite_algorithms::common::digest_interval_states;
-use graphite_bsp::codec::Wire;
+use graphite_bsp::engine::BspConfig;
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::UserCounters;
 use graphite_bsp::trace::{RunTrace, TraceConfig, TraceEvent, TraceSink};
@@ -297,8 +297,11 @@ impl StreamEngine {
     fn icm_config(&self) -> IcmConfig {
         IcmConfig {
             workers: self.cfg.workers,
-            perturb_schedule: self.cfg.perturb_schedule,
             partition: self.cfg.partition.clone(),
+            bsp: BspConfig {
+                perturb_schedule: self.cfg.perturb_schedule,
+                ..Default::default()
+            },
             ..Default::default()
         }
     }
@@ -457,14 +460,13 @@ impl IcmVisitor for Maintain<'_> {
     fn visit<P>(self, program: P, encode: Option<fn(&P::State) -> u64>) -> Self::Out
     where
         P: IntervalProgram,
-        P::State: Wire,
     {
         let Maintain { graph, cfg, .. } = self;
         let encode = encode.expect("every streamed algorithm has a result digest");
         let r = match self.start {
-            Start::Initial => try_run_icm(graph, Arc::new(program), cfg),
+            Start::Initial => run_icm(graph, Arc::new(program), cfg, None),
             Start::FullCheck(sink) => sink.timed("stream_full_check_ns", || {
-                try_run_icm(graph, Arc::new(program), cfg)
+                run_icm(graph, Arc::new(program), cfg, None)
             }),
             Start::Warm { sink, prev, dirty } => {
                 let prev = prev
@@ -472,7 +474,7 @@ impl IcmVisitor for Maintain<'_> {
                     .expect("a slot carries the states of its own algorithm");
                 let resumed = Resumed::new(program, Arc::clone(prev), Arc::clone(dirty));
                 sink.timed("stream_incremental_ns", || {
-                    try_run_icm(graph, Arc::new(resumed), cfg)
+                    run_icm(graph, Arc::new(resumed), cfg, None)
                 })
             }
         }?;

@@ -115,7 +115,7 @@ fn main() {
         seeds: vec![transit_ids::A, transit_ids::C],
         k: 2,
     });
-    let result = run_icm(&graph, program, &IcmConfig::default());
+    let result = run_icm(&graph, program, &IcmConfig::default(), None).expect("ICM run");
 
     println!("2-hop influence from seeds {{A, C}} over the transit network:\n");
     for (vid, states) in &result.states {

@@ -32,7 +32,7 @@ fn main() {
         source: transit_ids::A,
         labels,
     });
-    let result = run_icm(&graph, program, &IcmConfig::default());
+    let result = run_icm(&graph, program, &IcmConfig::default(), None).expect("ICM run");
 
     println!("\nlowest travel cost from A, per interval of arrival:");
     for (vid, states) in &result.states {

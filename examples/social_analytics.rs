@@ -34,7 +34,7 @@ fn main() {
 
     // 1. Community structure over time: one WCC pass covers all 121
     //    snapshots; count components and the giant component per epoch.
-    let wcc = run_icm(&graph, Arc::new(IcmWcc), &config);
+    let wcc = run_icm(&graph, Arc::new(IcmWcc), &config, None).expect("ICM run");
     println!("\ncomponents over time (sampled epochs):");
     for (t, count, giant) in component_evolution(&graph, &wcc, window)
         .into_iter()
@@ -45,7 +45,7 @@ fn main() {
 
     // 2. Influence: PageRank per snapshot, in one pass. Report the top
     //    user at two distant epochs.
-    let pr = run_icm(&graph, Arc::new(IcmPageRank::default()), &config);
+    let pr = run_icm(&graph, Arc::new(IcmPageRank::default()), &config, None).expect("ICM run");
     for t in [window.start(), window.end() - 1] {
         let top = pr
             .states
@@ -64,7 +64,7 @@ fn main() {
 
     // 3. Triangle closure: concurrent directed triangles per epoch from a
     //    single interval-centric TC pass.
-    let tc = run_icm(&graph, Arc::new(IcmTc), &config);
+    let tc = run_icm(&graph, Arc::new(IcmTc), &config, None).expect("ICM run");
     let counts: Vec<u64> = (window.start()..window.end())
         .map(|t| triangles_at(&tc, t))
         .collect();

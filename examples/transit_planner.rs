@@ -44,7 +44,9 @@ fn main() {
             labels,
         }),
         &config,
-    );
+        None,
+    )
+    .expect("ICM run");
     println!("\ncheapest journeys {origin:?} -> {destination:?} by arrival window:");
     for (iv, cost) in sssp.states[&destination]
         .iter()
@@ -63,7 +65,9 @@ fn main() {
             labels,
         }),
         &config,
-    );
+        None,
+    )
+    .expect("ICM run");
     match IcmEat::earliest(&eat, destination) {
         Some(t) => println!("\nearliest arrival leaving at tick 0: tick {t}"),
         None => println!("\ndestination unreachable from tick 0"),
@@ -77,7 +81,9 @@ fn main() {
             labels,
         }),
         &config,
-    );
+        None,
+    )
+    .expect("ICM run");
     match IcmFast::fastest(&fast, destination) {
         Some(d) => println!("fastest possible duration (any departure): {d} ticks"),
         None => println!("no time-respecting journey exists"),
@@ -94,7 +100,9 @@ fn main() {
             labels,
         }),
         &config,
-    );
+        None,
+    )
+    .expect("ICM run");
     match IcmLd::latest(&ld, origin) {
         Some(t) => {
             println!("latest departure from {origin:?} to arrive by tick {deadline}: tick {t}")

@@ -28,7 +28,7 @@
 //! let graph = Arc::new(transit_graph());
 //! let labels = AlgLabels::resolve(&graph);
 //! let program = Arc::new(IcmSssp { source: transit_ids::A, labels });
-//! let result = run_icm(&graph, program, &IcmConfig::default());
+//! let result = run_icm(&graph, program, &IcmConfig::default(), None).expect("ICM run");
 //! assert_eq!(result.state_at(transit_ids::E, 10), Some(&5));
 //! ```
 

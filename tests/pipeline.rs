@@ -51,8 +51,8 @@ fn malformed_files_fail_loudly() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A panicking user program takes the whole run down with a diagnosable
-/// message instead of deadlocking the barrier.
+/// A panicking user program fails the whole run with a diagnosable typed
+/// error instead of deadlocking the barrier.
 #[test]
 fn worker_panics_propagate() {
     use graphite::icm::prelude::*;
@@ -76,12 +76,12 @@ fn worker_panics_propagate() {
         }
     }
 
-    let result = std::panic::catch_unwind(|| {
-        run_icm(
-            &Arc::new(transit_graph()),
-            Arc::new(Bomb),
-            &IcmConfig::default(),
-        )
-    });
-    assert!(result.is_err(), "panic must propagate to the caller");
+    let err = run_icm(
+        &Arc::new(transit_graph()),
+        Arc::new(Bomb),
+        &IcmConfig::default(),
+        None,
+    )
+    .expect_err("a panicking program must not produce a result");
+    assert!(err.to_string().contains("user logic exploded"), "{err}");
 }
