@@ -16,22 +16,21 @@
 //! | `no-unwrap` | `bsp`/`icm` src | `.unwrap()` / `.expect(` in engine code |
 //! | `hash-iteration` | `bsp`/`icm` src | iteration over `HashMap`/`HashSet` values |
 //! | `no-raw-interval` | everywhere but `tgraph::time` | raw `Interval { .. }` literals |
-//! | `wall-clock` | everywhere but `bsp::metrics`, `bsp::trace`, `bench::timing` | `Instant::now()` / `SystemTime::now()` / `std::time` clock imports |
+//! | `wall-clock` | everywhere but `bsp::metrics`, `bsp::trace` | `Instant::now()` / `SystemTime::now()` / `std::time` clock imports |
 //! | `fault-isolation` | `bsp`/`icm` src, *including* test code | `cfg`-gated fault-injection hooks |
 //! | `worker-assignment` | everywhere but `graphite-part`, `bsp::partition` | ad-hoc `% workers` placement arithmetic |
 //! | `allow-without-reason` | everywhere, including test code | `lint:allow` escapes with no justification or an unknown rule name |
 //! | `determinism-flow` | everywhere | nondeterministic sources (floats, hash containers, pointer addresses) in a fn that feeds an order-sensitive sink (digest, outbox, codec, trace) |
-//! | `schema-drift` | cross-file | `graphite-trace/1` / `BENCH_*.json` keys written-never-read or read-never-written |
+//! | `schema-drift` | cross-file | `graphite-trace/1` event fields and `extras` keys written-never-read or read-never-written |
 //!
 //! A violation line (or the contiguous comment block directly above it)
 //! may carry `lint:allow(<rule>) — <reason>` to opt out; the reason is
 //! mandatory (`allow-without-reason` fires on bare escapes).
 //!
 //! The `graphite-analyze` binary scans `src/` plus every
-//! `crates/*/src/` (and `crates/*/benches/` for the schema pass) with
-//! the per-path scoping above; explicit path arguments are scanned with
-//! **all** rules active. Exit status: 0 clean, 1 deny-severity
-//! violations, 2 on I/O errors.
+//! `crates/*/src/` with the per-path scoping above; explicit path
+//! arguments are scanned with **all** rules active. Exit status: 0 clean,
+//! 1 deny-severity violations, 2 on I/O errors.
 
 pub mod flow;
 pub mod lexer;
@@ -69,13 +68,12 @@ pub fn rules_for(path: &Path) -> Vec<Rule> {
     if !p.ends_with("crates/tgraph/src/time.rs") {
         rules.push(Rule::NoRawInterval);
     }
-    // Timing is confined to three blessed modules: bsp::metrics (the one
-    // sanctioned clock read, marked with its own lint:allow), bsp::trace
-    // (the span sink that consumes it), and bench::timing (the bench
-    // harness built on it). Everything else is scanned.
-    let timing_module = p.ends_with("crates/bsp/src/metrics.rs")
-        || p.ends_with("crates/bsp/src/trace.rs")
-        || p.ends_with("crates/bench/src/timing.rs");
+    // Timing is confined to two blessed modules: bsp::metrics (the one
+    // sanctioned clock read, marked with its own lint:allow) and
+    // bsp::trace (the span sink that consumes it). Everything else is
+    // scanned.
+    let timing_module =
+        p.ends_with("crates/bsp/src/metrics.rs") || p.ends_with("crates/bsp/src/trace.rs");
     if !timing_module {
         rules.push(Rule::WallClock);
     }
@@ -95,17 +93,13 @@ pub fn rules_for(path: &Path) -> Vec<Rule> {
 }
 
 /// Collects the workspace file set rooted at `root`: `src/` and every
-/// `crates/*/src/` with [`rules_for`] scoping, plus `crates/*/benches/`
-/// with only the schema pass active (bench targets produce schema keys
-/// but are not engine code).
+/// `crates/*/src/` with [`rules_for`] scoping.
 pub fn workspace_files(root: &Path) -> Vec<FileJob> {
     let mut files = Vec::new();
     let mut src_roots = vec![root.join("src")];
-    let mut bench_roots = Vec::new();
     if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
         for e in entries.flatten() {
             src_roots.push(e.path().join("src"));
-            bench_roots.push(e.path().join("benches"));
         }
     }
     for dir in src_roots {
@@ -115,9 +109,6 @@ pub fn workspace_files(root: &Path) -> Vec<FileJob> {
                 files.push((p, rules));
             }
         });
-    }
-    for dir in bench_roots {
-        collect_rs_files(&dir, &mut |p| files.push((p, vec![Rule::SchemaDrift])));
     }
     files.sort();
     files
@@ -214,11 +205,7 @@ mod tests {
         let time = Path::new("crates/tgraph/src/time.rs");
         assert!(!rules_for(time).contains(&Rule::NoRawInterval));
 
-        for blessed in [
-            "crates/bsp/src/metrics.rs",
-            "crates/bsp/src/trace.rs",
-            "crates/bench/src/timing.rs",
-        ] {
+        for blessed in ["crates/bsp/src/metrics.rs", "crates/bsp/src/trace.rs"] {
             assert!(
                 !rules_for(Path::new(blessed)).contains(&Rule::WallClock),
                 "{blessed}"
@@ -234,7 +221,7 @@ mod tests {
             );
         }
         // The new rules apply everywhere.
-        let bench = Path::new("crates/bench/src/record.rs");
+        let bench = Path::new("crates/bench/src/tracefmt.rs");
         let r = rules_for(bench);
         assert!(r.contains(&Rule::AllowWithoutReason));
         assert!(r.contains(&Rule::DeterminismFlow));

@@ -4,10 +4,10 @@
 //! graphite-analyze [PATHS...] [--format text|json] [--warn RULE] [--deny RULE]
 //! ```
 //!
-//! With no paths, scans the workspace (`src/` + `crates/*/src/`, plus
-//! `crates/*/benches/` for the schema pass) with per-path rule scoping;
-//! explicit paths are scanned with every rule active. Exit status:
-//! 0 clean, 1 deny-severity violations found, 2 I/O errors.
+//! With no paths, scans the workspace (`src/` + `crates/*/src/`) with
+//! per-path rule scoping; explicit paths are scanned with every rule
+//! active. Exit status: 0 clean, 1 deny-severity violations found,
+//! 2 I/O errors.
 //!
 //! The rule catalogue and the lexer → scope model → rules → flow passes
 //! pipeline are documented on the [`graphite_analyze`] library crate.

@@ -27,7 +27,7 @@ pub enum Rule {
     /// sink (digest, outbox, codec emission, trace sink).
     DeterminismFlow,
     /// Producer/consumer schema key sets (`graphite-trace/1` extras and
-    /// event fields, `BENCH_*.json` fields) must stay in sync.
+    /// event fields) must stay in sync.
     SchemaDrift,
 }
 
@@ -98,7 +98,7 @@ impl Rule {
             }
             Rule::SchemaDrift => {
                 "schema key drift between producer and consumer \
-                 (graphite-trace/1 extras, trace event fields, BENCH_*.json)"
+                 (graphite-trace/1 extras, trace event fields)"
             }
         }
     }

@@ -1,17 +1,16 @@
 //! The schema-drift pass: cross-checks producer and consumer key sets.
 //!
-//! The repo ships two machine-readable formats whose producers and
-//! consumers live in different crates, with nothing but convention
-//! keeping them aligned:
+//! The repo ships one machine-readable format, **`graphite-trace/1`**,
+//! whose producers and consumers live in different crates with nothing
+//! but convention keeping them aligned. It has two key spaces, one pass
+//! each:
 //!
-//! * **`graphite-trace/1`** — `bsp::trace` writes the JSONL event
-//!   fields; `TraceSink::add`/`timed` callers (the ICM warp extras in
-//!   `icm::engine`, the serving-layer health extras in
-//!   `serve::faultdom`) write the per-step `extras` keys;
-//!   `bench::tracefmt` parses both.
-//! * **`BENCH_*.json`** — `bench::Recorder` (and the partition bench's
-//!   extra counters) write result/counter fields; `bench_validate` and
-//!   the `Recorder` baseline loader read them.
+//! * **event fields** — `bsp::trace` writes the JSONL event lines;
+//!   `bench::tracefmt` parses them.
+//! * **`extras` keys** — `TraceSink::add`/`timed` callers (the ICM warp
+//!   extras in `icm::engine`, the serving-layer health extras in
+//!   `serve::faultdom`, the stream engine's per-batch extras) write the
+//!   per-step `extras` object; `bench::tracefmt` reads it.
 //!
 //! A key written but never read is dead telemetry; a key read but never
 //! written is a parser that can only ever see its fallback. Both
@@ -89,34 +88,6 @@ pub fn check(models: &[&FileModel], out: &mut Vec<Violation>) {
             &consumers,
             "bench::tracefmt",
             "bsp::trace",
-        );
-    }
-
-    // BENCH_*.json fields: Recorder/bench tuple keys vs. validator reads.
-    let is_recorder = |p: &str| p.ends_with("bench/src/record.rs");
-    let is_bench_producer = |p: &str| p.ends_with("bench/src/record.rs") || p.contains("/benches/");
-    let is_bench_consumer =
-        |p: &str| p.ends_with("bench_validate.rs") || p.ends_with("bench/src/record.rs");
-    if any(&is_recorder) && any(&|p: &str| p.ends_with("bench_validate.rs")) {
-        let mut producers = Vec::new();
-        let mut consumers = Vec::new();
-        for (mi, m) in models.iter().enumerate() {
-            if is_bench_producer(&norm[mi]) {
-                tuple_keys(mi, m, &mut producers);
-            }
-            if is_bench_consumer(&norm[mi]) {
-                get_reads(mi, m, &mut consumers);
-                str_array_keys(mi, m, &mut consumers);
-            }
-        }
-        drift(
-            models,
-            out,
-            "BENCH_*.json",
-            &producers,
-            &consumers,
-            "bench_validate / the Recorder baseline loader",
-            "bench::Recorder or a bench target",
         );
     }
 }
@@ -314,80 +285,6 @@ fn event_field_reads(mi: usize, m: &FileModel, out: &mut Vec<Site>) {
     }
 }
 
-/// `("key", …)` / `("key".to_string(), …)` tuple keys — how the
-/// Recorder and bench targets name their emitted fields and counters.
-fn tuple_keys(mi: usize, m: &FileModel, out: &mut Vec<Site>) {
-    let t = &m.tokens;
-    for i in 0..t.len() {
-        if !t[i].is_punct("(") || !t.get(i + 1).is_some_and(|x| x.is_string()) || m.is_test(i + 1) {
-            continue;
-        }
-        let direct = t.get(i + 2).is_some_and(|x| x.is_punct(","));
-        let to_string = t.get(i + 2).is_some_and(|x| x.is_punct("."))
-            && t.get(i + 3).is_some_and(|x| x.is_ident("to_string"))
-            && t.get(i + 4).is_some_and(|x| x.is_punct("("))
-            && t.get(i + 5).is_some_and(|x| x.is_punct(")"))
-            && t.get(i + 6).is_some_and(|x| x.is_punct(","));
-        if (direct || to_string) && ident_like(&t[i + 1].text) {
-            out.push((mi, t[i + 1].line as usize, t[i + 1].text.clone()));
-        }
-    }
-}
-
-/// `.get("key")` reads, any receiver (the BENCH json has one key space).
-fn get_reads(mi: usize, m: &FileModel, out: &mut Vec<Site>) {
-    let t = &m.tokens;
-    for i in 0..t.len() {
-        if t[i].is_punct(".")
-            && t.get(i + 1).is_some_and(|x| x.is_ident("get"))
-            && t.get(i + 2).is_some_and(|x| x.is_punct("("))
-            && t.get(i + 3)
-                .is_some_and(|x| x.is_string() && ident_like(&x.text))
-            && !m.is_test(i)
-        {
-            out.push((mi, t[i + 3].line as usize, t[i + 3].text.clone()));
-        }
-    }
-}
-
-/// String arrays (`["a", "b", …]`, ≥ 2 ident-like entries) — the shape
-/// of field lists and counter allowlists in the validator.
-fn str_array_keys(mi: usize, m: &FileModel, out: &mut Vec<Site>) {
-    let t = &m.tokens;
-    let mut i = 0usize;
-    while i < t.len() {
-        if !t[i].is_punct("[") || m.is_test(i) {
-            i += 1;
-            continue;
-        }
-        let mut keys = Vec::new();
-        let mut j = i + 1;
-        let well_formed = loop {
-            match t.get(j) {
-                Some(x) if x.is_string() && ident_like(&x.text) => {
-                    keys.push((x.line as usize, x.text.clone()));
-                    j += 1;
-                    match t.get(j) {
-                        Some(x) if x.is_punct(",") => j += 1,
-                        Some(x) if x.is_punct("]") => break true,
-                        _ => break false,
-                    }
-                    if t.get(j).is_some_and(|x| x.is_punct("]")) {
-                        break true;
-                    }
-                }
-                _ => break false,
-            }
-        };
-        if well_formed && keys.len() >= 2 {
-            for (line, key) in keys {
-                out.push((mi, line, key));
-            }
-        }
-        i += 1;
-    }
-}
-
 /// Convenience for tests and the seeded-drift check: builds models from
 /// `(path, source)` pairs and runs only the schema pass.
 pub fn check_sources(files: &[(&Path, &str)]) -> Vec<Violation> {
@@ -468,33 +365,6 @@ mod tests {
                      #[cfg(test)]\nmod tests {\n fn t() { check(\"{\\\"only_in_test\\\":1}\"); }\n}\n";
         let fmt = r#"fn parse(ev: &Json, n: usize) { let s = get_u64(&ev, "step", n); }"#;
         assert!(check_sources(&[(Path::new(TRACE), trace), (Path::new(FMT), fmt)]).is_empty());
-    }
-
-    #[test]
-    fn bench_field_drift_via_tuple_and_allowlist() {
-        let record = r#"fn counter_pairs() -> Vec<(&'static str, u64)> {
-            vec![("supersteps", 1), ("vanished", 2)]
-        }
-        fn to_json(arr: Json) -> Json { Json::Obj(vec![("results".to_string(), arr)]) }
-        fn baseline(doc: &Json) { doc.get("results"); }"#;
-        let validate = r#"fn problems(doc: &Json) {
-            doc.get("results");
-            for f in ["supersteps", "phantom"] { probe(f); }
-        }"#;
-        let vs = check_sources(&[
-            (Path::new("crates/bench/src/record.rs"), record),
-            (
-                Path::new("crates/bench/src/bin/bench_validate.rs"),
-                validate,
-            ),
-        ]);
-        assert_eq!(vs.len(), 2, "{vs:?}");
-        assert!(vs
-            .iter()
-            .any(|v| v.message().contains("vanished") && v.message().contains("never read")));
-        assert!(vs
-            .iter()
-            .any(|v| v.message().contains("phantom") && v.message().contains("never written")));
     }
 
     #[test]

@@ -5,14 +5,11 @@
 //!
 //! Pass `--quick` to run a 4-algorithm subset.
 
-use graphite_bench::record::Recorder;
-use graphite_bench::timing::BenchResult;
 use graphite_bench::{algos_from_args, log_log_r2, run_matrix, Dataset, HarnessConfig};
 
-fn main() {
+fn main() -> Result<(), String> {
     let config = HarnessConfig::from_env();
     let algos = algos_from_args();
-    let mut rec = Recorder::new("fig4");
     println!(
         "# Fig. 4 — primitive counts vs. time, log-log (scale={}, workers={})",
         config.scale, config.workers
@@ -23,7 +20,7 @@ fn main() {
         "{:<8} {:<5} {:<4} {:>12} {:>12} {:>12} {:>12}",
         "graph", "algo", "plat", "computeCalls", "compute+_s", "messages", "messaging_s"
     );
-    for dataset in Dataset::all(&config) {
+    for dataset in Dataset::all(&config)? {
         eprintln!("running {} ...", dataset.profile.name());
         for cell in run_matrix(&dataset, &algos, &config.run_opts()) {
             let m = &cell.metrics;
@@ -41,24 +38,8 @@ fn main() {
             );
             compute_pts.push((m.counters.compute_calls as f64, cp));
             message_pts.push((m.counters.messages_sent as f64, ms));
-            let ns = m.makespan.as_nanos() as f64;
-            rec.push_with_metrics(
-                BenchResult {
-                    label: format!(
-                        "fig4/{}/{}/{}",
-                        cell.dataset,
-                        cell.algo.name(),
-                        cell.platform.name()
-                    ),
-                    mean_ns: ns,
-                    best_ns: ns,
-                    iters: 1,
-                },
-                m,
-            );
         }
     }
-    rec.finish();
     println!();
     println!("points: {}", compute_pts.len());
     println!(
@@ -73,4 +54,5 @@ fn main() {
     println!("# Paper shape (Fig. 4): high correlation for both factors");
     println!("# (paper: R^2 = 0.80 compute+, 0.95 messaging) — platform time is");
     println!("# explained by the primitives, not engineering artifacts.");
+    Ok(())
 }

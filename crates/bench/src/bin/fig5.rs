@@ -4,14 +4,11 @@
 //!
 //! Pass `--quick` to run a 4-algorithm subset.
 
-use graphite_bench::record::Recorder;
-use graphite_bench::timing::BenchResult;
 use graphite_bench::{algos_from_args, fmt_dur, run_matrix, Dataset, HarnessConfig};
 
-fn main() {
+fn main() -> Result<(), String> {
     let config = HarnessConfig::from_env();
     let algos = algos_from_args();
-    let mut rec = Recorder::new("fig5");
     println!(
         "# Fig. 5 — makespan, time splits, and primitive counts (scale={}, workers={})",
         config.scale, config.workers
@@ -30,7 +27,7 @@ fn main() {
         "bytes",
         "steps"
     );
-    for dataset in Dataset::all(&config) {
+    for dataset in Dataset::all(&config)? {
         eprintln!("running {} ...", dataset.profile.name());
         for cell in run_matrix(&dataset, &algos, &config.run_opts()) {
             let m = &cell.metrics;
@@ -48,27 +45,12 @@ fn main() {
                 m.counters.bytes_sent,
                 m.supersteps,
             );
-            let ns = m.makespan.as_nanos() as f64;
-            rec.push_with_metrics(
-                BenchResult {
-                    label: format!(
-                        "fig5/{}/{}/{}",
-                        cell.dataset,
-                        cell.algo.name(),
-                        cell.platform.name()
-                    ),
-                    mean_ns: ns,
-                    best_ns: ns,
-                    iters: 1,
-                },
-                m,
-            );
         }
     }
-    rec.finish();
     println!();
     println!("# Paper shape (Fig. 5): ICM's compute-call and message counts drop by");
     println!("# the average lifespan factor vs. the per-snapshot platforms on long-");
     println!("# lifespan graphs, and match them exactly on unit-lifespan graphs.");
     println!("# Barrier time dominates on the large-diameter USRN.");
+    Ok(())
 }

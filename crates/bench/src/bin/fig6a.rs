@@ -16,7 +16,7 @@ fn human(bytes: u64) -> String {
     }
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let config = HarnessConfig::from_env();
     println!(
         "# Fig. 6(a) — representation memory footprints (scale={}, batch={})",
@@ -26,7 +26,7 @@ fn main() {
         "{:<8} {:>12} {:>12} {:>12} {:>12} {:>8}",
         "graph", "interval", "transformed", "snapshot", "chl-batch", "T/I"
     );
-    for dataset in Dataset::all(&config) {
+    for dataset in Dataset::all(&config)? {
         let f = memory_footprint(&dataset.graph, None, CHLONOS_BATCH);
         println!(
             "{:<8} {:>12} {:>12} {:>12} {:>12} {:>7.1}x",
@@ -43,4 +43,5 @@ fn main() {
     println!("# footprint (4-6x the interval graph on MAG/WebUK in the paper — the");
     println!("# DNL cases), followed by the Chlonos batch; MSB's single snapshot is");
     println!("# the smallest. GRAPHITE's interval graph stays compact.");
+    Ok(())
 }

@@ -6,7 +6,7 @@
 use graphite_bench::{Dataset, HarnessConfig};
 use graphite_tgraph::stats::dataset_stats;
 
-fn main() {
+fn main() -> Result<(), String> {
     let config = HarnessConfig::from_env();
     println!(
         "# Table 1 — dataset characteristics (scale={})",
@@ -17,7 +17,7 @@ fn main() {
         "graph", "snaps", "snapV", "snapE", "intV", "intE", "transV", "transE", "multiV",
         "multiE", "lifeV", "lifeE", "lifeP"
     );
-    for dataset in Dataset::all(&config) {
+    for dataset in Dataset::all(&config)? {
         let s = dataset_stats(&dataset.graph, None);
         println!(
             "{:<8} {:>6} | {:>9} {:>9} | {:>9} {:>9} | {:>10} {:>10} | {:>10} {:>10} | {:>6.2} {:>6.2} {:>6.2}",
@@ -41,4 +41,5 @@ fn main() {
     println!("# long-lifespan datasets (MAG, Twitter) and stays ~1:1 on unit-");
     println!("# lifespan ones (GPlus); the multi-snapshot representation grows");
     println!("# with lifespan × snapshots.");
+    Ok(())
 }

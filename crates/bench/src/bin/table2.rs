@@ -5,14 +5,12 @@
 //! Pass `--quick` to run a 4-algorithm subset.
 
 use graphite_algorithms::registry::Platform;
-use graphite_bench::record::Recorder;
-use graphite_bench::timing::BenchResult;
 use graphite_bench::{
     algos_from_args, by_dataset_algo, mean_ratio, run_matrix, Dataset, HarnessConfig,
 };
 use std::collections::BTreeMap;
 
-fn main() {
+fn main() -> Result<(), String> {
     let config = HarnessConfig::from_env();
     let algos = algos_from_args();
     println!(
@@ -23,30 +21,10 @@ fn main() {
     );
 
     let mut cells = Vec::new();
-    for dataset in Dataset::all(&config) {
+    for dataset in Dataset::all(&config)? {
         eprintln!("running {} ...", dataset.profile.name());
         cells.extend(run_matrix(&dataset, &algos, &config.run_opts()));
     }
-
-    let mut rec = Recorder::new("table2");
-    for cell in &cells {
-        let ns = cell.metrics.makespan.as_nanos() as f64;
-        rec.push_with_metrics(
-            BenchResult {
-                label: format!(
-                    "table2/{}/{}/{}",
-                    cell.dataset,
-                    cell.algo.name(),
-                    cell.platform.name()
-                ),
-                mean_ns: ns,
-                best_ns: ns,
-                iters: 1,
-            },
-            &cell.metrics,
-        );
-    }
-    rec.finish();
 
     // (platform, class, dataset) -> Vec<(baseline_s, icm_s)>
     type RatioKey<'a> = (&'a str, bool, &'a str);
@@ -99,4 +77,5 @@ fn main() {
     println!("# the snapshot platforms paying redundant calls/messages that ICM's");
     println!("# warp shares away. On USRN (static topology) ICM matches MSB/CHL for");
     println!("# TI and beats TGB/GOF for TD.");
+    Ok(())
 }

@@ -1,8 +1,9 @@
-//! A minimal hand-rolled JSON value — writer and parser — for the
-//! recorded benchmark pipeline (`BENCH_<name>.json`).
+//! A minimal hand-rolled JSON value — writer and parser — for the trace
+//! tooling ([`crate::tracefmt`]) and the end-to-end benchmark's records
+//! (`benchmark/`).
 //!
 //! The workspace is dependency-free by policy (DESIGN.md), so this module
-//! implements just enough of RFC 8259 for the bench schema: objects keep
+//! implements just enough of RFC 8259 for those two schemas: objects keep
 //! insertion order (a vector of pairs, not a hash map, so emitted files
 //! are stable and diffs are readable), numbers are `f64`, and strings
 //! support the standard escapes. It is not a general-purpose JSON library
@@ -329,9 +330,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_the_bench_schema() {
+    fn round_trips_a_nested_document() {
         let doc = Json::Obj(vec![
-            ("schema".to_string(), Json::Str("graphite-bench/1".into())),
+            ("schema".to_string(), Json::Str("example/1".into())),
             ("name".to_string(), Json::Str("warp".into())),
             (
                 "results".to_string(),

@@ -21,8 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod record;
-pub mod timing;
 pub mod tracefmt;
 
 use graphite_algorithms::registry::{self, Algo, Platform, RunOpts};
@@ -98,25 +96,36 @@ impl Dataset {
         }
     }
 
-    /// All six paper datasets, optionally filtered by `GRAPHITE_PROFILES`
+    /// All six paper datasets, or the subset named by `GRAPHITE_PROFILES`
     /// (comma-separated, case-insensitive profile names — e.g.
     /// `GRAPHITE_PROFILES=gplus,usrn` for a quick smoke run).
-    pub fn all(config: &HarnessConfig) -> Vec<Dataset> {
-        let filter: Option<Vec<String>> = std::env::var("GRAPHITE_PROFILES").ok().map(|v| {
-            v.split(',')
-                .map(|s| s.trim().to_ascii_lowercase())
-                .filter(|s| !s.is_empty())
-                .collect()
-        });
-        Profile::ALL
+    ///
+    /// # Errors
+    /// A name that matches no profile is rejected with the valid names: a
+    /// mistyped filter must not run, and report, nothing.
+    pub fn all(config: &HarnessConfig) -> Result<Vec<Dataset>, String> {
+        let filter = std::env::var("GRAPHITE_PROFILES").unwrap_or_default();
+        let names: Vec<&str> = filter
+            .split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .collect();
+        let named = |p: &Profile, name: &str| p.name().eq_ignore_ascii_case(name);
+        if let Some(unknown) = names
             .iter()
-            .filter(|p| {
-                filter
-                    .as_ref()
-                    .is_none_or(|names| names.iter().any(|n| n == &p.name().to_ascii_lowercase()))
-            })
+            .find(|n| !Profile::ALL.iter().any(|p| named(p, n)))
+        {
+            let valid: Vec<&str> = Profile::ALL.iter().map(Profile::name).collect();
+            return Err(format!(
+                "GRAPHITE_PROFILES: unknown profile `{unknown}` (valid: {})",
+                valid.join(", ")
+            ));
+        }
+        Ok(Profile::ALL
+            .iter()
+            .filter(|p| names.is_empty() || names.iter().any(|n| named(p, n)))
             .map(|p| Dataset::new(*p, config))
-            .collect()
+            .collect())
     }
 
     /// The transformed (time-expanded) graph, built once on demand.
@@ -129,35 +138,6 @@ impl Dataset {
             ))
         }))
     }
-}
-
-/// The engine bench's dataset: a small power-law graph with long edge
-/// lifespans — the regime where warp's interval sharing pays off.
-///
-/// Shared between `benches/engine.rs` and `benches/layout.rs` so the
-/// storage-layout pass (DESIGN.md §16) is measured on exactly the
-/// workload whose counters the committed `BENCH_engine.json` pins.
-pub fn engine_dataset() -> Dataset {
-    let params = graphite_datagen::GenParams {
-        vertices: 300,
-        edges: 2400,
-        snapshots: 24,
-        topology: graphite_datagen::Topology::PowerLaw {
-            edges_per_vertex: 8,
-        },
-        vertex_lifespans: graphite_datagen::LifespanModel::Full,
-        edge_lifespans: graphite_datagen::LifespanModel::Geometric { mean: 18.0 },
-        props: graphite_datagen::PropModel {
-            mean_segment: 9.0,
-            max_cost: 10,
-            max_travel_time: 1,
-        },
-        seed: 99,
-    };
-    Dataset::from_graph(
-        Profile::Twitter,
-        Arc::new(graphite_datagen::generate(&params)),
-    )
 }
 
 /// One cell of the evaluation matrix.

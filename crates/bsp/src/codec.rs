@@ -11,7 +11,7 @@
 //! Everything that crosses a worker boundary implements [`Wire`]; the BSP
 //! router encodes remote batches through it and charges the byte counts to
 //! the run's metrics, making message-size optimizations observable in the
-//! Fig. 5/6 reproductions and the `codec` criterion bench.
+//! Fig. 5/6 reproductions and the benchmark's `bsp.codec_ns_per_msg` probe.
 
 use graphite_tgraph::graph::VIdx;
 use graphite_tgraph::time::{Interval, TIME_MAX, TIME_MIN};

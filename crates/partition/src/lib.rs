@@ -51,7 +51,7 @@ use graphite_tgraph::graph::TemporalGraph;
 /// always yield the same assignment (no ambient randomness, no iteration
 /// over unordered containers). Engine result digests are independent of
 /// *which* assignment is produced, but reproducible placement is what
-/// makes recorded benchmarks and the digest-invariance matrix meaningful.
+/// makes benchmark runs and the digest-invariance matrix meaningful.
 pub trait Partitioner {
     /// Stable lower-case name (CLI / env / bench labels).
     fn name(&self) -> &'static str;

@@ -21,8 +21,8 @@
 //!
 //! [`ServeHealth`] is the aggregate view of all of it, exportable as a
 //! `graphite-trace/1` row ([`health_trace`]) so the existing trace
-//! pipeline (bench_validate counters, graphite-analyze schema checks)
-//! sees serving-layer faults with no new format.
+//! pipeline (`tracefmt`, graphite-analyze schema checks) sees
+//! serving-layer faults with no new format.
 
 use std::collections::BTreeMap;
 

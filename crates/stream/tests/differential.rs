@@ -6,11 +6,12 @@
 //! comparison and fail the ingest on any divergence, so a clean replay
 //! *is* the differential assertion.
 
+use graphite_algorithms::registry::{self, Algo, Platform, RunOpts};
 use graphite_datagen::stream::derive_update_stream;
-use graphite_datagen::{GenParams, LifespanModel, PropModel, UpdateStream};
+use graphite_datagen::{generate, GenParams, LifespanModel, PropModel, Topology, UpdateStream};
 use graphite_part::PartitionStrategy;
 use graphite_stream::prelude::*;
-use graphite_tgraph::graph::VertexId;
+use graphite_tgraph::graph::{EdgeId, TemporalGraph, VertexId};
 use std::sync::Arc;
 
 fn churny(seed: u64) -> GenParams {
@@ -29,10 +30,8 @@ fn churny(seed: u64) -> GenParams {
     }
 }
 
-fn source(stream: &UpdateStream) -> VertexId {
-    stream
-        .base
-        .vertices()
+fn source(base: &TemporalGraph) -> VertexId {
+    base.vertices()
         .map(|(_, v)| v.vid)
         .min()
         .expect("non-empty base")
@@ -50,7 +49,7 @@ fn all_algos(source: VertexId) -> [AlgoSpec; 3] {
 /// batch, returning the per-batch reports.
 fn replay_checked(stream: &UpdateStream, cfg: StreamConfig) -> Vec<BatchReport> {
     let mut engine = StreamEngine::new(Arc::new(stream.base.clone()), cfg);
-    for spec in all_algos(source(stream)) {
+    for spec in all_algos(source(&stream.base)) {
         engine
             .register(spec)
             .expect("initial from-scratch run succeeds");
@@ -164,6 +163,117 @@ fn warm_start_does_less_work_than_recompute() {
     }
 }
 
+/// A settled base graph: every vertex lives for the whole window and
+/// edges are long-lived, so a sparse batch changes little of the warp
+/// alignment it touches — the serving layer's "live updates" shape.
+fn settled() -> GenParams {
+    GenParams {
+        vertices: 300,
+        edges: 2400,
+        snapshots: 24,
+        topology: Topology::PowerLaw {
+            edges_per_vertex: 8,
+        },
+        vertex_lifespans: LifespanModel::Full,
+        edge_lifespans: LifespanModel::Geometric { mean: 18.0 },
+        props: PropModel {
+            mean_segment: 9.0,
+            max_cost: 10,
+            max_travel_time: 1,
+        },
+        seed: 99,
+    }
+}
+
+/// Deterministic sparse batches: each hangs `per_batch` fresh vertices off
+/// existing ones (a fixed-stride walk over the vertex rows), with
+/// `travel-time` props so the temporal-path algorithms treat the new
+/// edges like generated ones.
+fn sparse_batches(base: &TemporalGraph, batches: u64, per_batch: u64) -> Vec<GraphDelta> {
+    let vids: Vec<VertexId> = base.vertices().map(|(_, v)| v.vid).collect();
+    let max_vid = vids.iter().map(|v| v.0).max().expect("non-empty base");
+    let max_eid = base
+        .edge_indices()
+        .map(|e| base.edge(e).eid.0)
+        .max()
+        .expect("base has edges");
+    (0..batches)
+        .map(|b| {
+            let mut delta = GraphDelta::new();
+            for k in b * per_batch..(b + 1) * per_batch {
+                let anchor = vids[(k * 7919 + 17) as usize % vids.len()];
+                let span = base
+                    .vertex_index(anchor)
+                    .map(|v| base.vertex_lifespan(v))
+                    .expect("anchor exists");
+                let (vid, eid) = (VertexId(max_vid + 1 + k), EdgeId(max_eid + 1 + k));
+                delta.insert_vertex(vid, span);
+                delta.insert_edge(eid, anchor, vid, span);
+                delta.edge_property(eid, "travel-time", span, 1i64.into());
+            }
+            delta
+        })
+        .collect()
+}
+
+/// On sparse batches over a settled graph, maintaining BFS / EAT / Reach
+/// from their carried fixpoints costs strictly fewer compute calls than
+/// recomputing them on every refreshed graph. Both totals are exact
+/// counts and pinned: a warm start that quietly re-seeds too much moves
+/// the pin long before it crosses the inequality.
+#[test]
+fn sparse_batches_cost_fewer_compute_calls_than_recompute() {
+    const INCREMENTAL_COMPUTE_CALLS: u64 = 30_719;
+    const FROM_SCRATCH_COMPUTE_CALLS: u64 = 166_747;
+    let base = Arc::new(generate(&settled()));
+    let deltas = sparse_batches(&base, 8, 6);
+    let src = source(&base);
+    for workers in [2usize, 5] {
+        let mut engine = StreamEngine::new(
+            Arc::clone(&base),
+            StreamConfig {
+                workers,
+                check_every: 1,
+                ..StreamConfig::default()
+            },
+        );
+        for spec in all_algos(src) {
+            engine.register(spec).expect("initial run succeeds");
+        }
+        let opts = RunOpts {
+            workers,
+            source: Some(src),
+            digest: false,
+            ..RunOpts::default()
+        };
+        let (mut incremental, mut from_scratch) = (0u64, 0u64);
+        for delta in &deltas {
+            let report = engine
+                .ingest(delta)
+                .expect("batch applies and checks clean");
+            assert!(report.checked);
+            assert!(report.dirty > 0, "batch {}: nothing dirty", report.batch);
+            incremental += report.algos.iter().map(|a| a.compute_calls).sum::<u64>();
+            for algo in [Algo::Bfs, Algo::Eat, Algo::Reach] {
+                from_scratch += registry::run(algo, Platform::Icm, &engine.graph(), None, &opts)
+                    .expect("from-scratch run succeeds")
+                    .metrics
+                    .counters
+                    .compute_calls;
+            }
+        }
+        assert!(
+            incremental < from_scratch,
+            "workers={workers}: incremental {incremental} >= from-scratch {from_scratch}"
+        );
+        assert_eq!(incremental, INCREMENTAL_COMPUTE_CALLS, "workers={workers}");
+        assert_eq!(
+            from_scratch, FROM_SCRATCH_COMPUTE_CALLS,
+            "workers={workers}"
+        );
+    }
+}
+
 /// Round-trip through the `graphite-updates/1` text format preserves the
 /// replay bit-exactly.
 #[test]
@@ -181,7 +291,7 @@ fn updates_io_roundtrip_preserves_replay() {
             ..StreamConfig::default()
         },
     );
-    for spec in all_algos(source(&stream)) {
+    for spec in all_algos(source(&stream.base)) {
         engine.register(spec).expect("register");
     }
     for delta in &reloaded {

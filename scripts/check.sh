@@ -20,9 +20,6 @@ cargo run -q -p graphite-analyze
 echo "==> doc link check"
 scripts/check_links.sh
 
-echo "==> committed benchmark recordings (bench_validate)"
-cargo run --release -q -p graphite-bench --bin bench_validate -- BENCH_*.json
-
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
