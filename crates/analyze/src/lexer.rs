@@ -9,8 +9,7 @@
 //!   `lint:allow` machinery can read justifications;
 //! * string literals (plain, raw `r#"…"#`, byte, raw byte) become single
 //!   [`TokKind::Str`]/[`TokKind::RawStr`] tokens carrying their *inner*
-//!   text, so `".unwrap()"` in a message can never look like a call, while
-//!   the schema-drift pass can still read JSON keys out of format strings;
+//!   text, so `".unwrap()"` in a message can never look like a call;
 //! * `'a'` (char) vs. `'a` (lifetime) is decided the way rustc does —
 //!   by whether the identifier run after the quote is closed by `'`;
 //! * multi-char operators (`::`, `->`, `%=`, …) are single tokens, so a

@@ -5,9 +5,8 @@
 //! ([`lexer`]) producing a line-annotated token stream, a per-file
 //! **scope model** ([`scope`]: `#[cfg(test)]` extents, `fn`/`impl`
 //! boundaries, `use` resolution, `lint:allow` markers), per-file
-//! **rules** ([`rules`]) walking tokens instead of regexes, and two
-//! cross-cutting **passes** — determinism-flow ([`flow`]) and
-//! schema-drift ([`schema`]).
+//! **rules** ([`rules`]) walking tokens instead of regexes, and one
+//! cross-cutting **pass** — determinism-flow ([`flow`]).
 //!
 //! # Rules
 //!
@@ -21,7 +20,6 @@
 //! | `worker-assignment` | everywhere but `graphite-part`, `bsp::partition` | ad-hoc `% workers` placement arithmetic |
 //! | `allow-without-reason` | everywhere, including test code | `lint:allow` escapes with no justification or an unknown rule name |
 //! | `determinism-flow` | everywhere | nondeterministic sources (floats, hash containers, pointer addresses) in a fn that feeds an order-sensitive sink (digest, outbox, codec, trace) |
-//! | `schema-drift` | cross-file | `graphite-trace/1` event fields and `extras` keys written-never-read or read-never-written |
 //!
 //! A violation line (or the contiguous comment block directly above it)
 //! may carry `lint:allow(<rule>) — <reason>` to opt out; the reason is
@@ -36,7 +34,6 @@ pub mod flow;
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod schema;
 pub mod scope;
 
 use std::path::{Path, PathBuf};
@@ -88,7 +85,6 @@ pub fn rules_for(path: &Path) -> Vec<Rule> {
     }
     rules.push(Rule::AllowWithoutReason);
     rules.push(Rule::DeterminismFlow);
-    rules.push(Rule::SchemaDrift);
     rules
 }
 
@@ -146,34 +142,24 @@ fn collect_rs_files(dir: &Path, sink: &mut impl FnMut(PathBuf)) {
     }
 }
 
-/// Reads, models and analyzes `files`: per-file rules first, then the
-/// cross-file schema pass over every model with `schema-drift` active.
+/// Reads, models and analyzes `files` with each file's active rules.
 pub fn analyze_files(files: &[FileJob]) -> Analysis {
     let mut analysis = Analysis::default();
-    let mut models: Vec<(FileModel, Vec<Rule>)> = Vec::new();
     for (path, rules) in files {
         match std::fs::read_to_string(path) {
             Ok(source) => {
-                models.push((FileModel::build(path.clone(), &source), rules.clone()));
+                let model = FileModel::build(path.clone(), &source);
+                analysis.report.files_scanned += 1;
+                analysis
+                    .report
+                    .violations
+                    .extend(rules::check_file(&model, rules));
             }
             Err(e) => analysis
                 .io_errors
                 .push(format!("cannot read {}: {e}", path.display())),
         }
     }
-    analysis.report.files_scanned = models.len();
-    for (model, rules) in &models {
-        analysis
-            .report
-            .violations
-            .extend(rules::check_file(model, rules));
-    }
-    let schema_models: Vec<&FileModel> = models
-        .iter()
-        .filter(|(_, rules)| rules.contains(&Rule::SchemaDrift))
-        .map(|(m, _)| m)
-        .collect();
-    schema::check(&schema_models, &mut analysis.report.violations);
     analysis.report.sort();
     analysis
 }
@@ -200,7 +186,6 @@ mod tests {
         assert!(r.contains(&Rule::FaultIsolation));
         assert!(r.contains(&Rule::WallClock));
         assert!(r.contains(&Rule::DeterminismFlow));
-        assert!(r.contains(&Rule::SchemaDrift));
 
         let time = Path::new("crates/tgraph/src/time.rs");
         assert!(!rules_for(time).contains(&Rule::NoRawInterval));
@@ -225,7 +210,6 @@ mod tests {
         let r = rules_for(bench);
         assert!(r.contains(&Rule::AllowWithoutReason));
         assert!(r.contains(&Rule::DeterminismFlow));
-        assert!(r.contains(&Rule::SchemaDrift));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::fmt;
 use std::path::PathBuf;
 
 /// The analysis rules. The first six are the legacy `graphite-lint`
-/// rules re-expressed over tokens; the last three are new passes.
+/// rules re-expressed over tokens; the last two are new passes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// No `.unwrap()` / `.expect(` in engine (`bsp`/`icm`) non-test code.
@@ -26,14 +26,11 @@ pub enum Rule {
     /// pointer-address casts) in a function that feeds an order-sensitive
     /// sink (digest, outbox, codec emission, trace sink).
     DeterminismFlow,
-    /// Producer/consumer schema key sets (`graphite-trace/1` extras and
-    /// event fields) must stay in sync.
-    SchemaDrift,
 }
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 9] = [
+    pub const ALL: [Rule; 8] = [
         Rule::NoUnwrap,
         Rule::HashIteration,
         Rule::NoRawInterval,
@@ -42,7 +39,6 @@ impl Rule {
         Rule::WorkerAssignment,
         Rule::AllowWithoutReason,
         Rule::DeterminismFlow,
-        Rule::SchemaDrift,
     ];
 
     /// The kebab-case rule name used in reports and `lint:allow(...)`.
@@ -56,7 +52,6 @@ impl Rule {
             Rule::WorkerAssignment => "worker-assignment",
             Rule::AllowWithoutReason => "allow-without-reason",
             Rule::DeterminismFlow => "determinism-flow",
-            Rule::SchemaDrift => "schema-drift",
         }
     }
 
@@ -95,10 +90,6 @@ impl Rule {
             Rule::DeterminismFlow => {
                 "nondeterministic source in a function feeding an \
                  order-sensitive sink (digest / message emission / trace)"
-            }
-            Rule::SchemaDrift => {
-                "schema key drift between producer and consumer \
-                 (graphite-trace/1 extras, trace event fields)"
             }
         }
     }
@@ -310,14 +301,14 @@ mod tests {
             files_scanned: 2,
             ..Report::default()
         };
-        let mut v = violation(Rule::SchemaDrift, Severity::Deny);
-        v.detail = "key \"x\" written but never read".into();
+        let mut v = violation(Rule::DeterminismFlow, Severity::Deny);
+        v.detail = "float \"x\" feeds a digest".into();
         r.violations.push(v);
         let json = r.render_json();
         assert!(json.contains("\"schema\": \"graphite-analyze/1\""));
         assert!(json.contains("\"deny_count\": 1"));
-        assert!(json.contains("key \\\"x\\\" written but never read"));
-        assert!(json.contains("\"rule\": \"schema-drift\""));
+        assert!(json.contains("float \\\"x\\\" feeds a digest"));
+        assert!(json.contains("\"rule\": \"determinism-flow\""));
     }
 
     #[test]

@@ -40,8 +40,7 @@ const ITER_METHODS: [&str; 9] = [
 ];
 
 /// Runs every per-file rule in `rules` over `model` and returns the
-/// allow-filtered, deduplicated violations. (`schema-drift` is a
-/// cross-file pass and is ignored here — see [`crate::schema`].)
+/// allow-filtered, deduplicated violations.
 pub fn check_file(model: &FileModel, rules: &[Rule]) -> Vec<Violation> {
     let mut hits: Vec<Hit> = Vec::new();
     for &rule in rules {
@@ -54,7 +53,6 @@ pub fn check_file(model: &FileModel, rules: &[Rule]) -> Vec<Violation> {
             Rule::WorkerAssignment => worker_assignment(model, &mut hits),
             Rule::AllowWithoutReason => allow_without_reason(model, &mut hits),
             Rule::DeterminismFlow => crate::flow::check(model, &mut hits),
-            Rule::SchemaDrift => {}
         }
     }
     finalize(model, hits)
@@ -62,7 +60,7 @@ pub fn check_file(model: &FileModel, rules: &[Rule]) -> Vec<Violation> {
 
 /// Applies `lint:allow` suppression, dedupes per (rule, line), and
 /// attaches snippets.
-pub(crate) fn finalize(model: &FileModel, mut hits: Vec<Hit>) -> Vec<Violation> {
+fn finalize(model: &FileModel, mut hits: Vec<Hit>) -> Vec<Violation> {
     hits.sort_by_key(|h| (h.1, h.0));
     let mut seen: BTreeSet<(Rule, usize)> = BTreeSet::new();
     let mut out = Vec::new();

@@ -1,7 +1,6 @@
 //! Integration tests: the built `graphite-analyze` binary must flag
 //! every seeded violation in the negative fixtures (exit 1) and report
-//! the real workspace clean (exit 0); and the schema-drift pass must
-//! catch a drift seeded into the *real* trace producer.
+//! the real workspace clean (exit 0).
 
 use std::path::Path;
 use std::process::Command;
@@ -81,28 +80,6 @@ fn fixture_trips_every_per_file_rule() {
 }
 
 #[test]
-fn drift_fixture_trips_schema_drift_both_directions() {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let drift = manifest.join("fixtures/drift");
-    let (code, text) = run_analyze(&[drift.to_str().unwrap()], manifest);
-    assert_eq!(code, 1, "drift fixture must fail, output:\n{text}");
-    assert_eq!(
-        text.matches("[schema-drift]").count(),
-        3,
-        "expected exactly the 3 seeded drifts in:\n{text}"
-    );
-    // Write side: an extras key and an event field nobody parses.
-    assert!(text.contains("phantom_extra"), "{text}");
-    assert!(text.contains("orphan_field"), "{text}");
-    // Read side: an extras key nobody emits.
-    assert!(text.contains("ghost_metric"), "{text}");
-    // The aligned keys are not reported.
-    for ok in ["warp_tuples", "\"step\"", "\"sent\"", "\"ev\""] {
-        assert!(!text.contains(ok), "aligned key {ok} flagged in:\n{text}");
-    }
-}
-
-#[test]
 fn json_format_is_machine_readable() {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
     let fixture = manifest.join("fixtures/violations.rs");
@@ -132,7 +109,6 @@ fn warn_severity_downgrades_the_exit_code() {
         "worker-assignment",
         "determinism-flow",
         "allow-without-reason",
-        "schema-drift",
     ] {
         args.push("--warn".to_string());
         args.push(rule.to_string());
@@ -158,49 +134,4 @@ fn workspace_is_clean() {
     let (code, text) = run_analyze(&[], &root);
     assert_eq!(code, 0, "workspace must analyze clean, output:\n{text}");
     assert!(text.contains("clean"), "unexpected output:\n{text}");
-}
-
-/// Acceptance check for the schema-drift pass against the *real*
-/// sources: seeding a new extras key into `bsp::trace` without touching
-/// `bench::tracefmt` must be caught.
-#[test]
-fn seeded_drift_in_the_real_trace_producer_is_caught() {
-    use graphite_analyze::schema;
-
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect(rel);
-    let trace = read("crates/bsp/src/trace.rs");
-    let icm = read("crates/icm/src/engine.rs");
-    let serve = read("crates/serve/src/faultdom.rs");
-    let stream = read("crates/stream/src/engine.rs");
-    let fmt = read("crates/bench/src/tracefmt.rs");
-
-    let mirror = |trace_src: &str| {
-        schema::check_sources(&[
-            (Path::new("crates/bsp/src/trace.rs"), trace_src),
-            (Path::new("crates/icm/src/engine.rs"), &icm),
-            (Path::new("crates/serve/src/faultdom.rs"), &serve),
-            (Path::new("crates/stream/src/engine.rs"), &stream),
-            (Path::new("crates/bench/src/tracefmt.rs"), &fmt),
-        ])
-    };
-
-    // The unmodified mirror is clean (the workspace passes the gate).
-    let clean = mirror(&trace);
-    assert!(
-        clean.is_empty(),
-        "unexpected drift in real sources: {clean:?}"
-    );
-
-    // Seed: a producer starts emitting an extras key, tracefmt untouched.
-    let seeded = format!(
-        "{trace}\npub fn seeded(sink: &mut TraceSink) {{\n    \
-         sink.add(\"seeded_drift_key\", 1);\n}}\n"
-    );
-    let vs = mirror(&seeded);
-    assert_eq!(vs.len(), 1, "{vs:?}");
-    assert!(
-        vs[0].message().contains("seeded_drift_key") && vs[0].message().contains("never read"),
-        "{vs:?}"
-    );
 }

@@ -146,14 +146,14 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let doc = match tracefmt::parse(&text) {
-            Ok(d) => d,
+        let (label, trace) = match tracefmt::parse(&text) {
+            Ok(parsed) => parsed,
             Err(e) => {
-                eprintln!("{trace_path}: {e}");
+                eprintln!("partition_report: {trace_path}: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        let observed = tracefmt::observed_loads(&doc);
+        let observed = tracefmt::observed_loads(&trace);
         // The trace was recorded under the *first* requested strategy
         // (hash, unless --strategy narrowed it) — that is the placement
         // whose observed skew we are correcting.
@@ -167,7 +167,7 @@ fn main() -> ExitCode {
         };
         println!(
             "rebalance from trace {} ({} worker(s) observed, seed {seed})",
-            doc.label,
+            label,
             observed.len()
         );
         match rebalance(&graph, &current, &observed, workers, seed) {

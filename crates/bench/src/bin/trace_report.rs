@@ -16,9 +16,10 @@
 //! — see EXPERIMENTS.md "Reading a trace" for a worked example.
 
 use graphite_bench::tracefmt;
+use graphite_bsp::trace::RunTrace;
 use std::process::ExitCode;
 
-fn load(path: &str) -> Result<tracefmt::TraceDoc, String> {
+fn load(path: &str) -> Result<(String, RunTrace), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     tracefmt::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
@@ -47,11 +48,11 @@ fn main() -> ExitCode {
     }
 
     let result = match (paths.as_slice(), balance) {
-        ([one], false) => load(one).map(|doc| tracefmt::render(&doc, top_k)),
-        ([one], true) => load(one).map(|doc| tracefmt::render_balance(&doc)),
-        ([a, b], false) => {
-            load(a).and_then(|da| load(b).map(|db| tracefmt::render_compare(&da, &db)))
-        }
+        ([one], false) => load(one).map(|(label, t)| tracefmt::render(&label, &t, top_k)),
+        ([one], true) => load(one).map(|(label, t)| tracefmt::render_balance(&label, &t)),
+        ([a, b], false) => load(a).and_then(|(la, ta)| {
+            load(b).map(|(lb, tb)| tracefmt::render_compare((&la, &ta), (&lb, &tb)))
+        }),
         _ => {
             Err("usage: trace_report TRACE.jsonl [SECOND.jsonl] [--top K] [--balance]".to_string())
         }

@@ -1,99 +1,150 @@
-//! Parser and text renderer for `graphite-trace/1` JSONL streams.
+//! Reader and text renderer for `graphite-trace/1` JSONL streams.
 //!
-//! The engine side of tracing lives in `graphite_bsp::trace`; this module
-//! is the *consumer*: it parses a trace file written via
-//! `GRAPHITE_TRACE_JSON` into a [`TraceDoc`] and renders the
-//! per-superstep profile that the `trace_report` binary prints — per-step
-//! phase timings, top-k workers by compute time, the compute skew ratio,
-//! and the warp amplification factor (see EXPERIMENTS.md "Reading a
-//! trace" for an annotated example).
+//! The schema — event kinds, field names, the extras vocabulary — is
+//! owned by `graphite_bsp::trace`; this module is the *consumer*. It
+//! lexes a trace file written via `GRAPHITE_TRACE_JSON` (JSON through
+//! [`crate::json`]) and hands the named values to
+//! [`TraceEvent::from_wire`], so [`parse`] returns the engine's own
+//! [`RunTrace`]. The renderers read those events through one borrowed
+//! view, [`Step`], and print what the `trace_report` binary shows —
+//! per-step phase timings, top-k workers by compute time, the compute
+//! skew ratio, the warp amplification factor, and the total of every
+//! extras key in the stream (see EXPERIMENTS.md "Reading a trace" for an
+//! annotated example).
 //!
 //! Recovered runs are handled in stream order: replayed supersteps appear
 //! again after their `rollback` marker, exactly as executed.
 
 use crate::json::Json;
+use graphite_bsp::metrics::UserCounters;
+use graphite_bsp::trace::{
+    frame_key, is_timing, key, RunTrace, Scalar, TraceEvent, EXTRA_KEYS, TRACE_SCHEMA,
+};
 
-/// One worker's share of one superstep (a `worker_step` event).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WorkerRow {
-    /// Worker index.
-    pub worker: u64,
-    /// Interval-vertices with pending messages at step start.
-    pub active: u64,
-    /// Messages delivered to this worker for this step.
-    pub msgs_in: u64,
-    /// User compute invocations this worker made.
-    pub compute_calls: u64,
-    /// User scatter invocations this worker made.
-    pub scatter_calls: u64,
-    /// Messages this worker emitted.
-    pub msgs_out: u64,
-    /// Of those, messages that crossed a worker boundary.
-    pub remote_msgs: u64,
-    /// Serialized bytes this worker shipped.
-    pub bytes_out: u64,
-    /// Warp invocations (ICM only).
-    pub warp_invocations: u64,
-    /// Warp suppressions (ICM only).
-    pub warp_suppressions: u64,
-    /// Warp tuples produced (ICM extra; 0 when absent).
-    pub warp_tuples: u64,
-    /// Total messages across warp tuple groups (ICM extra; 0 when
-    /// absent). `warp_group_msgs / msgs_in` is the warp amplification —
-    /// how many times the average message is re-presented to compute.
-    pub warp_group_msgs: u64,
-    /// Wall-clock compute span (0 under Counters level).
-    pub compute_ns: u64,
-    /// Wall-clock warp span (ICM extra; 0 when absent).
-    pub warp_ns: u64,
+/// One completed superstep, borrowed from a stream: the engine emits it
+/// as a contiguous run of `worker_step`s closed by a `step_end`, and
+/// nothing for a step that failed.
+#[derive(Clone, Copy, Debug)]
+pub struct Step<'a> {
+    /// The step's `worker_step` events, in worker order.
+    pub workers: &'a [TraceEvent],
+    /// The `step_end` that closed it.
+    pub end: &'a TraceEvent,
 }
 
-/// One superstep: its worker rows plus the `step_end` barrier summary.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StepProfile {
-    /// 1-based superstep number (repeats after a rollback).
-    pub step: u64,
-    /// Per-worker rows, in worker order.
-    pub workers: Vec<WorkerRow>,
-    /// Messages routed this step.
-    pub sent: u64,
-    /// Whether the run halted at this barrier.
-    pub halted: bool,
-    /// Slowest worker's compute span.
-    pub compute_ns: u64,
-    /// Exchange span.
-    pub messaging_ns: u64,
-    /// Barrier/bookkeeping span.
-    pub barrier_ns: u64,
+/// Every event of `trace` that is not a `worker_step`, each with the run
+/// of `worker_step`s directly before it: a `step_end` with its step's
+/// rows, a recovery marker with (in any stream [`parse`] accepts) none.
+fn closed(trace: &RunTrace) -> impl Iterator<Item = (&[TraceEvent], &TraceEvent)> + '_ {
+    let events = &trace.events;
+    let mut start = 0;
+    events.iter().enumerate().filter_map(move |(i, event)| {
+        if matches!(event, TraceEvent::WorkerStep { .. }) {
+            return None;
+        }
+        let rows = &events[start..i];
+        start = i + 1;
+        Some((rows, event))
+    })
 }
 
-impl StepProfile {
-    /// Max-over-mean of the workers' compute spans — 1.0 means perfectly
-    /// balanced, `workers.len()` means one worker did everything. Falls
-    /// back to message counts when the stream carries no timing
-    /// (Counters level), and to 1.0 when there is nothing to compare.
+/// The completed supersteps of `trace`, in stream order (replayed steps
+/// included, mirroring how `RunMetrics` accumulates over a recovered run).
+pub fn steps(trace: &RunTrace) -> impl Iterator<Item = Step<'_>> + '_ {
+    closed(trace).filter_map(|(workers, end)| {
+        matches!(end, TraceEvent::StepEnd { .. }).then_some(Step { workers, end })
+    })
+}
+
+/// A total that saturates: a trace file is outside input, and 2⁵³-sized
+/// values times enough lines would overflow a plain sum.
+fn sum(values: impl Iterator<Item = u64>) -> u64 {
+    values.fold(0, u64::saturating_add)
+}
+
+/// Sums one counter over every worker row of every completed step.
+pub fn total(trace: &RunTrace, f: impl Fn(&UserCounters) -> u64) -> u64 {
+    sum(steps(trace).map(|s| s.total(&f)))
+}
+
+fn extra(extras: &[(&'static str, u64)], key: &str) -> u64 {
+    sum(extras.iter().filter(|(k, _)| *k == key).map(|(_, v)| *v))
+}
+
+/// The columns the load views read off a `worker_step`:
+/// `(worker, active, msgs_in, compute_ns)`.
+fn load(row: &TraceEvent) -> (u32, u64, u64, u64) {
+    match row {
+        TraceEvent::WorkerStep {
+            worker,
+            active_vertices,
+            messages_in,
+            compute_ns,
+            ..
+        } => (*worker, *active_vertices, *messages_in, *compute_ns),
+        _ => Default::default(),
+    }
+}
+
+/// Observed load is compute time; a stream that carries no timing
+/// (Counters level) falls back to delivered message counts.
+fn prefer_timing(by_ns: Vec<u64>, by_msgs: Vec<u64>) -> Vec<u64> {
+    if by_ns.iter().any(|&ns| ns > 0) {
+        by_ns
+    } else {
+        by_msgs
+    }
+}
+
+impl Step<'_> {
+    /// The closing barrier's `(step number, slowest compute span)`.
+    fn barrier(&self) -> (u64, u64) {
+        match self.end {
+            TraceEvent::StepEnd {
+                step, compute_ns, ..
+            } => (*step, *compute_ns),
+            _ => Default::default(),
+        }
+    }
+
+    /// Sums one counter over the step's worker rows.
+    pub fn total(&self, f: impl Fn(&UserCounters) -> u64) -> u64 {
+        sum(self.workers.iter().map(|w| match w {
+            TraceEvent::WorkerStep { counters, .. } => f(counters),
+            _ => 0,
+        }))
+    }
+
+    /// Max-over-mean of the workers' observed loads — compute spans, or
+    /// delivered messages when the stream carries no timing (Counters
+    /// level). 1.0 means perfectly balanced, `workers.len()` means one
+    /// worker did everything, and 1.0 again when there is nothing to
+    /// compare.
     pub fn skew(&self) -> f64 {
-        let timed: Vec<u64> = self.workers.iter().map(|w| w.compute_ns).collect();
-        let loads = if timed.iter().any(|&v| v > 0) {
-            timed
-        } else {
-            self.workers.iter().map(|w| w.msgs_in).collect()
-        };
-        let n = loads.len();
-        let total: u64 = loads.iter().sum();
-        if n == 0 || total == 0 {
+        let (by_ns, by_msgs) = self
+            .workers
+            .iter()
+            .map(load)
+            .map(|(_, _, msgs, ns)| (ns, msgs))
+            .unzip();
+        let loads = prefer_timing(by_ns, by_msgs);
+        let total = sum(loads.iter().copied());
+        if total == 0 {
             return 1.0;
         }
         let max = loads.iter().max().copied().unwrap_or(0);
-        max as f64 * n as f64 / total as f64
+        max as f64 * loads.len() as f64 / total as f64
     }
 
     /// Warp amplification: messages presented to compute through warp
     /// tuple groups, over messages delivered. `None` when no messages
     /// arrived or the stream has no warp extras (non-ICM platforms).
     pub fn warp_amplification(&self) -> Option<f64> {
-        let group: u64 = self.workers.iter().map(|w| w.warp_group_msgs).sum();
-        let msgs: u64 = self.workers.iter().map(|w| w.msgs_in).sum();
+        let group = sum(self.workers.iter().map(|w| match w {
+            TraceEvent::WorkerStep { extras, .. } => extra(extras, key::WARP_GROUP_MSGS),
+            _ => 0,
+        }));
+        let msgs = sum(self.workers.iter().map(|w| load(w).2));
         if msgs == 0 || group == 0 {
             return None;
         }
@@ -101,126 +152,70 @@ impl StepProfile {
     }
 }
 
-/// A recovery marker, kept in stream position.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Marker {
-    /// Checkpoint after `step`, `bytes` serialized.
-    Checkpoint {
-        /// Superstep the checkpoint covers.
-        step: u64,
-        /// Serialized payload size.
-        bytes: u64,
-    },
-    /// Rollback from `from_step` to `to_step`.
-    Rollback {
-        /// Superstep the failed attempt had reached.
-        from_step: u64,
-        /// Checkpointed superstep the run resumed after.
-        to_step: u64,
-    },
-}
+/// Largest integer every `f64` up to it carries exactly (2⁵³):
+/// `Json::Num` is an `f64`, so a larger number may already have been
+/// rounded by the lexer.
+const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
 
-/// One entry of the stream, in order: a completed superstep or a
-/// recovery marker.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Entry {
-    /// A superstep closed by its `step_end`.
-    Step(StepProfile),
-    /// A checkpoint/rollback marker.
-    Marker(Marker),
-}
-
-/// Serving-layer fault-domain counters, carried as `serve_*` extras on
-/// the health row `graphite serve` appends to the stream (DESIGN.md
-/// §15). All zero when the stream has no serving-layer events.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeHealthRow {
-    /// Serve-level retry attempts after transient failures.
-    pub retries: u64,
-    /// Queries that succeeded on a retry attempt.
-    pub recovered: u64,
-    /// Queries shed at the pending-depth watermark.
-    pub sheds: u64,
-    /// Submissions fast-failed by the quarantine table.
-    pub quarantined: u64,
-    /// Queries terminated by their superstep budget.
-    pub budget_exceeded: u64,
-    /// Queries that terminally failed.
-    pub failed: u64,
-}
-
-/// Streaming-layer counters, carried as `stream_*` extras on the
-/// per-batch rows `graphite stream` appends (DESIGN.md §17). All zero
-/// when the stream has no streaming-layer events. The `_ns` spans are
-/// populated only under `GRAPHITE_TRACE=full`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StreamRow {
-    /// Update batches ingested.
-    pub batches: u64,
-    /// Delta operations applied.
-    pub ops: u64,
-    /// Vertices re-seeded by warm-started maintenance runs.
-    pub dirty_vertices: u64,
-    /// Compute calls across the incremental maintenance runs.
-    pub inc_compute_calls: u64,
-    /// Batches that ran the differential from-scratch check.
-    pub digest_checks: u64,
-    /// Differential checks that caught a divergence (must stay zero).
-    pub digest_mismatches: u64,
-    /// Nanoseconds applying deltas through the overlay.
-    pub apply_ns: u64,
-    /// Nanoseconds in warm-started incremental recomputation.
-    pub incremental_ns: u64,
-    /// Nanoseconds in differential from-scratch recomputation.
-    pub full_check_ns: u64,
-}
-
-/// A parsed `graphite-trace/1` stream.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TraceDoc {
-    /// The run label from the header line.
-    pub label: String,
-    /// Steps and markers in stream order.
-    pub entries: Vec<Entry>,
-    /// Serving-layer health counters summed over the stream's rows.
-    pub serve: ServeHealthRow,
-    /// Streaming-layer counters summed over the stream's rows.
-    pub stream: StreamRow,
-}
-
-impl TraceDoc {
-    /// The step profiles only, in stream order.
-    pub fn steps(&self) -> impl Iterator<Item = &StepProfile> + '_ {
-        self.entries.iter().filter_map(|e| match e {
-            Entry::Step(s) => Some(s),
-            Entry::Marker(_) => None,
-        })
-    }
-
-    /// Sums a per-worker field over the whole stream (replayed steps
-    /// included, mirroring how `RunMetrics` accumulates counters over a
-    /// recovered run).
-    pub fn sum(&self, f: impl Fn(&WorkerRow) -> u64) -> u64 {
-        self.steps().flat_map(|s| s.workers.iter()).map(&f).sum()
+/// A JSON value as a wire scalar: a bool, or a non-negative integer no
+/// larger than [`MAX_EXACT`]. Nothing is coerced.
+fn scalar(value: &Json) -> Result<Scalar, String> {
+    match value {
+        Json::Bool(b) => Ok(Scalar::Flag(*b)),
+        Json::Num(v) if *v >= 0.0 && *v <= MAX_EXACT && v.fract() == 0.0 => {
+            Ok(Scalar::Int(*v as u64))
+        }
+        other => Err(format!(
+            "expected a bool or a non-negative integer up to 2^53, got {}",
+            other.to_pretty().trim_end()
+        )),
     }
 }
 
-fn get_u64(obj: &Json, key: &str, line_no: usize) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .map(|v| v as u64)
-        .ok_or_else(|| format!("line {line_no}: missing numeric field {key:?}"))
+/// One event line → one event: the `ev` member names the kind, `extras`
+/// (optional; absent means none) holds the extras, and every other
+/// member is a scalar field for [`TraceEvent::from_wire`] to place.
+fn event(line: &Json) -> Result<TraceEvent, String> {
+    let members = line.as_obj().ok_or("event is not a JSON object")?;
+    let mut kind = None;
+    let mut scalars = Vec::with_capacity(members.len());
+    let mut extras = Vec::new();
+    let named = |name: &str, r: Result<Scalar, String>| r.map_err(|e| format!("{name:?}: {e}"));
+    for (name, value) in members {
+        if name == frame_key::EVENT {
+            kind = value.as_str();
+        } else if name == frame_key::EXTRAS {
+            let keys = value.as_obj().ok_or("\"extras\" is not a JSON object")?;
+            for (key, value) in keys {
+                match named(key, scalar(value))? {
+                    Scalar::Int(v) => extras.push((key.as_str(), v)),
+                    Scalar::Flag(_) => return Err(format!("extras key {key:?} is a bool")),
+                }
+            }
+        } else {
+            scalars.push((name.as_str(), named(name, scalar(value))?));
+        }
+    }
+    let kind = kind.ok_or_else(|| format!("event carries no {:?} string", frame_key::EVENT))?;
+    TraceEvent::from_wire(kind, scalars, extras)
 }
 
-/// Parses a `graphite-trace/1` JSONL stream.
+/// Parses a `graphite-trace/1` JSONL stream into its label and the
+/// engine's own event stream: `parse(&t.to_jsonl(label))` is
+/// `Ok((label, t))` for every trace the engine can emit whose values fit
+/// 2⁵³.
 ///
 /// # Errors
 ///
 /// Returns a message naming the offending line on malformed JSON, a
-/// wrong/missing schema header, unknown event kinds, or missing fields —
-/// the schema is versioned precisely so readers can refuse what they do
-/// not understand.
-pub fn parse(text: &str) -> Result<TraceDoc, String> {
+/// wrong/missing schema header, and anything the schema does not declare
+/// — unknown event kinds, fields or extras keys, a missing field, a
+/// value that is not a non-negative integer `f64` carries exactly (or,
+/// for `halted`, not a bool), a worker id beyond the engine's width. The
+/// schema is versioned precisely so readers can refuse what they do not
+/// understand. The stream contract is checked too: `worker_step`s are
+/// closed by a `step_end`, never by a marker or the end of the file.
+pub fn parse(text: &str) -> Result<(String, RunTrace), String> {
     let mut lines = text
         .lines()
         .enumerate()
@@ -229,106 +224,44 @@ pub fn parse(text: &str) -> Result<TraceDoc, String> {
         return Err("empty trace: no header line".into());
     };
     let header = Json::parse(header).map_err(|e| format!("header: {e}"))?;
-    match header.get("schema").and_then(Json::as_str) {
-        Some("graphite-trace/1") => {}
+    match header.get(frame_key::SCHEMA).and_then(Json::as_str) {
+        Some(TRACE_SCHEMA) => {}
         Some(other) => return Err(format!("unsupported schema {other:?}")),
-        None => return Err("header carries no \"schema\" field".into()),
+        None => return Err(format!("header carries no {:?} field", frame_key::SCHEMA)),
     }
     let label = header
-        .get("label")
+        .get(frame_key::LABEL)
         .and_then(Json::as_str)
         .unwrap_or_default()
         .to_string();
 
-    let mut doc = TraceDoc {
-        label,
-        entries: Vec::new(),
-        serve: ServeHealthRow::default(),
-        stream: StreamRow::default(),
-    };
-    let mut pending: Vec<WorkerRow> = Vec::new();
+    let mut trace = RunTrace::default();
+    let mut open_rows = 0usize;
     for (i, line) in lines {
         let n = i + 1;
-        let ev = Json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
-        match ev.get("ev").and_then(Json::as_str) {
-            Some("worker_step") => {
-                let mut row = WorkerRow {
-                    worker: get_u64(&ev, "worker", n)?,
-                    active: get_u64(&ev, "active", n)?,
-                    msgs_in: get_u64(&ev, "msgs_in", n)?,
-                    compute_calls: get_u64(&ev, "compute_calls", n)?,
-                    scatter_calls: get_u64(&ev, "scatter_calls", n)?,
-                    msgs_out: get_u64(&ev, "msgs_out", n)?,
-                    remote_msgs: get_u64(&ev, "remote_msgs", n)?,
-                    bytes_out: get_u64(&ev, "bytes_out", n)?,
-                    warp_invocations: get_u64(&ev, "warp_invocations", n)?,
-                    warp_suppressions: get_u64(&ev, "warp_suppressions", n)?,
-                    compute_ns: get_u64(&ev, "compute_ns", n)?,
-                    ..WorkerRow::default()
-                };
-                if let Some(extras) = ev.get("extras") {
-                    row.warp_tuples = get_u64(extras, "warp_tuples", n).unwrap_or(0);
-                    row.warp_group_msgs = get_u64(extras, "warp_group_msgs", n).unwrap_or(0);
-                    row.warp_ns = get_u64(extras, "warp_ns", n).unwrap_or(0);
-                    // Serving-layer health counters ride the same extras
-                    // slot on the health row `graphite serve` appends.
-                    doc.serve.retries += get_u64(extras, "serve_retries", n).unwrap_or(0);
-                    doc.serve.recovered += get_u64(extras, "serve_recovered", n).unwrap_or(0);
-                    doc.serve.sheds += get_u64(extras, "serve_sheds", n).unwrap_or(0);
-                    doc.serve.quarantined += get_u64(extras, "serve_quarantined", n).unwrap_or(0);
-                    doc.serve.budget_exceeded +=
-                        get_u64(extras, "serve_budget_exceeded", n).unwrap_or(0);
-                    doc.serve.failed += get_u64(extras, "serve_failed", n).unwrap_or(0);
-                    // Streaming-layer per-batch counters ride the same
-                    // slot on the rows `graphite stream` appends.
-                    doc.stream.batches += get_u64(extras, "stream_batches", n).unwrap_or(0);
-                    doc.stream.ops += get_u64(extras, "stream_ops", n).unwrap_or(0);
-                    doc.stream.dirty_vertices +=
-                        get_u64(extras, "stream_dirty_vertices", n).unwrap_or(0);
-                    doc.stream.inc_compute_calls +=
-                        get_u64(extras, "stream_inc_compute_calls", n).unwrap_or(0);
-                    doc.stream.digest_checks +=
-                        get_u64(extras, "stream_digest_checks", n).unwrap_or(0);
-                    doc.stream.digest_mismatches +=
-                        get_u64(extras, "stream_digest_mismatches", n).unwrap_or(0);
-                    doc.stream.apply_ns += get_u64(extras, "stream_apply_ns", n).unwrap_or(0);
-                    doc.stream.incremental_ns +=
-                        get_u64(extras, "stream_incremental_ns", n).unwrap_or(0);
-                    doc.stream.full_check_ns +=
-                        get_u64(extras, "stream_full_check_ns", n).unwrap_or(0);
-                }
-                pending.push(row);
+        let ev = Json::parse(line)
+            .and_then(|json| event(&json))
+            .map_err(|e| format!("line {n}: {e}"))?;
+        match ev {
+            TraceEvent::WorkerStep { .. } => open_rows += 1,
+            TraceEvent::StepEnd { .. } => open_rows = 0,
+            _ if open_rows > 0 => {
+                return Err(format!(
+                    "line {n}: {} marker inside a step ({open_rows} worker_step event(s) \
+                     not yet closed by a step_end)",
+                    ev.kind()
+                ));
             }
-            Some("step_end") => {
-                doc.entries.push(Entry::Step(StepProfile {
-                    step: get_u64(&ev, "step", n)?,
-                    workers: std::mem::take(&mut pending),
-                    sent: get_u64(&ev, "sent", n)?,
-                    halted: matches!(ev.get("halted"), Some(Json::Bool(true))),
-                    compute_ns: get_u64(&ev, "compute_ns", n)?,
-                    messaging_ns: get_u64(&ev, "messaging_ns", n)?,
-                    barrier_ns: get_u64(&ev, "barrier_ns", n)?,
-                }));
-            }
-            Some("checkpoint") => doc.entries.push(Entry::Marker(Marker::Checkpoint {
-                step: get_u64(&ev, "step", n)?,
-                bytes: get_u64(&ev, "bytes", n)?,
-            })),
-            Some("rollback") => doc.entries.push(Entry::Marker(Marker::Rollback {
-                from_step: get_u64(&ev, "from_step", n)?,
-                to_step: get_u64(&ev, "to_step", n)?,
-            })),
-            Some(other) => return Err(format!("line {n}: unknown event kind {other:?}")),
-            None => return Err(format!("line {n}: event carries no \"ev\" field")),
+            _ => {}
         }
+        trace.push(ev);
     }
-    if !pending.is_empty() {
+    if open_rows > 0 {
         return Err(format!(
-            "{} trailing worker_step event(s) without a step_end",
-            pending.len()
+            "{open_rows} trailing worker_step event(s) without a step_end"
         ));
     }
-    Ok(doc)
+    Ok((label, trace))
 }
 
 /// `1234567` → `"1.23ms"` (ns / µs / ms / s, two significant decimals).
@@ -347,31 +280,46 @@ pub fn fmt_ns(ns: u64) -> String {
 
 /// Renders the per-superstep profile: one block per step with phase
 /// timings, skew, warp amplification, and the top-`top_k` workers by
-/// compute time (by messages in, under Counters-level streams).
-pub fn render(doc: &TraceDoc, top_k: usize) -> String {
+/// compute time (by messages in, under Counters-level streams); then the
+/// run totals, and the total of every extras key the stream carries, in
+/// [`EXTRA_KEYS`] order — which is how the `serve_*` health counters and
+/// the `stream_*` batch counters of a `graphite serve` / `graphite
+/// stream` trace are read.
+pub fn render(label: &str, trace: &RunTrace, top_k: usize) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let _ = writeln!(out, "trace: {}", doc.label);
-    for entry in &doc.entries {
-        match entry {
-            Entry::Marker(Marker::Checkpoint { step, bytes }) => {
+    let _ = writeln!(out, "trace: {label}");
+    for (workers, event) in closed(trace) {
+        match event {
+            TraceEvent::Checkpoint { step, bytes } => {
                 let _ = writeln!(out, "  -- checkpoint after step {step} ({bytes} bytes)");
             }
-            Entry::Marker(Marker::Rollback { from_step, to_step }) => {
+            TraceEvent::Rollback { from_step, to_step } => {
                 let _ = writeln!(
                     out,
                     "  -- ROLLBACK from step {from_step} to step {to_step} (replay follows)"
                 );
             }
-            Entry::Step(s) => {
+            TraceEvent::StepEnd {
+                step,
+                sent,
+                halted,
+                compute_ns,
+                messaging_ns,
+                barrier_ns,
+            } => {
+                let s = Step {
+                    workers,
+                    end: event,
+                };
                 let _ = write!(
                     out,
                     "step {:>3}: sent {:>8}  compute {:>9}  messaging {:>9}  barrier {:>9}  skew {:.2}x",
-                    s.step,
-                    s.sent,
-                    fmt_ns(s.compute_ns),
-                    fmt_ns(s.messaging_ns),
-                    fmt_ns(s.barrier_ns),
+                    step,
+                    sent,
+                    fmt_ns(*compute_ns),
+                    fmt_ns(*messaging_ns),
+                    fmt_ns(*barrier_ns),
                     s.skew(),
                 );
                 match s.warp_amplification() {
@@ -380,46 +328,89 @@ pub fn render(doc: &TraceDoc, top_k: usize) -> String {
                     }
                     None => out.push('\n'),
                 }
-                let mut ranked: Vec<&WorkerRow> = s.workers.iter().collect();
-                ranked.sort_by_key(|w| (std::cmp::Reverse(w.compute_ns.max(w.msgs_in)), w.worker));
+                let mut ranked: Vec<&TraceEvent> = workers.iter().collect();
+                ranked.sort_by_key(|w| {
+                    let (worker, _, msgs, ns) = load(w);
+                    (std::cmp::Reverse(ns.max(msgs)), worker)
+                });
                 for w in ranked.into_iter().take(top_k) {
+                    let TraceEvent::WorkerStep {
+                        worker,
+                        active_vertices,
+                        messages_in,
+                        counters,
+                        extras,
+                        compute_ns,
+                        ..
+                    } = w
+                    else {
+                        continue;
+                    };
                     let _ = writeln!(
                         out,
                         "    w{:<3} compute {:>9}  active {:>6}  in {:>7}  out {:>7}  \
                          bytes {:>8}  warp {}/{} (sup {})",
-                        w.worker,
-                        fmt_ns(w.compute_ns),
-                        w.active,
-                        w.msgs_in,
-                        w.msgs_out,
-                        w.bytes_out,
-                        w.warp_invocations,
-                        w.warp_tuples,
-                        w.warp_suppressions,
+                        worker,
+                        fmt_ns(*compute_ns),
+                        active_vertices,
+                        messages_in,
+                        counters.messages_sent,
+                        counters.bytes_sent,
+                        counters.warp_invocations,
+                        extra(extras, key::WARP_TUPLES),
+                        counters.warp_suppressions,
                     );
                 }
-                if s.halted {
+                if *halted {
                     let _ = writeln!(out, "  -- halted");
                 }
             }
+            TraceEvent::WorkerStep { .. } => {}
         }
     }
-    let steps = doc
-        .entries
-        .iter()
-        .filter(|e| matches!(e, Entry::Step(_)))
-        .count();
     let _ = writeln!(
         out,
         "total: {} step(s), {} msgs, {} remote, {} bytes, {} compute calls, {} scatter calls",
-        steps,
-        doc.sum(|w| w.msgs_out),
-        doc.sum(|w| w.remote_msgs),
-        doc.sum(|w| w.bytes_out),
-        doc.sum(|w| w.compute_calls),
-        doc.sum(|w| w.scatter_calls),
+        steps(trace).count(),
+        total(trace, |c| c.messages_sent),
+        total(trace, |c| c.remote_messages),
+        total(trace, |c| c.bytes_sent),
+        total(trace, |c| c.compute_calls),
+        total(trace, |c| c.scatter_calls),
     );
+    let carried: Vec<(&str, u64)> = trace
+        .events
+        .iter()
+        .filter_map(|event| match event {
+            TraceEvent::WorkerStep { extras, .. } => Some(extras),
+            _ => None,
+        })
+        .flatten()
+        .copied()
+        .collect();
+    let mut heading = "extras:\n";
+    for key in EXTRA_KEYS {
+        if carried.iter().any(|(k, _)| k == key) {
+            let value = extra(&carried, key);
+            let shown = if is_timing(key) {
+                fmt_ns(value)
+            } else {
+                value.to_string()
+            };
+            let _ = writeln!(out, "{heading}    {key:<26} {shown:>12}");
+            heading = "";
+        }
+    }
     out
+}
+
+/// `100 · part / total`, 0 for an empty total.
+fn share(part: u64, total: u64) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        100.0 * part as f64 / total as f64
+    }
 }
 
 /// Renders the placement-balance report (`trace_report --balance`): per
@@ -429,100 +420,78 @@ pub fn render(doc: &TraceDoc, top_k: usize) -> String {
 /// recommends a rebalanced assignment (DESIGN.md §13): a worker whose
 /// compute share persistently exceeds `1/workers` is the skew the
 /// temporal-balance strategy exists to remove.
-pub fn render_balance(doc: &TraceDoc) -> String {
+pub fn render_balance(label: &str, trace: &RunTrace) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let _ = writeln!(out, "balance: {}", doc.label);
-    let mut totals: Vec<(u64, u64, u64)> = Vec::new(); // (worker, active, compute_ns)
-    for s in doc.steps() {
-        let active_total: u64 = s.workers.iter().map(|w| w.active).sum();
-        let ns_total: u64 = s.workers.iter().map(|w| w.compute_ns).sum();
+    let _ = writeln!(out, "balance: {label}");
+    let mut totals: Vec<(u32, u64, u64)> = Vec::new(); // (worker, active, compute_ns)
+    let write_rows = |out: &mut String, rows: &[(u32, u64, u64)], width: usize| {
+        let active_total = sum(rows.iter().map(|r| r.1));
+        let ns_total = sum(rows.iter().map(|r| r.2));
+        for &(worker, active, ns) in rows {
+            let _ = writeln!(
+                out,
+                "    w{:<3} active {:>width$} ({:>5.1}%)  compute {:>9} ({:>5.1}%)",
+                worker,
+                active,
+                share(active, active_total),
+                fmt_ns(ns),
+                share(ns, ns_total),
+            );
+        }
+    };
+    for s in steps(trace) {
+        let step_rows: Vec<(u32, u64, u64)> = s
+            .workers
+            .iter()
+            .map(load)
+            .map(|(worker, active, _, ns)| (worker, active, ns))
+            .collect();
+        let (step, slowest) = s.barrier();
         let _ = writeln!(
             out,
             "step {:>3}: active {:>7}  compute {:>9}  skew {:.2}x",
-            s.step,
-            active_total,
-            fmt_ns(s.compute_ns),
+            step,
+            sum(step_rows.iter().map(|r| r.1)),
+            fmt_ns(slowest),
             s.skew(),
         );
-        for w in &s.workers {
-            let share = |part: u64, total: u64| {
-                if total == 0 {
-                    0.0
-                } else {
-                    100.0 * part as f64 / total as f64
-                }
-            };
-            let _ = writeln!(
-                out,
-                "    w{:<3} active {:>6} ({:>5.1}%)  compute {:>9} ({:>5.1}%)",
-                w.worker,
-                w.active,
-                share(w.active, active_total),
-                fmt_ns(w.compute_ns),
-                share(w.compute_ns, ns_total),
-            );
-            match totals.iter_mut().find(|(id, _, _)| *id == w.worker) {
+        write_rows(&mut out, &step_rows, 6);
+        for (worker, active, ns) in step_rows {
+            match totals.iter_mut().find(|(id, _, _)| *id == worker) {
                 Some(t) => {
-                    t.1 += w.active;
-                    t.2 += w.compute_ns;
+                    t.1 = t.1.saturating_add(active);
+                    t.2 = t.2.saturating_add(ns);
                 }
-                None => totals.push((w.worker, w.active, w.compute_ns)),
+                None => totals.push((worker, active, ns)),
             }
         }
     }
     totals.sort_unstable();
-    let active_total: u64 = totals.iter().map(|t| t.1).sum();
-    let ns_total: u64 = totals.iter().map(|t| t.2).sum();
     let _ = writeln!(out, "run totals:");
-    for (worker, active, ns) in &totals {
-        let share = |part: u64, total: u64| {
-            if total == 0 {
-                0.0
-            } else {
-                100.0 * part as f64 / total as f64
-            }
-        };
-        let _ = writeln!(
-            out,
-            "    w{:<3} active {:>7} ({:>5.1}%)  compute {:>9} ({:>5.1}%)",
-            worker,
-            active,
-            share(*active, active_total),
-            fmt_ns(*ns),
-            share(*ns, ns_total),
-        );
-    }
+    write_rows(&mut out, &totals, 7);
     out
 }
 
 /// Total observed compute load per worker over the whole stream, indexed
 /// by worker id (dense, zero-filled). Falls back to delivered message
-/// counts when the stream carries no timing (Counters level) — the same
-/// fallback [`StepProfile::skew`] uses. This is the `observed` input to
-/// `graphite_part::rebalance`.
-pub fn observed_loads(doc: &TraceDoc) -> Vec<f64> {
-    let max_worker = doc
-        .steps()
-        .flat_map(|s| s.workers.iter())
-        .map(|w| w.worker)
-        .max();
-    let Some(max_worker) = max_worker else {
-        return Vec::new();
-    };
-    let mut by_ns = vec![0u64; max_worker as usize + 1];
-    let mut by_msgs = vec![0u64; max_worker as usize + 1];
-    for s in doc.steps() {
-        for w in &s.workers {
-            by_ns[w.worker as usize] += w.compute_ns;
-            by_msgs[w.worker as usize] += w.msgs_in;
+/// counts when the stream carries no timing (Counters level), as
+/// [`Step::skew`] does. This is the `observed` input to
+/// `graphite_part::rebalance`. The table is sized by the largest worker
+/// id, which the wire bounds by the engine's `u16` width.
+pub fn observed_loads(trace: &RunTrace) -> Vec<f64> {
+    let mut by_ns: Vec<u64> = Vec::new();
+    let mut by_msgs: Vec<u64> = Vec::new();
+    for (worker, _, msgs, ns) in steps(trace).flat_map(|s| s.workers).map(load) {
+        let slot = worker as usize;
+        if slot >= by_ns.len() {
+            by_ns.resize(slot + 1, 0);
+            by_msgs.resize(slot + 1, 0);
         }
+        by_ns[slot] = by_ns[slot].saturating_add(ns);
+        by_msgs[slot] = by_msgs[slot].saturating_add(msgs);
     }
-    let loads = if by_ns.iter().any(|&v| v > 0) {
-        by_ns
-    } else {
-        by_msgs
-    };
+    let loads = prefer_timing(by_ns, by_msgs);
     loads.into_iter().map(|v| v as f64).collect()
 }
 
@@ -530,47 +499,45 @@ pub fn observed_loads(doc: &TraceDoc) -> Vec<f64> {
 /// commits): per stream-ordered step, the deterministic load deltas; any
 /// divergence in message counts between two runs of the same workload is
 /// a semantic change, not noise.
-pub fn render_compare(a: &TraceDoc, b: &TraceDoc) -> String {
+pub fn render_compare(a: (&str, &RunTrace), b: (&str, &RunTrace)) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let _ = writeln!(out, "compare: {}  vs  {}", a.label, b.label);
-    let sa: Vec<&StepProfile> = a.steps().collect();
-    let sb: Vec<&StepProfile> = b.steps().collect();
-    if sa.len() != sb.len() {
-        let _ = writeln!(out, "step count differs: {} vs {}", sa.len(), sb.len());
+    let _ = writeln!(out, "compare: {}  vs  {}", a.0, b.0);
+    let (a, b) = (a.1, b.1);
+    let (na, nb) = (steps(a).count(), steps(b).count());
+    if na != nb {
+        let _ = writeln!(out, "step count differs: {na} vs {nb}");
     }
-    let delta = |x: u64, y: u64| y as i64 - x as i64;
-    for (x, y) in sa.iter().zip(&sb) {
-        let msgs_x: u64 = x.workers.iter().map(|w| w.msgs_out).sum();
-        let msgs_y: u64 = y.workers.iter().map(|w| w.msgs_out).sum();
-        let bytes_x: u64 = x.workers.iter().map(|w| w.bytes_out).sum();
-        let bytes_y: u64 = y.workers.iter().map(|w| w.bytes_out).sum();
-        let calls_x: u64 = x.workers.iter().map(|w| w.compute_calls).sum();
-        let calls_y: u64 = y.workers.iter().map(|w| w.compute_calls).sum();
+    let delta = |x: u64, y: u64| i128::from(y) - i128::from(x);
+    for (x, y) in steps(a).zip(steps(b)) {
+        let (msgs_x, msgs_y) = (x.total(|c| c.messages_sent), y.total(|c| c.messages_sent));
+        let (bytes_x, bytes_y) = (x.total(|c| c.bytes_sent), y.total(|c| c.bytes_sent));
+        let (calls_x, calls_y) = (x.total(|c| c.compute_calls), y.total(|c| c.compute_calls));
+        let ((step, slowest_x), (_, slowest_y)) = (x.barrier(), y.barrier());
         let _ = writeln!(
             out,
             "step {:>3}: msgs {:>8} ({:+})  bytes {:>8} ({:+})  calls {:>7} ({:+})  \
              compute {:>9} vs {:>9}",
-            x.step,
+            step,
             msgs_y,
             delta(msgs_x, msgs_y),
             bytes_y,
             delta(bytes_x, bytes_y),
             calls_y,
             delta(calls_x, calls_y),
-            fmt_ns(x.compute_ns),
-            fmt_ns(y.compute_ns),
+            fmt_ns(slowest_x),
+            fmt_ns(slowest_y),
         );
     }
     let _ = writeln!(
         out,
         "total msgs: {} vs {} | bytes: {} vs {} | compute calls: {} vs {}",
-        a.sum(|w| w.msgs_out),
-        b.sum(|w| w.msgs_out),
-        a.sum(|w| w.bytes_out),
-        b.sum(|w| w.bytes_out),
-        a.sum(|w| w.compute_calls),
-        b.sum(|w| w.compute_calls),
+        total(a, |c| c.messages_sent),
+        total(b, |c| c.messages_sent),
+        total(a, |c| c.bytes_sent),
+        total(b, |c| c.bytes_sent),
+        total(a, |c| c.compute_calls),
+        total(b, |c| c.compute_calls),
     );
     out
 }
@@ -579,117 +546,63 @@ pub fn render_compare(a: &TraceDoc, b: &TraceDoc) -> String {
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = concat!(
-        "{\"schema\":\"graphite-trace/1\",\"label\":\"bfs/icm\"}\n",
+    const HEADER: &str = "{\"schema\":\"graphite-trace/1\",\"label\":\"bfs/icm\"}\n";
+    const ROW_0: &str = concat!(
         "{\"ev\":\"worker_step\",\"step\":1,\"worker\":0,\"active\":3,\"msgs_in\":6,",
         "\"compute_calls\":4,\"scatter_calls\":2,\"msgs_out\":5,\"remote_msgs\":2,",
         "\"bytes_out\":40,\"warp_invocations\":1,\"warp_suppressions\":0,",
         "\"compute_ns\":3000,\"extras\":{\"warp_tuples\":4,\"warp_group_msgs\":12}}\n",
+    );
+    const ROW_1: &str = concat!(
         "{\"ev\":\"worker_step\",\"step\":1,\"worker\":1,\"active\":1,\"msgs_in\":2,",
         "\"compute_calls\":1,\"scatter_calls\":1,\"msgs_out\":1,\"remote_msgs\":1,",
         "\"bytes_out\":8,\"warp_invocations\":0,\"warp_suppressions\":1,",
         "\"compute_ns\":1000,\"extras\":{}}\n",
-        "{\"ev\":\"checkpoint\",\"step\":1,\"bytes\":128}\n",
-        "{\"ev\":\"rollback\",\"from_step\":2,\"to_step\":1}\n",
+    );
+    const END: &str = concat!(
         "{\"ev\":\"step_end\",\"step\":1,\"sent\":6,\"halted\":true,",
         "\"compute_ns\":3000,\"messaging_ns\":500,\"barrier_ns\":100}\n",
     );
+    const CHECKPOINT: &str = "{\"ev\":\"checkpoint\",\"step\":1,\"bytes\":128}\n";
+    const ROLLBACK: &str = "{\"ev\":\"rollback\",\"from_step\":2,\"to_step\":1}\n";
+
+    /// The engine's order: a step's rows, its barrier, then the markers.
+    fn sample() -> String {
+        [HEADER, ROW_0, ROW_1, END, CHECKPOINT, ROLLBACK].concat()
+    }
 
     #[test]
-    fn parses_the_sample_stream() {
-        let doc = parse(SAMPLE).expect("sample parses");
-        assert_eq!(doc.label, "bfs/icm");
-        let steps: Vec<&StepProfile> = doc.steps().collect();
-        assert_eq!(steps.len(), 1);
-        let s = steps[0];
+    fn parses_the_sample_stream_into_the_engines_events() {
+        let (label, trace) = parse(&sample()).expect("sample parses");
+        assert_eq!(label, "bfs/icm");
+        assert_eq!(trace.to_jsonl(&label), sample(), "parse inverts to_jsonl");
+        let all: Vec<Step<'_>> = steps(&trace).collect();
+        assert_eq!(all.len(), 1);
+        let s = all[0];
         assert_eq!(s.workers.len(), 2);
-        assert_eq!(s.sent, 6);
-        assert!(s.halted);
-        assert_eq!(s.workers[0].warp_tuples, 4);
-        assert_eq!(s.workers[1].warp_suppressions, 1);
-        assert_eq!(doc.sum(|w| w.msgs_out), 6);
-        assert_eq!(doc.sum(|w| w.bytes_out), 48);
-        assert_eq!(doc.sum(|w| w.scatter_calls), 3);
+        assert!(matches!(
+            s.end,
+            TraceEvent::StepEnd {
+                sent: 6,
+                halted: true,
+                ..
+            }
+        ));
+        assert_eq!(total(&trace, |c| c.messages_sent), 6);
+        assert_eq!(total(&trace, |c| c.bytes_sent), 48);
+        assert_eq!(total(&trace, |c| c.scatter_calls), 3);
+        assert_eq!(s.total(|c| c.warp_suppressions), 1);
         // skew: loads [3000, 1000] → max 3000 * 2 / 4000 = 1.5
         assert!((s.skew() - 1.5).abs() < 1e-9);
         // amplification: 12 group msgs over 8 delivered.
         let amp = s.warp_amplification().expect("has warp extras");
         assert!((amp - 1.5).abs() < 1e-9);
-        assert!(matches!(
-            doc.entries[0],
-            Entry::Marker(Marker::Checkpoint {
+        assert_eq!(
+            trace.events[3],
+            TraceEvent::Checkpoint {
                 step: 1,
                 bytes: 128
-            })
-        ));
-    }
-
-    #[test]
-    fn serve_health_extras_accumulate_on_the_doc() {
-        let stream = concat!(
-            "{\"schema\":\"graphite-trace/1\",\"label\":\"serve/health\"}\n",
-            "{\"ev\":\"worker_step\",\"step\":0,\"worker\":0,\"active\":0,\"msgs_in\":0,",
-            "\"compute_calls\":0,\"scatter_calls\":0,\"msgs_out\":0,\"remote_msgs\":0,",
-            "\"bytes_out\":0,\"warp_invocations\":0,\"warp_suppressions\":0,",
-            "\"compute_ns\":0,\"extras\":{\"serve_retries\":1,\"serve_recovered\":2,",
-            "\"serve_sheds\":3,\"serve_quarantined\":4,\"serve_budget_exceeded\":5,",
-            "\"serve_failed\":6}}\n",
-            "{\"ev\":\"step_end\",\"step\":0,\"sent\":0,\"halted\":true,",
-            "\"compute_ns\":0,\"messaging_ns\":0,\"barrier_ns\":0}\n",
-        );
-        let doc = parse(stream).expect("health stream parses");
-        assert_eq!(
-            doc.serve,
-            ServeHealthRow {
-                retries: 1,
-                recovered: 2,
-                sheds: 3,
-                quarantined: 4,
-                budget_exceeded: 5,
-                failed: 6,
             }
-        );
-        // Streams with no serving-layer rows stay all-zero.
-        assert_eq!(
-            parse(SAMPLE).expect("sample parses").serve,
-            ServeHealthRow::default()
-        );
-    }
-
-    #[test]
-    fn stream_extras_accumulate_on_the_doc() {
-        let stream = concat!(
-            "{\"schema\":\"graphite-trace/1\",\"label\":\"stream/batch1\"}\n",
-            "{\"ev\":\"worker_step\",\"step\":1,\"worker\":0,\"active\":0,\"msgs_in\":0,",
-            "\"compute_calls\":0,\"scatter_calls\":0,\"msgs_out\":0,\"remote_msgs\":0,",
-            "\"bytes_out\":0,\"warp_invocations\":0,\"warp_suppressions\":0,",
-            "\"compute_ns\":0,\"extras\":{\"stream_batches\":1,\"stream_ops\":40,",
-            "\"stream_dirty_vertices\":7,\"stream_inc_compute_calls\":120,",
-            "\"stream_digest_checks\":1,\"stream_digest_mismatches\":0,",
-            "\"stream_apply_ns\":500,\"stream_incremental_ns\":2000,",
-            "\"stream_full_check_ns\":9000}}\n",
-            "{\"ev\":\"step_end\",\"step\":1,\"sent\":0,\"halted\":true,",
-            "\"compute_ns\":0,\"messaging_ns\":0,\"barrier_ns\":0}\n",
-        );
-        let doc = parse(stream).expect("stream batch row parses");
-        assert_eq!(
-            doc.stream,
-            StreamRow {
-                batches: 1,
-                ops: 40,
-                dirty_vertices: 7,
-                inc_compute_calls: 120,
-                digest_checks: 1,
-                digest_mismatches: 0,
-                apply_ns: 500,
-                incremental_ns: 2000,
-                full_check_ns: 9000,
-            }
-        );
-        // Streams with no streaming-layer rows stay all-zero.
-        assert_eq!(
-            parse(SAMPLE).expect("sample parses").stream,
-            StreamRow::default()
         );
     }
 
@@ -698,15 +611,91 @@ mod tests {
         assert!(parse("{\"schema\":\"graphite-trace/2\",\"label\":\"x\"}\n")
             .unwrap_err()
             .contains("unsupported schema"));
-        let bad = "{\"schema\":\"graphite-trace/1\",\"label\":\"x\"}\n{\"ev\":\"mystery\"}\n";
-        assert!(parse(bad).unwrap_err().contains("unknown event"));
+        let bad = [HEADER, "{\"ev\":\"mystery\"}\n"].concat();
+        assert!(parse(&bad).unwrap_err().contains("unknown event"));
         assert!(parse("").unwrap_err().contains("no header"));
     }
 
+    /// `ROW_0` + `END` with one substring of one line replaced, parsed.
+    fn mutated(from: &str, to: &str) -> Result<(String, RunTrace), String> {
+        assert!(ROW_0.contains(from) ^ END.contains(from), "{from}");
+        parse(&[HEADER, &ROW_0.replace(from, to), &END.replace(from, to)].concat())
+    }
+
     #[test]
-    fn renders_a_report_with_markers() {
-        let doc = parse(SAMPLE).expect("sample parses");
-        let report = render(&doc, 4);
+    fn nothing_is_coerced_and_every_error_names_line_and_key() {
+        mutated(
+            "\"step\":1,\"worker\"",
+            "\"step\":9007199254740992,\"worker\"",
+        )
+        .expect("2^53 is the largest value the wire carries");
+        for (from, to, line, needle) in [
+            ("\"active\":3", "\"active\":-3", 2, "\"active\""),
+            ("\"active\":3", "\"active\":1.9", 2, "\"active\""),
+            ("\"active\":3", "\"active\":1e30", 2, "\"active\""),
+            (
+                "\"active\":3",
+                "\"active\":9007199254740994",
+                2,
+                "\"active\"",
+            ),
+            ("\"active\":3", "\"active\":\"3\"", 2, "\"active\""),
+            ("\"active\":3,", "", 2, "missing field \"active\""),
+            (
+                "\"active\":3",
+                "\"active\":3,\"idle\":1",
+                2,
+                "no field \"idle\"",
+            ),
+            (
+                "\"worker\":0",
+                "\"worker\":4000000000",
+                2,
+                "worker-index width",
+            ),
+            ("\"worker\":0", "\"worker\":65536", 2, "worker-index width"),
+            (
+                "\"warp_tuples\":4",
+                "\"warp_tuple\":4",
+                2,
+                "undeclared extras key",
+            ),
+            (
+                "\"warp_tuples\":4",
+                "\"warp_tuples\":-4",
+                2,
+                "\"warp_tuples\"",
+            ),
+            ("\"halted\":true,", "", 3, "missing field \"halted\""),
+            ("\"halted\":true", "\"halted\":1", 3, "expected a bool"),
+            ("\"sent\":6", "\"sent\":true", 3, "expected an integer"),
+        ] {
+            let err = mutated(from, to).expect_err(to);
+            assert!(err.starts_with(&format!("line {line}: ")), "{to}: {err}");
+            assert!(err.contains(needle), "{to}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_step_is_closed_by_its_step_end_and_nothing_else() {
+        let inside = [HEADER, ROW_0, CHECKPOINT, ROW_1, END].concat();
+        let err = parse(&inside).unwrap_err();
+        assert!(
+            err.contains("line 3: checkpoint marker inside a step"),
+            "{err}"
+        );
+        let open = [HEADER, ROW_0, ROW_1].concat();
+        assert!(parse(&open).unwrap_err().contains("2 trailing worker_step"));
+        // A worker_step without an extras member has none.
+        let bare = ROW_1.replace(",\"extras\":{}", "");
+        let (_, trace) = parse(&[HEADER, &bare, END].concat()).expect("extras are optional");
+        assert_eq!(trace.to_jsonl("bfs/icm"), [HEADER, ROW_1, END].concat());
+    }
+
+    #[test]
+    fn renders_a_report_with_markers_and_extras_totals() {
+        let (label, trace) = parse(&sample()).expect("sample parses");
+        let report = render(&label, &trace, 4);
         assert!(report.contains("trace: bfs/icm"));
         assert!(report.contains("step   1"));
         assert!(report.contains("skew 1.50x"));
@@ -715,12 +704,25 @@ mod tests {
         assert!(report.contains("ROLLBACK from step 2 to step 1"));
         assert!(report.contains("-- halted"));
         assert!(report.contains("total: 1 step(s), 6 msgs"));
+        let extras = report.split("extras:\n").nth(1).expect("extras section");
+        let rows: Vec<Vec<&str>> = extras
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            rows,
+            [["warp_tuples", "4"], ["warp_group_msgs", "12"]],
+            "present keys only, summed, in vocabulary order"
+        );
+        // No extras, no section.
+        let (_, plain) = parse(&[HEADER, ROW_1, END].concat()).expect("parses");
+        assert!(!render("x", &plain, 4).contains("extras:"));
     }
 
     #[test]
     fn balance_report_shows_worker_shares() {
-        let doc = parse(SAMPLE).expect("sample parses");
-        let report = render_balance(&doc);
+        let (label, trace) = parse(&sample()).expect("sample parses");
+        let report = render_balance(&label, &trace);
         assert!(report.contains("balance: bfs/icm"));
         // Worker 0: 3 of 4 active (75 %), 3000 of 4000 compute-ns (75 %).
         assert!(report.contains("w0"), "{report}");
@@ -732,22 +734,17 @@ mod tests {
 
     #[test]
     fn observed_loads_prefer_timing_and_fall_back_to_messages() {
-        let doc = parse(SAMPLE).expect("sample parses");
-        assert_eq!(observed_loads(&doc), vec![3000.0, 1000.0]);
+        let (_, trace) = parse(&sample()).expect("sample parses");
+        assert_eq!(observed_loads(&trace), vec![3000.0, 1000.0]);
         // Strip the timings: the message fallback takes over.
-        let counters_only = SAMPLE
-            .replace("\"compute_ns\":3000", "\"compute_ns\":0")
-            .replace("\"compute_ns\":1000", "\"compute_ns\":0");
-        let doc = parse(&counters_only).expect("counters-level parses");
-        assert_eq!(observed_loads(&doc), vec![6.0, 2.0]);
-        assert!(observed_loads(&TraceDoc::default()).is_empty());
+        assert_eq!(observed_loads(&trace.normalized()), vec![6.0, 2.0]);
+        assert!(observed_loads(&RunTrace::default()).is_empty());
     }
 
     #[test]
     fn compare_reports_deltas() {
-        let a = parse(SAMPLE).expect("parses");
-        let b = parse(SAMPLE).expect("parses");
-        let cmp = render_compare(&a, &b);
+        let (label, trace) = parse(&sample()).expect("parses");
+        let cmp = render_compare((&label, &trace), (&label, &trace));
         assert!(cmp.contains("(+0)"));
         assert!(cmp.contains("total msgs: 6 vs 6"));
     }

@@ -137,3 +137,29 @@ fn trace_report_balance_renders_worker_shares() {
     assert!(text.contains("70.0%"), "{text}");
     assert!(text.contains("run totals:"), "{text}");
 }
+
+/// A trace file is outside input: a worker id no engine could have
+/// written must be refused by the reader, not used to size a table.
+#[test]
+fn a_hostile_worker_id_is_a_clean_error_not_an_allocation() {
+    let dir = scratch("hostile");
+    let graph_path = dir.join("skew.tg");
+    io::save(&generate(&small_skew()), &graph_path).expect("save graph");
+    let trace_path = dir.join("trace.jsonl");
+    let hostile = synthetic_trace().replace("\"worker\":3,", "\"worker\":4000000000,");
+    std::fs::write(&trace_path, hostile).expect("write trace");
+    let out = run_report(&[
+        graph_path.to_str().expect("utf-8 path"),
+        "--workers",
+        "4",
+        "--trace",
+        trace_path.to_str().expect("utf-8 path"),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(err.starts_with("partition_report: "), "{err}");
+    assert!(
+        err.contains("line 5") && err.contains("\"worker\""),
+        "{err}"
+    );
+}

@@ -32,14 +32,79 @@
 //!
 //! Serialization is the versioned JSONL schema `graphite-trace/1`
 //! ([`RunTrace::to_jsonl`]): a header object naming the schema and run
-//! label, then one object per event. `graphite-bench`'s `trace_report`
-//! binary renders it as a per-superstep profile.
+//! label, then one object per event. **This module owns that schema as
+//! data**: the event table (each kind's wire name and its fields' wire
+//! names, in wire order) and the extras vocabulary ([`key`],
+//! [`EXTRA_KEYS`]) are declared here once, and the writer,
+//! [`TraceEvent::normalized`] and the reader's
+//! [`TraceEvent::from_wire`] all walk them — no other file spells a wire
+//! name. `graphite-bench`'s `tracefmt` lexes a file back into a
+//! [`RunTrace`] and its `trace_report` binary renders it as a
+//! per-superstep profile.
 
 use crate::metrics::{now, UserCounters};
 use std::time::Duration;
 
 /// The JSONL schema identifier emitted in the header line.
 pub const TRACE_SCHEMA: &str = "graphite-trace/1";
+
+/// Declares the extras vocabulary: one constant per key in [`key`], and
+/// [`EXTRA_KEYS`] over all of them in declaration order.
+macro_rules! extras_vocabulary {
+    ($($(#[$doc:meta])* $name:ident = $wire:literal;)*) => {
+        /// The declared keys of a `worker_step`'s `extras` object, one
+        /// constant each. Producers pass these to [`TraceSink::add`] /
+        /// [`TraceSink::timed`]; adding a key is one line here.
+        pub mod key {
+            $($(#[$doc])* pub const $name: &str = $wire;)*
+        }
+
+        /// Every declared extras key, in the order reports list them. A
+        /// reader interns file keys through this slice and refuses the
+        /// rest; a key ending in `_ns` is timing content ([`is_timing`]).
+        pub const EXTRA_KEYS: &[&str] = &[$(key::$name),*];
+    };
+}
+
+extras_vocabulary! {
+    /// ICM: interval tuples the warp operator produced.
+    WARP_TUPLES = "warp_tuples";
+    /// ICM: messages across those tuples' groups; over `msgs_in` it is
+    /// the warp amplification.
+    WARP_GROUP_MSGS = "warp_group_msgs";
+    /// ICM: wall-clock span inside the warp operator.
+    WARP_NS = "warp_ns";
+    /// Serve: retry attempts issued after transient failures.
+    SERVE_RETRIES = "serve_retries";
+    /// Serve: queries that succeeded on a retry attempt.
+    SERVE_RECOVERED = "serve_recovered";
+    /// Serve: queries shed at the pending-depth watermark.
+    SERVE_SHEDS = "serve_sheds";
+    /// Serve: submissions fast-failed by the quarantine table.
+    SERVE_QUARANTINED = "serve_quarantined";
+    /// Serve: queries terminated by their superstep budget.
+    SERVE_BUDGET_EXCEEDED = "serve_budget_exceeded";
+    /// Serve: queries that terminally failed.
+    SERVE_FAILED = "serve_failed";
+    /// Stream: update batches ingested.
+    STREAM_BATCHES = "stream_batches";
+    /// Stream: delta operations applied.
+    STREAM_OPS = "stream_ops";
+    /// Stream: vertices re-seeded by warm-started maintenance runs.
+    STREAM_DIRTY_VERTICES = "stream_dirty_vertices";
+    /// Stream: compute calls across the incremental maintenance runs.
+    STREAM_INC_COMPUTE_CALLS = "stream_inc_compute_calls";
+    /// Stream: batches that ran the differential from-scratch check.
+    STREAM_DIGEST_CHECKS = "stream_digest_checks";
+    /// Stream: differential checks that caught a divergence (stays zero).
+    STREAM_DIGEST_MISMATCHES = "stream_digest_mismatches";
+    /// Stream: wall-clock span applying deltas through the overlay.
+    STREAM_APPLY_NS = "stream_apply_ns";
+    /// Stream: wall-clock span in warm-started incremental recomputation.
+    STREAM_INCREMENTAL_NS = "stream_incremental_ns";
+    /// Stream: wall-clock span in differential from-scratch recomputation.
+    STREAM_FULL_CHECK_NS = "stream_full_check_ns";
+}
 
 /// How much the engine records per superstep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -156,7 +221,8 @@ pub enum TraceEvent {
         counters: UserCounters,
         /// Operator-specific extras recorded through [`TraceSink::add`],
         /// e.g. `warp_tuples` / `warp_group_msgs` from the ICM warp
-        /// path. Keys ending in `_ns` are timing content.
+        /// path. Keys come from [`EXTRA_KEYS`]; those ending in `_ns`
+        /// are timing content.
         extras: Vec<(&'static str, u64)>,
         /// Wall-clock compute span (timing content; 0 under
         /// [`TraceLevel::Counters`]).
@@ -196,79 +262,100 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// The event with all wall-clock content zeroed: `*_ns` fields set
-    /// to 0 and `*_ns` extras dropped. What remains must be
-    /// bit-identical across schedule perturbations.
-    pub fn normalized(&self) -> TraceEvent {
+/// A scalar as a reader lexed it off a line: every field of the wire
+/// table is an unsigned integer except `halted`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scalar {
+    /// A count, an id, or a nanosecond span.
+    Int(u64),
+    /// The halt vote.
+    Flag(bool),
+}
+
+/// One field of an event as the wire table presents it — by shared
+/// reference to the writer ([`Read`]), by mutable reference to
+/// [`TraceEvent::from_wire`] and [`TraceEvent::normalized`] ([`Write`]).
+enum Field<I, W, F> {
+    Int(I),
+    /// The one `u32` field. The wire refuses ids beyond the engine's own
+    /// worker-index width (`u16`, see `bsp::partition`), so a reader can
+    /// size per-worker tables by it.
+    Worker(W),
+    Flag(F),
+}
+type Read<'a> = Field<&'a u64, &'a u32, &'a bool>;
+type Write<'a> = Field<&'a mut u64, &'a mut u32, &'a mut bool>;
+
+impl std::fmt::Display for Read<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TraceEvent::WorkerStep {
-                step,
-                worker,
-                active_vertices,
-                messages_in,
-                counters,
-                extras,
-                compute_ns: _,
-            } => TraceEvent::WorkerStep {
-                step: *step,
-                worker: *worker,
-                active_vertices: *active_vertices,
-                messages_in: *messages_in,
-                counters: *counters,
-                extras: extras
-                    .iter()
-                    .filter(|(k, _)| !k.ends_with("_ns"))
-                    .copied()
-                    .collect(),
-                compute_ns: 0,
-            },
-            TraceEvent::StepEnd {
-                step, sent, halted, ..
-            } => TraceEvent::StepEnd {
-                step: *step,
-                sent: *sent,
-                halted: *halted,
-                compute_ns: 0,
-                messaging_ns: 0,
-                barrier_ns: 0,
-            },
-            other => other.clone(),
+            Field::Int(v) => v.fmt(f),
+            Field::Worker(v) => v.fmt(f),
+            Field::Flag(v) => v.fmt(f),
         }
     }
+}
 
-    fn write_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        match self {
+impl Write<'_> {
+    fn set(self, value: Scalar) -> Result<(), String> {
+        match (self, value) {
+            (Field::Int(field), Scalar::Int(v)) => *field = v,
+            (Field::Worker(field), Scalar::Int(v)) => {
+                *field = u16::try_from(v)
+                    .map_err(|_| format!("{v} exceeds the engine's u16 worker-index width"))?
+                    .into();
+            }
+            (Field::Flag(field), Scalar::Flag(v)) => *field = v,
+            (Field::Flag(_), Scalar::Int(_)) => return Err("expected a bool".into()),
+            (_, Scalar::Flag(_)) => return Err("expected an integer".into()),
+        }
+        Ok(())
+    }
+}
+
+/// The `graphite-trace/1` event table: per event kind, its scalar fields
+/// as `(wire name, field)` in wire order, then the kind's own wire name.
+/// This is the only place a field meets its wire name; the writer, the
+/// reader's [`TraceEvent::from_wire`] and [`TraceEvent::normalized`] are
+/// all walks over it. It is a macro only so that one declaration serves
+/// both a `&TraceEvent` (fields arrive as [`Read`]) and a
+/// `&mut TraceEvent` (as [`Write`]). The patterns are exhaustive on
+/// purpose: a field added to an event or to [`UserCounters`] does not
+/// compile until it has a wire name here.
+macro_rules! event_table {
+    ($event:expr, $field:ident) => {
+        match $event {
             TraceEvent::WorkerStep {
                 step,
                 worker,
                 active_vertices,
                 messages_in,
-                counters,
-                extras,
+                counters:
+                    UserCounters {
+                        compute_calls,
+                        scatter_calls,
+                        messages_sent,
+                        remote_messages,
+                        bytes_sent,
+                        warp_invocations,
+                        warp_suppressions,
+                    },
+                extras: _,
                 compute_ns,
             } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"worker_step\",\"step\":{step},\"worker\":{worker},\
-                     \"active\":{active_vertices},\"msgs_in\":{messages_in},\
-                     \"compute_calls\":{},\"scatter_calls\":{},\"msgs_out\":{},\
-                     \"remote_msgs\":{},\"bytes_out\":{},\"warp_invocations\":{},\
-                     \"warp_suppressions\":{},\"compute_ns\":{compute_ns},\"extras\":{{",
-                    counters.compute_calls,
-                    counters.scatter_calls,
-                    counters.messages_sent,
-                    counters.remote_messages,
-                    counters.bytes_sent,
-                    counters.warp_invocations,
-                    counters.warp_suppressions,
-                );
-                for (i, (k, v)) in extras.iter().enumerate() {
-                    let comma = if i == 0 { "" } else { "," };
-                    let _ = write!(out, "{comma}\"{k}\":{v}");
-                }
-                out.push_str("}}");
+                $field("step", Field::Int(step));
+                $field("worker", Field::Worker(worker));
+                $field("active", Field::Int(active_vertices));
+                $field("msgs_in", Field::Int(messages_in));
+                $field("compute_calls", Field::Int(compute_calls));
+                $field("scatter_calls", Field::Int(scatter_calls));
+                $field("msgs_out", Field::Int(messages_sent));
+                $field("remote_msgs", Field::Int(remote_messages));
+                $field("bytes_out", Field::Int(bytes_sent));
+                $field("warp_invocations", Field::Int(warp_invocations));
+                $field("warp_suppressions", Field::Int(warp_suppressions));
+                $field("compute_ns", Field::Int(compute_ns));
+                "worker_step"
             }
             TraceEvent::StepEnd {
                 step,
@@ -278,26 +365,156 @@ impl TraceEvent {
                 messaging_ns,
                 barrier_ns,
             } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"step_end\",\"step\":{step},\"sent\":{sent},\
-                     \"halted\":{halted},\"compute_ns\":{compute_ns},\
-                     \"messaging_ns\":{messaging_ns},\"barrier_ns\":{barrier_ns}}}"
-                );
+                $field("step", Field::Int(step));
+                $field("sent", Field::Int(sent));
+                $field("halted", Field::Flag(halted));
+                $field("compute_ns", Field::Int(compute_ns));
+                $field("messaging_ns", Field::Int(messaging_ns));
+                $field("barrier_ns", Field::Int(barrier_ns));
+                "step_end"
             }
             TraceEvent::Checkpoint { step, bytes } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"checkpoint\",\"step\":{step},\"bytes\":{bytes}}}"
-                );
+                $field("step", Field::Int(step));
+                $field("bytes", Field::Int(bytes));
+                "checkpoint"
             }
             TraceEvent::Rollback { from_step, to_step } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"rollback\",\"from_step\":{from_step},\"to_step\":{to_step}}}"
-                );
+                $field("from_step", Field::Int(from_step));
+                $field("to_step", Field::Int(to_step));
+                "rollback"
             }
         }
+    };
+}
+
+/// Framing keys of a `graphite-trace/1` line: the header object's two
+/// members, and the two members of an event object that are not scalar
+/// fields of the event table.
+pub mod frame_key {
+    /// Header member naming the schema ([`super::TRACE_SCHEMA`]).
+    pub const SCHEMA: &str = "schema";
+    /// Header member carrying the run label.
+    pub const LABEL: &str = "label";
+    /// Event member naming the event kind.
+    pub const EVENT: &str = "ev";
+    /// `worker_step` member holding the extras object.
+    pub const EXTRAS: &str = "extras";
+}
+
+/// Whether a wire name — a field's or an extras key's — is timing
+/// content: wall-clock, never compared, zeroed by
+/// [`TraceEvent::normalized`]. One rule for fields and extras.
+pub fn is_timing(wire_name: &str) -> bool {
+    wire_name.ends_with("_ns")
+}
+
+impl TraceEvent {
+    /// Visits the scalar fields as `(wire name, value)` in wire order
+    /// and returns the kind's wire name.
+    fn read(&self, mut field: impl FnMut(&'static str, Read<'_>)) -> &'static str {
+        event_table!(self, field)
+    }
+
+    fn write(&mut self, mut field: impl FnMut(&'static str, Write<'_>)) {
+        event_table!(self, field);
+    }
+
+    /// The event kind's wire name (`worker_step`, `step_end`, …).
+    pub fn kind(&self) -> &'static str {
+        self.read(|_, _| {})
+    }
+
+    /// The event with all wall-clock content zeroed: every field and
+    /// every extra whose wire name [`is_timing`] is set to 0 / dropped.
+    /// What remains must be bit-identical across schedule perturbations.
+    pub fn normalized(&self) -> TraceEvent {
+        let mut event = self.clone();
+        event.write(|name, field| {
+            if let (true, Field::Int(span)) = (is_timing(name), field) {
+                *span = 0;
+            }
+        });
+        if let TraceEvent::WorkerStep { extras, .. } = &mut event {
+            extras.retain(|(key, _)| !is_timing(key));
+        }
+        event
+    }
+
+    /// The inverse of the writer: builds the `kind` event from named
+    /// scalars and named extras, as a reader lexed them off a line.
+    ///
+    /// # Errors
+    ///
+    /// An unknown `kind`; a scalar name the kind does not have, one it
+    /// has that is missing, or a value of the wrong type or width; an
+    /// extras key outside [`EXTRA_KEYS`], or extras on a kind that
+    /// carries none.
+    pub fn from_wire<'a>(
+        kind: &str,
+        scalars: impl IntoIterator<Item = (&'a str, Scalar)>,
+        extras: impl IntoIterator<Item = (&'a str, u64)>,
+    ) -> Result<TraceEvent, String> {
+        // One prototype per kind; every field of the one chosen is
+        // overwritten below (a field left unset is the "missing" error).
+        let markers = [
+            TraceEvent::Checkpoint { step: 0, bytes: 0 },
+            TraceEvent::Rollback {
+                from_step: 0,
+                to_step: 0,
+            },
+        ];
+        let mut event = RunTrace::frame(0, Vec::new())
+            .events
+            .into_iter()
+            .chain(markers)
+            .find(|prototype| prototype.kind() == kind)
+            .ok_or_else(|| format!("unknown event kind {kind:?}"))?;
+
+        let mut missing = Vec::new();
+        event.read(|name, _| missing.push(name));
+        for (name, value) in scalars {
+            let mut set = None;
+            event.write(|field_name, field| {
+                if field_name == name {
+                    set = Some(field.set(value));
+                }
+            });
+            set.ok_or_else(|| format!("{kind} has no field {name:?}"))?
+                .map_err(|e| format!("field {name:?}: {e}"))?;
+            missing.retain(|field_name| *field_name != name);
+        }
+        if let Some(name) = missing.first() {
+            return Err(format!("{kind} is missing field {name:?}"));
+        }
+
+        for (name, value) in extras {
+            let TraceEvent::WorkerStep { extras, .. } = &mut event else {
+                return Err(format!("{kind} carries no extras"));
+            };
+            let key = EXTRA_KEYS
+                .iter()
+                .find(|key| **key == name)
+                .ok_or_else(|| format!("undeclared extras key {name:?}"))?;
+            extras.push((*key, value));
+        }
+        Ok(event)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(out, "{{\"{}\":\"{}\"", frame_key::EVENT, self.kind());
+        self.read(|name, value| {
+            let _ = write!(out, ",\"{name}\":{value}");
+        });
+        if let TraceEvent::WorkerStep { extras, .. } = self {
+            let _ = write!(out, ",\"{}\":{{", frame_key::EXTRAS);
+            for (i, (key, value)) in extras.iter().enumerate() {
+                let comma = if i == 0 { "" } else { "," };
+                let _ = write!(out, "{comma}\"{key}\":{value}");
+            }
+            out.push('}');
+        }
+        out.push('}');
     }
 }
 
@@ -315,6 +532,35 @@ pub struct RunTrace {
 }
 
 impl RunTrace {
+    /// A non-run frame: `extras` carried by one `worker_step` of worker 0
+    /// at `step`, closed by a halted `step_end` so the stream reads as a
+    /// complete step. This is how the layers above a run (serve health,
+    /// stream batches) put their counters on the wire — a `worker_step`'s
+    /// extras are the schema's one extensible slot.
+    pub fn frame(step: u64, extras: Vec<(&'static str, u64)>) -> RunTrace {
+        RunTrace {
+            events: vec![
+                TraceEvent::WorkerStep {
+                    step,
+                    worker: 0,
+                    active_vertices: 0,
+                    messages_in: 0,
+                    counters: UserCounters::default(),
+                    extras,
+                    compute_ns: 0,
+                },
+                TraceEvent::StepEnd {
+                    step,
+                    sent: 0,
+                    halted: true,
+                    compute_ns: 0,
+                    messaging_ns: 0,
+                    barrier_ns: 0,
+                },
+            ],
+        }
+    }
+
     /// Appends one event.
     pub fn push(&mut self, event: TraceEvent) {
         self.events.push(event);
@@ -343,9 +589,9 @@ impl RunTrace {
     /// object per event.
     pub fn to_jsonl(&self, label: &str) -> String {
         let mut out = String::with_capacity(64 + self.events.len() * 128);
-        out.push_str("{\"schema\":\"");
-        out.push_str(TRACE_SCHEMA);
-        out.push_str("\",\"label\":\"");
+        use std::fmt::Write as _;
+        let (schema, label_key) = (frame_key::SCHEMA, frame_key::LABEL);
+        let _ = write!(out, "{{\"{schema}\":\"{TRACE_SCHEMA}\",\"{label_key}\":\"");
         escape_into(label, &mut out);
         out.push_str("\"}\n");
         for ev in &self.events {
@@ -442,10 +688,11 @@ impl TraceSink {
         self.full
     }
 
-    /// Accumulates `n` under `key` (first use of a key defines its
-    /// slot; keys must be deterministic — use a `_ns` suffix for
-    /// anything derived from the clock). No-op when disabled.
+    /// Accumulates `n` under `key`, one of the declared [`key`]
+    /// constants (first use of a key defines its slot; values must be
+    /// deterministic unless the key [`is_timing`]). No-op when disabled.
     pub fn add(&mut self, key: &'static str, n: u64) {
+        debug_assert!(EXTRA_KEYS.contains(&key), "undeclared extras key {key:?}");
         if !self.enabled {
             return;
         }
@@ -460,9 +707,10 @@ impl TraceSink {
 
     /// Runs `f`, accumulating its wall-clock span under `key` when the
     /// level is `Full` (under `Counters` the span is not measured at
-    /// all, keeping the stream deterministic). `key` should end in
-    /// `_ns`.
+    /// all, keeping the stream deterministic). `key` is a declared
+    /// [`key`] constant ending in `_ns`.
     pub fn timed<R>(&mut self, key: &'static str, f: impl FnOnce() -> R) -> R {
+        debug_assert!(EXTRA_KEYS.contains(&key), "undeclared extras key {key:?}");
         if !self.full {
             return f();
         }
@@ -516,10 +764,12 @@ mod tests {
     #[test]
     fn full_sink_times_closures() {
         let mut sink = TraceSink::new(TraceConfig::full());
-        sink.timed("span_ns", || std::thread::sleep(Duration::from_millis(1)));
+        sink.timed(key::WARP_NS, || {
+            std::thread::sleep(Duration::from_millis(1))
+        });
         let extras = sink.take_extras();
         assert_eq!(extras.len(), 1);
-        assert_eq!(extras[0].0, "span_ns");
+        assert_eq!(extras[0].0, key::WARP_NS);
         assert!(
             extras[0].1 >= 1_000_000,
             "slept ≥1ms, got {}ns",
@@ -566,6 +816,102 @@ mod tests {
                 barrier_ns: 0,
             }
         );
+    }
+
+    #[test]
+    fn vocabulary_is_unique_and_its_ns_keys_are_what_normalization_drops() {
+        for (i, key) in EXTRA_KEYS.iter().enumerate() {
+            assert!(!EXTRA_KEYS[..i].contains(key), "{key} declared twice");
+        }
+        let mut frame = RunTrace::frame(1, EXTRA_KEYS.iter().map(|k| (*k, 1)).collect());
+        frame = frame.normalized();
+        let TraceEvent::WorkerStep { extras, .. } = &frame.events[0] else {
+            panic!("a frame opens with its worker_step");
+        };
+        let kept: Vec<&str> = extras.iter().map(|(k, _)| *k).collect();
+        let deterministic: Vec<&str> = EXTRA_KEYS
+            .iter()
+            .copied()
+            .filter(|k| !k.ends_with("_ns"))
+            .collect();
+        assert_eq!(kept, deterministic);
+        assert_eq!(kept.len() + 4, EXTRA_KEYS.len(), "warp_ns + 3 stream spans");
+    }
+
+    #[test]
+    #[should_panic(expected = "undeclared extras key")]
+    #[cfg(debug_assertions)]
+    fn an_undeclared_key_trips_the_sink_in_debug_builds() {
+        TraceSink::disabled().add("warp_tuple", 1);
+    }
+
+    fn scalars_of(event: &TraceEvent) -> Vec<(&'static str, Scalar)> {
+        let mut out = Vec::new();
+        event.read(|name, value| {
+            let value = match value {
+                Field::Int(v) => Scalar::Int(*v),
+                Field::Worker(v) => Scalar::Int(u64::from(*v)),
+                Field::Flag(v) => Scalar::Flag(*v),
+            };
+            out.push((name, value));
+        });
+        out
+    }
+
+    #[test]
+    fn from_wire_inverts_the_writer_and_names_what_is_wrong() {
+        let mut trace = RunTrace::frame(7, vec![(key::WARP_TUPLES, 4), (key::WARP_NS, 9)]);
+        trace.push(TraceEvent::Checkpoint { step: 7, bytes: 64 });
+        trace.push(TraceEvent::Rollback {
+            from_step: 9,
+            to_step: 7,
+        });
+        for event in &trace.events {
+            let extras: Vec<(&str, u64)> = match event {
+                TraceEvent::WorkerStep { extras, .. } => extras.clone(),
+                _ => Vec::new(),
+            };
+            // Field order on the wire is free.
+            let mut scalars = scalars_of(event);
+            scalars.reverse();
+            assert_eq!(
+                TraceEvent::from_wire(event.kind(), scalars, extras).as_ref(),
+                Ok(event)
+            );
+        }
+
+        let row = &trace.events[0];
+        let err = |scalars: Vec<(&'static str, Scalar)>, extras: Vec<(&str, u64)>| {
+            TraceEvent::from_wire(row.kind(), scalars, extras).expect_err("must be refused")
+        };
+        let mut short = scalars_of(row);
+        short.retain(|(name, _)| *name != "msgs_in");
+        assert!(err(short, vec![]).contains("missing field \"msgs_in\""));
+        let mut long = scalars_of(row);
+        long.push(("mystery", Scalar::Int(1)));
+        assert!(err(long, vec![]).contains("no field \"mystery\""));
+        let mut wide = scalars_of(row);
+        wide[1] = ("worker", Scalar::Int(4_000_000_000));
+        assert!(err(wide, vec![]).contains("u16 worker-index width"));
+        let mut flag = scalars_of(row);
+        flag[0] = ("step", Scalar::Flag(true));
+        assert!(err(flag, vec![]).contains("expected an integer"));
+        assert!(err(scalars_of(row), vec![("warp_tuple", 1)]).contains("undeclared extras key"));
+
+        let end = &trace.events[1];
+        let mut int_halted = scalars_of(end);
+        int_halted[2] = ("halted", Scalar::Int(1));
+        assert!(TraceEvent::from_wire("step_end", int_halted, vec![])
+            .expect_err("halted must be a bool")
+            .contains("expected a bool"));
+        assert!(
+            TraceEvent::from_wire("step_end", scalars_of(end), vec![("warp_ns", 1)])
+                .expect_err("only worker_step has extras")
+                .contains("carries no extras")
+        );
+        assert!(TraceEvent::from_wire("mystery", vec![], vec![])
+            .expect_err("unknown kind")
+            .contains("unknown event kind"));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::PartitionMap;
 use graphite_bsp::recover::{Recovery, RecoveryConfig};
 use graphite_bsp::snapshot::Snapshot;
-use graphite_bsp::trace::TraceSink;
+use graphite_bsp::trace::{key, TraceSink};
 use graphite_bsp::MasterHook;
 use graphite_part::PartitionStrategy;
 use graphite_tgraph::graph::{TemporalGraph, VIdx, VertexId};
@@ -459,8 +459,8 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
                 // (`warp_ns`, its output sizes) from the user compute
                 // calls consuming its tuples — the paper's warp-scope
                 // blowups show up as `warp_group_msgs` ≫ messages in.
-                let tuples = sink.timed("warp_ns", || scratch.warp());
-                sink.add("warp_tuples", tuples.len() as u64);
+                let tuples = sink.timed(key::WARP_NS, || scratch.warp());
+                sink.add(key::WARP_TUPLES, tuples.len() as u64);
                 for tuple in tuples {
                     let state = partition
                         .value_at(tuple.interval.start())
@@ -477,7 +477,7 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
                             .filter(|&&i| i < msgs.len())
                             .map(|&i| msgs[i].1.clone()),
                     );
-                    sink.add("warp_group_msgs", group.len() as u64);
+                    sink.add(key::WARP_GROUP_MSGS, group.len() as u64);
                     self.fold_in_place(&mut group);
                     let mut ctx = ComputeContext {
                         graph: &graph,

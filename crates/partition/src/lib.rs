@@ -66,7 +66,7 @@ pub trait Partitioner {
 }
 
 /// Strategy selector threaded through `IcmConfig`/`VcmConfig`, the
-/// algorithm registry's `RunOpts`, and the CLI (`GRAPHITE_PARTITION`).
+/// algorithm registry's `RunOpts`, and the CLI (`--partition`).
 ///
 /// Not `Copy` since the [`PartitionStrategy::Explicit`] variant carries a
 /// shared assignment table; configs clone it, which is an `Arc` bump at
@@ -119,9 +119,9 @@ impl PartitionStrategy {
         }
     }
 
-    /// Parses a strategy name as accepted by the CLI and
-    /// `GRAPHITE_PARTITION` (case-insensitive; `temporal-balance` and
-    /// `temporal_balance` are aliases for `temporal`).
+    /// Parses a strategy name as accepted by the CLI's `--partition`
+    /// (case-insensitive; `temporal-balance` and `temporal_balance` are
+    /// aliases for `temporal`).
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "hash" => Some(PartitionStrategy::Hash),
@@ -132,17 +132,6 @@ impl PartitionStrategy {
             }
             _ => None,
         }
-    }
-
-    /// Reads `GRAPHITE_PARTITION` from the environment; unset, empty, or
-    /// unrecognized values fall back to [`PartitionStrategy::Hash`] (the
-    /// paper's default) so existing runs are unaffected.
-    pub fn from_env() -> Self {
-        std::env::var("GRAPHITE_PARTITION")
-            .ok()
-            .as_deref()
-            .and_then(Self::parse)
-            .unwrap_or_default()
     }
 
     /// The boxed [`Partitioner`] implementing this strategy.

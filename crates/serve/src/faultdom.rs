@@ -20,15 +20,14 @@
 //!    replay more headroom each time around.
 //!
 //! [`ServeHealth`] is the aggregate view of all of it, exportable as a
-//! `graphite-trace/1` row ([`health_trace`]) so the existing trace
-//! pipeline (`tracefmt`, graphite-analyze schema checks) sees
-//! serving-layer faults with no new format.
+//! `graphite-trace/1` frame ([`health_trace`]) so the existing trace
+//! pipeline (`tracefmt`, `trace_report`) sees serving-layer faults with
+//! no new format.
 
 use std::collections::BTreeMap;
 
 use crate::spec::QuerySpec;
-use graphite_bsp::metrics::UserCounters;
-use graphite_bsp::trace::{RunTrace, TraceConfig, TraceEvent, TraceSink};
+use graphite_bsp::trace::{key, RunTrace};
 use graphite_tgraph::rng::SplitMix64;
 
 /// Identity under which a query accumulates failures.
@@ -187,44 +186,28 @@ pub struct ServeHealth {
     pub quarantined_now: u64,
 }
 
-/// Renders `health` as a one-step `graphite-trace/1` run so the existing
-/// trace pipeline carries serving-layer fault counters: a `worker_step`
-/// whose `extras` hold the six `serve_*` counters (the format has no
-/// other extensible slot), closed by a halted `step_end` barrier so the
-/// stream parses as a complete step.
+/// `health` as a `graphite-trace/1` frame ([`RunTrace::frame`], step 0)
+/// whose extras are the six `serve_*` counters, so the existing trace
+/// pipeline carries serving-layer fault counters.
 pub fn health_trace(health: &ServeHealth) -> RunTrace {
-    let mut sink = TraceSink::new(TraceConfig::counters());
-    sink.add("serve_retries", health.retries);
-    sink.add("serve_recovered", health.recovered);
-    sink.add("serve_sheds", health.shed);
-    sink.add("serve_quarantined", health.quarantined);
-    sink.add("serve_budget_exceeded", health.budget_exceeded);
-    sink.add("serve_failed", health.failed);
-    let mut trace = RunTrace::default();
-    trace.push(TraceEvent::WorkerStep {
-        step: 0,
-        worker: 0,
-        active_vertices: 0,
-        messages_in: 0,
-        counters: UserCounters::default(),
-        extras: sink.take_extras(),
-        compute_ns: 0,
-    });
-    trace.push(TraceEvent::StepEnd {
-        step: 0,
-        sent: 0,
-        halted: true,
-        compute_ns: 0,
-        messaging_ns: 0,
-        barrier_ns: 0,
-    });
-    trace
+    RunTrace::frame(
+        0,
+        vec![
+            (key::SERVE_RETRIES, health.retries),
+            (key::SERVE_RECOVERED, health.recovered),
+            (key::SERVE_SHEDS, health.shed),
+            (key::SERVE_QUARANTINED, health.quarantined),
+            (key::SERVE_BUDGET_EXCEEDED, health.budget_exceeded),
+            (key::SERVE_FAILED, health.failed),
+        ],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use graphite_bsp::fault::FaultPlan;
+    use graphite_bsp::trace::TraceEvent;
 
     #[test]
     fn quarantine_key_separates_chaos_twins_from_clean_queries() {

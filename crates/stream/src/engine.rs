@@ -22,8 +22,7 @@ use graphite_algorithms::catalog::{visit_icm, Algo, IcmParams, IcmVisitor};
 use graphite_algorithms::common::digest_interval_states;
 use graphite_bsp::engine::BspConfig;
 use graphite_bsp::error::BspError;
-use graphite_bsp::metrics::UserCounters;
-use graphite_bsp::trace::{RunTrace, TraceConfig, TraceEvent, TraceSink};
+use graphite_bsp::trace::{key, RunTrace, TraceConfig, TraceSink};
 use graphite_icm::prelude::*;
 use graphite_part::PartitionStrategy;
 use graphite_tgraph::delta::{DeltaOverlay, GraphDelta};
@@ -97,31 +96,10 @@ pub enum AlgoSpec {
     },
 }
 
-/// Renders one ingested batch's `stream_*` extras as a one-step
-/// `graphite-trace/1` run (mirroring the serving layer's health row): a
-/// `worker_step` whose `extras` carry the counters, closed by a halted
-/// `step_end` so the stream parses as a complete step. Ready for
-/// `maybe_emit`.
+/// One ingested batch's `stream_*` extras as a `graphite-trace/1` frame
+/// ([`RunTrace::frame`]) numbered by the batch. Ready for `maybe_emit`.
 pub fn batch_trace(report: &BatchReport) -> RunTrace {
-    let mut trace = RunTrace::default();
-    trace.push(TraceEvent::WorkerStep {
-        step: report.batch,
-        worker: 0,
-        active_vertices: 0,
-        messages_in: 0,
-        counters: UserCounters::default(),
-        extras: report.extras.clone(),
-        compute_ns: 0,
-    });
-    trace.push(TraceEvent::StepEnd {
-        step: report.batch,
-        sent: 0,
-        halted: true,
-        compute_ns: 0,
-        messaging_ns: 0,
-        barrier_ns: 0,
-    });
-    trace
+    RunTrace::frame(report.batch, report.extras.clone())
 }
 
 impl AlgoSpec {
@@ -350,7 +328,7 @@ impl StreamEngine {
         }));
         let graph = Arc::new(
             self.sink
-                .timed("stream_apply_ns", || overlay.apply_and_freeze(delta))?,
+                .timed(key::STREAM_APPLY_NS, || overlay.apply_and_freeze(delta))?,
         );
         self.batches += 1;
         let batch = self.batches;
@@ -394,7 +372,7 @@ impl StreamEngine {
                 };
                 let (expect, _) = visit_icm(algo, &params, scratch)?;
                 if report.result_digest != expect.result_digest {
-                    self.sink.add("stream_digest_mismatches", 1);
+                    self.sink.add(key::STREAM_DIGEST_MISMATCHES, 1);
                     return Err(StreamError::DifferentialMismatch {
                         algo: spec.name(),
                         batch,
@@ -408,12 +386,13 @@ impl StreamEngine {
             slot.prev = prev;
         }
 
-        self.sink.add("stream_batches", 1);
-        self.sink.add("stream_ops", delta.len() as u64);
-        self.sink.add("stream_dirty_vertices", dirty.len() as u64);
-        self.sink.add("stream_inc_compute_calls", inc_compute);
+        self.sink.add(key::STREAM_BATCHES, 1);
+        self.sink.add(key::STREAM_OPS, delta.len() as u64);
+        self.sink
+            .add(key::STREAM_DIRTY_VERTICES, dirty.len() as u64);
+        self.sink.add(key::STREAM_INC_COMPUTE_CALLS, inc_compute);
         if check {
-            self.sink.add("stream_digest_checks", 1);
+            self.sink.add(key::STREAM_DIGEST_CHECKS, 1);
         }
         self.graph = graph;
         Ok(BatchReport {
@@ -465,7 +444,7 @@ impl IcmVisitor for Maintain<'_> {
         let encode = encode.expect("every streamed algorithm has a result digest");
         let r = match self.start {
             Start::Initial => run_icm(graph, Arc::new(program), cfg, None),
-            Start::FullCheck(sink) => sink.timed("stream_full_check_ns", || {
+            Start::FullCheck(sink) => sink.timed(key::STREAM_FULL_CHECK_NS, || {
                 run_icm(graph, Arc::new(program), cfg, None)
             }),
             Start::Warm { sink, prev, dirty } => {
@@ -473,7 +452,7 @@ impl IcmVisitor for Maintain<'_> {
                     .downcast_ref::<PrevStates<P::State>>()
                     .expect("a slot carries the states of its own algorithm");
                 let resumed = Resumed::new(program, Arc::clone(prev), Arc::clone(dirty));
-                sink.timed("stream_incremental_ns", || {
+                sink.timed(key::STREAM_INCREMENTAL_NS, || {
                     run_icm(graph, Arc::new(resumed), cfg, None)
                 })
             }

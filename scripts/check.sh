@@ -23,21 +23,43 @@ scripts/check_links.sh
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+# Recovered runs must reproduce the fault-free result digests bit for
+# bit, and persistent faults must exhaust the retry budget with a typed
+# error. Release mode matters here and in the chaos soak: the fault hooks
+# are FaultPlan configuration, not cfg-gated test code (graphite-analyze's
+# fault-isolation rule), so this exercises exactly the code that ships.
 echo "==> fault-injection matrix (release)"
 scripts/fault_matrix.sh
 
+# Every partitioning strategy x worker count x profile must reproduce the
+# hash baseline's result digests bit for bit, including under schedule
+# perturbation and injected faults: "partitioning is a pure placement
+# choice" (DESIGN.md §13).
 echo "==> placement-invariance matrix (release)"
 scripts/partition_matrix.sh
 
 echo "==> serve matrix + soak (release)"
 scripts/serve_soak.sh
 
+# The streaming layer end to end: delta-built graphs through the layout
+# property suite, the incremental-vs-from-scratch differential matrix,
+# serve-epoch swaps, and a CLI replay with the differential check on every
+# batch. Release mode because the soak replays full update streams.
 echo "==> stream matrix + soak (release)"
 scripts/stream_soak.sh
 
+# The serving fault domain under adversarial load: the chaos soak matrix
+# (budgets, retry/escalation, quarantine, shedding beside clean traffic at
+# {2,4,8} in flight), the BspError wire-format pins, and an end-to-end CLI
+# pass checking the JSONL status taxonomy and the exit-code contract.
 echo "==> chaos soak (release)"
 scripts/chaos_soak.sh
 
+# The end-to-end benchmark (BENCHMARK.json) at 1/20 scale: all four
+# workloads through the measured code path, result pins checked, every
+# declared metric emitted with its unit, exact-count metrics identical
+# across two runs of one seed. Guards the harness and the pins, not the
+# timings — a CI runner's numbers mean nothing.
 echo "==> end-to-end benchmark smoke (release)"
 bash benchmark/run.sh --smoke
 

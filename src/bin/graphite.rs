@@ -47,9 +47,8 @@
 //! trace"): `GRAPHITE_TRACE=off|counters|full` sets the recording level
 //! and `GRAPHITE_TRACE_JSON=<file>` writes the `graphite-trace/1` JSONL
 //! stream for `trace_report`. Vertex placement is selected with
-//! `--partition hash|chunked|ldg|temporal` or the `GRAPHITE_PARTITION`
-//! environment variable (the flag wins; results are identical either
-//! way — see DESIGN.md §13). `--partition-file <assignment.txt>` replays
+//! `--partition hash|chunked|ldg|temporal` (default `hash`; results are
+//! identical either way — see DESIGN.md §13). `--partition-file <assignment.txt>` replays
 //! a pinned explicit assignment instead — the file format is what
 //! `partition_report --emit-assignment` writes, so a trace-driven
 //! rebalancing recommendation feeds straight back into a live run.
@@ -183,7 +182,7 @@ fn cmd_run(path: &str, flags: &Flags) -> ExitCode {
                 }
             }
         }
-        (None, None) => PartitionStrategy::from_env(),
+        (None, None) => PartitionStrategy::default(),
         (None, Some(p)) => match PartitionStrategy::parse(p) {
             Some(s) => s,
             None => {
@@ -355,7 +354,7 @@ fn cmd_stream(path: &str, updates_path: &str, flags: &Flags) -> ExitCode {
             .and_then(|v| v.parse().ok())
             .unwrap_or(defaults.check_every),
         partition: match flags.get("--partition") {
-            None => PartitionStrategy::from_env(),
+            None => PartitionStrategy::default(),
             Some(p) => match PartitionStrategy::parse(p) {
                 Some(s) => s,
                 None => {
