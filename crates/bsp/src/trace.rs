@@ -74,6 +74,13 @@ extras_vocabulary! {
     WARP_GROUP_MSGS = "warp_group_msgs";
     /// ICM: wall-clock span inside the warp operator.
     WARP_NS = "warp_ns";
+    /// ICM: wall-clock span folding each active vertex's inbox through the
+    /// sender-side combiner.
+    PRECOMBINE_NS = "precombine_ns";
+    /// ICM: wall-clock span applying each vertex's state writes.
+    STATE_APPLY_NS = "state_apply_ns";
+    /// ICM: wall-clock span in scatter over each vertex's changes.
+    SCATTER_NS = "scatter_ns";
     /// Serve: retry attempts issued after transient failures.
     SERVE_RETRIES = "serve_retries";
     /// Serve: queries that succeeded on a retry attempt.
@@ -835,7 +842,27 @@ mod tests {
             .filter(|k| !k.ends_with("_ns"))
             .collect();
         assert_eq!(kept, deterministic);
-        assert_eq!(kept.len() + 4, EXTRA_KEYS.len(), "warp_ns + 3 stream spans");
+        assert_eq!(
+            kept.len() + 7,
+            EXTRA_KEYS.len(),
+            "warp_ns + 3 ICM phase spans + 3 stream spans"
+        );
+    }
+
+    #[test]
+    fn icm_phase_spans_appear_at_full_and_never_at_counters() {
+        let phases = [key::PRECOMBINE_NS, key::STATE_APPLY_NS, key::SCATTER_NS];
+        let mut full = TraceSink::new(TraceConfig::full());
+        let mut counters = TraceSink::new(TraceConfig::counters());
+        for sink in [&mut full, &mut counters] {
+            sink.add(key::WARP_TUPLES, 1);
+            for phase in phases {
+                sink.timed(phase, || ());
+            }
+        }
+        let full_keys: Vec<&str> = full.take_extras().iter().map(|(k, _)| *k).collect();
+        assert_eq!(full_keys, [&[key::WARP_TUPLES][..], &phases].concat());
+        assert_eq!(counters.take_extras(), vec![(key::WARP_TUPLES, 1)]);
     }
 
     #[test]

@@ -16,6 +16,15 @@
 //!
 //! Vertices implicitly vote to halt every superstep; the run ends when no
 //! messages are in flight (Sec. IV-A2).
+//!
+//! Every buffer this pipeline touches belongs to the worker and is reused
+//! across vertices and supersteps (DESIGN.md §16.3): the precombined
+//! inbox, the warp arena with its one `members` arena of groups, the
+//! materialized message group, the suppressed path's per-point buckets
+//! and the [`StateUpdates`] apply buffers. Scatter sends straight into the
+//! outbox. At `Full` trace level each phase of a vertex is timed as one
+//! span (`precombine_ns`, `warp_ns`, `state_apply_ns`, `scatter_ns`),
+//! never per tuple or per message.
 
 use crate::program::{
     ComputeContext, EdgeDirection, IntervalProgram, ScatterContext, VertexContext,
@@ -36,7 +45,7 @@ use graphite_part::PartitionStrategy;
 use graphite_tgraph::graph::{TemporalGraph, VIdx, VertexId};
 use graphite_tgraph::iset::IntervalPartition;
 use graphite_tgraph::time::{Interval, Time, TIME_MAX, TIME_MIN};
-use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -125,162 +134,208 @@ struct IcmWorker<P: IntervalProgram> {
     /// checkpoint encodings are deterministic (and byte-identical to the
     /// ordered-map representation this replaced).
     states: StateArena<P::State>,
-    /// Reusable warp arena: all kernel allocations (events, active set,
-    /// tuples, groups) plus the staged span lists amortize across every
-    /// vertex and superstep this worker executes.
+    /// One vertex's inbox after sender-side precombining.
+    combined: Vec<(Interval, P::Msg)>,
+    /// `(start, end, position)` of each inbox message, sorted when an
+    /// inbox arrives out of order (the allocation-free stand-in for a
+    /// stable sort).
+    order: Vec<(Time, Time, u32)>,
+    /// Warp arena: kernel storage, the staged span lists, the tuples and
+    /// the one members arena their groups index into.
     scratch: WarpScratch,
-    /// Reusable scatter emission buffer.
-    emitted: Vec<(Interval, P::Msg)>,
-    /// Reusable warp-group message buffer: one tuple's message group is
-    /// assembled (and combiner-folded) here instead of allocating a fresh
-    /// vector per compute call.
+    /// A warp tuple's message group, when one must be materialized (no
+    /// combiner, or the program declined to combine).
     group: Vec<P::Msg>,
-    /// Reusable per-time-point buckets of the suppressed path, indexed by
-    /// offset from the vertex's lifespan start; all empty between vertices.
-    /// A unit-lifespan graph only ever uses the first.
+    /// Per-time-point buckets of the suppressed path, indexed by offset
+    /// from the vertex's lifespan start; all empty between vertices. A
+    /// unit-lifespan graph only ever uses the first.
     buckets: Vec<Vec<P::Msg>>,
+    /// State writes, the merge-apply swap buffer and the changed list.
+    updates: StateUpdates<P::State>,
 }
 
-impl<P: IntervalProgram> IcmWorker<P> {
-    /// Folds a warp tuple's message group through the combiner, in place.
-    /// Leaves the list untouched when the program declines to combine.
-    fn fold_in_place(&self, msgs: &mut Vec<P::Msg>) {
-        if !self.combiner || msgs.len() <= 1 {
-            return;
-        }
-        let mut acc = msgs[0].clone();
-        for m in &msgs[1..] {
-            match self.program.combine(&acc, m) {
-                Some(c) => acc = c,
-                None => return,
-            }
-        }
-        msgs.clear();
-        msgs.push(acc);
+/// Folds `msgs` through the program's combiner by reference — the same
+/// `combine` calls, in the same order, as a left fold
+/// `combine(combine(m0, m1), m2)…` — returning the one combined message.
+/// `None` when there are fewer than two messages or the program declines
+/// a step; the caller then hands `compute` the list unchanged.
+fn fold<'m, P: IntervalProgram>(
+    program: &P,
+    mut msgs: impl Iterator<Item = &'m P::Msg>,
+) -> Option<P::Msg> {
+    let first = msgs.next()?;
+    let mut acc = program.combine(first, msgs.next()?)?;
+    for m in msgs {
+        acc = program.combine(&acc, m)?;
     }
+    Some(acc)
+}
 
-    /// Runs scatter over the changed sub-intervals of vertex `v`.
-    #[allow(clippy::too_many_arguments)]
-    fn scatter_changes(
-        &mut self,
-        v: VIdx,
-        changed: &[(Interval, P::State)],
-        step: u64,
-        outbox: &mut Outbox<(Interval, P::Msg)>,
-        globals: &Aggregators,
-        counters: &mut UserCounters,
-    ) {
-        if changed.is_empty() {
-            return;
-        }
-        let graph = &self.graph;
-        let passes: &[EdgeDirection] = match self.program.direction() {
-            EdgeDirection::Out => &[EdgeDirection::Out],
-            EdgeDirection::In => &[EdgeDirection::In],
-            EdgeDirection::Both => &[EdgeDirection::Out, EdgeDirection::In],
-        };
-        // Last instant any changed interval reaches: edge runs are sorted
-        // by lifespan start, so the scan below can stop at the first edge
-        // starting at or after it.
-        let max_end = changed
-            .iter()
-            .map(|(iv, _)| iv.end())
-            .max()
-            .unwrap_or(TIME_MIN);
-        let refine = self.program.refine_scatter_by_properties();
-        for &dir in passes {
-            let run = match dir {
-                EdgeDirection::Out => graph.out_run(v),
-                EdgeDirection::In | EdgeDirection::Both => graph.in_run(v),
-            };
-            for i in 0..run.len() {
-                // The hot loop reads only the mirror columns (span, then
-                // neighbor) — sequential scans over two flat arrays; the
-                // edge row itself is never touched here.
-                let span = run.span[i];
-                if span.start() >= max_end {
-                    break; // sorted run: nothing further can intersect
-                }
-                // Cheap reject before touching segments.
-                let covers = changed.iter().any(|(iv, _)| iv.intersects(span));
-                if !covers {
-                    continue;
-                }
-                let e = run.edges[i];
-                let target = run.nbr[i];
-                // Property-refined segments are precomputed into the frozen
-                // graph; the unrefined case is exactly the lifespan.
-                let segments: &[Interval] = if refine {
-                    graph.scatter_segments(e)
-                } else {
-                    std::slice::from_ref(&run.span[i])
-                };
-                for seg in segments.iter() {
-                    for (civ, state) in changed {
-                        let Some(cap) = civ.intersect(*seg) else {
-                            continue;
-                        };
-                        counters.scatter_calls += 1;
-                        self.emitted.clear();
-                        let mut ctx = ScatterContext {
-                            graph,
-                            edge: e,
-                            superstep: step,
-                            globals,
-                            interval: cap,
-                            change: *civ,
-                            segment: *seg,
-                            direction: dir,
-                            emitted: &mut self.emitted,
-                        };
-                        self.program.scatter(&mut ctx, cap, state);
-                        for (iv, m) in self.emitted.drain(..) {
-                            outbox.send(target, (iv, m));
-                        }
-                    }
-                }
+/// Sender-side pre-warp combining of one vertex's inbox: messages with
+/// *identical* intervals fold into one when a combiner exists. Returns
+/// `raw` itself when there is nothing to combine — it is already sorted
+/// with no interval repeated — otherwise `out`, which receives the inbox
+/// sorted by `(start, end)` — arrival order among equal intervals — and
+/// folded in place. A declined combine keeps both messages.
+fn precombine<'m, P: IntervalProgram>(
+    program: &P,
+    combiner: bool,
+    raw: &'m [(Interval, P::Msg)],
+    out: &'m mut Vec<(Interval, P::Msg)>,
+    order: &mut Vec<(Time, Time, u32)>,
+) -> &'m [(Interval, P::Msg)] {
+    if !combiner {
+        return raw;
+    }
+    let key = |(iv, _): &(Interval, P::Msg)| (iv.start(), iv.end());
+    let (mut sorted, mut distinct) = (true, true);
+    for w in raw.windows(2) {
+        match key(&w[0]).cmp(&key(&w[1])) {
+            Ordering::Less => {}
+            Ordering::Equal => distinct = false,
+            Ordering::Greater => {
+                sorted = false;
+                break;
             }
         }
     }
-
-    /// Sender-side pre-warp combining: messages bound for the same vertex
-    /// with *identical* intervals fold into one when a combiner exists.
-    /// Borrows the inbox slice unchanged when there is nothing to combine
-    /// — the common single-message case costs no allocation at all.
-    fn precombine<'m>(&self, msgs: &'m [(Interval, P::Msg)]) -> Cow<'m, [(Interval, P::Msg)]> {
-        if !self.combiner || msgs.len() <= 1 {
-            return Cow::Borrowed(msgs);
-        }
-        let mut sorted: Vec<(Interval, P::Msg)> = msgs.to_vec();
-        sorted.sort_by_key(|(iv, _)| (iv.start(), iv.end()));
-        let mut out: Vec<(Interval, P::Msg)> = Vec::with_capacity(sorted.len());
-        for (iv, m) in sorted {
-            match out.last_mut() {
-                Some((last_iv, last_m)) if *last_iv == iv => {
-                    match self.program.combine(last_m, &m) {
-                        Some(c) => *last_m = c,
-                        None => out.push((iv, m)),
-                    }
-                }
-                _ => out.push((iv, m)),
-            }
-        }
-        Cow::Owned(out)
+    if sorted && distinct {
+        return raw;
     }
-
-    /// Whether this vertex's inbox qualifies for warp suppression.
-    fn should_suppress(&self, lifespan: Interval, msgs: &[(Interval, P::Msg)]) -> bool {
-        let Some(threshold) = self.suppression else {
+    out.clear();
+    if sorted {
+        out.extend_from_slice(raw);
+    } else {
+        // Sorting positions by (interval, position) is the stable sort of
+        // the inbox, without the scratch a stable sort allocates.
+        order.clear();
+        order.extend(
+            (0u32..)
+                .zip(raw)
+                .map(|(i, (iv, _))| (iv.start(), iv.end(), i)),
+        );
+        order.sort_unstable();
+        out.extend(order.iter().map(|&(_, _, i)| raw[i as usize].clone()));
+    }
+    out.dedup_by(|(iv, m), (last_iv, last_m)| {
+        if *last_iv != *iv {
             return false;
+        }
+        match program.combine(last_m, m) {
+            Some(c) => {
+                *last_m = c;
+                true
+            }
+            None => false,
+        }
+    });
+    out
+}
+
+/// Whether a vertex's inbox qualifies for warp suppression.
+fn should_suppress<M>(threshold: Option<f64>, lifespan: Interval, msgs: &[(Interval, M)]) -> bool {
+    let Some(threshold) = threshold else {
+        return false;
+    };
+    if msgs.is_empty() {
+        return false; // nothing to suppress (all-active empty groups)
+    }
+    if lifespan.start() == TIME_MIN || lifespan.end() == TIME_MAX {
+        return false; // per-point execution needs a bounded domain
+    }
+    let unit = msgs.iter().filter(|(iv, _)| iv.is_unit()).count();
+    (unit as f64) >= threshold * (msgs.len() as f64)
+}
+
+/// Runs scatter over the changed sub-intervals of vertex `v`, sending
+/// straight into `outbox`.
+///
+/// `changed` is sorted and disjoint and each adjacency run is sorted by
+/// lifespan start, so one cursor finds, per edge, the changed pieces its
+/// span can meet: the first piece ending after the span's start only
+/// moves forward along the run. Calls go out segment by segment, piece by
+/// piece within a segment — the order (and so the outbox bytes) of the
+/// full segment × changed product with the misses skipped.
+#[allow(clippy::too_many_arguments)]
+fn scatter_changes<P: IntervalProgram>(
+    graph: &TemporalGraph,
+    program: &P,
+    v: VIdx,
+    changed: &[(Interval, P::State)],
+    step: u64,
+    outbox: &mut Outbox<(Interval, P::Msg)>,
+    globals: &Aggregators,
+    counters: &mut UserCounters,
+) {
+    let Some((last, _)) = changed.last() else {
+        return;
+    };
+    // Last instant any changed interval reaches: the scan below stops at
+    // the first edge starting at or after it.
+    let max_end = last.end();
+    let passes: &[EdgeDirection] = match program.direction() {
+        EdgeDirection::Out => &[EdgeDirection::Out],
+        EdgeDirection::In => &[EdgeDirection::In],
+        EdgeDirection::Both => &[EdgeDirection::Out, EdgeDirection::In],
+    };
+    let refine = program.refine_scatter_by_properties();
+    for &dir in passes {
+        let run = match dir {
+            EdgeDirection::Out => graph.out_run(v),
+            EdgeDirection::In | EdgeDirection::Both => graph.in_run(v),
         };
-        if msgs.is_empty() {
-            return false; // nothing to suppress (all-active empty groups)
+        let mut lo = 0; // first changed piece ending after the span start
+        for i in 0..run.len() {
+            // The hot loop reads only the mirror columns (span, then
+            // neighbor) — sequential scans over two flat arrays; the
+            // edge row itself is never touched here.
+            let span = run.span[i];
+            if span.start() >= max_end {
+                break; // sorted run: nothing further can intersect
+            }
+            while changed[lo].0.end() <= span.start() {
+                lo += 1; // max_end > span.start keeps lo in bounds
+            }
+            let hits = changed[lo..]
+                .iter()
+                .take_while(|(iv, _)| iv.start() < span.end())
+                .count();
+            if hits == 0 {
+                continue; // cheap reject before touching segments
+            }
+            let hits = &changed[lo..lo + hits];
+            let e = run.edges[i];
+            let target = run.nbr[i];
+            // Property-refined segments are precomputed into the frozen
+            // graph (each inside the lifespan); the unrefined case is
+            // exactly the lifespan.
+            let segments: &[Interval] = if refine {
+                graph.scatter_segments(e)
+            } else {
+                std::slice::from_ref(&run.span[i])
+            };
+            for seg in segments {
+                for (civ, state) in hits {
+                    let Some(cap) = civ.intersect(*seg) else {
+                        continue;
+                    };
+                    counters.scatter_calls += 1;
+                    let mut ctx = ScatterContext {
+                        graph,
+                        edge: e,
+                        superstep: step,
+                        globals,
+                        interval: cap,
+                        change: *civ,
+                        segment: *seg,
+                        direction: dir,
+                        target,
+                        outbox: &mut *outbox,
+                    };
+                    program.scatter(&mut ctx, cap, state);
+                }
+            }
         }
-        if lifespan.start() == TIME_MIN || lifespan.end() == TIME_MAX {
-            return false; // per-point execution needs a bounded domain
-        }
-        let unit = msgs.iter().filter(|(iv, _)| iv.is_unit()).count();
-        (unit as f64) >= threshold * (msgs.len() as f64)
     }
 }
 
@@ -297,23 +352,34 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
         counters: &mut UserCounters,
         sink: &mut TraceSink,
     ) {
-        let graph = Arc::clone(&self.graph);
+        let IcmWorker {
+            graph,
+            program,
+            owned,
+            combiner,
+            suppression,
+            states,
+            combined,
+            order,
+            scratch,
+            group,
+            buckets,
+            updates,
+        } = self;
+        let graph: &TemporalGraph = graph;
+        let program: &P = program;
         let mut direct: Vec<(VIdx, Interval, P::Msg)> = Vec::new();
         if step == 1 {
             // Initialization superstep: every vertex is active for its
             // entire lifespan, with no messages. States are pre-partitioned
             // at the program's static boundaries (footnote 2), and compute
             // runs once per initial partition entry.
-            let owned = std::mem::take(&mut self.owned);
-            for &v in &owned {
-                let vctx = VertexContext {
-                    graph: &graph,
-                    vertex: v,
-                };
+            for &v in owned.iter() {
+                let vctx = VertexContext { graph, vertex: v };
                 let lifespan = vctx.lifespan();
-                let init = self.program.init(&vctx);
+                let init = program.init(&vctx);
                 let mut partition = IntervalPartition::new(lifespan, init);
-                for t in self.program.prepartition(&vctx) {
+                for t in program.prepartition(&vctx) {
                     partition.split_at(t);
                 }
                 // Warm start (DESIGN.md §17): overlay pre-converged entries
@@ -321,7 +387,7 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
                 // they are never reported as changes — a warm vertex holds
                 // its fixpoint silently and only scatters if compute below
                 // (or later messages) genuinely improves on it.
-                if let Some(entries) = self.program.warm_start(&vctx) {
+                if let Some(entries) = program.warm_start(&vctx) {
                     for (iv, s) in entries {
                         if let Some(clipped) = iv.intersect(lifespan) {
                             partition.set(clipped, s);
@@ -329,26 +395,26 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
                     }
                     partition.coalesce();
                 }
-                let mut updates = StateUpdates::new();
                 for (iv, state) in partition.iter() {
                     let mut ctx = ComputeContext {
-                        graph: &graph,
+                        graph,
                         vertex: v,
                         superstep: step,
                         globals,
                         partial,
-                        updates: &mut updates,
+                        updates,
                         tuple_interval: iv,
                         direct: &mut direct,
                     };
                     counters.compute_calls += 1;
-                    self.program.compute(&mut ctx, iv, state, &[]);
+                    program.compute(&mut ctx, iv, state, &[]);
                 }
-                let changed = updates.apply(&mut partition);
-                self.states.put(v, partition);
-                self.scatter_changes(v, &changed, step, outbox, globals, counters);
+                let changed = sink.timed(key::STATE_APPLY_NS, || updates.apply(&mut partition));
+                sink.timed(key::SCATTER_NS, || {
+                    scatter_changes(graph, program, v, changed, step, outbox, globals, counters)
+                });
+                states.put(v, partition);
             }
-            self.owned = owned;
             for (v, iv, m) in direct {
                 outbox.send(v, (iv, m));
             }
@@ -359,44 +425,36 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
         // program asks for an all-active superstep (fixed-iteration or
         // phased algorithms), every vertex participates over its whole
         // lifespan.
-        type ActiveSet<'m, M> = Vec<(VIdx, Cow<'m, [(Interval, M)]>)>;
-        let all_active = self.program.all_active(step, globals);
-        let mut active: ActiveSet<'_, P::Msg> = Vec::new();
-        if all_active {
-            for i in 0..self.owned.len() {
-                let v = self.owned[i];
-                let msgs = inbox
-                    .messages_for(v)
-                    .map(|raw| self.precombine(raw))
-                    .unwrap_or(Cow::Borrowed(&[]));
-                active.push((v, msgs));
-            }
+        let all_active = program.all_active(step, globals);
+        let mut everyone;
+        let mut messaged;
+        let active: &mut dyn Iterator<Item = (VIdx, &[Self::Msg])> = if all_active {
+            everyone = owned
+                .iter()
+                .map(|&v| (v, inbox.messages_for(v).unwrap_or(&[])));
+            &mut everyone
         } else {
-            for (v, raw) in inbox.iter() {
-                active.push((v, self.precombine(raw)));
-            }
-        }
-        // The warp arena and the message buffers move into locals for the
-        // superstep so their borrows don't pin `self` while
-        // `fold_in_place`/`scatter_changes` run.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut group = std::mem::take(&mut self.group);
-        let mut buckets = std::mem::take(&mut self.buckets);
-        for (v, msgs) in active {
-            // Take the vertex state out of the map for the superstep and
+            messaged = inbox.iter();
+            &mut messaged
+        };
+        for (v, raw) in active {
+            // Take the vertex state out of the arena for the superstep and
             // reinsert it after the writes are applied: one lookup, no
             // re-borrow, no "checked above" unwrap.
-            let Some(mut partition) = self.states.take(v) else {
+            let Some(mut partition) = states.take(v) else {
                 continue;
             };
+            let msgs = sink.timed(key::PRECOMBINE_NS, || {
+                precombine(program, *combiner, raw, combined, order)
+            });
             let lifespan = partition.lifespan();
-            let mut updates = StateUpdates::new();
+            let entries = partition.entries();
 
             // All-active supersteps must cover message-free intervals
             // with empty-group compute calls, which the per-point
             // suppressed path cannot do — warp (with the sentinel span)
             // handles those supersteps.
-            if !all_active && self.should_suppress(lifespan, &msgs) {
+            if !all_active && should_suppress(*suppression, lifespan, msgs) {
                 counters.warp_suppressions += 1;
                 // Time-point-centric fallback: bucket messages per point
                 // in a dense offset-indexed table (bounded lifespans are a
@@ -407,7 +465,7 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
                 if buckets.len() < points {
                     buckets.resize_with(points, Vec::new);
                 }
-                for (iv, m) in msgs.iter() {
+                for (iv, m) in msgs {
                     let Some(clipped) = iv.intersect(lifespan) else {
                         continue;
                     };
@@ -415,93 +473,108 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
                         buckets[(t - base) as usize].push(m.clone());
                     }
                 }
+                // Buckets ascend in time, so the covering entry is found
+                // by a cursor that only moves forward.
+                let mut e = 0;
                 for (off, bucket) in buckets[..points].iter_mut().enumerate() {
                     if bucket.is_empty() {
                         continue;
                     }
                     let t = base + off as Time;
+                    while entries[e].0.end() <= t {
+                        e += 1;
+                    }
                     let point = Interval::point(t);
-                    let state = partition
-                        .value_at(t)
-                        // lint:allow(no-unwrap) — t comes from clipping the
-                        // message interval against the lifespan, and the
-                        // partition covers the lifespan by construction.
-                        .expect("bucket inside lifespan")
-                        .clone();
-                    self.fold_in_place(bucket);
+                    let folded = if *combiner {
+                        fold(program, bucket.iter())
+                    } else {
+                        None
+                    };
+                    let group: &[P::Msg] = match &folded {
+                        Some(acc) => std::slice::from_ref(acc),
+                        None => bucket,
+                    };
                     let mut ctx = ComputeContext {
-                        graph: &graph,
+                        graph,
                         vertex: v,
                         superstep: step,
                         globals,
                         partial,
-                        updates: &mut updates,
+                        updates,
                         tuple_interval: point,
                         direct: &mut direct,
                     };
                     counters.compute_calls += 1;
-                    self.program.compute(&mut ctx, point, &state, bucket);
+                    program.compute(&mut ctx, point, &entries[e].1, group);
                     bucket.clear();
                 }
             } else {
                 counters.warp_invocations += 1;
                 scratch.outer.clear();
-                scratch.outer.extend(partition.iter().map(|(iv, _)| iv));
+                scratch.outer.extend(entries.iter().map(|(iv, _)| *iv));
                 scratch.inner.clear();
                 scratch.inner.extend(msgs.iter().map(|(iv, _)| *iv));
                 if all_active {
                     // A sentinel span covering the lifespan makes warp
                     // emit tuples over the whole vertex, so intervals with
                     // no messages still get (empty-group) compute calls.
+                    // It is the last inner index, so it closes any group
+                    // it joins.
                     scratch.inner.push(lifespan);
                 }
                 // The trace separates the alignment operator itself
                 // (`warp_ns`, its output sizes) from the user compute
                 // calls consuming its tuples — the paper's warp-scope
                 // blowups show up as `warp_group_msgs` ≫ messages in.
-                let tuples = sink.timed(key::WARP_NS, || scratch.warp());
-                sink.add(key::WARP_TUPLES, tuples.len() as u64);
-                for tuple in tuples {
-                    let state = partition
-                        .value_at(tuple.interval.start())
-                        // lint:allow(no-unwrap) — warp property 1: every
-                        // tuple interval is a subset of exactly one outer
-                        // (state) interval, so the lookup cannot miss.
-                        .expect("warp tuple inside lifespan")
-                        .clone();
-                    group.clear();
-                    group.extend(
-                        tuple
-                            .inner
-                            .iter()
-                            .filter(|&&i| i < msgs.len())
-                            .map(|&i| msgs[i].1.clone()),
-                    );
-                    sink.add(key::WARP_GROUP_MSGS, group.len() as u64);
-                    self.fold_in_place(&mut group);
+                let tuples = sink.timed(key::WARP_NS, || scratch.warp().len());
+                sink.add(key::WARP_TUPLES, tuples as u64);
+                let warp: &WarpScratch = scratch;
+                for tuple in warp.tuples() {
+                    let ids = match warp.group(tuple).split_last() {
+                        Some((&last, rest)) if last as usize == msgs.len() => rest,
+                        _ => warp.group(tuple),
+                    };
+                    sink.add(key::WARP_GROUP_MSGS, ids.len() as u64);
+                    let of = |&i: &u32| &msgs[i as usize].1;
+                    let folded = if *combiner {
+                        fold(program, ids.iter().map(of))
+                    } else {
+                        None
+                    };
+                    let group: &[P::Msg] = match (&folded, ids) {
+                        (Some(acc), _) => std::slice::from_ref(acc),
+                        (None, []) => &[],
+                        (None, [i]) => std::slice::from_ref(of(i)),
+                        (None, _) => {
+                            group.clear();
+                            group.extend(ids.iter().map(of).cloned());
+                            group
+                        }
+                    };
+                    // Warp property 1: the tuple lies inside its outer
+                    // entry, which is partition entry `tuple.outer`.
+                    let state = &entries[tuple.outer].1;
                     let mut ctx = ComputeContext {
-                        graph: &graph,
+                        graph,
                         vertex: v,
                         superstep: step,
                         globals,
                         partial,
-                        updates: &mut updates,
+                        updates,
                         tuple_interval: tuple.interval,
                         direct: &mut direct,
                     };
                     counters.compute_calls += 1;
-                    self.program
-                        .compute(&mut ctx, tuple.interval, &state, &group);
+                    program.compute(&mut ctx, tuple.interval, state, group);
                 }
             }
 
-            let changed = updates.apply(&mut partition);
-            self.states.put(v, partition);
-            self.scatter_changes(v, &changed, step, outbox, globals, counters);
+            let changed = sink.timed(key::STATE_APPLY_NS, || updates.apply(&mut partition));
+            sink.timed(key::SCATTER_NS, || {
+                scatter_changes(graph, program, v, changed, step, outbox, globals, counters)
+            });
+            states.put(v, partition);
         }
-        self.scratch = scratch;
-        self.group = group;
-        self.buckets = buckets;
         for (v, iv, m) in direct {
             outbox.send(v, (iv, m));
         }
@@ -509,7 +582,7 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
 }
 
 /// Checkpointing for ICM workers: the per-vertex interval partitions are
-/// the complete user state — `scratch` and `emitted` are ephemeral, scatter segments
+/// the complete user state — every other buffer is ephemeral, scatter segments
 /// live precomputed in the frozen graph, and the config fields never
 /// change mid-run. The arena iterates in ascending vertex-id order, so
 /// the encoding is byte-identical to the ordered-map representation it
@@ -618,10 +691,12 @@ fn build_workers<P: IntervalProgram>(
                 suppression: config.suppression_threshold,
                 states: StateArena::new(&owned),
                 owned,
+                combined: Vec::new(),
+                order: Vec::new(),
                 scratch: WarpScratch::new(),
-                emitted: Vec::new(),
                 group: Vec::new(),
                 buckets: Vec::new(),
+                updates: StateUpdates::new(),
             }
         })
         .collect()

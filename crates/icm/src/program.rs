@@ -11,6 +11,7 @@
 use crate::state::StateUpdates;
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::Wire;
+use graphite_bsp::engine::Outbox;
 use graphite_tgraph::graph::{EIdx, EdgeRef, TemporalGraph, VIdx, VertexId, VertexRef};
 use graphite_tgraph::property::{LabelId, PropValue};
 use graphite_tgraph::time::{Interval, Time};
@@ -256,7 +257,9 @@ pub struct ScatterContext<'a, M> {
     pub(crate) change: Interval,
     pub(crate) segment: Interval,
     pub(crate) direction: EdgeDirection,
-    pub(crate) emitted: &'a mut Vec<(Interval, M)>,
+    /// The edge's far endpoint: where every message of this call goes.
+    pub(crate) target: VIdx,
+    pub(crate) outbox: &'a mut Outbox<(Interval, M)>,
 }
 
 impl<'a, M> ScatterContext<'a, M> {
@@ -323,14 +326,13 @@ impl<'a, M> ScatterContext<'a, M> {
 
     /// Sends `msg` with interval `τm` to the adjacent vertex.
     pub fn send(&mut self, interval: Interval, msg: M) {
-        self.emitted.push((interval, msg));
+        self.outbox.send(self.target, (interval, msg));
     }
 
     /// Sends `msg` with the inherited interval `τm = τ'k` (the paper's
     /// default when scatter omits the interval).
     pub fn send_inherit(&mut self, msg: M) {
-        let iv = self.interval;
-        self.emitted.push((iv, msg));
+        self.outbox.send(self.target, (self.interval, msg));
     }
 
     /// The time-point shorthand used all over the paper's examples:

@@ -2,6 +2,13 @@
 //! the engine: the per-vertex [`IntervalPartition`] plus the bookkeeping of
 //! which sub-intervals `compute` changed in the current superstep (those —
 //! and only those — feed the pre-scatter warp).
+//!
+//! [`StateUpdates`] is a worker-owned buffer, not a per-vertex value: it
+//! collects one vertex's writes already sorted and disjoint, applies them
+//! in one merge pass over the partition
+//! ([`IntervalPartition::merge_writes`]) through a swap buffer it keeps,
+//! and hands back its own `changed` list — so a steady-state superstep
+//! allocates nothing here (DESIGN.md §16.3).
 
 use graphite_tgraph::graph::VIdx;
 use graphite_tgraph::iset::IntervalPartition;
@@ -106,122 +113,144 @@ impl<S> StateArena<S> {
     }
 }
 
-/// The state writes produced by the `compute` calls of one vertex in one
-/// superstep. Warp tuples are disjoint, so writes never overlap across
-/// calls; within one call later writes win (matching repeated
+/// The state writes of one vertex in one superstep, and the worker-owned
+/// buffers that apply them (DESIGN.md §16.3).
+///
+/// One instance lives in each worker and is reused for every vertex:
+/// [`apply`](Self::apply) leaves it empty again, and none of its buffers
+/// ever shrinks, so steady-state supersteps allocate nothing here.
+///
+/// `writes` is kept sorted and disjoint as it fills. Warp tuples are
+/// disjoint and arrive in temporal order, so writes from different
+/// `compute` calls append in order; only a later `set_state` of the same
+/// call that overlaps or precedes an earlier one takes the slow path, a
+/// later-wins overwrite of just the writes it touches (matching repeated
 /// `setState`).
 #[derive(Debug)]
 pub struct StateUpdates<S> {
+    /// Pending writes: sorted, disjoint, later-wins already resolved.
     writes: Vec<(Interval, S)>,
+    /// Raw `set_state` writes recorded since the last apply.
+    raw: usize,
+    /// Swap buffer for [`IntervalPartition::merge_writes`].
+    swap: Vec<(Interval, S)>,
+    /// The last apply's changed sub-intervals.
+    changed: Vec<(Interval, S)>,
 }
 
 impl<S> Default for StateUpdates<S> {
     fn default() -> Self {
-        StateUpdates { writes: Vec::new() }
+        StateUpdates {
+            writes: Vec::new(),
+            raw: 0,
+            swap: Vec::new(),
+            changed: Vec::new(),
+        }
     }
 }
 
 impl<S> StateUpdates<S> {
     /// An empty set of updates.
     pub fn new() -> Self {
-        StateUpdates { writes: Vec::new() }
+        Self::default()
     }
 
-    /// Records a write (already clipped by the compute context).
-    pub fn push(&mut self, interval: Interval, state: S) {
-        self.writes.push((interval, state));
-    }
-
-    /// `true` when compute made no writes.
+    /// `true` when compute made no writes since the last apply.
     pub fn is_empty(&self) -> bool {
-        self.writes.is_empty()
+        self.raw == 0
     }
 
-    /// Number of raw writes.
+    /// Number of raw writes since the last apply.
     pub fn len(&self) -> usize {
-        self.writes.len()
+        self.raw
+    }
+}
+
+impl<S: Clone> StateUpdates<S> {
+    /// Records a write (already clipped by the compute context); later
+    /// writes win where they overlap earlier ones.
+    pub fn push(&mut self, interval: Interval, state: S) {
+        self.raw += 1;
+        match self.writes.last() {
+            Some((last, _)) if last.end() > interval.start() => {
+                overwrite(&mut self.writes, interval, state);
+            }
+            _ => self.writes.push((interval, state)),
+        }
     }
 }
 
 impl<S: Clone + PartialEq> StateUpdates<S> {
-    /// Applies the writes to `partition` (repartitioning as needed) and
+    /// Applies the pending writes to `partition` in one merge pass and
     /// returns the *changed* sub-intervals with their new values —
-    /// temporally sorted, overlap-resolved (later writes win), coalesced,
-    /// and filtered to writes that actually changed the stored value.
+    /// temporally sorted, overlap-resolved (later writes win), with
+    /// adjacent equal-valued pieces joined, and filtered to writes that
+    /// actually changed the stored value. The updates are empty again
+    /// afterwards.
     ///
     /// Filtering no-op writes keeps scatter from firing when `compute`
     /// re-stores an unchanged value, matching the paper's "any state update
     /// causes scatter to be called" (a value-identical store is not an
-    /// update).
-    pub fn apply(mut self, partition: &mut IntervalPartition<S>) -> Vec<(Interval, S)> {
-        if self.writes.is_empty() {
-            return Vec::new();
-        }
-        // Fast path for the dominant case — one write per compute call —
-        // which needs no overlap resolution: diff the single interval
-        // against the partition directly, skipping the scratch cover (an
-        // allocation per active vertex per superstep on the general path).
-        if self.writes.len() == 1 {
-            let Some((iv, value)) = self.writes.pop() else {
-                return Vec::new(); // unreachable: length was checked above
-            };
-            let diffs: Vec<Interval> = partition
-                .overlapping(iv)
-                .filter(|(_, old)| *old != &value)
-                .map(|(piece, _)| piece)
-                .collect();
-            let mut changed: Vec<(Interval, S)> = Vec::new();
-            for piece in diffs {
-                partition.set(piece, value.clone());
-                match changed.last_mut() {
-                    Some((last, lv)) if last.meets(piece) && *lv == value => {
-                        *last = last.span(piece);
-                    }
-                    _ => changed.push((piece, value.clone())),
-                }
-            }
-            if !changed.is_empty() {
-                partition.coalesce();
-            }
+    /// update). A value-equal write never splits an entry, and the
+    /// partition is coalesced only when there was more than one write or
+    /// something changed — so a write-free or no-op vertex keeps its
+    /// entries exactly, prepartition splits included.
+    pub fn apply(&mut self, partition: &mut IntervalPartition<S>) -> &[(Interval, S)] {
+        let StateUpdates {
+            writes,
+            raw,
+            swap,
+            changed,
+        } = self;
+        changed.clear();
+        if *raw == 0 {
             return changed;
         }
-        // Resolve overlapping writes (later wins) onto a scratch cover of
-        // the written span, then diff that cover against the partition.
-        let Some(span) = self
-            .writes
-            .iter()
-            .map(|(iv, _)| *iv)
-            .reduce(|a, b| a.span(b))
-        else {
-            return Vec::new(); // unreachable: emptiness was checked above
-        };
-        let mut resolved: IntervalPartition<Option<S>> = IntervalPartition::new(span, None);
-        for (iv, v) in self.writes {
-            resolved.set(iv, Some(v));
-        }
-        let mut changed: Vec<(Interval, S)> = Vec::new();
-        for (iv, value) in resolved
-            .iter()
-            .filter_map(|(iv, v)| v.as_ref().map(|v| (iv, v)))
-        {
-            let diffs: Vec<Interval> = partition
-                .overlapping(iv)
-                .filter(|(_, old)| *old != value)
-                .map(|(piece, _)| piece)
-                .collect();
-            for piece in diffs {
-                partition.set(piece, value.clone());
-                match changed.last_mut() {
-                    Some((last, lv)) if last.meets(piece) && *lv == *value => {
-                        *last = last.span(piece);
-                    }
-                    _ => changed.push((piece, value.clone())),
-                }
+        partition.merge_writes(writes, swap, |piece, value| match changed.last_mut() {
+            Some((last, lv)) if last.meets(piece) && *lv == *value => {
+                *last = last.span(piece);
             }
+            _ => changed.push((piece, value.clone())),
+        });
+        if *raw > 1 || !changed.is_empty() {
+            partition.coalesce();
         }
-        partition.coalesce();
+        writes.clear();
+        *raw = 0;
         changed
     }
+}
+
+/// Later-wins insert of `(interval, state)` into the sorted, disjoint
+/// `writes`: the writes it overlaps are trimmed (or dropped when covered)
+/// and it takes their place, so the list stays sorted and disjoint.
+fn overwrite<S: Clone>(writes: &mut Vec<(Interval, S)>, interval: Interval, state: S) {
+    let from = writes.partition_point(|(w, _)| w.end() <= interval.start());
+    let to = writes.partition_point(|(w, _)| w.start() < interval.end());
+    if from == to {
+        writes.insert(from, (interval, state));
+        return;
+    }
+    let (first, first_state) = &writes[from];
+    let left = (first.start() < interval.start()).then(|| {
+        (
+            Interval::new(first.start(), interval.start()),
+            first_state.clone(),
+        )
+    });
+    let (last, last_state) = &writes[to - 1];
+    let right = (last.end() > interval.end()).then(|| {
+        (
+            Interval::new(interval.end(), last.end()),
+            last_state.clone(),
+        )
+    });
+    writes.splice(
+        from..to,
+        left.into_iter()
+            .chain(std::iter::once((interval, state)))
+            .chain(right),
+    );
 }
 
 #[cfg(test)]
@@ -238,7 +267,7 @@ mod tests {
         let mut u = StateUpdates::new();
         u.push(Interval::new(2, 5), 7);
         u.push(Interval::new(7, 9), 3);
-        let changed = u.apply(&mut p);
+        let changed = u.apply(&mut p).to_vec();
         assert_eq!(
             changed,
             vec![(Interval::new(2, 5), 7), (Interval::new(7, 9), 3)]
@@ -253,7 +282,7 @@ mod tests {
         let mut p = partition();
         let mut u = StateUpdates::new();
         u.push(Interval::new(2, 5), 100); // same as stored
-        let changed = u.apply(&mut p);
+        let changed = u.apply(&mut p).to_vec();
         assert!(changed.is_empty());
         assert_eq!(p.len(), 1, "partition not fragmented by no-op writes");
     }
@@ -264,7 +293,7 @@ mod tests {
         p.set(Interval::new(0, 4), 7);
         let mut u = StateUpdates::new();
         u.push(Interval::new(2, 8), 7); // [2,4) already 7; [4,8) changes
-        let changed = u.apply(&mut p);
+        let changed = u.apply(&mut p).to_vec();
         assert_eq!(changed, vec![(Interval::new(4, 8), 7)]);
     }
 
@@ -274,7 +303,7 @@ mod tests {
         let mut u = StateUpdates::new();
         u.push(Interval::new(2, 5), 9);
         u.push(Interval::new(5, 8), 9);
-        let changed = u.apply(&mut p);
+        let changed = u.apply(&mut p).to_vec();
         assert_eq!(changed, vec![(Interval::new(2, 8), 9)]);
         // Partition coalesced too.
         assert_eq!(p.len(), 3);
@@ -286,7 +315,7 @@ mod tests {
         let mut u = StateUpdates::new();
         u.push(Interval::new(2, 6), 5);
         u.push(Interval::new(4, 8), 9);
-        let changed = u.apply(&mut p);
+        let changed = u.apply(&mut p).to_vec();
         // Final stored values: [2,4)=5, [4,8)=9.
         assert_eq!(p.value_at(3), Some(&5));
         assert_eq!(p.value_at(5), Some(&9));
@@ -305,7 +334,7 @@ mod tests {
     #[test]
     fn empty_updates_do_nothing() {
         let mut p = partition();
-        let u: StateUpdates<i64> = StateUpdates::new();
+        let mut u: StateUpdates<i64> = StateUpdates::new();
         assert!(u.apply(&mut p).is_empty());
         assert_eq!(p.len(), 1);
     }

@@ -30,9 +30,12 @@
 //! merge-sort temporal aggregation the paper adopts from Moon et al.,
 //! minus the sort of the already-sorted side. All working storage lives
 //! in a caller-provided [`WarpScratch`] arena, so the engine's
-//! per-vertex-per-superstep warps allocate nothing in steady state.
+//! per-vertex-per-superstep warps allocate nothing in steady state: the
+//! tuples are plain values whose inner groups are ranges into one shared
+//! `members` arena ([`WarpScratch::group`]), not a vector each.
 
 use graphite_tgraph::time::{Interval, Time};
+use std::ops::Range;
 
 /// One pair from the time-join: the intersection interval and the indices
 /// of the participating outer and inner entries.
@@ -54,14 +57,15 @@ pub struct WarpTuple {
     pub interval: Interval,
     /// Index of the outer entry (unique per time-point: property 3).
     pub outer: usize,
-    /// Indices of the grouped inner entries, ascending.
-    pub inner: Vec<usize>,
+    /// Where the grouped inner indices sit in the producing scratch's
+    /// members arena; read them with [`WarpScratch::group`].
+    pub inner: Range<u32>,
 }
 
 /// One linear pass over an event list: `true` when already non-decreasing,
 /// letting the kernel skip the event sort for inboxes that arrive in run
 /// order from the frozen graph's lifespan-sorted adjacency.
-fn is_sorted_pairs(events: &[(Time, usize)]) -> bool {
+fn is_sorted_pairs(events: &[(Time, u32)]) -> bool {
     events.windows(2).all(|w| w[0] <= w[1])
 }
 
@@ -94,10 +98,10 @@ pub fn time_join<S, M>(outer: &[(Interval, S)], inner: &[(Interval, M)]) -> Vec<
 
 /// The time-warp `⋈` of an outer (temporally partitioned) and an inner set.
 ///
-/// Tuples are emitted in temporal order; inner groups are ascending index
-/// lists; tuples with empty groups are omitted (per the definition,
-/// `Mr ≠ ∅`).
-pub fn time_warp<S, M>(outer: &[(Interval, S)], inner: &[(Interval, M)]) -> Vec<WarpTuple> {
+/// Tuples are emitted in temporal order ([`WarpScratch::tuples`]); inner
+/// groups are ascending index lists ([`WarpScratch::group`]); tuples with
+/// empty groups are omitted (per the definition, `Mr ≠ ∅`).
+pub fn time_warp<S, M>(outer: &[(Interval, S)], inner: &[(Interval, M)]) -> WarpScratch {
     debug_check_outer(outer);
     let outer_spans: Vec<Interval> = outer.iter().map(|(iv, _)| *iv).collect();
     let inner_spans: Vec<Interval> = inner.iter().map(|(iv, _)| *iv).collect();
@@ -107,12 +111,13 @@ pub fn time_warp<S, M>(outer: &[(Interval, S)], inner: &[(Interval, M)]) -> Vec<
 /// [`time_warp`] over bare interval slices — what the engine uses, since
 /// the sweep never inspects the associated values.
 ///
-/// Allocates a fresh [`WarpScratch`] per call; hot paths should hold a
-/// scratch and use [`time_warp_spans_into`] or [`WarpScratch::warp`].
-pub fn time_warp_spans(outer: &[Interval], inner: &[Interval]) -> Vec<WarpTuple> {
+/// Returns a fresh [`WarpScratch`] holding the output; hot paths should
+/// hold one scratch and use [`time_warp_spans_into`] or
+/// [`WarpScratch::warp`].
+pub fn time_warp_spans(outer: &[Interval], inner: &[Interval]) -> WarpScratch {
     let mut scratch = WarpScratch::new();
     time_warp_spans_into(outer, inner, &mut scratch);
-    scratch.tuples
+    scratch
 }
 
 /// [`time_warp_spans`] into a reusable scratch arena. Returns the emitted
@@ -130,10 +135,11 @@ pub fn time_warp_spans_into<'a>(
     scratch.warp()
 }
 
-/// Reusable working storage for the warp kernel. One instance per worker
-/// amortizes every allocation the kernel needs across all vertices and
-/// supersteps: event lists, the active-set, the output tuples, and the
-/// inner-group vectors inside them (recycled through a spare pool).
+/// Reusable working storage for the warp kernel, and the home of its
+/// output. One instance per worker amortizes every allocation the kernel
+/// needs across all vertices and supersteps: event lists, the active-set,
+/// the output tuples, and the one `members` arena all their inner groups
+/// index into.
 ///
 /// The `outer`/`inner` staging buffers are public so callers on the hot
 /// path (the ICM engine) can assemble the span lists in place instead of
@@ -145,15 +151,16 @@ pub struct WarpScratch {
     /// Staged inner spans — any order, duplicates allowed.
     pub inner: Vec<Interval>,
     /// Inner start events `(time, index)`, sorted per warp.
-    starts: Vec<(Time, usize)>,
+    starts: Vec<(Time, u32)>,
     /// Inner end events `(time, index)`, sorted per warp.
-    ends: Vec<(Time, usize)>,
+    ends: Vec<(Time, u32)>,
     /// Currently alive inner indices, ascending.
-    active: Vec<usize>,
-    /// Output arena; overwritten by each warp.
+    active: Vec<u32>,
+    /// Output tuples; overwritten by each warp.
     tuples: Vec<WarpTuple>,
-    /// Recycled inner-group vectors from previous warps.
-    spare: Vec<Vec<usize>>,
+    /// Every output tuple's inner group, back to back; overwritten by
+    /// each warp.
+    members: Vec<u32>,
 }
 
 impl WarpScratch {
@@ -162,16 +169,36 @@ impl WarpScratch {
         WarpScratch::default()
     }
 
-    /// Pops a recycled group vector (cleared) or makes a fresh one.
-    fn group(spare: &mut Vec<Vec<usize>>) -> Vec<usize> {
-        let mut g = spare.pop().unwrap_or_default();
-        g.clear();
-        g
+    /// The last warp's tuples, in temporal order.
+    pub fn tuples(&self) -> &[WarpTuple] {
+        &self.tuples
+    }
+
+    /// The inner group of `tuple` — one of the last warp's tuples: the
+    /// indices of the grouped inner entries, ascending.
+    pub fn group(&self, tuple: &WarpTuple) -> &[u32] {
+        &self.members[tuple.inner.start as usize..tuple.inner.end as usize]
+    }
+
+    /// Summed capacity of the retained buffers, in elements (allocation
+    /// probe: a steady workload must stop growing it).
+    pub fn capacity_units(&self) -> usize {
+        self.outer.capacity()
+            + self.inner.capacity()
+            + self.starts.capacity()
+            + self.ends.capacity()
+            + self.active.capacity()
+            + self.tuples.capacity()
+            + self.members.capacity()
     }
 
     /// Runs the warp over the spans staged in `self.outer` / `self.inner`
-    /// and returns the maximal tuples in temporal order. Previous output
-    /// is recycled, not freed.
+    /// and returns the maximal tuples in temporal order (their groups are
+    /// read through [`group`](Self::group)). Previous output is
+    /// overwritten in place, not freed.
+    ///
+    /// # Panics
+    /// Panics when more than `u32::MAX` inner spans are staged.
     pub fn warp(&mut self) -> &[WarpTuple] {
         let WarpScratch {
             outer,
@@ -180,19 +207,22 @@ impl WarpScratch {
             ends,
             active,
             tuples,
-            spare,
+            members,
         } = self;
         debug_assert!(
             outer.windows(2).all(|w| w[0].end() <= w[1].start()),
             "outer set must be sorted and non-overlapping"
         );
-        for t in tuples.drain(..) {
-            spare.push(t.inner);
-        }
+        tuples.clear();
+        members.clear();
         active.clear();
         if outer.is_empty() || inner.is_empty() {
             return tuples;
         }
+        assert!(
+            u32::try_from(inner.len()).is_ok(),
+            "warp inner set exceeds u32 indices"
+        );
 
         // Fast path: one inner interval warps to at most one tuple per
         // outer entry — the plain intersection — with no sweep at all.
@@ -205,12 +235,12 @@ impl WarpScratch {
                     break; // outer sorted: nothing later can intersect
                 }
                 if let Some(cap) = oiv.intersect(iiv) {
-                    let mut group = Self::group(spare);
-                    group.push(0);
+                    let at = members.len() as u32;
+                    members.push(0);
                     tuples.push(WarpTuple {
                         interval: cap,
                         outer: oi,
-                        inner: group,
+                        inner: at..at + 1,
                     });
                 }
             }
@@ -225,7 +255,7 @@ impl WarpScratch {
         // boundary.
         starts.clear();
         ends.clear();
-        for (i, iv) in inner.iter().enumerate() {
+        for (i, iv) in (0u32..).zip(inner.iter()) {
             starts.push((iv.start(), i));
             ends.push((iv.end(), i));
         }
@@ -265,7 +295,7 @@ impl WarpScratch {
             // Activate inner intervals starting at or before `lo`.
             while si < m && starts[si].0 <= lo {
                 let idx = starts[si].1;
-                if inner[idx].end() > lo {
+                if inner[idx as usize].end() > lo {
                     if let Err(pos) = active.binary_search(&idx) {
                         active.insert(pos, idx);
                     }
@@ -305,18 +335,21 @@ impl WarpScratch {
             // Maximality: extend the previous tuple when it meets this
             // segment with the same outer entry and the same inner group.
             if let Some(last) = tuples.last_mut() {
-                if last.outer == oi && last.interval.meets(segment) && last.inner == *active {
+                if last.outer == oi
+                    && last.interval.meets(segment)
+                    && members[last.inner.start as usize..] == **active
+                {
                     last.interval = last.interval.span(segment);
                     lo = hi;
                     continue;
                 }
             }
-            let mut group = Self::group(spare);
-            group.extend_from_slice(active);
+            let at = members.len() as u32;
+            members.extend_from_slice(active);
             tuples.push(WarpTuple {
                 interval: segment,
                 outer: oi,
-                inner: group,
+                inner: at..members.len() as u32,
             });
             lo = hi;
         }
@@ -330,13 +363,22 @@ pub fn warp_view<'a, S, M>(
     outer: &'a [(Interval, S)],
     inner: &'a [(Interval, M)],
 ) -> impl Iterator<Item = (Interval, &'a S, Vec<&'a M>)> + 'a {
-    time_warp(outer, inner).into_iter().map(move |t| {
-        (
-            t.interval,
-            &outer[t.outer].1,
-            t.inner.iter().map(|&i| &inner[i].1).collect(),
-        )
-    })
+    let warp = time_warp(outer, inner);
+    let views: Vec<_> = warp
+        .tuples()
+        .iter()
+        .map(|t| {
+            (
+                t.interval,
+                &outer[t.outer].1,
+                warp.group(t)
+                    .iter()
+                    .map(|&i| &inner[i as usize].1)
+                    .collect(),
+            )
+        })
+        .collect();
+    views.into_iter()
 }
 
 #[cfg(test)]
@@ -436,8 +478,8 @@ mod tests {
     fn empty_sets_produce_nothing() {
         let none: Vec<(Interval, u8)> = vec![];
         let some = vec![(iv(0, 5), 1u8)];
-        assert!(time_warp(&none, &some).is_empty());
-        assert!(time_warp(&some, &none).is_empty());
+        assert!(time_warp(&none, &some).tuples().is_empty());
+        assert!(time_warp(&some, &none).tuples().is_empty());
         assert!(time_join::<u8, u8>(&none, &none).is_empty());
     }
 
@@ -445,7 +487,7 @@ mod tests {
     fn disjoint_messages_are_excluded() {
         let states = vec![(iv(0, 5), "s")];
         let msgs = vec![(iv(5, 9), "late"), (iv(-4, 0), "early")];
-        assert!(time_warp(&states, &msgs).is_empty());
+        assert!(time_warp(&states, &msgs).tuples().is_empty());
     }
 
     #[test]
@@ -453,7 +495,8 @@ mod tests {
         // The pre-scatter warp uses updated states, which may have gaps.
         let states = vec![(iv(0, 2), "a"), (iv(6, 8), "b")];
         let msgs = vec![(iv(0, 10), "m")];
-        let tuples = time_warp(&states, &msgs);
+        let warp = time_warp(&states, &msgs);
+        let tuples = warp.tuples();
         assert_eq!(tuples.len(), 2);
         assert_eq!(tuples[0].interval, iv(0, 2));
         assert_eq!(tuples[0].outer, 0);
@@ -467,7 +510,8 @@ mod tests {
         // the outer state is the same, so one maximal tuple must come out.
         let states = vec![(iv(0, 10), "s")];
         let msgs = vec![(iv(0, 10), "m"), (iv(20, 30), "other")];
-        let tuples = time_warp(&states, &msgs);
+        let warp = time_warp(&states, &msgs);
+        let tuples = warp.tuples();
         assert_eq!(tuples.len(), 1);
         assert_eq!(tuples[0].interval, iv(0, 10));
     }
@@ -476,7 +520,8 @@ mod tests {
     fn boundary_alignment_never_crosses_state_edges() {
         let states = vec![(iv(0, 5), 1u8), (iv(5, 10), 2u8)];
         let msgs = vec![(iv(3, 8), 9u8)];
-        let tuples = time_warp(&states, &msgs);
+        let warp = time_warp(&states, &msgs);
+        let tuples = warp.tuples();
         assert_eq!(tuples.len(), 2);
         assert_eq!(tuples[0].interval, iv(3, 5));
         assert_eq!(tuples[1].interval, iv(5, 8));
@@ -486,10 +531,11 @@ mod tests {
     fn duplicated_message_intervals_group_together() {
         let states = vec![(iv(0, 4), "s")];
         let msgs = vec![(iv(1, 3), "x"), (iv(1, 3), "y")];
-        let tuples = time_warp(&states, &msgs);
+        let warp = time_warp(&states, &msgs);
+        let tuples = warp.tuples();
         assert_eq!(tuples.len(), 1);
         assert_eq!(tuples[0].interval, iv(1, 3));
-        assert_eq!(tuples[0].inner, vec![0, 1]);
+        assert_eq!(warp.group(&tuples[0]), [0, 1]);
     }
 
     #[test]
@@ -499,12 +545,13 @@ mod tests {
             (Interval::until(0), "past"),
             (Interval::from_start(0), "future"),
         ];
-        let tuples = time_warp(&states, &msgs);
+        let warp = time_warp(&states, &msgs);
+        let tuples = warp.tuples();
         assert_eq!(tuples.len(), 2);
         assert_eq!(tuples[0].interval, Interval::until(0));
-        assert_eq!(tuples[0].inner, vec![0]);
+        assert_eq!(warp.group(&tuples[0]), [0]);
         assert_eq!(tuples[1].interval, Interval::from_start(0));
-        assert_eq!(tuples[1].inner, vec![1]);
+        assert_eq!(warp.group(&tuples[1]), [1]);
     }
 
     #[test]
@@ -513,7 +560,8 @@ mod tests {
         // one tuple (Sec. IV-A2).
         let states = vec![(iv(0, 20), "s")];
         let msgs = vec![(iv(1, 9), "a"), (iv(4, 12), "b"), (iv(11, 15), "c")];
-        let tuples = time_warp(&states, &msgs);
+        let warp = time_warp(&states, &msgs);
+        let tuples = warp.tuples();
         for t in 0..20 {
             let covered = tuples
                 .iter()

@@ -7,13 +7,15 @@
 //! Every random case runs through one long-lived [`WarpScratch`] — the
 //! engine's steady-state configuration — and is cross-checked against a
 //! fresh-scratch run, so arena recycling bugs (stale tuples, leaked
-//! groups) cannot hide.
+//! groups) cannot hide. Groups are read through the scratch's members
+//! arena, as the engine reads them; a second pass over the same cases must
+//! not grow any of the scratch's buffers.
 //!
 //! The four paper guarantees (Sec. IV-B) checked per case:
 //! 1. valid inclusion, 2. no invalid inclusion, 3. no duplication,
 //! 4. maximality.
 
-use graphite_icm::warp::{time_warp_spans, time_warp_spans_into, WarpScratch, WarpTuple};
+use graphite_icm::warp::{time_warp_spans, time_warp_spans_into, WarpScratch};
 use graphite_tgraph::rng::SplitMix64;
 use graphite_tgraph::time::Interval;
 
@@ -75,18 +77,30 @@ fn rand_inner(rng: &mut SplitMix64) -> Vec<Interval> {
     out
 }
 
+/// A warp's output with every group resolved through the members arena.
+type Resolved = Vec<(Interval, usize, Vec<u32>)>;
+
+fn resolve(warp: &WarpScratch) -> Resolved {
+    warp.tuples()
+        .iter()
+        .map(|t| (t.interval, t.outer, warp.group(t).to_vec()))
+        .collect()
+}
+
 /// The brute-force oracle: checks the kernel output against per-point
 /// reconstruction at every probe, plus the structural guarantees.
-fn check(outer: &[Interval], inner: &[Interval], tuples: &[WarpTuple], ctx: &str) {
+fn check(outer: &[Interval], inner: &[Interval], warp: &WarpScratch, ctx: &str) {
+    let tuples = warp.tuples();
     // Per-point reference. The outer set is a partition, so at most one
     // outer entry — hence at most one tuple (guarantee 3) — covers t.
     for t in probes() {
         let active_outer = outer.iter().position(|o| o.contains_point(t));
-        let mut alive: Vec<usize> = (0..inner.len())
-            .filter(|&i| inner[i].contains_point(t))
+        let alive: Vec<u32> = (0u32..)
+            .zip(inner)
+            .filter(|(_, iv)| iv.contains_point(t))
+            .map(|(i, _)| i)
             .collect();
-        alive.sort_unstable();
-        let covering: Vec<&WarpTuple> = tuples
+        let covering: Vec<_> = tuples
             .iter()
             .filter(|tu| tu.interval.contains_point(t))
             .collect();
@@ -103,7 +117,7 @@ fn check(outer: &[Interval], inner: &[Interval], tuples: &[WarpTuple], ctx: &str
                     .first()
                     .unwrap_or_else(|| panic!("{ctx}: no tuple at t={t} (valid-inclusion)"));
                 assert_eq!(tu.outer, oi, "{ctx}: wrong outer at t={t}");
-                assert_eq!(tu.inner, alive, "{ctx}: wrong group at t={t}");
+                assert_eq!(warp.group(tu), alive, "{ctx}: wrong group at t={t}");
             }
             _ => assert!(
                 covering.is_empty(),
@@ -115,7 +129,8 @@ fn check(outer: &[Interval], inner: &[Interval], tuples: &[WarpTuple], ctx: &str
     // including unbounded tails): each tuple lies within its outer entry
     // and within every grouped message.
     for tu in tuples {
-        assert!(!tu.inner.is_empty(), "{ctx}: empty group emitted");
+        let group = warp.group(tu);
+        assert!(!group.is_empty(), "{ctx}: empty group emitted");
         assert!(
             tu.interval.during_or_equals(outer[tu.outer]),
             "{ctx}: tuple {} outside outer {}",
@@ -123,15 +138,15 @@ fn check(outer: &[Interval], inner: &[Interval], tuples: &[WarpTuple], ctx: &str
             outer[tu.outer]
         );
         assert!(
-            tu.inner.windows(2).all(|w| w[0] < w[1]),
+            group.windows(2).all(|w| w[0] < w[1]),
             "{ctx}: group not ascending"
         );
-        for &ii in &tu.inner {
+        for &ii in group {
+            let message = inner[ii as usize];
             assert!(
-                tu.interval.during_or_equals(inner[ii]),
-                "{ctx}: tuple {} outside message {}",
+                tu.interval.during_or_equals(message),
+                "{ctx}: tuple {} outside message {message}",
                 tu.interval,
-                inner[ii]
             );
         }
     }
@@ -147,7 +162,7 @@ fn check(outer: &[Interval], inner: &[Interval], tuples: &[WarpTuple], ctx: &str
         );
         if a.interval.meets(b.interval) {
             assert!(
-                a.outer != b.outer || a.inner != b.inner,
+                a.outer != b.outer || warp.group(a) != warp.group(b),
                 "{ctx}: tuples {} and {} should have been merged (maximality)",
                 a.interval,
                 b.interval
@@ -163,14 +178,45 @@ fn oracle_random_cases_through_reused_scratch() {
     for case in 0..CASES {
         let outer = rand_outer(&mut rng);
         let inner = rand_inner(&mut rng);
-        let tuples: Vec<WarpTuple> = time_warp_spans_into(&outer, &inner, &mut scratch).to_vec();
+        time_warp_spans_into(&outer, &inner, &mut scratch);
         let ctx = format!("case {case} outer={outer:?} inner={inner:?}");
-        check(&outer, &inner, &tuples, &ctx);
+        check(&outer, &inner, &scratch, &ctx);
         // A reused arena must produce exactly what a fresh one does.
         assert_eq!(
-            tuples,
-            time_warp_spans(&outer, &inner),
+            resolve(&scratch),
+            resolve(&time_warp_spans(&outer, &inner)),
             "{ctx}: reused scratch diverges from fresh scratch"
+        );
+    }
+}
+
+/// The ICM twin of the exchange's allocation guard: once one pass over
+/// the random cases has sized the arena, a second pass over the same
+/// cases — the steady state of a worker replaying similar vertices —
+/// must run entirely in retained capacity.
+#[test]
+fn second_pass_grows_no_scratch_buffer() {
+    let cases: Vec<(Vec<Interval>, Vec<Interval>)> = {
+        let mut rng = SplitMix64::new(0x0057_4152_5000);
+        (0..CASES)
+            .map(|_| {
+                let outer = rand_outer(&mut rng);
+                (outer, rand_inner(&mut rng))
+            })
+            .collect()
+    };
+    let mut scratch = WarpScratch::new();
+    for (outer, inner) in &cases {
+        time_warp_spans_into(outer, inner, &mut scratch);
+    }
+    let warmed = scratch.capacity_units();
+    assert!(warmed > 0, "warm-up sized nothing: the probe is blind");
+    for (case, (outer, inner)) in cases.iter().enumerate() {
+        time_warp_spans_into(outer, inner, &mut scratch);
+        assert_eq!(
+            scratch.capacity_units(),
+            warmed,
+            "case {case}: a warmed scratch grew (outer={outer:?} inner={inner:?})"
         );
     }
 }
@@ -212,15 +258,19 @@ fn oracle_degenerate_cases() {
     ];
     let mut scratch = WarpScratch::new();
     for (i, (outer, inner)) in cases.iter().enumerate() {
-        let tuples: Vec<WarpTuple> = time_warp_spans_into(outer, inner, &mut scratch).to_vec();
-        check(outer, inner, &tuples, &format!("degenerate {i}"));
+        time_warp_spans_into(outer, inner, &mut scratch);
+        check(outer, inner, &scratch, &format!("degenerate {i}"));
     }
     // Spot-check the gap case: nothing may be emitted in the gap.
     let gap = time_warp_spans(
         &[Interval::new(0, 4), Interval::new(10, 14)],
         &[Interval::new(5, 9)],
     );
-    assert!(gap.is_empty(), "messages in an outer gap produced {gap:?}");
+    assert!(
+        gap.tuples().is_empty(),
+        "messages in an outer gap produced {:?}",
+        gap.tuples()
+    );
 }
 
 /// The kernel's documented precondition: the outer set is a partition
@@ -236,12 +286,12 @@ fn unsorted_outer_is_rejected_in_debug() {
 
 /// A tuple group projected onto its message *intervals* (sorted), so two
 /// kernel runs over permutations of the same inner list can be compared
-/// even though `WarpTuple::inner` indexes into the caller's ordering.
-fn groups(tuples: &[WarpTuple], inner: &[Interval]) -> Vec<(Interval, usize, Vec<Interval>)> {
-    tuples
+/// even though a group indexes into the caller's ordering.
+fn groups(warp: &WarpScratch, inner: &[Interval]) -> Vec<(Interval, usize, Vec<Interval>)> {
+    warp.tuples()
         .iter()
         .map(|t| {
-            let mut g: Vec<Interval> = t.inner.iter().map(|&i| inner[i]).collect();
+            let mut g: Vec<Interval> = warp.group(t).iter().map(|&i| inner[i as usize]).collect();
             g.sort_by_key(|iv| (iv.start(), iv.end()));
             (t.interval, t.outer, g)
         })
@@ -261,27 +311,27 @@ fn sorted_fast_path_matches_unsorted_fallback() {
         let outer = rand_outer(&mut rng);
         let mut sorted = rand_inner(&mut rng);
         sorted.sort_by_key(|iv| (iv.start(), iv.end()));
-        let t_sorted: Vec<WarpTuple> = time_warp_spans_into(&outer, &sorted, &mut scratch).to_vec();
+        time_warp_spans_into(&outer, &sorted, &mut scratch);
         check(
             &outer,
             &sorted,
-            &t_sorted,
+            &scratch,
             &format!("sorted case {case} outer={outer:?} inner={sorted:?}"),
         );
         // Reversing a sorted list is the worst case for the sortedness
         // check: it bails at the first window.
         let reversed: Vec<Interval> = sorted.iter().rev().copied().collect();
-        let t_reversed: Vec<WarpTuple> =
-            time_warp_spans_into(&outer, &reversed, &mut scratch).to_vec();
+        let g_sorted = groups(&scratch, &sorted);
+        time_warp_spans_into(&outer, &reversed, &mut scratch);
         check(
             &outer,
             &reversed,
-            &t_reversed,
+            &scratch,
             &format!("reversed case {case} outer={outer:?} inner={reversed:?}"),
         );
         assert_eq!(
-            groups(&t_sorted, &sorted),
-            groups(&t_reversed, &reversed),
+            g_sorted,
+            groups(&scratch, &reversed),
             "case {case}: fast path and fallback disagree (outer={outer:?} inner={sorted:?})"
         );
     }

@@ -57,15 +57,17 @@ fn valid_inclusion() {
     for _ in 0..CASES {
         let outer = rand_outer(&mut rng);
         let inner = rand_inner(&mut rng);
-        let tuples = time_warp(&outer, &inner);
+        let warp = time_warp(&outer, &inner);
         for (oi, (oiv, _)) in outer.iter().enumerate() {
             for (ii, (iiv, _)) in inner.iter().enumerate() {
                 let Some(cap) = oiv.intersect(*iiv) else {
                     continue;
                 };
                 for t in points(cap) {
-                    let hit = tuples.iter().any(|tu| {
-                        tu.outer == oi && tu.interval.contains_point(t) && tu.inner.contains(&ii)
+                    let hit = warp.tuples().iter().any(|tu| {
+                        tu.outer == oi
+                            && tu.interval.contains_point(t)
+                            && warp.group(tu).contains(&(ii as u32))
                     });
                     assert!(hit, "({oi},{ii}) missing at t={t}");
                 }
@@ -82,15 +84,16 @@ fn no_invalid_inclusion() {
     for _ in 0..CASES {
         let outer = rand_outer(&mut rng);
         let inner = rand_inner(&mut rng);
-        for tu in time_warp(&outer, &inner) {
+        let warp = time_warp(&outer, &inner);
+        for tu in warp.tuples() {
             assert!(tu.interval.during_or_equals(outer[tu.outer].0));
-            assert!(!tu.inner.is_empty(), "empty groups must be omitted");
-            for &ii in &tu.inner {
+            assert!(!warp.group(tu).is_empty(), "empty groups must be omitted");
+            for &ii in warp.group(tu) {
+                let message = inner[ii as usize].0;
                 assert!(
-                    tu.interval.during_or_equals(inner[ii].0),
-                    "tuple {} not within message {}",
+                    tu.interval.during_or_equals(message),
+                    "tuple {} not within message {message}",
                     tu.interval,
-                    inner[ii].0
                 );
             }
         }
@@ -106,7 +109,8 @@ fn no_duplication() {
     for _ in 0..CASES {
         let outer = rand_outer(&mut rng);
         let inner = rand_inner(&mut rng);
-        let tuples = time_warp(&outer, &inner);
+        let warp = time_warp(&outer, &inner);
+        let tuples = warp.tuples();
         let span = outer.first().unwrap().0.span(outer.last().unwrap().0);
         for t in points(span) {
             let covering: Vec<&WarpTuple> = tuples
@@ -126,13 +130,13 @@ fn maximality() {
     for _ in 0..CASES {
         let outer = rand_outer(&mut rng);
         let inner = rand_inner(&mut rng);
-        let tuples = time_warp(&outer, &inner);
-        for a in &tuples {
-            for b in &tuples {
+        let warp = time_warp(&outer, &inner);
+        for a in warp.tuples() {
+            for b in warp.tuples() {
                 if std::ptr::eq(a, b) {
                     continue;
                 }
-                if a.outer == b.outer && a.inner == b.inner {
+                if a.outer == b.outer && warp.group(a) == warp.group(b) {
                     assert!(
                         !a.interval.intersects(b.interval)
                             && !a.interval.meets(b.interval)
@@ -182,18 +186,18 @@ fn pointwise_reconstruction() {
     for _ in 0..CASES {
         let outer = rand_outer(&mut rng);
         let inner = rand_inner(&mut rng);
-        let tuples = time_warp(&outer, &inner);
+        let warp = time_warp(&outer, &inner);
+        let tuples = warp.tuples();
         let span = outer.first().unwrap().0.span(outer.last().unwrap().0);
         for t in points(span) {
-            let alive: Vec<usize> = inner
-                .iter()
-                .enumerate()
+            let alive: Vec<u32> = (0u32..)
+                .zip(&inner)
                 .filter(|(_, (iv, _))| iv.contains_point(t))
                 .map(|(i, _)| i)
                 .collect();
             let tuple = tuples.iter().find(|tu| tu.interval.contains_point(t));
             match tuple {
-                Some(tu) => assert_eq!(&tu.inner, &alive, "at t={t}"),
+                Some(tu) => assert_eq!(warp.group(tu), alive, "at t={t}"),
                 None => assert!(alive.is_empty(), "uncovered point t={t} has messages"),
             }
         }

@@ -225,19 +225,13 @@ impl<V: PartialEq> IntervalMap<V> {
     /// Merges adjacent (meeting) entries that hold equal values. Used when
     /// reporting results, so that output segmentation is maximal.
     pub fn coalesce(&mut self) {
-        if self.entries.len() < 2 {
-            return;
-        }
-        let mut out: Vec<(Interval, V)> = Vec::with_capacity(self.entries.len());
-        for (iv, v) in self.entries.drain(..) {
-            match out.last_mut() {
-                Some((last_iv, last_v)) if last_iv.meets(iv) && *last_v == v => {
-                    *last_iv = last_iv.span(iv);
-                }
-                _ => out.push((iv, v)),
+        self.entries.dedup_by(|(iv, v), (last_iv, last_v)| {
+            let merge = last_iv.meets(*iv) && *last_v == *v;
+            if merge {
+                *last_iv = last_iv.span(*iv);
             }
-        }
-        self.entries = out;
+            merge
+        });
     }
 }
 
@@ -344,6 +338,12 @@ impl<V: Clone> IntervalPartition<V> {
         self.entries.iter().map(|(iv, v)| (*iv, v))
     }
 
+    /// The partitioned entries in temporal order, indexable — entry `i`
+    /// is the `i`-th interval [`iter`](Self::iter) yields.
+    pub fn entries(&self) -> &[(Interval, V)] {
+        &self.entries
+    }
+
     /// Iterates the entries intersecting `window`, clipped to it.
     pub fn overlapping(&self, window: Interval) -> impl Iterator<Item = (Interval, &V)> + '_ {
         let from = self
@@ -392,24 +392,6 @@ impl<V: Clone> IntervalPartition<V> {
         self.entries.drain(from + 1..to);
     }
 
-    /// Applies `f` to every entry overlapping `interval` (clipped to it);
-    /// when `f` returns `Some(new)`, that clipped sub-interval is set to
-    /// `new`. Returns the list of `(sub-interval, new value)` writes
-    /// performed, which the ICM engine uses to know which states changed.
-    pub fn update_overlapping<F>(&mut self, interval: Interval, mut f: F) -> Vec<(Interval, V)>
-    where
-        F: FnMut(Interval, &V) -> Option<V>,
-    {
-        let updates: Vec<(Interval, V)> = self
-            .overlapping(interval)
-            .filter_map(|(clipped, v)| f(clipped, v).map(|nv| (clipped, nv)))
-            .collect();
-        for (iv, v) in &updates {
-            self.set(*iv, v.clone());
-        }
-        updates
-    }
-
     /// Consumes the partition, returning its entries.
     pub fn into_entries(self) -> Vec<(Interval, V)> {
         self.entries
@@ -417,22 +399,80 @@ impl<V: Clone> IntervalPartition<V> {
 }
 
 impl<V: Clone + PartialEq> IntervalPartition<V> {
-    /// Merges consecutive entries with equal values. Keeps results maximal
-    /// and bounds partition growth across supersteps.
+    /// Merges consecutive entries with equal values, in place. Keeps
+    /// results maximal and bounds partition growth across supersteps.
     pub fn coalesce(&mut self) {
-        if self.entries.len() < 2 {
-            return;
-        }
-        let mut out: Vec<(Interval, V)> = Vec::with_capacity(self.entries.len());
-        for (iv, v) in self.entries.drain(..) {
-            match out.last_mut() {
-                Some((last_iv, last_v)) if *last_v == v => {
-                    *last_iv = last_iv.span(iv);
+        self.entries.dedup_by(|(iv, v), (last_iv, last_v)| {
+            let merge = *last_v == *v;
+            if merge {
+                *last_iv = last_iv.span(*iv);
+            }
+            merge
+        });
+    }
+
+    /// Overwrites the partition with `writes` in one merge pass — the ICM
+    /// engine's state apply (Sec. IV-A1's dynamic repartitioning, for a
+    /// whole superstep's writes at once).
+    ///
+    /// `writes` must be sorted and disjoint (gaps allowed); parts outside
+    /// the lifespan are ignored. An entry is split only where a write
+    /// actually changes its value: a value-equal write leaves the entry
+    /// whole. Every changed piece — an entry clipped to a write, carrying
+    /// the write's value — is reported to `changed` in temporal order.
+    ///
+    /// The pass moves the entries into `swap` and then swaps the two
+    /// vectors, so `swap` comes back empty holding the old allocation: a
+    /// caller that keeps one `swap` per worker repartitions every vertex
+    /// without allocating once capacities have settled. Does not
+    /// coalesce.
+    pub fn merge_writes(
+        &mut self,
+        writes: &[(Interval, V)],
+        swap: &mut Vec<(Interval, V)>,
+        mut changed: impl FnMut(Interval, &V),
+    ) {
+        debug_assert!(
+            writes.windows(2).all(|w| w[0].0.end() <= w[1].0.start()),
+            "writes must be sorted and disjoint"
+        );
+        swap.clear();
+        let mut next = 0; // first write that may reach the current entry
+        for (iv, old) in self.entries.drain(..) {
+            while next < writes.len() && writes[next].0.end() <= iv.start() {
+                next += 1;
+            }
+            // `rest` is where the not-yet-emitted tail of the entry, still
+            // holding `old`, begins.
+            let mut rest = iv.start();
+            for (wiv, new) in writes[next..]
+                .iter()
+                .take_while(|(wiv, _)| wiv.start() < iv.end())
+            {
+                if old == *new {
+                    continue;
                 }
-                _ => out.push((iv, v)),
+                let lo = wiv.start().max(iv.start());
+                let hi = wiv.end().min(iv.end());
+                if rest < lo {
+                    swap.push((Interval::new(rest, lo), old.clone()));
+                }
+                let piece = Interval::new(lo, hi);
+                changed(piece, new);
+                swap.push((piece, new.clone()));
+                rest = hi;
+            }
+            if rest == iv.start() {
+                swap.push((iv, old));
+            } else if rest < iv.end() {
+                swap.push((Interval::new(rest, iv.end()), old));
             }
         }
-        self.entries = out;
+        std::mem::swap(&mut self.entries, swap);
+        debug_assert!({
+            self.assert_invariants();
+            true
+        });
     }
 }
 
@@ -678,16 +718,38 @@ mod tests {
         }
 
         #[test]
-        fn update_overlapping_reports_writes() {
-            let mut p = IntervalPartition::new(Interval::new(0, 10), 10);
-            // Lower the value only where the incoming "cost" 5 beats it.
-            p.set(Interval::new(0, 4), 3);
-            let writes =
-                p.update_overlapping(Interval::new(2, 8), |_, &old| (5 < old).then_some(5));
-            assert_eq!(writes, vec![(Interval::new(4, 8), 5)]);
-            assert_eq!(p.value_at(3), Some(&3));
-            assert_eq!(p.value_at(5), Some(&5));
-            assert_eq!(p.value_at(9), Some(&10));
+        fn merge_writes_splits_only_where_values_change() {
+            let mut p = IntervalPartition::new(Interval::new(0, 10), 0);
+            p.split_at(6);
+            let writes = [
+                (Interval::new(-3, 1), 0), // value-equal: no split
+                (Interval::new(2, 4), 5),
+                (Interval::new(5, 8), 7), // crosses the split at 6
+                (Interval::new(9, 20), 0),
+            ];
+            let mut swap = Vec::new();
+            let mut changed = Vec::new();
+            p.merge_writes(&writes, &mut swap, |iv, v| changed.push((iv, *v)));
+            assert_eq!(
+                changed,
+                vec![
+                    (Interval::new(2, 4), 5),
+                    (Interval::new(5, 6), 7),
+                    (Interval::new(6, 8), 7),
+                ]
+            );
+            assert_eq!(
+                p.into_entries(),
+                vec![
+                    (Interval::new(0, 2), 0),
+                    (Interval::new(2, 4), 5),
+                    (Interval::new(4, 5), 0),
+                    (Interval::new(5, 6), 7),
+                    (Interval::new(6, 8), 7),
+                    (Interval::new(8, 10), 0),
+                ]
+            );
+            assert!(swap.is_empty(), "swap comes back empty");
         }
 
         #[test]
