@@ -105,8 +105,8 @@ impl ResultDigest {
 
     /// Quantizes a float to 6 decimal digits for digesting (PageRank sums
     /// may differ in association order across platforms by ~1e-12).
-    // lint:allow(determinism-flow) — the 1e-6 quantization below exists
-    // precisely so association-order float noise cannot reach the digest
+    // The 1e-6 quantization below exists precisely so association-order
+    // float noise cannot reach the digest.
     pub fn fold_f64(&mut self, vid: VertexId, t: Time, value: f64) {
         let q = (value * 1e6).round() as i64;
         self.fold(vid, t, q as u64);

@@ -213,7 +213,6 @@ pub fn run(
     match try_run(algo, platform, graph, transformed, opts) {
         Ok(outcome) => Ok(outcome),
         Err(RunError::Unsupported(u)) => Err(u),
-        // lint:allow(no-unwrap) — documented panicking convenience wrapper.
         Err(RunError::Bsp(e)) => panic!("{} on {} failed: {e}", algo.name(), platform.name()),
     }
 }
@@ -243,9 +242,8 @@ impl Run<'_> {
     fn per_snapshot<S>(
         &self,
         metrics: RunMetrics,
-        // lint:allow(determinism-flow) — ResultDigest::fold is an
-        // order-independent (wrapping-add) combiner, so hash iteration
-        // order cannot change the digest
+        // ResultDigest::fold is an order-independent (wrapping-add)
+        // combiner, so hash iteration order cannot change the digest.
         per_snapshot: &[(Time, HashMap<u32, S>)],
         encode: Option<fn(&S) -> u64>,
     ) -> RunOutcome {

@@ -135,7 +135,10 @@ where
 
     /// Runs compute for every applicable snapshot offset of vertex `v`,
     /// then merges per-offset sends into interval messages.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the worker's superstep context, passed through per vertex"
+    )]
     fn process_vertex(
         &mut self,
         v: u32,

@@ -214,7 +214,10 @@ struct VcmWorker<T: VcmTopology, P: VcmProgram> {
 }
 
 impl<T: VcmTopology, P: VcmProgram> VcmWorker<T, P> {
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the worker's superstep context, passed through per vertex"
+    )]
     fn run_vertex(
         &mut self,
         v: u32,

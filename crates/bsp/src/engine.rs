@@ -146,7 +146,10 @@ pub trait WorkerLogic: Send {
     /// * `counters` — user-logic counters (compute calls etc.);
     /// * `sink` — this worker's trace sink for operator extras (inert
     ///   unless [`BspConfig::trace`] enables tracing).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each argument is one input or output of the superstep contract above"
+    )]
     fn superstep(
         &mut self,
         step: u64,

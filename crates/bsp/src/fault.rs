@@ -3,9 +3,10 @@
 //! A [`FaultPlan`] is *configuration*, not a compile-time feature: it rides
 //! on [`crate::engine::BspConfig::fault_plan`] and is evaluated by release
 //! and debug builds alike, so the recovery layer is exercised against
-//! exactly the code that ships (the `fault-isolation` rule of
-//! `graphite-analyze` rejects any `cfg`-gating of these hooks). With no plan
-//! configured the hooks are two branch-free `None` checks per superstep.
+//! exactly the code that ships (a hook gated on `cfg(test)` or
+//! `debug_assertions` stops firing in one of the two modes the fault suites
+//! run in, and they fail). With no plan configured the hooks are two
+//! branch-free `None` checks per superstep.
 //!
 //! Two fault kinds are injectable, matching the two recoverable
 //! [`crate::error::BspError`] classes:
@@ -123,8 +124,7 @@ impl FaultPlan {
         let mut rng = SplitMix64::new(seed ^ 0x4641_554c_5453); // "FAULTS"
         let faults = (0..count)
             .map(|i| Fault {
-                // lint:allow(worker-assignment) — picks a random fault
-                // target, not a vertex placement.
+                // A random fault target, not a vertex placement.
                 worker: (rng.next_u64() % workers.max(1) as u64) as usize,
                 step: 1 + rng.next_u64() % max_step.max(1),
                 kind: if i % 2 == 0 {

@@ -28,6 +28,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
 
 pub mod aggregate;
 pub mod check;

@@ -15,13 +15,17 @@ use std::time::{Duration, Instant};
 ///
 /// Timing belongs to metrics and nowhere else: wall-clock reads anywhere
 /// else in the engines would be invisible nondeterminism (and are denied by
-/// the `wall-clock` rule of `graphite-analyze`). Everything that needs a
-/// timestamp goes through this function so the policy has one audited
-/// exception.
+/// `disallowed-methods` in the workspace `clippy.toml`). Everything that
+/// needs a timestamp goes through this function so the policy has one
+/// audited exception.
 #[inline]
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned clock read of the workspace"
+)]
 pub fn now() -> Instant {
-    Instant::now() // lint:allow(wall-clock) — the one sanctioned clock read
+    Instant::now()
 }
 
 /// Counters the user-logic layers (ICM / VCM) bump while running inside a

@@ -10,9 +10,10 @@
 //! [`PartitionMap::from_assignment`] accepts any explicit total
 //! assignment, which is what the pluggable strategies in `graphite-part`
 //! (chunked, LDG, temporal-balance) produce. This module and that crate
-//! are the *only* places allowed to compute a worker from a vertex id —
-//! enforced by graphite-analyze's `worker-assignment` rule — so every engine
-//! routes through a [`PartitionMap`] and placement stays swappable.
+//! are the *only* places allowed to compute a worker from a vertex id, so
+//! every engine routes through a [`PartitionMap`] and placement stays
+//! swappable (`graphite-part`'s digest matrix runs placements that no
+//! `% workers` shortcut can match).
 
 use crate::error::BspError;
 use graphite_tgraph::graph::{TemporalGraph, VIdx, VertexId};

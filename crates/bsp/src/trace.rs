@@ -21,9 +21,8 @@
 //!    [`RunMetrics`](crate::metrics::RunMetrics) next to the timing
 //!    fields and never enter result digests or pinned counter keys.
 //! 3. **Clock confinement.** The only clock reads happen in
-//!    [`TraceSink::timed`] via [`metrics::now`](crate::metrics::now);
-//!    `graphite-analyze` blesses exactly this module, `bsp::metrics`, and
-//!    `bench::timing` for wall-clock access.
+//!    [`TraceSink::timed`] via [`metrics::now`](crate::metrics::now), the
+//!    one clock read the workspace `clippy.toml` lets through.
 //!
 //! Collection is lock-free: each worker thread owns a [`TraceSink`]
 //! (plain `Vec` accumulation, no sharing) that the driver drains at the

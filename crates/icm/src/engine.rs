@@ -256,7 +256,10 @@ fn should_suppress<M>(threshold: Option<f64>, lifespan: Interval, msgs: &[(Inter
 /// moves forward along the run. Calls go out segment by segment, piece by
 /// piece within a segment — the order (and so the outbox bytes) of the
 /// full segment × changed product with the misses skipped.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the worker's superstep context, passed through per vertex"
+)]
 fn scatter_changes<P: IntervalProgram>(
     graph: &TemporalGraph,
     program: &P,

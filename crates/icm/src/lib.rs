@@ -49,6 +49,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
 
 pub mod engine;
 pub mod program;

@@ -71,9 +71,12 @@ impl<S> StateArena<S> {
     /// # Panics
     /// Panics when `v` is not in the arena's owned set; the engine only
     /// ever stores vertices it was constructed with.
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine only stores vertices from the owned set the arena \
+                  was constructed with; a miss is a logic bug"
+    )]
     pub fn put(&mut self, v: VIdx, partition: IntervalPartition<S>) {
-        // lint:allow(no-unwrap) — the engine only stores vertices from the
-        // owned set the arena was constructed with; a miss is a logic bug.
         let i = self.slot(v).expect("vertex not owned by this worker");
         self.slots[i] = Some(partition);
     }

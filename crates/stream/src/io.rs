@@ -71,7 +71,7 @@ pub fn write_updates<W: Write>(batches: &[GraphDelta], mut out: W) -> std::io::R
     text.push_str(UPDATES_HEADER);
     text.push('\n');
     for (k, d) in batches.iter().enumerate() {
-        // lint:allow(no-unwrap) — `write!` to a String cannot fail.
+        // `write!` to a String cannot fail.
         let _ = writeln!(text, "B {}", k + 1);
         for &(vid, iv) in &d.insert_vertices {
             let _ = writeln!(

@@ -226,8 +226,8 @@ pub(crate) fn mix_props(mut h: u64, labels: &LabelInterner, props: &Properties) 
         h = mix(h, iv.end() as u64);
         h = match value {
             PropValue::Long(v) => mix(h, 1 ^ *v as u64),
-            // lint:allow(determinism-flow) — bit-exact fold of the
-            // stored IEEE value, no float arithmetic involved
+            // A bit-exact fold of the stored IEEE value: no float
+            // arithmetic is involved.
             PropValue::Double(v) => mix(h, 2 ^ v.to_bits()),
             PropValue::Bool(v) => mix(h, 3 ^ u64::from(*v)),
             PropValue::Text(v) => mix_str(mix(h, 4), v),

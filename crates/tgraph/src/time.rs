@@ -44,6 +44,15 @@ pub const TIME_MAX: Time = i64::MAX;
 /// assert!(a.intersects(b));
 /// assert!(!Interval::new(0, 3).intersects(Interval::new(3, 9))); // half-open
 /// ```
+///
+/// The fields are private, so code outside this module cannot write an
+/// interval literal, not even a valid one; construction goes through
+/// [`Interval::new`] or [`Interval::try_new`], which check the invariant:
+///
+/// ```compile_fail,E0451
+/// use graphite_tgraph::time::Interval;
+/// let iv = Interval { start: 0, end: 1 };
+/// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Interval {
     start: Time,

@@ -191,7 +191,10 @@ pub fn transform_for_paths(graph: &TemporalGraph, opts: &TransformOptions) -> Tr
     for v in 0..n {
         let s = replica_runs[v] as usize;
         let e = replica_runs[v + 1] as usize;
-        #[allow(clippy::needless_range_loop)] // r+1 is also needed as the waiting target
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "r + 1 is also needed as the waiting edge's target"
+        )]
         for r in s..e.saturating_sub(1) {
             adjacency[r].push(TransformedEdge {
                 dst: (r + 1) as u32,

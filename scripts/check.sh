@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full local verification gate — everything CI runs, in the same order.
-# Fast failures first: formatting, then static analysis (clippy + the
-# repo's own graphite-analyze pass), then the full workspace test suite,
-# the release-mode matrices, and the end-to-end benchmark's smoke pass.
+# Fast failures first: formatting, then clippy (which also holds the
+# determinism conventions configured in clippy.toml and the bsp/icm lib
+# headers, DESIGN.md §10), then the full workspace test suite, the
+# release-mode matrices, and the end-to-end benchmark's smoke pass.
 #
 # Usage: scripts/check.sh          (from anywhere inside the repo)
 set -euo pipefail
@@ -14,9 +15,6 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> graphite-analyze"
-cargo run -q -p graphite-analyze
-
 echo "==> doc link check"
 scripts/check_links.sh
 
@@ -26,8 +24,9 @@ cargo test --workspace -q
 # Recovered runs must reproduce the fault-free result digests bit for
 # bit, and persistent faults must exhaust the retry budget with a typed
 # error. Release mode matters here and in the chaos soak: the fault hooks
-# are FaultPlan configuration, not cfg-gated test code (graphite-analyze's
-# fault-isolation rule), so this exercises exactly the code that ships.
+# are FaultPlan configuration, not cfg-gated test code, and running them
+# in release beside the debug workspace tests is what proves it — a hook
+# gated on cfg(test) or debug_assertions stops firing in one of the two.
 echo "==> fault-injection matrix (release)"
 scripts/fault_matrix.sh
 
