@@ -81,9 +81,8 @@ impl VcmProgram for VcmBfs {
         }
         if (ctx.superstep() == 1 && *state == 0) || improved {
             let next = state.saturating_add(1);
-            let targets: Vec<u32> = ctx.out_edges().iter().map(|e| e.target).collect();
-            for target in targets {
-                ctx.send(target, next);
+            for e in ctx.out_edges() {
+                ctx.send(e.target, next);
             }
         }
     }

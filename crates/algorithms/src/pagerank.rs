@@ -145,9 +145,8 @@ impl VcmProgram for VcmPageRank {
             let deg = ctx.out_edges().len();
             if deg > 0 {
                 let share = *state / deg as f64;
-                let targets: Vec<u32> = ctx.out_edges().iter().map(|e| e.target).collect();
-                for target in targets {
-                    ctx.send(target, share);
+                for e in ctx.out_edges() {
+                    ctx.send(e.target, share);
                 }
             }
         }

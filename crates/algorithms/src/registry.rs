@@ -270,7 +270,6 @@ impl Run<'_> {
         let config = MsbConfig {
             workers: self.opts.workers,
             max_supersteps: self.opts.max_supersteps,
-            weights: self.weights(),
             window: Some(self.params.window),
             collect_states: self.opts.digest,
             need_in_edges,
@@ -296,7 +295,6 @@ impl Run<'_> {
             workers: self.opts.workers,
             batch_size: self.opts.batch_size,
             max_supersteps: self.opts.max_supersteps,
-            weights: self.weights(),
             window: Some(self.params.window),
             collect_states: self.opts.digest,
             need_in_edges,

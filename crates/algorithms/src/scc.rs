@@ -266,9 +266,8 @@ impl VcmProgram for VcmScc {
                 if !assigned {
                     *state = (NONE, ctx.vid().0, NONE);
                     let label = state.1;
-                    let targets: Vec<u32> = ctx.out_edges().iter().map(|e| e.target).collect();
-                    for target in targets {
-                        ctx.send(target, (0, label));
+                    for e in ctx.out_edges() {
+                        ctx.send(e.target, (0, label));
                     }
                 }
             }
@@ -282,9 +281,8 @@ impl VcmProgram for VcmScc {
                         .unwrap_or(NONE);
                     if best < fwd {
                         *state = (comp, best, bwd);
-                        let targets: Vec<u32> = ctx.out_edges().iter().map(|e| e.target).collect();
-                        for target in targets {
-                            ctx.send(target, (0, best));
+                        for e in ctx.out_edges() {
+                            ctx.send(e.target, (0, best));
                         }
                     }
                 }
@@ -292,9 +290,8 @@ impl VcmProgram for VcmScc {
             Phase::BwdInit => {
                 if !assigned && fwd == ctx.vid().0 {
                     *state = (comp, fwd, fwd);
-                    let targets: Vec<u32> = ctx.in_edges().iter().map(|e| e.target).collect();
-                    for target in targets {
-                        ctx.send(target, (1, fwd));
+                    for e in ctx.in_edges() {
+                        ctx.send(e.target, (1, fwd));
                     }
                 }
             }
@@ -303,9 +300,8 @@ impl VcmProgram for VcmScc {
                     let hit = msgs.iter().any(|(k, l)| *k == 1 && *l == fwd);
                     if hit {
                         *state = (comp, fwd, fwd);
-                        let targets: Vec<u32> = ctx.in_edges().iter().map(|e| e.target).collect();
-                        for target in targets {
-                            ctx.send(target, (1, fwd));
+                        for e in ctx.in_edges() {
+                            ctx.send(e.target, (1, fwd));
                         }
                     }
                 }

@@ -72,14 +72,8 @@ impl VcmProgram for VcmWcc {
         }
         if ctx.superstep() == 1 || improved {
             let label = *state;
-            let targets: Vec<u32> = ctx
-                .out_edges()
-                .iter()
-                .chain(ctx.in_edges().iter())
-                .map(|e| e.target)
-                .collect();
-            for target in targets {
-                ctx.send(target, label);
+            for e in ctx.out_edges().iter().chain(ctx.in_edges()) {
+                ctx.send(e.target, label);
             }
         }
     }

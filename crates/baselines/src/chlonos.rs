@@ -8,8 +8,8 @@
 //! several batches and lose sharing across batch boundaries (the effect the
 //! paper observes on Twitter with 5 batches).
 
-use crate::topology::EdgeWeights;
-use crate::vcm::{VcmContext, VcmEdge, VcmProgram};
+use crate::topology::{window_of, EdgeWeights, SnapshotTopology};
+use crate::vcm::{VcmContext, VcmProgram};
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::engine::{keep_alive, run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
@@ -17,8 +17,6 @@ use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::PartitionMap;
 use graphite_bsp::trace::TraceSink;
 use graphite_tgraph::graph::{TemporalGraph, VIdx};
-use graphite_tgraph::property::PropValue;
-use graphite_tgraph::snapshot::snapshot_window;
 use graphite_tgraph::time::{Interval, Time};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -32,9 +30,8 @@ pub struct ChlConfig {
     pub batch_size: usize,
     /// Safety cap on supersteps per batch.
     pub max_supersteps: u64,
-    /// Edge-property resolution.
-    pub weights: EdgeWeights,
-    /// Window to discretize; defaults to [`snapshot_window`].
+    /// Window to discretize; defaults to
+    /// [`graphite_tgraph::snapshot::snapshot_window`].
     pub window: Option<Interval>,
     /// Keep per-snapshot final states.
     pub collect_states: bool,
@@ -51,7 +48,6 @@ impl Default for ChlConfig {
             workers: 4,
             batch_size: 8,
             max_supersteps: BspConfig::DEFAULT_MAX_SUPERSTEPS,
-            weights: EdgeWeights::default(),
             window: None,
             collect_states: true,
             need_in_edges: false,
@@ -89,7 +85,8 @@ struct ChlWorker<P: VcmProgram> {
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
     owned: Vec<u32>,
-    weights: EdgeWeights,
+    /// The batch's snapshots, one per offset, shared by every worker.
+    snapshots: Arc<[SnapshotTopology]>,
     batch_start: Time,
     batch_len: usize,
     need_in_edges: bool,
@@ -100,39 +97,6 @@ impl<P: VcmProgram> ChlWorker<P>
 where
     P::Msg: PartialEq,
 {
-    fn edges_at(&self, v: u32, t: Time, incoming: bool, out: &mut Vec<VcmEdge>) {
-        let list = if incoming {
-            self.graph.in_edges(VIdx(v))
-        } else {
-            self.graph.out_edges(VIdx(v))
-        };
-        for &e in list {
-            let ed = self.graph.edge(e);
-            if !ed.lifespan.contains_point(t) {
-                continue;
-            }
-            let w1 = self
-                .weights
-                .w1
-                .and_then(|l| ed.props.value_at(l, t))
-                .and_then(PropValue::as_long)
-                .unwrap_or(0);
-            let w2 = self
-                .weights
-                .w2
-                .and_then(|l| ed.props.value_at(l, t))
-                .and_then(PropValue::as_long)
-                .unwrap_or(1);
-            let target = if incoming { ed.src.0 } else { ed.dst.0 };
-            out.push(VcmEdge {
-                target,
-                w1,
-                w2,
-                kind: 0,
-            });
-        }
-    }
-
     /// Runs compute for every applicable snapshot offset of vertex `v`,
     /// then merges per-offset sends into interval messages.
     #[expect(
@@ -153,8 +117,6 @@ where
         let vid = self.graph.vertex(VIdx(v)).vid;
         let lifespan = self.graph.vertex(VIdx(v)).lifespan;
         let mut sends_per_off: Vec<Vec<(u32, P::Msg)>> = vec![Vec::new(); self.batch_len];
-        let mut edges = Vec::new();
-        let mut in_edges = Vec::new();
         for off in 0..self.batch_len {
             let t = self.batch_start + off as Time;
             if !lifespan.contains_point(t) {
@@ -175,12 +137,12 @@ where
                     slot[off] = Some(program.init(v, vid));
                 }
             }
-            edges.clear();
-            self.edges_at(v, t, false, &mut edges);
-            in_edges.clear();
-            if self.need_in_edges {
-                self.edges_at(v, t, true, &mut in_edges);
-            }
+            let snapshot = &self.snapshots[off];
+            let in_edges = if self.need_in_edges {
+                snapshot.in_slice(v)
+            } else {
+                &[]
+            };
             let state = self.states.get_mut(&v).expect("inserted above")[off]
                 .as_mut()
                 .expect("initialized above");
@@ -189,8 +151,8 @@ where
                 vertex: v,
                 vid,
                 superstep: step,
-                out_edges: &edges,
-                in_edges: &in_edges,
+                out_edges: snapshot.out_slice(v),
+                in_edges,
                 globals,
                 partial,
                 sends: &mut sends,
@@ -304,8 +266,9 @@ where
 ///
 /// # Errors
 ///
-/// [`BspError::Config`] for an unusable worker count, else the first
-/// failing batch run's [`BspError`].
+/// [`BspError::Config`] for an unusable worker count or a graph with no
+/// bounded window and none given, else the first failing batch run's
+/// [`BspError`].
 pub fn run_chlonos<P>(
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
@@ -315,10 +278,7 @@ where
     P: VcmProgram,
     P::Msg: PartialEq,
 {
-    let window = config
-        .window
-        .or_else(|| snapshot_window(&graph))
-        .expect("graph with no bounded window needs an explicit one");
+    let window = window_of(&graph, config.window, "Chlonos")?;
     let partition = Arc::new(PartitionMap::hash(&graph, config.workers)?);
     let mut metrics = RunMetrics::default();
     let mut per_snapshot = Vec::new();
@@ -337,12 +297,23 @@ where
     while batch_start < effective_end {
         let batch_len = (effective_end - batch_start).min(config.batch_size as i64) as usize;
         batches += 1;
+        // Chlonos runs structure-only (TI) programs, which read no edge
+        // property, so its snapshots resolve none.
+        let snapshots: Arc<[SnapshotTopology]> = (0..batch_len)
+            .map(|off| {
+                SnapshotTopology::new(
+                    Arc::clone(&graph),
+                    batch_start + off as Time,
+                    EdgeWeights::default(),
+                )
+            })
+            .collect();
         let workers: Vec<ChlWorker<P>> = (0..config.workers)
             .map(|w| ChlWorker {
                 graph: Arc::clone(&graph),
                 program: Arc::clone(&program),
                 owned: partition.owned_by(w).into_iter().map(|v| v.0).collect(),
-                weights: config.weights,
+                snapshots: Arc::clone(&snapshots),
                 batch_start,
                 batch_len,
                 need_in_edges: config.need_in_edges,
@@ -426,9 +397,8 @@ mod tests {
             }
             if (ctx.superstep() == 1 && *state == 0) || improved {
                 let next = state.saturating_add(1);
-                let targets: Vec<u32> = ctx.out_edges().iter().map(|e| e.target).collect();
-                for target in targets {
-                    ctx.send(target, next);
+                for e in ctx.out_edges() {
+                    ctx.send(e.target, next);
                 }
             }
         }
@@ -549,6 +519,22 @@ mod tests {
         assert_eq!(
             many.metrics.counters.compute_calls,
             one.metrics.counters.compute_calls
+        );
+    }
+
+    #[test]
+    fn an_unbounded_graph_without_a_window_is_a_config_error() {
+        let err = run_chlonos(
+            crate::topology::unbounded_graph(),
+            Arc::new(Bfs {
+                source: VertexId(0),
+            }),
+            &ChlConfig::default(),
+        )
+        .expect_err("no finite set of snapshots");
+        assert!(
+            matches!(&err, BspError::Config { detail } if detail.contains("Chlonos needs a bounded window")),
+            "{err:?}"
         );
     }
 }

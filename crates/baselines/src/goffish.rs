@@ -8,7 +8,7 @@
 //! execution). Unlike ICM, nothing is shared across time: each snapshot
 //! pays its own compute and messaging.
 
-use crate::topology::EdgeWeights;
+use crate::topology::{window_of, EdgeWeights};
 use crate::vcm::VcmEdge;
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::Wire;
@@ -19,7 +19,6 @@ use graphite_bsp::partition::PartitionMap;
 use graphite_bsp::trace::TraceSink;
 use graphite_tgraph::graph::{TemporalGraph, VIdx, VertexId};
 use graphite_tgraph::property::PropValue;
-use graphite_tgraph::snapshot::snapshot_window;
 use graphite_tgraph::time::{Interval, Time};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -284,7 +283,8 @@ pub struct GofConfig {
     pub max_supersteps: u64,
     /// Edge-property resolution.
     pub weights: EdgeWeights,
-    /// Window to walk; defaults to [`snapshot_window`].
+    /// Window to walk; defaults to
+    /// [`graphite_tgraph::snapshot::snapshot_window`].
     pub window: Option<Interval>,
     /// Record the state map after every snapshot (for time-indexed
     /// result comparison).
@@ -335,17 +335,15 @@ impl<S> GofResult<S> {
 ///
 /// # Errors
 ///
-/// [`BspError::Config`] for an unusable worker count, else the first
-/// failing snapshot run's [`BspError`].
+/// [`BspError::Config`] for an unusable worker count or a graph with no
+/// bounded window and none given, else the first failing snapshot run's
+/// [`BspError`].
 pub fn run_goffish<P: GofProgram>(
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
     config: &GofConfig,
 ) -> Result<GofResult<P::State>, BspError> {
-    let window = config
-        .window
-        .or_else(|| snapshot_window(&graph))
-        .expect("graph with no bounded window needs an explicit one");
+    let window = window_of(&graph, config.window, "GoFFish")?;
     let partition = Arc::new(PartitionMap::hash(&graph, config.workers)?);
     let mut queue: BTreeMap<Time, HashMap<u32, Vec<P::Msg>>> = BTreeMap::new();
     let mut states: HashMap<u32, P::State> = HashMap::new();
@@ -532,5 +530,21 @@ mod tests {
         assert!(r.metrics.counters.messages_sent > 6);
         // One outer iteration per snapshot, each at least one superstep.
         assert!(r.metrics.supersteps >= 9);
+    }
+
+    #[test]
+    fn an_unbounded_graph_without_a_window_is_a_config_error() {
+        let err = run_goffish(
+            crate::topology::unbounded_graph(),
+            Arc::new(GofSssp {
+                source: VertexId(0),
+            }),
+            &GofConfig::default(),
+        )
+        .expect_err("no finite set of snapshots");
+        assert!(
+            matches!(&err, BspError::Config { detail } if detail.contains("GoFFish needs a bounded window")),
+            "{err:?}"
+        );
     }
 }

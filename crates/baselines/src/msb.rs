@@ -3,13 +3,12 @@
 //! accumulates the per-snapshot costs, exactly as multi-snapshot analysis
 //! does in the paper. Used for the TI algorithms.
 
-use crate::topology::{EdgeWeights, SnapshotTopology};
+use crate::topology::{window_of, EdgeWeights, SnapshotTopology};
 use crate::vcm::{run_vcm, VcmConfig, VcmProgram};
 use graphite_bsp::engine::BspConfig;
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::RunMetrics;
 use graphite_tgraph::graph::TemporalGraph;
-use graphite_tgraph::snapshot::snapshot_window;
 use graphite_tgraph::time::{Interval, Time};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -21,9 +20,8 @@ pub struct MsbConfig {
     pub workers: usize,
     /// Safety cap on supersteps per snapshot.
     pub max_supersteps: u64,
-    /// Edge-property resolution for the snapshots.
-    pub weights: EdgeWeights,
-    /// Window to discretize; defaults to [`snapshot_window`].
+    /// Window to discretize; defaults to
+    /// [`graphite_tgraph::snapshot::snapshot_window`].
     pub window: Option<Interval>,
     /// Keep the per-snapshot final states (disable to save memory on
     /// large sweeps where only metrics matter).
@@ -42,7 +40,6 @@ impl Default for MsbConfig {
         MsbConfig {
             workers: 4,
             max_supersteps: BspConfig::DEFAULT_MAX_SUPERSTEPS,
-            weights: EdgeWeights::default(),
             window: None,
             collect_states: true,
             need_in_edges: false,
@@ -74,9 +71,13 @@ impl<S> MsbResult<S> {
 /// Runs `make_program(t)` on every snapshot in the window, independently,
 /// accumulating metrics — the paper's MSB.
 ///
+/// MSB runs structure-only (TI) programs, which read no edge property, so
+/// its snapshots resolve none.
+///
 /// # Errors
 ///
-/// The first failing snapshot run's [`BspError`].
+/// [`BspError::Config`] when the graph has no bounded window and none was
+/// given, else the first failing snapshot run's [`BspError`].
 pub fn run_msb<P, F>(
     graph: Arc<TemporalGraph>,
     make_program: F,
@@ -86,10 +87,7 @@ where
     P: VcmProgram,
     F: Fn(Time) -> Arc<P>,
 {
-    let window = config
-        .window
-        .or_else(|| snapshot_window(&graph))
-        .expect("graph with no bounded window needs an explicit one");
+    let window = window_of(&graph, config.window, "MSB")?;
     let vcm = VcmConfig {
         workers: config.workers,
         need_in_edges: config.need_in_edges,
@@ -109,7 +107,7 @@ where
         let topo = Arc::new(SnapshotTopology::new(
             Arc::clone(&graph),
             t0,
-            config.weights,
+            EdgeWeights::default(),
         ));
         let result = run_vcm(&topo, make_program(t0), &vcm)?;
         metrics.merge(&result.metrics);
@@ -124,7 +122,11 @@ where
         });
     }
     for t in window.points() {
-        let topo = Arc::new(SnapshotTopology::new(Arc::clone(&graph), t, config.weights));
+        let topo = Arc::new(SnapshotTopology::new(
+            Arc::clone(&graph),
+            t,
+            EdgeWeights::default(),
+        ));
         let result = run_vcm(&topo, make_program(t), &vcm)?;
         metrics.merge(&result.metrics);
         if config.collect_states {
@@ -167,9 +169,8 @@ mod tests {
             }
             if (ctx.superstep() == 1 && *state == 0) || improved {
                 let next = state.saturating_add(1);
-                let targets: Vec<u32> = ctx.out_edges().iter().map(|e| e.target).collect();
-                for target in targets {
-                    ctx.send(target, next);
+                for e in ctx.out_edges() {
+                    ctx.send(e.target, next);
                 }
             }
         }
@@ -230,5 +231,38 @@ mod tests {
         .unwrap();
         assert!(r.per_snapshot.is_empty());
         assert!(r.metrics.counters.compute_calls > 0);
+    }
+
+    #[test]
+    fn an_unbounded_graph_without_a_window_is_a_config_error() {
+        let err = run_msb(
+            crate::topology::unbounded_graph(),
+            |_| {
+                Arc::new(Bfs {
+                    source: VertexId(0),
+                })
+            },
+            &MsbConfig::default(),
+        )
+        .expect_err("no finite set of snapshots");
+        assert!(
+            matches!(&err, BspError::Config { detail } if detail.contains("MSB needs a bounded window")),
+            "{err:?}"
+        );
+        // Nor may an explicit window be unbounded.
+        let err = run_msb(
+            crate::topology::unbounded_graph(),
+            |_| {
+                Arc::new(Bfs {
+                    source: VertexId(0),
+                })
+            },
+            &MsbConfig {
+                window: Some(Interval::from_start(0)),
+                ..Default::default()
+            },
+        )
+        .expect_err("an unbounded explicit window");
+        assert!(matches!(err, BspError::Config { .. }), "{err:?}");
     }
 }

@@ -3,13 +3,14 @@
 //! (for TGB).
 
 use crate::vcm::{VcmEdge, VcmTopology};
+use graphite_bsp::error::BspError;
 use graphite_bsp::partition::splitmix64;
-use graphite_tgraph::graph::{TemporalGraph, VIdx, VertexId};
+use graphite_tgraph::graph::{AdjRun, EIdx, TemporalGraph, VIdx, VertexId};
 use graphite_tgraph::property::{LabelId, PropValue};
-use graphite_tgraph::time::Interval;
-use graphite_tgraph::time::Time;
+use graphite_tgraph::snapshot::snapshot_window;
+use graphite_tgraph::time::{Interval, Time, TIME_MAX, TIME_MIN};
 use graphite_tgraph::transform::{TransformedEdgeKind, TransformedGraph};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which edge properties to resolve into [`VcmEdge::w1`] / [`VcmEdge::w2`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -21,18 +22,114 @@ pub struct EdgeWeights {
 }
 
 /// A temporal graph restricted to a single time-point: the snapshot the
-/// multi-snapshot baselines execute on. Dense indices coincide with the
-/// temporal graph's internal vertex indices.
+/// multi-snapshot baselines execute on, loaded once the way a Giraph MSB
+/// loads each snapshot. Dense indices coincide with the temporal graph's
+/// internal vertex indices.
+///
+/// Construction builds a flat CSR of the edges alive at `t`, in exactly
+/// the order of [`TemporalGraph::out_edges`], so message order (and with
+/// it any order-sensitive fold, such as PageRank's `f64` sum) is the one
+/// a per-call scan would give. The in-adjacency is built on the first
+/// in-edge lookup, so forward-only programs never pay for it. Edge
+/// properties are resolved only for the labels `weights` names; without
+/// one, every edge carries the defaults `w1 = 0`, `w2 = 1` and no edge
+/// row is read.
 pub struct SnapshotTopology {
     graph: Arc<TemporalGraph>,
     t: Time,
     weights: EdgeWeights,
+    out: SnapshotCsr,
+    inc: OnceLock<SnapshotCsr>,
+}
+
+/// One direction of a snapshot's adjacency: the live edges of vertex `v`
+/// are `edges[offsets[v]..offsets[v + 1]]`.
+struct SnapshotCsr {
+    offsets: Vec<u32>,
+    edges: Vec<VcmEdge>,
+}
+
+impl SnapshotCsr {
+    /// Collects, per vertex, the edges of `run(v)` alive at `t`, in run
+    /// order. A counting pass over the span column first sizes both
+    /// columns exactly, so building a snapshot never reallocates and the
+    /// snapshot holds no spare capacity.
+    fn build<'g>(
+        graph: &'g TemporalGraph,
+        t: Time,
+        weights: EdgeWeights,
+        run: impl Fn(VIdx) -> AdjRun<'g>,
+    ) -> Self {
+        let n = graph.num_vertices() as u32;
+        let mut offsets = Vec::with_capacity(n as usize + 1);
+        offsets.push(0);
+        let mut total = 0;
+        for v in 0..n {
+            total += alive(run(VIdx(v)), t).count() as u32;
+            offsets.push(total);
+        }
+        let mut edges = Vec::with_capacity(total as usize);
+        for v in 0..n {
+            let run = run(VIdx(v));
+            edges.extend(alive(run, t).map(|i| {
+                let (w1, w2) = weights.resolve(graph, run.edges[i], t);
+                VcmEdge {
+                    target: run.nbr[i].0,
+                    w1,
+                    w2,
+                    kind: 0,
+                }
+            }));
+        }
+        SnapshotCsr { offsets, edges }
+    }
+
+    fn of(&self, v: u32) -> &[VcmEdge] {
+        let v = v as usize;
+        &self.edges[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+}
+
+/// The positions in `run` of the edges alive at `t`, in run order. A run
+/// is start-sorted, so the scan stops at the first edge starting after `t`.
+fn alive(run: AdjRun<'_>, t: Time) -> impl Iterator<Item = usize> + '_ {
+    run.span
+        .iter()
+        .take_while(move |span| span.start() <= t)
+        .enumerate()
+        .filter(move |(_, span)| span.contains_point(t))
+        .map(|(i, _)| i)
+}
+
+impl EdgeWeights {
+    /// The `(w1, w2)` payload of edge `e` at `t`: the named properties'
+    /// values, else the defaults 0 and 1. The edge's properties are read
+    /// only when a label is named.
+    fn resolve(self, graph: &TemporalGraph, e: EIdx, t: Time) -> (i64, i64) {
+        if self.w1.is_none() && self.w2.is_none() {
+            return (0, 1);
+        }
+        let props = graph.edge_props(e);
+        let value = |label: Option<LabelId>| {
+            label
+                .and_then(|l| props.value_at(l, t))
+                .and_then(PropValue::as_long)
+        };
+        (value(self.w1).unwrap_or(0), value(self.w2).unwrap_or(1))
+    }
 }
 
 impl SnapshotTopology {
     /// The snapshot of `graph` at `t`, resolving `weights` per edge.
     pub fn new(graph: Arc<TemporalGraph>, t: Time, weights: EdgeWeights) -> Self {
-        SnapshotTopology { graph, t, weights }
+        let out = SnapshotCsr::build(&graph, t, weights, |v| graph.out_run(v));
+        SnapshotTopology {
+            graph,
+            t,
+            weights,
+            out,
+            inc: OnceLock::new(),
+        }
     }
 
     /// The snapshot time-point.
@@ -45,21 +142,19 @@ impl SnapshotTopology {
         &self.graph
     }
 
-    fn resolve(&self, e: graphite_tgraph::graph::EIdx) -> (i64, i64) {
-        let props = &self.graph.edge(e).props;
-        let w1 = self
-            .weights
-            .w1
-            .and_then(|l| props.value_at(l, self.t))
-            .and_then(PropValue::as_long)
-            .unwrap_or(0);
-        let w2 = self
-            .weights
-            .w2
-            .and_then(|l| props.value_at(l, self.t))
-            .and_then(PropValue::as_long)
-            .unwrap_or(1);
-        (w1, w2)
+    /// The out-edges of `v` alive at the snapshot instant.
+    pub fn out_slice(&self, v: u32) -> &[VcmEdge] {
+        self.out.of(v)
+    }
+
+    /// The in-edges of `v` alive at the snapshot instant (`target` is the
+    /// source vertex), building the in-adjacency on first use.
+    pub fn in_slice(&self, v: u32) -> &[VcmEdge] {
+        self.inc
+            .get_or_init(|| {
+                SnapshotCsr::build(&self.graph, self.t, self.weights, |v| self.graph.in_run(v))
+            })
+            .of(v)
     }
 }
 
@@ -69,37 +164,15 @@ impl VcmTopology for SnapshotTopology {
     }
 
     fn is_active(&self, v: u32) -> bool {
-        self.graph.vertex(VIdx(v)).lifespan.contains_point(self.t)
+        self.graph.vertex_lifespan(VIdx(v)).contains_point(self.t)
     }
 
     fn out_edges(&self, v: u32, out: &mut Vec<VcmEdge>) {
-        for &e in self.graph.out_edges(VIdx(v)) {
-            let ed = self.graph.edge(e);
-            if ed.lifespan.contains_point(self.t) {
-                let (w1, w2) = self.resolve(e);
-                out.push(VcmEdge {
-                    target: ed.dst.0,
-                    w1,
-                    w2,
-                    kind: 0,
-                });
-            }
-        }
+        out.extend_from_slice(self.out_slice(v));
     }
 
     fn in_edges(&self, v: u32, out: &mut Vec<VcmEdge>) {
-        for &e in self.graph.in_edges(VIdx(v)) {
-            let ed = self.graph.edge(e);
-            if ed.lifespan.contains_point(self.t) {
-                let (w1, w2) = self.resolve(e);
-                out.push(VcmEdge {
-                    target: ed.src.0,
-                    w1,
-                    w2,
-                    kind: 0,
-                });
-            }
-        }
+        out.extend_from_slice(self.in_slice(v));
     }
 
     fn partition_key(&self, v: u32) -> u64 {
@@ -177,10 +250,48 @@ impl VcmTopology for TransformedTopology {
     }
 }
 
+/// The window a snapshot-by-snapshot platform walks: `window` if given,
+/// else the graph's bounded [`snapshot_window`].
+///
+/// # Errors
+///
+/// [`BspError::Config`] naming `platform` when that window is missing or
+/// unbounded — every entity lives forever and no window was passed, or
+/// the one passed has an infinite end — so there is no finite set of
+/// snapshots to run.
+pub(crate) fn window_of(
+    graph: &TemporalGraph,
+    window: Option<Interval>,
+    platform: &str,
+) -> Result<Interval, BspError> {
+    window
+        .or_else(|| snapshot_window(graph))
+        .filter(|w| w.start() != TIME_MIN && w.end() != TIME_MAX)
+        .ok_or_else(|| BspError::Config {
+            detail: format!("{platform} needs a bounded window: pass one when the graph has none"),
+        })
+}
+
 /// Re-exported helper: static-topology detection (see
 /// [`graphite_tgraph::snapshot::is_topology_static`]).
 pub fn is_topology_static_helper(graph: &TemporalGraph, window: Interval) -> bool {
     graphite_tgraph::snapshot::is_topology_static(graph, window)
+}
+
+/// Two vertices and an edge between them, all alive forever: a graph
+/// with no bounded window, which the snapshot platforms must refuse
+/// without one.
+#[cfg(test)]
+pub(crate) fn unbounded_graph() -> Arc<TemporalGraph> {
+    use graphite_tgraph::builder::TemporalGraphBuilder;
+    use graphite_tgraph::graph::EdgeId;
+    let mut b = TemporalGraphBuilder::new();
+    for vid in [0, 1] {
+        b.add_vertex(VertexId(vid), Interval::all()).unwrap();
+    }
+    b.add_edge(EdgeId(0), VertexId(0), VertexId(1), Interval::all())
+        .unwrap();
+    Arc::new(b.build().unwrap())
 }
 
 #[cfg(test)]

@@ -203,17 +203,32 @@ pub struct VcmResult<S> {
     pub metrics: RunMetrics,
 }
 
+/// One BSP worker of a VCM run. Everything a superstep touches is owned
+/// here and reused: states sit in a dense table indexed by the vertex's
+/// [`PartitionMap::local_index`], and the edge, combined-message and send
+/// buffers keep their capacity from vertex to vertex, so a steady run
+/// computes without allocating.
 struct VcmWorker<T: VcmTopology, P: VcmProgram> {
     topology: Arc<T>,
     program: Arc<P>,
+    partition: Arc<PartitionMap>,
+    worker: usize,
+    /// Owned vertices, ascending; `owned[i]` is the vertex of `states[i]`.
     owned: Vec<u32>,
     need_in_edges: bool,
-    states: HashMap<u32, P::State>,
+    /// Per owned vertex, by local index; `None` until its first compute.
+    states: Vec<Option<P::State>>,
     scratch_out: Vec<VcmEdge>,
     scratch_in: Vec<VcmEdge>,
+    /// The current vertex's messages after the receiver-side combiner.
+    combined: Vec<P::Msg>,
+    /// The current vertex's sends, drained into the outbox in order.
+    sends: Vec<(u32, P::Msg)>,
 }
 
 impl<T: VcmTopology, P: VcmProgram> VcmWorker<T, P> {
+    /// Runs compute for owned vertex `v` on `msgs`, initializing its state
+    /// on first use. Inactive vertices are skipped.
     #[expect(
         clippy::too_many_arguments,
         reason = "the worker's superstep context, passed through per vertex"
@@ -228,18 +243,18 @@ impl<T: VcmTopology, P: VcmProgram> VcmWorker<T, P> {
         partial: &mut Aggregators,
         counters: &mut UserCounters,
     ) {
+        if !self.topology.is_active(v) {
+            return;
+        }
         let vid = self.topology.logical_vid(v);
-        let state = match self.states.entry(v) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => e.insert(self.program.init(v, vid)),
-        };
+        let state = self.states[self.partition.local_index(VIdx(v))]
+            .get_or_insert_with(|| self.program.init(v, vid));
         self.scratch_out.clear();
         self.topology.out_edges(v, &mut self.scratch_out);
         self.scratch_in.clear();
         if self.need_in_edges {
             self.topology.in_edges(v, &mut self.scratch_in);
         }
-        let mut sends: Vec<(u32, P::Msg)> = Vec::new();
         let mut ctx = VcmContext {
             vertex: v,
             vid,
@@ -248,29 +263,30 @@ impl<T: VcmTopology, P: VcmProgram> VcmWorker<T, P> {
             in_edges: &self.scratch_in,
             globals,
             partial,
-            sends: &mut sends,
+            sends: &mut self.sends,
         };
         counters.compute_calls += 1;
         self.program.compute(&mut ctx, state, msgs);
-        for (target, msg) in sends {
+        for (target, msg) in self.sends.drain(..) {
             // Message routing is by the *message partition map* index,
             // which equals the topology index.
             outbox.send(VIdx(target), (target, msg));
         }
     }
 
-    fn combined(&self, msgs: &[(u32, P::Msg)]) -> Vec<P::Msg> {
-        let mut out: Vec<P::Msg> = Vec::with_capacity(msgs.len());
-        for (_, m) in msgs {
-            if let Some(last) = out.last_mut() {
+    /// Folds one vertex's raw messages into `combined` with the program's
+    /// combiner, in arrival order.
+    fn combine_into(&self, raw: &[(u32, P::Msg)], combined: &mut Vec<P::Msg>) {
+        combined.clear();
+        for (_, m) in raw {
+            if let Some(last) = combined.last_mut() {
                 if let Some(c) = self.program.combine(last, m) {
                     *last = c;
                     continue;
                 }
             }
-            out.push(m.clone());
+            combined.push(m.clone());
         }
-        out
     }
 }
 
@@ -288,50 +304,44 @@ impl<T: VcmTopology, P: VcmProgram> WorkerLogic for VcmWorker<T, P> {
         counters: &mut UserCounters,
         _sink: &mut TraceSink,
     ) {
+        let owned = std::mem::take(&mut self.owned);
+        let mut combined = std::mem::take(&mut self.combined);
         if step == 1 {
-            let owned = std::mem::take(&mut self.owned);
             for &v in &owned {
-                if self.topology.is_active(v) {
-                    self.run_vertex(v, step, &[], outbox, globals, partial, counters);
-                }
+                self.run_vertex(v, step, &[], outbox, globals, partial, counters);
             }
-            self.owned = owned;
-            return;
-        }
-        let mut active: Vec<(u32, Vec<P::Msg>)> = Vec::new();
-        if self.program.all_active(step, globals) {
-            let owned = self.owned.clone();
-            for v in owned {
-                let msgs = inbox
-                    .messages_for(VIdx(v))
-                    .map(|raw| self.combined(raw))
-                    .unwrap_or_default();
-                active.push((v, msgs));
+        } else if self.program.all_active(step, globals) {
+            // Every owned vertex computes, in ascending order, with its
+            // messages if any: one merge walk over two ascending lists.
+            let mut arrivals = inbox.iter().peekable();
+            for &v in &owned {
+                combined.clear();
+                if let Some((_, raw)) = arrivals.next_if(|(dst, _)| dst.0 == v) {
+                    self.combine_into(raw, &mut combined);
+                }
+                self.run_vertex(v, step, &combined, outbox, globals, partial, counters);
             }
         } else {
             for (v, raw) in inbox.iter() {
-                active.push((v.0, self.combined(raw)));
+                self.combine_into(raw, &mut combined);
+                self.run_vertex(v.0, step, &combined, outbox, globals, partial, counters);
             }
         }
-        for (v, msgs) in active {
-            if self.topology.is_active(v) {
-                self.run_vertex(v, step, &msgs, outbox, globals, partial, counters);
-            }
-        }
+        self.owned = owned;
+        self.combined = combined;
     }
 }
 
-/// Checkpointing for VCM workers: the per-vertex state map is the complete
-/// user state — the scratch edge buffers are ephemeral and the config
-/// fields never change mid-run. Keys are serialized in sorted order so the blob is
-/// canonical regardless of hash-map iteration order.
+/// Checkpointing for VCM workers: the per-vertex state table is the
+/// complete user state — the scratch buffers are ephemeral and the config
+/// fields never change mid-run. Initialized states are written in
+/// ascending vertex order, so the blob is canonical.
 impl<T: VcmTopology, P: VcmProgram> Snapshot for VcmWorker<T, P> {
     fn checkpoint(&self, buf: &mut Vec<u8>) {
-        put_varint(self.states.len() as u64, buf);
-        let mut keys: Vec<u32> = self.states.keys().copied().collect();
-        keys.sort_unstable();
-        for v in keys {
-            if let Some(s) = self.states.get(&v) {
+        let count = self.states.iter().filter(|s| s.is_some()).count();
+        put_varint(count as u64, buf);
+        for (&v, state) in self.owned.iter().zip(&self.states) {
+            if let Some(s) = state {
                 put_varint(u64::from(v), buf);
                 s.encode(buf);
             }
@@ -341,12 +351,17 @@ impl<T: VcmTopology, P: VcmProgram> Snapshot for VcmWorker<T, P> {
     fn restore(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
         let mut cur = bytes;
         let count = get_varint(&mut cur).ok_or("vertex state count")?;
-        let mut states = HashMap::new();
+        let mut states: Vec<Option<P::State>> = self.owned.iter().map(|_| None).collect();
         for _ in 0..count {
             let raw = get_varint(&mut cur).ok_or("vertex id")?;
             let v = u32::try_from(raw).map_err(|_| "vertex id exceeds u32")?;
+            let owned = (v as usize) < self.partition.len()
+                && self.partition.worker_of(VIdx(v)) == self.worker;
+            if !owned {
+                return Err("checkpoint vertex not owned by this worker");
+            }
             let s = P::State::decode(&mut cur).ok_or("vertex state")?;
-            states.insert(v, s);
+            states[self.partition.local_index(VIdx(v))] = Some(s);
         }
         if !cur.is_empty() {
             return Err("trailing bytes in worker checkpoint");
@@ -406,7 +421,7 @@ pub fn run_vcm<T: VcmTopology, P: VcmProgram>(
     Ok(collect_result(workers, metrics))
 }
 
-/// One VCM worker per partition, with empty state maps and fresh buffers.
+/// One VCM worker per partition, with empty state tables and fresh buffers.
 fn build_workers<T: VcmTopology, P: VcmProgram>(
     topology: &Arc<T>,
     program: &Arc<P>,
@@ -414,26 +429,38 @@ fn build_workers<T: VcmTopology, P: VcmProgram>(
     partition: &Arc<PartitionMap>,
 ) -> Vec<VcmWorker<T, P>> {
     (0..config.workers)
-        .map(|w| VcmWorker {
-            topology: Arc::clone(topology),
-            program: Arc::clone(program),
-            owned: partition.owned_by(w).into_iter().map(|v| v.0).collect(),
-            need_in_edges: config.need_in_edges,
-            states: HashMap::new(),
-            scratch_out: Vec::new(),
-            scratch_in: Vec::new(),
+        .map(|w| {
+            let owned: Vec<u32> = partition.owned_by(w).into_iter().map(|v| v.0).collect();
+            VcmWorker {
+                topology: Arc::clone(topology),
+                program: Arc::clone(program),
+                partition: Arc::clone(partition),
+                worker: w,
+                states: owned.iter().map(|_| None).collect(),
+                owned,
+                need_in_edges: config.need_in_edges,
+                scratch_out: Vec::new(),
+                scratch_in: Vec::new(),
+                combined: Vec::new(),
+                sends: Vec::new(),
+            }
         })
         .collect()
 }
 
-/// Merges the per-worker state maps into the result.
+/// Merges the per-worker state tables into the result.
 fn collect_result<T: VcmTopology, P: VcmProgram>(
     workers: Vec<VcmWorker<T, P>>,
     metrics: RunMetrics,
 ) -> VcmResult<P::State> {
     let mut states = HashMap::new();
     for w in workers {
-        states.extend(w.states);
+        states.extend(
+            w.owned
+                .into_iter()
+                .zip(w.states)
+                .filter_map(|(v, s)| Some((v, s?))),
+        );
     }
     VcmResult { states, metrics }
 }
@@ -491,8 +518,7 @@ mod tests {
                 }
                 if *state < i64::MAX {
                     let dist = *state;
-                    let edges: Vec<VcmEdge> = ctx.out_edges().to_vec();
-                    for e in edges {
+                    for e in ctx.out_edges() {
                         ctx.send(e.target, dist + e.w1);
                     }
                 }
@@ -605,5 +631,93 @@ mod tests {
         assert_eq!(r.metrics.counters.compute_calls, 2);
         assert!(r.states.contains_key(&0));
         assert!(!r.states.contains_key(&1));
+    }
+
+    /// `n` isolated vertices keyed by their index: enough slots to spread
+    /// over several workers.
+    struct Isolated(u32);
+
+    impl VcmTopology for Isolated {
+        fn num_vertices(&self) -> usize {
+            self.0 as usize
+        }
+        fn out_edges(&self, _v: u32, _out: &mut Vec<VcmEdge>) {}
+        fn partition_key(&self, v: u32) -> u64 {
+            u64::from(v)
+        }
+        fn logical_vid(&self, v: u32) -> VertexId {
+            VertexId(u64::from(v))
+        }
+    }
+
+    /// The previous checkpoint encoding, verbatim: a `HashMap` of states
+    /// written in sorted-key order.
+    fn oracle_checkpoint(states: &HashMap<u32, i64>, buf: &mut Vec<u8>) {
+        put_varint(states.len() as u64, buf);
+        let mut keys: Vec<u32> = states.keys().copied().collect();
+        keys.sort_unstable();
+        for v in keys {
+            if let Some(s) = states.get(&v) {
+                put_varint(u64::from(v), buf);
+                s.encode(buf);
+            }
+        }
+    }
+
+    fn isolated_workers(n: u32, workers: usize) -> Vec<VcmWorker<Isolated, Sssp>> {
+        let topology = Arc::new(Isolated(n));
+        let config = VcmConfig {
+            workers,
+            ..Default::default()
+        };
+        let partition =
+            Arc::new(topology_partition(topology.as_ref(), workers, &config.partition).unwrap());
+        build_workers(&topology, &Arc::new(Sssp), &config, &partition)
+    }
+
+    #[test]
+    fn dense_checkpoint_is_byte_equal_to_the_sorted_map_encoding() {
+        let mut rng = graphite_tgraph::rng::SplitMix64::new(29);
+        for case in 0..64 {
+            let n = 1 + rng.bounded(200) as u32;
+            let workers = 1 + rng.index(4);
+            for mut worker in isolated_workers(n, workers) {
+                // A random subset of the owned vertices is initialized, as
+                // a run leaves those that never computed unset.
+                let mut map = HashMap::new();
+                for (i, &v) in worker.owned.iter().enumerate() {
+                    if rng.bool() {
+                        let s = rng.range_i64(-1_000_000, 1_000_000);
+                        worker.states[i] = Some(s);
+                        map.insert(v, s);
+                    }
+                }
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                worker.checkpoint(&mut got);
+                oracle_checkpoint(&map, &mut want);
+                assert_eq!(got, want, "case {case}");
+                // And the blob restores to the same table.
+                let before = worker.states.clone();
+                worker.states.iter_mut().for_each(|s| *s = None);
+                worker.restore(&got).unwrap();
+                assert_eq!(worker.states, before, "case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_vertex_another_worker_owns() {
+        let mut workers = isolated_workers(64, 2);
+        let foreign = workers[1].owned[0];
+        let mut blob = Vec::new();
+        oracle_checkpoint(&HashMap::from([(foreign, 7)]), &mut blob);
+        let err = workers[0].restore(&blob).expect_err("a foreign vertex");
+        assert_eq!(err, "checkpoint vertex not owned by this worker");
+        // Past the end of the topology is nobody's vertex either.
+        blob.clear();
+        oracle_checkpoint(&HashMap::from([(64, 7)]), &mut blob);
+        assert!(workers[0].restore(&blob).is_err());
+        // A rejected blob leaves the worker as it was.
+        assert!(workers[0].states.iter().all(Option::is_none));
     }
 }

@@ -13,9 +13,16 @@
 # median ratio new/parent and how many pairs the new side won; exits 1 if
 # any run reports `correct: false` or a failed operation.
 #
+# Then one `--trace 1` run per side checks the counts: every per-layer
+# metric whose BENCHMARK.json unit is `count` must be equal on both sides.
+# The names that differ are printed and the script exits 1 — a change
+# that should only move timings must leave supersteps, messages and
+# compute calls bit for bit where they were.
+#
 # A timing tool, not a gate: only pairs run back to back on one machine are
 # evidence (a 2-vCPU box drifts 10-15 % between sessions), so check.sh does
-# not run it. The raw records land in target/ab_pairs/WORKLOAD-seedSEED.log.
+# not run it. The raw records land in target/ab_pairs/WORKLOAD-seedSEED.log,
+# the two traced ones in WORKLOAD-seedSEED.trace.log beside it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 if [ $# -lt 2 ]; then
@@ -49,9 +56,10 @@ build "$parent_root" "$parent_target"
 build "$new_root" "$new_target"
 
 # One measured run; prints its JSON record (the harness's last line).
+# The optional third argument is the trace level (default 0).
 run() {
     (cd "$1" && CARGO_TARGET_DIR="$2" bash benchmark/run.sh --workload "$workload" \
-        --seed "$seed" --seconds "$seconds" --trace 0) | tail -n 1
+        --seed "$seed" --seconds "$seconds" --trace "${3:-0}") | tail -n 1
 }
 
 log="$work/$workload-seed$seed.log"
@@ -108,3 +116,29 @@ while read -r metric better; do
                 nm, q(n, nn, 0.25), q(n, nn, 0.75), pm ? nm / pm : 0, wins, nn
         }' "$log"
 done <<<"$metrics"
+
+# The count check: one traced run per side, then every per-layer metric
+# whose unit is `count` compared exactly.
+counts="$(awk '/"per_layer"/ { on = 1 }
+    on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
+    on && /"unit"/ { gsub(/[",]/, "", $2); if ($2 == "count") print name }' BENCHMARK.json)"
+trace_log="$work/$workload-seed$seed.trace.log"
+printf 'parent %s\nnew %s\n' "$(run "$parent_root" "$parent_target" 1)" \
+    "$(run "$new_root" "$new_target" 1)" >"$trace_log"
+differ=0
+echo "count metrics, one --trace 1 run per side:"
+while read -r metric; do
+    read -r p n < <(awk -v m="$metric" '
+        { i = index($0, "\"" m "\": {\"value\": ")
+          v[$1] = i ? substr($0, i + length(m) + 14) + 0 : "absent" }
+        END { print v["parent"], v["new"] }' "$trace_log")
+    if [ "$p" != "$n" ]; then
+        echo "  DIFFERS $metric: parent $p, new $n"
+        differ=1
+    fi
+done <<<"$counts"
+if ((differ)); then
+    echo "count metrics differ; see $trace_log" >&2
+    exit 1
+fi
+echo "  all $(wc -l <<<"$counts") count metrics equal"
