@@ -117,11 +117,9 @@ mod tests {
         .expect("ICM run");
         let msb = run_msb(
             Arc::clone(&graph),
-            |_| {
-                Arc::new(VcmBfs {
-                    source: transit_ids::A,
-                })
-            },
+            Arc::new(VcmBfs {
+                source: transit_ids::A,
+            }),
             &MsbConfig {
                 workers: 2,
                 ..Default::default()
@@ -181,11 +179,9 @@ mod tests {
         .expect("ICM run");
         let msb = run_msb(
             Arc::clone(&graph),
-            |_| {
-                Arc::new(VcmBfs {
-                    source: transit_ids::A,
-                })
-            },
+            Arc::new(VcmBfs {
+                source: transit_ids::A,
+            }),
             &MsbConfig {
                 workers: 1,
                 ..Default::default()

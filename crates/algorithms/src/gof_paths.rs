@@ -142,7 +142,7 @@ impl GofProgram for GofFast {
     }
 }
 
-/// Latest Departure under GoFFish: runs with `GofConfig::reverse = true`
+/// Latest Departure under GoFFish: a [`GofProgram::reverse`] walk
 /// (snapshots walked backward, in-edges traversed). The state is the
 /// latest departure time; "future" messages go to earlier snapshots.
 pub struct GofLd {
@@ -206,6 +206,10 @@ impl GofProgram for GofLd {
 
     fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
         Some(*a.max(b))
+    }
+
+    fn reverse(&self) -> bool {
+        true
     }
 }
 
@@ -296,9 +300,15 @@ pub fn _assert_wire<M: Wire>() {}
 mod tests {
     use super::*;
     use graphite_baselines::goffish::{run_goffish, GofConfig};
-    use graphite_baselines::EdgeWeights;
+    use graphite_baselines::{EdgeWeights, SnapshotResult};
     use graphite_tgraph::fixtures::{transit_graph, transit_ids};
+    use std::collections::HashMap;
     use std::sync::Arc;
+
+    /// The states after the walk's last snapshot.
+    fn final_states<S>(r: &SnapshotResult<S>) -> &HashMap<u32, S> {
+        &r.per_snapshot.last().expect("a collected walk").1
+    }
 
     fn weights(g: &graphite_tgraph::graph::TemporalGraph) -> EdgeWeights {
         EdgeWeights {
@@ -324,12 +334,13 @@ mod tests {
         )
         .unwrap();
         let idx = |vid| g.vertex_index(vid).unwrap().0;
+        let states = final_states(&r);
         // Earliest arrivals (within the window [0,9)): C=2, D=2, B=4, E=6.
-        assert_eq!(r.states[&idx(transit_ids::C)], 2);
-        assert_eq!(r.states[&idx(transit_ids::D)], 2);
-        assert_eq!(r.states[&idx(transit_ids::B)], 4);
-        assert_eq!(r.states[&idx(transit_ids::E)], 6);
-        assert_eq!(r.states[&idx(transit_ids::F)], INF);
+        assert_eq!(states[&idx(transit_ids::C)], 2);
+        assert_eq!(states[&idx(transit_ids::D)], 2);
+        assert_eq!(states[&idx(transit_ids::B)], 4);
+        assert_eq!(states[&idx(transit_ids::E)], 6);
+        assert_eq!(states[&idx(transit_ids::F)], INF);
     }
 
     #[test]
@@ -348,13 +359,14 @@ mod tests {
         )
         .unwrap();
         let idx = |vid| g.vertex_index(vid).unwrap().0;
-        assert_eq!(r.states[&idx(transit_ids::B)].0, 1);
-        assert_eq!(r.states[&idx(transit_ids::C)].0, 1);
-        assert_eq!(r.states[&idx(transit_ids::D)].0, 1);
+        let states = final_states(&r);
+        assert_eq!(states[&idx(transit_ids::B)].0, 1);
+        assert_eq!(states[&idx(transit_ids::C)].0, 1);
+        assert_eq!(states[&idx(transit_ids::D)].0, 1);
         // E's fastest journey of duration 4 via C completes at t=6; the
         // cost-5 B-route completes at 9, outside the window.
-        assert_eq!(r.states[&idx(transit_ids::E)].0, 4);
-        assert_eq!(r.states[&idx(transit_ids::F)].0, INF);
+        assert_eq!(states[&idx(transit_ids::E)].0, 4);
+        assert_eq!(states[&idx(transit_ids::F)].0, INF);
     }
 
     #[test]
@@ -369,17 +381,17 @@ mod tests {
             &GofConfig {
                 workers: 2,
                 weights: weights(&g),
-                reverse: true,
                 ..Default::default()
             },
         )
         .unwrap();
         let idx = |vid| g.vertex_index(vid).unwrap().0;
+        let states = final_states(&r);
         // Deadline 8 (within the window): only the C route works.
-        assert_eq!(r.states[&idx(transit_ids::C)], 6);
-        assert_eq!(r.states[&idx(transit_ids::A)], 2);
-        assert_eq!(r.states[&idx(transit_ids::B)], TIME_MIN);
-        assert_eq!(r.states[&idx(transit_ids::D)], TIME_MIN);
+        assert_eq!(states[&idx(transit_ids::C)], 6);
+        assert_eq!(states[&idx(transit_ids::A)], 2);
+        assert_eq!(states[&idx(transit_ids::B)], TIME_MIN);
+        assert_eq!(states[&idx(transit_ids::D)], TIME_MIN);
     }
 
     #[test]
@@ -399,9 +411,10 @@ mod tests {
         )
         .unwrap();
         let idx = |vid| g.vertex_index(vid).unwrap().0;
-        assert_eq!(r.states[&idx(transit_ids::B)].1, transit_ids::A.0);
-        assert_eq!(r.states[&idx(transit_ids::E)].1, transit_ids::C.0);
-        assert_eq!(r.states[&idx(transit_ids::F)].1, u64::MAX);
+        let states = final_states(&r);
+        assert_eq!(states[&idx(transit_ids::B)].1, transit_ids::A.0);
+        assert_eq!(states[&idx(transit_ids::E)].1, transit_ids::C.0);
+        assert_eq!(states[&idx(transit_ids::F)].1, u64::MAX);
     }
 
     #[test]
@@ -421,14 +434,15 @@ mod tests {
         )
         .unwrap();
         let idx = |vid| g.vertex_index(vid).unwrap().0;
+        let states = final_states(&r);
         for vid in [
             transit_ids::B,
             transit_ids::C,
             transit_ids::D,
             transit_ids::E,
         ] {
-            assert!(r.states[&idx(vid)], "{vid:?}");
+            assert!(states[&idx(vid)], "{vid:?}");
         }
-        assert!(!r.states[&idx(transit_ids::F)]);
+        assert!(!states[&idx(transit_ids::F)]);
     }
 }

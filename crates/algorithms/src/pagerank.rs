@@ -179,7 +179,7 @@ mod tests {
         .expect("ICM run");
         let msb = run_msb(
             Arc::clone(&graph),
-            |_| Arc::new(VcmPageRank { iterations }),
+            Arc::new(VcmPageRank { iterations }),
             &MsbConfig {
                 workers: 2,
                 ..Default::default()

@@ -259,11 +259,9 @@ impl Run<'_> {
         RunOutcome { metrics, digest }
     }
 
-    /// MSB, with the paper's static-topology reuse (Sec. VII-B6; on to
-    /// mirror the paper's Table 2 setup).
+    /// MSB.
     fn msb<P: VcmProgram>(
         &self,
-        need_in_edges: bool,
         program: P,
         encode: fn(&P::State) -> u64,
     ) -> Result<RunOutcome, BspError> {
@@ -272,21 +270,13 @@ impl Run<'_> {
             max_supersteps: self.opts.max_supersteps,
             window: Some(self.params.window),
             collect_states: self.opts.digest,
-            need_in_edges,
-            exploit_static_topology: true,
         };
-        let program = Arc::new(program);
-        let r = run_msb(Arc::clone(self.graph), |_| Arc::clone(&program), &config)?;
+        let r = run_msb(Arc::clone(self.graph), Arc::new(program), &config)?;
         Ok(self.per_snapshot(r.metrics, &r.per_snapshot, Some(encode)))
     }
 
-    /// Chlonos, with the same static-topology reuse as [`Run::msb`].
-    fn chlonos<P>(
-        &self,
-        need_in_edges: bool,
-        program: P,
-        encode: fn(&P::State) -> u64,
-    ) -> Result<RunOutcome, BspError>
+    /// Chlonos.
+    fn chlonos<P>(&self, program: P, encode: fn(&P::State) -> u64) -> Result<RunOutcome, BspError>
     where
         P: VcmProgram,
         P::Msg: PartialEq,
@@ -297,17 +287,14 @@ impl Run<'_> {
             max_supersteps: self.opts.max_supersteps,
             window: Some(self.params.window),
             collect_states: self.opts.digest,
-            need_in_edges,
-            exploit_static_topology: true,
         };
         let r = run_chlonos(Arc::clone(self.graph), Arc::new(program), &config)?;
         Ok(self.per_snapshot(r.metrics, &r.per_snapshot, Some(encode)))
     }
 
-    /// GoFFish-TS; `reverse` walks the snapshots backwards (LD).
+    /// GoFFish-TS.
     fn goffish<P: GofProgram>(
         &self,
-        reverse: bool,
         program: P,
         encode: Option<fn(&P::State) -> u64>,
     ) -> Result<RunOutcome, BspError> {
@@ -317,7 +304,6 @@ impl Run<'_> {
             weights: self.weights(),
             window: Some(self.params.window),
             collect_states: self.opts.digest,
-            reverse,
         };
         let r = run_goffish(Arc::clone(self.graph), Arc::new(program), &config)?;
         Ok(self.per_snapshot(r.metrics, &r.per_snapshot, encode))
@@ -328,7 +314,6 @@ impl Run<'_> {
     /// for the one cell whose projection is comparable (SSSP).
     fn tgb<P: VcmProgram>(
         &self,
-        need_in_edges: bool,
         make: impl FnOnce(Arc<TransformedGraph>) -> P,
         project: Option<Projection<P::State>>,
     ) -> Result<RunOutcome, BspError> {
@@ -342,7 +327,6 @@ impl Run<'_> {
             .unwrap_or_else(|| Arc::new(transform_for_paths(self.graph, &transform_opts)));
         let config = VcmConfig {
             workers: self.opts.workers,
-            need_in_edges,
             partition: self.opts.partition.clone(),
             // Only `Platform::Icm` threads fault plans and recovery (see
             // the RunOpts docs).
@@ -454,48 +438,41 @@ pub fn try_run(
     let outcome = match (platform, algo) {
         (Platform::Icm, _) => visit_icm(algo, &params, RunCell(&run)),
 
-        (Platform::Msb, Algo::Bfs) => run.msb(false, bfs::VcmBfs { source }, enc::long),
-        (Platform::Msb, Algo::Wcc) => run.msb(true, wcc::VcmWcc, enc::label),
-        (Platform::Msb, Algo::Scc) => run.msb(true, scc::VcmScc, enc::scc),
-        (Platform::Msb, Algo::Pr) => {
-            run.msb(false, pagerank::VcmPageRank { iterations }, enc::rank)
-        }
+        (Platform::Msb, Algo::Bfs) => run.msb(bfs::VcmBfs { source }, enc::long),
+        (Platform::Msb, Algo::Wcc) => run.msb(wcc::VcmWcc, enc::label),
+        (Platform::Msb, Algo::Scc) => run.msb(scc::VcmScc, enc::scc),
+        (Platform::Msb, Algo::Pr) => run.msb(pagerank::VcmPageRank { iterations }, enc::rank),
 
-        (Platform::Chlonos, Algo::Bfs) => run.chlonos(false, bfs::VcmBfs { source }, enc::long),
-        (Platform::Chlonos, Algo::Wcc) => run.chlonos(true, wcc::VcmWcc, enc::label),
-        (Platform::Chlonos, Algo::Scc) => run.chlonos(true, scc::VcmScc, enc::scc),
+        (Platform::Chlonos, Algo::Bfs) => run.chlonos(bfs::VcmBfs { source }, enc::long),
+        (Platform::Chlonos, Algo::Wcc) => run.chlonos(wcc::VcmWcc, enc::label),
+        (Platform::Chlonos, Algo::Scc) => run.chlonos(scc::VcmScc, enc::scc),
         (Platform::Chlonos, Algo::Pr) => {
-            run.chlonos(false, pagerank::VcmPageRank { iterations }, enc::rank)
+            run.chlonos(pagerank::VcmPageRank { iterations }, enc::rank)
         }
 
         (Platform::Goffish, Algo::Sssp) => {
-            run.goffish(false, gof_paths::GofSssp { source }, Some(enc::long))
+            run.goffish(gof_paths::GofSssp { source }, Some(enc::long))
         }
         (Platform::Goffish, Algo::Eat) => {
-            run.goffish(false, gof_paths::GofEat { source, start }, Some(enc::long))
+            run.goffish(gof_paths::GofEat { source, start }, Some(enc::long))
         }
-        (Platform::Goffish, Algo::Fast) => run.goffish(false, gof_paths::GofFast { source }, None),
-        (Platform::Goffish, Algo::Ld) => {
-            run.goffish(true, gof_paths::GofLd { target, deadline }, None)
-        }
+        (Platform::Goffish, Algo::Fast) => run.goffish(gof_paths::GofFast { source }, None),
+        (Platform::Goffish, Algo::Ld) => run.goffish(gof_paths::GofLd { target, deadline }, None),
         (Platform::Goffish, Algo::Tmst) => {
-            run.goffish(false, gof_paths::GofTmst { source, start }, Some(enc::tmst))
+            run.goffish(gof_paths::GofTmst { source, start }, Some(enc::tmst))
         }
-        (Platform::Goffish, Algo::Reach) => run.goffish(
-            false,
-            gof_paths::GofReach { source, start },
-            Some(enc::flag),
-        ),
-        (Platform::Goffish, Algo::Lcc) => run.goffish(false, gof_cluster::GofLcc, Some(enc::label)),
-        (Platform::Goffish, Algo::Tc) => run.goffish(false, gof_cluster::GofTc, Some(enc::label)),
+        (Platform::Goffish, Algo::Reach) => {
+            run.goffish(gof_paths::GofReach { source, start }, Some(enc::flag))
+        }
+        (Platform::Goffish, Algo::Lcc) => run.goffish(gof_cluster::GofLcc, Some(enc::label)),
+        (Platform::Goffish, Algo::Tc) => run.goffish(gof_cluster::GofTc, Some(enc::label)),
 
         (Platform::Tgb, Algo::Sssp) => {
-            run.tgb(false, |_| tgb_paths::TgbSssp { source }, Some(project_sssp))
+            run.tgb(|_| tgb_paths::TgbSssp { source }, Some(project_sssp))
         }
         // One replica program serves both: EAT is extracted from the
         // reached flags (`tgb_paths::tgb_earliest_arrivals`).
         (Platform::Tgb, Algo::Eat | Algo::Reach) => run.tgb(
-            false,
             |transformed| tgb_paths::TgbReach {
                 source,
                 start,
@@ -504,7 +481,6 @@ pub fn try_run(
             None,
         ),
         (Platform::Tgb, Algo::Fast) => run.tgb(
-            false,
             |transformed| tgb_paths::TgbFast {
                 source,
                 transformed,
@@ -512,7 +488,6 @@ pub fn try_run(
             None,
         ),
         (Platform::Tgb, Algo::Ld) => run.tgb(
-            true,
             |transformed| tgb_paths::TgbLd {
                 target,
                 deadline,
@@ -521,7 +496,6 @@ pub fn try_run(
             None,
         ),
         (Platform::Tgb, Algo::Tmst) => run.tgb(
-            false,
             |transformed| tgb_paths::TgbTmst {
                 source,
                 start,

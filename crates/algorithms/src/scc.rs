@@ -256,6 +256,10 @@ impl VcmProgram for VcmScc {
         )
     }
 
+    fn needs_in_edges(&self) -> bool {
+        true
+    }
+
     fn compute(&self, ctx: &mut VcmContext<SccMsg>, state: &mut SccState, msgs: &[SccMsg]) {
         let phase = exec_phase(ctx.superstep(), ctx.globals());
         let (comp, fwd, bwd) = *state;
@@ -431,10 +435,9 @@ mod tests {
         .expect("ICM run");
         let msb = run_msb(
             Arc::clone(&graph),
-            |_| Arc::new(VcmScc),
+            Arc::new(VcmScc),
             &MsbConfig {
                 workers: 2,
-                need_in_edges: true,
                 ..Default::default()
             },
         )

@@ -253,8 +253,8 @@ pub fn tgb_tmst_parents(
 }
 
 /// Latest departure: backward reachability over the reversed transformed
-/// graph from target replicas at or before the deadline. Run with
-/// `VcmConfig::need_in_edges = true`.
+/// graph from target replicas at or before the deadline, along the
+/// in-edges it declares it needs.
 pub struct TgbLd {
     /// Target vertex.
     pub target: VertexId,
@@ -287,6 +287,10 @@ impl VcmProgram for TgbLd {
 
     fn combine(&self, a: &bool, b: &bool) -> Option<bool> {
         Some(*a || *b)
+    }
+
+    fn needs_in_edges(&self) -> bool {
+        true
     }
 }
 
@@ -418,7 +422,6 @@ mod tests {
             }),
             &VcmConfig {
                 workers: 2,
-                need_in_edges: true,
                 ..Default::default()
             },
         )

@@ -81,6 +81,10 @@ impl VcmProgram for VcmWcc {
     fn combine(&self, a: &u64, b: &u64) -> Option<u64> {
         Some(*a.min(b))
     }
+
+    fn needs_in_edges(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]
@@ -107,10 +111,9 @@ mod tests {
         .expect("ICM run");
         let msb = run_msb(
             Arc::clone(&graph),
-            |_| Arc::new(VcmWcc),
+            Arc::new(VcmWcc),
             &MsbConfig {
                 workers: 2,
-                need_in_edges: true,
                 ..Default::default()
             },
         )
@@ -154,7 +157,6 @@ mod tests {
             Arc::new(VcmWcc),
             &VcmConfig {
                 workers: 2,
-                need_in_edges: true,
                 ..Default::default()
             },
         )

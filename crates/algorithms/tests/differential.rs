@@ -7,6 +7,8 @@
 //! both, every algorithm must produce the identical per-(vertex,
 //! time-point) result digest on every platform that supports it: the
 //! paper's claim is that ICM changes the cost model, never the answers.
+//! A USRN-like grid (static topology) adds the regime where MSB and
+//! Chlonos compute one snapshot and reuse it for the whole window.
 
 use graphite_algorithms::registry::{run, Algo, Platform, RunOpts};
 use graphite_datagen::{generate, GenParams, LifespanModel, PropModel, Topology};
@@ -131,6 +133,16 @@ fn ti_algorithms_match_vcm_baselines_on_long_lifespans() {
         &TI,
         &[Platform::Msb, Platform::Chlonos],
         "twitter-like",
+    );
+}
+
+#[test]
+fn ti_algorithms_match_vcm_baselines_on_a_static_topology() {
+    differential(
+        &usrn_like(),
+        &TI,
+        &[Platform::Msb, Platform::Chlonos],
+        "usrn-like",
     );
 }
 

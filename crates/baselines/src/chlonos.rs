@@ -8,7 +8,7 @@
 //! several batches and lose sharing across batch boundaries (the effect the
 //! paper observes on Twitter with 5 batches).
 
-use crate::topology::{window_of, EdgeWeights, SnapshotTopology};
+use crate::topology::{run_ti_window, EdgeWeights, SnapshotResult, SnapshotTopology};
 use crate::vcm::{VcmContext, VcmProgram};
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::engine::{keep_alive, run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
@@ -35,11 +35,6 @@ pub struct ChlConfig {
     pub window: Option<Interval>,
     /// Keep per-snapshot final states.
     pub collect_states: bool,
-    /// Materialize in-edges for the user logic (undirected algorithms).
-    pub need_in_edges: bool,
-    /// The paper's manual optimization (Sec. VII-B6): on a fully static
-    /// topology, process a single snapshot and reuse its results.
-    pub exploit_static_topology: bool,
 }
 
 impl Default for ChlConfig {
@@ -50,30 +45,7 @@ impl Default for ChlConfig {
             max_supersteps: BspConfig::DEFAULT_MAX_SUPERSTEPS,
             window: None,
             collect_states: true,
-            need_in_edges: false,
-            exploit_static_topology: false,
         }
-    }
-}
-
-/// The outcome of a Chlonos run.
-#[derive(Clone, Debug)]
-pub struct ChlResult<S> {
-    /// Final states per snapshot (time-point, dense vertex → state).
-    pub per_snapshot: Vec<(Time, HashMap<u32, S>)>,
-    /// Cumulative metrics across batches.
-    pub metrics: RunMetrics,
-    /// Number of batches the window was split into.
-    pub batches: usize,
-}
-
-impl<S> ChlResult<S> {
-    /// The state of dense vertex `v` at snapshot `t`, if collected.
-    pub fn state_at(&self, v: u32, t: Time) -> Option<&S> {
-        self.per_snapshot
-            .iter()
-            .find(|(time, _)| *time == t)
-            .and_then(|(_, states)| states.get(&v))
     }
 }
 
@@ -89,7 +61,6 @@ struct ChlWorker<P: VcmProgram> {
     snapshots: Arc<[SnapshotTopology]>,
     batch_start: Time,
     batch_len: usize,
-    need_in_edges: bool,
     states: HashMap<u32, Vec<Option<P::State>>>,
 }
 
@@ -138,7 +109,7 @@ where
                 }
             }
             let snapshot = &self.snapshots[off];
-            let in_edges = if self.need_in_edges {
+            let in_edges = if self.program.needs_in_edges() {
                 snapshot.in_slice(v)
             } else {
                 &[]
@@ -263,6 +234,8 @@ where
 }
 
 /// Runs `program` over the window in batches of `batch_size` snapshots.
+/// On a static topology one snapshot stands for all of them
+/// (Sec. VII-B6).
 ///
 /// # Errors
 ///
@@ -273,36 +246,39 @@ pub fn run_chlonos<P>(
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
     config: &ChlConfig,
-) -> Result<ChlResult<P::State>, BspError>
+) -> Result<SnapshotResult<P::State>, BspError>
 where
     P: VcmProgram,
     P::Msg: PartialEq,
 {
-    let window = window_of(&graph, config.window, "Chlonos")?;
-    let partition = Arc::new(PartitionMap::hash(&graph, config.workers)?);
+    run_ti_window(&graph, config.window, "Chlonos", |window| {
+        run_batches(&graph, &program, config, window)
+    })
+}
+
+/// Runs every snapshot of `window`, `batch_size` at a time.
+fn run_batches<P>(
+    graph: &Arc<TemporalGraph>,
+    program: &Arc<P>,
+    config: &ChlConfig,
+    window: Interval,
+) -> Result<SnapshotResult<P::State>, BspError>
+where
+    P: VcmProgram,
+    P::Msg: PartialEq,
+{
+    let partition = Arc::new(PartitionMap::hash(graph, config.workers)?);
     let mut metrics = RunMetrics::default();
     let mut per_snapshot = Vec::new();
-    let mut batches = 0usize;
-
-    // Static-topology reuse: one single-snapshot batch covers the window.
-    let static_reuse = config.exploit_static_topology
-        && crate::topology::is_topology_static_helper(&graph, window);
-    let effective_end = if static_reuse {
-        window.start() + 1
-    } else {
-        window.end()
-    };
-
     let mut batch_start = window.start();
-    while batch_start < effective_end {
-        let batch_len = (effective_end - batch_start).min(config.batch_size as i64) as usize;
-        batches += 1;
+    while batch_start < window.end() {
+        let batch_len = (window.end() - batch_start).min(config.batch_size as i64) as usize;
         // Chlonos runs structure-only (TI) programs, which read no edge
         // property, so its snapshots resolve none.
         let snapshots: Arc<[SnapshotTopology]> = (0..batch_len)
             .map(|off| {
                 SnapshotTopology::new(
-                    Arc::clone(&graph),
+                    Arc::clone(graph),
                     batch_start + off as Time,
                     EdgeWeights::default(),
                 )
@@ -310,13 +286,12 @@ where
             .collect();
         let workers: Vec<ChlWorker<P>> = (0..config.workers)
             .map(|w| ChlWorker {
-                graph: Arc::clone(&graph),
-                program: Arc::clone(&program),
+                graph: Arc::clone(graph),
+                program: Arc::clone(program),
                 owned: partition.owned_by(w).into_iter().map(|v| v.0).collect(),
                 snapshots: Arc::clone(&snapshots),
                 batch_start,
                 batch_len,
-                need_in_edges: config.need_in_edges,
                 states: HashMap::new(),
             })
             .collect();
@@ -353,17 +328,9 @@ where
         }
         batch_start += batch_len as Time;
     }
-    if static_reuse && config.collect_states {
-        if let Some((_, states)) = per_snapshot.first().cloned() {
-            for t in (window.start() + 1)..window.end() {
-                per_snapshot.push((t, states.clone()));
-            }
-        }
-    }
-    Ok(ChlResult {
+    Ok(SnapshotResult {
         per_snapshot,
         metrics,
-        batches,
     })
 }
 
@@ -371,6 +338,7 @@ where
 mod tests {
     use super::*;
     use crate::msb::{run_msb, MsbConfig};
+    use crate::vcm::{run_vcm, VcmConfig};
     use graphite_tgraph::fixtures::transit_graph;
     use graphite_tgraph::graph::VertexId;
 
@@ -412,11 +380,9 @@ mod tests {
         let graph = Arc::new(transit_graph());
         let msb = run_msb(
             Arc::clone(&graph),
-            |_| {
-                Arc::new(Bfs {
-                    source: VertexId(0),
-                })
-            },
+            Arc::new(Bfs {
+                source: VertexId(0),
+            }),
             &MsbConfig {
                 workers: 2,
                 ..Default::default()
@@ -454,11 +420,9 @@ mod tests {
         let graph = Arc::new(transit_graph());
         let msb = run_msb(
             Arc::clone(&graph),
-            |_| {
-                Arc::new(Bfs {
-                    source: VertexId(0),
-                })
-            },
+            Arc::new(Bfs {
+                source: VertexId(0),
+            }),
             &MsbConfig {
                 workers: 2,
                 ..Default::default()
@@ -486,7 +450,6 @@ mod tests {
         // A->B exists over [3,6) with A's level-1 push identical at each
         // point; one batch merges those into fewer messages.
         assert!(chl.metrics.counters.messages_sent < msb.metrics.counters.messages_sent);
-        assert_eq!(chl.batches, 1);
     }
 
     #[test]
@@ -514,12 +477,36 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(many.batches, 9);
+        // Nine one-snapshot batches each pay their own supersteps.
+        assert!(many.metrics.supersteps > one.metrics.supersteps);
         assert!(many.metrics.counters.messages_sent >= one.metrics.counters.messages_sent);
         assert_eq!(
             many.metrics.counters.compute_calls,
             one.metrics.counters.compute_calls
         );
+    }
+
+    #[test]
+    fn a_static_topology_computes_one_snapshot_for_the_whole_window() {
+        let graph = crate::topology::static_graph();
+        let program = Arc::new(Bfs {
+            source: VertexId(0),
+        });
+        let r = run_chlonos(
+            Arc::clone(&graph),
+            Arc::clone(&program),
+            &ChlConfig::default(),
+        )
+        .unwrap();
+        let topo = SnapshotTopology::new(Arc::clone(&graph), 0, EdgeWeights::default());
+        let one = run_vcm(&Arc::new(topo), program, &VcmConfig::default()).unwrap();
+        assert_eq!(
+            r.metrics.counters.compute_calls,
+            one.metrics.counters.compute_calls
+        );
+        let points: Vec<Time> = r.per_snapshot.iter().map(|(t, _)| *t).collect();
+        assert_eq!(points, (0..5).collect::<Vec<_>>());
+        assert!(r.per_snapshot.iter().all(|(_, s)| *s == one.states));
     }
 
     #[test]

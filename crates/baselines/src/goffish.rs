@@ -7,9 +7,13 @@
 //! gets there. Vertex states persist across snapshots (stateful
 //! execution). Unlike ICM, nothing is shared across time: each snapshot
 //! pays its own compute and messaging.
+//!
+//! Like GoFFish-TS loading one time-series instance at a time, each
+//! snapshot is loaded once, as a [`SnapshotTopology`], and every inner
+//! superstep of that snapshot reads its edges from it.
 
-use crate::topology::{window_of, EdgeWeights};
-use crate::vcm::VcmEdge;
+use crate::topology::{window_of, EdgeWeights, SnapshotResult, SnapshotTopology};
+use crate::vcm::{VcmEdge, VcmTopology};
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::Wire;
 use graphite_bsp::engine::{run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
@@ -18,7 +22,6 @@ use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::PartitionMap;
 use graphite_bsp::trace::TraceSink;
 use graphite_tgraph::graph::{TemporalGraph, VIdx, VertexId};
-use graphite_tgraph::property::PropValue;
 use graphite_tgraph::time::{Interval, Time};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -47,6 +50,14 @@ pub trait GofProgram: Send + Sync + 'static {
     fn combine(&self, a: &Self::Msg, b: &Self::Msg) -> Option<Self::Msg> {
         let _ = (a, b);
         None
+    }
+
+    /// Whether the walk runs backwards: snapshots in reverse time order,
+    /// [`GofContext::out_edges`] yielding the in-edges, and "future"
+    /// messages delivered to *earlier* snapshots — the mode
+    /// reverse-traversing algorithms (Latest Departure) need.
+    fn reverse(&self) -> bool {
+        false
     }
 }
 
@@ -86,8 +97,9 @@ impl<'a, M> GofContext<'a, M> {
         self.vid
     }
 
-    /// Out-edges alive at this snapshot, weights resolved. In reverse
-    /// mode this yields the in-edges instead, with `target` the source.
+    /// Out-edges alive at this snapshot, weights resolved. When the
+    /// program walks in [`GofProgram::reverse`] this yields the in-edges
+    /// instead, with `target` the source.
     pub fn out_edges(&self) -> &'a [VcmEdge] {
         self.out_edges
     }
@@ -132,53 +144,20 @@ impl<'a, M> GofContext<'a, M> {
 }
 
 struct GofWorker<P: GofProgram> {
-    graph: Arc<TemporalGraph>,
     program: Arc<P>,
+    /// The snapshot this inner loop runs on, shared by every worker.
+    snapshot: Arc<SnapshotTopology>,
     owned: Vec<u32>,
-    weights: EdgeWeights,
-    t: Time,
     horizon: Time,
     floor: Time,
-    reverse: bool,
     states: HashMap<u32, P::State>,
     initial: HashMap<u32, Vec<P::Msg>>,
+    /// The current vertex's local sends, drained into the outbox in order.
+    local: Vec<(u32, P::Msg)>,
     future_out: Vec<(u32, Time, P::Msg)>,
 }
 
 impl<P: GofProgram> GofWorker<P> {
-    fn out_edges_at(&self, v: u32, out: &mut Vec<VcmEdge>) {
-        let edges = if self.reverse {
-            self.graph.in_edges(VIdx(v))
-        } else {
-            self.graph.out_edges(VIdx(v))
-        };
-        for &e in edges {
-            let ed = self.graph.edge(e);
-            if !ed.lifespan.contains_point(self.t) {
-                continue;
-            }
-            let w1 = self
-                .weights
-                .w1
-                .and_then(|l| ed.props.value_at(l, self.t))
-                .and_then(PropValue::as_long)
-                .unwrap_or(0);
-            let w2 = self
-                .weights
-                .w2
-                .and_then(|l| ed.props.value_at(l, self.t))
-                .and_then(PropValue::as_long)
-                .unwrap_or(1);
-            let target = if self.reverse { ed.src.0 } else { ed.dst.0 };
-            out.push(VcmEdge {
-                target,
-                w1,
-                w2,
-                kind: 0,
-            });
-        }
-    }
-
     fn combined(&self, msgs: &[P::Msg]) -> Vec<P::Msg> {
         let mut out: Vec<P::Msg> = Vec::with_capacity(msgs.len());
         for m in msgs {
@@ -201,35 +180,38 @@ impl<P: GofProgram> GofWorker<P> {
         outbox: &mut Outbox<(u32, P::Msg)>,
         counters: &mut UserCounters,
     ) {
-        if !self.graph.vertex(VIdx(v)).lifespan.contains_point(self.t) {
+        let snapshot = &self.snapshot;
+        if !snapshot.is_active(v) {
             return; // vertex absent from this snapshot: message dropped
         }
-        let vid = self.graph.vertex(VIdx(v)).vid;
-        let mut edges = Vec::new();
-        self.out_edges_at(v, &mut edges);
-        let program = Arc::clone(&self.program);
-        let state = self.states.entry(v).or_insert_with(|| program.init(vid));
-        let mut local: Vec<(u32, P::Msg)> = Vec::new();
-        let mut future: Vec<(u32, Time, P::Msg)> = Vec::new();
+        let vid = snapshot.logical_vid(v);
+        let reverse = self.program.reverse();
+        let state = self
+            .states
+            .entry(v)
+            .or_insert_with(|| self.program.init(vid));
         let mut ctx = GofContext {
-            graph: &self.graph,
+            graph: snapshot.graph(),
             vertex: v,
             vid,
-            time: self.t,
+            time: snapshot.time(),
             horizon: self.horizon,
             floor: self.floor,
-            reverse: self.reverse,
+            reverse,
             superstep: step,
-            out_edges: &edges,
-            local: &mut local,
-            future: &mut future,
+            out_edges: if reverse {
+                snapshot.in_slice(v)
+            } else {
+                snapshot.out_slice(v)
+            },
+            local: &mut self.local,
+            future: &mut self.future_out,
         };
         counters.compute_calls += 1;
-        program.compute(&mut ctx, state, msgs);
-        for (target, m) in local {
+        self.program.compute(&mut ctx, state, msgs);
+        for (target, m) in self.local.drain(..) {
             outbox.send(VIdx(target), (target, m));
         }
-        self.future_out.extend(future);
     }
 }
 
@@ -289,10 +271,6 @@ pub struct GofConfig {
     /// Record the state map after every snapshot (for time-indexed
     /// result comparison).
     pub collect_states: bool,
-    /// Walk the snapshots in reverse time order, traverse in-edges, and
-    /// deliver "future" messages to *earlier* snapshots — the mode
-    /// reverse-traversing algorithms (Latest Departure) need.
-    pub reverse: bool,
 }
 
 impl Default for GofConfig {
@@ -303,35 +281,12 @@ impl Default for GofConfig {
             weights: EdgeWeights::default(),
             window: None,
             collect_states: true,
-            reverse: false,
         }
     }
 }
 
-/// The outcome of a GoFFish run.
-#[derive(Clone, Debug)]
-pub struct GofResult<S> {
-    /// Final states after the last snapshot.
-    pub states: HashMap<u32, S>,
-    /// State maps recorded after each snapshot (when collected): the state
-    /// of a vertex *as of* that time-point.
-    pub per_snapshot: Vec<(Time, HashMap<u32, S>)>,
-    /// Cumulative metrics across all snapshots (temporal messages
-    /// included).
-    pub metrics: RunMetrics,
-}
-
-impl<S> GofResult<S> {
-    /// The state of dense vertex `v` as of snapshot `t`, if collected.
-    pub fn state_at(&self, v: u32, t: Time) -> Option<&S> {
-        self.per_snapshot
-            .iter()
-            .find(|(time, _)| *time == t)
-            .and_then(|(_, states)| states.get(&v))
-    }
-}
-
-/// Runs `program` snapshot by snapshot over the window.
+/// Runs `program` snapshot by snapshot over the window. The metrics
+/// charge temporal messages too.
 ///
 /// # Errors
 ///
@@ -342,7 +297,7 @@ pub fn run_goffish<P: GofProgram>(
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
     config: &GofConfig,
-) -> Result<GofResult<P::State>, BspError> {
+) -> Result<SnapshotResult<P::State>, BspError> {
     let window = window_of(&graph, config.window, "GoFFish")?;
     let partition = Arc::new(PartitionMap::hash(&graph, config.workers)?);
     let mut queue: BTreeMap<Time, HashMap<u32, Vec<P::Msg>>> = BTreeMap::new();
@@ -350,27 +305,26 @@ pub fn run_goffish<P: GofProgram>(
     let mut metrics = RunMetrics::default();
     let mut per_snapshot = Vec::new();
 
-    let order: Vec<Time> = if config.reverse {
+    let order: Vec<Time> = if program.reverse() {
         window.points().rev().collect()
     } else {
         window.points().collect()
     };
     for t in order {
         let delivered = queue.remove(&t).unwrap_or_default();
+        let snapshot = Arc::new(SnapshotTopology::new(Arc::clone(&graph), t, config.weights));
         let workers: Vec<GofWorker<P>> = (0..config.workers)
             .map(|w| {
                 let owned: Vec<u32> = partition.owned_by(w).into_iter().map(|v| v.0).collect();
                 let mut worker = GofWorker {
-                    graph: Arc::clone(&graph),
                     program: Arc::clone(&program),
+                    snapshot: Arc::clone(&snapshot),
                     owned,
-                    weights: config.weights,
-                    t,
                     horizon: window.end(),
                     floor: window.start(),
-                    reverse: config.reverse,
                     states: HashMap::new(),
                     initial: HashMap::new(),
+                    local: Vec::new(),
                     future_out: Vec::new(),
                 };
                 for &v in &worker.owned {
@@ -412,8 +366,7 @@ pub fn run_goffish<P: GofProgram>(
             per_snapshot.push((t, states.clone()));
         }
     }
-    Ok(GofResult {
-        states,
+    Ok(SnapshotResult {
         per_snapshot,
         metrics,
     })
@@ -507,7 +460,7 @@ mod tests {
         assert_eq!(r.state_at(e, 8), Some(&7));
         // D: 2 from 2 on. F: never reached.
         assert_eq!(r.state_at(idx(transit_ids::D), 2), Some(&2));
-        assert_eq!(r.states[&idx(transit_ids::F)], i64::MAX);
+        assert_eq!(r.state_at(idx(transit_ids::F), 8), Some(&i64::MAX));
     }
 
     #[test]

@@ -25,9 +25,9 @@ pub mod tgb;
 pub mod topology;
 pub mod vcm;
 
-pub use chlonos::{run_chlonos, ChlConfig, ChlResult};
-pub use goffish::{run_goffish, GofConfig, GofContext, GofProgram, GofResult};
-pub use msb::{run_msb, MsbConfig, MsbResult};
+pub use chlonos::{run_chlonos, ChlConfig};
+pub use goffish::{run_goffish, GofConfig, GofContext, GofProgram};
+pub use msb::{run_msb, MsbConfig};
 pub use tgb::{run_tgb, TgbResult};
-pub use topology::{EdgeWeights, SnapshotTopology, TransformedTopology};
+pub use topology::{EdgeWeights, SnapshotResult, SnapshotTopology, TransformedTopology};
 pub use vcm::{run_vcm, VcmConfig, VcmContext, VcmEdge, VcmProgram, VcmResult, VcmTopology};

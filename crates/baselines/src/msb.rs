@@ -3,14 +3,13 @@
 //! accumulates the per-snapshot costs, exactly as multi-snapshot analysis
 //! does in the paper. Used for the TI algorithms.
 
-use crate::topology::{window_of, EdgeWeights, SnapshotTopology};
+use crate::topology::{run_ti_window, EdgeWeights, SnapshotResult, SnapshotTopology};
 use crate::vcm::{run_vcm, VcmConfig, VcmProgram};
 use graphite_bsp::engine::BspConfig;
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::RunMetrics;
 use graphite_tgraph::graph::TemporalGraph;
-use graphite_tgraph::time::{Interval, Time};
-use std::collections::HashMap;
+use graphite_tgraph::time::Interval;
 use std::sync::Arc;
 
 /// Configuration of one MSB run.
@@ -26,13 +25,6 @@ pub struct MsbConfig {
     /// Keep the per-snapshot final states (disable to save memory on
     /// large sweeps where only metrics matter).
     pub collect_states: bool,
-    /// Materialize in-edges for the user logic (undirected algorithms).
-    pub need_in_edges: bool,
-    /// The paper's manual optimization (Sec. VII-B6): when the topology is
-    /// fully static over the window, run a single snapshot and reuse its
-    /// results for every time-point. Only sound for structure-only (TI)
-    /// programs, which is all MSB runs.
-    pub exploit_static_topology: bool,
 }
 
 impl Default for MsbConfig {
@@ -42,34 +34,13 @@ impl Default for MsbConfig {
             max_supersteps: BspConfig::DEFAULT_MAX_SUPERSTEPS,
             window: None,
             collect_states: true,
-            need_in_edges: false,
-            exploit_static_topology: false,
         }
     }
 }
 
-/// The outcome of an MSB run.
-#[derive(Clone, Debug)]
-pub struct MsbResult<S> {
-    /// Final states per snapshot (time-point, dense vertex index → state);
-    /// empty when `collect_states` was off.
-    pub per_snapshot: Vec<(Time, HashMap<u32, S>)>,
-    /// Cumulative metrics across all snapshot runs.
-    pub metrics: RunMetrics,
-}
-
-impl<S> MsbResult<S> {
-    /// The state of dense vertex `v` at snapshot `t`, if collected.
-    pub fn state_at(&self, v: u32, t: Time) -> Option<&S> {
-        self.per_snapshot
-            .iter()
-            .find(|(time, _)| *time == t)
-            .and_then(|(_, states)| states.get(&v))
-    }
-}
-
-/// Runs `make_program(t)` on every snapshot in the window, independently,
-/// accumulating metrics — the paper's MSB.
+/// Runs `program` on every snapshot in the window, independently,
+/// accumulating metrics — the paper's MSB. On a static topology one
+/// snapshot stands for all of them (Sec. VII-B6).
 ///
 /// MSB runs structure-only (TI) programs, which read no edge property, so
 /// its snapshots resolve none.
@@ -78,64 +49,38 @@ impl<S> MsbResult<S> {
 ///
 /// [`BspError::Config`] when the graph has no bounded window and none was
 /// given, else the first failing snapshot run's [`BspError`].
-pub fn run_msb<P, F>(
+pub fn run_msb<P: VcmProgram>(
     graph: Arc<TemporalGraph>,
-    make_program: F,
+    program: Arc<P>,
     config: &MsbConfig,
-) -> Result<MsbResult<P::State>, BspError>
-where
-    P: VcmProgram,
-    F: Fn(Time) -> Arc<P>,
-{
-    let window = window_of(&graph, config.window, "MSB")?;
+) -> Result<SnapshotResult<P::State>, BspError> {
     let vcm = VcmConfig {
         workers: config.workers,
-        need_in_edges: config.need_in_edges,
         bsp: BspConfig {
             max_supersteps: config.max_supersteps,
             ..Default::default()
         },
         ..Default::default()
     };
-    let mut metrics = RunMetrics::default();
-    let mut per_snapshot = Vec::new();
-    if config.exploit_static_topology && crate::topology::is_topology_static_helper(&graph, window)
-    {
-        // One snapshot stands in for all of them (structure-only results
-        // are identical across a static topology).
-        let t0 = window.start();
-        let topo = Arc::new(SnapshotTopology::new(
-            Arc::clone(&graph),
-            t0,
-            EdgeWeights::default(),
-        ));
-        let result = run_vcm(&topo, make_program(t0), &vcm)?;
-        metrics.merge(&result.metrics);
-        if config.collect_states {
-            for t in window.points() {
-                per_snapshot.push((t, result.states.clone()));
+    run_ti_window(&graph, config.window, "MSB", |window| {
+        let mut metrics = RunMetrics::default();
+        let mut per_snapshot = Vec::new();
+        for t in window.points() {
+            let topo = Arc::new(SnapshotTopology::new(
+                Arc::clone(&graph),
+                t,
+                EdgeWeights::default(),
+            ));
+            let result = run_vcm(&topo, Arc::clone(&program), &vcm)?;
+            metrics.merge(&result.metrics);
+            if config.collect_states {
+                per_snapshot.push((t, result.states));
             }
         }
-        return Ok(MsbResult {
+        Ok(SnapshotResult {
             per_snapshot,
             metrics,
-        });
-    }
-    for t in window.points() {
-        let topo = Arc::new(SnapshotTopology::new(
-            Arc::clone(&graph),
-            t,
-            EdgeWeights::default(),
-        ));
-        let result = run_vcm(&topo, make_program(t), &vcm)?;
-        metrics.merge(&result.metrics);
-        if config.collect_states {
-            per_snapshot.push((t, result.states));
-        }
-    }
-    Ok(MsbResult {
-        per_snapshot,
-        metrics,
+        })
     })
 }
 
@@ -145,6 +90,7 @@ mod tests {
     use crate::vcm::VcmContext;
     use graphite_tgraph::fixtures::transit_graph;
     use graphite_tgraph::graph::VertexId;
+    use graphite_tgraph::time::Time;
 
     /// Per-snapshot BFS level from vertex A (a TI algorithm).
     struct Bfs {
@@ -186,11 +132,9 @@ mod tests {
         let b_idx = graph.vertex_index(VertexId(1)).unwrap().0;
         let r = run_msb(
             Arc::clone(&graph),
-            |_| {
-                Arc::new(Bfs {
-                    source: VertexId(0),
-                })
-            },
+            Arc::new(Bfs {
+                source: VertexId(0),
+            }),
             &MsbConfig {
                 workers: 2,
                 ..Default::default()
@@ -218,11 +162,9 @@ mod tests {
         let graph = Arc::new(transit_graph());
         let r = run_msb(
             graph,
-            |_| {
-                Arc::new(Bfs {
-                    source: VertexId(0),
-                })
-            },
+            Arc::new(Bfs {
+                source: VertexId(0),
+            }),
             &MsbConfig {
                 collect_states: false,
                 ..Default::default()
@@ -234,14 +176,35 @@ mod tests {
     }
 
     #[test]
+    fn a_static_topology_computes_one_snapshot_for_the_whole_window() {
+        let graph = crate::topology::static_graph();
+        let program = Arc::new(Bfs {
+            source: VertexId(0),
+        });
+        let r = run_msb(
+            Arc::clone(&graph),
+            Arc::clone(&program),
+            &MsbConfig::default(),
+        )
+        .unwrap();
+        let topo = SnapshotTopology::new(Arc::clone(&graph), 0, EdgeWeights::default());
+        let one = run_vcm(&Arc::new(topo), program, &VcmConfig::default()).unwrap();
+        assert_eq!(
+            r.metrics.counters.compute_calls,
+            one.metrics.counters.compute_calls
+        );
+        let points: Vec<Time> = r.per_snapshot.iter().map(|(t, _)| *t).collect();
+        assert_eq!(points, (0..5).collect::<Vec<_>>());
+        assert!(r.per_snapshot.iter().all(|(_, s)| *s == one.states));
+    }
+
+    #[test]
     fn an_unbounded_graph_without_a_window_is_a_config_error() {
         let err = run_msb(
             crate::topology::unbounded_graph(),
-            |_| {
-                Arc::new(Bfs {
-                    source: VertexId(0),
-                })
-            },
+            Arc::new(Bfs {
+                source: VertexId(0),
+            }),
             &MsbConfig::default(),
         )
         .expect_err("no finite set of snapshots");
@@ -252,11 +215,9 @@ mod tests {
         // Nor may an explicit window be unbounded.
         let err = run_msb(
             crate::topology::unbounded_graph(),
-            |_| {
-                Arc::new(Bfs {
-                    source: VertexId(0),
-                })
-            },
+            Arc::new(Bfs {
+                source: VertexId(0),
+            }),
             &MsbConfig {
                 window: Some(Interval::from_start(0)),
                 ..Default::default()

@@ -1,15 +1,19 @@
-//! [`VcmTopology`] adapters: a temporal graph frozen at one time-point
-//! (for MSB / Chlonos / GoFFish) and the time-expanded transformed graph
-//! (for TGB).
+//! [`VcmTopology`] adapters — a temporal graph frozen at one time-point
+//! (the snapshot MSB, Chlonos and GoFFish all execute on) and the
+//! time-expanded transformed graph (for TGB) — plus what the three
+//! snapshot platforms share beyond it: the window they walk, the
+//! static-topology reuse rule, and their one result type.
 
 use crate::vcm::{VcmEdge, VcmTopology};
 use graphite_bsp::error::BspError;
+use graphite_bsp::metrics::RunMetrics;
 use graphite_bsp::partition::splitmix64;
 use graphite_tgraph::graph::{AdjRun, EIdx, TemporalGraph, VIdx, VertexId};
 use graphite_tgraph::property::{LabelId, PropValue};
-use graphite_tgraph::snapshot::snapshot_window;
+use graphite_tgraph::snapshot::{is_topology_static, snapshot_window};
 use graphite_tgraph::time::{Interval, Time, TIME_MAX, TIME_MIN};
 use graphite_tgraph::transform::{TransformedEdgeKind, TransformedGraph};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Which edge properties to resolve into [`VcmEdge::w1`] / [`VcmEdge::w2`].
@@ -272,10 +276,53 @@ pub(crate) fn window_of(
         })
 }
 
-/// Re-exported helper: static-topology detection (see
-/// [`graphite_tgraph::snapshot::is_topology_static`]).
-pub fn is_topology_static_helper(graph: &TemporalGraph, window: Interval) -> bool {
-    graphite_tgraph::snapshot::is_topology_static(graph, window)
+/// Runs a structure-only (TI) snapshot platform over its window: `run`
+/// computes the snapshots of the interval it is handed. On a topology
+/// static over the window every snapshot is the same graph, and MSB and
+/// Chlonos run one program for every time-point, so only the first
+/// snapshot is computed and its states stand for every point — the
+/// paper's manual optimization on USRN (Sec. VII-B6).
+///
+/// # Errors
+///
+/// [`window_of`]'s, else `run`'s.
+pub(crate) fn run_ti_window<S: Clone>(
+    graph: &TemporalGraph,
+    window: Option<Interval>,
+    platform: &str,
+    run: impl FnOnce(Interval) -> Result<SnapshotResult<S>, BspError>,
+) -> Result<SnapshotResult<S>, BspError> {
+    let window = window_of(graph, window, platform)?;
+    if !is_topology_static(graph, window) {
+        return run(window);
+    }
+    let mut result = run(Interval::point(window.start()))?;
+    if let Some((_, states)) = result.per_snapshot.pop() {
+        result.per_snapshot = window.points().map(|t| (t, states.clone())).collect();
+    }
+    Ok(result)
+}
+
+/// The outcome of a snapshot-by-snapshot run (MSB, Chlonos, GoFFish).
+#[derive(Clone, Debug)]
+pub struct SnapshotResult<S> {
+    /// The states recorded per time-point, in walk order (dense vertex
+    /// index → state); empty when the run's `collect_states` was off.
+    /// GoFFish states persist across its walk, so its entry for `t` is
+    /// each vertex's state *as of* `t`.
+    pub per_snapshot: Vec<(Time, HashMap<u32, S>)>,
+    /// Cumulative metrics across all snapshot runs.
+    pub metrics: RunMetrics,
+}
+
+impl<S> SnapshotResult<S> {
+    /// The state of dense vertex `v` at snapshot `t`, if collected.
+    pub fn state_at(&self, v: u32, t: Time) -> Option<&S> {
+        self.per_snapshot
+            .iter()
+            .find(|(time, _)| *time == t)
+            .and_then(|(_, states)| states.get(&v))
+    }
 }
 
 /// Two vertices and an edge between them, all alive forever: a graph
@@ -291,6 +338,27 @@ pub(crate) fn unbounded_graph() -> Arc<TemporalGraph> {
     }
     b.add_edge(EdgeId(0), VertexId(0), VertexId(1), Interval::all())
         .unwrap();
+    Arc::new(b.build().unwrap())
+}
+
+/// Four vertices on a cycle plus one chord, all alive over exactly
+/// `[0, 5)`: a topology static over its window.
+#[cfg(test)]
+pub(crate) fn static_graph() -> Arc<TemporalGraph> {
+    use graphite_tgraph::builder::TemporalGraphBuilder;
+    use graphite_tgraph::graph::EdgeId;
+    let life = Interval::new(0, 5);
+    let mut b = TemporalGraphBuilder::new();
+    for vid in 0..4 {
+        b.add_vertex(VertexId(vid), life).unwrap();
+    }
+    for (eid, (src, dst)) in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+        .into_iter()
+        .enumerate()
+    {
+        b.add_edge(EdgeId(eid as u64), VertexId(src), VertexId(dst), life)
+            .unwrap();
+    }
     Arc::new(b.build().unwrap())
 }
 

@@ -54,12 +54,10 @@ pub trait VcmTopology: Send + Sync + 'static {
     /// Appends the out-edges of `v` to `out`.
     fn out_edges(&self, v: u32, out: &mut Vec<VcmEdge>);
 
-    /// Appends the in-edges of `v` to `out` (needed by reverse-traversing
-    /// algorithms such as Latest Departure).
-    fn in_edges(&self, v: u32, out: &mut Vec<VcmEdge>) {
-        let _ = (v, out);
-        unimplemented!("this topology does not expose in-edges");
-    }
+    /// Appends the in-edges of `v` to `out` (`target` is the source
+    /// vertex), for programs that declare
+    /// [`VcmProgram::needs_in_edges`].
+    fn in_edges(&self, v: u32, out: &mut Vec<VcmEdge>);
 
     /// A stable key used for hash partitioning (Giraph hashes the vertex
     /// id; TGB replicas hash their replica identity).
@@ -104,6 +102,13 @@ pub trait VcmProgram: Send + Sync + 'static {
         let _ = (step, globals);
         false
     }
+
+    /// Whether compute reads [`VcmContext::in_edges`] (undirected and
+    /// reverse-traversing algorithms). The others see an empty slice, and
+    /// their runs never build an in-adjacency.
+    fn needs_in_edges(&self) -> bool {
+        false
+    }
 }
 
 /// Context handed to [`VcmProgram::compute`].
@@ -139,7 +144,8 @@ impl<'a, M> VcmContext<'a, M> {
         self.out_edges
     }
 
-    /// This vertex's in-edges (empty unless the run requested them).
+    /// This vertex's in-edges (empty unless the program declares
+    /// [`VcmProgram::needs_in_edges`]).
     pub fn in_edges(&self) -> &'a [VcmEdge] {
         self.in_edges
     }
@@ -165,8 +171,6 @@ impl<'a, M> VcmContext<'a, M> {
 pub struct VcmConfig {
     /// Number of BSP workers.
     pub workers: usize,
-    /// Also materialize in-edges for the user logic.
-    pub need_in_edges: bool,
     /// Vertex-placement strategy applied to the synthetic partition-key
     /// graph (see `graphite-part`, DESIGN.md §13). Results are
     /// placement-invariant. Default: hash, the paper's (Sec. VII-A4).
@@ -185,7 +189,6 @@ impl Default for VcmConfig {
     fn default() -> Self {
         VcmConfig {
             workers: 4,
-            need_in_edges: false,
             partition: PartitionStrategy::default(),
             recovery: None,
             bsp: BspConfig::default(),
@@ -215,7 +218,6 @@ struct VcmWorker<T: VcmTopology, P: VcmProgram> {
     worker: usize,
     /// Owned vertices, ascending; `owned[i]` is the vertex of `states[i]`.
     owned: Vec<u32>,
-    need_in_edges: bool,
     /// Per owned vertex, by local index; `None` until its first compute.
     states: Vec<Option<P::State>>,
     scratch_out: Vec<VcmEdge>,
@@ -252,7 +254,7 @@ impl<T: VcmTopology, P: VcmProgram> VcmWorker<T, P> {
         self.scratch_out.clear();
         self.topology.out_edges(v, &mut self.scratch_out);
         self.scratch_in.clear();
-        if self.need_in_edges {
+        if self.program.needs_in_edges() {
             self.topology.in_edges(v, &mut self.scratch_in);
         }
         let mut ctx = VcmContext {
@@ -438,7 +440,6 @@ fn build_workers<T: VcmTopology, P: VcmProgram>(
                 worker: w,
                 states: owned.iter().map(|_| None).collect(),
                 owned,
-                need_in_edges: config.need_in_edges,
                 scratch_out: Vec::new(),
                 scratch_in: Vec::new(),
                 combined: Vec::new(),
@@ -480,6 +481,19 @@ mod tests {
             let edges: &[(u32, i64)] = match v {
                 0 => &[(1, 5), (2, 20)],
                 1 => &[(2, 4)],
+                _ => &[],
+            };
+            out.extend(edges.iter().map(|&(target, w1)| VcmEdge {
+                target,
+                w1,
+                w2: 0,
+                kind: 0,
+            }));
+        }
+        fn in_edges(&self, v: u32, out: &mut Vec<VcmEdge>) {
+            let edges: &[(u32, i64)] = match v {
+                1 => &[(0, 5)],
+                2 => &[(0, 20), (1, 4)],
                 _ => &[],
             };
             out.extend(edges.iter().map(|&(target, w1)| VcmEdge {
@@ -599,6 +613,7 @@ mod tests {
             v.is_multiple_of(2)
         }
         fn out_edges(&self, _v: u32, _out: &mut Vec<VcmEdge>) {}
+        fn in_edges(&self, _v: u32, _out: &mut Vec<VcmEdge>) {}
         fn partition_key(&self, v: u32) -> u64 {
             u64::from(v)
         }
@@ -642,6 +657,7 @@ mod tests {
             self.0 as usize
         }
         fn out_edges(&self, _v: u32, _out: &mut Vec<VcmEdge>) {}
+        fn in_edges(&self, _v: u32, _out: &mut Vec<VcmEdge>) {}
         fn partition_key(&self, v: u32) -> u64 {
             u64::from(v)
         }

@@ -124,7 +124,6 @@ fn icm_cfg(fault_plan: Option<FaultPlan>, perturb: Option<u64>) -> IcmConfig {
 fn vcm_cfg(fault_plan: Option<FaultPlan>, perturb: Option<u64>) -> VcmConfig {
     VcmConfig {
         workers: 4,
-        need_in_edges: false,
         partition: Default::default(),
         recovery: None,
         bsp: BspConfig {

@@ -125,7 +125,6 @@ fn icm_cfg(perturb: Option<u64>) -> IcmConfig {
 fn vcm_cfg(perturb: Option<u64>) -> VcmConfig {
     VcmConfig {
         workers: WORKERS,
-        need_in_edges: false,
         partition: Default::default(),
         recovery: None,
         bsp: BspConfig {

@@ -1,23 +1,23 @@
-//! `graphite-part`: pluggable temporal-aware vertex partitioning.
+//! `graphite-part`: temporal-aware vertex partitioning.
 //!
 //! The paper runs every platform under Giraph's default hash partitioner
 //! (Sec. VII-A4), and that remains the default here — but placement is
-//! now a subsystem, not a constant. A [`Partitioner`] produces the same
-//! [`PartitionMap`] the BSP substrate has always consumed, so strategies
-//! are swappable without touching the engines, and the engine results are
-//! *placement-invariant by construction*: final states are keyed by
-//! external [`graphite_tgraph::graph::VertexId`] in ordered maps, and
-//! every deterministic counter folds commutatively across workers
-//! (DESIGN.md §13).
+//! now a subsystem, not a constant. Every [`PartitionStrategy`] builds the
+//! same [`PartitionMap`] the BSP substrate has always consumed, so
+//! strategies are swappable without touching the engines, and the engine
+//! results are *placement-invariant by construction*: final states are
+//! keyed by external [`graphite_tgraph::graph::VertexId`] in ordered
+//! maps, and every deterministic counter folds commutatively across
+//! workers (DESIGN.md §13).
 //!
 //! Four strategies ship in-tree:
 //!
 //! | strategy | balances | optimizes | use when |
 //! |---|---|---|---|
-//! | [`HashPartitioner`] | vertex count (statistically) | nothing | compatibility baseline |
-//! | [`ChunkedPartitioner`] | vertex count (exactly) | index locality | locality baseline |
-//! | [`LdgPartitioner`] | vertex count (capped) | neighbor affinity / edge cut | message-heavy workloads |
-//! | [`TemporalBalancePartitioner`] | interval-weighted load | temporal skew | bursty / power-law lifespans |
+//! | [`PartitionStrategy::Hash`] | vertex count (statistically) | nothing | compatibility baseline |
+//! | [`PartitionStrategy::Chunked`] | vertex count (exactly) | index locality | locality baseline |
+//! | [`PartitionStrategy::Ldg`] | vertex count (capped) | neighbor affinity / edge cut | message-heavy workloads |
+//! | [`PartitionStrategy::TemporalBalance`] | interval-weighted load | temporal skew | bursty / power-law lifespans |
 //!
 //! [`stats()`] measures what a placement actually achieved (balance
 //! factor, edge cut, interval-weighted balance, estimated cross-worker
@@ -35,37 +35,22 @@ pub mod strategies;
 pub use rebalance::rebalance;
 pub use stats::{stats, PartitionStats};
 use std::sync::Arc;
-pub use strategies::{
-    ChunkedPartitioner, ExplicitAssignment, ExplicitPartitioner, HashPartitioner, LdgPartitioner,
-    TemporalBalancePartitioner,
-};
+pub use strategies::ExplicitAssignment;
 
 use graphite_bsp::error::BspError;
 use graphite_bsp::partition::PartitionMap;
 use graphite_tgraph::graph::TemporalGraph;
 
-/// A vertex-placement strategy: consumes a graph and a worker count,
-/// produces the dense vertex → worker map the BSP substrate routes by.
+/// A vertex-placement strategy: builds, from a graph and a worker count,
+/// the dense vertex → worker map the BSP substrate routes by.
 ///
-/// Implementations must be deterministic: the same graph and worker count
+/// Every strategy is deterministic: the same graph and worker count
 /// always yield the same assignment (no ambient randomness, no iteration
 /// over unordered containers). Engine result digests are independent of
 /// *which* assignment is produced, but reproducible placement is what
 /// makes benchmark runs and the digest-invariance matrix meaningful.
-pub trait Partitioner {
-    /// Stable lower-case name (CLI / env / bench labels).
-    fn name(&self) -> &'static str;
-
-    /// Computes the assignment.
-    ///
-    /// # Errors
-    ///
-    /// [`BspError::Config`] when `workers` is zero or exceeds the `u16`
-    /// worker-index wire encoding.
-    fn partition(&self, graph: &TemporalGraph, workers: usize) -> Result<PartitionMap, BspError>;
-}
-
-/// Strategy selector threaded through `IcmConfig`/`VcmConfig`, the
+///
+/// The selector is threaded through `IcmConfig`/`VcmConfig`, the
 /// algorithm registry's `RunOpts`, and the CLI (`--partition`).
 ///
 /// Not `Copy` since the [`PartitionStrategy::Explicit`] variant carries a
@@ -134,31 +119,26 @@ impl PartitionStrategy {
         }
     }
 
-    /// The boxed [`Partitioner`] implementing this strategy.
-    pub fn partitioner(&self) -> Box<dyn Partitioner> {
-        match self {
-            PartitionStrategy::Hash => Box::new(HashPartitioner),
-            PartitionStrategy::Chunked => Box::new(ChunkedPartitioner),
-            PartitionStrategy::Ldg => Box::new(LdgPartitioner),
-            PartitionStrategy::TemporalBalance => Box::new(TemporalBalancePartitioner),
-            PartitionStrategy::Explicit(table) => Box::new(ExplicitPartitioner {
-                assignment: (**table).clone(),
-            }),
-        }
-    }
-
     /// Wraps an assignment table as a strategy (convenience constructor).
     pub fn explicit(assignment: ExplicitAssignment) -> Self {
         PartitionStrategy::Explicit(Arc::new(assignment))
     }
 
-    /// Computes the assignment for this strategy (dispatch convenience).
+    /// Computes the assignment for this strategy.
     ///
     /// # Errors
     ///
-    /// See [`Partitioner::partition`].
+    /// [`BspError::Config`] when `workers` is zero or exceeds the `u16`
+    /// worker-index wire encoding, or when an explicit table misses a
+    /// vertex of `graph` or names a worker the run does not have.
     pub fn build(&self, graph: &TemporalGraph, workers: usize) -> Result<PartitionMap, BspError> {
-        self.partitioner().partition(graph, workers)
+        match self {
+            PartitionStrategy::Hash => PartitionMap::hash(graph, workers),
+            PartitionStrategy::Chunked => strategies::chunked(graph, workers),
+            PartitionStrategy::Ldg => strategies::ldg(graph, workers),
+            PartitionStrategy::TemporalBalance => strategies::temporal_balance(graph, workers),
+            PartitionStrategy::Explicit(table) => table.replay(graph, workers),
+        }
     }
 }
 
@@ -177,12 +157,5 @@ mod tests {
         );
         assert_eq!(PartitionStrategy::parse("metis"), None);
         assert_eq!(PartitionStrategy::default(), PartitionStrategy::Hash);
-    }
-
-    #[test]
-    fn partitioner_names_match_enum_names() {
-        for s in PartitionStrategy::ALL {
-            assert_eq!(s.partitioner().name(), s.name());
-        }
     }
 }

@@ -4,55 +4,31 @@
 //! vertices are streamed in dense `VIdx` order (load order is already
 //! canonicalized by the builder), scores use integer arithmetic, and every
 //! tie breaks toward the lowest worker index. No ambient randomness, no
-//! unordered iteration. The [`ExplicitPartitioner`] is trivially
-//! deterministic — it replays a pinned assignment.
+//! unordered iteration. An [`ExplicitAssignment`] is trivially
+//! deterministic — it replays a pinned table. Hash placement is
+//! [`PartitionMap::hash`] itself, the placement the BSP substrate has
+//! always used.
 
-use crate::Partitioner;
 use graphite_bsp::error::BspError;
 use graphite_bsp::partition::PartitionMap;
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
 use std::collections::BTreeMap;
 
-/// Splitmix64 of the external vertex id, modulo workers — bit-identical
-/// to the placement the BSP substrate has always used, so it is the
-/// compatibility baseline every other strategy is measured against.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HashPartitioner;
-
-impl Partitioner for HashPartitioner {
-    fn name(&self) -> &'static str {
-        "hash"
-    }
-
-    fn partition(&self, graph: &TemporalGraph, workers: usize) -> Result<PartitionMap, BspError> {
-        PartitionMap::hash(graph, workers)
-    }
-}
-
 /// Contiguous `VIdx` ranges of near-equal size: the first `n % workers`
 /// workers own one extra vertex. Perfect vertex-count balance and maximal
 /// index locality, but oblivious to topology and lifespans — the locality
 /// baseline.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ChunkedPartitioner;
-
-impl Partitioner for ChunkedPartitioner {
-    fn name(&self) -> &'static str {
-        "chunked"
+pub(crate) fn chunked(graph: &TemporalGraph, workers: usize) -> Result<PartitionMap, BspError> {
+    let n = graph.num_vertices();
+    let mut assignment = Vec::with_capacity(n);
+    let base = n / workers.max(1);
+    let extra = n % workers.max(1);
+    for w in 0..workers {
+        let size = base + usize::from(w < extra);
+        assignment.resize(assignment.len() + size, w as u16);
     }
-
-    fn partition(&self, graph: &TemporalGraph, workers: usize) -> Result<PartitionMap, BspError> {
-        let n = graph.num_vertices();
-        let mut assignment = Vec::with_capacity(n);
-        let base = n / workers.max(1);
-        let extra = n % workers.max(1);
-        for w in 0..workers {
-            let size = base + usize::from(w < extra);
-            assignment.resize(assignment.len() + size, w as u16);
-        }
-        debug_assert_eq!(assignment.len(), n);
-        PartitionMap::from_assignment(assignment, workers)
-    }
+    debug_assert_eq!(assignment.len(), n);
+    PartitionMap::from_assignment(assignment, workers)
 }
 
 /// Linear deterministic greedy (LDG) streaming partitioner, after
@@ -63,55 +39,46 @@ impl Partitioner for ChunkedPartitioner {
 /// lowest-indexed maximal worker wins. The `+ 1` makes isolated vertices
 /// prefer emptier workers, which keeps counts balanced without a separate
 /// fallback rule.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LdgPartitioner;
-
-impl Partitioner for LdgPartitioner {
-    fn name(&self) -> &'static str {
-        "ldg"
-    }
-
-    fn partition(&self, graph: &TemporalGraph, workers: usize) -> Result<PartitionMap, BspError> {
-        let n = graph.num_vertices();
-        let capacity = n.div_ceil(workers.max(1)).max(1) as u64;
-        let mut assignment: Vec<u16> = Vec::with_capacity(n);
-        let mut sizes = vec![0u64; workers];
-        let mut neighbor_hits = vec![0u64; workers];
-        for v in graph.vertex_indices() {
-            neighbor_hits.fill(0);
-            // Both directions: messages flow along out-edges, but placing
-            // a vertex near its in-neighbors cuts the same wires.
-            for &e in graph.out_edges(v) {
-                let u = graph.edge(e).dst;
-                if u.idx() < assignment.len() {
-                    neighbor_hits[assignment[u.idx()] as usize] += 1;
-                }
+pub(crate) fn ldg(graph: &TemporalGraph, workers: usize) -> Result<PartitionMap, BspError> {
+    let n = graph.num_vertices();
+    let capacity = n.div_ceil(workers.max(1)).max(1) as u64;
+    let mut assignment: Vec<u16> = Vec::with_capacity(n);
+    let mut sizes = vec![0u64; workers];
+    let mut neighbor_hits = vec![0u64; workers];
+    for v in graph.vertex_indices() {
+        neighbor_hits.fill(0);
+        // Both directions: messages flow along out-edges, but placing
+        // a vertex near its in-neighbors cuts the same wires.
+        for &e in graph.out_edges(v) {
+            let u = graph.edge(e).dst;
+            if u.idx() < assignment.len() {
+                neighbor_hits[assignment[u.idx()] as usize] += 1;
             }
-            for &e in graph.in_edges(v) {
-                let u = graph.edge(e).src;
-                if u.idx() < assignment.len() {
-                    neighbor_hits[assignment[u.idx()] as usize] += 1;
-                }
-            }
-            let mut best_w = 0usize;
-            let mut best_score = 0u64;
-            for w in 0..workers {
-                let score = (neighbor_hits[w] + 1) * capacity.saturating_sub(sizes[w]);
-                if score > best_score {
-                    best_score = score;
-                    best_w = w;
-                }
-            }
-            if best_score == 0 {
-                // All workers at capacity (only possible through rounding
-                // at the very end of the stream): least-loaded wins.
-                best_w = (0..workers).min_by_key(|&w| (sizes[w], w)).unwrap_or(0);
-            }
-            assignment.push(best_w as u16);
-            sizes[best_w] += 1;
         }
-        PartitionMap::from_assignment(assignment, workers)
+        for &e in graph.in_edges(v) {
+            let u = graph.edge(e).src;
+            if u.idx() < assignment.len() {
+                neighbor_hits[assignment[u.idx()] as usize] += 1;
+            }
+        }
+        let mut best_w = 0usize;
+        let mut best_score = 0u64;
+        for w in 0..workers {
+            let score = (neighbor_hits[w] + 1) * capacity.saturating_sub(sizes[w]);
+            if score > best_score {
+                best_score = score;
+                best_w = w;
+            }
+        }
+        if best_score == 0 {
+            // All workers at capacity (only possible through rounding
+            // at the very end of the stream): least-loaded wins.
+            best_w = (0..workers).min_by_key(|&w| (sizes[w], w)).unwrap_or(0);
+        }
+        assignment.push(best_w as u16);
+        sizes[best_w] += 1;
     }
+    PartitionMap::from_assignment(assignment, workers)
 }
 
 /// Balances *interval-weighted* load: each vertex weighs its own lifespan
@@ -122,33 +89,27 @@ impl Partitioner for LdgPartitioner {
 /// not equal vertex counts, which is what an interval-centric engine's
 /// compute time actually tracks under skewed (bursty, power-law)
 /// lifespans.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TemporalBalancePartitioner;
-
-impl Partitioner for TemporalBalancePartitioner {
-    fn name(&self) -> &'static str {
-        "temporal"
+pub(crate) fn temporal_balance(
+    graph: &TemporalGraph,
+    workers: usize,
+) -> Result<PartitionMap, BspError> {
+    let n = graph.num_vertices();
+    let mut order: Vec<(u64, u32)> = graph
+        .vertex_indices()
+        .map(|v| (graph.vertex_temporal_weight(v), v.0))
+        .collect();
+    // Heaviest first; equal weights keep dense-index order.
+    order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    let mut loads = vec![0u128; workers];
+    let mut assignment = vec![0u16; n];
+    for (weight, v) in order {
+        let w = (0..workers)
+            .min_by_key(|&w| (loads[w], w))
+            .unwrap_or_default();
+        assignment[v as usize] = w as u16;
+        loads[w] += u128::from(weight);
     }
-
-    fn partition(&self, graph: &TemporalGraph, workers: usize) -> Result<PartitionMap, BspError> {
-        let n = graph.num_vertices();
-        let mut order: Vec<(u64, u32)> = graph
-            .vertex_indices()
-            .map(|v| (graph.vertex_temporal_weight(v), v.0))
-            .collect();
-        // Heaviest first; equal weights keep dense-index order.
-        order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut loads = vec![0u128; workers];
-        let mut assignment = vec![0u16; n];
-        for (weight, v) in order {
-            let w = (0..workers)
-                .min_by_key(|&w| (loads[w], w))
-                .unwrap_or_default();
-            assignment[v as usize] = w as u16;
-            loads[w] += u128::from(weight);
-        }
-        PartitionMap::from_assignment(assignment, workers)
-    }
+    PartitionMap::from_assignment(assignment, workers)
 }
 
 /// A pinned external-vid → worker table, the payload of
@@ -251,32 +212,25 @@ impl ExplicitAssignment {
             .max()
             .unwrap_or(0)
     }
-}
 
-/// Replays a pinned [`ExplicitAssignment`] — the feedback half of the
-/// rebalancing loop (DESIGN.md §13): measure skew with `partition_report
-/// --trace`, emit the recommended assignment, run under it.
-#[derive(Clone, Debug, Default)]
-pub struct ExplicitPartitioner {
-    /// The pinned table to replay.
-    pub assignment: ExplicitAssignment,
-}
-
-impl Partitioner for ExplicitPartitioner {
-    fn name(&self) -> &'static str {
-        "explicit"
-    }
-
-    fn partition(&self, graph: &TemporalGraph, workers: usize) -> Result<PartitionMap, BspError> {
+    /// Replays the table over `graph` — the feedback half of the
+    /// rebalancing loop (DESIGN.md §13): measure skew with
+    /// `partition_report --trace`, emit the recommended assignment, run
+    /// under it.
+    pub(crate) fn replay(
+        &self,
+        graph: &TemporalGraph,
+        workers: usize,
+    ) -> Result<PartitionMap, BspError> {
         let mut assignment = Vec::with_capacity(graph.num_vertices());
         for v in graph.vertex_indices() {
             let vid = graph.vertex(v).vid;
-            let Some(&w) = self.assignment.by_vid.get(&vid.0) else {
+            let Some(&w) = self.by_vid.get(&vid.0) else {
                 return Err(BspError::Config {
                     detail: format!(
                         "explicit assignment does not cover vertex {} ({} entries)",
                         vid.0,
-                        self.assignment.len()
+                        self.len()
                     ),
                 });
             };

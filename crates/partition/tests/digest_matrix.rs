@@ -135,7 +135,6 @@ fn icm_cfg(strategy: PartitionStrategy, workers: usize) -> IcmConfig {
 fn vcm_cfg(strategy: PartitionStrategy, workers: usize) -> VcmConfig {
     VcmConfig {
         workers,
-        need_in_edges: false,
         partition: strategy,
         recovery: None,
         bsp: BspConfig {

@@ -4,7 +4,7 @@
 //! Distributed Computing over Temporal Graphs* (ICDE 2020): a directed
 //! temporal multigraph `G = (V, E, L, AV, AE)` whose vertices, edges and
 //! property values carry half-open lifespans over a discrete time domain,
-//! together with the interval algebra, snapshot views, the time-expanded
+//! together with the interval algebra, snapshot windows, the time-expanded
 //! ("transformed") graph used by the TGB baseline, dataset statistics and
 //! text persistence.
 //!
@@ -50,6 +50,6 @@ pub mod prelude {
     pub use crate::graph::{EIdx, EdgeData, EdgeId, TemporalGraph, VIdx, VertexData, VertexId};
     pub use crate::iset::{IntervalMap, IntervalPartition};
     pub use crate::property::{LabelId, PropValue, Properties};
-    pub use crate::snapshot::{is_topology_static, snapshot_window, SnapshotSeries, SnapshotView};
+    pub use crate::snapshot::{is_topology_static, snapshot_window};
     pub use crate::time::{Interval, Time, TIME_MAX, TIME_MIN};
 }

@@ -1,103 +1,14 @@
-//! Snapshot views over a temporal graph.
+//! Snapshot discretization of a temporal graph.
 //!
 //! Time-independent (TI) baselines discretize a temporal graph into one
 //! snapshot per time-point (Fig. 1(c)): the vertices, edges and property
-//! values alive at that instant. Snapshots here are zero-copy *views*; the
-//! multi-snapshot and Chlonos baselines iterate them without materializing
-//! per-snapshot graphs, while still being charged per-snapshot compute and
-//! messaging by the metrics layer (matching how MSB behaves in the paper).
+//! values alive at that instant. This module decides which time-points —
+//! the bounded [`snapshot_window`] — and whether the topology is static
+//! over them ([`is_topology_static`]). The snapshot itself, loaded once
+//! per time-point, is `graphite_baselines::SnapshotTopology`.
 
-use crate::graph::{EIdx, EdgeRef, TemporalGraph, VIdx, VertexRef};
-use crate::property::{LabelId, PropValue};
-use crate::time::{Interval, Time, TIME_MAX, TIME_MIN};
-
-/// The graph as it exists at a single time-point `t`.
-#[derive(Clone, Copy)]
-pub struct SnapshotView<'g> {
-    graph: &'g TemporalGraph,
-    t: Time,
-}
-
-impl<'g> SnapshotView<'g> {
-    /// A view of `graph` at time-point `t`.
-    pub fn new(graph: &'g TemporalGraph, t: Time) -> Self {
-        SnapshotView { graph, t }
-    }
-
-    /// The underlying temporal graph.
-    pub fn graph(&self) -> &'g TemporalGraph {
-        self.graph
-    }
-
-    /// The snapshot's time-point.
-    pub fn time(&self) -> Time {
-        self.t
-    }
-
-    /// Whether vertex `v` is alive at this time-point.
-    #[inline]
-    pub fn has_vertex(&self, v: VIdx) -> bool {
-        self.graph.vertex(v).lifespan.contains_point(self.t)
-    }
-
-    /// Whether edge `e` is alive at this time-point.
-    #[inline]
-    pub fn has_edge(&self, e: EIdx) -> bool {
-        self.graph.edge(e).lifespan.contains_point(self.t)
-    }
-
-    /// The vertices alive at this time-point.
-    pub fn vertices(&self) -> impl Iterator<Item = (VIdx, VertexRef<'g>)> + '_ {
-        self.graph
-            .vertices()
-            .filter(move |(_, v)| v.lifespan.contains_point(self.t))
-    }
-
-    /// The edges alive at this time-point.
-    pub fn edges(&self) -> impl Iterator<Item = (EIdx, EdgeRef<'g>)> + '_ {
-        self.graph
-            .edges()
-            .filter(move |(_, e)| e.lifespan.contains_point(self.t))
-    }
-
-    /// Number of vertices alive.
-    pub fn num_vertices(&self) -> usize {
-        self.vertices().count()
-    }
-
-    /// Number of edges alive.
-    pub fn num_edges(&self) -> usize {
-        self.edges().count()
-    }
-
-    /// Out-edges of `v` alive at this time-point.
-    pub fn out_edges(&self, v: VIdx) -> impl Iterator<Item = (EIdx, EdgeRef<'g>)> + '_ {
-        let t = self.t;
-        self.graph.out_edges(v).iter().filter_map(move |&e| {
-            let ed = self.graph.edge(e);
-            ed.lifespan.contains_point(t).then_some((e, ed))
-        })
-    }
-
-    /// In-edges of `v` alive at this time-point.
-    pub fn in_edges(&self, v: VIdx) -> impl Iterator<Item = (EIdx, EdgeRef<'g>)> + '_ {
-        let t = self.t;
-        self.graph.in_edges(v).iter().filter_map(move |&e| {
-            let ed = self.graph.edge(e);
-            ed.lifespan.contains_point(t).then_some((e, ed))
-        })
-    }
-
-    /// Value of edge property `label` on `e` at this time-point.
-    pub fn edge_property(&self, e: EIdx, label: LabelId) -> Option<&'g PropValue> {
-        self.graph.edge(e).props.value_at(label, self.t)
-    }
-
-    /// Value of vertex property `label` on `v` at this time-point.
-    pub fn vertex_property(&self, v: VIdx, label: LabelId) -> Option<&'g PropValue> {
-        self.graph.vertex(v).props.value_at(label, self.t)
-    }
-}
+use crate::graph::TemporalGraph;
+use crate::time::{Interval, TIME_MAX, TIME_MIN};
 
 /// The bounded window over which a graph is discretized into snapshots.
 ///
@@ -149,138 +60,16 @@ pub fn is_topology_static(graph: &TemporalGraph, window: Interval) -> bool {
             .all(|(_, e)| window.during_or_equals(e.lifespan))
 }
 
-/// Iterator access to every snapshot of a graph over a bounded window.
-pub struct SnapshotSeries<'g> {
-    graph: &'g TemporalGraph,
-    window: Interval,
-}
-
-impl<'g> SnapshotSeries<'g> {
-    /// A series over an explicit bounded window.
-    ///
-    /// # Panics
-    /// Panics when `window` is unbounded.
-    pub fn new(graph: &'g TemporalGraph, window: Interval) -> Self {
-        assert!(
-            window.start() != TIME_MIN && window.end() != TIME_MAX,
-            "snapshot window must be bounded, got {window}"
-        );
-        SnapshotSeries { graph, window }
-    }
-
-    /// A series over [`snapshot_window`], or `None` when the graph carries
-    /// no bounded temporal information at all.
-    pub fn auto(graph: &'g TemporalGraph) -> Option<Self> {
-        snapshot_window(graph).map(|w| SnapshotSeries::new(graph, w))
-    }
-
-    /// The window being discretized.
-    pub fn window(&self) -> Interval {
-        self.window
-    }
-
-    /// Number of snapshots (time-points) in the window.
-    pub fn len(&self) -> usize {
-        self.window.len() as usize
-    }
-
-    /// `true` for a zero-length window (cannot happen: intervals are
-    /// non-empty).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The snapshot at `t`.
-    ///
-    /// # Panics
-    /// Panics when `t` is outside the window.
-    pub fn at(&self, t: Time) -> SnapshotView<'g> {
-        assert!(
-            self.window.contains_point(t),
-            "snapshot {t} outside window {}",
-            self.window
-        );
-        SnapshotView::new(self.graph, t)
-    }
-
-    /// Iterates all snapshots in temporal order.
-    pub fn iter(&self) -> impl Iterator<Item = SnapshotView<'g>> + '_ {
-        self.window
-            .points()
-            .map(move |t| SnapshotView::new(self.graph, t))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{transit_graph, transit_ids};
+    use crate::fixtures::transit_graph;
 
     #[test]
     fn window_bounds_perpetual_vertices_by_edges() {
         let g = transit_graph();
         // Vertices are [0, inf); edges end at 9 (B->E over [8,9)).
         assert_eq!(snapshot_window(&g), Some(Interval::new(0, 9)));
-    }
-
-    #[test]
-    fn snapshot_membership() {
-        let g = transit_graph();
-        let s4 = SnapshotView::new(&g, 4);
-        assert_eq!(s4.num_vertices(), 6); // perpetual vertices
-                                          // Alive at 4: A->B ([3,6)), E->F ([2,5)). A->C ended at 3, A->D
-                                          // covers [1,4) so 4 is excluded; B->E starts at 8; C->E at 5.
-        let alive: Vec<u64> = s4.edges().map(|(_, e)| e.eid.0).collect();
-        assert_eq!(alive, vec![0, 5]);
-        assert_eq!(s4.num_edges(), 2);
-    }
-
-    #[test]
-    fn snapshot_adjacency_and_properties() {
-        let g = transit_graph();
-        let a = g.vertex_index(transit_ids::A).unwrap();
-        let cost = g.label("travel-cost").unwrap();
-        let s5 = SnapshotView::new(&g, 5);
-        let outs: Vec<_> = s5.out_edges(a).collect();
-        assert_eq!(outs.len(), 1); // only A->B alive at 5
-        let (e, _) = outs[0];
-        assert_eq!(
-            s5.edge_property(e, cost).and_then(PropValue::as_long),
-            Some(3)
-        );
-        let s3 = SnapshotView::new(&g, 3);
-        // Alive at 3: A->D ([1,4)) and A->B ([3,6)); only A->B carries cost.
-        let (e3, _) = s3
-            .out_edges(a)
-            .find(|(_, e)| e.dst == g.vertex_index(transit_ids::B).unwrap())
-            .unwrap();
-        assert_eq!(
-            s3.edge_property(e3, cost).and_then(PropValue::as_long),
-            Some(4)
-        );
-        // In-edges at 8: E has B->E.
-        let e_v = g.vertex_index(transit_ids::E).unwrap();
-        let s8 = SnapshotView::new(&g, 8);
-        assert_eq!(s8.in_edges(e_v).count(), 1);
-    }
-
-    #[test]
-    fn series_iteration() {
-        let g = transit_graph();
-        let series = SnapshotSeries::auto(&g).unwrap();
-        assert_eq!(series.len(), 9);
-        let edge_counts: Vec<usize> = series.iter().map(|s| s.num_edges()).collect();
-        // t:      0  1  2  3  4  5  6  7  8
-        // edges:  -  AC,AD  +EF  AB(+)  ..  CE  CE  -  BE
-        assert_eq!(edge_counts, vec![0, 2, 3, 3, 2, 2, 1, 0, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside window")]
-    fn series_at_out_of_range_panics() {
-        let g = transit_graph();
-        let series = SnapshotSeries::auto(&g).unwrap();
-        let _ = series.at(99);
     }
 
     #[test]

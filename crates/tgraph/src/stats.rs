@@ -8,8 +8,8 @@
 //! edges and properties.
 
 use crate::graph::TemporalGraph;
-use crate::snapshot::{snapshot_window, SnapshotSeries};
-use crate::time::Interval;
+use crate::snapshot::snapshot_window;
+use crate::time::{Interval, Time};
 use crate::transform::{transform_for_paths, TransformOptions};
 
 /// A `(|V|, |E|)` pair.
@@ -73,21 +73,9 @@ pub fn dataset_stats(graph: &TemporalGraph, transform: Option<&TransformOptions>
         }
     }
 
-    // Largest snapshot and cumulative multi-snapshot sizes. Cumulative
-    // sizes equal the lifespan sums already computed; the largest snapshot
-    // needs a sweep.
-    let series = SnapshotSeries::new(graph, window);
-    let mut largest = SizePair::default();
-    for snap in series.iter() {
-        let sv = snap.num_vertices() as u64;
-        let se = snap.num_edges() as u64;
-        if se > largest.edges || (se == largest.edges && sv > largest.vertices) {
-            largest = SizePair {
-                vertices: sv,
-                edges: se,
-            };
-        }
-    }
+    // Cumulative multi-snapshot sizes equal the lifespan sums already
+    // computed; the largest snapshot needs a sweep.
+    let largest = largest_snapshot(graph, window);
 
     let default_opts = TransformOptions {
         window: Some(window),
@@ -127,6 +115,45 @@ pub fn dataset_stats(graph: &TemporalGraph, transform: Option<&TransformOptions>
             prop_life as f64 / prop_count as f64
         },
     }
+}
+
+/// The largest snapshot of `graph` over `window`: the most edges alive at
+/// one time-point, ties broken by the most vertices. The counts change
+/// only where a lifespan starts or ends, so one sweep over those
+/// boundaries in time order sees every snapshot size, in time linear in
+/// the graph rather than in the graph times the window.
+fn largest_snapshot(graph: &TemporalGraph, window: Interval) -> SizePair {
+    // (time, vertex delta, edge delta) at each window-clipped boundary.
+    let mut events: Vec<(Time, i64, i64)> = Vec::new();
+    let mut span = |life: Interval, dv: i64, de: i64| {
+        if let Some(alive) = life.intersect(window) {
+            events.push((alive.start(), dv, de));
+            events.push((alive.end(), -dv, -de));
+        }
+    };
+    for (_, v) in graph.vertices() {
+        span(v.lifespan, 1, 0);
+    }
+    for (_, e) in graph.edges() {
+        span(e.lifespan, 0, 1);
+    }
+    events.sort_unstable_by_key(|&(t, _, _)| t);
+    let (mut vertices, mut edges) = (0i64, 0i64);
+    let mut largest = SizePair::default();
+    for (i, &(t, dv, de)) in events.iter().enumerate() {
+        vertices += dv;
+        edges += de;
+        // Compare only once every boundary at `t` is applied.
+        let settled = events.get(i + 1).is_none_or(|&(next, _, _)| next != t);
+        let size = SizePair {
+            vertices: vertices as u64,
+            edges: edges as u64,
+        };
+        if settled && (size.edges, size.vertices) > (largest.edges, largest.vertices) {
+            largest = size;
+        }
+    }
+    largest
 }
 
 /// Estimated resident bytes of each graph representation (Fig. 6(a)).
@@ -193,7 +220,10 @@ pub fn memory_footprint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::TemporalGraphBuilder;
     use crate::fixtures::transit_graph;
+    use crate::graph::{EIdx, EdgeId, VIdx, VertexId};
+    use crate::rng::SplitMix64;
 
     #[test]
     fn table1_row_for_transit() {
@@ -230,6 +260,104 @@ mod tests {
         // The transformed graph dominates the interval graph.
         assert!(s.transformed.vertices > s.interval.vertices);
         assert!(s.transformed.edges > s.interval.edges);
+    }
+
+    /// The vertices and edges alive at `t`, by a scan of the whole graph:
+    /// the per-point count `dataset_stats` used before its sweep, kept as
+    /// the oracle.
+    fn alive_at(g: &TemporalGraph, t: Time) -> (Vec<VIdx>, Vec<EIdx>) {
+        let vertices = g
+            .vertices()
+            .filter(|(_, v)| v.lifespan.contains_point(t))
+            .map(|(v, _)| v)
+            .collect();
+        let edges = g
+            .edges()
+            .filter(|(_, e)| e.lifespan.contains_point(t))
+            .map(|(e, _)| e)
+            .collect();
+        (vertices, edges)
+    }
+
+    fn largest_by_points(g: &TemporalGraph, window: Interval) -> SizePair {
+        let mut largest = SizePair::default();
+        for t in window.points() {
+            let (vertices, edges) = alive_at(g, t);
+            let (sv, se) = (vertices.len() as u64, edges.len() as u64);
+            if se > largest.edges || (se == largest.edges && sv > largest.vertices) {
+                largest = SizePair {
+                    vertices: sv,
+                    edges: se,
+                };
+            }
+        }
+        largest
+    }
+
+    #[test]
+    fn snapshot_membership() {
+        let g = transit_graph();
+        let (vertices, edges) = alive_at(&g, 4);
+        assert_eq!(vertices.len(), 6); // perpetual vertices
+                                       // Alive at 4: A->B ([3,6)), E->F ([2,5)). A->C ended at 3, A->D
+                                       // covers [1,4) so 4 is excluded; B->E starts at 8; C->E at 5.
+        let alive: Vec<u64> = edges.iter().map(|&e| g.edge(e).eid.0).collect();
+        assert_eq!(alive, vec![0, 5]);
+        // t:      0  1  2  3  4  5  6  7  8
+        // edges:  -  AC,AD  +EF  AB(+)  ..  CE  CE  -  BE
+        let edge_counts: Vec<usize> = (0..9).map(|t| alive_at(&g, t).1.len()).collect();
+        assert_eq!(edge_counts, vec![0, 2, 3, 3, 2, 2, 1, 0, 1]);
+    }
+
+    /// A random graph over `[0, horizon)`: some vertices perpetual, edges
+    /// inside their endpoints' lifespans, so the window comes from either
+    /// the graph lifespan or the edges.
+    fn random_graph(rng: &mut SplitMix64) -> TemporalGraph {
+        let horizon = 1 + rng.bounded(24) as i64;
+        let n = 1 + rng.index(12);
+        let mut b = TemporalGraphBuilder::new();
+        let mut lives = Vec::with_capacity(n);
+        for vid in 0..n as u64 {
+            let start = rng.range_i64(0, horizon);
+            let life = if rng.bounded(5) == 0 {
+                Interval::from_start(start)
+            } else {
+                Interval::new(start, rng.range_i64(start + 1, horizon + 1))
+            };
+            b.add_vertex(VertexId(vid), life).unwrap();
+            lives.push(life);
+        }
+        for eid in 0..rng.bounded(4 * n as u64) {
+            let (src, dst) = (rng.index(n), rng.index(n));
+            let Some(both) = lives[src].intersect(lives[dst]) else {
+                continue;
+            };
+            let end = both.end().min(horizon + 3);
+            let start = rng.range_i64(both.start(), end);
+            let life = Interval::new(start, rng.range_i64(start + 1, end + 1));
+            b.add_edge(
+                EdgeId(eid),
+                VertexId(src as u64),
+                VertexId(dst as u64),
+                life,
+            )
+            .unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn largest_snapshot_matches_the_per_point_count() {
+        let mut rng = SplitMix64::new(0x7ab1e1);
+        for case in 0..300 {
+            let g = random_graph(&mut rng);
+            let window = snapshot_window(&g).unwrap_or_else(|| Interval::new(0, 1));
+            assert_eq!(
+                dataset_stats(&g, None).largest_snapshot,
+                largest_by_points(&g, window),
+                "case {case}"
+            );
+        }
     }
 
     #[test]
