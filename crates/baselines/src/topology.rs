@@ -113,10 +113,10 @@ impl EdgeWeights {
         if self.w1.is_none() && self.w2.is_none() {
             return (0, 1);
         }
-        let props = graph.edge_props(e);
+        let seg = graph.segment_at(e, t);
         let value = |label: Option<LabelId>| {
-            label
-                .and_then(|l| props.value_at(l, t))
+            seg.zip(label)
+                .and_then(|(s, l)| graph.segment_value(s, l))
                 .and_then(PropValue::as_long)
         };
         (value(self.w1).unwrap_or(0), value(self.w2).unwrap_or(1))

@@ -42,7 +42,7 @@ use graphite_bsp::snapshot::Snapshot;
 use graphite_bsp::trace::{key, TraceSink};
 use graphite_bsp::MasterHook;
 use graphite_part::PartitionStrategy;
-use graphite_tgraph::graph::{TemporalGraph, VIdx, VertexId};
+use graphite_tgraph::graph::{SegIdx, TemporalGraph, VIdx, VertexId};
 use graphite_tgraph::iset::IntervalPartition;
 use graphite_tgraph::time::{Interval, Time, TIME_MAX, TIME_MIN};
 use std::cmp::Ordering;
@@ -310,14 +310,15 @@ fn scatter_changes<P: IntervalProgram>(
             let e = run.edges[i];
             let target = run.nbr[i];
             // Property-refined segments are precomputed into the frozen
-            // graph (each inside the lifespan); the unrefined case is
-            // exactly the lifespan.
-            let segments: &[Interval] = if refine {
-                graph.scatter_segments(e)
+            // graph (each inside the lifespan), their property values
+            // beside them; the unrefined case is exactly the lifespan.
+            let (segments, first): (&[Interval], _) = if refine {
+                (graph.scatter_segments(e), Some(graph.first_segment(e)))
             } else {
-                std::slice::from_ref(&run.span[i])
+                (std::slice::from_ref(&run.span[i]), None)
             };
-            for seg in segments {
+            for (k, seg) in segments.iter().enumerate() {
+                let seg_idx = first.map(|SegIdx(f)| SegIdx(f + k as u32));
                 for (civ, state) in hits {
                     let Some(cap) = civ.intersect(*seg) else {
                         continue;
@@ -331,6 +332,7 @@ fn scatter_changes<P: IntervalProgram>(
                         interval: cap,
                         change: *civ,
                         segment: *seg,
+                        seg: seg_idx,
                         direction: dir,
                         target,
                         outbox: &mut *outbox,

@@ -12,7 +12,7 @@ use crate::state::StateUpdates;
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::Wire;
 use graphite_bsp::engine::Outbox;
-use graphite_tgraph::graph::{EIdx, EdgeRef, TemporalGraph, VIdx, VertexId, VertexRef};
+use graphite_tgraph::graph::{EIdx, EdgeRef, SegIdx, TemporalGraph, VIdx, VertexId, VertexRef};
 use graphite_tgraph::property::{LabelId, PropValue};
 use graphite_tgraph::time::{Interval, Time};
 
@@ -256,6 +256,10 @@ pub struct ScatterContext<'a, M> {
     pub(crate) interval: Interval,
     pub(crate) change: Interval,
     pub(crate) segment: Interval,
+    /// `segment`'s place in the graph's segment pool when the program
+    /// refines scatter by properties; `None` when `segment` is the whole
+    /// lifespan.
+    pub(crate) seg: Option<SegIdx>,
     pub(crate) direction: EdgeDirection,
     /// The edge's far endpoint: where every message of this call goes.
     pub(crate) target: VIdx,
@@ -291,9 +295,10 @@ impl<'a, M> ScatterContext<'a, M> {
         self.change
     }
 
-    /// The property-refined edge segment `τe` this call runs over (also a
-    /// superset of the scatter interval; property values are constant
-    /// across it).
+    /// The edge segment `τe` this call runs over, a superset of the
+    /// scatter interval: the property-refined segment, across which
+    /// property values are constant, or the whole edge lifespan when the
+    /// program declines refinement.
     pub fn edge_interval(&self) -> Interval {
         self.segment
     }
@@ -310,13 +315,18 @@ impl<'a, M> ScatterContext<'a, M> {
         self.globals
     }
 
-    /// The edge property `label` at the scatter interval. The engine
-    /// refines edge segments at property boundaries, so the value is
-    /// constant across the whole interval.
+    /// The edge property `label` at the start of the scatter interval,
+    /// read from the segment values frozen beside the segment containing
+    /// it. Under refinement (the default) that is the segment this call
+    /// stands in, and the value holds across the whole scatter interval;
+    /// an unrefined program's interval may cross property boundaries.
     pub fn edge_prop(&self, label: LabelId) -> Option<&'a PropValue> {
-        self.graph
-            .edge_props(self.edge)
-            .value_at(label, self.interval.start())
+        match self.seg {
+            Some(seg) => self.graph.segment_value(seg, label),
+            None => self
+                .graph
+                .edge_property_at(self.edge, label, self.interval.start()),
+        }
     }
 
     /// Shorthand for an integer edge property.

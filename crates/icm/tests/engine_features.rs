@@ -1,14 +1,16 @@
 //! Engine-level tests for the ICM runtime features beyond the basic
 //! compute/scatter loop: state pre-partitioning (footnote 2), direct
-//! interval messages, bidirectional scatter, all-active supersteps, and
-//! the interaction of combiner folding with non-combinable programs.
+//! interval messages, bidirectional scatter, all-active supersteps, the
+//! interaction of combiner folding with non-combinable programs, and the
+//! edge-property reads of scatter.
 
 use graphite_bsp::aggregate::Aggregators;
 use graphite_icm::prelude::*;
 use graphite_tgraph::builder::TemporalGraphBuilder;
-use graphite_tgraph::graph::{EdgeId, TemporalGraph, VertexId};
+use graphite_tgraph::graph::{EIdx, EdgeId, TemporalGraph, VertexId};
+use graphite_tgraph::property::{LabelId, PropValue};
 use graphite_tgraph::time::Interval;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn line(n: u64, horizon: i64) -> TemporalGraph {
     let mut b = TemporalGraphBuilder::new();
@@ -319,4 +321,99 @@ fn state_at_is_end_exclusive_at_every_boundary() {
     assert_eq!(r.state_at(v, -1), None);
     assert_eq!(r.state_at(v, 100), None);
     assert_eq!(r.state_at(VertexId(7), 0), None);
+}
+
+/// One `edge_prop` read: `(edge, scatter interval, label, value)`.
+type Read = (EIdx, Interval, LabelId, Option<PropValue>);
+
+/// Records every `edge_prop` read scatter makes.
+struct PropReader {
+    refine: bool,
+    labels: Vec<LabelId>,
+    reads: Mutex<Vec<Read>>,
+}
+
+impl IntervalProgram for PropReader {
+    type State = i64;
+    type Msg = i64;
+
+    fn init(&self, _v: &VertexContext) -> i64 {
+        -1
+    }
+
+    // Changed pieces that start inside property segments as well as at
+    // their boundaries.
+    fn prepartition(&self, _v: &VertexContext) -> Vec<i64> {
+        vec![3, 7]
+    }
+
+    fn compute(&self, ctx: &mut ComputeContext<i64, i64>, t: Interval, _s: &i64, _m: &[i64]) {
+        if ctx.superstep() == 1 {
+            ctx.set_state(t, t.start());
+        }
+    }
+
+    fn scatter(&self, ctx: &mut ScatterContext<i64>, interval: Interval, _s: &i64) {
+        let e = EIdx(ctx.edge().eid.0 as u32);
+        let mut reads = self.reads.lock().unwrap();
+        for &label in &self.labels {
+            reads.push((e, interval, label, ctx.edge_prop(label).cloned()));
+        }
+    }
+
+    fn refine_scatter_by_properties(&self) -> bool {
+        self.refine
+    }
+}
+
+/// `edge_prop` reads the segment values frozen beside the scatter
+/// segments. Refined or not, every read equals the property timeline's
+/// value at the start of the scatter interval.
+#[test]
+fn edge_prop_reads_equal_the_timeline_at_the_interval_start() {
+    let mut b = TemporalGraphBuilder::new();
+    let life = Interval::new(0, 12);
+    for i in 0..4 {
+        b.add_vertex(VertexId(i), life).unwrap();
+    }
+    for i in 0..3 {
+        let (s, d) = (VertexId(i), VertexId(i + 1));
+        b.add_edge(EdgeId(i), s, d, Interval::new(1, 11)).unwrap();
+        // A gapped integer timeline and a text one crossing its gap.
+        b.edge_property(
+            EdgeId(i),
+            "w",
+            Interval::new(1, 4),
+            PropValue::Long(5 + i as i64),
+        )
+        .unwrap();
+        b.edge_property(EdgeId(i), "w", Interval::new(6, 11), PropValue::Long(2))
+            .unwrap();
+        b.edge_property(EdgeId(i), "tag", Interval::new(2, 9), PropValue::from("x"))
+            .unwrap();
+    }
+    let g = Arc::new(b.build().unwrap());
+    let labels = vec![g.label("w").unwrap(), g.label("tag").unwrap()];
+    let mut calls = Vec::new();
+    for refine in [true, false] {
+        let program = Arc::new(PropReader {
+            refine,
+            labels: labels.clone(),
+            reads: Mutex::new(Vec::new()),
+        });
+        run_icm(&g, Arc::clone(&program), &IcmConfig::default(), None).expect("ICM run");
+        let reads = program.reads.lock().unwrap();
+        for (e, interval, label, value) in reads.iter() {
+            assert_eq!(
+                value.as_ref(),
+                g.edge_props(*e).value_at(*label, interval.start()),
+                "refine {refine}: {e:?} {interval} {label:?}"
+            );
+        }
+        assert!(reads.iter().any(|r| r.3.is_none()), "a gap was read");
+        assert!(reads.iter().any(|r| r.3.is_some()), "a value was read");
+        calls.push(reads.len());
+    }
+    // Refinement splits the scatter calls at the property boundaries.
+    assert!(calls[0] > calls[1], "{calls:?}");
 }

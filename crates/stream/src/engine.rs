@@ -473,7 +473,7 @@ mod tests {
     use super::*;
     use graphite_datagen::stream::derive_update_stream;
     use graphite_datagen::{GenParams, LifespanModel, PropModel, UpdateStream};
-    use graphite_tgraph::graph::{EIdx, EdgeId, VIdx};
+    use graphite_tgraph::graph::{EIdx, EdgeId, SegIdx, VIdx};
     use graphite_tgraph::property::PropValue;
 
     fn churny(seed: u64, snapshots: Time) -> GenParams {
@@ -634,8 +634,16 @@ mod tests {
             ));
         }
         for (e, row) in g.edges() {
+            let first = g.first_segment(e).0;
+            let values: Vec<_> = (0..g.scatter_segments(e).len() as u32)
+                .map(|k| {
+                    g.segment_values(SegIdx(first + k))
+                        .map(|(l, v)| format!("{:?}={v:?}", g.labels().name(l)))
+                        .collect::<Vec<_>>()
+                })
+                .collect();
             rows.push(format!(
-                "{:?} {:?}->{:?} {:?} {:?} {:?}",
+                "{:?} {:?}->{:?} {:?} {:?} {:?} {values:?}",
                 row.eid,
                 row.src,
                 row.dst,

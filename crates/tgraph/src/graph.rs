@@ -17,9 +17,12 @@
 //!   scans three flat arrays instead of chasing per-edge rows.
 //! * **Scatter segments** — every edge's property-refined lifespan
 //!   segments, precomputed into one CSR-shaped pool ([`scatter_segments`])
-//!   so the engine never materializes them per run.
+//!   so the engine never materializes them per run, with each segment's
+//!   property values frozen beside it ([`segment_values`]): a property
+//!   read at a time-point is the segment containing it, then its values.
 //!
 //! [`scatter_segments`]: TemporalGraph::scatter_segments
+//! [`segment_values`]: TemporalGraph::segment_values
 
 mod patch;
 
@@ -29,6 +32,7 @@ use crate::iset::IntervalMap;
 use crate::property::{LabelId, LabelInterner, PropValue, Properties};
 use crate::time::{Interval, Time};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// An opaque, user-chosen vertex identifier (`vid` in the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -56,6 +60,20 @@ impl VIdx {
 pub struct EIdx(pub u32);
 
 impl EIdx {
+    /// The index as `usize` for table addressing.
+    #[inline]
+    pub fn idx(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Dense scatter-segment index: position in the graph's segment pool,
+/// which lists every edge's segments in `EIdx` order and each edge's in
+/// temporal order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SegIdx(pub u32);
+
+impl SegIdx {
     /// The index as `usize` for table addressing.
     #[inline]
     pub fn idx(self) -> usize {
@@ -175,9 +193,13 @@ pub struct TemporalGraph {
     // mirror `src`.
     out: Adjacency,
     inc: Adjacency,
-    // Property-refined scatter segments, CSR-shaped over `EIdx`.
-    seg_offsets: Vec<u32>,
-    segs: Vec<Interval>,
+    // Property-refined scatter segments, one unit per `EIdx`, and the
+    // property values of each, one unit per `SegIdx`: a `(label, id)` per
+    // label with a value there, the id indexing `values`, the distinct
+    // values the column holds.
+    segs: Pool<Interval>,
+    seg_values: Pool<(LabelId, u32)>,
+    values: Vec<PropValue>,
     lifespan: Interval,
     // Memoized structure-digest section accumulators: wrapping sums of the
     // identity-keyed per-record hashes of every vertex / edge row. Computed
@@ -355,41 +377,141 @@ impl Adjacency {
     }
 }
 
-/// Appends the property-refined scatter segments of one edge to `out`
-/// (Sec. IV-A: "scatter is called once for each overlapping interval of
-/// its out-edges having a distinct property"): the lifespan split at every
-/// property boundary. `bounds` is scratch, reused across edges.
-fn refine_segments(
-    life: Interval,
-    props: &Properties,
-    bounds: &mut Vec<Time>,
-    out: &mut Vec<Interval>,
-) {
-    bounds.clear();
-    bounds.push(life.start());
-    bounds.push(life.end());
-    for (_, iv, _) in props.iter() {
-        bounds.push(iv.start());
-        bounds.push(iv.end());
+/// A CSR pool: unit `u` owns `items[offsets[u]..offsets[u + 1]]`. The
+/// scatter segments are one (a unit per edge), their property values
+/// another (a unit per segment); a live update replaces units in both
+/// through `Pool::replace` ([`patch`]).
+#[derive(Clone, Debug)]
+struct Pool<T> {
+    offsets: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Pool<T> {
+    fn with_capacity(units: usize, items: usize) -> Self {
+        let mut offsets = Vec::with_capacity(units + 1);
+        offsets.push(0);
+        Pool {
+            offsets,
+            items: Vec::with_capacity(items),
+        }
     }
-    bounds.sort_unstable();
-    bounds.dedup();
-    out.extend(
-        bounds
+
+    /// Ends the open unit at the current tail of `items`.
+    fn close(&mut self) {
+        self.offsets.push(self.items.len() as u32);
+    }
+
+    fn units(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    #[inline]
+    fn range(&self, u: usize) -> Range<usize> {
+        self.offsets[u] as usize..self.offsets[u + 1] as usize
+    }
+
+    #[inline]
+    fn unit(&self, u: usize) -> &[T] {
+        &self.items[self.range(u)]
+    }
+}
+
+/// A property value's identity in the value table: bit-exact, so two
+/// values share an id only when they are the same bits.
+#[derive(PartialEq, Eq, Hash)]
+enum ValueKey {
+    Long(i64),
+    Double(u64),
+    Bool(bool),
+    Text(String),
+}
+
+impl From<&PropValue> for ValueKey {
+    fn from(value: &PropValue) -> Self {
+        match value {
+            PropValue::Long(v) => ValueKey::Long(*v),
+            PropValue::Double(v) => ValueKey::Double(v.to_bits()),
+            PropValue::Bool(v) => ValueKey::Bool(*v),
+            PropValue::Text(v) => ValueKey::Text(v.clone()),
+        }
+    }
+}
+
+/// Refines edges into the segment pools, one edge per call, interning the
+/// values it writes into a value table.
+struct Refiner {
+    /// Scratch: one edge's boundaries.
+    bounds: Vec<Time>,
+    /// The value table's ids.
+    ids: HashMap<ValueKey, u32>,
+}
+
+impl Refiner {
+    /// A refiner appending to `table`.
+    fn new(table: &[PropValue]) -> Self {
+        Refiner {
+            bounds: Vec::new(),
+            ids: (0..)
+                .zip(table)
+                .map(|(id, value)| (ValueKey::from(value), id))
+                .collect(),
+        }
+    }
+
+    /// Appends the property-refined scatter segments of one edge to
+    /// `segs`, as one unit (Sec. IV-A: "scatter is called once for each
+    /// overlapping interval of its out-edges having a distinct
+    /// property"): the lifespan split at every property boundary. Each
+    /// segment's property values, read at its start and so constant
+    /// across it, go to `values` as one unit per segment, each value as
+    /// its id in `table`; a label with no value there is absent.
+    fn refine(
+        &mut self,
+        life: Interval,
+        props: &Properties,
+        segs: &mut Pool<Interval>,
+        values: &mut Pool<(LabelId, u32)>,
+        table: &mut Vec<PropValue>,
+    ) {
+        let bounds = &mut self.bounds;
+        bounds.clear();
+        bounds.push(life.start());
+        bounds.push(life.end());
+        for (_, iv, _) in props.iter() {
+            bounds.push(iv.start());
+            bounds.push(iv.end());
+        }
+        bounds.sort_unstable();
+        bounds.dedup();
+        for seg in bounds
             .windows(2)
             .filter_map(|w| Interval::try_new(w[0], w[1]))
-            .filter_map(|iv| iv.intersect(life)),
-    );
+            .filter_map(|iv| iv.intersect(life))
+        {
+            segs.items.push(seg);
+            for (label, value) in props.values_at(seg.start()) {
+                let id = *self.ids.entry(ValueKey::from(value)).or_insert_with(|| {
+                    table.push(value.clone());
+                    table.len() as u32 - 1
+                });
+                values.items.push((label, id));
+            }
+            values.close();
+        }
+        segs.close();
+    }
 }
 
 impl TemporalGraph {
     /// Assembles (freezes) a graph from validated row-shaped parts: the
     /// rows are decomposed into columns, CSR adjacency is built with
     /// lifespan-sorted runs and mirror columns, every edge's
-    /// property-refined scatter segments are precomputed, and the digest
-    /// accumulators are folded from the content. The builder's path (and
-    /// the oracle the patch tests rebuild through); live updates patch the
-    /// frozen columns in place instead ([`patch`]).
+    /// property-refined scatter segments are precomputed with their
+    /// property values, and the digest accumulators are folded from the
+    /// content. The builder's path (and the oracle the patch tests
+    /// rebuild through); live updates patch the frozen columns in place
+    /// instead ([`patch`]).
     pub(crate) fn assemble(
         labels: LabelInterner,
         vertices: Vec<VertexData>,
@@ -424,15 +546,16 @@ impl TemporalGraph {
             e_props.push(e.props);
         }
         // Pooled CSR-style so the common no-property case costs one
-        // interval and zero extra allocations.
-        let mut seg_offsets = Vec::with_capacity(m + 1);
-        seg_offsets.push(0u32);
-        let mut segs = Vec::with_capacity(m);
-        let mut bounds: Vec<Time> = Vec::new();
+        // interval, two offsets and zero extra allocations.
+        let mut segs = Pool::with_capacity(m, m);
+        let mut seg_values = Pool::with_capacity(m, 0);
+        let mut values = Vec::new();
+        let mut refiner = Refiner::new(&values);
         for (life, props) in e_lifespan.iter().zip(&e_props) {
-            refine_segments(*life, props, &mut bounds, &mut segs);
-            seg_offsets.push(segs.len() as u32);
+            refiner.refine(*life, props, &mut segs, &mut seg_values, &mut values);
         }
+        // Grown by doubling from nothing: give back the slack.
+        seg_values.items.shrink_to_fit();
         let mut graph = TemporalGraph {
             out: Adjacency::build(n, &e_src, &e_dst, &e_lifespan),
             inc: Adjacency::build(n, &e_dst, &e_src, &e_lifespan),
@@ -446,8 +569,9 @@ impl TemporalGraph {
             e_lifespan,
             e_props,
             vid_index,
-            seg_offsets,
             segs,
+            seg_values,
+            values,
             lifespan,
             digest_v_acc: 0,
             digest_e_acc: 0,
@@ -601,9 +725,10 @@ impl TemporalGraph {
         self.e_lifespan[e.idx()]
     }
 
-    /// The properties of edge `e`, read straight from the property column
-    /// — the scatter hot path's lookup, skipping the other four edge
-    /// columns an [`EdgeRef`] would touch.
+    /// The property timelines of edge `e`, read straight from the
+    /// property column, skipping the other four edge columns an
+    /// [`EdgeRef`] would touch. Point reads go through
+    /// [`edge_property_at`](Self::edge_property_at) instead.
     #[inline]
     pub fn edge_props(&self, e: EIdx) -> &Properties {
         &self.e_props[e.idx()]
@@ -664,9 +789,45 @@ impl TemporalGraph {
     /// without properties this is exactly `[lifespan]`.
     #[inline]
     pub fn scatter_segments(&self, e: EIdx) -> &[Interval] {
-        let s = self.seg_offsets[e.idx()] as usize;
-        let t = self.seg_offsets[e.idx() + 1] as usize;
-        &self.segs[s..t]
+        self.segs.unit(e.idx())
+    }
+
+    /// The pool index of edge `e`'s first scatter segment: its `k`-th
+    /// segment is `SegIdx(first_segment(e).0 + k)`.
+    #[inline]
+    pub fn first_segment(&self, e: EIdx) -> SegIdx {
+        SegIdx(self.segs.offsets[e.idx()])
+    }
+
+    /// The segment of edge `e` containing time-point `t`, or `None`
+    /// outside the edge's lifespan (the segments tile it).
+    #[inline]
+    pub fn segment_at(&self, e: EIdx, t: Time) -> Option<SegIdx> {
+        let segs = self.scatter_segments(e);
+        let k = segs.partition_point(|seg| seg.end() <= t);
+        segs.get(k)
+            .filter(|seg| seg.contains_point(t))
+            .map(|_| SegIdx(self.first_segment(e).0 + k as u32))
+    }
+
+    /// The property values of scatter segment `s`, constant across it: one
+    /// `(label, value)` per label with a value there, in the edge's label
+    /// order.
+    pub fn segment_values(&self, s: SegIdx) -> impl Iterator<Item = (LabelId, &PropValue)> + '_ {
+        self.seg_values
+            .unit(s.idx())
+            .iter()
+            .map(|&(label, id)| (label, &self.values[id as usize]))
+    }
+
+    /// The value of property `label` on scatter segment `s`.
+    #[inline]
+    pub fn segment_value(&self, s: SegIdx, label: LabelId) -> Option<&PropValue> {
+        self.seg_values
+            .unit(s.idx())
+            .iter()
+            .find(|(l, _)| *l == label)
+            .map(|&(_, id)| &self.values[id as usize])
     }
 
     /// The lifespan length of vertex `v`, clamped to at least 1 so that
@@ -741,9 +902,10 @@ impl TemporalGraph {
         self.e_props[e.idx()].timeline(label)
     }
 
-    /// Value of edge property `label` on `e` at time `t`.
+    /// Value of edge property `label` on `e` at time `t`: the segment
+    /// containing `t`, then its values.
     pub fn edge_property_at(&self, e: EIdx, label: LabelId, t: Time) -> Option<&PropValue> {
-        self.e_props[e.idx()].value_at(label, t)
+        self.segment_value(self.segment_at(e, t)?, label)
     }
 
     /// Value of vertex property `label` on `v` at time `t`.

@@ -12,13 +12,15 @@
 //! * **adjacency** — per direction, a lifespan-extended edge is moved
 //!   inside its endpoint's run, then one backward merge pass splices the
 //!   inserted edges into `offsets`/`edges`/`nbr`/`span`;
-//! * **scatter segments** — recomputed for patched edges only: overwritten
-//!   in place when no edge's segment count changed, one linear re-pack
+//! * **scatter segments and their property values** — recomputed for
+//!   patched edges only, both pools through one `Pool::replace`: overwritten
+//!   in place when no unit changed its item count, one linear re-pack
 //!   otherwise; new edges append at the tail.
 
-use super::{refine_segments, Adjacency, EIdx, EdgeData, TemporalGraph, VIdx, VertexData};
+use super::{Adjacency, EIdx, EdgeData, Pool, Refiner, TemporalGraph, VIdx, VertexData};
 use crate::time::{Interval, Time};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// The validated write set of one delta batch: the final row of every
 /// vertex and edge the batch inserts or edits, keyed by dense index.
@@ -126,6 +128,60 @@ impl Adjacency {
     }
 }
 
+impl<T: Copy> Pool<T> {
+    /// Appends the units `units` of `src`, their items as one stretch and
+    /// their offsets shifted to where it lands.
+    fn copy_units(&mut self, src: &Pool<T>, units: Range<usize>) {
+        let (first, last) = (src.offsets[units.start], src.offsets[units.end]);
+        let shift = self.items.len() as i64 - i64::from(first);
+        self.items
+            .extend_from_slice(&src.items[first as usize..last as usize]);
+        self.offsets.extend(
+            src.offsets[units.start + 1..=units.end]
+                .iter()
+                .map(|&o| (i64::from(o) + shift) as u32),
+        );
+    }
+
+    /// Swaps, for each edit `(old, new)`, this pool's units `old` for the
+    /// units `new` of `fresh`. The `old` ranges ascend and are disjoint;
+    /// one starting at `units()` is an append. In place when every
+    /// replaced unit keeps its item count, one linear re-pack otherwise:
+    /// untouched stretches copy over whole.
+    fn replace(&mut self, edits: &[(Range<usize>, Range<usize>)], fresh: &Pool<T>) {
+        let n = self.units();
+        let (inner, appends) = edits.split_at(edits.partition_point(|(old, _)| old.start < n));
+        let same_shape = inner.iter().all(|(old, new)| {
+            old.len() == new.len()
+                && old
+                    .clone()
+                    .zip(new.clone())
+                    .all(|(o, f)| self.range(o).len() == fresh.range(f).len())
+        });
+        if same_shape {
+            for (old, new) in inner {
+                for (o, f) in old.clone().zip(new.clone()) {
+                    let at = self.range(o);
+                    self.items[at].copy_from_slice(fresh.unit(f));
+                }
+            }
+        } else {
+            let mut packed = Pool::with_capacity(n, self.items.len() + fresh.items.len());
+            let mut from = 0; // first old unit not yet emitted
+            for (old, new) in inner {
+                packed.copy_units(self, from..old.start);
+                packed.copy_units(fresh, new.clone());
+                from = old.end;
+            }
+            packed.copy_units(self, from..n);
+            *self = packed;
+        }
+        for (_, new) in appends {
+            self.copy_units(fresh, new.clone());
+        }
+    }
+}
+
 impl TemporalGraph {
     /// Writes a validated patch into the frozen columns (module docs).
     pub(crate) fn commit(&mut self, patch: RowPatch) {
@@ -225,67 +281,40 @@ impl TemporalGraph {
         }
     }
 
-    /// Recomputes the scatter segments of the `edited` pre-existing edges
-    /// (ascending) and appends those of the edges the pool does not cover
-    /// yet.
+    /// Recomputes the scatter segments and segment values of the `edited`
+    /// pre-existing edges (ascending) and appends those of the edges the
+    /// pools do not cover yet.
     fn patch_segments(&mut self, edited: &[u32]) {
-        let mut bounds: Vec<Time> = Vec::new();
-        // The edited edges' new segments, pooled: edge `edited[k]` owns
-        // `fresh[ends[k - 1]..ends[k]]`.
-        let mut fresh: Vec<Interval> = Vec::new();
-        let mut ends: Vec<usize> = Vec::with_capacity(edited.len());
-        let mut same_counts = true;
-        for &e in edited {
-            let e = e as usize;
-            let before = fresh.len();
-            refine_segments(
+        // Indexing the value table costs O(distinct values), at most the
+        // O(V + E) of the freeze that follows; values no longer referenced
+        // stay in the table, as retired labels stay in the interner.
+        let mut refiner = Refiner::new(&self.values);
+        let (mut segs, mut values) = (Pool::with_capacity(0, 0), Pool::with_capacity(0, 0));
+        let (m_cov, s_cov) = (self.segs.units(), self.seg_values.units());
+        let mut seg_edits = Vec::new();
+        let mut value_edits = Vec::new();
+        for e in edited
+            .iter()
+            .map(|&e| e as usize)
+            .chain(m_cov..self.e_eid.len())
+        {
+            let (k, first) = (segs.units(), values.units());
+            refiner.refine(
                 self.e_lifespan[e],
                 &self.e_props[e],
-                &mut bounds,
-                &mut fresh,
+                &mut segs,
+                &mut values,
+                &mut self.values,
             );
-            ends.push(fresh.len());
-            let old = (self.seg_offsets[e + 1] - self.seg_offsets[e]) as usize;
-            same_counts &= fresh.len() - before == old;
+            let (old, old_segs) = if e < m_cov {
+                (e..e + 1, self.segs.range(e))
+            } else {
+                (m_cov..m_cov, s_cov..s_cov)
+            };
+            seg_edits.push((old, k..k + 1));
+            value_edits.push((old_segs, first..values.units()));
         }
-        let of = |k: usize| &fresh[k.checked_sub(1).map_or(0, |p| ends[p])..ends[k]];
-        if same_counts {
-            for (k, &e) in edited.iter().enumerate() {
-                let at = self.seg_offsets[e as usize] as usize;
-                self.segs[at..at + of(k).len()].copy_from_slice(of(k));
-            }
-        } else {
-            // Re-pack: untouched stretches copy over whole, their offsets
-            // shifted by what the edited edges before them gained or lost.
-            let old = &self.seg_offsets;
-            let mut packed = Vec::with_capacity(self.segs.len() + fresh.len());
-            let mut offsets = Vec::with_capacity(old.len());
-            offsets.push(0u32);
-            let mut from = 0usize; // first old edge not yet emitted
-            let mut shift = 0i64; // packed position minus old position
-            let moved = |o: &u32, shift: i64| (i64::from(*o) + shift) as u32;
-            for (k, &e) in edited.iter().enumerate() {
-                let e = e as usize;
-                packed.extend_from_slice(&self.segs[old[from] as usize..old[e] as usize]);
-                offsets.extend(old[from + 1..=e].iter().map(|o| moved(o, shift)));
-                packed.extend_from_slice(of(k));
-                offsets.push(packed.len() as u32);
-                shift = packed.len() as i64 - i64::from(old[e + 1]);
-                from = e + 1;
-            }
-            packed.extend_from_slice(&self.segs[old[from] as usize..]);
-            offsets.extend(old[from + 1..].iter().map(|o| moved(o, shift)));
-            self.segs = packed;
-            self.seg_offsets = offsets;
-        }
-        for e in self.seg_offsets.len() - 1..self.e_eid.len() {
-            refine_segments(
-                self.e_lifespan[e],
-                &self.e_props[e],
-                &mut bounds,
-                &mut self.segs,
-            );
-            self.seg_offsets.push(self.segs.len() as u32);
-        }
+        self.segs.replace(&seg_edits, &segs);
+        self.seg_values.replace(&value_edits, &values);
     }
 }

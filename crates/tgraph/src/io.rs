@@ -16,6 +16,7 @@
 //! `i:<int>`, `f:<float>`, `b:<bool>`, `s:<escaped text>`.
 
 use crate::builder::TemporalGraphBuilder;
+use crate::error::GraphError;
 use crate::graph::{EdgeId, TemporalGraph, VertexId};
 use crate::property::PropValue;
 use crate::time::{Interval, Time, TIME_MAX, TIME_MIN};
@@ -35,8 +36,18 @@ pub enum IoError {
         /// Human-readable reason.
         reason: String,
     },
-    /// The parsed data violates the graph constraints.
-    Graph(crate::error::GraphError),
+    /// A well-formed record the builder rejected (a duplicate id, an
+    /// unknown endpoint, a lifespan or property constraint), with its
+    /// 1-based line number.
+    Record {
+        /// 1-based line number.
+        line: usize,
+        /// The constraint the record violates.
+        error: GraphError,
+    },
+    /// The parsed data as a whole violates the graph constraints (the
+    /// checks `build` makes once every record is in).
+    Graph(GraphError),
 }
 
 impl std::fmt::Display for IoError {
@@ -44,6 +55,7 @@ impl std::fmt::Display for IoError {
         match self {
             IoError::Io(e) => write!(f, "i/o error: {e}"),
             IoError::Parse { line, reason } => write!(f, "line {line}: {reason}"),
+            IoError::Record { line, error } => write!(f, "line {line}: {error}"),
             IoError::Graph(e) => write!(f, "invalid graph: {e}"),
         }
     }
@@ -54,12 +66,6 @@ impl std::error::Error for IoError {}
 impl From<std::io::Error> for IoError {
     fn from(e: std::io::Error) -> Self {
         IoError::Io(e)
-    }
-}
-
-impl From<crate::error::GraphError> for IoError {
-    fn from(e: crate::error::GraphError) -> Self {
-        IoError::Graph(e)
     }
 }
 
@@ -160,7 +166,10 @@ pub fn write_text<W: Write>(graph: &TemporalGraph, out: W) -> std::io::Result<()
     w.flush()
 }
 
-/// Parses a graph from the text format.
+/// Parses a graph from the text format. Every error a record causes —
+/// malformed, not UTF-8, or rejected by the builder — names its 1-based
+/// line; only `build`'s whole-graph checks come back as
+/// [`IoError::Graph`].
 pub fn read_text<R: Read>(input: R) -> Result<TemporalGraph, IoError> {
     let reader = BufReader::new(input);
     let mut b = TemporalGraphBuilder::new();
@@ -168,27 +177,27 @@ pub fn read_text<R: Read>(input: R) -> Result<TemporalGraph, IoError> {
         line,
         reason: reason.to_owned(),
     };
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
+    for (i, line) in reader.split(b'\n').enumerate() {
         let lno = i + 1;
+        let line = String::from_utf8(line?).map_err(|_| bad(lno, "not UTF-8"))?;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let mut parts = line.split_ascii_whitespace();
-        let tag = parts.next().unwrap();
+        let tag = parts.next().unwrap_or_default();
         let fields: Vec<&str> = parts.collect();
         let interval = |a: &str, b2: &str| -> Option<Interval> {
             Interval::try_new(parse_time(a)?, parse_time(b2)?)
         };
-        match tag {
+        let added = match tag {
             "V" => {
                 let [vid, s, e] = fields[..] else {
                     return Err(bad(lno, "V needs 3 fields"));
                 };
                 let vid = vid.parse().map_err(|_| bad(lno, "bad vid"))?;
                 let iv = interval(s, e).ok_or_else(|| bad(lno, "bad interval"))?;
-                b.add_vertex(VertexId(vid), iv)?;
+                b.add_vertex(VertexId(vid), iv).map(|_| ())
             }
             "E" => {
                 let [eid, src, dst, s, e] = fields[..] else {
@@ -198,7 +207,7 @@ pub fn read_text<R: Read>(input: R) -> Result<TemporalGraph, IoError> {
                 let src = src.parse().map_err(|_| bad(lno, "bad src"))?;
                 let dst = dst.parse().map_err(|_| bad(lno, "bad dst"))?;
                 let iv = interval(s, e).ok_or_else(|| bad(lno, "bad interval"))?;
-                b.add_edge(EdgeId(eid), VertexId(src), VertexId(dst), iv)?;
+                b.add_edge(EdgeId(eid), VertexId(src), VertexId(dst), iv)
             }
             "VP" | "EP" => {
                 let [id, label, s, e, val] = fields[..] else {
@@ -208,15 +217,16 @@ pub fn read_text<R: Read>(input: R) -> Result<TemporalGraph, IoError> {
                 let iv = interval(s, e).ok_or_else(|| bad(lno, "bad interval"))?;
                 let val = parse_value(val).ok_or_else(|| bad(lno, "bad value"))?;
                 if tag == "VP" {
-                    b.vertex_property(VertexId(id), label, iv, val)?;
+                    b.vertex_property(VertexId(id), label, iv, val)
                 } else {
-                    b.edge_property(EdgeId(id), label, iv, val)?;
+                    b.edge_property(EdgeId(id), label, iv, val)
                 }
             }
             other => return Err(bad(lno, &format!("unknown record tag {other:?}"))),
-        }
+        };
+        added.map_err(|error| IoError::Record { line: lno, error })?;
     }
-    Ok(b.build()?)
+    b.build().map_err(IoError::Graph)
 }
 
 /// Writes the graph to `path` in the text format.
@@ -325,7 +335,19 @@ mod tests {
     fn constraint_violations_surface_as_graph_errors() {
         let text = "V 1 0 5\nV 2 0 5\nE 1 1 2 0 9\n"; // edge outlives vertices
         let err = read_text(text.as_bytes()).unwrap_err();
-        assert!(matches!(err, IoError::Graph(_)), "{err}");
+        assert!(
+            matches!(
+                err,
+                IoError::Record {
+                    line: 3,
+                    error: GraphError::EdgeOutsideVertexLifespan { .. }
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().starts_with("line 3: "), "{err}");
+        let err = read_text(&b"V 1 0 5\nV \xff 0 5\n"[..]).unwrap_err();
+        assert!(matches!(err, IoError::Parse { line: 2, .. }), "{err}");
     }
 
     #[test]

@@ -248,6 +248,14 @@ impl Properties {
         self.timeline(label)?.value_at(t)
     }
 
+    /// The value of every label that has one at time-point `t`, in label
+    /// order.
+    pub fn values_at(&self, t: Time) -> impl Iterator<Item = (LabelId, &PropValue)> + '_ {
+        self.rows()
+            .iter()
+            .filter_map(move |(l, tl)| tl.value_at(t).map(|v| (*l, v)))
+    }
+
     /// Iterates `(label, interval, value)` over all timelines.
     pub fn iter(&self) -> impl Iterator<Item = (LabelId, Interval, &PropValue)> + '_ {
         self.rows()

@@ -10,7 +10,7 @@
 
 use graphite_tgraph::builder::TemporalGraphBuilder;
 use graphite_tgraph::delta::{DeltaOverlay, GraphDelta};
-use graphite_tgraph::graph::{EIdx, EdgeId, TemporalGraph, VertexId};
+use graphite_tgraph::graph::{EIdx, EdgeId, SegIdx, TemporalGraph, VertexId};
 use graphite_tgraph::property::{PropValue, Properties};
 use graphite_tgraph::time::Interval;
 
@@ -696,6 +696,18 @@ fn named_props<'a>(
         .collect()
 }
 
+/// Each scatter segment's property values, by label name.
+fn named_segment_values(g: &TemporalGraph, e: EIdx) -> Vec<Vec<(&str, &PropValue)>> {
+    let first = g.first_segment(e).0;
+    (0..g.scatter_segments(e).len() as u32)
+        .map(|k| {
+            g.segment_values(SegIdx(first + k))
+                .map(|(l, v)| (g.labels().name(l).unwrap(), v))
+                .collect()
+        })
+        .collect()
+}
+
 /// Field-for-field equality through the public read API.
 fn assert_same_graph(got: &TemporalGraph, want: &TemporalGraph, ctx: &str) {
     assert_eq!(got.num_vertices(), want.num_vertices(), "{ctx}: |V|");
@@ -750,6 +762,16 @@ fn assert_same_graph(got: &TemporalGraph, want: &TemporalGraph, ctx: &str) {
             got.scatter_segments(e),
             want.scatter_segments(e),
             "{ctx}: {e:?} scatter segments"
+        );
+        assert_eq!(
+            got.first_segment(e),
+            want.first_segment(e),
+            "{ctx}: {e:?} segment pool position"
+        );
+        assert_eq!(
+            named_segment_values(got, e),
+            named_segment_values(want, e),
+            "{ctx}: {e:?} segment values"
         );
     }
 }

@@ -17,7 +17,9 @@
 # metric whose BENCHMARK.json unit is `count` must be equal on both sides.
 # The names that differ are printed and the script exits 1 — a change
 # that should only move timings must leave supersteps, messages and
-# compute calls bit for bit where they were.
+# compute calls bit for bit where they were. The same two runs' per-layer
+# `ms`/`ns` metrics are printed side by side after the check, as pointers
+# to the layer a change moved: one run per side is not evidence.
 #
 # A timing tool, not a gate: only pairs run back to back on one machine are
 # evidence (a 2-vCPU box drifts 10-15 % between sessions), so check.sh does
@@ -139,6 +141,25 @@ while read -r metric; do
 done <<<"$counts"
 if ((differ)); then
     echo "count metrics differ; see $trace_log" >&2
+else
+    echo "  all $(wc -l <<<"$counts") count metrics equal"
+fi
+
+# The attribution numbers: every per-layer metric whose unit is `ms` or
+# `ns`, from the same two traced runs.
+timings="$(awk '/"per_layer"/ { on = 1 }
+    on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
+    on && /"unit"/ { gsub(/[",]/, "", $2); if ($2 == "ms" || $2 == "ns") print name }' BENCHMARK.json)"
+echo "timings, one traced run per side, not evidence:"
+printf '  %-36s %12s %12s %10s\n' metric parent new new/parent
+while read -r metric; do
+    awk -v m="$metric" '
+        { i = index($0, "\"" m "\": {\"value\": ")
+          v[$1] = i ? substr($0, i + length(m) + 14) + 0 : "absent" }
+        END { p = v["parent"]; n = v["new"]
+              r = (p + 0 && n != "absent") ? sprintf("%.3f", n / p) : "-"
+              printf "  %-36s %12s %12s %10s\n", m, p, n, r }' "$trace_log"
+done <<<"$timings"
+if ((differ)); then
     exit 1
 fi
-echo "  all $(wc -l <<<"$counts") count metrics equal"
