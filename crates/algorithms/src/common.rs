@@ -35,21 +35,8 @@ impl AlgLabels {
 /// The piecewise-constant out-degree of `v` over its lifespan, as
 /// `(interval, degree)` segments covering the lifespan. Used by PageRank.
 pub fn out_degree_timeline(graph: &TemporalGraph, v: VIdx) -> Vec<(Interval, u32)> {
-    degree_timeline(graph, v, /* out = */ true)
-}
-
-/// The piecewise-constant in-degree of `v` over its lifespan.
-pub fn in_degree_timeline(graph: &TemporalGraph, v: VIdx) -> Vec<(Interval, u32)> {
-    degree_timeline(graph, v, false)
-}
-
-fn degree_timeline(graph: &TemporalGraph, v: VIdx, out: bool) -> Vec<(Interval, u32)> {
     let life = graph.vertex(v).lifespan;
-    let edges = if out {
-        graph.out_edges(v)
-    } else {
-        graph.in_edges(v)
-    };
+    let edges = graph.out_edges(v);
     let mut bounds = vec![life.start(), life.end()];
     for &e in edges {
         let iv = graph.edge(e).lifespan;

@@ -112,11 +112,6 @@ impl<'a, M> GofContext<'a, M> {
         self.graph
     }
 
-    /// Whether the walk runs in reverse.
-    pub fn is_reverse(&self) -> bool {
-        self.reverse
-    }
-
     /// Sends a message within this snapshot (next inner superstep).
     pub fn send_local(&mut self, target: u32, msg: M) {
         self.local.push((target, msg));

@@ -2,10 +2,13 @@
 //! replaced.
 //!
 //! `oracle_edges` below is the previous `SnapshotTopology::out_edges` /
-//! `in_edges`, kept verbatim but for taking the graph, time-point and
-//! weights as arguments: on every call it walked the vertex's temporal
-//! adjacency, kept the edges alive at `t` and resolved the two weight
-//! properties of each. For every vertex and every time-point of the
+//! `in_edges`, taking the graph, time-point and weights as arguments: on
+//! every call it walks the vertex's temporal adjacency, keeps the edges
+//! alive at `t` and resolves the two weight properties of each. It resolves
+//! a weight by scanning the edge's entries (`edge_props(e).iter()`) for the
+//! one holding `t`, not through `segment_at`/`segment_value`, the lookup
+//! the CSR under test uses; `segment_values_oracle.rs` checks that entry
+//! reader against the rows the builder was fed. For every vertex and every time-point of the
 //! window, on the paper's transit fixture and on small seeded `twitter`
 //! and `gplus` profiles, with weights named and not, the CSR must hand
 //! out the same edges, field for field and in the same order — message
@@ -22,8 +25,8 @@ use graphite_tgraph::snapshot::snapshot_window;
 use graphite_tgraph::time::Time;
 use std::sync::Arc;
 
-/// The previous per-call scan, verbatim: out-edges (`incoming = false`)
-/// or in-edges of `v` alive at `t`, with `weights` resolved per edge.
+/// The previous per-call scan: out-edges (`incoming = false`) or in-edges
+/// of `v` alive at `t`, with `weights` resolved per edge from its entries.
 fn oracle_edges(
     graph: &TemporalGraph,
     t: Time,
@@ -40,15 +43,21 @@ fn oracle_edges(
     for &e in list {
         let ed = graph.edge(e);
         if ed.lifespan.contains_point(t) {
-            let props = &ed.props;
+            let entry = |label| {
+                graph
+                    .edge_props(e)
+                    .iter()
+                    .find(|&(l, iv, _)| l == label && iv.contains_point(t))
+                    .map(|(_, _, v)| v)
+            };
             let w1 = weights
                 .w1
-                .and_then(|l| props.value_at(l, t))
+                .and_then(entry)
                 .and_then(PropValue::as_long)
                 .unwrap_or(0);
             let w2 = weights
                 .w2
-                .and_then(|l| props.value_at(l, t))
+                .and_then(entry)
                 .and_then(PropValue::as_long)
                 .unwrap_or(1);
             let target = if incoming { ed.src.0 } else { ed.dst.0 };

@@ -107,14 +107,6 @@ impl Aggregators {
         }
     }
 
-    /// Reads a signed sum aggregate.
-    pub fn get_sum_i64(&self, name: &str) -> Option<i64> {
-        match self.vals.get(name)? {
-            Agg::SumI64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Reads an unsigned sum aggregate.
     pub fn get_sum_u64(&self, name: &str) -> Option<u64> {
         match self.vals.get(name)? {

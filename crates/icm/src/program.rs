@@ -273,7 +273,7 @@ impl<'a, M> ScatterContext<'a, M> {
     }
 
     /// The edge being scattered over.
-    pub fn edge(&self) -> EdgeRef<'a> {
+    pub fn edge(&self) -> EdgeRef {
         self.graph.edge(self.edge)
     }
 

@@ -474,7 +474,7 @@ mod tests {
     use graphite_datagen::stream::derive_update_stream;
     use graphite_datagen::{GenParams, LifespanModel, PropModel, UpdateStream};
     use graphite_tgraph::graph::{EIdx, EdgeId, SegIdx, VIdx};
-    use graphite_tgraph::property::PropValue;
+    use graphite_tgraph::property::{LabelId, PropValue};
 
     fn churny(seed: u64, snapshots: Time) -> GenParams {
         GenParams {
@@ -612,8 +612,9 @@ mod tests {
 
     /// Everything of a graph the public read API shows, copied out.
     fn deep_copy(g: &TemporalGraph) -> Vec<String> {
-        let props = |p: &graphite_tgraph::property::Properties| {
-            p.iter()
+        let props = |entries: Vec<(LabelId, Interval, &PropValue)>| {
+            entries
+                .into_iter()
                 .map(|(l, iv, v)| format!("{:?}={iv:?}:{v:?}", g.labels().name(l)))
                 .collect::<Vec<_>>()
         };
@@ -624,7 +625,7 @@ mod tests {
                 "{:?} {:?} {:?} out {:?} {:?} {:?} in {:?} {:?} {:?}",
                 row.vid,
                 row.lifespan,
-                props(row.props),
+                props(row.props.iter().collect()),
                 out.edges,
                 out.nbr,
                 out.span,
@@ -648,7 +649,7 @@ mod tests {
                 row.src,
                 row.dst,
                 row.lifespan,
-                props(row.props),
+                props(g.edge_props(e).iter().collect()),
                 g.scatter_segments(e)
             ));
         }
@@ -656,8 +657,8 @@ mod tests {
     }
 
     /// An epoch handed out stays what it was: later batches extend and
-    /// re-label entities it shares property rows with, and none of that
-    /// may show through the held `Arc`.
+    /// re-label entities it shares vertex property rows with, and none of
+    /// that may show through the held `Arc`.
     #[test]
     fn a_held_epoch_is_isolated_from_later_batches() {
         let stream = derive_update_stream(&churny(73, 24), 10);

@@ -20,11 +20,12 @@
 //!    columns are byte for byte what a from-scratch assembly of the same
 //!    rows would hold.
 //! 3. **Freeze** — [`DeltaOverlay::freeze`] is a flat clone of the working
-//!    copy: a `memcpy` of the plain columns plus one reference-count bump
-//!    per property row ([`Properties`] is
-//!    copy-on-write), so an epoch shares every property row it did not
-//!    edit with its neighbours. [`DeltaOverlay::compact`] is that clone
-//!    plus a re-derivation of the digest from content, failing with
+//!    copy: a `memcpy` of the plain columns, edge property values included
+//!    (they live in the segment column), plus one reference-count bump per
+//!    vertex property row ([`Properties`] is copy-on-write), so an epoch
+//!    shares every vertex property row it did not edit with its
+//!    neighbours. [`DeltaOverlay::compact`] is that clone plus a
+//!    re-derivation of the digest from content, failing with
 //!    [`GraphError::DigestDrift`] on divergence.
 //!    [`DeltaOverlay::apply_and_freeze`] runs the configured cadence:
 //!    every `compact_every`-th batch is a verifying compaction, the rest
@@ -161,10 +162,11 @@ pub struct DeltaOverlay {
 }
 
 impl DeltaOverlay {
-    /// Takes a working copy of `base` (a flat clone sharing its property
-    /// rows) and indexes its edge ids. `compact_every` sets the verifying
-    /// compaction cadence of [`apply_and_freeze`](Self::apply_and_freeze)
-    /// (`0` = never verify, every freeze is a plain freeze).
+    /// Takes a working copy of `base` (a flat clone sharing its vertex
+    /// property rows) and indexes its edge ids. `compact_every` sets the
+    /// verifying compaction cadence of
+    /// [`apply_and_freeze`](Self::apply_and_freeze) (`0` = never verify,
+    /// every freeze is a plain freeze).
     pub fn new(base: &TemporalGraph, compact_every: u64) -> Self {
         let eid_index = base.edges().map(|(e, row)| (row.eid, e.0)).collect();
         DeltaOverlay {
@@ -227,8 +229,8 @@ impl DeltaOverlay {
     }
 
     /// The current graph as a frozen epoch: a flat clone — `memcpy` of the
-    /// plain columns, a reference-count bump per property row, no re-hash
-    /// and no re-sort.
+    /// plain columns, a reference-count bump per vertex property row, no
+    /// re-hash and no re-sort.
     pub fn freeze(&self) -> TemporalGraph {
         self.graph.clone()
     }
@@ -354,17 +356,25 @@ impl<'a> Txn<'a> {
         })
     }
 
-    /// The edge's row in the write set, copied in on first touch.
+    /// The edge's row in the write set, copied in on first touch, its
+    /// property timelines rebuilt from the segment column for the batch to
+    /// edit.
     fn edge_mut(&mut self, e: u32) -> &mut EdgeData {
         let graph = self.graph;
         self.patch.edges.entry(e).or_insert_with(|| {
             let row = graph.edge(EIdx(e));
+            let mut props = Properties::new();
+            for (label, iv, value) in graph.edge_props(EIdx(e)).iter() {
+                props
+                    .insert(label, iv, value.clone())
+                    .expect("a frozen edge's entries do not overlap");
+            }
             EdgeData {
                 eid: row.eid,
                 src: row.src,
                 dst: row.dst,
                 lifespan: row.lifespan,
-                props: row.props.clone(),
+                props,
             }
         })
     }

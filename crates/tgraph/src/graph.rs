@@ -6,10 +6,11 @@
 //! indices ([`VIdx`], [`EIdx`]) and freezes into a structure-of-arrays
 //! layout at build time:
 //!
-//! * **Entity columns** — per-vertex and per-edge attribute columns
-//!   (`vid`/`eid`, lifespan, properties) indexed by `VIdx`/`EIdx`, where
-//!   `EIdx` is *insertion order* — the order every digest and codec folds
-//!   in, which is what makes the physical layout invisible to them.
+//! * **Entity columns** — per-vertex attribute columns (`vid`, lifespan,
+//!   properties) indexed by `VIdx` and per-edge ones (`eid`, endpoints,
+//!   lifespan) indexed by `EIdx`, where `EIdx` is *insertion order* — the
+//!   order every digest and codec folds in, which is what makes the
+//!   physical layout invisible to them.
 //! * **CSR adjacency** — one contiguous edge-index array per direction
 //!   with per-vertex offsets. Each vertex's run is pre-sorted by edge
 //!   lifespan `(start, end, EIdx)`, and carries *mirror columns* (neighbor
@@ -20,15 +21,17 @@
 //!   so the engine never materializes them per run, with each segment's
 //!   property values frozen beside it ([`segment_values`]): a property
 //!   read at a time-point is the segment containing it, then its values.
+//!   This column is the only store of edge property values; an edge's
+//!   timelines are read back from it in place ([`edge_props`]).
 //!
 //! [`scatter_segments`]: TemporalGraph::scatter_segments
 //! [`segment_values`]: TemporalGraph::segment_values
+//! [`edge_props`]: TemporalGraph::edge_props
 
 mod patch;
 
 pub(crate) use patch::RowPatch;
 
-use crate::iset::IntervalMap;
 use crate::property::{LabelId, LabelInterner, PropValue, Properties};
 use crate::time::{Interval, Time};
 use std::collections::HashMap;
@@ -124,10 +127,10 @@ pub struct VertexRef<'a> {
     pub props: &'a Properties,
 }
 
-/// Read view of one edge, assembled from the graph's columns. The scalars
-/// are copied out; the property timelines stay borrowed from the graph.
+/// Read view of one edge, assembled from the graph's columns; its property
+/// timelines are read through [`TemporalGraph::edge_props`].
 #[derive(Clone, Copy, Debug)]
-pub struct EdgeRef<'a> {
+pub struct EdgeRef {
     /// External identifier.
     pub eid: EdgeId,
     /// Source vertex (internal index).
@@ -136,8 +139,58 @@ pub struct EdgeRef<'a> {
     pub dst: VIdx,
     /// Lifespan `[ts, te)` of the edge.
     pub lifespan: Interval,
-    /// Edge property timelines (`AE`).
-    pub props: &'a Properties,
+}
+
+/// Read view of one edge's property timelines (`AE`): its cells in the
+/// segment column, a row of one cell per label for each of its segments
+/// (`Refiner::refine`). Reads walk the cells in place and allocate nothing.
+#[derive(Clone, Copy, Debug)]
+pub struct EdgeProps<'a> {
+    segs: &'a [Interval],
+    cells: &'a [(LabelId, u32)],
+    values: &'a [PropValue],
+}
+
+impl<'a> EdgeProps<'a> {
+    /// Iterates `(label, interval, value)` over every entry: label by label
+    /// in the edge's label order (the order its labels were first given a
+    /// value), each label's entries in time order.
+    pub fn iter(&self) -> impl Iterator<Item = (LabelId, Interval, &'a PropValue)> + 'a {
+        let EdgeProps {
+            segs,
+            cells,
+            values,
+        } = *self;
+        let width = cells.len() / segs.len().max(1);
+        let cell = move |k: usize, j: usize| cells[k * width + j];
+        (0..width).flat_map(move |j| {
+            (0..segs.len())
+                .filter(move |&k| cell(k, j).1 & ENTRY_START != 0)
+                .map(move |k| {
+                    let (label, start) = cell(k, j);
+                    // The entry runs on while the cells repeat its value
+                    // unmarked; a mark, a gap or the last segment ends it.
+                    let end = (k + 1..segs.len())
+                        .find(|&n| cell(n, j).1 != start & !ENTRY_START)
+                        .unwrap_or(segs.len());
+                    let iv = Interval::new(segs[k].start(), segs[end - 1].end());
+                    (label, iv, &values[(start & !ENTRY_START) as usize])
+                })
+        })
+    }
+
+    /// Total number of `(label, interval, value)` entries.
+    pub fn len(&self) -> usize {
+        self.cells
+            .iter()
+            .filter(|(_, cell)| cell & ENTRY_START != 0)
+            .count()
+    }
+
+    /// `true` when the edge has no property.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
 }
 
 /// One vertex's CSR adjacency run together with its mirror columns, all
@@ -187,16 +240,15 @@ pub struct TemporalGraph {
     e_src: Vec<VIdx>,
     e_dst: Vec<VIdx>,
     e_lifespan: Vec<Interval>,
-    e_props: Vec<Properties>,
     vid_index: HashMap<VertexId, VIdx>,
     // CSR adjacency, one per direction: out-runs mirror `dst`, in-runs
     // mirror `src`.
     out: Adjacency,
     inc: Adjacency,
     // Property-refined scatter segments, one unit per `EIdx`, and the
-    // property values of each, one unit per `SegIdx`: a `(label, id)` per
-    // label with a value there, the id indexing `values`, the distinct
-    // values the column holds.
+    // property values of each, one unit per `SegIdx`: a `(label, cell)` per
+    // label of the edge, in its label order (`Refiner::refine`), the cell
+    // indexing `values`, the distinct values the column holds.
     segs: Pool<Interval>,
     seg_values: Pool<(LabelId, u32)>,
     values: Vec<PropValue>,
@@ -241,8 +293,12 @@ pub(crate) fn mix_str(acc: u64, s: &str) -> u64 {
 
 /// Folds every property entry (resolved label *name* so interning order
 /// cannot matter, interval, tagged value) into `h`.
-pub(crate) fn mix_props(mut h: u64, labels: &LabelInterner, props: &Properties) -> u64 {
-    for (label, iv, value) in props.iter() {
+fn mix_props<'a>(
+    mut h: u64,
+    labels: &LabelInterner,
+    entries: impl Iterator<Item = (LabelId, Interval, &'a PropValue)>,
+) -> u64 {
+    for (label, iv, value) in entries {
         h = mix_str(h, labels.name(label).unwrap_or(""));
         h = mix(h, iv.start() as u64);
         h = mix(h, iv.end() as u64);
@@ -256,43 +312,6 @@ pub(crate) fn mix_props(mut h: u64, labels: &LabelInterner, props: &Properties) 
         };
     }
     h
-}
-
-/// The avalanched hash of one vertex row, keyed by the *external* `vid`
-/// only — never by row position, so a graph's digest is invariant under
-/// entity insertion order (a delta-built graph hashes identically to the
-/// same content built from scratch in any order). Summing these (wrapping)
-/// over all rows gives the digest's vertex section; a single row edit is a
-/// subtract-old / add-new update.
-pub(crate) fn vertex_record_hash(
-    labels: &LabelInterner,
-    vid: VertexId,
-    lifespan: Interval,
-    props: &Properties,
-) -> u64 {
-    let mut h = mix(VERTEX_TAG, vid.0);
-    h = mix(h, lifespan.start() as u64);
-    h = mix(h, lifespan.end() as u64);
-    mix_props(h, labels, props)
-}
-
-/// The avalanched hash of one edge row (endpoints fold by external vertex
-/// id, so the hash is invariant under internal indexing and row position;
-/// `eid` uniqueness keeps the multiset fold injective over records).
-pub(crate) fn edge_record_hash(
-    labels: &LabelInterner,
-    eid: EdgeId,
-    src: VertexId,
-    dst: VertexId,
-    lifespan: Interval,
-    props: &Properties,
-) -> u64 {
-    let mut h = mix(EDGE_TAG, eid.0);
-    h = mix(h, src.0);
-    h = mix(h, dst.0);
-    h = mix(h, lifespan.start() as u64);
-    h = mix(h, lifespan.end() as u64);
-    mix_props(h, labels, props)
 }
 
 /// Combines the entity counts and section accumulators into the final
@@ -438,6 +457,19 @@ impl From<&PropValue> for ValueKey {
     }
 }
 
+/// The cell of a label with no value on a segment. Never marked.
+const GAP: u32 = u32::MAX >> 1;
+/// A cell's mark bit: the label's entry starts on this segment. The other
+/// bits are the value's id in the value table, or [`GAP`].
+const ENTRY_START: u32 = 1 << 31;
+
+/// The value id a cell holds, or `None` for a gap.
+#[inline]
+fn cell_value(cell: u32) -> Option<usize> {
+    let id = cell & !ENTRY_START;
+    (id != GAP).then_some(id as usize)
+}
+
 /// Refines edges into the segment pools, one edge per call, interning the
 /// values it writes into a value table.
 struct Refiner {
@@ -464,8 +496,13 @@ impl Refiner {
     /// overlapping interval of its out-edges having a distinct
     /// property"): the lifespan split at every property boundary. Each
     /// segment's property values, read at its start and so constant
-    /// across it, go to `values` as one unit per segment, each value as
-    /// its id in `table`; a label with no value there is absent.
+    /// across it, go to `values` as one unit per segment: a cell for every
+    /// label of the edge, in its label order, holding the value's id in
+    /// `table` ([`GAP`] where the label has none), marked with
+    /// [`ENTRY_START`] where one of the edge's entries starts. The marks
+    /// keep equal-valued neighbouring entries apart and the fixed label
+    /// order keeps labels that never share a segment in order, so
+    /// [`EdgeProps`] reads back exactly the entries refined here.
     fn refine(
         &mut self,
         life: Interval,
@@ -490,12 +527,22 @@ impl Refiner {
             .filter_map(|iv| iv.intersect(life))
         {
             segs.items.push(seg);
-            for (label, value) in props.values_at(seg.start()) {
-                let id = *self.ids.entry(ValueKey::from(value)).or_insert_with(|| {
-                    table.push(value.clone());
-                    table.len() as u32 - 1
-                });
-                values.items.push((label, id));
+            for label in props.labels() {
+                let cell = props
+                    .entry_at(label, seg.start())
+                    .map_or(GAP, |(iv, value)| {
+                        let id = *self.ids.entry(ValueKey::from(value)).or_insert_with(|| {
+                            table.push(value.clone());
+                            table.len() as u32 - 1
+                        });
+                        assert!(id < GAP, "value table outgrew the cell encoding");
+                        if iv.start() == seg.start() {
+                            id | ENTRY_START
+                        } else {
+                            id
+                        }
+                    });
+                values.items.push((label, cell));
             }
             values.close();
         }
@@ -508,10 +555,10 @@ impl TemporalGraph {
     /// rows are decomposed into columns, CSR adjacency is built with
     /// lifespan-sorted runs and mirror columns, every edge's
     /// property-refined scatter segments are precomputed with their
-    /// property values, and the digest accumulators are folded from the
-    /// content. The builder's path (and the oracle the patch tests
-    /// rebuild through); live updates patch the frozen columns in place
-    /// instead ([`patch`]).
+    /// property values (the edge rows' `props` are not kept), and the
+    /// digest accumulators are folded from the content. The builder's path
+    /// (and the oracle the patch tests rebuild through); live updates
+    /// patch the frozen columns in place instead ([`patch`]).
     pub(crate) fn assemble(
         labels: LabelInterner,
         vertices: Vec<VertexData>,
@@ -537,22 +584,24 @@ impl TemporalGraph {
         let mut e_src = Vec::with_capacity(m);
         let mut e_dst = Vec::with_capacity(m);
         let mut e_lifespan = Vec::with_capacity(m);
-        let mut e_props = Vec::with_capacity(m);
-        for e in edges {
-            e_eid.push(e.eid);
-            e_src.push(e.src);
-            e_dst.push(e.dst);
-            e_lifespan.push(e.lifespan);
-            e_props.push(e.props);
-        }
         // Pooled CSR-style so the common no-property case costs one
         // interval, two offsets and zero extra allocations.
         let mut segs = Pool::with_capacity(m, m);
         let mut seg_values = Pool::with_capacity(m, 0);
         let mut values = Vec::new();
         let mut refiner = Refiner::new(&values);
-        for (life, props) in e_lifespan.iter().zip(&e_props) {
-            refiner.refine(*life, props, &mut segs, &mut seg_values, &mut values);
+        for e in edges {
+            e_eid.push(e.eid);
+            e_src.push(e.src);
+            e_dst.push(e.dst);
+            e_lifespan.push(e.lifespan);
+            refiner.refine(
+                e.lifespan,
+                &e.props,
+                &mut segs,
+                &mut seg_values,
+                &mut values,
+            );
         }
         // Grown by doubling from nothing: give back the slack.
         seg_values.items.shrink_to_fit();
@@ -567,7 +616,6 @@ impl TemporalGraph {
             e_src,
             e_dst,
             e_lifespan,
-            e_props,
             vid_index,
             segs,
             seg_values,
@@ -580,24 +628,30 @@ impl TemporalGraph {
         graph
     }
 
+    /// The avalanched hash of one vertex row, keyed by the *external* `vid`
+    /// only — never by row position, so a graph's digest is invariant under
+    /// entity insertion order (a delta-built graph hashes identically to
+    /// the same content built from scratch in any order). Summing these
+    /// (wrapping) over all rows gives the digest's vertex section; a single
+    /// row edit is a subtract-old / add-new update.
     fn vertex_hash(&self, v: usize) -> u64 {
-        vertex_record_hash(
-            &self.labels,
-            self.v_vid[v],
-            self.v_lifespan[v],
-            &self.v_props[v],
-        )
+        let mut h = mix(VERTEX_TAG, self.v_vid[v].0);
+        h = mix(h, self.v_lifespan[v].start() as u64);
+        h = mix(h, self.v_lifespan[v].end() as u64);
+        mix_props(h, &self.labels, self.v_props[v].iter())
     }
 
+    /// The avalanched hash of one edge row (endpoints fold by external
+    /// vertex id, so the hash is invariant under internal indexing and row
+    /// position; `eid` uniqueness keeps the multiset fold injective over
+    /// records). Its property entries are read from the segment column.
     fn edge_hash(&self, e: usize) -> u64 {
-        edge_record_hash(
-            &self.labels,
-            self.e_eid[e],
-            self.v_vid[self.e_src[e].idx()],
-            self.v_vid[self.e_dst[e].idx()],
-            self.e_lifespan[e],
-            &self.e_props[e],
-        )
+        let mut h = mix(EDGE_TAG, self.e_eid[e].0);
+        h = mix(h, self.v_vid[self.e_src[e].idx()].0);
+        h = mix(h, self.v_vid[self.e_dst[e].idx()].0);
+        h = mix(h, self.e_lifespan[e].start() as u64);
+        h = mix(h, self.e_lifespan[e].end() as u64);
+        mix_props(h, &self.labels, self.edge_props(EIdx(e as u32)).iter())
     }
 
     /// Folds the section accumulators `(vertex sum, edge sum)` from the
@@ -702,14 +756,13 @@ impl TemporalGraph {
 
     /// Read view of the edge at internal index `e`.
     #[inline]
-    pub fn edge(&self, e: EIdx) -> EdgeRef<'_> {
+    pub fn edge(&self, e: EIdx) -> EdgeRef {
         let i = e.idx();
         EdgeRef {
             eid: self.e_eid[i],
             src: self.e_src[i],
             dst: self.e_dst[i],
             lifespan: self.e_lifespan[i],
-            props: &self.e_props[i],
         }
     }
 
@@ -725,13 +778,21 @@ impl TemporalGraph {
         self.e_lifespan[e.idx()]
     }
 
-    /// The property timelines of edge `e`, read straight from the
-    /// property column, skipping the other four edge columns an
-    /// [`EdgeRef`] would touch. Point reads go through
+    /// The property timelines of edge `e`, as a view over its cells in
+    /// the segment column. Point reads go through
     /// [`edge_property_at`](Self::edge_property_at) instead.
     #[inline]
-    pub fn edge_props(&self, e: EIdx) -> &Properties {
-        &self.e_props[e.idx()]
+    pub fn edge_props(&self, e: EIdx) -> EdgeProps<'_> {
+        let segs = self.segs.range(e.idx());
+        let (first, end) = (
+            self.seg_values.offsets[segs.start] as usize,
+            self.seg_values.offsets[segs.end] as usize,
+        );
+        EdgeProps {
+            segs: &self.segs.items[segs],
+            cells: &self.seg_values.items[first..end],
+            values: &self.values,
+        }
     }
 
     /// All internal vertex indices.
@@ -750,7 +811,7 @@ impl TemporalGraph {
     }
 
     /// All edges in index (= insertion) order.
-    pub fn edges(&self) -> impl Iterator<Item = (EIdx, EdgeRef<'_>)> {
+    pub fn edges(&self) -> impl Iterator<Item = (EIdx, EdgeRef)> + '_ {
         (0..self.e_eid.len() as u32).map(|i| (EIdx(i), self.edge(EIdx(i))))
     }
 
@@ -817,17 +878,18 @@ impl TemporalGraph {
         self.seg_values
             .unit(s.idx())
             .iter()
-            .map(|&(label, id)| (label, &self.values[id as usize]))
+            .filter_map(|&(label, cell)| Some((label, &self.values[cell_value(cell)?])))
     }
 
     /// The value of property `label` on scatter segment `s`.
     #[inline]
     pub fn segment_value(&self, s: SegIdx, label: LabelId) -> Option<&PropValue> {
-        self.seg_values
+        let &(_, cell) = self
+            .seg_values
             .unit(s.idx())
             .iter()
-            .find(|(l, _)| *l == label)
-            .map(|&(_, id)| &self.values[id as usize])
+            .find(|(l, _)| *l == label)?;
+        Some(&self.values[cell_value(cell)?])
     }
 
     /// The lifespan length of vertex `v`, clamped to at least 1 so that
@@ -870,7 +932,7 @@ impl TemporalGraph {
         &self,
         v: VIdx,
         window: Interval,
-    ) -> impl Iterator<Item = (EIdx, EdgeRef<'_>)> + '_ {
+    ) -> impl Iterator<Item = (EIdx, EdgeRef)> + '_ {
         let run = self.out_run(v);
         run.span
             .iter()
@@ -878,28 +940,6 @@ impl TemporalGraph {
             .enumerate()
             .filter(move |(_, span)| span.intersects(window))
             .map(move |(i, _)| (run.edges[i], self.edge(run.edges[i])))
-    }
-
-    /// In-edges of `v` whose lifespan intersects `window`. The run is
-    /// start-sorted, so the scan stops at the first edge starting at or
-    /// after the window's end.
-    pub fn in_edges_overlapping(
-        &self,
-        v: VIdx,
-        window: Interval,
-    ) -> impl Iterator<Item = (EIdx, EdgeRef<'_>)> + '_ {
-        let run = self.in_run(v);
-        run.span
-            .iter()
-            .take_while(move |span| span.start() < window.end())
-            .enumerate()
-            .filter(move |(_, span)| span.intersects(window))
-            .map(move |(i, _)| (run.edges[i], self.edge(run.edges[i])))
-    }
-
-    /// The timeline of edge property `label` on edge `e`, or `None`.
-    pub fn edge_property(&self, e: EIdx, label: LabelId) -> Option<&IntervalMap<PropValue>> {
-        self.e_props[e.idx()].timeline(label)
     }
 
     /// Value of edge property `label` on `e` at time `t`: the segment

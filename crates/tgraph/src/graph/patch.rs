@@ -8,14 +8,16 @@
 //! * **entity columns** — new rows append (`VIdx`/`EIdx` stay insertion
 //!   order), edited rows are overwritten;
 //! * **digest accumulators** — subtract the edited rows' old hashes, add
-//!   every patched row's new one: O(patched rows);
+//!   every patched row's new one once the columns hold it: O(patched
+//!   rows);
 //! * **adjacency** — per direction, a lifespan-extended edge is moved
 //!   inside its endpoint's run, then one backward merge pass splices the
 //!   inserted edges into `offsets`/`edges`/`nbr`/`span`;
-//! * **scatter segments and their property values** — recomputed for
-//!   patched edges only, both pools through one `Pool::replace`: overwritten
-//!   in place when no unit changed its item count, one linear re-pack
-//!   otherwise; new edges append at the tail.
+//! * **scatter segments and their property values** — the only store of
+//!   edge property values: the patched edge rows' `props` are refined
+//!   into both pools through one `Pool::replace`, overwritten in place
+//!   when no unit changed its item count, one linear re-pack otherwise;
+//!   new edges append at the tail.
 
 use super::{Adjacency, EIdx, EdgeData, Pool, Refiner, TemporalGraph, VIdx, VertexData};
 use crate::time::{Interval, Time};
@@ -224,37 +226,32 @@ impl TemporalGraph {
         self.lifespan = lifespan.unwrap_or_else(Interval::all);
 
         // Edge columns; remember which old edges changed lifespan.
-        let patched_edges: Vec<u32> = edges.keys().copied().collect();
         let mut extended: Vec<(EIdx, Interval)> = Vec::new();
-        for (e, row) in edges {
+        for (&e, row) in &edges {
             let i = e as usize;
             if i < m_old {
                 if self.e_lifespan[i] != row.lifespan {
                     extended.push((EIdx(e), self.e_lifespan[i]));
                     self.e_lifespan[i] = row.lifespan;
                 }
-                self.e_props[i] = row.props;
             } else {
                 debug_assert_eq!(i, self.e_eid.len(), "appends are contiguous");
                 self.e_eid.push(row.eid);
                 self.e_src.push(row.src);
                 self.e_dst.push(row.dst);
                 self.e_lifespan.push(row.lifespan);
-                self.e_props.push(row.props);
             }
         }
+        self.patch_adjacency(m_old, &extended);
+        self.patch_segments(&edges);
 
         // Digest, second half: every patched row enters with its new hash.
         for &v in &patched_vertices {
             self.digest_v_acc = self.digest_v_acc.wrapping_add(self.vertex_hash(v as usize));
         }
-        for &e in &patched_edges {
+        for &e in edges.keys() {
             self.digest_e_acc = self.digest_e_acc.wrapping_add(self.edge_hash(e as usize));
         }
-
-        self.patch_adjacency(m_old, &extended);
-        let first_new = patched_edges.partition_point(|&e| (e as usize) < m_old);
-        self.patch_segments(&patched_edges[..first_new]);
     }
 
     /// Moves the `extended` edges inside their endpoint runs and splices
@@ -281,10 +278,11 @@ impl TemporalGraph {
         }
     }
 
-    /// Recomputes the scatter segments and segment values of the `edited`
-    /// pre-existing edges (ascending) and appends those of the edges the
-    /// pools do not cover yet.
-    fn patch_segments(&mut self, edited: &[u32]) {
+    /// Refines the patched edge `rows` (the edited pre-existing edges,
+    /// then the appended ones, as the key order has them) into the scatter
+    /// segments and segment values: an edited edge's units are replaced,
+    /// an appended edge's appended.
+    fn patch_segments(&mut self, rows: &BTreeMap<u32, EdgeData>) {
         // Indexing the value table costs O(distinct values), at most the
         // O(V + E) of the freeze that follows; values no longer referenced
         // stay in the table, as retired labels stay in the interner.
@@ -293,15 +291,12 @@ impl TemporalGraph {
         let (m_cov, s_cov) = (self.segs.units(), self.seg_values.units());
         let mut seg_edits = Vec::new();
         let mut value_edits = Vec::new();
-        for e in edited
-            .iter()
-            .map(|&e| e as usize)
-            .chain(m_cov..self.e_eid.len())
-        {
+        for (&e, row) in rows {
+            let e = e as usize;
             let (k, first) = (segs.units(), values.units());
             refiner.refine(
-                self.e_lifespan[e],
-                &self.e_props[e],
+                row.lifespan,
+                &row.props,
                 &mut segs,
                 &mut values,
                 &mut self.values,

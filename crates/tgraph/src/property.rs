@@ -5,10 +5,13 @@
 //! within the entity's lifespan. Labels are interned to compact `LabelId`s
 //! so hot algorithm loops never compare strings.
 //!
-//! An entity's timelines live behind the copy-on-write [`Properties`]
-//! handle: cloning a graph (which is what a live-update freeze is,
-//! `crate::delta`) copies one pointer per entity, and only the entities a
-//! batch edits get a row of their own.
+//! An entity's timelines are staged in a [`Properties`] row: the builder's
+//! and the delta write set's shape for vertices and edges alike. The frozen
+//! graph keeps only vertex rows, behind the copy-on-write handle: cloning a
+//! graph (which is what a live-update freeze is, `crate::delta`) copies one
+//! pointer per vertex, and only the vertices a batch edits get a row of
+//! their own. Edge rows are refined into the graph's segment column, which
+//! is their only store (`crate::graph`).
 
 use crate::iset::{IntervalMap, OverlapError};
 use crate::time::{Interval, Time};
@@ -170,8 +173,8 @@ type Timeline = (LabelId, IntervalMap<PropValue>);
 /// The handle is **copy-on-write**: an entity's timelines are one shared
 /// allocation (`Arc<[Timeline]>`, the slice stored inline behind the
 /// reference counts), so `clone` is a pointer copy and a live-updated graph
-/// shares every row it has not edited with the epochs frozen before it
-/// (DESIGN.md §§16.1, 17.1). An edit goes through `Arc::make_mut` — in
+/// shares every vertex row it has not edited with the epochs frozen before
+/// it (DESIGN.md §§16.1, 17.1). An edit goes through `Arc::make_mut` — in
 /// place while the row is unshared (the builder's case), one row copy
 /// otherwise. An entity without properties holds no allocation at all.
 /// Reads take the same two hops as a plain `Vec` of timelines would:
@@ -248,12 +251,9 @@ impl Properties {
         self.timeline(label)?.value_at(t)
     }
 
-    /// The value of every label that has one at time-point `t`, in label
-    /// order.
-    pub fn values_at(&self, t: Time) -> impl Iterator<Item = (LabelId, &PropValue)> + '_ {
-        self.rows()
-            .iter()
-            .filter_map(move |(l, tl)| tl.value_at(t).map(|v| (*l, v)))
+    /// The entry of `label` containing time-point `t`, with its interval.
+    pub(crate) fn entry_at(&self, label: LabelId, t: Time) -> Option<(Interval, &PropValue)> {
+        self.timeline(label)?.entry_at(t)
     }
 
     /// Iterates `(label, interval, value)` over all timelines.

@@ -56,13 +56,6 @@ impl SplitMix64 {
         }
     }
 
-    /// A uniform `u64` in the half-open range `[lo, hi)`.
-    #[inline]
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        lo + self.bounded(hi - lo)
-    }
-
     /// A uniform `i64` in the half-open range `[lo, hi)`.
     #[inline]
     pub fn range_i64(&mut self, lo: i64, hi: i64) -> i64 {

@@ -37,9 +37,9 @@ pub fn snapshot_window(graph: &TemporalGraph) -> Option<Interval> {
             feed(iv);
         }
     }
-    for (_, e) in graph.edges() {
+    for (ei, e) in graph.edges() {
         feed(e.lifespan);
-        for (_, iv, _) in e.props.iter() {
+        for (_, iv, _) in graph.edge_props(ei).iter() {
             feed(iv);
         }
     }

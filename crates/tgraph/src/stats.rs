@@ -65,9 +65,9 @@ pub fn dataset_stats(graph: &TemporalGraph, transform: Option<&TransformOptions>
         }
     }
     let mut e_life = 0i64;
-    for (_, e) in graph.edges() {
+    for (ei, e) in graph.edges() {
         e_life += clip(e.lifespan);
-        for (_, iv, _) in e.props.iter() {
+        for (_, iv, _) in graph.edge_props(ei).iter() {
             prop_life += clip(iv);
             prop_count += 1;
         }
@@ -197,7 +197,11 @@ pub fn memory_footprint(
     let props: u64 = graph
         .vertices()
         .map(|(_, v)| v.props.len() as u64)
-        .chain(graph.edges().map(|(_, e)| e.props.len() as u64))
+        .chain(
+            graph
+                .edge_indices()
+                .map(|e| graph.edge_props(e).len() as u64),
+        )
         .sum();
     let interval_bytes = stats.interval.vertices * VERTEX_COST
         + stats.interval.edges * EDGE_COST

@@ -126,11 +126,6 @@ impl TransformedGraph {
         let e = self.replica_runs[v.idx() + 1];
         (s..e).map(move |r| (r, self.replicas[r as usize].1))
     }
-
-    /// The earliest replica of `v` at or after time `t`, if any.
-    pub fn first_replica_at_or_after(&self, v: VIdx, t: Time) -> Option<(u32, Time)> {
-        self.replicas_of(v).find(|&(_, rt)| rt >= t)
-    }
 }
 
 /// Builds the time-expanded graph for path algorithms.
@@ -253,15 +248,6 @@ pub fn transform_for_paths(graph: &TemporalGraph, opts: &TransformOptions) -> Tr
         rev_offsets,
         rev_edges,
     }
-}
-
-/// Parameters of the example in the paper's Fig. 1(b): the transit network's
-/// transformed graph has 21 vertex replicas and 27 edges when counting
-/// vertex visits/traversals for SSSP. We expose the raw counts so tests can
-/// compare orders of magnitude rather than the exact drawing.
-pub fn transformed_size(graph: &TemporalGraph, opts: &TransformOptions) -> (usize, usize) {
-    let tg = transform_for_paths(graph, opts);
-    (tg.num_vertices(), tg.num_edges())
 }
 
 /// Internal guard: `Time::MIN` would wrap under `t + travel_time`. The

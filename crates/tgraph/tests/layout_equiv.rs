@@ -11,7 +11,7 @@
 use graphite_tgraph::builder::TemporalGraphBuilder;
 use graphite_tgraph::delta::{DeltaOverlay, GraphDelta};
 use graphite_tgraph::graph::{EIdx, EdgeId, SegIdx, TemporalGraph, VertexId};
-use graphite_tgraph::property::{PropValue, Properties};
+use graphite_tgraph::property::{LabelId, PropValue};
 use graphite_tgraph::time::Interval;
 
 /// splitmix64: the repo's standard seeded generator (DESIGN.md §10).
@@ -688,10 +688,9 @@ impl Model {
 /// depend on interning order, which a rebuild need not reproduce).
 fn named_props<'a>(
     g: &'a TemporalGraph,
-    props: &'a Properties,
+    entries: impl Iterator<Item = (LabelId, Interval, &'a PropValue)>,
 ) -> Vec<(&'a str, Interval, &'a PropValue)> {
-    props
-        .iter()
+    entries
         .map(|(l, iv, v)| (g.labels().name(l).unwrap(), iv, v))
         .collect()
 }
@@ -727,8 +726,8 @@ fn assert_same_graph(got: &TemporalGraph, want: &TemporalGraph, ctx: &str) {
         let (a, b) = (got.vertex(v), want.vertex(v));
         assert_eq!((a.vid, a.lifespan), (b.vid, b.lifespan), "{ctx}: {v:?} row");
         assert_eq!(
-            named_props(got, a.props),
-            named_props(want, b.props),
+            named_props(got, a.props.iter()),
+            named_props(want, b.props.iter()),
             "{ctx}: {v:?} properties"
         );
         assert_eq!(got.vertex_index(a.vid), Some(v), "{ctx}: {v:?} vid index");
@@ -754,8 +753,8 @@ fn assert_same_graph(got: &TemporalGraph, want: &TemporalGraph, ctx: &str) {
             "{ctx}: {e:?} row"
         );
         assert_eq!(
-            named_props(got, a.props),
-            named_props(want, b.props),
+            named_props(got, got.edge_props(e).iter()),
+            named_props(want, want.edge_props(e).iter()),
             "{ctx}: {e:?} properties"
         );
         assert_eq!(
@@ -902,4 +901,125 @@ fn a_rejected_batch_leaves_the_overlay_untouched() {
         overlay.edge_endpoints(EdgeId(9000)),
         Some((VertexId(900), VertexId(900)))
     );
+}
+
+/// The edge property entries `(eid, label, interval, value)` of
+/// [`property_hazards`], in the order the builder receives them.
+fn property_hazard_entries() -> Vec<(u64, &'static str, Interval, PropValue)> {
+    let iv = Interval::new;
+    vec![
+        // Two adjacent entries of `b` with equal values, and `b` absent
+        // over [8, 10).
+        (1, "b", iv(0, 4), PropValue::Long(5)),
+        (1, "b", iv(4, 8), PropValue::Long(5)),
+        (1, "c", iv(2, 6), PropValue::Double(1.5)),
+        // `a`, interned after `b`, leads this edge's labels, and the two
+        // never share a segment.
+        (2, "a", iv(0, 2), PropValue::Long(1)),
+        (2, "b", iv(2, 4), PropValue::Long(1)),
+        // A gap over [4, 6), then an entry that never ends.
+        (3, "a", iv(2, 4), PropValue::Bool(true)),
+        (
+            3,
+            "a",
+            Interval::from_start(6),
+            PropValue::Text("open end".into()),
+        ),
+    ]
+}
+
+/// A graph whose edge property layout holds each case the structure
+/// digest must carry exactly: adjacent equal-valued entries, an edge whose
+/// labels are not in interning order and never overlap, gapped timelines,
+/// and open-ended lifespans and entries. `io.rs` holds the same graph as
+/// `.tg` text.
+fn property_hazards() -> TemporalGraph {
+    let open = Interval::from_start;
+    let mut b = TemporalGraphBuilder::new();
+    for (vid, life) in [(1, Interval::new(0, 12)), (2, open(0)), (3, open(1))] {
+        b.add_vertex(VertexId(vid), life).expect("fresh vertex");
+    }
+    for (eid, src, dst, life) in [
+        (1, 1, 2, Interval::new(0, 10)),
+        (2, 2, 1, Interval::new(0, 6)),
+        (3, 2, 3, open(2)),
+    ] {
+        b.add_edge(EdgeId(eid), VertexId(src), VertexId(dst), life)
+            .expect("valid edge");
+    }
+    for (eid, label, iv, value) in property_hazard_entries() {
+        b.edge_property(EdgeId(eid), label, iv, value)
+            .expect("valid entry");
+    }
+    b.build().expect("sound fixture")
+}
+
+/// The structure digest of `property_hazards`, however it is
+/// built. Pinned before edge property values moved to the segment column:
+/// the column must keep each entry's boundaries and each edge's label order
+/// for the digest to hold.
+const PROPERTY_HAZARDS_DIGEST: u64 = 0xf779_8907_3606_c994;
+
+#[test]
+fn property_hazards_keep_their_digest_through_builder_and_deltas() {
+    use graphite_tgraph::time::TIME_MAX;
+    let built = property_hazards();
+
+    // The same content through three batches: an edge and its entries
+    // extended, the rest inserted, the open-ended entry reached by an
+    // extension to the end of time.
+    let mut b = TemporalGraphBuilder::new();
+    b.add_vertex(VertexId(1), Interval::new(0, 12)).unwrap();
+    b.add_vertex(VertexId(2), Interval::from_start(0)).unwrap();
+    b.add_edge(EdgeId(1), VertexId(1), VertexId(2), Interval::new(0, 6))
+        .unwrap();
+    b.edge_property(EdgeId(1), "b", Interval::new(0, 4), PropValue::Long(5))
+        .unwrap();
+    b.edge_property(EdgeId(1), "c", Interval::new(2, 5), PropValue::Double(1.5))
+        .unwrap();
+    let mut overlay = DeltaOverlay::new(&b.build().unwrap(), 1);
+    let mut d1 = GraphDelta::new();
+    d1.insert_vertex(VertexId(3), Interval::from_start(1));
+    d1.extend_edge(EdgeId(1), 10);
+    d1.extend_edge_property(EdgeId(1), "c", 6);
+    d1.edge_property(EdgeId(1), "b", Interval::new(4, 8), PropValue::Long(5));
+    d1.insert_edge(EdgeId(2), VertexId(2), VertexId(1), Interval::new(0, 6));
+    d1.edge_property(EdgeId(2), "a", Interval::new(0, 2), PropValue::Long(1));
+    d1.edge_property(EdgeId(2), "b", Interval::new(2, 4), PropValue::Long(1));
+    d1.insert_edge(EdgeId(3), VertexId(2), VertexId(3), Interval::from_start(2));
+    d1.edge_property(EdgeId(3), "a", Interval::new(2, 4), PropValue::Bool(true));
+    let mut d2 = GraphDelta::new();
+    let open = PropValue::Text("open end".into());
+    d2.edge_property(EdgeId(3), "a", Interval::new(6, 9), open);
+    let mut d3 = GraphDelta::new();
+    d3.extend_edge_property(EdgeId(3), "a", TIME_MAX);
+    for d in [&d1, &d2] {
+        overlay.apply_and_freeze(d).unwrap();
+    }
+    let streamed = overlay.apply_and_freeze(&d3).unwrap();
+
+    for (g, path) in [(&built, "builder"), (&streamed, "deltas")] {
+        assert_eq!(g.structure_digest(), PROPERTY_HAZARDS_DIGEST, "{path}");
+        assert_eq!(g.content_digest(), g.structure_digest(), "{path}");
+        // The read view hands back every entry as it went in.
+        let mut want = property_hazard_entries().into_iter();
+        for e in g.edge_indices() {
+            let eid = g.edge(e).eid.0;
+            for (label, iv, value) in g.edge_props(e).iter() {
+                let (id, name, w_iv, w_value) = want.next().expect("no extra entry");
+                assert_eq!((eid, g.labels().name(label), iv), (id, Some(name), w_iv));
+                assert!(same_bits(value, &w_value), "{path} edge {eid}: {value:?}");
+            }
+        }
+        assert!(want.next().is_none(), "{path}: an entry went missing");
+    }
+    assert_same_graph(&streamed, &built, "property hazards");
+}
+
+/// Bit-for-bit value equality (a `Double` compares by its bits).
+fn same_bits(a: &PropValue, b: &PropValue) -> bool {
+    match (a, b) {
+        (PropValue::Double(x), PropValue::Double(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
 }

@@ -1,16 +1,18 @@
-//! The segment-value column against the property timelines it is frozen
-//! from (DESIGN.md §16.1).
+//! The segment-value column against the property rows it is frozen from
+//! (DESIGN.md §16.1).
 //!
 //! Every scatter segment carries the values its edge's labels hold at the
 //! segment's start. The property boundaries refine the segments, so those
-//! values must hold at every point of the segment. `edge_property_at`
-//! reads the same column, so it must answer every point query as the
-//! timeline read `Properties::value_at` does. Graphs are seeded and carry
-//! gapped timelines, all four value kinds, several labels per edge and
-//! unbounded lifespans.
+//! values must hold at every point of the segment. `edge_property_at` and
+//! `edge_props` read the same column, so they must answer every point
+//! query, and list every entry, as the rows handed to the builder do. The
+//! column is the only store of edge property values, so the reference is
+//! those rows, kept beside the graph. Graphs are seeded and carry gapped
+//! timelines, all four value kinds, several labels per edge and unbounded
+//! lifespans.
 
 use graphite_tgraph::builder::TemporalGraphBuilder;
-use graphite_tgraph::graph::{EIdx, EdgeId, SegIdx, TemporalGraph, VertexId};
+use graphite_tgraph::graph::{EdgeId, SegIdx, TemporalGraph, VertexId};
 use graphite_tgraph::property::{LabelId, PropValue};
 use graphite_tgraph::rng::SplitMix64;
 use graphite_tgraph::time::{Interval, Time, TIME_MAX, TIME_MIN};
@@ -70,7 +72,11 @@ fn timeline(rng: &mut SplitMix64, life: Interval, kind: usize) -> Vec<(Interval,
     entries
 }
 
-fn random_graph(seed: u64) -> TemporalGraph {
+/// Each edge's property rows `(label, interval, value)` in the order the
+/// builder received them, indexed by `EIdx`.
+type Rows = Vec<Vec<(&'static str, Interval, PropValue)>>;
+
+fn random_graph(seed: u64) -> (TemporalGraph, Rows) {
     let mut rng = SplitMix64::new(seed);
     let mut b = TemporalGraphBuilder::new();
     let n = 24;
@@ -86,6 +92,7 @@ fn random_graph(seed: u64) -> TemporalGraph {
         lifespans.push(life);
     }
     let mut eid = 0;
+    let mut rows = Rows::new();
     for _ in 0..200 {
         let (s, d) = (rng.index(n as usize), rng.index(n as usize));
         let Some(shared) = lifespans[s].intersect(lifespans[d]) else {
@@ -97,17 +104,20 @@ fn random_graph(seed: u64) -> TemporalGraph {
         let life = lifespan(&mut rng, shared);
         b.add_edge(EdgeId(eid), VertexId(s as u64), VertexId(d as u64), life)
             .unwrap();
+        let mut row = Vec::new();
         for (kind, label) in LABELS.iter().enumerate() {
             if rng.bounded(3) == 0 {
                 continue;
             }
             for (iv, v) in timeline(&mut rng, life, kind) {
-                b.edge_property(EdgeId(eid), label, iv, v).unwrap();
+                b.edge_property(EdgeId(eid), label, iv, v.clone()).unwrap();
+                row.push((*label, iv, v));
             }
         }
+        rows.push(row);
         eid += 1;
     }
-    b.build().unwrap()
+    (b.build().unwrap(), rows)
 }
 
 /// A value compared bit for bit (`PropValue`'s `==` has `0.0 == -0.0`).
@@ -115,12 +125,37 @@ fn exact(value: &PropValue) -> String {
     format!("{value:?}")
 }
 
-/// What the timelines say edge `e` holds at `t`, label by label.
-fn timeline_values(g: &TemporalGraph, e: EIdx, t: Time) -> Vec<(LabelId, String)> {
-    let props = g.edge_props(e);
-    props
-        .labels()
-        .filter_map(|l| props.value_at(l, t).map(|v| (l, exact(v))))
+/// The labels of `row`, in the order they first appear.
+fn row_labels(row: &[(&'static str, Interval, PropValue)]) -> Vec<&'static str> {
+    let mut labels: Vec<&str> = Vec::new();
+    for (label, ..) in row {
+        if !labels.contains(label) {
+            labels.push(label);
+        }
+    }
+    labels
+}
+
+/// What `row` says its label `label` holds at `t`.
+fn row_value<'a>(
+    row: &'a [(&'static str, Interval, PropValue)],
+    label: &str,
+    t: Time,
+) -> Option<&'a PropValue> {
+    row.iter()
+        .find(|(l, iv, _)| *l == label && iv.contains_point(t))
+        .map(|(.., v)| v)
+}
+
+/// What an edge's input `row` says it holds at `t`, label by label.
+fn timeline_values(
+    g: &TemporalGraph,
+    row: &[(&'static str, Interval, PropValue)],
+    t: Time,
+) -> Vec<(LabelId, String)> {
+    row_labels(row)
+        .into_iter()
+        .filter_map(|l| row_value(row, l, t).map(|v| (g.label(l).unwrap(), exact(v))))
         .collect()
 }
 
@@ -139,9 +174,22 @@ fn every_segment_holds_its_timeline_values_at_every_point() {
     let mut seen = [0usize; 4]; // labelled segments per kind
     let (mut open, mut gaps, mut multi) = (0, 0, 0);
     for seed in SEEDS {
-        let g = random_graph(seed);
+        let (g, rows) = random_graph(seed);
         assert!(g.num_edges() > 100, "seed {seed}: too few edges");
         for e in g.edge_indices() {
+            let row = &rows[e.idx()];
+            // The entries read back from the column are the input rows,
+            // entry for entry.
+            let read: Vec<(&str, Interval, String)> = g
+                .edge_props(e)
+                .iter()
+                .map(|(l, iv, v)| (g.labels().name(l).unwrap(), iv, exact(v)))
+                .collect();
+            let fed: Vec<(&str, Interval, String)> =
+                row.iter().map(|(l, iv, v)| (*l, *iv, exact(v))).collect();
+            assert_eq!(read, fed, "seed {seed}: edge {e:?} entries");
+            assert_eq!(g.edge_props(e).len(), fed.len());
+            assert_eq!(g.edge_props(e).is_empty(), fed.is_empty());
             let segs = g.scatter_segments(e);
             let first = g.first_segment(e);
             for (k, &seg) in segs.iter().enumerate() {
@@ -149,12 +197,12 @@ fn every_segment_holds_its_timeline_values_at_every_point() {
                 let column: Vec<(LabelId, String)> =
                     g.segment_values(s).map(|(l, v)| (l, exact(v))).collect();
                 open += usize::from(seg.start() == TIME_MIN || seg.end() == TIME_MAX);
-                gaps += usize::from(column.len() < g.edge_props(e).labels().count());
+                gaps += usize::from(column.len() < row_labels(row).len());
                 multi += usize::from(column.len() > 1);
                 for t in probe_points(seg) {
                     assert_eq!(
                         column,
-                        timeline_values(&g, e, t),
+                        timeline_values(&g, row, t),
                         "seed {seed}: edge {e:?} segment {seg} at {t}"
                     );
                     assert_eq!(g.segment_at(e, t), Some(s), "seed {seed}: {e:?} at {t}");
@@ -177,7 +225,7 @@ fn every_segment_holds_its_timeline_values_at_every_point() {
 #[test]
 fn edge_property_at_equals_the_timeline_read() {
     for seed in SEEDS {
-        let g = random_graph(seed);
+        let (g, rows) = random_graph(seed);
         let labels: Vec<LabelId> = LABELS.iter().filter_map(|n| g.label(n)).collect();
         assert_eq!(labels.len(), LABELS.len());
         for e in g.edge_indices() {
@@ -192,7 +240,7 @@ fn edge_property_at_equals_the_timeline_read() {
                 for &label in &labels {
                     assert_eq!(
                         g.edge_property_at(e, label, t).map(exact),
-                        g.edge_props(e).value_at(label, t).map(exact),
+                        row_value(&rows[e.idx()], g.labels().name(label).unwrap(), t).map(exact),
                         "seed {seed}: edge {e:?} {label:?} at {t}"
                     );
                 }
