@@ -49,22 +49,26 @@ fn graphs() -> [(&'static str, Arc<TemporalGraph>); 3] {
     ]
 }
 
-/// Runs `program` under GoFFish with the registry's parameters and
-/// returns `hash compute_calls messages_sent`.
-fn pin<P: GofProgram>(graph: &Arc<TemporalGraph>, params: &IcmParams, program: P) -> String
-where
-    P::State: Debug,
-{
-    let config = GofConfig {
-        workers: 2,
+/// The registry's GoFFish configuration for `params`, on `workers` workers.
+fn config(params: &IcmParams, workers: usize) -> GofConfig {
+    GofConfig {
+        workers,
         weights: EdgeWeights {
             w1: params.labels.travel_cost,
             w2: params.labels.travel_time,
         },
         window: Some(params.window),
         ..Default::default()
-    };
-    let r = run_goffish(Arc::clone(graph), Arc::new(program), &config).expect("GoFFish run");
+    }
+}
+
+/// Runs `program` under GoFFish with `config` and returns `hash
+/// compute_calls messages_sent`.
+fn pin<P: GofProgram>(graph: &Arc<TemporalGraph>, config: &GofConfig, program: P) -> String
+where
+    P::State: Debug,
+{
+    let r = run_goffish(Arc::clone(graph), Arc::new(program), config).expect("GoFFish run");
     let mut h = Fnv::new();
     for (t, states) in &r.per_snapshot {
         h.feed(&t.to_le_bytes());
@@ -80,10 +84,11 @@ where
 }
 
 /// `graph algo hash compute_calls messages_sent`, one row per cell.
-fn rows() -> Vec<String> {
+fn rows(workers: usize) -> Vec<String> {
     let mut rows = Vec::new();
     for (name, graph) in graphs() {
         let params = IcmParams::resolve(&graph, None, 1, None);
+        let config = config(&params, workers);
         let IcmParams {
             source,
             start,
@@ -91,17 +96,17 @@ fn rows() -> Vec<String> {
             ..
         } = params;
         let cells = [
-            ("SSSP", pin(&graph, &params, gof_paths::GofSssp { source })),
+            ("SSSP", pin(&graph, &config, gof_paths::GofSssp { source })),
             (
                 "EAT",
-                pin(&graph, &params, gof_paths::GofEat { source, start }),
+                pin(&graph, &config, gof_paths::GofEat { source, start }),
             ),
-            ("FAST", pin(&graph, &params, gof_paths::GofFast { source })),
+            ("FAST", pin(&graph, &config, gof_paths::GofFast { source })),
             (
                 "LD",
                 pin(
                     &graph,
-                    &params,
+                    &config,
                     gof_paths::GofLd {
                         target: source,
                         deadline,
@@ -110,14 +115,14 @@ fn rows() -> Vec<String> {
             ),
             (
                 "TMST",
-                pin(&graph, &params, gof_paths::GofTmst { source, start }),
+                pin(&graph, &config, gof_paths::GofTmst { source, start }),
             ),
             (
                 "RH",
-                pin(&graph, &params, gof_paths::GofReach { source, start }),
+                pin(&graph, &config, gof_paths::GofReach { source, start }),
             ),
-            ("LCC", pin(&graph, &params, gof_cluster::GofLcc)),
-            ("TC", pin(&graph, &params, gof_cluster::GofTc)),
+            ("LCC", pin(&graph, &config, gof_cluster::GofLcc)),
+            ("TC", pin(&graph, &config, gof_cluster::GofTc)),
         ];
         for (algo, pinned) in cells {
             rows.push(format!("{name} {algo} {pinned}"));
@@ -154,7 +159,10 @@ const PINNED: &[&str] = &[
     "twitter/8 TC 0x441638b89132f251 10470 521450",
 ];
 
+/// The states and counts do not depend on which worker owns a vertex.
 #[test]
 fn goffish_per_snapshot_states_match_the_pins() {
-    assert_eq!(rows(), PINNED);
+    for workers in [1, 2, 3] {
+        assert_eq!(rows(workers), PINNED, "workers={workers}");
+    }
 }

@@ -38,9 +38,9 @@ fn graphs() -> [(&'static str, Arc<TemporalGraph>); 2] {
     ]
 }
 
-fn opts() -> RunOpts {
+fn opts(workers: usize) -> RunOpts {
     RunOpts {
-        workers: 2,
+        workers,
         start: 1,
         ..RunOpts::default()
     }
@@ -48,13 +48,13 @@ fn opts() -> RunOpts {
 
 /// One row per supported cell, in `graphs() × Algo::ALL × Platform::ALL`
 /// order: `graph algo platform digest supersteps compute_calls
-/// scatter_calls messages_sent`.
-fn matrix() -> Vec<String> {
+/// scatter_calls messages_sent`, run on `workers` workers.
+fn matrix(workers: usize) -> Vec<String> {
     let mut rows = Vec::new();
     for (name, graph) in graphs() {
         for algo in Algo::ALL {
             for platform in Platform::ALL {
-                let outcome = match try_run(algo, platform, &graph, None, &opts()) {
+                let outcome = match try_run(algo, platform, &graph, None, &opts(workers)) {
                     Ok(outcome) => outcome,
                     Err(RunError::Unsupported(_)) => {
                         assert!(!platform.supports(algo), "{algo:?} on {platform:?}");
@@ -82,23 +82,27 @@ fn matrix() -> Vec<String> {
     rows
 }
 
+/// Every row holds at every worker count: placement changes which worker
+/// owns a vertex, never a digest or a count.
 #[test]
 fn every_supported_cell_reproduces_its_pinned_row() {
-    let actual = matrix();
     let pinned: Vec<&str> = PINNED.lines().collect();
-    assert_eq!(
-        actual.len(),
-        2 * 34,
-        "34 supported cells per graph (12 ICM, 4+4 TI, 6 TGB, 8 GoFFish)"
-    );
-    assert_eq!(
-        actual,
-        pinned,
-        "registry matrix drifted; actual rows:\n{}",
-        actual.join("\n")
-    );
-    let undigested = actual.iter().filter(|r| r.contains(" none ")).count();
-    assert_eq!(undigested, 2 * 9, "cells without a digest");
+    for workers in [1, 2, 3] {
+        let actual = matrix(workers);
+        assert_eq!(
+            actual.len(),
+            2 * 34,
+            "34 supported cells per graph (12 ICM, 4+4 TI, 6 TGB, 8 GoFFish)"
+        );
+        assert_eq!(
+            actual,
+            pinned,
+            "registry matrix drifted at {workers} worker(s); actual rows:\n{}",
+            actual.join("\n")
+        );
+        let undigested = actual.iter().filter(|r| r.contains(" none ")).count();
+        assert_eq!(undigested, 2 * 9, "cells without a digest");
+    }
 }
 
 /// Every spelling the CLI and the serve batch format accept, against the

@@ -9,7 +9,7 @@
 //! paper observes on Twitter with 5 batches).
 
 use crate::topology::{run_ti_window, EdgeWeights, SnapshotResult, SnapshotTopology};
-use crate::vcm::{VcmContext, VcmProgram};
+use crate::vcm::{combine_push, StateTable, VcmContext, VcmProgram};
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::engine::{keep_alive, run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
@@ -53,23 +53,48 @@ impl Default for ChlConfig {
 /// applies to every snapshot offset in `[lo, hi)` of the current batch.
 type ChlMsg<M> = (u32, u32, u32, M);
 
+/// One BSP worker of a Chlonos batch. Its states sit in a [`StateTable`]
+/// with one slot per (owned vertex, batch offset); every per-vertex list
+/// is a worker-owned buffer cleared per vertex, so a steady superstep
+/// allocates nothing.
 struct ChlWorker<P: VcmProgram> {
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
-    owned: Vec<u32>,
     /// The batch's snapshots, one per offset, shared by every worker.
     snapshots: Arc<[SnapshotTopology]>,
     batch_start: Time,
-    batch_len: usize,
-    states: HashMap<u32, Vec<Option<P::State>>>,
+    table: StateTable<P::State>,
+    /// The current vertex's combined messages, one list per offset.
+    per_off: Vec<Vec<P::Msg>>,
+    /// The current offset's sends, before the interval merge.
+    sends: Vec<(u32, P::Msg)>,
+    /// Interval messages `(target, lo, hi, payload)` still being extended,
+    /// and their successor list while an offset is merged.
+    open: Vec<ChlMsg<P::Msg>>,
+    next_open: Vec<ChlMsg<P::Msg>>,
 }
 
 impl<P: VcmProgram> ChlWorker<P>
 where
     P::Msg: PartialEq,
 {
-    /// Runs compute for every applicable snapshot offset of vertex `v`,
-    /// then merges per-offset sends into interval messages.
+    /// Unpacks `raw` interval messages into the per-offset lists, folding
+    /// each offset's messages in arrival order.
+    fn unpack(&mut self, raw: &[ChlMsg<P::Msg>]) {
+        self.per_off.iter_mut().for_each(Vec::clear);
+        let batch_len = self.per_off.len() as u32;
+        for (_, lo, hi, m) in raw {
+            for off in *lo..(*hi).min(batch_len) {
+                combine_push(&mut self.per_off[off as usize], m, |a, b| {
+                    self.program.combine(a, b)
+                });
+            }
+        }
+    }
+
+    /// Runs compute for every applicable snapshot offset of vertex `v` on
+    /// the unpacked messages, merging each offset's sends into interval
+    /// messages as it goes.
     #[expect(
         clippy::too_many_arguments,
         reason = "the worker's superstep context, passed through per vertex"
@@ -79,7 +104,6 @@ where
         v: u32,
         step: u64,
         all_active: bool,
-        per_off: &[Vec<P::Msg>],
         outbox: &mut Outbox<ChlMsg<P::Msg>>,
         globals: &Aggregators,
         partial: &mut Aggregators,
@@ -87,79 +111,61 @@ where
     ) {
         let vid = self.graph.vertex(VIdx(v)).vid;
         let lifespan = self.graph.vertex(VIdx(v)).lifespan;
-        let mut sends_per_off: Vec<Vec<(u32, P::Msg)>> = vec![Vec::new(); self.batch_len];
-        for off in 0..self.batch_len {
-            let t = self.batch_start + off as Time;
-            if !lifespan.contains_point(t) {
-                continue;
+        for off in 0..self.per_off.len() {
+            let msgs = &self.per_off[off];
+            // A replica outside the lifespan, or idle at this offset,
+            // does not compute; its offset still closes runs below.
+            let computes = lifespan.contains_point(self.batch_start + off as Time)
+                && (step == 1 || all_active || !msgs.is_empty());
+            if computes {
+                let state = self
+                    .table
+                    .slot(v, off)
+                    .get_or_insert_with(|| self.program.init(v, vid));
+                let snapshot = &self.snapshots[off];
+                let mut ctx = VcmContext {
+                    vertex: v,
+                    vid,
+                    superstep: step,
+                    out_edges: snapshot.out_slice(v),
+                    in_edges: if self.program.needs_in_edges() {
+                        snapshot.in_slice(v)
+                    } else {
+                        &[]
+                    },
+                    globals,
+                    partial,
+                    sends: &mut self.sends,
+                };
+                counters.compute_calls += 1;
+                self.program.compute(&mut ctx, state, msgs);
             }
-            let msgs = &per_off[off];
-            if step > 1 && msgs.is_empty() && !all_active {
-                continue; // this snapshot's replica of v is inactive
-            }
-            {
-                let batch_len = self.batch_len;
-                let program = &self.program;
-                let slot = self
-                    .states
-                    .entry(v)
-                    .or_insert_with(|| vec![None; batch_len]);
-                if slot[off].is_none() {
-                    slot[off] = Some(program.init(v, vid));
-                }
-            }
-            let snapshot = &self.snapshots[off];
-            let in_edges = if self.program.needs_in_edges() {
-                snapshot.in_slice(v)
-            } else {
-                &[]
-            };
-            let state = self.states.get_mut(&v).expect("inserted above")[off]
-                .as_mut()
-                .expect("initialized above");
-            let mut sends: Vec<(u32, P::Msg)> = Vec::new();
-            let mut ctx = VcmContext {
-                vertex: v,
-                vid,
-                superstep: step,
-                out_edges: snapshot.out_slice(v),
-                in_edges,
-                globals,
-                partial,
-                sends: &mut sends,
-            };
-            counters.compute_calls += 1;
-            self.program.compute(&mut ctx, state, msgs);
-            sends_per_off[off] = sends;
-        }
-        // Merge identical payloads to the same target across adjacent
-        // snapshot offsets into one interval message (the Chronos trick).
-        let mut open: Vec<(u32, u32, u32, P::Msg)> = Vec::new(); // target, lo, hi, payload
-        for (off, sends) in sends_per_off.into_iter().enumerate() {
+            // Merge identical payloads to the same target across adjacent
+            // snapshot offsets into one interval message (the Chronos
+            // trick): each open run, in order, absorbs the first equal
+            // send of this offset or is flushed; the sends left over open
+            // new runs, in send order.
             let off = off as u32;
-            // Close runs that were not extended to this offset.
-            let mut still_open = Vec::with_capacity(open.len());
-            let mut pending = sends;
-            for (target, lo, hi, m) in open.into_iter() {
-                if hi == off {
-                    if let Some(pos) = pending
-                        .iter()
-                        .position(|(t2, m2)| *t2 == target && *m2 == m)
-                    {
-                        pending.remove(pos);
-                        still_open.push((target, lo, hi + 1, m));
-                        continue;
-                    }
+            for (target, lo, hi, m) in self.open.drain(..) {
+                if let Some(pos) = self
+                    .sends
+                    .iter()
+                    .position(|(t2, m2)| *t2 == target && *m2 == m)
+                {
+                    self.sends.remove(pos);
+                    self.next_open.push((target, lo, hi + 1, m));
+                } else {
+                    outbox.send(VIdx(target), (target, lo, hi, m));
                 }
-                // Run ended: flush.
-                outbox.send(VIdx(target), (target, lo, hi, m));
             }
-            open = still_open;
-            for (target, m) in pending {
-                open.push((target, off, off + 1, m));
-            }
+            std::mem::swap(&mut self.open, &mut self.next_open);
+            self.open.extend(
+                self.sends
+                    .drain(..)
+                    .map(|(target, m)| (target, off, off + 1, m)),
+            );
         }
-        for (target, lo, hi, m) in open {
+        for (target, lo, hi, m) in self.open.drain(..) {
             outbox.send(VIdx(target), (target, lo, hi, m));
         }
     }
@@ -181,54 +187,24 @@ where
         counters: &mut UserCounters,
         _sink: &mut TraceSink,
     ) {
-        if step == 1 {
-            let owned = std::mem::take(&mut self.owned);
-            let empty = vec![Vec::new(); self.batch_len];
-            for &v in &owned {
-                self.process_vertex(v, step, true, &empty, outbox, globals, partial, counters);
-            }
-            self.owned = owned;
-            return;
-        }
-        let all_active = self.program.all_active(step, globals);
-        let mut active: Vec<(u32, Vec<Vec<P::Msg>>)> = Vec::new();
+        let all_active = step == 1 || self.program.all_active(step, globals);
         if all_active {
-            for &v in &self.owned {
-                if inbox.messages_for(VIdx(v)).is_none() {
-                    active.push((v, vec![Vec::new(); self.batch_len]));
+            // Owned vertices without messages first, ascending (at
+            // superstep 1, every owned vertex), then the inbox.
+            self.unpack(&[]);
+            let mut arrivals = inbox.iter().map(|(v, _)| v.0).peekable();
+            for &v in self.table.owned().iter() {
+                if step > 1 && arrivals.next_if_eq(&v).is_some() {
+                    continue;
                 }
+                self.process_vertex(v, step, true, outbox, globals, partial, counters);
             }
         }
-        for (v, raw) in inbox.iter() {
-            // Unpack interval messages into per-offset lists, then apply
-            // the receiver-side combiner per offset.
-            let mut per_off: Vec<Vec<P::Msg>> = vec![Vec::new(); self.batch_len];
-            for (_, lo, hi, m) in raw {
-                for off in *lo..(*hi).min(self.batch_len as u32) {
-                    per_off[off as usize].push(m.clone());
-                }
+        if step > 1 {
+            for (v, raw) in inbox.iter() {
+                self.unpack(raw);
+                self.process_vertex(v.0, step, all_active, outbox, globals, partial, counters);
             }
-            for msgs in &mut per_off {
-                if msgs.len() > 1 {
-                    let mut folded: Vec<P::Msg> = Vec::with_capacity(msgs.len());
-                    for m in msgs.drain(..) {
-                        match folded.last_mut() {
-                            Some(last) => match self.program.combine(last, &m) {
-                                Some(c) => *last = c,
-                                None => folded.push(m),
-                            },
-                            None => folded.push(m),
-                        }
-                    }
-                    *msgs = folded;
-                }
-            }
-            active.push((v.0, per_off));
-        }
-        for (v, per_off) in active {
-            self.process_vertex(
-                v, step, all_active, &per_off, outbox, globals, partial, counters,
-            );
         }
     }
 }
@@ -288,11 +264,13 @@ where
             .map(|w| ChlWorker {
                 graph: Arc::clone(graph),
                 program: Arc::clone(program),
-                owned: partition.owned_by(w).into_iter().map(|v| v.0).collect(),
                 snapshots: Arc::clone(&snapshots),
                 batch_start,
-                batch_len,
-                states: HashMap::new(),
+                table: StateTable::new(&partition, w, batch_len),
+                per_off: (0..batch_len).map(|_| Vec::new()).collect(),
+                sends: Vec::new(),
+                open: Vec::new(),
+                next_open: Vec::new(),
             })
             .collect();
         let bsp = BspConfig {
@@ -313,14 +291,8 @@ where
         if config.collect_states {
             let mut maps: Vec<HashMap<u32, P::State>> =
                 (0..batch_len).map(|_| HashMap::new()).collect();
-            for w in workers {
-                for (v, slots) in w.states {
-                    for (off, slot) in slots.into_iter().enumerate() {
-                        if let Some(s) = slot {
-                            maps[off].insert(v, s);
-                        }
-                    }
-                }
+            for (v, off, s) in workers.into_iter().flat_map(|w| w.table.into_states()) {
+                maps[off].insert(v, s);
             }
             for (off, map) in maps.into_iter().enumerate() {
                 per_snapshot.push((batch_start + off as Time, map));
@@ -341,6 +313,7 @@ mod tests {
     use crate::vcm::{run_vcm, VcmConfig};
     use graphite_tgraph::fixtures::transit_graph;
     use graphite_tgraph::graph::VertexId;
+    use std::collections::BTreeMap;
 
     /// Per-snapshot BFS level from A (same program as the MSB test).
     struct Bfs {
@@ -378,38 +351,41 @@ mod tests {
     #[test]
     fn chlonos_matches_msb_results() {
         let graph = Arc::new(transit_graph());
-        let msb = run_msb(
-            Arc::clone(&graph),
+        let bfs = || {
             Arc::new(Bfs {
                 source: VertexId(0),
-            }),
-            &MsbConfig {
-                workers: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for batch_size in [1, 3, 9, 100] {
-            let chl = run_chlonos(
+            })
+        };
+        for workers in [1, 2, 3] {
+            let msb = run_msb(
                 Arc::clone(&graph),
-                Arc::new(Bfs {
-                    source: VertexId(0),
-                }),
-                &ChlConfig {
-                    workers: 2,
-                    batch_size,
+                bfs(),
+                &MsbConfig {
+                    workers,
                     ..Default::default()
                 },
             )
             .unwrap();
-            assert_eq!(chl.per_snapshot.len(), 9);
-            for (t, states) in &msb.per_snapshot {
-                for (v, s) in states {
-                    assert_eq!(
-                        chl.state_at(*v, *t),
-                        Some(s),
-                        "batch={batch_size} v={v} t={t}"
-                    );
+            for batch_size in [1, 3, 9, 100] {
+                let chl = run_chlonos(
+                    Arc::clone(&graph),
+                    bfs(),
+                    &ChlConfig {
+                        workers,
+                        batch_size,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+                assert_eq!(chl.per_snapshot.len(), 9);
+                for (t, states) in &msb.per_snapshot {
+                    for (v, s) in states.iter().collect::<BTreeMap<_, _>>() {
+                        assert_eq!(
+                            chl.state_at(*v, *t),
+                            Some(s),
+                            "workers={workers} batch={batch_size} v={v} t={t}"
+                        );
+                    }
                 }
             }
         }

@@ -13,7 +13,7 @@
 //! superstep of that snapshot reads its edges from it.
 
 use crate::topology::{window_of, EdgeWeights, SnapshotResult, SnapshotTopology};
-use crate::vcm::{VcmEdge, VcmTopology};
+use crate::vcm::{combine_push, StateTable, VcmEdge, VcmTopology};
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::Wire;
 use graphite_bsp::engine::{run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
@@ -23,7 +23,7 @@ use graphite_bsp::partition::PartitionMap;
 use graphite_bsp::trace::TraceSink;
 use graphite_tgraph::graph::{TemporalGraph, VIdx, VertexId};
 use graphite_tgraph::time::{Interval, Time};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// User logic for the GoFFish baseline.
@@ -138,35 +138,28 @@ impl<'a, M> GofContext<'a, M> {
     }
 }
 
+/// One BSP worker of a GoFFish walk, built once per run and kept across
+/// its time-points: the vertex states stay resident in its
+/// [`StateTable`], and only the snapshot and the delivered temporal
+/// messages change from one time-point to the next.
 struct GofWorker<P: GofProgram> {
     program: Arc<P>,
     /// The snapshot this inner loop runs on, shared by every worker.
     snapshot: Arc<SnapshotTopology>,
-    owned: Vec<u32>,
     horizon: Time,
     floor: Time,
-    states: HashMap<u32, P::State>,
-    initial: HashMap<u32, Vec<P::Msg>>,
+    table: StateTable<P::State>,
+    /// Temporal messages delivered to this time-point, `(target,
+    /// payload)` in send order until superstep 1 groups them.
+    initial: Vec<(u32, P::Msg)>,
+    /// The current vertex's messages after the receiver-side combiner.
+    combined: Vec<P::Msg>,
     /// The current vertex's local sends, drained into the outbox in order.
     local: Vec<(u32, P::Msg)>,
     future_out: Vec<(u32, Time, P::Msg)>,
 }
 
 impl<P: GofProgram> GofWorker<P> {
-    fn combined(&self, msgs: &[P::Msg]) -> Vec<P::Msg> {
-        let mut out: Vec<P::Msg> = Vec::with_capacity(msgs.len());
-        for m in msgs {
-            if let Some(last) = out.last_mut() {
-                if let Some(c) = self.program.combine(last, m) {
-                    *last = c;
-                    continue;
-                }
-            }
-            out.push(m.clone());
-        }
-        out
-    }
-
     fn run_vertex(
         &mut self,
         v: u32,
@@ -182,9 +175,9 @@ impl<P: GofProgram> GofWorker<P> {
         let vid = snapshot.logical_vid(v);
         let reverse = self.program.reverse();
         let state = self
-            .states
-            .entry(v)
-            .or_insert_with(|| self.program.init(vid));
+            .table
+            .slot(v, 0)
+            .get_or_insert_with(|| self.program.init(vid));
         let mut ctx = GofContext {
             graph: snapshot.graph(),
             vertex: v,
@@ -223,31 +216,35 @@ impl<P: GofProgram> WorkerLogic for GofWorker<P> {
         counters: &mut UserCounters,
         _sink: &mut TraceSink,
     ) {
+        let mut combined = std::mem::take(&mut self.combined);
         if step == 1 {
             // GoFFish-TS semantics: the inner VCM loop's first superstep
             // runs over every vertex of the *current snapshot* (its own
             // superstep 1), with any temporal messages queued for this
-            // time-point delivered alongside.
-            let initial = std::mem::take(&mut self.initial);
-            let owned = std::mem::take(&mut self.owned);
-            for &v in &owned {
-                let msgs = initial
-                    .get(&v)
-                    .map(|m| self.combined(m))
-                    .unwrap_or_default();
-                self.run_vertex(v, step, &msgs, outbox, counters);
+            // time-point delivered alongside. The sort is stable, so each
+            // vertex folds its messages in send order.
+            let mut initial = std::mem::take(&mut self.initial);
+            initial.sort_by_key(|&(v, _)| v);
+            let mut arrivals = initial.iter().peekable();
+            for &v in self.table.owned().iter() {
+                combined.clear();
+                while let Some((_, m)) = arrivals.next_if(|(dst, _)| *dst == v) {
+                    combine_push(&mut combined, m, |a, b| self.program.combine(a, b));
+                }
+                self.run_vertex(v, step, &combined, outbox, counters);
             }
-            self.owned = owned;
-            return;
+            initial.clear();
+            self.initial = initial;
+        } else {
+            for (v, raw) in inbox.iter() {
+                combined.clear();
+                for (_, m) in raw {
+                    combine_push(&mut combined, m, |a, b| self.program.combine(a, b));
+                }
+                self.run_vertex(v.0, step, &combined, outbox, counters);
+            }
         }
-        let mut active: Vec<(u32, Vec<P::Msg>)> = Vec::new();
-        for (v, raw) in inbox.iter() {
-            let payloads: Vec<P::Msg> = raw.iter().map(|(_, m)| m.clone()).collect();
-            active.push((v.0, self.combined(&payloads)));
-        }
-        for (v, msgs) in active {
-            self.run_vertex(v, step, &msgs, outbox, counters);
-        }
+        self.combined = combined;
     }
 }
 
@@ -295,8 +292,13 @@ pub fn run_goffish<P: GofProgram>(
 ) -> Result<SnapshotResult<P::State>, BspError> {
     let window = window_of(&graph, config.window, "GoFFish")?;
     let partition = Arc::new(PartitionMap::hash(&graph, config.workers)?);
-    let mut queue: BTreeMap<Time, HashMap<u32, Vec<P::Msg>>> = BTreeMap::new();
-    let mut states: HashMap<u32, P::State> = HashMap::new();
+    // Temporal messages by delivery time, `(target, payload)` in send order.
+    let mut queue: BTreeMap<Time, Vec<(u32, P::Msg)>> = BTreeMap::new();
+    let mut workers: Vec<GofWorker<P>> = Vec::new();
+    let bsp = BspConfig {
+        max_supersteps: config.max_supersteps,
+        ..Default::default()
+    };
     let mut metrics = RunMetrics::default();
     let mut per_snapshot = Vec::new();
 
@@ -306,59 +308,44 @@ pub fn run_goffish<P: GofProgram>(
         window.points().collect()
     };
     for t in order {
-        let delivered = queue.remove(&t).unwrap_or_default();
         let snapshot = Arc::new(SnapshotTopology::new(Arc::clone(&graph), t, config.weights));
-        let workers: Vec<GofWorker<P>> = (0..config.workers)
-            .map(|w| {
-                let owned: Vec<u32> = partition.owned_by(w).into_iter().map(|v| v.0).collect();
-                let mut worker = GofWorker {
+        if workers.is_empty() {
+            workers = (0..config.workers)
+                .map(|w| GofWorker {
                     program: Arc::clone(&program),
                     snapshot: Arc::clone(&snapshot),
-                    owned,
                     horizon: window.end(),
                     floor: window.start(),
-                    states: HashMap::new(),
-                    initial: HashMap::new(),
+                    table: StateTable::new(&partition, w, 1),
+                    initial: Vec::new(),
+                    combined: Vec::new(),
                     local: Vec::new(),
                     future_out: Vec::new(),
-                };
-                for &v in &worker.owned {
-                    if let Some(s) = states.remove(&v) {
-                        worker.states.insert(v, s);
-                    }
-                }
-                worker
-            })
-            .collect();
-        // Distribute the delivered temporal messages to their owners.
-        let mut workers = workers;
-        for (v, msgs) in delivered {
-            let w = partition.worker_of(VIdx(v));
-            workers[w].initial.insert(v, msgs);
+                })
+                .collect();
         }
-        let bsp = BspConfig {
-            max_supersteps: config.max_supersteps,
-            ..Default::default()
-        };
-        let (workers, snap_metrics) = run_bsp(&bsp, None, workers, Arc::clone(&partition), None)?;
+        for worker in &mut workers {
+            worker.snapshot = Arc::clone(&snapshot);
+        }
+        // Hand the delivered temporal messages to their owners.
+        for (v, m) in queue.remove(&t).into_iter().flatten() {
+            workers[partition.worker_of(VIdx(v))].initial.push((v, m));
+        }
+        let snap_metrics;
+        (workers, snap_metrics) = run_bsp(&bsp, None, workers, Arc::clone(&partition), None)?;
         metrics.merge(&snap_metrics);
-        for worker in workers {
+        for worker in &mut workers {
             // Temporal messages are charged as messages (they travel via
             // disk in GoFFish); count their encoded size too.
-            for (target, time, m) in worker.future_out {
+            for (target, time, m) in worker.future_out.drain(..) {
                 metrics.counters.messages_sent += 1;
                 metrics.counters.bytes_sent += m.encoded_len() as u64 + 12;
-                queue
-                    .entry(time)
-                    .or_default()
-                    .entry(target)
-                    .or_default()
-                    .push(m);
+                queue.entry(time).or_default().push((target, m));
             }
-            states.extend(worker.states);
         }
         if config.collect_states {
-            per_snapshot.push((t, states.clone()));
+            let states = workers.iter().flat_map(|w| w.table.iter());
+            per_snapshot.push((t, states.map(|(v, _, s)| (v, s.clone())).collect()));
         }
     }
     Ok(SnapshotResult {

@@ -14,9 +14,14 @@
 //!   waiting edges (TD algorithms).
 //! * **GoFFish-TS** — sequential snapshots with stateful vertices and
 //!   temporal messages delivered by an outer loop (TD algorithms).
+//!
+//! Each platform keeps its own superstep loop, but all four workers run
+//! on one core in [`vcm`]: a dense state table indexed by the partition's
+//! local vertex index, and one receiver-side combiner fold.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
 
 pub mod chlonos;
 pub mod goffish;

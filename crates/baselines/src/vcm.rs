@@ -3,10 +3,14 @@
 //!
 //! The engine runs a [`VcmProgram`] over an abstract [`VcmTopology`]: a
 //! static directed graph whose vertices are dense `u32` indices. Concrete
-//! topologies adapt a single snapshot of a temporal graph (MSB, Chlonos,
-//! GoFFish) or the time-expanded transformed graph (TGB). Running every
-//! baseline on the same BSP substrate as GRAPHITE keeps the programming
-//! primitives — not the runtime — as the experimental variable.
+//! topologies adapt a single snapshot of a temporal graph (MSB) or the
+//! time-expanded transformed graph (TGB). Chlonos and GoFFish keep their
+//! own superstep loops, but one worker core serves all four platforms:
+//! the dense per-worker state table (`StateTable`, strided for Chlonos's
+//! batch offsets) and the receiver-side combiner fold (`combine_push`).
+//! Running every baseline on the same BSP substrate and the same core as
+//! GRAPHITE keeps the programming primitives — not the runtime — as the
+//! experimental variable.
 
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::{get_varint, put_varint, Wire};
@@ -206,20 +210,137 @@ pub struct VcmResult<S> {
     pub metrics: RunMetrics,
 }
 
+/// The per-worker vertex state table every baseline worker runs on:
+/// `VcmWorker` (MSB, TGB) and GoFFish's worker with one slot per owned
+/// vertex, Chlonos's with one per vertex and batch offset. Slots sit in
+/// one dense vector indexed by the vertex's [`PartitionMap::local_index`]
+/// times the stride, not in a map, so a lookup is an index and a steady
+/// run allocates nothing.
+pub(crate) struct StateTable<S> {
+    partition: Arc<PartitionMap>,
+    worker: usize,
+    /// Owned vertices, ascending; `owned[i]` holds slots
+    /// `i * stride..(i + 1) * stride`. Shared, so a superstep can walk it
+    /// while it computes into the slots.
+    owned: Arc<[u32]>,
+    stride: usize,
+    /// `None` until the slot's first compute.
+    slots: Vec<Option<S>>,
+}
+
+impl<S> StateTable<S> {
+    /// An empty table of `stride` slots per vertex `worker` owns.
+    pub(crate) fn new(partition: &Arc<PartitionMap>, worker: usize, stride: usize) -> Self {
+        let owned: Arc<[u32]> = partition.owned_by(worker).iter().map(|v| v.0).collect();
+        StateTable {
+            partition: Arc::clone(partition),
+            worker,
+            slots: std::iter::repeat_with(|| None)
+                .take(owned.len() * stride)
+                .collect(),
+            owned,
+            stride,
+        }
+    }
+
+    /// The owned vertices, ascending.
+    pub(crate) fn owned(&self) -> Arc<[u32]> {
+        Arc::clone(&self.owned)
+    }
+
+    /// Slot `offset` of owned vertex `v`.
+    pub(crate) fn slot(&mut self, v: u32, offset: usize) -> &mut Option<S> {
+        &mut self.slots[self.partition.local_index(VIdx(v)) * self.stride + offset]
+    }
+
+    /// Every initialized slot as `(vertex, offset, state)`, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, usize, &S)> + '_ {
+        let stride = self.stride;
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, s)| Some((self.owned[i / stride], i % stride, s.as_ref()?)))
+    }
+
+    /// [`StateTable::iter`], by value.
+    pub(crate) fn into_states(self) -> impl Iterator<Item = (u32, usize, S)> {
+        let (owned, stride) = (self.owned, self.stride);
+        self.slots
+            .into_iter()
+            .enumerate()
+            .filter_map(move |(i, s)| Some((owned[i / stride], i % stride, s?)))
+    }
+}
+
+/// The table's checkpoint: the initialized slots in ascending order, each
+/// keyed `vertex * stride + offset`. At stride 1 the key is the vertex
+/// and the blob is byte for byte the old sorted-map encoding.
+impl<S: Wire> StateTable<S> {
+    pub(crate) fn checkpoint(&self, buf: &mut Vec<u8>) {
+        put_varint(self.iter().count() as u64, buf);
+        for (v, offset, s) in self.iter() {
+            put_varint(u64::from(v) * self.stride as u64 + offset as u64, buf);
+            s.encode(buf);
+        }
+    }
+
+    /// Replaces the slots with a [`StateTable::checkpoint`] blob, or
+    /// leaves them as they were when the blob names a slot this worker
+    /// does not own or is malformed.
+    pub(crate) fn restore(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
+        let mut cur = bytes;
+        let count = get_varint(&mut cur).ok_or("vertex state count")?;
+        let mut slots: Vec<Option<S>> = std::iter::repeat_with(|| None)
+            .take(self.slots.len())
+            .collect();
+        let stride = self.stride as u64;
+        for _ in 0..count {
+            let key = get_varint(&mut cur).ok_or("vertex id")?;
+            let v = u32::try_from(key / stride).map_err(|_| "vertex id exceeds u32")?;
+            let owned = (v as usize) < self.partition.len()
+                && self.partition.worker_of(VIdx(v)) == self.worker;
+            if !owned {
+                return Err("checkpoint vertex not owned by this worker");
+            }
+            let s = S::decode(&mut cur).ok_or("vertex state")?;
+            slots[self.partition.local_index(VIdx(v)) * self.stride + (key % stride) as usize] =
+                Some(s);
+        }
+        if !cur.is_empty() {
+            return Err("trailing bytes in worker checkpoint");
+        }
+        self.slots = slots;
+        Ok(())
+    }
+}
+
+/// The receiver-side combiner fold of every baseline worker (a Giraph
+/// combiner): folds `msg` into the last message of `out` when `combine`
+/// accepts the pair, else appends a clone. Fed a vertex's messages in
+/// arrival order it folds them left to right, so an order-sensitive fold
+/// (PageRank's `f64` sum) follows message order.
+pub(crate) fn combine_push<M: Clone>(
+    out: &mut Vec<M>,
+    msg: &M,
+    combine: impl FnOnce(&M, &M) -> Option<M>,
+) {
+    if let Some(last) = out.last_mut() {
+        if let Some(c) = combine(last, msg) {
+            *last = c;
+            return;
+        }
+    }
+    out.push(msg.clone());
+}
+
 /// One BSP worker of a VCM run. Everything a superstep touches is owned
-/// here and reused: states sit in a dense table indexed by the vertex's
-/// [`PartitionMap::local_index`], and the edge, combined-message and send
-/// buffers keep their capacity from vertex to vertex, so a steady run
-/// computes without allocating.
+/// here and reused: states sit in a [`StateTable`] of stride 1, and the
+/// edge, combined-message and send buffers keep their capacity from
+/// vertex to vertex, so a steady run computes without allocating.
 struct VcmWorker<T: VcmTopology, P: VcmProgram> {
     topology: Arc<T>,
     program: Arc<P>,
-    partition: Arc<PartitionMap>,
-    worker: usize,
-    /// Owned vertices, ascending; `owned[i]` is the vertex of `states[i]`.
-    owned: Vec<u32>,
-    /// Per owned vertex, by local index; `None` until its first compute.
-    states: Vec<Option<P::State>>,
+    table: StateTable<P::State>,
     scratch_out: Vec<VcmEdge>,
     scratch_in: Vec<VcmEdge>,
     /// The current vertex's messages after the receiver-side combiner.
@@ -249,7 +370,9 @@ impl<T: VcmTopology, P: VcmProgram> VcmWorker<T, P> {
             return;
         }
         let vid = self.topology.logical_vid(v);
-        let state = self.states[self.partition.local_index(VIdx(v))]
+        let state = self
+            .table
+            .slot(v, 0)
             .get_or_insert_with(|| self.program.init(v, vid));
         self.scratch_out.clear();
         self.topology.out_edges(v, &mut self.scratch_out);
@@ -276,18 +399,11 @@ impl<T: VcmTopology, P: VcmProgram> VcmWorker<T, P> {
         }
     }
 
-    /// Folds one vertex's raw messages into `combined` with the program's
-    /// combiner, in arrival order.
+    /// Folds one vertex's raw messages into `combined`, in arrival order.
     fn combine_into(&self, raw: &[(u32, P::Msg)], combined: &mut Vec<P::Msg>) {
         combined.clear();
         for (_, m) in raw {
-            if let Some(last) = combined.last_mut() {
-                if let Some(c) = self.program.combine(last, m) {
-                    *last = c;
-                    continue;
-                }
-            }
-            combined.push(m.clone());
+            combine_push(combined, m, |a, b| self.program.combine(a, b));
         }
     }
 }
@@ -306,17 +422,16 @@ impl<T: VcmTopology, P: VcmProgram> WorkerLogic for VcmWorker<T, P> {
         counters: &mut UserCounters,
         _sink: &mut TraceSink,
     ) {
-        let owned = std::mem::take(&mut self.owned);
         let mut combined = std::mem::take(&mut self.combined);
         if step == 1 {
-            for &v in &owned {
+            for &v in self.table.owned().iter() {
                 self.run_vertex(v, step, &[], outbox, globals, partial, counters);
             }
         } else if self.program.all_active(step, globals) {
             // Every owned vertex computes, in ascending order, with its
             // messages if any: one merge walk over two ascending lists.
             let mut arrivals = inbox.iter().peekable();
-            for &v in &owned {
+            for &v in self.table.owned().iter() {
                 combined.clear();
                 if let Some((_, raw)) = arrivals.next_if(|(dst, _)| dst.0 == v) {
                     self.combine_into(raw, &mut combined);
@@ -329,47 +444,20 @@ impl<T: VcmTopology, P: VcmProgram> WorkerLogic for VcmWorker<T, P> {
                 self.run_vertex(v.0, step, &combined, outbox, globals, partial, counters);
             }
         }
-        self.owned = owned;
         self.combined = combined;
     }
 }
 
-/// Checkpointing for VCM workers: the per-vertex state table is the
-/// complete user state — the scratch buffers are ephemeral and the config
-/// fields never change mid-run. Initialized states are written in
-/// ascending vertex order, so the blob is canonical.
+/// Checkpointing for VCM workers: the state table is the complete user
+/// state — the scratch buffers are ephemeral and the config fields never
+/// change mid-run.
 impl<T: VcmTopology, P: VcmProgram> Snapshot for VcmWorker<T, P> {
     fn checkpoint(&self, buf: &mut Vec<u8>) {
-        let count = self.states.iter().filter(|s| s.is_some()).count();
-        put_varint(count as u64, buf);
-        for (&v, state) in self.owned.iter().zip(&self.states) {
-            if let Some(s) = state {
-                put_varint(u64::from(v), buf);
-                s.encode(buf);
-            }
-        }
+        self.table.checkpoint(buf);
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
-        let mut cur = bytes;
-        let count = get_varint(&mut cur).ok_or("vertex state count")?;
-        let mut states: Vec<Option<P::State>> = self.owned.iter().map(|_| None).collect();
-        for _ in 0..count {
-            let raw = get_varint(&mut cur).ok_or("vertex id")?;
-            let v = u32::try_from(raw).map_err(|_| "vertex id exceeds u32")?;
-            let owned = (v as usize) < self.partition.len()
-                && self.partition.worker_of(VIdx(v)) == self.worker;
-            if !owned {
-                return Err("checkpoint vertex not owned by this worker");
-            }
-            let s = P::State::decode(&mut cur).ok_or("vertex state")?;
-            states[self.partition.local_index(VIdx(v))] = Some(s);
-        }
-        if !cur.is_empty() {
-            return Err("trailing bytes in worker checkpoint");
-        }
-        self.states = states;
-        Ok(())
+        self.table.restore(bytes)
     }
 }
 
@@ -393,7 +481,10 @@ fn topology_partition<T: VcmTopology>(
             vid = splitmix64(vid ^ u64::from(v)).wrapping_add(1);
         }
     }
-    strategy.build(&b.build().expect("synthetic partition graph"), workers)
+    let graph = b.build().map_err(|e| BspError::Config {
+        detail: format!("synthetic partition graph: {e}"),
+    })?;
+    strategy.build(&graph, workers)
 }
 
 /// Runs `program` over `topology` to convergence — the one way to start a
@@ -431,20 +522,14 @@ fn build_workers<T: VcmTopology, P: VcmProgram>(
     partition: &Arc<PartitionMap>,
 ) -> Vec<VcmWorker<T, P>> {
     (0..config.workers)
-        .map(|w| {
-            let owned: Vec<u32> = partition.owned_by(w).into_iter().map(|v| v.0).collect();
-            VcmWorker {
-                topology: Arc::clone(topology),
-                program: Arc::clone(program),
-                partition: Arc::clone(partition),
-                worker: w,
-                states: owned.iter().map(|_| None).collect(),
-                owned,
-                scratch_out: Vec::new(),
-                scratch_in: Vec::new(),
-                combined: Vec::new(),
-                sends: Vec::new(),
-            }
+        .map(|w| VcmWorker {
+            topology: Arc::clone(topology),
+            program: Arc::clone(program),
+            table: StateTable::new(partition, w, 1),
+            scratch_out: Vec::new(),
+            scratch_in: Vec::new(),
+            combined: Vec::new(),
+            sends: Vec::new(),
         })
         .collect()
 }
@@ -454,15 +539,11 @@ fn collect_result<T: VcmTopology, P: VcmProgram>(
     workers: Vec<VcmWorker<T, P>>,
     metrics: RunMetrics,
 ) -> VcmResult<P::State> {
-    let mut states = HashMap::new();
-    for w in workers {
-        states.extend(
-            w.owned
-                .into_iter()
-                .zip(w.states)
-                .filter_map(|(v, s)| Some((v, s?))),
-        );
-    }
+    let states = workers
+        .into_iter()
+        .flat_map(|w| w.table.into_states())
+        .map(|(v, _, s)| (v, s))
+        .collect();
     VcmResult { states, metrics }
 }
 
@@ -701,10 +782,10 @@ mod tests {
                 // A random subset of the owned vertices is initialized, as
                 // a run leaves those that never computed unset.
                 let mut map = HashMap::new();
-                for (i, &v) in worker.owned.iter().enumerate() {
+                for (i, &v) in worker.table.owned.iter().enumerate() {
                     if rng.bool() {
                         let s = rng.range_i64(-1_000_000, 1_000_000);
-                        worker.states[i] = Some(s);
+                        worker.table.slots[i] = Some(s);
                         map.insert(v, s);
                     }
                 }
@@ -713,10 +794,10 @@ mod tests {
                 oracle_checkpoint(&map, &mut want);
                 assert_eq!(got, want, "case {case}");
                 // And the blob restores to the same table.
-                let before = worker.states.clone();
-                worker.states.iter_mut().for_each(|s| *s = None);
+                let before = worker.table.slots.clone();
+                worker.table.slots.iter_mut().for_each(|s| *s = None);
                 worker.restore(&got).unwrap();
-                assert_eq!(worker.states, before, "case {case}");
+                assert_eq!(worker.table.slots, before, "case {case}");
             }
         }
     }
@@ -724,7 +805,7 @@ mod tests {
     #[test]
     fn restore_rejects_a_vertex_another_worker_owns() {
         let mut workers = isolated_workers(64, 2);
-        let foreign = workers[1].owned[0];
+        let foreign = workers[1].table.owned[0];
         let mut blob = Vec::new();
         oracle_checkpoint(&HashMap::from([(foreign, 7)]), &mut blob);
         let err = workers[0].restore(&blob).expect_err("a foreign vertex");
@@ -734,6 +815,6 @@ mod tests {
         oracle_checkpoint(&HashMap::from([(64, 7)]), &mut blob);
         assert!(workers[0].restore(&blob).is_err());
         // A rejected blob leaves the worker as it was.
-        assert!(workers[0].states.iter().all(Option::is_none));
+        assert!(workers[0].table.slots.iter().all(Option::is_none));
     }
 }

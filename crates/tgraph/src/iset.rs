@@ -141,21 +141,6 @@ impl<V> IntervalMap<V> {
         }
     }
 
-    /// The smallest interval spanning all entries, or `None` when empty.
-    pub fn span(&self) -> Option<Interval> {
-        match (self.entries.first(), self.entries.last()) {
-            (Some((f, _)), Some((l, _))) => Some(f.span(*l)),
-            _ => None,
-        }
-    }
-
-    /// Total number of covered time-points (saturating).
-    pub fn covered_points(&self) -> i64 {
-        self.entries
-            .iter()
-            .fold(0i64, |acc, (iv, _)| acc.saturating_add(iv.len()))
-    }
-
     /// Builds a map from arbitrary-order entries, failing on overlap.
     pub fn from_entries(mut entries: Vec<(Interval, V)>) -> Result<Self, OverlapError> {
         entries.sort_by_key(|(iv, _)| (iv.start(), iv.end()));
@@ -168,70 +153,6 @@ impl<V> IntervalMap<V> {
             }
         }
         Ok(IntervalMap { entries })
-    }
-
-    /// Consumes the map, returning its sorted entries.
-    pub fn into_entries(self) -> Vec<(Interval, V)> {
-        self.entries
-    }
-}
-
-impl<V> IntervalMap<V> {
-    /// The complement of the covered intervals within `window`: the gaps.
-    /// Useful for questions like "when is this vertex *not* reachable".
-    ///
-    /// ```
-    /// use graphite_tgraph::{iset::IntervalMap, time::Interval};
-    /// let mut m = IntervalMap::new();
-    /// m.insert(Interval::new(2, 4), ()).unwrap();
-    /// m.insert(Interval::new(6, 8), ()).unwrap();
-    /// let gaps = m.gaps(Interval::new(0, 10));
-    /// assert_eq!(gaps, vec![
-    ///     Interval::new(0, 2),
-    ///     Interval::new(4, 6),
-    ///     Interval::new(8, 10),
-    /// ]);
-    /// ```
-    pub fn gaps(&self, window: Interval) -> Vec<Interval> {
-        let mut out = Vec::new();
-        let mut cursor = window.start();
-        for (iv, _) in self.overlapping(window) {
-            if iv.start() > cursor {
-                out.push(Interval::new(cursor, iv.start()));
-            }
-            cursor = cursor.max(iv.end());
-            if cursor >= window.end() {
-                break;
-            }
-        }
-        if cursor < window.end() {
-            out.push(Interval::new(cursor, window.end()));
-        }
-        out
-    }
-
-    /// Removes the entry whose interval exactly equals `interval`,
-    /// returning its value.
-    pub fn remove(&mut self, interval: Interval) -> Option<V> {
-        let idx = self.lower_bound(interval.start());
-        match self.entries.get(idx) {
-            Some((iv, _)) if *iv == interval => Some(self.entries.remove(idx).1),
-            _ => None,
-        }
-    }
-}
-
-impl<V: PartialEq> IntervalMap<V> {
-    /// Merges adjacent (meeting) entries that hold equal values. Used when
-    /// reporting results, so that output segmentation is maximal.
-    pub fn coalesce(&mut self) {
-        self.entries.dedup_by(|(iv, v), (last_iv, last_v)| {
-            let merge = last_iv.meets(*iv) && *last_v == *v;
-            if merge {
-                *last_iv = last_iv.span(*iv);
-            }
-            merge
-        });
     }
 }
 
@@ -540,66 +461,6 @@ mod tests {
             let bad =
                 IntervalMap::from_entries(vec![(Interval::new(0, 6), 1), (Interval::new(5, 9), 2)]);
             assert!(bad.is_err());
-        }
-
-        #[test]
-        fn coalesce_merges_adjacent_equal() {
-            let mut m = IntervalMap::from_entries(vec![
-                (Interval::new(0, 3), 1),
-                (Interval::new(3, 5), 1),
-                (Interval::new(5, 7), 2),
-                (Interval::new(9, 11), 2), // gap before this one: not merged
-            ])
-            .unwrap();
-            m.coalesce();
-            assert_eq!(
-                m.into_entries(),
-                vec![
-                    (Interval::new(0, 5), 1),
-                    (Interval::new(5, 7), 2),
-                    (Interval::new(9, 11), 2),
-                ]
-            );
-        }
-
-        #[test]
-        fn gaps_complement_coverage() {
-            let mut m = IntervalMap::new();
-            m.insert(Interval::new(2, 4), 'a').unwrap();
-            m.insert(Interval::new(4, 5), 'b').unwrap();
-            m.insert(Interval::new(8, 12), 'c').unwrap();
-            assert_eq!(
-                m.gaps(Interval::new(0, 10)),
-                vec![Interval::new(0, 2), Interval::new(5, 8)]
-            );
-            // Window fully covered: no gaps.
-            assert_eq!(m.gaps(Interval::new(2, 5)), Vec::<Interval>::new());
-            // Empty map: the whole window is one gap.
-            let empty: IntervalMap<u8> = IntervalMap::new();
-            assert_eq!(empty.gaps(Interval::new(3, 7)), vec![Interval::new(3, 7)]);
-        }
-
-        #[test]
-        fn remove_exact_entries_only() {
-            let mut m = IntervalMap::new();
-            m.insert(Interval::new(2, 4), 'a').unwrap();
-            assert_eq!(m.remove(Interval::new(2, 3)), None);
-            assert_eq!(m.remove(Interval::new(2, 4)), Some('a'));
-            assert_eq!(m.len(), 0);
-            // Freed space accepts new entries.
-            m.insert(Interval::new(1, 5), 'z').unwrap();
-        }
-
-        #[test]
-        fn span_and_covered_points() {
-            let m = IntervalMap::from_entries(vec![
-                (Interval::new(0, 2), 'x'),
-                (Interval::new(10, 13), 'y'),
-            ])
-            .unwrap();
-            assert_eq!(m.span(), Some(Interval::new(0, 13)));
-            assert_eq!(m.covered_points(), 5);
-            assert_eq!(IntervalMap::<u8>::new().span(), None);
         }
     }
 

@@ -288,21 +288,6 @@ impl Properties {
             _ => false,
         }
     }
-
-    /// Average lifespan (in time units) of the property entries, or `None`
-    /// when there are no properties. Used for Table 1 statistics.
-    pub fn mean_entry_lifespan(&self) -> Option<f64> {
-        let n = self.len();
-        if n == 0 {
-            return None;
-        }
-        let total: i64 = self
-            .rows()
-            .iter()
-            .flat_map(|(_, tl)| tl.iter())
-            .fold(0i64, |acc, (iv, _)| acc.saturating_add(iv.len()));
-        Some(total as f64 / n as f64)
-    }
 }
 
 #[cfg(test)]
@@ -399,16 +384,5 @@ mod tests {
         a.extend_last(time, 7);
         assert_eq!(again.value_at(time, 6), None);
         assert_eq!(a.value_at(time, 6).and_then(PropValue::as_long), Some(3));
-    }
-
-    #[test]
-    fn mean_entry_lifespan() {
-        let mut p = Properties::new();
-        assert_eq!(p.mean_entry_lifespan(), None);
-        p.insert(LabelId(0), Interval::new(0, 2), 1i64.into())
-            .unwrap();
-        p.insert(LabelId(0), Interval::new(2, 8), 2i64.into())
-            .unwrap();
-        assert_eq!(p.mean_entry_lifespan(), Some(4.0));
     }
 }

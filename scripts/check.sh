@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full local verification gate — everything CI runs, in the same order.
 # Fast failures first: formatting, then clippy (which also holds the
-# determinism conventions configured in clippy.toml and the bsp/icm lib
-# headers, DESIGN.md §10), then the full workspace test suite, the
-# release-mode matrices, and the end-to-end benchmark's smoke pass.
+# determinism conventions configured in clippy.toml and the lib headers
+# of crates/{bsp,icm,baselines}, DESIGN.md §10), then the full workspace
+# test suite, the release-mode matrices, and the end-to-end benchmark's
+# smoke pass.
 #
 # Usage: scripts/check.sh          (from anywhere inside the repo)
 set -euo pipefail
