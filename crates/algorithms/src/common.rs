@@ -1,5 +1,5 @@
 //! Shared helpers for the algorithm implementations: label resolution,
-//! degree timelines, and result digests used by the cross-platform
+//! degree boundaries, and result digests used by the cross-platform
 //! equivalence checks.
 
 use graphite_bsp::partition::splitmix64;
@@ -30,34 +30,6 @@ impl AlgLabels {
             travel_cost: graph.label("travel-cost"),
         }
     }
-}
-
-/// The piecewise-constant out-degree of `v` over its lifespan, as
-/// `(interval, degree)` segments covering the lifespan. Used by PageRank.
-pub fn out_degree_timeline(graph: &TemporalGraph, v: VIdx) -> Vec<(Interval, u32)> {
-    let life = graph.vertex(v).lifespan;
-    let edges = graph.out_edges(v);
-    let mut bounds = vec![life.start(), life.end()];
-    for &e in edges {
-        let iv = graph.edge(e).lifespan;
-        bounds.push(iv.start());
-        bounds.push(iv.end());
-    }
-    bounds.sort_unstable();
-    bounds.dedup();
-    bounds.retain(|&t| life.contains_point(t) || t == life.end());
-    let mut segments = Vec::with_capacity(bounds.len());
-    for w in bounds.windows(2) {
-        let Some(seg) = Interval::try_new(w[0], w[1]) else {
-            continue;
-        };
-        let deg = edges
-            .iter()
-            .filter(|&&e| graph.edge(e).lifespan.contains_point(seg.start()))
-            .count() as u32;
-        segments.push((seg, deg));
-    }
-    segments
 }
 
 /// The degree-change boundaries of `v` (interior time-points only), for
@@ -129,28 +101,6 @@ where
 mod tests {
     use super::*;
     use graphite_tgraph::fixtures::{transit_graph, transit_ids};
-
-    #[test]
-    fn out_degree_timeline_of_transit_a() {
-        let g = transit_graph();
-        let a = g.vertex_index(transit_ids::A).unwrap();
-        let tl = out_degree_timeline(&g, a);
-        // A's edges: ->C [1,3), ->D [1,4), ->B [3,6). Degrees: [0,1)=0,
-        // [1,3)=2, [3,4)=2, [4,6)=1, [6,inf)=0.
-        let at = |t: Time| tl.iter().find(|(iv, _)| iv.contains_point(t)).unwrap().1;
-        assert_eq!(at(0), 0);
-        assert_eq!(at(1), 2);
-        assert_eq!(at(2), 2);
-        assert_eq!(at(3), 2);
-        assert_eq!(at(4), 1);
-        assert_eq!(at(5), 1);
-        assert_eq!(at(6), 0);
-        assert_eq!(at(1_000), 0);
-        // Segments tile the lifespan.
-        for w in tl.windows(2) {
-            assert!(w[0].0.meets(w[1].0));
-        }
-    }
 
     #[test]
     fn degree_boundaries_are_interior() {

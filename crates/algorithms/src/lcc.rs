@@ -10,11 +10,9 @@
 //! warp enforces the bounds automatically). The coefficient over an
 //! interval is `count / (d·(d−1))` with `d` the out-degree there.
 
-use crate::common::out_degree_timeline;
 use graphite_bsp::codec::{get_varint, put_varint, Wire};
 use graphite_icm::prelude::*;
-use graphite_tgraph::graph::{TemporalGraph, VertexId};
-use graphite_tgraph::iset::IntervalMap;
+use graphite_tgraph::graph::VertexId;
 use graphite_tgraph::time::Interval;
 
 /// The three-stage LCC protocol message.
@@ -149,43 +147,11 @@ impl IntervalProgram for IcmLcc {
     }
 }
 
-/// Turns an LCC count result into per-interval coefficients
-/// `count / (d·(d−1))`, skipping intervals with out-degree < 2.
-pub fn lcc_coefficients(
-    graph: &TemporalGraph,
-    result: &IcmResult<u64>,
-) -> std::collections::BTreeMap<VertexId, Vec<(Interval, f64)>> {
-    let mut out = std::collections::BTreeMap::new();
-    for (vid, counts) in &result.states {
-        let Some(v) = graph.vertex_index(*vid) else {
-            continue;
-        };
-        let degs = out_degree_timeline(graph, v);
-        let count_map: IntervalMap<u64> =
-            IntervalMap::from_entries(counts.clone()).expect("result states are partitioned");
-        let mut entries = Vec::new();
-        for (div, d) in degs {
-            if d < 2 {
-                continue;
-            }
-            for (civ, c) in count_map.overlapping(div) {
-                let Some(clip) = civ.intersect(div) else {
-                    continue;
-                };
-                let denom = (d as f64) * (d as f64 - 1.0);
-                entries.push((clip, *c as f64 / denom));
-            }
-        }
-        out.insert(*vid, entries);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use graphite_tgraph::builder::TemporalGraphBuilder;
-    use graphite_tgraph::graph::EdgeId;
+    use graphite_tgraph::graph::{EdgeId, TemporalGraph};
     use std::sync::Arc;
 
     /// A triangle 0→1, 1→2, 0→2 alive over different windows, plus an
@@ -248,25 +214,6 @@ mod tests {
         for v in 1..4 {
             assert!(r.states[&VertexId(v)].iter().all(|(_, c)| *c == 0), "v{v}");
         }
-    }
-
-    #[test]
-    fn coefficients_divide_by_degree_pairs() {
-        let graph = Arc::new(triangle_graph());
-        let r = run_icm(&graph, Arc::new(IcmLcc), &IcmConfig::default(), None).expect("ICM run");
-        let coeffs = lcc_coefficients(&graph, &r);
-        // Vertex 0 has out-degree 2 over [0,6): d(d-1) = 2 and count 1 on
-        // [2,6) -> coefficient 0.5 there.
-        let zero = &coeffs[&VertexId(0)];
-        let at = |t: i64| {
-            zero.iter()
-                .find(|(iv, _)| iv.contains_point(t))
-                .map(|(_, c)| *c)
-        };
-        assert_eq!(at(3), Some(0.5));
-        assert_eq!(at(1), Some(0.0));
-        // After 6 the degree drops below 2: no coefficient.
-        assert_eq!(at(7), None);
     }
 
     #[test]

@@ -327,7 +327,7 @@ impl Run<'_> {
             .unwrap_or_else(|| Arc::new(transform_for_paths(self.graph, &transform_opts)));
         let config = VcmConfig {
             workers: self.opts.workers,
-            partition: self.opts.partition.clone(),
+            partition: self.opts.partition,
             // Only `Platform::Icm` threads fault plans and recovery (see
             // the RunOpts docs).
             recovery: None,
@@ -384,7 +384,7 @@ impl IcmVisitor for RunCell<'_> {
             workers: opts.workers,
             combiner: opts.combiner,
             suppression_threshold: opts.suppression,
-            partition: opts.partition.clone(),
+            partition: opts.partition,
             recovery: opts.recovery.clone(),
             bsp: opts.bsp(),
         };

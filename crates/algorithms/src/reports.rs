@@ -1,11 +1,9 @@
 //! Post-processing helpers over interval-valued results: the longitudinal
 //! summaries applications typically derive from a single ICM pass —
-//! per-epoch component structure, reachability coverage, and path-cost
-//! distributions.
+//! per-epoch component structure.
 
-use crate::common::INF;
 use graphite_icm::IcmResult;
-use graphite_tgraph::graph::{TemporalGraph, VertexId};
+use graphite_tgraph::graph::TemporalGraph;
 use graphite_tgraph::time::{Interval, Time};
 use std::collections::BTreeMap;
 
@@ -49,55 +47,12 @@ pub fn component_evolution(
         .collect()
 }
 
-/// How many vertices a cost-valued result (SSSP/EAT-style, `INF` =
-/// unreached) covers at each time-point of a window.
-pub fn coverage_over_time(result: &IcmResult<i64>, window: Interval) -> Vec<(Time, usize)> {
-    window
-        .points()
-        .map(|t| {
-            let covered = result
-                .states
-                .values()
-                .filter(|states| {
-                    states
-                        .iter()
-                        .any(|(iv, cost)| iv.contains_point(t) && *cost < INF)
-                })
-                .count();
-            (t, covered)
-        })
-        .collect()
-}
-
-/// The final (largest-time) finite value per vertex of a cost-valued
-/// result — e.g. each vertex's eventual best SSSP cost.
-pub fn final_costs(result: &IcmResult<i64>) -> BTreeMap<VertexId, i64> {
-    let mut out = BTreeMap::new();
-    for (vid, states) in &result.states {
-        if let Some((_, cost)) = states.iter().rev().find(|(_, c)| *c < INF) {
-            out.insert(*vid, *cost);
-        }
-    }
-    out
-}
-
-/// A histogram of the final costs, bucketed by value.
-pub fn cost_histogram(result: &IcmResult<i64>) -> BTreeMap<i64, usize> {
-    let mut hist = BTreeMap::new();
-    for cost in final_costs(result).values() {
-        *hist.entry(*cost).or_default() += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::AlgLabels;
-    use crate::td_paths::IcmSssp;
     use crate::wcc::IcmWcc;
     use graphite_icm::prelude::*;
-    use graphite_tgraph::fixtures::{transit_graph, transit_ids};
+    use graphite_tgraph::fixtures::transit_graph;
     use std::sync::Arc;
 
     #[test]
@@ -113,34 +68,5 @@ mod tests {
         assert_eq!(evolution.len(), 9);
         // t=0 has no edges: six singleton components.
         assert_eq!(evolution[0], (0, 6, 1));
-    }
-
-    #[test]
-    fn coverage_and_costs_on_transit_sssp() {
-        let g = Arc::new(transit_graph());
-        let labels = AlgLabels::resolve(&g);
-        let sssp = run_icm(
-            &g,
-            Arc::new(IcmSssp {
-                source: transit_ids::A,
-                labels,
-            }),
-            &IcmConfig::default(),
-            None,
-        )
-        .expect("ICM run");
-        let coverage = coverage_over_time(&sssp, Interval::new(0, 12));
-        // Coverage grows: only A at t=0; A,C,D by 2; +B at 4; +E at 6.
-        assert_eq!(coverage[0].1, 1);
-        assert_eq!(coverage[2].1, 3);
-        assert_eq!(coverage[4].1, 4);
-        assert_eq!(coverage[6].1, 5);
-        assert_eq!(coverage[11].1, 5, "F stays unreachable");
-        let finals = final_costs(&sssp);
-        assert_eq!(finals[&transit_ids::E], 5);
-        assert_eq!(finals.get(&transit_ids::F), None);
-        let hist = cost_histogram(&sssp);
-        assert_eq!(hist[&0], 1); // the source
-        assert_eq!(hist[&5], 1); // E
     }
 }

@@ -7,12 +7,17 @@
 //! digest (FAST/LD everywhere, EAT/TMST/RH on TGB), which no differential
 //! suite can see. The catalog's own table — names, aliases, indices, the
 //! program and encoder behind every entry — is pinned the same way.
+//! PageRank on MSB and Chlonos is also pinned bit for bit, since the
+//! matrix digest rounds ranks to 1e-6.
 
 use graphite_algorithms::catalog::{visit_icm, IcmParams, IcmVisitor};
+use graphite_algorithms::common::ResultDigest;
+use graphite_algorithms::pagerank::{VcmPageRank, DEFAULT_ITERATIONS};
 use graphite_algorithms::registry::{try_run, Algo, Platform, RunError, RunOpts};
+use graphite_baselines::{run_chlonos, run_msb, ChlConfig, MsbConfig, SnapshotResult};
 use graphite_datagen::{generate, GenParams, LifespanModel};
 use graphite_icm::IntervalProgram;
-use graphite_tgraph::graph::TemporalGraph;
+use graphite_tgraph::graph::{TemporalGraph, VIdx};
 use std::sync::Arc;
 
 /// The two pinned inputs: the paper's worst case (every edge lives one
@@ -156,6 +161,73 @@ fn names_aliases_and_indices_are_pinned() {
     }
 }
 
+/// Folds every collected `(vid, t, rank)` with the rank's exact bits.
+fn rank_bits(graph: &TemporalGraph, r: &SnapshotResult<f64>) -> u64 {
+    let mut d = ResultDigest::default();
+    for (t, states) in &r.per_snapshot {
+        for (&v, rank) in states {
+            d.fold(graph.vertex(VIdx(v)).vid, *t, rank.to_bits());
+        }
+    }
+    d.0
+}
+
+/// The registry's VCM PageRank on MSB and on Chlonos at batch sizes 1, 3
+/// and 16: one row per `graph platform workers bits`. A rank's low bits
+/// follow the order in which its incoming shares are summed, so this pin
+/// sees what the rounded digest cannot: the order in which Chlonos visits
+/// vertices. The order in which it opens runs never reaches a PageRank
+/// fold (a vertex sends one share per offset); `chlonos.rs`'s
+/// `parallel_sends_to_one_target_arrive_in_send_order` covers that.
+fn pagerank_bit_rows() -> Vec<String> {
+    let program = Arc::new(VcmPageRank {
+        iterations: DEFAULT_ITERATIONS,
+    });
+    let mut rows = Vec::new();
+    for (name, graph) in graphs() {
+        let window = Some(IcmParams::resolve(&graph, None, 1, None).window);
+        for workers in [1, 2, 3] {
+            let msb = MsbConfig {
+                workers,
+                window,
+                ..MsbConfig::default()
+            };
+            let r = run_msb(Arc::clone(&graph), Arc::clone(&program), &msb).expect("MSB run");
+            rows.push(format!(
+                "{name} MSB {workers} {:#018x}",
+                rank_bits(&graph, &r)
+            ));
+            for batch_size in [1, 3, 16] {
+                let chl = ChlConfig {
+                    workers,
+                    batch_size,
+                    window,
+                    ..ChlConfig::default()
+                };
+                let r = run_chlonos(Arc::clone(&graph), Arc::clone(&program), &chl)
+                    .expect("Chlonos run");
+                rows.push(format!(
+                    "{name} CHL/{batch_size} {workers} {:#018x}",
+                    rank_bits(&graph, &r)
+                ));
+            }
+        }
+    }
+    rows
+}
+
+#[test]
+fn pagerank_ranks_are_pinned_bit_for_bit() {
+    let actual = pagerank_bit_rows();
+    let pinned: Vec<&str> = PAGERANK_BITS.lines().collect();
+    assert_eq!(
+        actual,
+        pinned,
+        "PageRank bits drifted; actual rows:\n{}",
+        actual.join("\n")
+    );
+}
+
 /// Names the program and reports whether the entry is digested, without
 /// running anything.
 struct Describe;
@@ -265,3 +337,29 @@ long LCC ICM 0x32b6fca175fd12c3 4 693 242 2379\n\
 long LCC GOF 0x32b6fca175fd12c3 48 1455 0 4067\n\
 long TC ICM 0xd45e0a83e229d1c9 3 571 159 2183\n\
 long TC GOF 0xd45e0a83e229d1c9 36 1332 0 3867";
+
+const PAGERANK_BITS: &str = "\
+unit MSB 1 0xe8ca045f435507ae\n\
+unit CHL/1 1 0x9474e8ce66c2e7ca\n\
+unit CHL/3 1 0xf1b7f44967a0afab\n\
+unit CHL/16 1 0xe8ca045f435507ae\n\
+unit MSB 2 0xff2f9f767a5602a0\n\
+unit CHL/1 2 0x48f098366cdcca57\n\
+unit CHL/3 2 0xff2f9f767a5602a0\n\
+unit CHL/16 2 0xff2f9f767a5602a0\n\
+unit MSB 3 0x666a7266fae34f8a\n\
+unit CHL/1 3 0x0c087638f7e717db\n\
+unit CHL/3 3 0x666a7266fae34f8a\n\
+unit CHL/16 3 0x666a7266fae34f8a\n\
+long MSB 1 0xfe3e57e7f96b2782\n\
+long CHL/1 1 0x27ad90fe5e41f92d\n\
+long CHL/3 1 0x5f0edb51242fac18\n\
+long CHL/16 1 0xce35c00bd05934ef\n\
+long MSB 2 0x5652a580e2a29cd4\n\
+long CHL/1 2 0x32e425f15e2f795f\n\
+long CHL/3 2 0x1f19137b08449486\n\
+long CHL/16 2 0x372f736bba44653d\n\
+long MSB 3 0x75953a8d6f1aba5c\n\
+long CHL/1 3 0x2a3a71339ccaba76\n\
+long CHL/3 3 0xa18634d6b0604712\n\
+long CHL/16 3 0x502056e6764a4ecd";

@@ -391,6 +391,87 @@ mod tests {
         }
     }
 
+    /// Sends each out-edge's position in the snapshot's edge list and
+    /// folds what it receives in arrival order, uncombined: the state
+    /// records the order in which one sender's messages to one target
+    /// arrived.
+    struct SendOrder;
+
+    impl VcmProgram for SendOrder {
+        type State = u64;
+        type Msg = u64;
+        fn init(&self, _v: u32, _vid: VertexId) -> u64 {
+            0
+        }
+        fn compute(&self, ctx: &mut VcmContext<u64>, state: &mut u64, msgs: &[u64]) {
+            for &m in msgs {
+                *state = state.wrapping_mul(31).wrapping_add(m + 1);
+            }
+            if ctx.superstep() == 1 {
+                let targets: Vec<u32> = ctx.out_edges().iter().map(|e| e.target).collect();
+                for (i, target) in targets.into_iter().enumerate() {
+                    ctx.send(target, i as u64);
+                }
+            }
+        }
+    }
+
+    /// Two parallel edges 0 → 1 carry different, unchanging payloads, so
+    /// their runs open at the same offset and flush together: vertex 1
+    /// must see them in send order, as under MSB. A third, shorter edge
+    /// keeps the topology from being static.
+    #[test]
+    fn parallel_sends_to_one_target_arrive_in_send_order() {
+        use graphite_tgraph::builder::TemporalGraphBuilder;
+        use graphite_tgraph::graph::EdgeId;
+        let life = Interval::new(0, 4);
+        let mut b = TemporalGraphBuilder::new();
+        for vid in 0..3 {
+            b.add_vertex(VertexId(vid), life).unwrap();
+        }
+        for (eid, src, dst, lifespan) in [
+            (0, 0, 1, life),
+            (1, 0, 1, life),
+            (2, 2, 0, Interval::new(0, 2)),
+        ] {
+            b.add_edge(EdgeId(eid), VertexId(src), VertexId(dst), lifespan)
+                .unwrap();
+        }
+        let graph = Arc::new(b.build().unwrap());
+        for workers in [1, 2] {
+            let msb = run_msb(
+                Arc::clone(&graph),
+                Arc::new(SendOrder),
+                &MsbConfig {
+                    workers,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            for batch_size in [1, 4] {
+                let chl = run_chlonos(
+                    Arc::clone(&graph),
+                    Arc::new(SendOrder),
+                    &ChlConfig {
+                        workers,
+                        batch_size,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+                for (t, states) in &msb.per_snapshot {
+                    for (v, s) in states.iter().collect::<BTreeMap<_, _>>() {
+                        assert_eq!(
+                            chl.state_at(*v, *t),
+                            Some(s),
+                            "workers={workers} batch={batch_size} v={v} t={t}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn chlonos_same_compute_calls_fewer_messages_than_msb() {
         let graph = Arc::new(transit_graph());

@@ -9,7 +9,7 @@
 //!
 //! `--balance` prints each worker's share of active interval-vertices
 //! and compute time per superstep plus run totals — the observed-skew
-//! view that feeds `partition_report`'s rebalancing (DESIGN.md §13).
+//! view beside `partition_report`'s static estimate (DESIGN.md §13).
 //!
 //! Produce a trace with e.g.
 //! `GRAPHITE_TRACE=full GRAPHITE_TRACE_JSON=trace.jsonl graphite run bfs icm ...`

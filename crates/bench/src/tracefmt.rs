@@ -86,16 +86,6 @@ fn load(row: &TraceEvent) -> (u32, u64, u64, u64) {
     }
 }
 
-/// Observed load is compute time; a stream that carries no timing
-/// (Counters level) falls back to delivered message counts.
-fn prefer_timing(by_ns: Vec<u64>, by_msgs: Vec<u64>) -> Vec<u64> {
-    if by_ns.iter().any(|&ns| ns > 0) {
-        by_ns
-    } else {
-        by_msgs
-    }
-}
-
 impl Step<'_> {
     /// The closing barrier's `(step number, slowest compute span)`.
     fn barrier(&self) -> (u64, u64) {
@@ -121,13 +111,17 @@ impl Step<'_> {
     /// worker did everything, and 1.0 again when there is nothing to
     /// compare.
     pub fn skew(&self) -> f64 {
-        let (by_ns, by_msgs) = self
+        let (by_ns, by_msgs): (Vec<u64>, Vec<u64>) = self
             .workers
             .iter()
             .map(load)
             .map(|(_, _, msgs, ns)| (ns, msgs))
             .unzip();
-        let loads = prefer_timing(by_ns, by_msgs);
+        let loads = if by_ns.iter().any(|&ns| ns > 0) {
+            by_ns
+        } else {
+            by_msgs
+        };
         let total = sum(loads.iter().copied());
         if total == 0 {
             return 1.0;
@@ -416,10 +410,10 @@ fn share(part: u64, total: u64) -> f64 {
 /// Renders the placement-balance report (`trace_report --balance`): per
 /// superstep, each worker's share of active interval-vertices and of
 /// compute time, plus the max-over-mean skew of each. This is the
-/// observed-load view that `partition_report` consumes when it
-/// recommends a rebalanced assignment (DESIGN.md §13): a worker whose
-/// compute share persistently exceeds `1/workers` is the skew the
-/// temporal-balance strategy exists to remove.
+/// observed-load view beside `partition_report`'s static estimate
+/// (DESIGN.md §13): a worker whose compute share persistently exceeds
+/// `1/workers` is the skew the temporal-balance strategy exists to
+/// remove.
 pub fn render_balance(label: &str, trace: &RunTrace) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -471,28 +465,6 @@ pub fn render_balance(label: &str, trace: &RunTrace) -> String {
     let _ = writeln!(out, "run totals:");
     write_rows(&mut out, &totals, 7);
     out
-}
-
-/// Total observed compute load per worker over the whole stream, indexed
-/// by worker id (dense, zero-filled). Falls back to delivered message
-/// counts when the stream carries no timing (Counters level), as
-/// [`Step::skew`] does. This is the `observed` input to
-/// `graphite_part::rebalance`. The table is sized by the largest worker
-/// id, which the wire bounds by the engine's `u16` width.
-pub fn observed_loads(trace: &RunTrace) -> Vec<f64> {
-    let mut by_ns: Vec<u64> = Vec::new();
-    let mut by_msgs: Vec<u64> = Vec::new();
-    for (worker, _, msgs, ns) in steps(trace).flat_map(|s| s.workers).map(load) {
-        let slot = worker as usize;
-        if slot >= by_ns.len() {
-            by_ns.resize(slot + 1, 0);
-            by_msgs.resize(slot + 1, 0);
-        }
-        by_ns[slot] = by_ns[slot].saturating_add(ns);
-        by_msgs[slot] = by_msgs[slot].saturating_add(msgs);
-    }
-    let loads = prefer_timing(by_ns, by_msgs);
-    loads.into_iter().map(|v| v as f64).collect()
 }
 
 /// Renders a side-by-side comparison of two traces (e.g. across
@@ -730,15 +702,6 @@ mod tests {
         assert!(report.contains("25.0%"), "{report}");
         assert!(report.contains("run totals:"), "{report}");
         assert!(report.contains("skew 1.50x"), "{report}");
-    }
-
-    #[test]
-    fn observed_loads_prefer_timing_and_fall_back_to_messages() {
-        let (_, trace) = parse(&sample()).expect("sample parses");
-        assert_eq!(observed_loads(&trace), vec![3000.0, 1000.0]);
-        // Strip the timings: the message fallback takes over.
-        assert_eq!(observed_loads(&trace.normalized()), vec![6.0, 2.0]);
-        assert!(observed_loads(&RunTrace::default()).is_empty());
     }
 
     #[test]

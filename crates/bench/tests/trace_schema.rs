@@ -371,7 +371,6 @@ fn render_all(label: &str, trace: &RunTrace) {
     let _ = tracefmt::render(label, trace, 2);
     let _ = tracefmt::render_balance(label, trace);
     let _ = tracefmt::render_compare((label, trace), (label, &trace.normalized()));
-    let _ = tracefmt::observed_loads(trace);
 }
 
 #[test]

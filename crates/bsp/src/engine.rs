@@ -836,7 +836,7 @@ impl<L: WorkerLogic> RunState<L> {
     {
         let tracing = config.trace.is_enabled();
         if let Some(session) = &mut recovery {
-            session.checkpoint(self, tracing)?;
+            session.checkpoint(self, tracing);
         }
         while !self.halted {
             self.admit_next_step(config)?;
@@ -845,7 +845,7 @@ impl<L: WorkerLogic> RunState<L> {
                 &mut recovery,
             ) {
                 (Ok(()), None) => {}
-                (Ok(()), Some(session)) => session.step_completed(self, tracing)?,
+                (Ok(()), Some(session)) => session.step_completed(self, tracing),
                 (Err(err), Some(session)) if err.is_recoverable() => {
                     session.roll_back(self, err, tracing)?;
                     injector.next_attempt();

@@ -60,7 +60,7 @@ pub enum BspError {
         /// The `max_supersteps` value that was exhausted.
         limit: u64,
     },
-    /// A checkpoint could not be captured, persisted, or restored.
+    /// A checkpoint could not be captured or restored, or none exists.
     Checkpoint {
         /// What went wrong.
         detail: String,
@@ -138,7 +138,7 @@ impl BspError {
     /// this error (DESIGN.md §15). Transient means "an identical query
     /// could plausibly succeed on another attempt with an escalated
     /// recovery budget": execution faults (panics, wire corruption), an
-    /// exhausted inner recovery budget, and checkpoint-store failures.
+    /// exhausted inner recovery budget, and checkpoint failures.
     /// Everything else — bad configuration, non-convergence, budget,
     /// admission, shed, quarantine — is deterministic policy and retrying
     /// would burn workers for the same answer.

@@ -171,13 +171,6 @@ impl FaultInjector {
         self.attempt += 1;
     }
 
-    /// Whether any fault could ever fire (lets the engine skip per-step
-    /// bookkeeping entirely for fault-free configs).
-    #[must_use]
-    pub fn is_armed(&self) -> bool {
-        !self.plan.faults.is_empty()
-    }
-
     fn arm(&mut self, worker: usize, step: u64, kind: FaultKind) -> bool {
         for (i, f) in self.plan.faults.iter().enumerate() {
             if f.worker == worker && f.step == step && f.kind == kind {
@@ -274,7 +267,6 @@ mod tests {
     #[test]
     fn unarmed_injector_never_fires() {
         let mut inj = FaultInjector::new(None);
-        assert!(!inj.is_armed());
         for step in 1..10 {
             for w in 0..4 {
                 assert!(!inj.arm_panic(w, step));

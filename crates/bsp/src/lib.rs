@@ -54,5 +54,5 @@ pub use fault::{Fault, FaultInjector, FaultKind, FaultMode, FaultPlan};
 pub use metrics::{RecoveryMetrics, RunMetrics, StepTiming, UserCounters};
 pub use partition::{hash_partition, PartitionMap};
 pub use recover::{Recovery, RecoveryConfig};
-pub use snapshot::{Checkpoint, CheckpointStorage, CheckpointStore, Snapshot};
+pub use snapshot::{Checkpoint, Snapshot};
 pub use trace::{RunTrace, TraceConfig, TraceEvent, TraceLevel, TraceSink};

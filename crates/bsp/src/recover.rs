@@ -18,7 +18,8 @@
 //! carrying the complete fault history — a persistent fault (same failure
 //! on every replay) must terminate with a diagnosis, not loop forever or
 //! return a wrong answer. Non-recoverable errors (configuration mismatch,
-//! non-convergence, checkpoint I/O) propagate immediately.
+//! non-convergence, a checkpoint that fails to restore) propagate
+//! immediately.
 //!
 //! Checkpointability is a *compile-time* property: a [`Recovery`] can only
 //! be constructed for worker logic that is [`Snapshot`], so a run whose
@@ -26,7 +27,7 @@
 
 use crate::engine::{RunState, WorkerLogic};
 use crate::error::BspError;
-use crate::snapshot::{Checkpoint, CheckpointStorage, CheckpointStore, Snapshot};
+use crate::snapshot::{Checkpoint, Snapshot};
 use crate::trace::TraceEvent;
 
 /// Configuration of a recovery session, orthogonal to
@@ -40,8 +41,6 @@ pub struct RecoveryConfig {
     /// How many rollbacks the loop performs before giving up with
     /// [`BspError::RecoveryExhausted`].
     pub max_attempts: u64,
-    /// Where checkpoint payloads live.
-    pub storage: CheckpointStorage,
 }
 
 impl Default for RecoveryConfig {
@@ -49,13 +48,12 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             checkpoint_interval: 8,
             max_attempts: 3,
-            storage: CheckpointStorage::Memory,
         }
     }
 }
 
 impl RecoveryConfig {
-    /// An in-memory config with the given checkpoint interval.
+    /// A config with the given checkpoint interval.
     #[must_use]
     pub fn every(checkpoint_interval: u64) -> Self {
         RecoveryConfig {
@@ -65,7 +63,7 @@ impl RecoveryConfig {
     }
 }
 
-/// One run's recovery session: the checkpoint store, the retry ledger, and
+/// One run's recovery session: the latest checkpoint, the retry ledger, and
 /// the two [`Snapshot`]-requiring operations on the run state, captured as
 /// `fn` items at construction — which is what keeps the superstep loop
 /// itself free of the `Snapshot` bound.
@@ -78,7 +76,8 @@ impl RecoveryConfig {
 pub struct Recovery<L: WorkerLogic> {
     checkpoint_interval: u64,
     max_attempts: u64,
-    store: CheckpointStore,
+    /// The newest captured boundary; each capture replaces it.
+    latest: Option<Checkpoint>,
     capture: fn(&RunState<L>) -> Checkpoint,
     restore: fn(&mut RunState<L>, &Checkpoint) -> Result<(), BspError>,
     history: Vec<BspError>,
@@ -100,7 +99,7 @@ impl<L: WorkerLogic + Snapshot> Recovery<L> {
         Ok(Recovery {
             checkpoint_interval: config.checkpoint_interval,
             max_attempts: config.max_attempts,
-            store: CheckpointStore::new(config.storage.clone()),
+            latest: None,
             capture: RunState::take_checkpoint,
             restore: RunState::rollback,
             history: Vec::new(),
@@ -110,14 +109,12 @@ impl<L: WorkerLogic + Snapshot> Recovery<L> {
 }
 
 impl<L: WorkerLogic> Recovery<L> {
-    /// Captures and persists the current boundary, bumping the recovery
-    /// counters (and, when tracing, marking the trace stream).
-    pub(crate) fn checkpoint(
-        &mut self,
-        state: &mut RunState<L>,
-        tracing: bool,
-    ) -> Result<(), BspError> {
-        let bytes = self.store.save((self.capture)(state))?;
+    /// Captures the current boundary as the latest checkpoint, bumping the
+    /// recovery counters (and, when tracing, marking the trace stream).
+    pub(crate) fn checkpoint(&mut self, state: &mut RunState<L>, tracing: bool) {
+        let ckpt = (self.capture)(state);
+        let bytes = ckpt.payload_bytes();
+        self.latest = Some(ckpt);
         state.metrics.recovery.checkpoints_taken += 1;
         state.metrics.recovery.checkpoint_bytes += bytes;
         if tracing {
@@ -127,20 +124,14 @@ impl<L: WorkerLogic> Recovery<L> {
             });
         }
         self.since_checkpoint = 0;
-        Ok(())
     }
 
     /// A superstep completed: checkpoint if the interval is due.
-    pub(crate) fn step_completed(
-        &mut self,
-        state: &mut RunState<L>,
-        tracing: bool,
-    ) -> Result<(), BspError> {
+    pub(crate) fn step_completed(&mut self, state: &mut RunState<L>, tracing: bool) {
         self.since_checkpoint += 1;
         if !state.halted && self.since_checkpoint >= self.checkpoint_interval {
-            self.checkpoint(state, tracing)?;
+            self.checkpoint(state, tracing);
         }
-        Ok(())
     }
 
     /// A superstep failed with the recoverable `err`: roll `state` back to
@@ -161,14 +152,14 @@ impl<L: WorkerLogic> Recovery<L> {
                 history: std::mem::take(&mut self.history),
             });
         }
-        let ckpt = self.store.load()?.ok_or_else(|| BspError::Checkpoint {
+        let ckpt = self.latest.as_ref().ok_or_else(|| BspError::Checkpoint {
             detail: "no checkpoint available for rollback".into(),
         })?;
         // Supersteps to re-execute: the completed ones since the
         // checkpoint, plus the faulted superstep's retry.
         let lost = state.step.saturating_sub(ckpt.step) + 1;
         let from_step = state.step;
-        (self.restore)(state, &ckpt)?;
+        (self.restore)(state, ckpt)?;
         if tracing {
             state.metrics.trace.push(TraceEvent::Rollback {
                 from_step,
@@ -375,7 +366,6 @@ mod tests {
         let recovery = RecoveryConfig {
             checkpoint_interval: 2,
             max_attempts: 3,
-            ..Default::default()
         };
         let err = run_recoverable(
             &config,
@@ -441,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_corruption_recovers_on_disk_store() {
+    fn wire_corruption_is_rolled_back_and_replayed() {
         let graph = Arc::new(ring(8));
         let partition = Arc::new(PartitionMap::hash(&graph, 4).expect("partition"));
         let (plain, _) = run_bsp(
@@ -452,8 +442,6 @@ mod tests {
             None,
         )
         .unwrap();
-        let dir = std::env::temp_dir().join("graphite_recover_disk_test");
-        let _ = std::fs::remove_dir_all(&dir);
         // Corrupt batches bound for every worker at step 3: whichever
         // worker receives remote traffic then will trip the checksum.
         let mut plan = FaultPlan::default();
@@ -469,14 +457,9 @@ mod tests {
             fault_plan: Some(plan),
             ..Default::default()
         };
-        let recovery = RecoveryConfig {
-            checkpoint_interval: 2,
-            storage: CheckpointStorage::Disk(dir.clone()),
-            ..Default::default()
-        };
         let (rec, rm) = run_recoverable(
             &config,
-            &recovery,
+            &RecoveryConfig::every(2),
             logics(&graph, &partition, 8),
             Arc::clone(&partition),
             None,
@@ -485,7 +468,6 @@ mod tests {
         assert_eq!(totals(&plain), totals(&rec));
         assert!(rm.recovery.rollbacks >= 1, "corruption must have fired");
         assert!(rm.recovery.checkpoint_bytes > 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 
 use graphite_algorithms::bfs::IcmBfs;
 use graphite_bsp::{
-    run_bsp, Aggregators, BspConfig, BspError, CheckpointStorage, Fault, FaultKind, FaultMode,
-    FaultPlan, Inbox, MasterDecision, Outbox, PartitionMap, Recovery, RecoveryConfig, RunMetrics,
-    Snapshot, TraceConfig, TraceEvent, TraceSink, UserCounters, WorkerLogic,
+    run_bsp, Aggregators, BspConfig, BspError, Fault, FaultKind, FaultMode, FaultPlan, Inbox,
+    MasterDecision, Outbox, PartitionMap, Recovery, RecoveryConfig, RunMetrics, Snapshot,
+    TraceConfig, TraceEvent, TraceSink, UserCounters, WorkerLogic,
 };
 use graphite_icm::engine::{run_icm, IcmConfig};
 use graphite_tgraph::builder::TemporalGraphBuilder;
@@ -286,29 +286,6 @@ fn seeded_fault_plans_are_deterministic_end_to_end() {
         am.recovery, bm.recovery,
         "the same plan must fire identically on every run"
     );
-}
-
-#[test]
-fn disk_checkpoints_survive_rollback() {
-    let graph = ring(16);
-    let partition = Arc::new(PartitionMap::hash(&graph, 4).expect("partition"));
-    let dir = std::env::temp_dir().join("graphite_fault_injection_disk");
-    let _ = std::fs::remove_dir_all(&dir);
-    let recovery = RecoveryConfig {
-        storage: CheckpointStorage::Disk(dir.clone()),
-        ..RecoveryConfig::every(2)
-    };
-    let (rec, rm) = run_recover(
-        &graph,
-        &partition,
-        &faulted(FaultPlan::panic_at(1, 6)),
-        &recovery,
-    )
-    .unwrap();
-    assert_eq!(grand_total(&rec), (1..=HOPS).sum::<u64>());
-    assert_eq!(rm.recovery.rollbacks, 1);
-    assert!(rm.recovery.checkpoint_bytes > 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------

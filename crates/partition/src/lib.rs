@@ -21,21 +21,16 @@
 //!
 //! [`stats()`] measures what a placement actually achieved (balance
 //! factor, edge cut, interval-weighted balance, estimated cross-worker
-//! message fraction), and [`rebalance()`] closes the loop with the structured-trace
-//! layer: observed per-worker compute skew from a `graphite-trace/1` run
-//! drives a seeded, deterministic re-assignment.
+//! message fraction); `trace_report --balance` shows the skew a run
+//! actually observed.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod rebalance;
 pub mod stats;
 pub mod strategies;
 
-pub use rebalance::rebalance;
 pub use stats::{stats, PartitionStats};
-use std::sync::Arc;
-pub use strategies::ExplicitAssignment;
 
 use graphite_bsp::error::BspError;
 use graphite_bsp::partition::PartitionMap;
@@ -52,11 +47,7 @@ use graphite_tgraph::graph::TemporalGraph;
 ///
 /// The selector is threaded through `IcmConfig`/`VcmConfig`, the
 /// algorithm registry's `RunOpts`, and the CLI (`--partition`).
-///
-/// Not `Copy` since the [`PartitionStrategy::Explicit`] variant carries a
-/// shared assignment table; configs clone it, which is an `Arc` bump at
-/// worst.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PartitionStrategy {
     /// Splitmix64 of the external vertex id, modulo workers — the paper's
     /// (and Giraph's) default, and the compatibility baseline.
@@ -73,19 +64,10 @@ pub enum PartitionStrategy {
     /// lifespan lengths per worker — so workers receive equal temporal
     /// work, not equal vertex counts.
     TemporalBalance,
-    /// Replays a pinned external-vid → worker table — typically the
-    /// rebalancer recommendation emitted by `partition_report
-    /// --emit-assignment` — closing the measure → rebalance → run loop.
-    /// Excluded from [`PartitionStrategy::ALL`] (it needs a payload) and
-    /// not constructible via [`PartitionStrategy::parse`]; load a table
-    /// with [`ExplicitAssignment::parse`] instead.
-    Explicit(Arc<ExplicitAssignment>),
 }
 
 impl PartitionStrategy {
-    /// Every *parameter-free* strategy, in documentation order. `Explicit`
-    /// is excluded: it carries a payload, so matrices that sweep `ALL`
-    /// construct it separately from a concrete assignment.
+    /// Every strategy, in documentation order.
     pub const ALL: [PartitionStrategy; 4] = [
         PartitionStrategy::Hash,
         PartitionStrategy::Chunked,
@@ -100,7 +82,6 @@ impl PartitionStrategy {
             PartitionStrategy::Chunked => "chunked",
             PartitionStrategy::Ldg => "ldg",
             PartitionStrategy::TemporalBalance => "temporal",
-            PartitionStrategy::Explicit(_) => "explicit",
         }
     }
 
@@ -119,25 +100,18 @@ impl PartitionStrategy {
         }
     }
 
-    /// Wraps an assignment table as a strategy (convenience constructor).
-    pub fn explicit(assignment: ExplicitAssignment) -> Self {
-        PartitionStrategy::Explicit(Arc::new(assignment))
-    }
-
     /// Computes the assignment for this strategy.
     ///
     /// # Errors
     ///
     /// [`BspError::Config`] when `workers` is zero or exceeds the `u16`
-    /// worker-index wire encoding, or when an explicit table misses a
-    /// vertex of `graph` or names a worker the run does not have.
+    /// worker-index wire encoding.
     pub fn build(&self, graph: &TemporalGraph, workers: usize) -> Result<PartitionMap, BspError> {
         match self {
             PartitionStrategy::Hash => PartitionMap::hash(graph, workers),
             PartitionStrategy::Chunked => strategies::chunked(graph, workers),
             PartitionStrategy::Ldg => strategies::ldg(graph, workers),
             PartitionStrategy::TemporalBalance => strategies::temporal_balance(graph, workers),
-            PartitionStrategy::Explicit(table) => table.replay(graph, workers),
         }
     }
 }

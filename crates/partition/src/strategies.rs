@@ -4,15 +4,12 @@
 //! vertices are streamed in dense `VIdx` order (load order is already
 //! canonicalized by the builder), scores use integer arithmetic, and every
 //! tie breaks toward the lowest worker index. No ambient randomness, no
-//! unordered iteration. An [`ExplicitAssignment`] is trivially
-//! deterministic — it replays a pinned table. Hash placement is
-//! [`PartitionMap::hash`] itself, the placement the BSP substrate has
-//! always used.
+//! unordered iteration. Hash placement is [`PartitionMap::hash`] itself,
+//! the placement the BSP substrate has always used.
 
 use graphite_bsp::error::BspError;
 use graphite_bsp::partition::PartitionMap;
-use graphite_tgraph::graph::{TemporalGraph, VertexId};
-use std::collections::BTreeMap;
+use graphite_tgraph::graph::TemporalGraph;
 
 /// Contiguous `VIdx` ranges of near-equal size: the first `n % workers`
 /// workers own one extra vertex. Perfect vertex-count balance and maximal
@@ -112,143 +109,6 @@ pub(crate) fn temporal_balance(
     PartitionMap::from_assignment(assignment, workers)
 }
 
-/// A pinned external-vid → worker table, the payload of
-/// [`crate::PartitionStrategy::Explicit`]. This is how `partition_report
-/// --trace` rebalancer output is fed back into a live run: the report
-/// emits the recommended assignment as text (`--emit-assignment`), and
-/// the CLI / serving layer parses it back into one of these.
-///
-/// The table may cover a superset of the graph (entries for vids the
-/// graph does not contain are ignored at build time), but every vertex of
-/// the graph must be covered — a partial table is a configuration error,
-/// never a silent fallback placement.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct ExplicitAssignment {
-    by_vid: BTreeMap<u64, u16>,
-}
-
-impl ExplicitAssignment {
-    /// Builds a table from `(vid, worker)` pairs; a vid listed twice keeps
-    /// the last entry (rebalancer emissions append refinements).
-    pub fn from_pairs(pairs: impl IntoIterator<Item = (VertexId, u16)>) -> Self {
-        ExplicitAssignment {
-            by_vid: pairs.into_iter().map(|(v, w)| (v.0, w)).collect(),
-        }
-    }
-
-    /// Captures an existing [`PartitionMap`] over `graph` — e.g. the
-    /// output of [`crate::rebalance::rebalance`] — as a reusable table.
-    pub fn from_map(graph: &TemporalGraph, map: &PartitionMap) -> Self {
-        ExplicitAssignment {
-            by_vid: graph
-                .vertex_indices()
-                .map(|v| (graph.vertex(v).vid.0, map.worker_of(v) as u16))
-                .collect(),
-        }
-    }
-
-    /// Parses the `--emit-assignment` text format: one `vid worker` pair
-    /// per line, `#` starts a comment, blank lines ignored.
-    ///
-    /// # Errors
-    ///
-    /// [`BspError::Config`] on any malformed line.
-    pub fn parse(text: &str) -> Result<Self, BspError> {
-        let mut by_vid = BTreeMap::new();
-        for (ln, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let (vid, worker) = match (parts.next(), parts.next(), parts.next()) {
-                (Some(v), Some(w), None) => (v, w),
-                _ => {
-                    return Err(BspError::Config {
-                        detail: format!(
-                            "assignment line {}: want `vid worker`, got {raw:?}",
-                            ln + 1
-                        ),
-                    })
-                }
-            };
-            let vid: u64 = vid.parse().map_err(|_| BspError::Config {
-                detail: format!("assignment line {}: bad vid {vid:?}", ln + 1),
-            })?;
-            let worker: u16 = worker.parse().map_err(|_| BspError::Config {
-                detail: format!("assignment line {}: bad worker {worker:?}", ln + 1),
-            })?;
-            by_vid.insert(vid, worker);
-        }
-        Ok(ExplicitAssignment { by_vid })
-    }
-
-    /// Renders the table in the format [`ExplicitAssignment::parse`]
-    /// accepts, vids ascending.
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("# graphite explicit assignment: vid worker\n");
-        for (vid, worker) in &self.by_vid {
-            out.push_str(&format!("{vid} {worker}\n"));
-        }
-        out
-    }
-
-    /// Number of `(vid, worker)` entries.
-    pub fn len(&self) -> usize {
-        self.by_vid.len()
-    }
-
-    /// `true` when the table has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.by_vid.is_empty()
-    }
-
-    /// The minimum worker count this table requires (max worker index
-    /// + 1); 0 for an empty table.
-    pub fn workers_required(&self) -> usize {
-        self.by_vid
-            .values()
-            .map(|&w| usize::from(w) + 1)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Replays the table over `graph` — the feedback half of the
-    /// rebalancing loop (DESIGN.md §13): measure skew with
-    /// `partition_report --trace`, emit the recommended assignment, run
-    /// under it.
-    pub(crate) fn replay(
-        &self,
-        graph: &TemporalGraph,
-        workers: usize,
-    ) -> Result<PartitionMap, BspError> {
-        let mut assignment = Vec::with_capacity(graph.num_vertices());
-        for v in graph.vertex_indices() {
-            let vid = graph.vertex(v).vid;
-            let Some(&w) = self.by_vid.get(&vid.0) else {
-                return Err(BspError::Config {
-                    detail: format!(
-                        "explicit assignment does not cover vertex {} ({} entries)",
-                        vid.0,
-                        self.len()
-                    ),
-                });
-            };
-            if usize::from(w) >= workers {
-                return Err(BspError::Config {
-                    detail: format!(
-                        "explicit assignment places vertex {} on worker {w}, \
-                         but the run has {workers} workers",
-                        vid.0
-                    ),
-                });
-            }
-            assignment.push(w);
-        }
-        PartitionMap::from_assignment(assignment, workers)
-    }
-}
-
 /// Shared helper for tests and stats: per-worker interval weight under an
 /// assignment.
 pub(crate) fn interval_loads(graph: &TemporalGraph, map: &PartitionMap) -> Vec<u128> {
@@ -335,44 +195,6 @@ mod tests {
         // The hub's worker should hold a full share of its leaves.
         let hub_w = p.worker_of(VIdx(0));
         assert!(p.owned_count(hub_w) >= 9);
-    }
-
-    #[test]
-    fn explicit_replays_pinned_assignments_and_rejects_bad_ones() {
-        let g = skewed_star(10); // 11 vertices; LPT over 3 workers uses all 3
-        let temporal = PartitionStrategy::TemporalBalance.build(&g, 3).unwrap();
-        let table = ExplicitAssignment::from_map(&g, &temporal);
-        assert_eq!(table.len(), g.num_vertices());
-        assert_eq!(table.workers_required(), 3);
-
-        // Text format round-trips, and the replayed map is bit-identical.
-        let parsed = ExplicitAssignment::parse(&table.to_text()).unwrap();
-        assert_eq!(table, parsed);
-        let replay = PartitionStrategy::explicit(parsed).build(&g, 3).unwrap();
-        for v in g.vertex_indices() {
-            assert_eq!(replay.worker_of(v), temporal.worker_of(v));
-        }
-
-        // Partial coverage is a typed Config error, not a fallback.
-        let partial = ExplicitAssignment::from_pairs([(VertexId(0), 0u16)]);
-        assert!(matches!(
-            PartitionStrategy::explicit(partial).build(&g, 3),
-            Err(BspError::Config { .. })
-        ));
-        // A table needing more workers than the run has is rejected too.
-        let oob = ExplicitAssignment::from_map(&g, &temporal);
-        assert!(matches!(
-            PartitionStrategy::explicit(oob).build(&g, 2),
-            Err(BspError::Config { .. })
-        ));
-
-        // Malformed text is rejected; comments and blanks are not.
-        assert!(ExplicitAssignment::parse("1 2 3").is_err());
-        assert!(ExplicitAssignment::parse("x 1").is_err());
-        assert!(ExplicitAssignment::parse("1 worker").is_err());
-        let empty = ExplicitAssignment::parse("# comment only\n\n").unwrap();
-        assert!(empty.is_empty());
-        assert_eq!(empty.workers_required(), 0);
     }
 
     #[test]

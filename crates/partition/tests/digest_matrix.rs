@@ -219,7 +219,7 @@ fn icm_digests_are_placement_invariant() {
             }
             for strategy in PartitionStrategy::ALL {
                 for workers in WORKER_COUNTS {
-                    let cfg = icm_cfg(strategy.clone(), workers);
+                    let cfg = icm_cfg(strategy, workers);
                     let got = if aname == "bfs" {
                         icm_fingerprint(&graph, &bfs, &cfg)
                     } else {
@@ -254,12 +254,8 @@ fn vcm_digests_are_placement_invariant() {
         let baseline = (vcm_digest(base.states), inv_counters(&base.metrics));
         for strategy in PartitionStrategy::ALL {
             for workers in WORKER_COUNTS {
-                let r = run_vcm(
-                    &topo,
-                    Arc::clone(&program),
-                    &vcm_cfg(strategy.clone(), workers),
-                )
-                .expect("matrix VCM run must succeed");
+                let r = run_vcm(&topo, Arc::clone(&program), &vcm_cfg(strategy, workers))
+                    .expect("matrix VCM run must succeed");
                 assert_eq!(
                     (vcm_digest(r.states), inv_counters(&r.metrics)),
                     baseline,
@@ -283,7 +279,7 @@ fn strategies_compose_with_schedule_perturbation() {
     let baseline = icm_fingerprint(&graph, &bfs, &icm_cfg(PartitionStrategy::Hash, 4));
     for strategy in PartitionStrategy::ALL {
         for seed in [1u64, 0xDEAD_BEEF] {
-            let mut cfg = icm_cfg(strategy.clone(), 4);
+            let mut cfg = icm_cfg(strategy, 4);
             cfg.bsp.perturb_schedule = Some(seed);
             let got = icm_fingerprint(&graph, &bfs, &cfg);
             assert_eq!(
@@ -309,7 +305,7 @@ fn faulted_runs_under_alternative_strategies_recover_to_clean_hash_digest() {
         let clean_hash = icm_fingerprint(&graph, &bfs, &icm_cfg(PartitionStrategy::Hash, 4));
         for strategy in [PartitionStrategy::Ldg, PartitionStrategy::TemporalBalance] {
             for step in [2u64, 3] {
-                let mut cfg = icm_cfg(strategy.clone(), 4);
+                let mut cfg = icm_cfg(strategy, 4);
                 cfg.bsp.fault_plan = Some(FaultPlan::panic_at(1, step));
                 cfg.recovery = Some(RecoveryConfig::every(2));
                 let r = run_icm(&graph, Arc::clone(&bfs), &cfg, None)
@@ -331,47 +327,6 @@ fn faulted_runs_under_alternative_strategies_recover_to_clean_hash_digest() {
                 );
             }
         }
-    }
-}
-
-/// The explicit strategy closes the measure → rebalance → run loop: a
-/// pinned assignment (here: the temporal-balance map, round-tripped
-/// through the `partition_report --emit-assignment` text format) replays
-/// placement exactly — and, like every other strategy, is invisible in
-/// the result digest.
-#[test]
-fn explicit_assignments_replay_and_stay_placement_invariant() {
-    use graphite_part::ExplicitAssignment;
-    for (pname, params) in profiles() {
-        let graph = Arc::new(generate(&params));
-        let bfs = Arc::new(IcmBfs {
-            source: source(&graph),
-        });
-        let baseline = icm_fingerprint(&graph, &bfs, &icm_cfg(PartitionStrategy::Hash, 4));
-        let workers = 3;
-        let map = PartitionStrategy::TemporalBalance
-            .build(&graph, workers)
-            .expect("temporal map must build");
-        // Round-trip through the on-disk text format, exactly as a
-        // `--emit-assignment` file would be reloaded.
-        let text = ExplicitAssignment::from_map(&graph, &map).to_text();
-        let pinned = ExplicitAssignment::parse(&text).expect("emitted text must parse");
-        let strategy = PartitionStrategy::explicit(pinned);
-        let replayed = strategy
-            .build(&graph, workers)
-            .expect("explicit map must build");
-        for v in graph.vertex_indices() {
-            assert_eq!(
-                map.worker_of(v),
-                replayed.worker_of(v),
-                "{pname}: explicit replay moved a vertex"
-            );
-        }
-        let got = icm_fingerprint(&graph, &bfs, &icm_cfg(strategy, workers));
-        assert_eq!(
-            got, baseline,
-            "{pname}: explicit placement diverged from hash/4"
-        );
     }
 }
 

@@ -23,8 +23,8 @@
 //! `budget=` caps the query's supersteps (typed `BudgetExceeded` on
 //! exhaustion), `retries=` overrides the engine's serve-level retry
 //! allowance, and `faults=N` injects a seeded fault plan of `N` faults
-//! (with `RecoveryConfig::every(2)` supplied automatically) — the
-//! chaos-soak knobs of DESIGN.md §15.
+//! (with `RecoveryConfig::every(2)` supplied automatically; `N` is at
+//! most 64) — the chaos-soak knobs of DESIGN.md §15.
 
 use graphite_algorithms::registry::{Algo, Platform, RunOpts};
 use graphite_bsp::error::BspError;
@@ -98,6 +98,12 @@ const DEFAULT_FAULT_SEED: u64 = 0xC4A0_5001;
 /// the fault-matrix tests.
 const SEEDED_FAULT_MAX_STEP: u64 = 6;
 
+/// Largest `faults=N` a batch line may ask for. The plan holds one
+/// `Fault` per count, so an unbounded `N` from a batch file would be an
+/// unbounded allocation in the resident engine; the chaos soak uses at
+/// most 6.
+const MAX_BATCH_FAULTS: u64 = 64;
+
 impl QuerySpec {
     /// A spec for `algo` on `platform` with default parameters.
     pub fn new(algo: Algo, platform: Platform) -> Self {
@@ -119,7 +125,7 @@ impl QuerySpec {
             start: self.start,
             deadline: self.deadline,
             digest: true,
-            partition: self.partition.clone(),
+            partition: self.partition,
             perturb_schedule: self.perturb_schedule,
             fault_plan: self.fault_plan.clone(),
             recovery: self.recovery.clone(),
@@ -165,7 +171,7 @@ impl QuerySpec {
             None => u64::MAX,
             Some(t) => t as u64,
         });
-        fold(partition_tag(&self.partition));
+        fold(partition_tag(self.partition));
         fold(match self.perturb_schedule {
             None => 0,
             Some(s) => s | 1 << 63,
@@ -212,7 +218,10 @@ impl QuerySpec {
                 ("perturb", Some(s)) => spec.perturb_schedule = Some(s),
                 ("budget", Some(b)) if b > 0 => spec.budget = Some(b),
                 ("retries", Some(r)) => spec.retries = Some(r),
-                ("faults", Some(n)) => faults = Some(n),
+                ("faults", Some(n)) if n <= MAX_BATCH_FAULTS => faults = Some(n),
+                ("faults", Some(_)) => {
+                    return Err(bad(&format!("fault count above {MAX_BATCH_FAULTS}"), tok))
+                }
                 ("fault_seed", Some(s)) => fault_seed = s,
                 ("partition", _) => match PartitionStrategy::parse(value) {
                     Some(p) => spec.partition = p,
@@ -262,20 +271,9 @@ impl QuerySpec {
     }
 }
 
-/// Canonical tag of a partition strategy for the params digest. Explicit
-/// tables fold their full pinned assignment, so two different tables
-/// never share a cache key.
-fn partition_tag(strategy: &PartitionStrategy) -> u64 {
+/// Canonical tag of a partition strategy for the params digest.
+fn partition_tag(strategy: PartitionStrategy) -> u64 {
     match strategy {
-        PartitionStrategy::Explicit(table) => {
-            let mut acc = 0xeeee_0000_0000_0005u64;
-            for line in table.to_text().lines() {
-                for b in line.bytes() {
-                    acc = acc.wrapping_mul(31).wrapping_add(u64::from(b));
-                }
-            }
-            acc
-        }
         PartitionStrategy::Hash => 1,
         PartitionStrategy::Chunked => 2,
         PartitionStrategy::Ldg => 3,
@@ -324,6 +322,22 @@ mod tests {
         ] {
             let err = QuerySpec::parse_line(bad).expect_err("must reject");
             assert!(matches!(err, BspError::Config { .. }), "{bad}: {err}");
+        }
+        // The fault count is capped before any plan is built: a huge
+        // count is a typed error naming the token, not an allocation.
+        let capped = QuerySpec::parse_line(&format!("bfs icm faults={MAX_BATCH_FAULTS}"))
+            .expect("the cap itself parses")
+            .expect("not blank");
+        assert!(capped.fault_plan.is_some());
+        for tok in [
+            format!("faults={}", MAX_BATCH_FAULTS + 1),
+            "faults=4000000000".to_string(),
+        ] {
+            let err = QuerySpec::parse_line(&format!("bfs icm {tok}")).expect_err("over the cap");
+            let BspError::Config { detail } = &err else {
+                panic!("{tok}: expected a config error, got {err}");
+            };
+            assert!(detail.contains(&tok), "{detail}");
         }
         assert!(QuerySpec::parse_line("   ").expect("blank ok").is_none());
     }

@@ -307,7 +307,6 @@ fn serve_retry_escalates_inner_recovery_and_recovers_bit_identically() {
         recovery: Some(RecoveryConfig {
             checkpoint_interval: 1,
             max_attempts: 1,
-            ..RecoveryConfig::default()
         }),
         ..clean
     };

@@ -275,7 +275,7 @@ impl StreamEngine {
     fn icm_config(&self) -> IcmConfig {
         IcmConfig {
             workers: self.cfg.workers,
-            partition: self.cfg.partition.clone(),
+            partition: self.cfg.partition,
             bsp: BspConfig {
                 perturb_schedule: self.cfg.perturb_schedule,
                 ..Default::default()

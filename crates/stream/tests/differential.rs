@@ -86,7 +86,7 @@ fn incremental_matches_from_scratch_across_the_matrix() {
                         compact_every: 2,
                         check_every: 1,
                         perturb_schedule: perturb,
-                        partition: partition.clone(),
+                        partition,
                         ..StreamConfig::default()
                     },
                 );

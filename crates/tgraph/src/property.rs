@@ -48,32 +48,6 @@ impl PropValue {
             _ => None,
         }
     }
-
-    /// The value as `f64` when numeric (`Long` widens losslessly enough for
-    /// the weights used here).
-    pub fn as_double(&self) -> Option<f64> {
-        match self {
-            PropValue::Double(v) => Some(*v),
-            PropValue::Long(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    /// The value as `bool` when it is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            PropValue::Bool(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as `&str` when it is `Text`.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            PropValue::Text(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 impl From<i64> for PropValue {
@@ -297,11 +271,10 @@ mod tests {
     #[test]
     fn prop_value_conversions() {
         assert_eq!(PropValue::from(3i64).as_long(), Some(3));
-        assert_eq!(PropValue::from(3i64).as_double(), Some(3.0));
-        assert_eq!(PropValue::from(2.5f64).as_double(), Some(2.5));
+        assert_eq!(PropValue::from(2.5f64), PropValue::Double(2.5));
         assert_eq!(PropValue::from(2.5f64).as_long(), None);
-        assert_eq!(PropValue::from(true).as_bool(), Some(true));
-        assert_eq!(PropValue::from("hi").as_text(), Some("hi"));
+        assert_eq!(PropValue::from(true), PropValue::Bool(true));
+        assert_eq!(PropValue::from("hi"), PropValue::Text("hi".into()));
         assert_eq!(PropValue::from("hi").as_long(), None);
     }
 

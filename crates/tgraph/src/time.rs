@@ -186,17 +186,6 @@ impl Interval {
         }
     }
 
-    /// Set union when the intervals overlap or meet (are adjacent); `None`
-    /// when a true gap separates them.
-    #[inline]
-    pub fn union_if_contiguous(&self, other: Interval) -> Option<Interval> {
-        if self.start <= other.end && other.start <= self.end {
-            Some(self.span(other))
-        } else {
-            None
-        }
-    }
-
     /// Iterates the time-points of a *bounded* interval.
     ///
     /// # Panics
@@ -376,15 +365,11 @@ mod tests {
     }
 
     #[test]
-    fn span_and_union() {
+    fn span_covers_the_gap() {
         let a = Interval::new(0, 3);
         let b = Interval::new(7, 9);
         assert_eq!(a.span(b), Interval::new(0, 9));
-        assert_eq!(a.union_if_contiguous(b), None);
-        let c = Interval::new(3, 9);
-        assert_eq!(a.union_if_contiguous(c), Some(Interval::new(0, 9)));
-        let d = Interval::new(2, 9);
-        assert_eq!(a.union_if_contiguous(d), Some(Interval::new(0, 9)));
+        assert_eq!(b.span(a), Interval::new(0, 9));
     }
 
     #[test]

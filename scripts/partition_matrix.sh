@@ -11,8 +11,8 @@
 #     profiles x {ICM BFS, ICM EAT, VCM BFS}, anchored against the
 #     recorded digest pins, composed with perturbation seeds and
 #     fault-recovery plans.
-#   * graphite-part unit tests — strategy construction, quality stats,
-#     and the skew-driven rebalancer's determinism and error paths.
+#   * graphite-part unit tests — strategy construction and quality
+#     stats.
 #
 # Usage: scripts/partition_matrix.sh [extra cargo-test args...]
 set -euo pipefail

@@ -5,7 +5,8 @@
 //! ```sh
 //! graphite stats  <graph.tg>
 //! graphite run    <graph.tg> --algo sssp [--platform icm] [--source 0]
-//!                 [--workers 4] [--start 0] [--deadline T] [--counts]
+//!                 [--workers 4] [--partition hash] [--start 0]
+//!                 [--deadline T] [--counts]
 //! graphite gen    <profile|ldbc> <out.tg> [--scale 1] [--seed 42]
 //! graphite serve  <graph.tg> <batch.txt> [--in-flight 4] [--max-pending 64]
 //!                 [--cost-budget N] [--cache 256] [--budget N] [--retries N]
@@ -48,17 +49,14 @@
 //! and `GRAPHITE_TRACE_JSON=<file>` writes the `graphite-trace/1` JSONL
 //! stream for `trace_report`. Vertex placement is selected with
 //! `--partition hash|chunked|ldg|temporal` (default `hash`; results are
-//! identical either way — see DESIGN.md §13). `--partition-file <assignment.txt>` replays
-//! a pinned explicit assignment instead — the file format is what
-//! `partition_report --emit-assignment` writes, so a trace-driven
-//! rebalancing recommendation feeds straight back into a live run.
+//! identical either way — see DESIGN.md §13).
 
 #![forbid(unsafe_code)]
 
 use graphite::algorithms::registry::{try_run, Algo, Platform, RunOpts};
 use graphite::bsp::trace::TraceConfig;
 use graphite::datagen::Profile;
-use graphite::part::{ExplicitAssignment, PartitionStrategy};
+use graphite::part::PartitionStrategy;
 use graphite::serve::{QuerySpec, ServeConfig, ServeEngine};
 use graphite::tgraph::graph::VertexId;
 use graphite::tgraph::io;
@@ -70,7 +68,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  graphite stats <graph.tg>\n  graphite run <graph.tg> --algo \
          <bfs|wcc|scc|pr|sssp|eat|fast|ld|tmst|rh|lcc|tc>\n      [--platform icm|msb|chl|tgb|gof] \
-         [--source VID] [--workers N]\n      [--partition hash|chunked|ldg|temporal]\n      [--partition-file assignment.txt] [--start T] \
+         [--source VID] [--workers N]\n      [--partition hash|chunked|ldg|temporal] [--start T] \
          [--deadline T] [--counts]\n  graphite \
          gen <gplus|usrn|reddit|mag|twitter|webuk|skew|ldbc> <out.tg> [--scale N] [--seed \
          N] [--stream B]\n  graphite serve <graph.tg> <batch.txt> [--in-flight N] [--max-pending N] \
@@ -96,6 +94,19 @@ impl Flags {
     fn has(&self, name: &str) -> bool {
         self.0.iter().any(|a| a == name)
     }
+}
+
+/// The `--partition` strategy: the default when the flag is absent,
+/// `None` (after saying why) when it names no strategy.
+fn partition_flag(flags: &Flags) -> Option<PartitionStrategy> {
+    let Some(p) = flags.get("--partition") else {
+        return Some(PartitionStrategy::default());
+    };
+    let strategy = PartitionStrategy::parse(p);
+    if strategy.is_none() {
+        eprintln!("unknown partition strategy {p:?}");
+    }
+    strategy
 }
 
 fn cmd_stats(path: &str) -> ExitCode {
@@ -165,32 +176,10 @@ fn cmd_run(path: &str, flags: &Flags) -> ExitCode {
     }
     opts.digest = false;
     opts.trace = TraceConfig::from_env();
-    opts.partition = match (flags.get("--partition-file"), flags.get("--partition")) {
-        (Some(file), _) => {
-            let text = match std::fs::read_to_string(file) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read assignment file {file}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match ExplicitAssignment::parse(&text) {
-                Ok(table) => PartitionStrategy::explicit(table),
-                Err(e) => {
-                    eprintln!("malformed assignment file {file}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        (None, None) => PartitionStrategy::default(),
-        (None, Some(p)) => match PartitionStrategy::parse(p) {
-            Some(s) => s,
-            None => {
-                eprintln!("unknown partition strategy {p:?}");
-                return usage();
-            }
-        },
+    let Some(partition) = partition_flag(flags) else {
+        return usage();
     };
+    opts.partition = partition;
 
     match try_run(algo, platform, &graph, None, &opts) {
         Ok(outcome) => {
@@ -339,6 +328,9 @@ fn cmd_stream(path: &str, updates_path: &str, flags: &Flags) -> ExitCode {
         .get("--start")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
+    let Some(partition) = partition_flag(flags) else {
+        return usage();
+    };
     let defaults = StreamConfig::default();
     let cfg = StreamConfig {
         workers: flags
@@ -353,16 +345,7 @@ fn cmd_stream(path: &str, updates_path: &str, flags: &Flags) -> ExitCode {
             .get("--check-every")
             .and_then(|v| v.parse().ok())
             .unwrap_or(defaults.check_every),
-        partition: match flags.get("--partition") {
-            None => PartitionStrategy::default(),
-            Some(p) => match PartitionStrategy::parse(p) {
-                Some(s) => s,
-                None => {
-                    eprintln!("unknown partition strategy {p:?}");
-                    return usage();
-                }
-            },
-        },
+        partition,
         trace: TraceConfig::from_env(),
         ..defaults
     };
