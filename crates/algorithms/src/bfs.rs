@@ -109,7 +109,10 @@ mod tests {
                 source: transit_ids::A,
             }),
             &IcmConfig {
-                workers: 2,
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             None,
@@ -121,8 +124,12 @@ mod tests {
                 source: transit_ids::A,
             }),
             &MsbConfig {
-                workers: 2,
-                ..Default::default()
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
+                window: None,
+                collect_states: true,
             },
         )
         .unwrap();
@@ -171,7 +178,10 @@ mod tests {
                 source: transit_ids::A,
             }),
             &IcmConfig {
-                workers: 1,
+                run: RunConfig {
+                    workers: 1,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             None,
@@ -183,8 +193,12 @@ mod tests {
                 source: transit_ids::A,
             }),
             &MsbConfig {
-                workers: 1,
-                ..Default::default()
+                run: RunConfig {
+                    workers: 1,
+                    ..Default::default()
+                },
+                window: None,
+                collect_states: true,
             },
         )
         .unwrap();

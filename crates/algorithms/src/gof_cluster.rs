@@ -126,6 +126,7 @@ impl GofProgram for GofTc {
 mod tests {
     use super::*;
     use graphite_baselines::goffish::{run_goffish, GofConfig};
+    use graphite_baselines::EdgeWeights;
     use graphite_icm::prelude::*;
     use graphite_tgraph::builder::TemporalGraphBuilder;
     use graphite_tgraph::graph::EdgeId;
@@ -156,7 +157,10 @@ mod tests {
             &graph,
             Arc::new(crate::lcc::IcmLcc),
             &IcmConfig {
-                workers: 2,
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             None,
@@ -166,8 +170,13 @@ mod tests {
             Arc::clone(&graph),
             Arc::new(GofLcc),
             &GofConfig {
-                workers: 2,
-                ..Default::default()
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
+                window: None,
+                collect_states: true,
+                weights: EdgeWeights::default(),
             },
         )
         .unwrap();
@@ -188,7 +197,10 @@ mod tests {
             &graph,
             Arc::new(crate::tc::IcmTc),
             &IcmConfig {
-                workers: 2,
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             None,
@@ -198,8 +210,13 @@ mod tests {
             Arc::clone(&graph),
             Arc::new(GofTc),
             &GofConfig {
-                workers: 2,
-                ..Default::default()
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
+                window: None,
+                collect_states: true,
+                weights: EdgeWeights::default(),
             },
         )
         .unwrap();

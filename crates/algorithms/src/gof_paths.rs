@@ -301,6 +301,7 @@ mod tests {
     use super::*;
     use graphite_baselines::goffish::{run_goffish, GofConfig};
     use graphite_baselines::{EdgeWeights, SnapshotResult};
+    use graphite_icm::RunConfig;
     use graphite_tgraph::fixtures::{transit_graph, transit_ids};
     use std::collections::HashMap;
     use std::sync::Arc;
@@ -327,9 +328,13 @@ mod tests {
                 start: 0,
             }),
             &GofConfig {
-                workers: 2,
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
+                window: None,
+                collect_states: true,
                 weights: weights(&g),
-                ..Default::default()
             },
         )
         .unwrap();
@@ -352,9 +357,13 @@ mod tests {
                 source: transit_ids::A,
             }),
             &GofConfig {
-                workers: 2,
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
+                window: None,
+                collect_states: true,
                 weights: weights(&g),
-                ..Default::default()
             },
         )
         .unwrap();
@@ -379,9 +388,13 @@ mod tests {
                 deadline: 8,
             }),
             &GofConfig {
-                workers: 2,
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
+                window: None,
+                collect_states: true,
                 weights: weights(&g),
-                ..Default::default()
             },
         )
         .unwrap();
@@ -404,9 +417,13 @@ mod tests {
                 start: 0,
             }),
             &GofConfig {
-                workers: 2,
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
+                window: None,
+                collect_states: true,
                 weights: weights(&g),
-                ..Default::default()
             },
         )
         .unwrap();
@@ -427,9 +444,13 @@ mod tests {
                 start: 0,
             }),
             &GofConfig {
-                workers: 2,
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
+                window: None,
+                collect_states: true,
                 weights: weights(&g),
-                ..Default::default()
             },
         )
         .unwrap();

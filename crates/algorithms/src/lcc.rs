@@ -191,7 +191,10 @@ mod tests {
             &graph,
             Arc::new(IcmLcc),
             &IcmConfig {
-                workers: 2,
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             None,
@@ -223,7 +226,10 @@ mod tests {
             &graph,
             Arc::new(IcmLcc),
             &IcmConfig {
-                workers: 1,
+                run: RunConfig {
+                    workers: 1,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             None,
@@ -233,7 +239,10 @@ mod tests {
             &graph,
             Arc::new(IcmLcc),
             &IcmConfig {
-                workers: 4,
+                run: RunConfig {
+                    workers: 4,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             None,

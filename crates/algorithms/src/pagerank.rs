@@ -171,7 +171,10 @@ mod tests {
             &graph,
             Arc::new(IcmPageRank { iterations }),
             &IcmConfig {
-                workers: 2,
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             None,
@@ -181,8 +184,12 @@ mod tests {
             Arc::clone(&graph),
             Arc::new(VcmPageRank { iterations }),
             &MsbConfig {
-                workers: 2,
-                ..Default::default()
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
+                window: None,
+                collect_states: true,
             },
         )
         .unwrap();

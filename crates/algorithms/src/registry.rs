@@ -12,7 +12,7 @@ use graphite_baselines::chlonos::{run_chlonos, ChlConfig};
 use graphite_baselines::goffish::{run_goffish, GofConfig, GofProgram};
 use graphite_baselines::msb::{run_msb, MsbConfig};
 use graphite_baselines::tgb::{run_tgb, TgbResult};
-use graphite_baselines::vcm::{VcmConfig, VcmProgram};
+use graphite_baselines::vcm::VcmProgram;
 use graphite_baselines::EdgeWeights;
 use graphite_bsp::engine::BspConfig;
 use graphite_bsp::error::BspError;
@@ -21,7 +21,7 @@ use graphite_bsp::metrics::RunMetrics;
 use graphite_bsp::recover::RecoveryConfig;
 use graphite_bsp::trace::TraceConfig;
 use graphite_icm::prelude::*;
-use graphite_icm::PartitionStrategy;
+use graphite_icm::{PartitionStrategy, RunConfig};
 use graphite_tgraph::graph::{TemporalGraph, VIdx, VertexId};
 use graphite_tgraph::time::Time;
 use graphite_tgraph::transform::{transform_for_paths, TransformOptions, TransformedGraph};
@@ -31,11 +31,20 @@ use std::sync::Arc;
 
 /// Options for a registry run.
 ///
-/// The five substrate options — `max_supersteps`, `superstep_budget`,
-/// `trace`, `perturb_schedule`, `fault_plan` — stay flat here and are
-/// lowered in one place (the private `RunOpts::bsp`) onto the
-/// [`BspConfig`] that the ICM config and the TGB runner's inner VCM config
-/// embed.
+/// The run-wide options — workers, placement, recovery and the five
+/// substrate options (`max_supersteps`, `superstep_budget`, `trace`,
+/// `perturb_schedule`, `fault_plan`) — are lowered in one place,
+/// [`RunOpts::run_config`], onto the [`RunConfig`] every platform embeds,
+/// and every platform honours each of them. The exceptions, each typed
+/// rather than silent, are [`RunConfig`]'s:
+/// - MSB, Chlonos and GoFFish apply the superstep cap, the budget and the
+///   trace (like perturbation and fault injection) to each inner
+///   per-snapshot, per-batch or per-time-point run, not to their run as
+///   a whole;
+/// - Chlonos and GoFFish refuse `recovery` with
+///   [`BspError::Config`];
+/// - TGB refuses the `ldg` and `temporal` placements the same way: its
+///   replicas have a key, not edges and lifespans to place by.
 #[derive(Clone, Debug)]
 pub struct RunOpts {
     /// BSP workers.
@@ -52,55 +61,59 @@ pub struct RunOpts {
     pub combiner: bool,
     /// ICM warp suppression threshold.
     pub suppression: Option<f64>,
-    /// Superstep safety cap, threaded to every platform (per inner run on
-    /// MSB/Chlonos/GoFFish). Spending it is the typed
+    /// Superstep safety cap. Spending it is the typed
     /// [`graphite_bsp::error::BspError::SuperstepLimit`].
     pub max_supersteps: u64,
-    /// Optional per-query execution budget below the safety cap, for ICM
-    /// and TGB runs (the MSB/Chlonos/GoFFish configs carry only the safety
-    /// cap, which bounds each of their per-snapshot inner runs).
+    /// Optional per-query execution budget below the safety cap.
     /// Exhausting it is the typed
     /// [`graphite_bsp::error::BspError::BudgetExceeded`] — the serving
     /// layer derives this from its admission cost model (DESIGN.md §15).
     pub superstep_budget: Option<u64>,
     /// Compute the result digest (costs per-point expansion).
     pub digest: bool,
-    /// Structured-trace recording level, for ICM and TGB runs
-    /// (MSB/Chlonos/GoFFish run their per-snapshot inner engines untraced).
-    /// Off by default; results are bit-identical at every level.
+    /// Structured-trace recording level. Off by default; results are
+    /// bit-identical at every level.
     pub trace: TraceConfig,
-    /// Vertex-placement strategy, forwarded to the ICM engine config and
-    /// the TGB runner's inner VCM config (see `graphite-part`; results are
-    /// placement-invariant; MSB/Chlonos/GoFFish always hash). Hash — the
-    /// paper's — by default.
+    /// Vertex-placement strategy (see `graphite-part`; results are
+    /// placement-invariant). Hash — the paper's — by default.
     pub partition: PartitionStrategy,
-    /// Schedule-perturbation seed, for ICM and TGB runs (race-harness use;
-    /// results are bit-identical for every seed). The MSB/Chlonos/GoFFish
-    /// wrappers run their per-snapshot inner engines unperturbed.
+    /// Schedule-perturbation seed (race-harness use; results are
+    /// bit-identical for every seed).
     pub perturb_schedule: Option<u64>,
-    /// Deterministic fault injection, applied to `Platform::Icm` runs
-    /// only (the TGB cell clears it from the lowered config; no other
-    /// baseline threads fault plans). Without
-    /// [`RunOpts::recovery`] an injected fault fails the run with a typed
-    /// error via [`try_run`]; with it, the run rolls back and replays to a
-    /// bit-identical result.
+    /// Deterministic fault injection. Without [`RunOpts::recovery`] an
+    /// injected fault fails the run with a typed error via [`try_run`];
+    /// with it, the run rolls back and replays to a bit-identical result.
     pub fault_plan: Option<FaultPlan>,
-    /// When set, `Platform::Icm` runs checkpoint on this schedule and roll
-    /// back on recoverable faults (`IcmConfig::recovery`; every program
-    /// state is wire-encodable, so the whole registry is recoverable).
+    /// When set, runs checkpoint on this schedule and roll back on
+    /// recoverable faults (every program state is wire-encodable).
     pub recovery: Option<RecoveryConfig>,
 }
 
 impl RunOpts {
-    /// The single lowering of the flat engine options onto the substrate's
-    /// config, shared by every platform that threads them (ICM and TGB).
-    fn bsp(&self) -> BspConfig {
-        BspConfig {
-            max_supersteps: self.max_supersteps,
-            superstep_budget: self.superstep_budget,
-            perturb_schedule: self.perturb_schedule,
-            fault_plan: self.fault_plan.clone(),
-            trace: self.trace,
+    /// The one lowering of these options onto the configuration every
+    /// platform embeds.
+    pub fn run_config(&self) -> RunConfig {
+        RunConfig {
+            workers: self.workers,
+            partition: self.partition,
+            recovery: self.recovery.clone(),
+            bsp: BspConfig {
+                max_supersteps: self.max_supersteps,
+                superstep_budget: self.superstep_budget,
+                perturb_schedule: self.perturb_schedule,
+                fault_plan: self.fault_plan.clone(),
+                trace: self.trace,
+            },
+        }
+    }
+
+    /// The ICM configuration of these options: [`RunOpts::run_config`]
+    /// plus the combiner and the suppression threshold.
+    pub fn icm_config(&self) -> IcmConfig {
+        IcmConfig {
+            run: self.run_config(),
+            combiner: self.combiner,
+            suppression_threshold: self.suppression,
         }
     }
 }
@@ -218,10 +231,10 @@ pub fn run(
 }
 
 /// One registry run — the graph, its options and its resolved parameters
-/// — with one helper per baseline platform. Each helper owns that
-/// platform's config literal and the packaging of its result into a
-/// [`RunOutcome`], so a baseline cell of [`try_run`] is one expression:
-/// the platform, the program, the digest encoder.
+/// — with one helper per baseline platform. Each helper adds that
+/// platform's extras to [`RunOpts::run_config`] and packages its result
+/// into a [`RunOutcome`], so a baseline cell of [`try_run`] is one
+/// expression: the platform, the program, the digest encoder.
 struct Run<'a> {
     graph: &'a Arc<TemporalGraph>,
     transformed: Option<&'a Arc<TransformedGraph>>,
@@ -230,13 +243,6 @@ struct Run<'a> {
 }
 
 impl Run<'_> {
-    fn weights(&self) -> EdgeWeights {
-        EdgeWeights {
-            w1: self.params.labels.travel_cost,
-            w2: self.params.labels.travel_time,
-        }
-    }
-
     /// Packages a snapshot-indexed baseline result (dense vertex → state
     /// per time-point), digesting it when asked and possible.
     fn per_snapshot<S>(
@@ -266,8 +272,7 @@ impl Run<'_> {
         encode: fn(&P::State) -> u64,
     ) -> Result<RunOutcome, BspError> {
         let config = MsbConfig {
-            workers: self.opts.workers,
-            max_supersteps: self.opts.max_supersteps,
+            run: self.opts.run_config(),
             window: Some(self.params.window),
             collect_states: self.opts.digest,
         };
@@ -282,11 +287,10 @@ impl Run<'_> {
         P::Msg: PartialEq,
     {
         let config = ChlConfig {
-            workers: self.opts.workers,
-            batch_size: self.opts.batch_size,
-            max_supersteps: self.opts.max_supersteps,
+            run: self.opts.run_config(),
             window: Some(self.params.window),
             collect_states: self.opts.digest,
+            batch_size: self.opts.batch_size,
         };
         let r = run_chlonos(Arc::clone(self.graph), Arc::new(program), &config)?;
         Ok(self.per_snapshot(r.metrics, &r.per_snapshot, Some(encode)))
@@ -299,11 +303,13 @@ impl Run<'_> {
         encode: Option<fn(&P::State) -> u64>,
     ) -> Result<RunOutcome, BspError> {
         let config = GofConfig {
-            workers: self.opts.workers,
-            max_supersteps: self.opts.max_supersteps,
-            weights: self.weights(),
+            run: self.opts.run_config(),
             window: Some(self.params.window),
             collect_states: self.opts.digest,
+            weights: EdgeWeights {
+                w1: self.params.labels.travel_cost,
+                w2: self.params.labels.travel_time,
+            },
         };
         let r = run_goffish(Arc::clone(self.graph), Arc::new(program), &config)?;
         Ok(self.per_snapshot(r.metrics, &r.per_snapshot, encode))
@@ -325,23 +331,12 @@ impl Run<'_> {
             .transformed
             .cloned()
             .unwrap_or_else(|| Arc::new(transform_for_paths(self.graph, &transform_opts)));
-        let config = VcmConfig {
-            workers: self.opts.workers,
-            partition: self.opts.partition,
-            // Only `Platform::Icm` threads fault plans and recovery (see
-            // the RunOpts docs).
-            recovery: None,
-            bsp: BspConfig {
-                fault_plan: None,
-                ..self.opts.bsp()
-            },
-        };
         let r = run_tgb(
             Arc::clone(self.graph),
             Some(Arc::clone(&transformed)),
             &transform_opts,
             Arc::new(make(transformed)),
-            &config,
+            &self.opts.run_config(),
         )?;
         let digest = project
             .filter(|_| self.opts.digest)
@@ -380,15 +375,7 @@ impl IcmVisitor for RunCell<'_> {
         P: IntervalProgram,
     {
         let Run { graph, opts, .. } = *self.0;
-        let config = IcmConfig {
-            workers: opts.workers,
-            combiner: opts.combiner,
-            suppression_threshold: opts.suppression,
-            partition: opts.partition,
-            recovery: opts.recovery.clone(),
-            bsp: opts.bsp(),
-        };
-        let r = run_icm(graph, Arc::new(program), &config, None)?;
+        let r = run_icm(graph, Arc::new(program), &opts.icm_config(), None)?;
         let digest = encode
             .filter(|_| opts.digest)
             .map(|encode| digest_interval_states(&r.states, self.0.params.window, encode));
@@ -570,6 +557,61 @@ mod tests {
                 Err(RunError::Bsp(BspError::Config { .. })) => {}
                 other => panic!("{platform:?}: expected a config error, got {other:?}"),
             }
+        }
+    }
+
+    /// The superstep budget reaches every platform (each inner run of the
+    /// snapshot platforms), and a recovery schedule is a typed refusal on
+    /// the two whose workers cannot checkpoint.
+    #[test]
+    fn every_platform_takes_the_budget_and_refuses_what_it_cannot_run() {
+        let g = Arc::new(transit_graph());
+        let budgeted = RunOpts {
+            superstep_budget: Some(1),
+            ..RunOpts::default()
+        };
+        for (algo, platform) in [
+            (Algo::Bfs, Platform::Icm),
+            (Algo::Bfs, Platform::Msb),
+            (Algo::Bfs, Platform::Chlonos),
+            (Algo::Lcc, Platform::Goffish),
+            (Algo::Sssp, Platform::Tgb),
+        ] {
+            match try_run(algo, platform, &g, None, &budgeted) {
+                Err(RunError::Bsp(BspError::BudgetExceeded { .. })) => {}
+                other => panic!("{platform:?}: expected a spent budget, got {other:?}"),
+            }
+        }
+        let recoverable = RunOpts {
+            recovery: Some(RecoveryConfig::every(2)),
+            ..RunOpts::default()
+        };
+        for (algo, platform) in [
+            (Algo::Bfs, Platform::Chlonos),
+            (Algo::Lcc, Platform::Goffish),
+        ] {
+            match try_run(algo, platform, &g, None, &recoverable) {
+                Err(RunError::Bsp(BspError::Config { detail })) => {
+                    assert!(detail.contains("recovery"), "{detail}");
+                }
+                other => panic!("{platform:?}: expected a config error, got {other:?}"),
+            }
+        }
+        for algo in [Algo::Bfs, Algo::Sssp] {
+            let platform = if algo == Algo::Bfs {
+                Platform::Msb
+            } else {
+                Platform::Tgb
+            };
+            assert!(try_run(algo, platform, &g, None, &recoverable).is_ok());
+        }
+        let keyed = RunOpts {
+            partition: PartitionStrategy::Ldg,
+            ..RunOpts::default()
+        };
+        match try_run(Algo::Sssp, Platform::Tgb, &g, None, &keyed) {
+            Err(RunError::Bsp(BspError::Config { detail })) => assert!(detail.contains("ldg")),
+            other => panic!("TGB under LDG: expected a config error, got {other:?}"),
         }
     }
 

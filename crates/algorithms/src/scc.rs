@@ -395,7 +395,10 @@ mod tests {
             &graph,
             Arc::new(IcmScc),
             &IcmConfig {
-                workers: 2,
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             None,
@@ -427,7 +430,10 @@ mod tests {
             &graph,
             Arc::new(IcmScc),
             &IcmConfig {
-                workers: 2,
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             None,
@@ -437,8 +443,12 @@ mod tests {
             Arc::clone(&graph),
             Arc::new(VcmScc),
             &MsbConfig {
-                workers: 2,
-                ..Default::default()
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
+                window: None,
+                collect_states: true,
             },
         )
         .unwrap();

@@ -205,7 +205,10 @@ mod tests {
             &graph,
             Arc::new(IcmTc),
             &IcmConfig {
-                workers: 2,
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             None,
@@ -240,7 +243,10 @@ mod tests {
             &graph,
             Arc::new(IcmTc),
             &IcmConfig {
-                workers: 1,
+                run: RunConfig {
+                    workers: 1,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             None,
@@ -250,7 +256,10 @@ mod tests {
             &graph,
             Arc::new(IcmTc),
             &IcmConfig {
-                workers: 3,
+                run: RunConfig {
+                    workers: 3,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             None,

@@ -518,7 +518,10 @@ mod tests {
                 labels: labels(&g),
             }),
             &IcmConfig {
-                workers: 2,
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             None,

@@ -317,7 +317,7 @@ pub fn tgb_latest_departures(
 mod tests {
     use super::*;
     use graphite_baselines::tgb::run_tgb;
-    use graphite_baselines::vcm::VcmConfig;
+    use graphite_icm::RunConfig;
     use graphite_tgraph::fixtures::{transit_graph, transit_ids};
     use graphite_tgraph::transform::{transform_for_paths, TransformOptions};
 
@@ -342,7 +342,7 @@ mod tests {
                 start: 0,
                 transformed: Arc::clone(&tg),
             }),
-            &VcmConfig {
+            &RunConfig {
                 workers: 2,
                 ..Default::default()
             },
@@ -367,7 +367,7 @@ mod tests {
                 source: transit_ids::A,
                 transformed: Arc::clone(&tg),
             }),
-            &VcmConfig {
+            &RunConfig {
                 workers: 2,
                 ..Default::default()
             },
@@ -394,7 +394,7 @@ mod tests {
                 start: 0,
                 transformed: Arc::clone(&tg),
             }),
-            &VcmConfig {
+            &RunConfig {
                 workers: 2,
                 ..Default::default()
             },
@@ -420,7 +420,7 @@ mod tests {
                 deadline: 9,
                 transformed: Arc::clone(&tg),
             }),
-            &VcmConfig {
+            &RunConfig {
                 workers: 2,
                 ..Default::default()
             },

@@ -91,7 +91,6 @@ impl VcmProgram for VcmWcc {
 mod tests {
     use super::*;
     use graphite_baselines::msb::{run_msb, MsbConfig};
-    use graphite_baselines::vcm::VcmConfig;
     use graphite_baselines::{run_vcm, SnapshotTopology};
     use graphite_tgraph::fixtures::{transit_graph, transit_ids};
     use std::sync::Arc;
@@ -103,7 +102,10 @@ mod tests {
             &graph,
             Arc::new(IcmWcc),
             &IcmConfig {
-                workers: 2,
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             None,
@@ -113,8 +115,12 @@ mod tests {
             Arc::clone(&graph),
             Arc::new(VcmWcc),
             &MsbConfig {
-                workers: 2,
-                ..Default::default()
+                run: RunConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
+                window: None,
+                collect_states: true,
             },
         )
         .unwrap();
@@ -155,7 +161,7 @@ mod tests {
         let r = run_vcm(
             &topo,
             Arc::new(VcmWcc),
-            &VcmConfig {
+            &RunConfig {
                 workers: 2,
                 ..Default::default()
             },

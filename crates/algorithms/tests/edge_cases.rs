@@ -178,7 +178,10 @@ fn tmst_tie_breaks_deterministically() {
                 labels: labels(&g),
             }),
             &IcmConfig {
-                workers,
+                run: RunConfig {
+                    workers,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             None,

@@ -12,6 +12,7 @@ use graphite_algorithms::{gof_cluster, gof_paths};
 use graphite_baselines::goffish::{run_goffish, GofConfig, GofProgram};
 use graphite_baselines::EdgeWeights;
 use graphite_datagen::{generate, Profile};
+use graphite_icm::RunConfig;
 use graphite_tgraph::fixtures::transit_graph;
 use graphite_tgraph::graph::TemporalGraph;
 use std::fmt::Debug;
@@ -52,13 +53,16 @@ fn graphs() -> [(&'static str, Arc<TemporalGraph>); 3] {
 /// The registry's GoFFish configuration for `params`, on `workers` workers.
 fn config(params: &IcmParams, workers: usize) -> GofConfig {
     GofConfig {
-        workers,
+        run: RunConfig {
+            workers,
+            ..Default::default()
+        },
+        window: Some(params.window),
+        collect_states: true,
         weights: EdgeWeights {
             w1: params.labels.travel_cost,
             w2: params.labels.travel_time,
         },
-        window: Some(params.window),
-        ..Default::default()
     }
 }
 

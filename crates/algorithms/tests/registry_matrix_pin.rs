@@ -16,7 +16,7 @@ use graphite_algorithms::pagerank::{VcmPageRank, DEFAULT_ITERATIONS};
 use graphite_algorithms::registry::{try_run, Algo, Platform, RunError, RunOpts};
 use graphite_baselines::{run_chlonos, run_msb, ChlConfig, MsbConfig, SnapshotResult};
 use graphite_datagen::{generate, GenParams, LifespanModel};
-use graphite_icm::IntervalProgram;
+use graphite_icm::{IntervalProgram, RunConfig};
 use graphite_tgraph::graph::{TemporalGraph, VIdx};
 use std::sync::Arc;
 
@@ -187,10 +187,14 @@ fn pagerank_bit_rows() -> Vec<String> {
     for (name, graph) in graphs() {
         let window = Some(IcmParams::resolve(&graph, None, 1, None).window);
         for workers in [1, 2, 3] {
-            let msb = MsbConfig {
+            let run = RunConfig {
                 workers,
+                ..Default::default()
+            };
+            let msb = MsbConfig {
+                run: run.clone(),
                 window,
-                ..MsbConfig::default()
+                collect_states: true,
             };
             let r = run_msb(Arc::clone(&graph), Arc::clone(&program), &msb).expect("MSB run");
             rows.push(format!(
@@ -199,10 +203,10 @@ fn pagerank_bit_rows() -> Vec<String> {
             ));
             for batch_size in [1, 3, 16] {
                 let chl = ChlConfig {
-                    workers,
-                    batch_size,
+                    run: run.clone(),
                     window,
-                    ..ChlConfig::default()
+                    collect_states: true,
+                    batch_size,
                 };
                 let r = run_chlonos(Arc::clone(&graph), Arc::clone(&program), &chl)
                     .expect("Chlonos run");

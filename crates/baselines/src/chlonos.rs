@@ -8,14 +8,16 @@
 //! several batches and lose sharing across batch boundaries (the effect the
 //! paper observes on Twitter with 5 batches).
 
-use crate::topology::{run_ti_window, EdgeWeights, SnapshotResult, SnapshotTopology};
+use crate::topology::{
+    refuse_recovery, run_ti_window, EdgeWeights, SnapshotResult, SnapshotTopology,
+};
 use crate::vcm::{combine_push, StateTable, VcmContext, VcmProgram};
 use graphite_bsp::aggregate::Aggregators;
-use graphite_bsp::engine::{keep_alive, run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
+use graphite_bsp::engine::{keep_alive, run_bsp, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
-use graphite_bsp::partition::PartitionMap;
 use graphite_bsp::trace::TraceSink;
+use graphite_part::RunConfig;
 use graphite_tgraph::graph::{TemporalGraph, VIdx};
 use graphite_tgraph::time::{Interval, Time};
 use std::collections::HashMap;
@@ -24,29 +26,18 @@ use std::sync::Arc;
 /// Configuration of one Chlonos run.
 #[derive(Clone, Debug)]
 pub struct ChlConfig {
-    /// Number of BSP workers.
-    pub workers: usize,
-    /// Snapshots per in-memory batch (the paper's memory budget knob).
-    pub batch_size: usize,
-    /// Safety cap on supersteps per batch.
-    pub max_supersteps: u64,
-    /// Window to discretize; defaults to
+    /// Workers and placement of the run; its substrate options start
+    /// every batch's inner run, so the superstep cap and budget, the
+    /// fault plan and the trace apply per batch. `recovery` must be
+    /// `None` (see [`run_chlonos`]).
+    pub run: RunConfig,
+    /// Window to discretize; `None` takes
     /// [`graphite_tgraph::snapshot::snapshot_window`].
     pub window: Option<Interval>,
     /// Keep per-snapshot final states.
     pub collect_states: bool,
-}
-
-impl Default for ChlConfig {
-    fn default() -> Self {
-        ChlConfig {
-            workers: 4,
-            batch_size: 8,
-            max_supersteps: BspConfig::DEFAULT_MAX_SUPERSTEPS,
-            window: None,
-            collect_states: true,
-        }
-    }
+    /// Snapshots per in-memory batch (the paper's memory budget knob).
+    pub batch_size: usize,
 }
 
 /// Wire message: `(target, offset_lo, offset_hi, payload)` — the payload
@@ -215,7 +206,8 @@ where
 ///
 /// # Errors
 ///
-/// [`BspError::Config`] for an unusable worker count or a graph with no
+/// [`BspError::Config`] for an unusable worker count, a recovery
+/// schedule (Chlonos workers cannot checkpoint yet) or a graph with no
 /// bounded window and none given, else the first failing batch run's
 /// [`BspError`].
 pub fn run_chlonos<P>(
@@ -227,6 +219,7 @@ where
     P: VcmProgram,
     P::Msg: PartialEq,
 {
+    refuse_recovery(&config.run, "Chlonos")?;
     run_ti_window(&graph, config.window, "Chlonos", |window| {
         run_batches(&graph, &program, config, window)
     })
@@ -243,7 +236,8 @@ where
     P: VcmProgram,
     P::Msg: PartialEq,
 {
-    let partition = Arc::new(PartitionMap::hash(graph, config.workers)?);
+    let run = &config.run;
+    let partition = Arc::new(run.partition.build(graph, run.workers)?);
     let mut metrics = RunMetrics::default();
     let mut per_snapshot = Vec::new();
     let mut batch_start = window.start();
@@ -260,7 +254,7 @@ where
                 )
             })
             .collect();
-        let workers: Vec<ChlWorker<P>> = (0..config.workers)
+        let workers: Vec<ChlWorker<P>> = (0..run.workers)
             .map(|w| ChlWorker {
                 graph: Arc::clone(graph),
                 program: Arc::clone(program),
@@ -273,15 +267,11 @@ where
                 next_open: Vec::new(),
             })
             .collect();
-        let bsp = BspConfig {
-            max_supersteps: config.max_supersteps,
-            ..Default::default()
-        };
         // Keep phased programs alive through idle barriers when they
         // request an all-active next superstep.
         let mut master = keep_alive(|step, globals| program.all_active(step, globals), None);
         let (workers, batch_metrics) = run_bsp(
-            &bsp,
+            &run.bsp,
             None,
             workers,
             Arc::clone(&partition),
@@ -310,10 +300,35 @@ where
 mod tests {
     use super::*;
     use crate::msb::{run_msb, MsbConfig};
-    use crate::vcm::{run_vcm, VcmConfig};
+    use crate::vcm::run_vcm;
+    use graphite_bsp::recover::RecoveryConfig;
     use graphite_tgraph::fixtures::transit_graph;
     use graphite_tgraph::graph::VertexId;
     use std::collections::BTreeMap;
+
+    fn run_config(workers: usize) -> RunConfig {
+        RunConfig {
+            workers,
+            ..Default::default()
+        }
+    }
+
+    fn msb(workers: usize) -> MsbConfig {
+        MsbConfig {
+            run: run_config(workers),
+            window: None,
+            collect_states: true,
+        }
+    }
+
+    fn chl(workers: usize, batch_size: usize) -> ChlConfig {
+        ChlConfig {
+            run: run_config(workers),
+            window: None,
+            collect_states: true,
+            batch_size,
+        }
+    }
 
     /// Per-snapshot BFS level from A (same program as the MSB test).
     struct Bfs {
@@ -357,26 +372,10 @@ mod tests {
             })
         };
         for workers in [1, 2, 3] {
-            let msb = run_msb(
-                Arc::clone(&graph),
-                bfs(),
-                &MsbConfig {
-                    workers,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let msb = run_msb(Arc::clone(&graph), bfs(), &msb(workers)).unwrap();
             for batch_size in [1, 3, 9, 100] {
-                let chl = run_chlonos(
-                    Arc::clone(&graph),
-                    bfs(),
-                    &ChlConfig {
-                        workers,
-                        batch_size,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
+                let chl =
+                    run_chlonos(Arc::clone(&graph), bfs(), &chl(workers, batch_size)).unwrap();
                 assert_eq!(chl.per_snapshot.len(), 9);
                 for (t, states) in &msb.per_snapshot {
                     for (v, s) in states.iter().collect::<BTreeMap<_, _>>() {
@@ -439,24 +438,12 @@ mod tests {
         }
         let graph = Arc::new(b.build().unwrap());
         for workers in [1, 2] {
-            let msb = run_msb(
-                Arc::clone(&graph),
-                Arc::new(SendOrder),
-                &MsbConfig {
-                    workers,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let msb = run_msb(Arc::clone(&graph), Arc::new(SendOrder), &msb(workers)).unwrap();
             for batch_size in [1, 4] {
                 let chl = run_chlonos(
                     Arc::clone(&graph),
                     Arc::new(SendOrder),
-                    &ChlConfig {
-                        workers,
-                        batch_size,
-                        ..Default::default()
-                    },
+                    &chl(workers, batch_size),
                 )
                 .unwrap();
                 for (t, states) in &msb.per_snapshot {
@@ -480,10 +467,7 @@ mod tests {
             Arc::new(Bfs {
                 source: VertexId(0),
             }),
-            &MsbConfig {
-                workers: 2,
-                ..Default::default()
-            },
+            &msb(2),
         )
         .unwrap();
         let chl = run_chlonos(
@@ -491,11 +475,7 @@ mod tests {
             Arc::new(Bfs {
                 source: VertexId(0),
             }),
-            &ChlConfig {
-                workers: 2,
-                batch_size: 9,
-                ..Default::default()
-            },
+            &chl(2, 9),
         )
         .unwrap();
         // Sec. VII-B1: MSB and Chlonos have the same number of compute
@@ -517,10 +497,7 @@ mod tests {
             Arc::new(Bfs {
                 source: VertexId(0),
             }),
-            &ChlConfig {
-                batch_size: 9,
-                ..Default::default()
-            },
+            &chl(4, 9),
         )
         .unwrap();
         let many = run_chlonos(
@@ -528,10 +505,7 @@ mod tests {
             Arc::new(Bfs {
                 source: VertexId(0),
             }),
-            &ChlConfig {
-                batch_size: 1,
-                ..Default::default()
-            },
+            &chl(4, 1),
         )
         .unwrap();
         // Nine one-snapshot batches each pay their own supersteps.
@@ -549,14 +523,9 @@ mod tests {
         let program = Arc::new(Bfs {
             source: VertexId(0),
         });
-        let r = run_chlonos(
-            Arc::clone(&graph),
-            Arc::clone(&program),
-            &ChlConfig::default(),
-        )
-        .unwrap();
+        let r = run_chlonos(Arc::clone(&graph), Arc::clone(&program), &chl(4, 8)).unwrap();
         let topo = SnapshotTopology::new(Arc::clone(&graph), 0, EdgeWeights::default());
-        let one = run_vcm(&Arc::new(topo), program, &VcmConfig::default()).unwrap();
+        let one = run_vcm(&Arc::new(topo), program, &RunConfig::default()).unwrap();
         assert_eq!(
             r.metrics.counters.compute_calls,
             one.metrics.counters.compute_calls
@@ -573,11 +542,33 @@ mod tests {
             Arc::new(Bfs {
                 source: VertexId(0),
             }),
-            &ChlConfig::default(),
+            &chl(4, 8),
         )
         .expect_err("no finite set of snapshots");
         assert!(
             matches!(&err, BspError::Config { detail } if detail.contains("Chlonos needs a bounded window")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn recovery_is_refused_with_a_typed_error() {
+        let err = run_chlonos(
+            Arc::new(transit_graph()),
+            Arc::new(Bfs {
+                source: VertexId(0),
+            }),
+            &ChlConfig {
+                run: RunConfig {
+                    recovery: Some(RecoveryConfig::every(2)),
+                    ..run_config(2)
+                },
+                ..chl(2, 4)
+            },
+        )
+        .expect_err("Chlonos workers cannot checkpoint");
+        assert!(
+            matches!(&err, BspError::Config { detail } if detail.contains("Chlonos")),
             "{err:?}"
         );
     }

@@ -12,15 +12,15 @@
 //! snapshot is loaded once, as a [`SnapshotTopology`], and every inner
 //! superstep of that snapshot reads its edges from it.
 
-use crate::topology::{window_of, EdgeWeights, SnapshotResult, SnapshotTopology};
+use crate::topology::{refuse_recovery, window_of, EdgeWeights, SnapshotResult, SnapshotTopology};
 use crate::vcm::{combine_push, StateTable, VcmEdge, VcmTopology};
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::Wire;
-use graphite_bsp::engine::{run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
+use graphite_bsp::engine::{run_bsp, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
-use graphite_bsp::partition::PartitionMap;
 use graphite_bsp::trace::TraceSink;
+use graphite_part::RunConfig;
 use graphite_tgraph::graph::{TemporalGraph, VIdx, VertexId};
 use graphite_tgraph::time::{Interval, Time};
 use std::collections::BTreeMap;
@@ -251,30 +251,19 @@ impl<P: GofProgram> WorkerLogic for GofWorker<P> {
 /// Configuration of one GoFFish run.
 #[derive(Clone, Debug)]
 pub struct GofConfig {
-    /// Number of BSP workers for each snapshot's inner loop.
-    pub workers: usize,
-    /// Safety cap on inner supersteps per snapshot.
-    pub max_supersteps: u64,
-    /// Edge-property resolution.
-    pub weights: EdgeWeights,
-    /// Window to walk; defaults to
+    /// Workers and placement of the run; its substrate options start
+    /// every time-point's inner loop, so the superstep cap and budget,
+    /// the fault plan and the trace apply per snapshot. `recovery` must
+    /// be `None` (see [`run_goffish`]).
+    pub run: RunConfig,
+    /// Window to walk; `None` takes
     /// [`graphite_tgraph::snapshot::snapshot_window`].
     pub window: Option<Interval>,
     /// Record the state map after every snapshot (for time-indexed
     /// result comparison).
     pub collect_states: bool,
-}
-
-impl Default for GofConfig {
-    fn default() -> Self {
-        GofConfig {
-            workers: 4,
-            max_supersteps: BspConfig::DEFAULT_MAX_SUPERSTEPS,
-            weights: EdgeWeights::default(),
-            window: None,
-            collect_states: true,
-        }
-    }
+    /// Edge-property resolution.
+    pub weights: EdgeWeights,
 }
 
 /// Runs `program` snapshot by snapshot over the window. The metrics
@@ -282,7 +271,8 @@ impl Default for GofConfig {
 ///
 /// # Errors
 ///
-/// [`BspError::Config`] for an unusable worker count or a graph with no
+/// [`BspError::Config`] for an unusable worker count, a recovery
+/// schedule (GoFFish workers cannot checkpoint yet) or a graph with no
 /// bounded window and none given, else the first failing snapshot run's
 /// [`BspError`].
 pub fn run_goffish<P: GofProgram>(
@@ -290,15 +280,13 @@ pub fn run_goffish<P: GofProgram>(
     program: Arc<P>,
     config: &GofConfig,
 ) -> Result<SnapshotResult<P::State>, BspError> {
+    let run = &config.run;
+    refuse_recovery(run, "GoFFish")?;
     let window = window_of(&graph, config.window, "GoFFish")?;
-    let partition = Arc::new(PartitionMap::hash(&graph, config.workers)?);
+    let partition = Arc::new(run.partition.build(&graph, run.workers)?);
     // Temporal messages by delivery time, `(target, payload)` in send order.
     let mut queue: BTreeMap<Time, Vec<(u32, P::Msg)>> = BTreeMap::new();
     let mut workers: Vec<GofWorker<P>> = Vec::new();
-    let bsp = BspConfig {
-        max_supersteps: config.max_supersteps,
-        ..Default::default()
-    };
     let mut metrics = RunMetrics::default();
     let mut per_snapshot = Vec::new();
 
@@ -310,7 +298,7 @@ pub fn run_goffish<P: GofProgram>(
     for t in order {
         let snapshot = Arc::new(SnapshotTopology::new(Arc::clone(&graph), t, config.weights));
         if workers.is_empty() {
-            workers = (0..config.workers)
+            workers = (0..run.workers)
                 .map(|w| GofWorker {
                     program: Arc::clone(&program),
                     snapshot: Arc::clone(&snapshot),
@@ -332,7 +320,7 @@ pub fn run_goffish<P: GofProgram>(
             workers[partition.worker_of(VIdx(v))].initial.push((v, m));
         }
         let snap_metrics;
-        (workers, snap_metrics) = run_bsp(&bsp, None, workers, Arc::clone(&partition), None)?;
+        (workers, snap_metrics) = run_bsp(&run.bsp, None, workers, Arc::clone(&partition), None)?;
         metrics.merge(&snap_metrics);
         for worker in &mut workers {
             // Temporal messages are charged as messages (they travel via
@@ -412,6 +400,18 @@ mod tests {
         }
     }
 
+    fn config(workers: usize, weights: EdgeWeights) -> GofConfig {
+        GofConfig {
+            run: RunConfig {
+                workers,
+                ..Default::default()
+            },
+            window: None,
+            collect_states: true,
+            weights,
+        }
+    }
+
     #[test]
     fn gof_sssp_matches_paper_costs_over_time() {
         let graph = Arc::new(transit_graph());
@@ -420,11 +420,7 @@ mod tests {
             Arc::new(GofSssp {
                 source: transit_ids::A,
             }),
-            &GofConfig {
-                workers: 2,
-                weights: weights(&graph),
-                ..Default::default()
-            },
+            &config(2, weights(&graph)),
         )
         .unwrap();
         let idx = |vid| graph.vertex_index(vid).unwrap().0;
@@ -453,11 +449,7 @@ mod tests {
             Arc::new(GofSssp {
                 source: transit_ids::A,
             }),
-            &GofConfig {
-                workers: 1,
-                weights: weights(&graph),
-                ..Default::default()
-            },
+            &config(1, weights(&graph)),
         )
         .unwrap();
         // ICM sends 6 messages for this fixture; GoFFish re-scatters per
@@ -474,11 +466,30 @@ mod tests {
             Arc::new(GofSssp {
                 source: VertexId(0),
             }),
-            &GofConfig::default(),
+            &config(4, EdgeWeights::default()),
         )
         .expect_err("no finite set of snapshots");
         assert!(
             matches!(&err, BspError::Config { detail } if detail.contains("GoFFish needs a bounded window")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn recovery_is_refused_with_a_typed_error() {
+        let graph = Arc::new(transit_graph());
+        let mut config = config(2, weights(&graph));
+        config.run.recovery = Some(graphite_bsp::recover::RecoveryConfig::every(2));
+        let err = run_goffish(
+            graph,
+            Arc::new(GofSssp {
+                source: transit_ids::A,
+            }),
+            &config,
+        )
+        .expect_err("GoFFish workers cannot checkpoint");
+        assert!(
+            matches!(&err, BspError::Config { detail } if detail.contains("GoFFish")),
             "{err:?}"
         );
     }

@@ -35,4 +35,4 @@ pub use goffish::{run_goffish, GofConfig, GofContext, GofProgram};
 pub use msb::{run_msb, MsbConfig};
 pub use tgb::{run_tgb, TgbResult};
 pub use topology::{EdgeWeights, SnapshotResult, SnapshotTopology, TransformedTopology};
-pub use vcm::{run_vcm, VcmConfig, VcmContext, VcmEdge, VcmProgram, VcmResult, VcmTopology};
+pub use vcm::{run_vcm, VcmContext, VcmEdge, VcmProgram, VcmResult, VcmTopology};

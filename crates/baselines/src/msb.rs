@@ -4,10 +4,10 @@
 //! does in the paper. Used for the TI algorithms.
 
 use crate::topology::{run_ti_window, EdgeWeights, SnapshotResult, SnapshotTopology};
-use crate::vcm::{run_vcm, VcmConfig, VcmProgram};
-use graphite_bsp::engine::BspConfig;
+use crate::vcm::{run_vcm, VcmProgram};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::RunMetrics;
+use graphite_part::RunConfig;
 use graphite_tgraph::graph::TemporalGraph;
 use graphite_tgraph::time::Interval;
 use std::sync::Arc;
@@ -15,27 +15,16 @@ use std::sync::Arc;
 /// Configuration of one MSB run.
 #[derive(Clone, Debug)]
 pub struct MsbConfig {
-    /// Number of BSP workers per snapshot run.
-    pub workers: usize,
-    /// Safety cap on supersteps per snapshot.
-    pub max_supersteps: u64,
-    /// Window to discretize; defaults to
+    /// The run every snapshot's inner run is started with: each one
+    /// honours every field, so the superstep cap and budget, the fault
+    /// plan and the trace apply per snapshot.
+    pub run: RunConfig,
+    /// Window to discretize; `None` takes
     /// [`graphite_tgraph::snapshot::snapshot_window`].
     pub window: Option<Interval>,
     /// Keep the per-snapshot final states (disable to save memory on
     /// large sweeps where only metrics matter).
     pub collect_states: bool,
-}
-
-impl Default for MsbConfig {
-    fn default() -> Self {
-        MsbConfig {
-            workers: 4,
-            max_supersteps: BspConfig::DEFAULT_MAX_SUPERSTEPS,
-            window: None,
-            collect_states: true,
-        }
-    }
 }
 
 /// Runs `program` on every snapshot in the window, independently,
@@ -54,14 +43,6 @@ pub fn run_msb<P: VcmProgram>(
     program: Arc<P>,
     config: &MsbConfig,
 ) -> Result<SnapshotResult<P::State>, BspError> {
-    let vcm = VcmConfig {
-        workers: config.workers,
-        bsp: BspConfig {
-            max_supersteps: config.max_supersteps,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
     run_ti_window(&graph, config.window, "MSB", |window| {
         let mut metrics = RunMetrics::default();
         let mut per_snapshot = Vec::new();
@@ -71,7 +52,7 @@ pub fn run_msb<P: VcmProgram>(
                 t,
                 EdgeWeights::default(),
             ));
-            let result = run_vcm(&topo, Arc::clone(&program), &vcm)?;
+            let result = run_vcm(&topo, Arc::clone(&program), &config.run)?;
             metrics.merge(&result.metrics);
             if config.collect_states {
                 per_snapshot.push((t, result.states));
@@ -91,6 +72,17 @@ mod tests {
     use graphite_tgraph::fixtures::transit_graph;
     use graphite_tgraph::graph::VertexId;
     use graphite_tgraph::time::Time;
+
+    fn config(workers: usize) -> MsbConfig {
+        MsbConfig {
+            run: RunConfig {
+                workers,
+                ..Default::default()
+            },
+            window: None,
+            collect_states: true,
+        }
+    }
 
     /// Per-snapshot BFS level from vertex A (a TI algorithm).
     struct Bfs {
@@ -135,10 +127,7 @@ mod tests {
             Arc::new(Bfs {
                 source: VertexId(0),
             }),
-            &MsbConfig {
-                workers: 2,
-                ..Default::default()
-            },
+            &config(2),
         )
         .unwrap();
         // Window is [0,9): nine snapshot runs.
@@ -167,7 +156,7 @@ mod tests {
             }),
             &MsbConfig {
                 collect_states: false,
-                ..Default::default()
+                ..config(4)
             },
         )
         .unwrap();
@@ -181,14 +170,9 @@ mod tests {
         let program = Arc::new(Bfs {
             source: VertexId(0),
         });
-        let r = run_msb(
-            Arc::clone(&graph),
-            Arc::clone(&program),
-            &MsbConfig::default(),
-        )
-        .unwrap();
+        let r = run_msb(Arc::clone(&graph), Arc::clone(&program), &config(4)).unwrap();
         let topo = SnapshotTopology::new(Arc::clone(&graph), 0, EdgeWeights::default());
-        let one = run_vcm(&Arc::new(topo), program, &VcmConfig::default()).unwrap();
+        let one = run_vcm(&Arc::new(topo), program, &RunConfig::default()).unwrap();
         assert_eq!(
             r.metrics.counters.compute_calls,
             one.metrics.counters.compute_calls
@@ -205,7 +189,7 @@ mod tests {
             Arc::new(Bfs {
                 source: VertexId(0),
             }),
-            &MsbConfig::default(),
+            &config(4),
         )
         .expect_err("no finite set of snapshots");
         assert!(
@@ -220,7 +204,7 @@ mod tests {
             }),
             &MsbConfig {
                 window: Some(Interval::from_start(0)),
-                ..Default::default()
+                ..config(4)
             },
         )
         .expect_err("an unbounded explicit window");

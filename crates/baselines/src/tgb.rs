@@ -6,8 +6,9 @@
 //! charges to TGB on top of the application's own traffic.
 
 use crate::topology::TransformedTopology;
-use crate::vcm::{run_vcm, VcmConfig, VcmProgram, VcmResult};
+use crate::vcm::{run_vcm, VcmProgram, VcmResult};
 use graphite_bsp::error::BspError;
+use graphite_part::RunConfig;
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
 use graphite_tgraph::time::{Interval, Time};
 use graphite_tgraph::transform::{transform_for_paths, TransformOptions, TransformedGraph};
@@ -77,17 +78,19 @@ impl<S: Clone + PartialEq> TgbResult<S> {
 }
 
 /// Builds the transformed graph (unless one is supplied) and runs
-/// `program` over it.
+/// `program` over it, honouring every field of `config`.
 ///
 /// # Errors
 ///
-/// The replica run's [`BspError`].
+/// The replica run's [`BspError`]: among them [`BspError::Config`] for a
+/// placement strategy replicas cannot be placed by (LDG and temporal
+/// balance read edges and lifespans a replica key does not have).
 pub fn run_tgb<P: VcmProgram>(
     graph: Arc<TemporalGraph>,
     transformed: Option<Arc<TransformedGraph>>,
     transform_opts: &TransformOptions,
     program: Arc<P>,
-    config: &VcmConfig,
+    config: &RunConfig,
 ) -> Result<TgbResult<P::State>, BspError> {
     let transformed =
         transformed.unwrap_or_else(|| Arc::new(transform_for_paths(&graph, transform_opts)));
@@ -147,7 +150,7 @@ mod tests {
             Arc::new(TgbSssp {
                 source: transit_ids::A,
             }),
-            &VcmConfig {
+            &RunConfig {
                 workers: 2,
                 ..Default::default()
             },
@@ -198,7 +201,7 @@ mod tests {
             Arc::new(TgbSssp {
                 source: transit_ids::A,
             }),
-            &VcmConfig {
+            &RunConfig {
                 workers: 1,
                 ..Default::default()
             },

@@ -7,7 +7,8 @@
 use crate::vcm::{VcmEdge, VcmTopology};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::RunMetrics;
-use graphite_bsp::partition::splitmix64;
+use graphite_bsp::partition::{splitmix64, PartitionMap};
+use graphite_part::{PartitionStrategy, RunConfig};
 use graphite_tgraph::graph::{AdjRun, EIdx, TemporalGraph, VIdx, VertexId};
 use graphite_tgraph::property::{LabelId, PropValue};
 use graphite_tgraph::snapshot::{is_topology_static, snapshot_window};
@@ -179,8 +180,10 @@ impl VcmTopology for SnapshotTopology {
         out.extend_from_slice(self.in_slice(v));
     }
 
-    fn partition_key(&self, v: u32) -> u64 {
-        self.graph.vertex(VIdx(v)).vid.0
+    /// A snapshot's dense index is the graph's `VIdx`, so it is placed
+    /// as the graph itself is.
+    fn place(&self, strategy: PartitionStrategy, workers: usize) -> Result<PartitionMap, BspError> {
+        strategy.build(&self.graph, workers)
     }
 
     fn logical_vid(&self, v: u32) -> VertexId {
@@ -212,6 +215,14 @@ impl TransformedTopology {
     pub fn replica(&self, v: u32) -> (VIdx, Time) {
         self.transformed.replicas[v as usize]
     }
+
+    /// Replica `v`'s placement key. Each replica is its own Giraph
+    /// vertex, keyed by its identity: the vertex id mixed with its
+    /// time-point.
+    fn key(&self, v: u32) -> u64 {
+        let (orig, t) = self.transformed.replicas[v as usize];
+        splitmix64(self.graph.vertex(orig).vid.0 ^ (t as u64).rotate_left(32))
+    }
 }
 
 impl VcmTopology for TransformedTopology {
@@ -241,11 +252,9 @@ impl VcmTopology for TransformedTopology {
         }
     }
 
-    fn partition_key(&self, v: u32) -> u64 {
-        // Each replica is its own Giraph vertex: hash replica identity
-        // (vertex id mixed with its time-point).
-        let (orig, t) = self.transformed.replicas[v as usize];
-        splitmix64(self.graph.vertex(orig).vid.0 ^ (t as u64).rotate_left(32))
+    fn place(&self, strategy: PartitionStrategy, workers: usize) -> Result<PartitionMap, BspError> {
+        let slots = self.num_vertices() as u32;
+        strategy.place_keys((0..slots).map(|v| self.key(v)), workers)
     }
 
     fn logical_vid(&self, v: u32) -> VertexId {
@@ -274,6 +283,19 @@ pub(crate) fn window_of(
         .ok_or_else(|| BspError::Config {
             detail: format!("{platform} needs a bounded window: pass one when the graph has none"),
         })
+}
+
+/// Refuses a run that asks `platform` for checkpoint recovery, which
+/// its workers do not support yet.
+///
+/// # Errors
+///
+/// [`BspError::Config`] naming `platform` when `run.recovery` is set.
+pub(crate) fn refuse_recovery(run: &RunConfig, platform: &str) -> Result<(), BspError> {
+    run.recovery.as_ref().map_or(Ok(()), |_| {
+        let detail = format!("{platform} does not support checkpoint recovery; run it without one");
+        Err(BspError::Config { detail })
+    })
 }
 
 /// Runs a structure-only (TI) snapshot platform over its window: `run`
@@ -442,7 +464,7 @@ mod tests {
         let mut same_vertex = Vec::new();
         for v in 0..topo.num_vertices() as u32 {
             if topo.replica(v).0 == v0 {
-                same_vertex.push(topo.partition_key(v));
+                same_vertex.push(topo.key(v));
             }
         }
         same_vertex.dedup();

@@ -14,17 +14,15 @@
 
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::{get_varint, put_varint, Wire};
-use graphite_bsp::engine::{keep_alive, run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
+use graphite_bsp::engine::{keep_alive, run_bsp, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
-use graphite_bsp::partition::{splitmix64, PartitionMap};
-use graphite_bsp::recover::{Recovery, RecoveryConfig};
+use graphite_bsp::partition::PartitionMap;
+use graphite_bsp::recover::Recovery;
 use graphite_bsp::snapshot::Snapshot;
 use graphite_bsp::trace::TraceSink;
-use graphite_part::PartitionStrategy;
-use graphite_tgraph::builder::TemporalGraphBuilder;
+use graphite_part::{PartitionStrategy, RunConfig};
 use graphite_tgraph::graph::{VIdx, VertexId};
-use graphite_tgraph::time::Interval;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -63,9 +61,15 @@ pub trait VcmTopology: Send + Sync + 'static {
     /// [`VcmProgram::needs_in_edges`].
     fn in_edges(&self, v: u32, out: &mut Vec<VcmEdge>);
 
-    /// A stable key used for hash partitioning (Giraph hashes the vertex
-    /// id; TGB replicas hash their replica identity).
-    fn partition_key(&self, v: u32) -> u64;
+    /// Places the dense slots on `workers` workers under `strategy`: a
+    /// snapshot by its graph's vertices, TGB's replicas by key (Giraph
+    /// hashes the vertex id; each replica hashes its replica identity).
+    ///
+    /// # Errors
+    ///
+    /// [`BspError::Config`] for an unusable worker count, or a strategy
+    /// the topology cannot place by.
+    fn place(&self, strategy: PartitionStrategy, workers: usize) -> Result<PartitionMap, BspError>;
 
     /// The external id of the *logical* vertex behind slot `v` (for
     /// result reporting; several TGB replicas map to one logical vertex).
@@ -75,7 +79,7 @@ pub trait VcmTopology: Send + Sync + 'static {
 /// Pregel-style user logic.
 pub trait VcmProgram: Send + Sync + 'static {
     /// Per-vertex state; wire-encodable, so every run can be checkpointed
-    /// ([`VcmConfig::recovery`]).
+    /// ([`RunConfig::recovery`]).
     type State: Wire;
     /// Message payload.
     type Msg: Wire;
@@ -167,36 +171,6 @@ impl<'a, M> VcmContext<'a, M> {
     /// This worker's aggregator contributions.
     pub fn aggregate(&mut self) -> &mut Aggregators {
         self.partial
-    }
-}
-
-/// Configuration of one VCM run.
-#[derive(Clone, Debug)]
-pub struct VcmConfig {
-    /// Number of BSP workers.
-    pub workers: usize,
-    /// Vertex-placement strategy applied to the synthetic partition-key
-    /// graph (see `graphite-part`, DESIGN.md §13). Results are
-    /// placement-invariant. Default: hash, the paper's (Sec. VII-A4).
-    pub partition: PartitionStrategy,
-    /// When set, the run checkpoints on this schedule and recoverable
-    /// faults — injected via [`BspConfig::fault_plan`], or real worker
-    /// panics — roll it back to the last checkpoint and replay instead of
-    /// failing it. `None` (the default) fails at the first fault.
-    pub recovery: Option<RecoveryConfig>,
-    /// The substrate's own options — superstep cap and budget, schedule
-    /// perturbation, fault injection, tracing — passed through unchanged.
-    pub bsp: BspConfig,
-}
-
-impl Default for VcmConfig {
-    fn default() -> Self {
-        VcmConfig {
-            workers: 4,
-            partition: PartitionStrategy::default(),
-            recovery: None,
-            bsp: BspConfig::default(),
-        }
     }
 }
 
@@ -461,32 +435,6 @@ impl<T: VcmTopology, P: VcmProgram> Snapshot for VcmWorker<T, P> {
     }
 }
 
-/// A partition map over the dense topology vertices, placing each vertex
-/// by its [`VcmTopology::partition_key`] under `strategy`.
-fn topology_partition<T: VcmTopology>(
-    topology: &T,
-    workers: usize,
-    strategy: &PartitionStrategy,
-) -> Result<PartitionMap, BspError> {
-    // PartitionMap is keyed by a TemporalGraph; build a synthetic one with
-    // vids equal to the topology's partition keys so the same placement
-    // rules apply. Cheap: vertices only.
-    let mut b = TemporalGraphBuilder::with_capacity(topology.num_vertices(), 0);
-    for v in 0..topology.num_vertices() as u32 {
-        let key = topology.partition_key(v);
-        // Keys may collide across slots; disambiguate while keeping the
-        // hash distribution (mix the slot in only on collision).
-        let mut vid = key;
-        while b.add_vertex(VertexId(vid), Interval::all()).is_err() {
-            vid = splitmix64(vid ^ u64::from(v)).wrapping_add(1);
-        }
-    }
-    let graph = b.build().map_err(|e| BspError::Config {
-        detail: format!("synthetic partition graph: {e}"),
-    })?;
-    strategy.build(&graph, workers)
-}
-
 /// Runs `program` over `topology` to convergence — the one way to start a
 /// vertex-centric run.
 ///
@@ -498,15 +446,11 @@ fn topology_partition<T: VcmTopology>(
 pub fn run_vcm<T: VcmTopology, P: VcmProgram>(
     topology: &Arc<T>,
     program: Arc<P>,
-    config: &VcmConfig,
+    config: &RunConfig,
 ) -> Result<VcmResult<P::State>, BspError> {
     let recovery = config.recovery.as_ref().map(Recovery::new).transpose()?;
-    let partition = Arc::new(topology_partition(
-        topology.as_ref(),
-        config.workers,
-        &config.partition,
-    )?);
-    let workers = build_workers(topology, &program, config, &partition);
+    let partition = Arc::new(topology.place(config.partition, config.workers)?);
+    let workers = build_workers(topology, &program, &partition);
     // Phased programs stay alive through idle barriers when they request an
     // all-active next superstep.
     let mut master = keep_alive(move |step, globals| program.all_active(step, globals), None);
@@ -518,10 +462,9 @@ pub fn run_vcm<T: VcmTopology, P: VcmProgram>(
 fn build_workers<T: VcmTopology, P: VcmProgram>(
     topology: &Arc<T>,
     program: &Arc<P>,
-    config: &VcmConfig,
     partition: &Arc<PartitionMap>,
 ) -> Vec<VcmWorker<T, P>> {
-    (0..config.workers)
+    (0..partition.workers())
         .map(|w| VcmWorker {
             topology: Arc::clone(topology),
             program: Arc::clone(program),
@@ -550,6 +493,7 @@ fn collect_result<T: VcmTopology, P: VcmProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphite_bsp::recover::RecoveryConfig;
 
     /// A fixed little DAG topology: 0 -> 1 -> 2, 0 -> 2, with weights.
     struct Dag;
@@ -584,8 +528,12 @@ mod tests {
                 kind: 0,
             }));
         }
-        fn partition_key(&self, v: u32) -> u64 {
-            u64::from(v)
+        fn place(
+            &self,
+            strategy: PartitionStrategy,
+            workers: usize,
+        ) -> Result<PartitionMap, BspError> {
+            strategy.place_keys((0..self.num_vertices() as u32).map(u64::from), workers)
         }
         fn logical_vid(&self, v: u32) -> VertexId {
             VertexId(u64::from(v))
@@ -630,7 +578,7 @@ mod tests {
             let r = run_vcm(
                 &Arc::new(Dag),
                 Arc::new(Sssp),
-                &VcmConfig {
+                &RunConfig {
                     workers,
                     ..Default::default()
                 },
@@ -647,7 +595,7 @@ mod tests {
         let r1 = run_vcm(
             &Arc::new(Dag),
             Arc::new(Sssp),
-            &VcmConfig {
+            &RunConfig {
                 workers: 1,
                 ..Default::default()
             },
@@ -656,7 +604,7 @@ mod tests {
         let r3 = run_vcm(
             &Arc::new(Dag),
             Arc::new(Sssp),
-            &VcmConfig {
+            &RunConfig {
                 workers: 3,
                 ..Default::default()
             },
@@ -674,7 +622,7 @@ mod tests {
 
     #[test]
     fn zero_checkpoint_interval_is_rejected() {
-        let config = VcmConfig {
+        let config = RunConfig {
             recovery: Some(RecoveryConfig::every(0)),
             ..Default::default()
         };
@@ -695,8 +643,12 @@ mod tests {
         }
         fn out_edges(&self, _v: u32, _out: &mut Vec<VcmEdge>) {}
         fn in_edges(&self, _v: u32, _out: &mut Vec<VcmEdge>) {}
-        fn partition_key(&self, v: u32) -> u64 {
-            u64::from(v)
+        fn place(
+            &self,
+            strategy: PartitionStrategy,
+            workers: usize,
+        ) -> Result<PartitionMap, BspError> {
+            strategy.place_keys((0..self.num_vertices() as u32).map(u64::from), workers)
         }
         fn logical_vid(&self, v: u32) -> VertexId {
             VertexId(u64::from(v))
@@ -721,7 +673,7 @@ mod tests {
         let r = run_vcm(
             &Arc::new(HalfActive),
             Arc::new(CountOnly),
-            &VcmConfig::default(),
+            &RunConfig::default(),
         )
         .unwrap();
         assert_eq!(r.metrics.counters.compute_calls, 2);
@@ -739,8 +691,12 @@ mod tests {
         }
         fn out_edges(&self, _v: u32, _out: &mut Vec<VcmEdge>) {}
         fn in_edges(&self, _v: u32, _out: &mut Vec<VcmEdge>) {}
-        fn partition_key(&self, v: u32) -> u64 {
-            u64::from(v)
+        fn place(
+            &self,
+            strategy: PartitionStrategy,
+            workers: usize,
+        ) -> Result<PartitionMap, BspError> {
+            strategy.place_keys((0..self.num_vertices() as u32).map(u64::from), workers)
         }
         fn logical_vid(&self, v: u32) -> VertexId {
             VertexId(u64::from(v))
@@ -763,13 +719,8 @@ mod tests {
 
     fn isolated_workers(n: u32, workers: usize) -> Vec<VcmWorker<Isolated, Sssp>> {
         let topology = Arc::new(Isolated(n));
-        let config = VcmConfig {
-            workers,
-            ..Default::default()
-        };
-        let partition =
-            Arc::new(topology_partition(topology.as_ref(), workers, &config.partition).unwrap());
-        build_workers(&topology, &Arc::new(Sssp), &config, &partition)
+        let partition = Arc::new(topology.place(PartitionStrategy::Hash, workers).unwrap());
+        build_workers(&topology, &Arc::new(Sssp), &partition)
     }
 
     #[test]

@@ -25,6 +25,7 @@ use graphite_bsp::trace::{RunTrace, TraceConfig, TraceEvent, EXTRA_KEYS};
 use graphite_datagen::stream::derive_update_stream;
 use graphite_datagen::{generate, GenParams, LifespanModel, PropModel, Topology};
 use graphite_icm::engine::{run_icm, IcmConfig};
+use graphite_icm::RunConfig;
 use graphite_serve::{QuerySpec, ServeConfig, ServeEngine};
 use graphite_stream::prelude::*;
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
@@ -70,16 +71,18 @@ fn source(graph: &TemporalGraph) -> VertexId {
 
 fn cfg(trace: TraceConfig) -> IcmConfig {
     IcmConfig {
-        workers: 3,
+        run: RunConfig {
+            workers: 3,
+            partition: Default::default(),
+            recovery: None,
+            bsp: BspConfig {
+                max_supersteps: 10_000,
+                trace,
+                ..Default::default()
+            },
+        },
         combiner: true,
         suppression_threshold: Some(0.7),
-        partition: Default::default(),
-        recovery: None,
-        bsp: BspConfig {
-            max_supersteps: 10_000,
-            trace,
-            ..Default::default()
-        },
     }
 }
 
@@ -93,9 +96,9 @@ fn recovered_eat(trace: TraceConfig, perturb: Option<u64>) -> RunMetrics {
         labels: AlgLabels::resolve(&graph),
     });
     let mut cfg = cfg(trace);
-    cfg.recovery = Some(RecoveryConfig::every(2));
-    cfg.bsp.fault_plan = Some(FaultPlan::panic_at(1, 3));
-    cfg.bsp.perturb_schedule = perturb;
+    cfg.run.recovery = Some(RecoveryConfig::every(2));
+    cfg.run.bsp.fault_plan = Some(FaultPlan::panic_at(1, 3));
+    cfg.run.bsp.perturb_schedule = perturb;
     run_icm(&graph, program, &cfg, None)
         .expect("the fault is recovered")
         .metrics

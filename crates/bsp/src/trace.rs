@@ -143,7 +143,7 @@ impl TraceLevel {
 }
 
 /// Tracing configuration carried by every engine config
-/// (`BspConfig::trace`, `IcmConfig::trace`, `VcmConfig::trace`).
+/// (`BspConfig::trace`, reached as `RunConfig::bsp` on every platform).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Recording level; defaults to [`TraceLevel::Off`].

@@ -17,6 +17,7 @@ use graphite_bsp::{
     TraceConfig, TraceEvent, TraceSink, UserCounters, WorkerLogic,
 };
 use graphite_icm::engine::{run_icm, IcmConfig};
+use graphite_icm::RunConfig;
 use graphite_tgraph::builder::TemporalGraphBuilder;
 use graphite_tgraph::graph::{EdgeId, TemporalGraph, VIdx, VertexId};
 use graphite_tgraph::rng::SplitMix64;
@@ -554,7 +555,10 @@ fn user_master_hook_composes_with_recovery() {
         (r, seen)
     };
     let config = IcmConfig {
-        workers: 4,
+        run: RunConfig {
+            workers: 4,
+            ..Default::default()
+        },
         ..Default::default()
     };
     let (clean, clean_seen) = hooked(&config);
@@ -563,8 +567,11 @@ fn user_master_hook_composes_with_recovery() {
     assert!(steps > 6, "the ring walk outlasts the faulted superstep");
 
     let (rec, seen) = hooked(&IcmConfig {
-        recovery: Some(RecoveryConfig::every(4)),
-        bsp: faulted(FaultPlan::panic_at(2, 6)),
+        run: RunConfig {
+            recovery: Some(RecoveryConfig::every(4)),
+            bsp: faulted(FaultPlan::panic_at(2, 6)),
+            ..config.run.clone()
+        },
         ..config
     });
     assert_eq!(rec.states, clean.states);

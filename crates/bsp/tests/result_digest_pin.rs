@@ -12,9 +12,10 @@
 //! [`BspError::RecoveryExhausted`], never a wrong answer.
 
 use graphite_algorithms::bfs::{IcmBfs, VcmBfs};
+use graphite_algorithms::registry::{try_run, Algo, Platform, RunOpts};
 use graphite_algorithms::td_paths::IcmEat;
 use graphite_algorithms::AlgLabels;
-use graphite_baselines::vcm::{run_vcm, VcmConfig};
+use graphite_baselines::vcm::run_vcm;
 use graphite_baselines::{EdgeWeights, SnapshotTopology};
 use graphite_bsp::engine::BspConfig;
 use graphite_bsp::error::BspError;
@@ -23,6 +24,7 @@ use graphite_bsp::metrics::{RecoveryMetrics, RunMetrics};
 use graphite_bsp::recover::RecoveryConfig;
 use graphite_datagen::{generate, GenParams, LifespanModel, PropModel, Topology};
 use graphite_icm::engine::{run_icm, IcmConfig};
+use graphite_icm::RunConfig;
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
 use std::sync::Arc;
 
@@ -107,31 +109,19 @@ where
 
 fn icm_cfg(fault_plan: Option<FaultPlan>, perturb: Option<u64>) -> IcmConfig {
     IcmConfig {
-        workers: 4,
+        run: RunConfig {
+            workers: 4,
+            partition: Default::default(),
+            recovery: None,
+            bsp: BspConfig {
+                max_supersteps: 10_000,
+                perturb_schedule: perturb,
+                fault_plan,
+                ..Default::default()
+            },
+        },
         combiner: true,
         suppression_threshold: Some(0.7),
-        partition: Default::default(),
-        recovery: None,
-        bsp: BspConfig {
-            max_supersteps: 10_000,
-            perturb_schedule: perturb,
-            fault_plan,
-            ..Default::default()
-        },
-    }
-}
-
-fn vcm_cfg(fault_plan: Option<FaultPlan>, perturb: Option<u64>) -> VcmConfig {
-    VcmConfig {
-        workers: 4,
-        partition: Default::default(),
-        recovery: None,
-        bsp: BspConfig {
-            max_supersteps: 10_000,
-            perturb_schedule: perturb,
-            fault_plan,
-            ..Default::default()
-        },
     }
 }
 
@@ -237,10 +227,8 @@ fn icm_recovered_fingerprint<P>(
 where
     P: graphite_icm::program::IntervalProgram<State = i64>,
 {
-    let cfg = IcmConfig {
-        recovery: Some(RecoveryConfig::every(2)),
-        ..icm_cfg(Some(plan), perturb)
-    };
+    let mut cfg = icm_cfg(Some(plan), perturb);
+    cfg.run.recovery = Some(RecoveryConfig::every(2));
     let r =
         run_icm(graph, Arc::clone(program), &cfg, None).expect("recoverable ICM run must converge");
     (
@@ -271,11 +259,18 @@ fn vcm_topology(graph: &Arc<TemporalGraph>, params: &GenParams) -> Arc<SnapshotT
 /// Asserts that every (worker, fault step) cell of the matrix recovers to
 /// the given fault-free fingerprint, and that recovery left its only trace
 /// in the recovery counters.
+///
+/// `inner_runs` is false for a platform that is one BSP run (ICM, the VCM
+/// core, TGB): there a panic rolls back exactly once. MSB runs one inner
+/// run per snapshot, each of which may reach the faulted step and roll
+/// back once; the matrix then only requires that some cell rolled back.
 fn assert_matrix_recovers(
     label: &str,
     baseline: (u64, [u64; 8]),
+    inner_runs: bool,
     mut rerun: impl FnMut(FaultPlan) -> (u64, [u64; 8], RecoveryMetrics),
 ) {
+    let mut rollbacks = 0;
     for worker in 0..4 {
         for step in FAULT_STEPS {
             let (plan, kind) = matrix_plan(worker, step);
@@ -292,6 +287,10 @@ fn assert_matrix_recovers(
                 recovery.checkpoints_taken >= 1,
                 "{label}: recoverable run must checkpoint"
             );
+            rollbacks += recovery.rollbacks;
+            if inner_runs {
+                continue;
+            }
             if kind == FaultKind::WorkerPanic {
                 assert_eq!(
                     recovery.rollbacks, 1,
@@ -306,6 +305,7 @@ fn assert_matrix_recovers(
             }
         }
     }
+    assert!(rollbacks >= 1, "{label}: no matrix fault ever fired");
 }
 
 #[test]
@@ -321,11 +321,11 @@ fn recovered_icm_digests_match_fault_free() {
             labels: AlgLabels::resolve(&graph),
         });
         let bfs_base = fingerprint(&graph, Arc::clone(&bfs));
-        assert_matrix_recovers(&format!("ICM/BFS/{name}"), bfs_base, |plan| {
+        assert_matrix_recovers(&format!("ICM/BFS/{name}"), bfs_base, false, |plan| {
             icm_recovered_fingerprint(&graph, &bfs, plan, None)
         });
         let eat_base = fingerprint(&graph, Arc::clone(&eat));
-        assert_matrix_recovers(&format!("ICM/EAT/{name}"), eat_base, |plan| {
+        assert_matrix_recovers(&format!("ICM/EAT/{name}"), eat_base, false, |plan| {
             icm_recovered_fingerprint(&graph, &eat, plan, None)
         });
     }
@@ -339,13 +339,13 @@ fn recovered_vcm_digests_match_fault_free() {
         let program = Arc::new(VcmBfs {
             source: source(&graph),
         });
-        let base = run_vcm(&topo, Arc::clone(&program), &vcm_cfg(None, None))
+        let base = run_vcm(&topo, Arc::clone(&program), &icm_cfg(None, None).run)
             .expect("fault-free VCM run must succeed");
         let baseline = (vcm_digest(base.states), counter_key(&base.metrics));
-        assert_matrix_recovers(&format!("VCM/BFS/{name}"), baseline, |plan| {
-            let cfg = VcmConfig {
+        assert_matrix_recovers(&format!("VCM/BFS/{name}"), baseline, false, |plan| {
+            let cfg = RunConfig {
                 recovery: Some(RecoveryConfig::every(2)),
-                ..vcm_cfg(Some(plan), None)
+                ..icm_cfg(Some(plan), None).run
             };
             let r = run_vcm(&topo, Arc::clone(&program), &cfg)
                 .expect("recoverable VCM run must converge");
@@ -355,6 +355,40 @@ fn recovered_vcm_digests_match_fault_free() {
                 r.metrics.recovery,
             )
         });
+    }
+}
+
+/// MSB and TGB take the fault plan and the recovery schedule through the
+/// registry like ICM does; every recovered digest equals the clean solo
+/// run's.
+#[test]
+fn recovered_baseline_digests_match_fault_free() {
+    for (name, params) in [("long", profile_long()), ("unit", profile_unit())] {
+        let graph = Arc::new(generate(&params));
+        for (algo, platform) in [(Algo::Bfs, Platform::Msb), (Algo::Sssp, Platform::Tgb)] {
+            let run = |fault_plan, recovery| {
+                let opts = RunOpts {
+                    workers: 4,
+                    source: Some(source(&graph)),
+                    max_supersteps: 10_000,
+                    fault_plan,
+                    recovery,
+                    ..RunOpts::default()
+                };
+                let r = try_run(algo, platform, &graph, None, &opts)
+                    .expect("a recoverable baseline run must converge");
+                let digest = r.digest.expect("a digest").0;
+                (digest, counter_key(&r.metrics), r.metrics.recovery)
+            };
+            let (digest, counters, _) = run(None, None);
+            let label = format!("{}/{}/{name}", platform.name(), algo.name());
+            assert_matrix_recovers(
+                &label,
+                (digest, counters),
+                platform == Platform::Msb,
+                |plan| run(Some(plan), Some(RecoveryConfig::every(2))),
+            );
+        }
     }
 }
 
@@ -438,13 +472,11 @@ fn persistent_fault_exhausts_recovery_with_history() {
         source: source(&graph),
     });
     let plan = FaultPlan::panic_at(0, 2).persistent();
-    let cfg = IcmConfig {
-        recovery: Some(RecoveryConfig {
-            max_attempts: 2,
-            ..RecoveryConfig::every(2)
-        }),
-        ..icm_cfg(Some(plan), None)
-    };
+    let mut cfg = icm_cfg(Some(plan), None);
+    cfg.run.recovery = Some(RecoveryConfig {
+        max_attempts: 2,
+        ..RecoveryConfig::every(2)
+    });
     let err = run_icm(&graph, Arc::clone(&bfs), &cfg, None)
         .expect_err("a persistent fault must not converge");
     let BspError::RecoveryExhausted {

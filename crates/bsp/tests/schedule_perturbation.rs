@@ -9,7 +9,9 @@
 //! seeded PRNG, while preserving per-(src, dst) FIFO.
 //!
 //! This harness reruns BFS (time-independent) and EAT (time-dependent)
-//! under ICM, and BFS under the VCM baseline, on two generator profiles
+//! under ICM, BFS under the VCM core, and the snapshot platforms through
+//! the registry (MSB and Chlonos BFS, GoFFish SSSP), on two generator
+//! profiles
 //! (long-lifespan "Twitter-like" and unit-lifespan "GPlus-like"), across
 //! 8 perturbation seeds plus the unperturbed schedule, and asserts the
 //! result digests and deterministic metric counters are identical. Any
@@ -18,14 +20,16 @@
 //! mismatch under some seed.
 
 use graphite_algorithms::bfs::{IcmBfs, VcmBfs};
+use graphite_algorithms::registry::{try_run, Algo, Platform, RunOpts};
 use graphite_algorithms::td_paths::IcmEat;
 use graphite_algorithms::AlgLabels;
-use graphite_baselines::vcm::{run_vcm, VcmConfig};
+use graphite_baselines::vcm::run_vcm;
 use graphite_baselines::{EdgeWeights, SnapshotTopology};
 use graphite_bsp::engine::BspConfig;
 use graphite_bsp::metrics::RunMetrics;
 use graphite_datagen::{generate, GenParams, LifespanModel, PropModel, Topology};
 use graphite_icm::engine::{run_icm, IcmConfig};
+use graphite_icm::RunConfig;
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
 use std::sync::Arc;
 
@@ -109,29 +113,18 @@ fn counter_key(m: &RunMetrics) -> [u64; 8] {
 
 fn icm_cfg(perturb: Option<u64>) -> IcmConfig {
     IcmConfig {
-        workers: WORKERS,
+        run: RunConfig {
+            workers: WORKERS,
+            partition: Default::default(),
+            recovery: None,
+            bsp: BspConfig {
+                max_supersteps: 10_000,
+                perturb_schedule: perturb,
+                ..Default::default()
+            },
+        },
         combiner: true,
         suppression_threshold: Some(0.7),
-        partition: Default::default(),
-        recovery: None,
-        bsp: BspConfig {
-            max_supersteps: 10_000,
-            perturb_schedule: perturb,
-            ..Default::default()
-        },
-    }
-}
-
-fn vcm_cfg(perturb: Option<u64>) -> VcmConfig {
-    VcmConfig {
-        workers: WORKERS,
-        partition: Default::default(),
-        recovery: None,
-        bsp: BspConfig {
-            max_supersteps: 10_000,
-            perturb_schedule: perturb,
-            ..Default::default()
-        },
     }
 }
 
@@ -159,7 +152,7 @@ fn vcm_fingerprint(
     program: &Arc<VcmBfs>,
     perturb: Option<u64>,
 ) -> (u64, [u64; 8]) {
-    let r = run_vcm(topo, Arc::clone(program), &vcm_cfg(perturb))
+    let r = run_vcm(topo, Arc::clone(program), &icm_cfg(perturb).run)
         .expect("perturbed VCM run must succeed");
     let mut states: Vec<(u32, i64)> = r.states.into_iter().collect();
     states.sort_unstable();
@@ -240,6 +233,36 @@ fn vcm_bfs_is_schedule_invariant() {
         assert_invariant(&format!("VCM/BFS/{name}"), baseline, |seed| {
             vcm_fingerprint(&topo, &program, Some(seed))
         });
+    }
+}
+
+/// MSB, Chlonos and GoFFish perturb each inner run with the seed, and
+/// their digests and counters must not see it.
+#[test]
+fn snapshot_platforms_are_schedule_invariant() {
+    for (name, params) in [("long", profile_long()), ("unit", profile_unit())] {
+        let graph = Arc::new(generate(&params));
+        for (algo, platform) in [
+            (Algo::Bfs, Platform::Msb),
+            (Algo::Bfs, Platform::Chlonos),
+            (Algo::Sssp, Platform::Goffish),
+        ] {
+            let fingerprint = |perturb_schedule| {
+                let opts = RunOpts {
+                    workers: WORKERS,
+                    source: Some(source(&graph)),
+                    max_supersteps: 10_000,
+                    perturb_schedule,
+                    ..RunOpts::default()
+                };
+                let r = try_run(algo, platform, &graph, None, &opts)
+                    .expect("perturbed baseline run must succeed");
+                let digest = r.digest.expect("a digest").0;
+                (digest, counter_key(&r.metrics))
+            };
+            let label = format!("{}/{}/{name}", platform.name(), algo.name());
+            assert_invariant(&label, fingerprint(None), |seed| fingerprint(Some(seed)));
+        }
     }
 }
 

@@ -24,6 +24,7 @@ use graphite_bsp::recover::RecoveryConfig;
 use graphite_bsp::trace::{TraceConfig, TraceEvent};
 use graphite_datagen::{generate, GenParams, LifespanModel, PropModel, Topology};
 use graphite_icm::engine::{run_icm, IcmConfig};
+use graphite_icm::RunConfig;
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
 use std::sync::Arc;
 
@@ -78,17 +79,19 @@ fn counter_key(m: &RunMetrics) -> [u64; 8] {
 
 fn icm_cfg(trace: TraceConfig, perturb: Option<u64>) -> IcmConfig {
     IcmConfig {
-        workers: 4,
+        run: RunConfig {
+            workers: 4,
+            partition: Default::default(),
+            recovery: None,
+            bsp: BspConfig {
+                max_supersteps: 10_000,
+                perturb_schedule: perturb,
+                trace,
+                ..Default::default()
+            },
+        },
         combiner: true,
         suppression_threshold: Some(0.7),
-        partition: Default::default(),
-        recovery: None,
-        bsp: BspConfig {
-            max_supersteps: 10_000,
-            perturb_schedule: perturb,
-            trace,
-            ..Default::default()
-        },
     }
 }
 
@@ -220,8 +223,8 @@ fn recovery_markers_bracket_replayed_supersteps() {
     });
     let baseline = bfs_run(&graph, TraceConfig::off(), None);
     let mut cfg = icm_cfg(TraceConfig::counters(), None);
-    cfg.bsp.fault_plan = Some(FaultPlan::panic_at(1, 3));
-    cfg.recovery = Some(RecoveryConfig::every(2));
+    cfg.run.bsp.fault_plan = Some(FaultPlan::panic_at(1, 3));
+    cfg.run.recovery = Some(RecoveryConfig::every(2));
     let r = run_icm(&graph, program, &cfg, None).expect("recoverable traced run must converge");
     assert_eq!(
         fnv1a(format!("{:?}", r.states).as_bytes()),

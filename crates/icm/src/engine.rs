@@ -33,15 +33,15 @@ use crate::state::{StateArena, StateUpdates};
 use crate::warp::WarpScratch;
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::{get_varint, put_varint, Wire};
-use graphite_bsp::engine::{keep_alive, run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
+use graphite_bsp::engine::{keep_alive, run_bsp, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::PartitionMap;
-use graphite_bsp::recover::{Recovery, RecoveryConfig};
+use graphite_bsp::recover::Recovery;
 use graphite_bsp::snapshot::Snapshot;
 use graphite_bsp::trace::{key, TraceSink};
 use graphite_bsp::MasterHook;
-use graphite_part::PartitionStrategy;
+use graphite_part::RunConfig;
 use graphite_tgraph::graph::{SegIdx, TemporalGraph, VIdx, VertexId};
 use graphite_tgraph::iset::IntervalPartition;
 use graphite_tgraph::time::{Interval, Time, TIME_MAX, TIME_MIN};
@@ -52,8 +52,9 @@ use std::sync::Arc;
 /// Configuration of one GRAPHITE run.
 #[derive(Clone, Debug)]
 pub struct IcmConfig {
-    /// Number of BSP workers (the paper's cluster nodes).
-    pub workers: usize,
+    /// Workers, placement, recovery and the substrate options, honoured
+    /// field for field.
+    pub run: RunConfig,
     /// Enable the inline warp combiner when the program defines one
     /// (Sec. VI; on for all the paper's experiments, ablated in Fig. 6(b)).
     pub combiner: bool,
@@ -62,34 +63,16 @@ pub struct IcmConfig {
     /// per time-point (Sec. VI; paper default 70 %, ablated in Fig. 6(c)).
     /// `None` disables suppression.
     pub suppression_threshold: Option<f64>,
-    /// Vertex-placement strategy (see `graphite-part`, DESIGN.md §13).
-    /// Results are placement-invariant — strategies only move work and
-    /// message traffic between workers. Default: hash, the paper's
-    /// (Sec. VII-A4).
-    pub partition: PartitionStrategy,
-    /// When set, the run checkpoints on this schedule and recoverable
-    /// faults — injected via [`BspConfig::fault_plan`], or real worker
-    /// panics — roll it back to the last checkpoint and replay instead of
-    /// failing it. Recovered results are bit-identical to fault-free ones
-    /// (pinned by the fault-matrix digests); only the
-    /// [`RunMetrics::recovery`] counters — which never enter digests —
-    /// reveal that recovery happened. `None` (the default) fails at the
-    /// first fault.
-    pub recovery: Option<RecoveryConfig>,
-    /// The substrate's own options — superstep cap and budget, schedule
-    /// perturbation, fault injection, tracing — passed through unchanged.
-    pub bsp: BspConfig,
 }
 
+/// The paper's settings: combiner on, suppression at 70 %, on
+/// [`RunConfig::default`].
 impl Default for IcmConfig {
     fn default() -> Self {
         IcmConfig {
-            workers: 4,
+            run: RunConfig::default(),
             combiner: true,
             suppression_threshold: Some(0.7),
-            partition: PartitionStrategy::default(),
-            recovery: None,
-            bsp: BspConfig::default(),
         }
     }
 }
@@ -652,7 +635,7 @@ impl<P: IntervalProgram> Snapshot for IcmWorker<P> {
 /// runs against one loaded graph without ever giving up its handle.
 ///
 /// `master` is the optional MasterCompute hook, evaluated at every barrier
-/// (Sec. IV-A2); it composes with [`IcmConfig::recovery`] — after a
+/// (Sec. IV-A2); it composes with [`RunConfig::recovery`] — after a
 /// rollback it is consulted again for the replayed supersteps.
 ///
 /// # Errors
@@ -666,8 +649,9 @@ pub fn run_icm<P: IntervalProgram>(
     config: &IcmConfig,
     master: Option<MasterHook<'_>>,
 ) -> Result<IcmResult<P::State>, BspError> {
-    let recovery = config.recovery.as_ref().map(Recovery::new).transpose()?;
-    let partition = Arc::new(config.partition.build(graph, config.workers)?);
+    let run = &config.run;
+    let recovery = run.recovery.as_ref().map(Recovery::new).transpose()?;
+    let partition = Arc::new(run.partition.build(graph, run.workers)?);
     let workers = build_workers(graph, &program, config, &partition);
     // Programs requesting an all-active next superstep keep the run alive
     // through idle (message-free) barriers.
@@ -675,7 +659,7 @@ pub fn run_icm<P: IntervalProgram>(
         move |step, globals| program.all_active(step, globals),
         master,
     );
-    let (workers, metrics) = run_bsp(&config.bsp, recovery, workers, partition, Some(&mut master))?;
+    let (workers, metrics) = run_bsp(&run.bsp, recovery, workers, partition, Some(&mut master))?;
     Ok(collect_result(workers, metrics))
 }
 
@@ -686,7 +670,7 @@ fn build_workers<P: IntervalProgram>(
     config: &IcmConfig,
     partition: &Arc<PartitionMap>,
 ) -> Vec<IcmWorker<P>> {
-    (0..config.workers)
+    (0..partition.workers())
         .map(|w| {
             let owned = partition.owned_by(w);
             IcmWorker {

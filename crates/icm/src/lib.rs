@@ -57,7 +57,7 @@ pub mod state;
 pub mod warp;
 
 pub use engine::{run_icm, IcmConfig, IcmResult};
-pub use graphite_part::PartitionStrategy;
+pub use graphite_part::{PartitionStrategy, RunConfig};
 pub use program::{ComputeContext, EdgeDirection, IntervalProgram, ScatterContext, VertexContext};
 pub use warp::{time_join, time_warp, time_warp_spans, warp_view, JoinTuple, WarpTuple};
 
@@ -68,6 +68,7 @@ pub mod prelude {
         ComputeContext, EdgeDirection, IntervalProgram, ScatterContext, VertexContext,
     };
     pub use crate::warp::{time_join, time_warp, time_warp_spans, warp_view};
+    pub use graphite_part::RunConfig;
 }
 
 #[cfg(test)]
@@ -174,7 +175,10 @@ mod engine_tests {
     fn sssp_matches_paper_trace() {
         for workers in [1, 2, 4] {
             let result = run(&IcmConfig {
-                workers,
+                run: RunConfig {
+                    workers,
+                    ..Default::default()
+                },
                 ..Default::default()
             });
             for (vid, want) in expected_states() {
@@ -189,7 +193,10 @@ mod engine_tests {
     #[test]
     fn sssp_primitive_counts_match_paper() {
         let result = run(&IcmConfig {
-            workers: 1,
+            run: RunConfig {
+                workers: 1,
+                ..Default::default()
+            },
             ..Default::default()
         });
         let c = &result.metrics.counters;
@@ -207,12 +214,18 @@ mod engine_tests {
     #[test]
     fn counts_are_identical_across_worker_counts() {
         let base = run(&IcmConfig {
-            workers: 1,
+            run: RunConfig {
+                workers: 1,
+                ..Default::default()
+            },
             ..Default::default()
         });
         for workers in [2, 4, 8] {
             let r = run(&IcmConfig {
-                workers,
+                run: RunConfig {
+                    workers,
+                    ..Default::default()
+                },
                 ..Default::default()
             });
             assert_eq!(
@@ -233,12 +246,18 @@ mod engine_tests {
     #[test]
     fn combiner_off_does_not_change_results() {
         let with = run(&IcmConfig {
-            workers: 2,
+            run: RunConfig {
+                workers: 2,
+                ..Default::default()
+            },
             combiner: true,
             ..Default::default()
         });
         let without = run(&IcmConfig {
-            workers: 2,
+            run: RunConfig {
+                workers: 2,
+                ..Default::default()
+            },
             combiner: false,
             ..Default::default()
         });
@@ -248,7 +267,10 @@ mod engine_tests {
     #[test]
     fn zero_checkpoint_interval_is_rejected() {
         let err = try_run(&IcmConfig {
-            recovery: Some(graphite_bsp::RecoveryConfig::every(0)),
+            run: RunConfig {
+                recovery: Some(graphite_bsp::RecoveryConfig::every(0)),
+                ..Default::default()
+            },
             ..Default::default()
         })
         .expect_err("a recovery schedule that never checkpoints");

@@ -114,7 +114,10 @@ fn direct_sends_bypass_scatter_and_respect_intervals() {
         &g,
         Arc::new(DirectRelay { last: 3 }),
         &IcmConfig {
-            workers: 2,
+            run: RunConfig {
+                workers: 2,
+                ..Default::default()
+            },
             ..Default::default()
         },
         None,
@@ -219,7 +222,10 @@ fn all_active_supersteps_compute_without_messages() {
         &g,
         Arc::new(CountAllActive),
         &IcmConfig {
-            workers: 2,
+            run: RunConfig {
+                workers: 2,
+                ..Default::default()
+            },
             ..Default::default()
         },
         Some(&mut hook),

@@ -1,14 +1,15 @@
-//! `graphite-part`: temporal-aware vertex partitioning.
+//! `graphite-part`: vertex placement, and the run configuration every
+//! platform shares.
 //!
 //! The paper runs every platform under Giraph's default hash partitioner
-//! (Sec. VII-A4), and that remains the default here — but placement is
-//! now a subsystem, not a constant. Every [`PartitionStrategy`] builds the
-//! same [`PartitionMap`] the BSP substrate has always consumed, so
-//! strategies are swappable without touching the engines, and the engine
-//! results are *placement-invariant by construction*: final states are
-//! keyed by external [`graphite_tgraph::graph::VertexId`] in ordered
-//! maps, and every deterministic counter folds commutatively across
-//! workers (DESIGN.md §13).
+//! (Sec. VII-A4), and that remains the default here — but placement is a
+//! subsystem, not a constant. Every [`PartitionStrategy`] builds the same
+//! [`PartitionMap`] the BSP substrate has always consumed, so strategies
+//! are swappable without touching the engines, and the engine results
+//! are *placement-invariant by construction*: final states are keyed by
+//! external [`graphite_tgraph::graph::VertexId`] in ordered maps, and
+//! every deterministic counter folds commutatively across workers
+//! (DESIGN.md §13).
 //!
 //! Four strategies ship in-tree:
 //!
@@ -18,6 +19,15 @@
 //! | [`PartitionStrategy::Chunked`] | vertex count (exactly) | index locality | locality baseline |
 //! | [`PartitionStrategy::Ldg`] | vertex count (capped) | neighbor affinity / edge cut | message-heavy workloads |
 //! | [`PartitionStrategy::TemporalBalance`] | interval-weighted load | temporal skew | bursty / power-law lifespans |
+//!
+//! A platform places either the vertices of a graph
+//! ([`PartitionStrategy::build`]: ICM, and the snapshots of MSB, Chlonos
+//! and GoFFish) or slots that have only a stable key
+//! ([`PartitionStrategy::place_keys`]: TGB's replicas, which hash and
+//! chunk but have no edges or lifespans for LDG and temporal balance to
+//! read). [`RunConfig`] — workers, placement, recovery and the substrate
+//! options — is the one configuration of a run that all five platforms
+//! embed.
 //!
 //! [`stats()`] measures what a placement actually achieved (balance
 //! factor, edge cut, interval-weighted balance, estimated cross-worker
@@ -32,9 +42,61 @@ pub mod strategies;
 
 pub use stats::{stats, PartitionStats};
 
+use graphite_bsp::engine::BspConfig;
 use graphite_bsp::error::BspError;
-use graphite_bsp::partition::PartitionMap;
+use graphite_bsp::partition::{splitmix64, PartitionMap};
+use graphite_bsp::recover::RecoveryConfig;
 use graphite_tgraph::graph::TemporalGraph;
+
+/// The configuration of one run, shared by all five platforms: ICM's
+/// `IcmConfig`, the vertex-centric core's `run_vcm` (and through it MSB
+/// and TGB), Chlonos and GoFFish each embed it beside their own extras,
+/// and the registry lowers its `RunOpts` onto it in one function.
+///
+/// Every platform honours every field, with these exceptions, each of
+/// which is typed rather than silent:
+/// - MSB, Chlonos and GoFFish run one inner BSP run per snapshot, batch
+///   or time-point. The superstep cap, the budget, the schedule
+///   perturbation, the fault plan and the trace level apply to each
+///   inner run, not to the platform's run as a whole.
+/// - Chlonos and GoFFish reject `recovery` with [`BspError::Config`]:
+///   their workers cannot checkpoint yet. A fault plan without recovery
+///   fails their run with the fault's typed error, as on every platform.
+/// - TGB places replicas by key, so [`PartitionStrategy::Ldg`] and
+///   [`PartitionStrategy::TemporalBalance`] are a [`BspError::Config`]
+///   there ([`PartitionStrategy::place_keys`]).
+#[derive(Clone, Debug)]
+pub struct RunConfig {
+    /// Number of BSP workers (the paper's cluster nodes).
+    pub workers: usize,
+    /// Vertex-placement strategy (DESIGN.md §13). Results are
+    /// placement-invariant — strategies only move work and message
+    /// traffic between workers. Default: hash, the paper's (Sec. VII-A4).
+    pub partition: PartitionStrategy,
+    /// When set, the run checkpoints on this schedule and recoverable
+    /// faults — injected via [`BspConfig::fault_plan`], or real worker
+    /// panics — roll it back to the last checkpoint and replay instead of
+    /// failing it. Recovered results are bit-identical to fault-free ones
+    /// (pinned by the fault-matrix digests); only the recovery counters of
+    /// the run metrics, which never enter digests, reveal that recovery
+    /// happened. `None` (the default) fails at the first fault.
+    pub recovery: Option<RecoveryConfig>,
+    /// The substrate's own options — superstep cap and budget, schedule
+    /// perturbation, fault injection, tracing — passed to `run_bsp`
+    /// unchanged.
+    pub bsp: BspConfig,
+}
+
+impl Default for RunConfig {
+    fn default() -> Self {
+        RunConfig {
+            workers: 4,
+            partition: PartitionStrategy::default(),
+            recovery: None,
+            bsp: BspConfig::default(),
+        }
+    }
+}
 
 /// A vertex-placement strategy: builds, from a graph and a worker count,
 /// the dense vertex → worker map the BSP substrate routes by.
@@ -45,12 +107,13 @@ use graphite_tgraph::graph::TemporalGraph;
 /// *which* assignment is produced, but reproducible placement is what
 /// makes benchmark runs and the digest-invariance matrix meaningful.
 ///
-/// The selector is threaded through `IcmConfig`/`VcmConfig`, the
-/// algorithm registry's `RunOpts`, and the CLI (`--partition`).
+/// The selector is [`RunConfig::partition`], set from the algorithm
+/// registry's `RunOpts` and the CLI (`--partition`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PartitionStrategy {
-    /// Splitmix64 of the external vertex id, modulo workers — the paper's
-    /// (and Giraph's) default, and the compatibility baseline.
+    /// Splitmix64 of the external vertex id (of the key, for keyed slots),
+    /// modulo workers — the paper's (and Giraph's) default, and the
+    /// compatibility baseline.
     #[default]
     Hash,
     /// Contiguous `VIdx` ranges of near-equal size — the locality
@@ -109,9 +172,44 @@ impl PartitionStrategy {
     pub fn build(&self, graph: &TemporalGraph, workers: usize) -> Result<PartitionMap, BspError> {
         match self {
             PartitionStrategy::Hash => PartitionMap::hash(graph, workers),
-            PartitionStrategy::Chunked => strategies::chunked(graph, workers),
+            PartitionStrategy::Chunked => strategies::chunked(graph.num_vertices(), workers),
             PartitionStrategy::Ldg => strategies::ldg(graph, workers),
             PartitionStrategy::TemporalBalance => strategies::temporal_balance(graph, workers),
+        }
+    }
+
+    /// Places dense slots that have no graph behind them — TGB's replicas
+    /// — by one stable key per slot, in slot order. Hash takes
+    /// `splitmix64(key) % workers`; chunked splits the slots into
+    /// contiguous ranges, ignoring the keys.
+    ///
+    /// # Errors
+    ///
+    /// [`BspError::Config`] for [`PartitionStrategy::Ldg`] and
+    /// [`PartitionStrategy::TemporalBalance`], which read edges and
+    /// lifespans that keyed slots do not have, and for a worker count
+    /// [`PartitionStrategy::build`] would refuse.
+    pub fn place_keys(
+        &self,
+        keys: impl ExactSizeIterator<Item = u64>,
+        workers: usize,
+    ) -> Result<PartitionMap, BspError> {
+        match self {
+            PartitionStrategy::Hash => {
+                // The modulus only guards the division: zero workers is
+                // refused by `from_assignment` before any entry is read.
+                let modulus = workers.max(1) as u64;
+                let assignment = keys.map(|k| (splitmix64(k) % modulus) as u16).collect();
+                PartitionMap::from_assignment(assignment, workers)
+            }
+            PartitionStrategy::Chunked => strategies::chunked(keys.len(), workers),
+            PartitionStrategy::Ldg | PartitionStrategy::TemporalBalance => Err(BspError::Config {
+                detail: format!(
+                    "the {} strategy reads a graph's edges and lifespans; \
+                     keyed slots (TGB replicas) take hash or chunked",
+                    self.name()
+                ),
+            }),
         }
     }
 }
@@ -119,6 +217,7 @@ impl PartitionStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphite_tgraph::graph::{VIdx, VertexId};
 
     #[test]
     fn names_round_trip_through_parse() {
@@ -131,5 +230,33 @@ mod tests {
         );
         assert_eq!(PartitionStrategy::parse("metis"), None);
         assert_eq!(PartitionStrategy::default(), PartitionStrategy::Hash);
+    }
+
+    #[test]
+    fn keyed_placement_hashes_or_chunks_and_refuses_the_rest() {
+        let keys: Vec<u64> = (0..11).map(|k| k * 7919).collect();
+        let hash = PartitionStrategy::Hash
+            .place_keys(keys.iter().copied(), 3)
+            .unwrap();
+        for (i, &k) in keys.iter().enumerate() {
+            let want = graphite_bsp::partition::hash_partition(VertexId(k), 3);
+            assert_eq!(hash.worker_of(VIdx(i as u32)), want);
+        }
+        let chunked = PartitionStrategy::Chunked
+            .place_keys(keys.iter().copied(), 4)
+            .unwrap();
+        let seq: Vec<usize> = (0..11).map(|i| chunked.worker_of(VIdx(i))).collect();
+        assert_eq!(seq, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3]);
+        for s in [PartitionStrategy::Ldg, PartitionStrategy::TemporalBalance] {
+            let err = s.place_keys(keys.iter().copied(), 3).unwrap_err();
+            assert!(
+                matches!(&err, BspError::Config { detail } if detail.contains(s.name())),
+                "{err:?}"
+            );
+        }
+        for s in [PartitionStrategy::Hash, PartitionStrategy::Chunked] {
+            let err = s.place_keys(keys.iter().copied(), 0).unwrap_err();
+            assert!(matches!(err, BspError::Config { .. }), "{err:?}");
+        }
     }
 }

@@ -11,16 +11,18 @@ use graphite_bsp::error::BspError;
 use graphite_bsp::partition::PartitionMap;
 use graphite_tgraph::graph::TemporalGraph;
 
-/// Contiguous `VIdx` ranges of near-equal size: the first `n % workers`
-/// workers own one extra vertex. Perfect vertex-count balance and maximal
-/// index locality, but oblivious to topology and lifespans — the locality
-/// baseline.
-pub(crate) fn chunked(graph: &TemporalGraph, workers: usize) -> Result<PartitionMap, BspError> {
-    let n = graph.num_vertices();
+/// Contiguous ranges of near-equal size over `n` dense indices: the first
+/// `n % workers` workers own one extra vertex. Perfect vertex-count
+/// balance and maximal index locality, but oblivious to topology and
+/// lifespans — the locality baseline.
+pub(crate) fn chunked(n: usize, workers: usize) -> Result<PartitionMap, BspError> {
+    // Zero workers is refused by `from_assignment`; the ranges are cut
+    // over at least one so the assignment still covers every slot.
+    let ranges = workers.max(1);
     let mut assignment = Vec::with_capacity(n);
-    let base = n / workers.max(1);
-    let extra = n % workers.max(1);
-    for w in 0..workers {
+    let base = n / ranges;
+    let extra = n % ranges;
+    for w in 0..ranges {
         let size = base + usize::from(w < extra);
         assignment.resize(assignment.len() + size, w as u16);
     }

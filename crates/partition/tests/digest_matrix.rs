@@ -12,22 +12,33 @@
 //! messages sent, warp counters) is pinned too; `remote_messages` and
 //! `bytes_sent` legitimately vary with placement and are excluded.
 //!
+//! The snapshot platforms (MSB, Chlonos, GoFFish) place a snapshot as
+//! its graph is placed, so they run the whole matrix too; TGB places its
+//! replicas by key, under hash and chunked only, and refuses the other
+//! two with a typed error. Since digests cannot see placement, the wire
+//! counters of four baseline cells under hash are pinned as well
+//! ([`PLACEMENT_PIN`]): a placement change that moves any vertex moves
+//! them.
+//!
 //! Two of the profiles here are byte-identical to the ones pinned in
 //! `crates/bsp/tests/result_digest_pin.rs`, so the hash baselines are
 //! additionally asserted against those recorded digests — the matrix is
 //! anchored to the pre-partitioning recording, not merely self-consistent.
 
 use graphite_algorithms::bfs::{IcmBfs, VcmBfs};
+use graphite_algorithms::registry::{try_run, Algo, Platform, RunError, RunOpts};
 use graphite_algorithms::td_paths::IcmEat;
 use graphite_algorithms::AlgLabels;
-use graphite_baselines::vcm::{run_vcm, VcmConfig};
+use graphite_baselines::vcm::run_vcm;
 use graphite_baselines::{EdgeWeights, SnapshotTopology};
 use graphite_bsp::engine::BspConfig;
+use graphite_bsp::error::BspError;
 use graphite_bsp::fault::FaultPlan;
 use graphite_bsp::metrics::RunMetrics;
 use graphite_bsp::recover::RecoveryConfig;
 use graphite_datagen::{generate, GenParams, LifespanModel, PropModel, Topology};
 use graphite_icm::engine::{run_icm, IcmConfig};
+use graphite_icm::RunConfig;
 use graphite_part::PartitionStrategy;
 use graphite_tgraph::graph::{TemporalGraph, VertexId};
 use std::sync::Arc;
@@ -118,11 +129,9 @@ fn inv_counters(m: &RunMetrics) -> [u64; 6] {
     ]
 }
 
-fn icm_cfg(strategy: PartitionStrategy, workers: usize) -> IcmConfig {
-    IcmConfig {
+fn run_cfg(strategy: PartitionStrategy, workers: usize) -> RunConfig {
+    RunConfig {
         workers,
-        combiner: true,
-        suppression_threshold: Some(0.7),
         partition: strategy,
         recovery: None,
         bsp: BspConfig {
@@ -132,15 +141,10 @@ fn icm_cfg(strategy: PartitionStrategy, workers: usize) -> IcmConfig {
     }
 }
 
-fn vcm_cfg(strategy: PartitionStrategy, workers: usize) -> VcmConfig {
-    VcmConfig {
-        workers,
-        partition: strategy,
-        recovery: None,
-        bsp: BspConfig {
-            max_supersteps: 10_000,
-            ..Default::default()
-        },
+fn icm_cfg(strategy: PartitionStrategy, workers: usize) -> IcmConfig {
+    IcmConfig {
+        run: run_cfg(strategy, workers),
+        ..Default::default()
     }
 }
 
@@ -248,13 +252,13 @@ fn vcm_digests_are_placement_invariant() {
         let base = run_vcm(
             &topo,
             Arc::clone(&program),
-            &vcm_cfg(PartitionStrategy::Hash, 4),
+            &run_cfg(PartitionStrategy::Hash, 4),
         )
         .expect("baseline VCM run must succeed");
         let baseline = (vcm_digest(base.states), inv_counters(&base.metrics));
         for strategy in PartitionStrategy::ALL {
             for workers in WORKER_COUNTS {
-                let r = run_vcm(&topo, Arc::clone(&program), &vcm_cfg(strategy, workers))
+                let r = run_vcm(&topo, Arc::clone(&program), &run_cfg(strategy, workers))
                     .expect("matrix VCM run must succeed");
                 assert_eq!(
                     (vcm_digest(r.states), inv_counters(&r.metrics)),
@@ -280,7 +284,7 @@ fn strategies_compose_with_schedule_perturbation() {
     for strategy in PartitionStrategy::ALL {
         for seed in [1u64, 0xDEAD_BEEF] {
             let mut cfg = icm_cfg(strategy, 4);
-            cfg.bsp.perturb_schedule = Some(seed);
+            cfg.run.bsp.perturb_schedule = Some(seed);
             let got = icm_fingerprint(&graph, &bfs, &cfg);
             assert_eq!(
                 got,
@@ -306,8 +310,8 @@ fn faulted_runs_under_alternative_strategies_recover_to_clean_hash_digest() {
         for strategy in [PartitionStrategy::Ldg, PartitionStrategy::TemporalBalance] {
             for step in [2u64, 3] {
                 let mut cfg = icm_cfg(strategy, 4);
-                cfg.bsp.fault_plan = Some(FaultPlan::panic_at(1, step));
-                cfg.recovery = Some(RecoveryConfig::every(2));
+                cfg.run.bsp.fault_plan = Some(FaultPlan::panic_at(1, step));
+                cfg.run.recovery = Some(RecoveryConfig::every(2));
                 let r = run_icm(&graph, Arc::clone(&bfs), &cfg, None)
                     .expect("recoverable run must converge");
                 assert_eq!(
@@ -344,11 +348,11 @@ fn faulted_vcm_runs_under_temporal_balance_recover_to_clean_hash_digest() {
     let clean = run_vcm(
         &topo,
         Arc::clone(&program),
-        &vcm_cfg(PartitionStrategy::Hash, 4),
+        &run_cfg(PartitionStrategy::Hash, 4),
     )
     .expect("clean VCM run must succeed");
     let baseline = (vcm_digest(clean.states), inv_counters(&clean.metrics));
-    let mut cfg = vcm_cfg(PartitionStrategy::TemporalBalance, 4);
+    let mut cfg = run_cfg(PartitionStrategy::TemporalBalance, 4);
     cfg.bsp.fault_plan = Some(FaultPlan::panic_at(1, 2));
     cfg.recovery = Some(RecoveryConfig::every(2));
     let r = run_vcm(&topo, Arc::clone(&program), &cfg).expect("recoverable VCM run must converge");
@@ -358,4 +362,125 @@ fn faulted_vcm_runs_under_temporal_balance_recover_to_clean_hash_digest() {
         "faulted temporal-balance VCM run diverged from clean hash"
     );
     assert_eq!(r.metrics.recovery.rollbacks, 1);
+}
+
+/// The registry's options for one matrix cell.
+fn opts(strategy: PartitionStrategy, workers: usize) -> RunOpts {
+    RunOpts {
+        workers,
+        partition: strategy,
+        max_supersteps: 10_000,
+        ..RunOpts::default()
+    }
+}
+
+/// A baseline cell's result digest and placement-invariant counters,
+/// plus its `remote_messages`, which placement moves.
+fn cell(
+    graph: &Arc<TemporalGraph>,
+    algo: Algo,
+    platform: Platform,
+    opts: &RunOpts,
+) -> Result<((u64, [u64; 6]), u64), RunError> {
+    let r = try_run(algo, platform, graph, None, opts)?;
+    let digest = r.digest.expect("every matrix cell publishes a digest").0;
+    let remote = r.metrics.counters.remote_messages;
+    Ok(((digest, inv_counters(&r.metrics)), remote))
+}
+
+/// MSB, Chlonos and GoFFish under every strategy and TGB under the two
+/// it can place replicas by land on the hash/4 digest and counters; TGB
+/// refuses the other two with a typed config error. Where messages cross
+/// workers at all (not GoFFish SSSP, whose messages all travel between
+/// snapshots), some strategy must move `remote_messages` off hash's: the
+/// strategy reaches the platform.
+#[test]
+fn baseline_digests_are_placement_invariant() {
+    for (pname, params) in profiles() {
+        let graph = Arc::new(generate(&params));
+        for (algo, platform) in [
+            (Algo::Bfs, Platform::Msb),
+            (Algo::Bfs, Platform::Chlonos),
+            (Algo::Sssp, Platform::Goffish),
+            (Algo::Sssp, Platform::Tgb),
+        ] {
+            let label = format!("{}/{}/{pname}", platform.name(), algo.name());
+            let (base, _) = cell(&graph, algo, platform, &opts(PartitionStrategy::Hash, 4))
+                .expect("hash baseline run");
+            let mut hash_remote = [0; WORKER_COUNTS.len()];
+            let mut moved = false;
+            for strategy in PartitionStrategy::ALL {
+                for (i, workers) in WORKER_COUNTS.into_iter().enumerate() {
+                    let got = cell(&graph, algo, platform, &opts(strategy, workers));
+                    let keyed_only = platform == Platform::Tgb
+                        && matches!(
+                            strategy,
+                            PartitionStrategy::Ldg | PartitionStrategy::TemporalBalance
+                        );
+                    if keyed_only {
+                        assert!(
+                            matches!(
+                                &got,
+                                Err(RunError::Bsp(BspError::Config { detail }))
+                                    if detail.contains(strategy.name())
+                            ),
+                            "{label}: {} must be refused, got {got:?}",
+                            strategy.name()
+                        );
+                        continue;
+                    }
+                    let (fingerprint, remote) = got.expect("matrix run must succeed");
+                    assert_eq!(
+                        fingerprint,
+                        base,
+                        "{label}: {} × {workers} workers diverged from hash/4",
+                        strategy.name()
+                    );
+                    if strategy == PartitionStrategy::Hash {
+                        hash_remote[i] = remote;
+                    }
+                    moved |= remote != hash_remote[i];
+                }
+            }
+            assert_eq!(
+                moved,
+                platform != Platform::Goffish,
+                "{label}: whether placement moved remote messages"
+            );
+        }
+    }
+}
+
+/// `remote_messages` and `bytes_sent` of four baseline cells on the long
+/// profile under hash, at 2 and 3 workers. Digests cannot see placement;
+/// these counters move when a single vertex or replica changes worker.
+const PLACEMENT_PIN: [(Algo, Platform, usize, u64, u64); 8] = [
+    (Algo::Bfs, Platform::Msb, 2, 3282, 10842),
+    (Algo::Bfs, Platform::Msb, 3, 4201, 13821),
+    (Algo::Bfs, Platform::Chlonos, 2, 1260, 6686),
+    (Algo::Bfs, Platform::Chlonos, 3, 1571, 8269),
+    (Algo::Sssp, Platform::Goffish, 2, 0, 26676),
+    (Algo::Sssp, Platform::Goffish, 3, 0, 26676),
+    (Algo::Sssp, Platform::Tgb, 2, 2655, 12923),
+    (Algo::Sssp, Platform::Tgb, 3, 3474, 16910),
+];
+
+#[test]
+fn hash_placement_of_the_baselines_is_pinned() {
+    let graph = Arc::new(generate(&profile_long()));
+    for (algo, platform, workers, remote, bytes) in PLACEMENT_PIN {
+        let opts = RunOpts {
+            workers,
+            ..RunOpts::default()
+        };
+        let r = try_run(algo, platform, &graph, None, &opts).expect("pinned run");
+        let c = &r.metrics.counters;
+        assert_eq!(
+            (c.remote_messages, c.bytes_sent),
+            (remote, bytes),
+            "{} {} on {workers} workers",
+            platform.name(),
+            algo.name()
+        );
+    }
 }

@@ -20,7 +20,7 @@
 use crate::resume::{dirty_vertices_with, PrevStates, Resumed};
 use graphite_algorithms::catalog::{visit_icm, Algo, IcmParams, IcmVisitor};
 use graphite_algorithms::common::digest_interval_states;
-use graphite_bsp::engine::BspConfig;
+use graphite_algorithms::registry::RunOpts;
 use graphite_bsp::error::BspError;
 use graphite_bsp::trace::{key, RunTrace, TraceConfig, TraceSink};
 use graphite_icm::prelude::*;
@@ -272,16 +272,16 @@ impl StreamEngine {
         self.batches
     }
 
+    /// The maintenance runs' configuration, lowered as every registry
+    /// run's is.
     fn icm_config(&self) -> IcmConfig {
-        IcmConfig {
+        RunOpts {
             workers: self.cfg.workers,
             partition: self.cfg.partition,
-            bsp: BspConfig {
-                perturb_schedule: self.cfg.perturb_schedule,
-                ..Default::default()
-            },
-            ..Default::default()
+            perturb_schedule: self.cfg.perturb_schedule,
+            ..RunOpts::default()
         }
+        .icm_config()
     }
 
     /// Registers `spec` and runs its initial from-scratch computation on

@@ -3,7 +3,10 @@
 //! A stream is a sequence of [`GraphDelta`] batches. The format is
 //! line-oriented and shares the temporal-graph text conventions
 //! (`graphite_tgraph::io`): `-inf`/`inf` endpoints, `i:`/`f:`/`b:`/`s:`
-//! value tags, `#` comments, blank lines ignored.
+//! value tags, labels and text values escaped into one token
+//! ([`escape_token`]), blank lines ignored. A `#` that starts a token
+//! starts a comment running to the end of the line; escaped tokens never
+//! start with one.
 //!
 //! ```text
 //! graphite-updates/1
@@ -21,7 +24,9 @@
 
 use graphite_tgraph::delta::GraphDelta;
 use graphite_tgraph::graph::{EdgeId, VertexId};
-use graphite_tgraph::io::{fmt_time, fmt_value, parse_time, parse_value};
+use graphite_tgraph::io::{
+    escape_token, fmt_time, fmt_value, parse_time, parse_value, unescape_token,
+};
 use graphite_tgraph::time::Interval;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -100,14 +105,20 @@ pub fn write_updates<W: Write>(batches: &[GraphDelta], mut out: W) -> std::io::R
             let _ = writeln!(text, "XE {} {}", eid.0, fmt_time(end));
         }
         for (eid, label, end) in &d.extend_edge_props {
-            let _ = writeln!(text, "XP {} {} {}", eid.0, label, fmt_time(*end));
+            let _ = writeln!(
+                text,
+                "XP {} {} {}",
+                eid.0,
+                escape_token(label),
+                fmt_time(*end)
+            );
         }
         for (vid, label, iv, value) in &d.vertex_props {
             let _ = writeln!(
                 text,
                 "VP {} {} {} {} {}",
                 vid.0,
-                label,
+                escape_token(label),
                 fmt_time(iv.start()),
                 fmt_time(iv.end()),
                 fmt_value(value)
@@ -118,7 +129,7 @@ pub fn write_updates<W: Write>(batches: &[GraphDelta], mut out: W) -> std::io::R
                 text,
                 "EP {} {} {} {} {}",
                 eid.0,
-                label,
+                escape_token(label),
                 fmt_time(iv.start()),
                 fmt_time(iv.end()),
                 fmt_value(value)
@@ -135,6 +146,10 @@ fn bad(line: usize, reason: impl Into<String>) -> UpdatesIoError {
     }
 }
 
+fn label(s: &str, line: usize) -> Result<String, UpdatesIoError> {
+    unescape_token(s).ok_or_else(|| bad(line, format!("bad label {s:?}")))
+}
+
 fn interval(start: &str, end: &str, line: usize) -> Result<Interval, UpdatesIoError> {
     let s = parse_time(start).ok_or_else(|| bad(line, format!("bad time {start:?}")))?;
     let e = parse_time(end).ok_or_else(|| bad(line, format!("bad time {end:?}")))?;
@@ -145,27 +160,31 @@ fn interval(start: &str, end: &str, line: usize) -> Result<Interval, UpdatesIoEr
 ///
 /// # Errors
 ///
-/// [`UpdatesIoError`] on I/O failure or a malformed line. Constraint
-/// violations surface later, when a batch is applied to a graph.
+/// [`UpdatesIoError`] on I/O failure or a malformed line, including one
+/// that is not UTF-8. Constraint violations surface later, when a batch
+/// is applied to a graph.
 pub fn read_updates<R: Read>(input: R) -> Result<Vec<GraphDelta>, UpdatesIoError> {
     let reader = BufReader::new(input);
     let mut batches: Vec<GraphDelta> = Vec::new();
     let mut saw_header = false;
-    for (i, line) in reader.lines().enumerate() {
+    for (i, line) in reader.split(b'\n').enumerate() {
         let n = i + 1;
-        let line = line?;
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
+        let line = String::from_utf8(line?).map_err(|_| bad(n, "not UTF-8"))?;
+        // A token that starts with `#` starts a comment.
+        let fields: Vec<&str> = line
+            .split_whitespace()
+            .take_while(|token| !token.starts_with('#'))
+            .collect();
+        if fields.is_empty() {
             continue;
         }
         if !saw_header {
-            if line != UPDATES_HEADER {
+            if fields != [UPDATES_HEADER] {
                 return Err(bad(n, format!("expected {UPDATES_HEADER:?} header")));
             }
             saw_header = true;
             continue;
         }
-        let fields: Vec<&str> = line.split_whitespace().collect();
         let parse_u64 = |s: &str| -> Result<u64, UpdatesIoError> {
             s.parse().map_err(|_| bad(n, format!("bad id {s:?}")))
         };
@@ -195,19 +214,21 @@ pub fn read_updates<R: Read>(input: R) -> Result<Vec<GraphDelta>, UpdatesIoError
                         let t = parse_time(end).ok_or_else(|| bad(n, "bad time"))?;
                         d.extend_edge(EdgeId(parse_u64(eid)?), t);
                     }
-                    ["XP", eid, label, end] => {
+                    ["XP", eid, name, end] => {
                         let t = parse_time(end).ok_or_else(|| bad(n, "bad time"))?;
-                        d.extend_edge_property(EdgeId(parse_u64(eid)?), label, t);
+                        d.extend_edge_property(EdgeId(parse_u64(eid)?), &label(name, n)?, t);
                     }
-                    ["VP", vid, label, s, e, value] => {
+                    ["VP", vid, name, s, e, value] => {
                         let v = parse_value(value)
                             .ok_or_else(|| bad(n, format!("bad value {value:?}")))?;
-                        d.vertex_property(VertexId(parse_u64(vid)?), label, interval(s, e, n)?, v);
+                        let vid = VertexId(parse_u64(vid)?);
+                        d.vertex_property(vid, &label(name, n)?, interval(s, e, n)?, v);
                     }
-                    ["EP", eid, label, s, e, value] => {
+                    ["EP", eid, name, s, e, value] => {
                         let v = parse_value(value)
                             .ok_or_else(|| bad(n, format!("bad value {value:?}")))?;
-                        d.edge_property(EdgeId(parse_u64(eid)?), label, interval(s, e, n)?, v);
+                        let eid = EdgeId(parse_u64(eid)?);
+                        d.edge_property(eid, &label(name, n)?, interval(s, e, n)?, v);
                     }
                     _ => return Err(bad(n, format!("unrecognized op {:?}", fields[0]))),
                 }
@@ -239,6 +260,7 @@ pub fn load_updates<P: AsRef<Path>>(path: P) -> Result<Vec<GraphDelta>, UpdatesI
 mod tests {
     use super::*;
     use graphite_tgraph::property::PropValue;
+    use graphite_tgraph::rng::SplitMix64;
 
     #[test]
     fn round_trips() {
@@ -273,5 +295,55 @@ mod tests {
         assert!(read_updates(&b"graphite-updates/1\nV 1 0 5\n"[..]).is_err());
         assert!(read_updates(&b"graphite-updates/1\nB 1\nQ 1\n"[..]).is_err());
         assert!(read_updates(&b"graphite-updates/1\nB 1\nV 1 5 5\n"[..]).is_err());
+    }
+
+    /// A string over the characters the encoding must escape, plus
+    /// non-ASCII letters and whitespace.
+    fn hazard(rng: &mut SplitMix64, min_len: usize) -> String {
+        const ALPHABET: [char; 12] = [
+            '\\', '_', ' ', '\t', '\n', '#', ':', 'a', '\u{e9}', '\u{65e5}', '\u{a0}', '\u{2028}',
+        ];
+        let len = min_len + rng.index(8);
+        (0..len)
+            .map(|_| ALPHABET[rng.index(ALPHABET.len())])
+            .collect()
+    }
+
+    #[test]
+    fn hazardous_text_values_and_labels_round_trip() {
+        let mut rng = SplitMix64::new(0x7570_6474);
+        for case in 0..200 {
+            let mut d = GraphDelta::new();
+            for t in 0..3 {
+                let iv = Interval::new(t, t + 1);
+                let value = PropValue::Text(hazard(&mut rng, 0));
+                d.vertex_property(VertexId(1), &hazard(&mut rng, 1), iv, value);
+                let value = PropValue::Text(hazard(&mut rng, 0));
+                d.edge_property(EdgeId(2), &hazard(&mut rng, 1), iv, value);
+                d.extend_edge_property(EdgeId(2), &hazard(&mut rng, 1), t + 5);
+            }
+            let mut out = Vec::new();
+            write_updates(std::slice::from_ref(&d), &mut out).unwrap();
+            let back = read_updates(&out[..])
+                .unwrap_or_else(|e| panic!("case {case}: {e}\n{}", String::from_utf8_lossy(&out)));
+            assert_eq!(back.len(), 1, "case {case}");
+            assert_eq!(back[0].vertex_props, d.vertex_props, "case {case}");
+            assert_eq!(back[0].edge_props, d.edge_props, "case {case}");
+            assert_eq!(
+                back[0].extend_edge_props, d.extend_edge_props,
+                "case {case}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_hash_inside_a_token_is_data() {
+        let text = "graphite-updates/1 # header\nB 1\nEP 3 w#1 0 2 s:a#b # note\n#\n";
+        let d = &read_updates(text.as_bytes()).unwrap()[0];
+        let value = PropValue::Text("a#b".into());
+        assert_eq!(
+            d.edge_props,
+            vec![(EdgeId(3), "w#1".to_owned(), Interval::new(0, 2), value)]
+        );
     }
 }

@@ -13,7 +13,10 @@
 //! ```
 //!
 //! `start`/`end` accept `-inf`/`inf`. Values are typed by prefix:
-//! `i:<int>`, `f:<float>`, `b:<bool>`, `s:<escaped text>`.
+//! `i:<int>`, `f:<float>`, `b:<bool>`, `s:<escaped text>`. Text values
+//! and labels are written as one token by [`escape_token`]: `\\` for a
+//! backslash, `\_` for a space, `\#` for `#`, and `\u{hex}` for any other
+//! whitespace or control character (a tab is `\u{9}`, a newline `\u{a}`).
 
 use crate::builder::TemporalGraphBuilder;
 use crate::error::GraphError;
@@ -95,7 +98,7 @@ pub fn fmt_value(v: &PropValue) -> String {
         PropValue::Long(x) => format!("i:{x}"),
         PropValue::Double(x) => format!("f:{x}"),
         PropValue::Bool(x) => format!("b:{x}"),
-        PropValue::Text(x) => format!("s:{}", x.replace('\\', "\\\\").replace(' ', "\\_")),
+        PropValue::Text(x) => format!("s:{}", escape_token(x)),
     }
 }
 
@@ -106,11 +109,51 @@ pub fn parse_value(s: &str) -> Option<PropValue> {
         "i" => rest.parse().ok().map(PropValue::Long),
         "f" => rest.parse().ok().map(PropValue::Double),
         "b" => rest.parse().ok().map(PropValue::Bool),
-        "s" => Some(PropValue::Text(
-            rest.replace("\\_", " ").replace("\\\\", "\\"),
-        )),
+        "s" => unescape_token(rest).map(PropValue::Text),
         _ => None,
     }
+}
+
+/// Escapes `s` into one whitespace-free token that never starts a
+/// comment: the form text values and labels take in the text formats.
+/// Shared with the update-stream text format (`graphite-stream`).
+pub fn escape_token(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '\\' | '#' => out.extend(['\\', c]),
+            ' ' => out.push_str("\\_"),
+            _ if c.is_whitespace() || c.is_control() => {
+                out.push_str(&format!("\\u{{{:x}}}", u32::from(c)));
+            }
+            _ => out.push(c),
+        }
+    }
+    out
+}
+
+/// Decodes an [`escape_token`] token in one pass, or `None` when it holds
+/// an unknown or unfinished escape.
+pub fn unescape_token(s: &str) -> Option<String> {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        out.push(match chars.next()? {
+            '_' => ' ',
+            c @ ('\\' | '#') => c,
+            'u' => {
+                let (hex, tail) = chars.as_str().strip_prefix('{')?.split_once('}')?;
+                chars = tail.chars();
+                char::from_u32(u32::from_str_radix(hex, 16).ok()?)?
+            }
+            _ => return None,
+        });
+    }
+    Some(out)
 }
 
 /// Serializes `graph` into the text format.
@@ -128,7 +171,7 @@ pub fn write_text<W: Write>(graph: &TemporalGraph, out: W) -> std::io::Result<()
         );
         writeln!(w, "{line}")?;
         for (label, iv, val) in v.props.iter() {
-            let name = graph.labels().name(label).unwrap_or("?");
+            let name = escape_token(graph.labels().name(label).unwrap_or("?"));
             writeln!(
                 w,
                 "VP {} {} {} {} {}",
@@ -151,7 +194,7 @@ pub fn write_text<W: Write>(graph: &TemporalGraph, out: W) -> std::io::Result<()
             fmt_time(e.lifespan.end())
         )?;
         for (label, iv, val) in graph.edge_props(ei).iter() {
-            let name = graph.labels().name(label).unwrap_or("?");
+            let name = escape_token(graph.labels().name(label).unwrap_or("?"));
             writeln!(
                 w,
                 "EP {} {} {} {} {}",
@@ -214,12 +257,13 @@ pub fn read_text<R: Read>(input: R) -> Result<TemporalGraph, IoError> {
                     return Err(bad(lno, "property needs 5 fields"));
                 };
                 let id: u64 = id.parse().map_err(|_| bad(lno, "bad id"))?;
+                let label = unescape_token(label).ok_or_else(|| bad(lno, "bad label"))?;
                 let iv = interval(s, e).ok_or_else(|| bad(lno, "bad interval"))?;
                 let val = parse_value(val).ok_or_else(|| bad(lno, "bad value"))?;
                 if tag == "VP" {
-                    b.vertex_property(VertexId(id), label, iv, val)
+                    b.vertex_property(VertexId(id), &label, iv, val)
                 } else {
-                    b.edge_property(EdgeId(id), label, iv, val)
+                    b.edge_property(EdgeId(id), &label, iv, val)
                 }
             }
             other => return Err(bad(lno, &format!("unknown record tag {other:?}"))),
@@ -395,5 +439,70 @@ mod tests {
             g2.vertex(g2.vertex_index(VertexId(2)).unwrap()).lifespan,
             Interval::from_start(3)
         );
+    }
+
+    /// A string over the characters the encoding must escape, plus
+    /// non-ASCII letters and whitespace.
+    fn hazard(rng: &mut crate::rng::SplitMix64, min_len: usize) -> String {
+        const ALPHABET: [char; 12] = [
+            '\\', '_', ' ', '\t', '\n', '#', ':', 'a', '\u{e9}', '\u{65e5}', '\u{a0}', '\u{2028}',
+        ];
+        let len = min_len + rng.index(8);
+        (0..len)
+            .map(|_| ALPHABET[rng.index(ALPHABET.len())])
+            .collect()
+    }
+
+    /// Every property entry of `g` as `(owner, label, interval, value)`.
+    fn entries(g: &TemporalGraph) -> Vec<(u64, String, Interval, PropValue)> {
+        let name = |l| g.labels().name(l).unwrap_or("?").to_owned();
+        let mut out = Vec::new();
+        for (_, v) in g.vertices() {
+            for (l, iv, val) in v.props.iter() {
+                out.push((v.vid.0, name(l), iv, val.clone()));
+            }
+        }
+        for (ei, e) in g.edges() {
+            for (l, iv, val) in g.edge_props(ei).iter() {
+                out.push((e.eid.0 + 1000, name(l), iv, val.clone()));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn hazardous_text_values_and_labels_round_trip() {
+        let mut rng = crate::rng::SplitMix64::new(0x7465_7874);
+        for case in 0..200 {
+            let mut b = TemporalGraphBuilder::new();
+            b.add_vertex(VertexId(1), Interval::new(0, 10)).unwrap();
+            b.add_vertex(VertexId(2), Interval::new(0, 10)).unwrap();
+            b.add_edge(EdgeId(1), VertexId(1), VertexId(2), Interval::new(0, 10))
+                .unwrap();
+            for t in 0..4 {
+                let iv = Interval::new(t, t + 1);
+                let text = |rng: &mut _| PropValue::Text(hazard(rng, 0));
+                let (label, value) = (hazard(&mut rng, 1), text(&mut rng));
+                b.vertex_property(VertexId(1), &label, iv, value).unwrap();
+                let (label, value) = (hazard(&mut rng, 1), text(&mut rng));
+                b.edge_property(EdgeId(1), &label, iv, value).unwrap();
+            }
+            let g = b.build().unwrap();
+            let mut text = Vec::new();
+            write_text(&g, &mut text).unwrap();
+            let back = read_text(text.as_slice())
+                .unwrap_or_else(|e| panic!("case {case}: {e}\n{}", String::from_utf8_lossy(&text)));
+            assert_eq!(entries(&back), entries(&g), "case {case}");
+        }
+    }
+
+    #[test]
+    fn unescaping_is_one_pass_and_strict() {
+        assert_eq!(unescape_token("\\\\_").as_deref(), Some("\\_"));
+        assert_eq!(unescape_token("a\\_b\\\\c").as_deref(), Some("a b\\c"));
+        assert_eq!(unescape_token("\\u{a0}\\#").as_deref(), Some("\u{a0}#"));
+        for bad in ["\\", "\\q", "\\u{zz}", "\\u{a0", "\\u{d800}"] {
+            assert_eq!(unescape_token(bad), None, "{bad:?}");
+        }
     }
 }

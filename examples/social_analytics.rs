@@ -28,7 +28,10 @@ fn main() {
         window.len()
     );
     let config = IcmConfig {
-        workers: 4,
+        run: RunConfig {
+            workers: 4,
+            ..Default::default()
+        },
         ..Default::default()
     };
 

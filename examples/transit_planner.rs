@@ -26,7 +26,10 @@ fn main() {
     );
     let labels = AlgLabels::resolve(&graph);
     let config = IcmConfig {
-        workers: 4,
+        run: RunConfig {
+            workers: 4,
+            ..Default::default()
+        },
         ..Default::default()
     };
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full local verification gate — everything CI runs, in the same order.
-# Fast failures first: formatting, then clippy (which also holds the
+# Fast failures first: the benchmark lock, formatting, then clippy (which also holds the
 # determinism conventions configured in clippy.toml and the lib headers
 # of crates/{bsp,icm,baselines}, DESIGN.md §10), then the full workspace
 # test suite, the release-mode matrices, and the end-to-end benchmark's
@@ -9,6 +9,15 @@
 # Usage: scripts/check.sh          (from anywhere inside the repo)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# The benchmark package (benchmark/) builds with `--locked`, and its
+# Cargo.lock records every workspace crate's dependency list. A change
+# to any crate's [dependencies] fails the benchmark build, and only a
+# change to the benchmark itself may re-lock that file. Checking the lock
+# here fails such a change in seconds instead of at the smoke pass.
+echo "==> benchmark lock matches the crate manifests"
+cargo metadata --locked --offline --format-version 1 \
+    --manifest-path benchmark/Cargo.toml >/dev/null
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

@@ -11,8 +11,9 @@
 #     worker reporting, checksum detection, bounded retries, seeded-plan
 #     determinism).
 #   * crates/bsp/tests/result_digest_pin.rs — the fault matrix proper:
-#     workers x fault steps x {ICM BFS, ICM EAT, VCM BFS} x two datagen
-#     profiles, recovered digests pinned against the fault-free recording,
+#     workers x fault steps x {ICM BFS, ICM EAT, VCM BFS, MSB BFS,
+#     TGB SSSP} x two datagen profiles, recovered digests pinned against
+#     the fault-free recording,
 #     composed with schedule-perturbation seeds.
 #   * crates/bsp/tests/codec_props.rs       — seeded truncation/bit-flip
 #     properties of the batch codec the corruption faults lean on.

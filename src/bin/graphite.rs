@@ -49,7 +49,8 @@
 //! and `GRAPHITE_TRACE_JSON=<file>` writes the `graphite-trace/1` JSONL
 //! stream for `trace_report`. Vertex placement is selected with
 //! `--partition hash|chunked|ldg|temporal` (default `hash`; results are
-//! identical either way — see DESIGN.md §13).
+//! identical either way — see DESIGN.md §13; TGB places replicas by key
+//! and refuses `ldg` and `temporal` with a configuration error).
 
 #![forbid(unsafe_code)]
 
