@@ -31,20 +31,19 @@ use std::sync::Arc;
 
 /// Options for a registry run.
 ///
-/// The run-wide options — workers, placement, recovery and the five
-/// substrate options (`max_supersteps`, `superstep_budget`, `trace`,
-/// `perturb_schedule`, `fault_plan`) — are lowered in one place,
-/// [`RunOpts::run_config`], onto the [`RunConfig`] every platform embeds,
-/// and every platform honours each of them. The exceptions, each typed
-/// rather than silent, are [`RunConfig`]'s:
-/// - MSB, Chlonos and GoFFish apply the superstep cap, the budget and the
-///   trace (like perturbation and fault injection) to each inner
-///   per-snapshot, per-batch or per-time-point run, not to their run as
-///   a whole;
-/// - Chlonos and GoFFish refuse `recovery` with
-///   [`BspError::Config`];
-/// - TGB refuses the `ldg` and `temporal` placements the same way: its
-///   replicas have a key, not edges and lifespans to place by.
+/// The run-wide options — workers, placement and the six substrate
+/// options (`max_supersteps`, `superstep_budget`, `trace`,
+/// `perturb_schedule`, `fault_plan`, `recovery`) — are lowered in one
+/// place, [`RunOpts::run_config`], onto the [`RunConfig`] every platform
+/// embeds, and every platform honours each of them over its whole run:
+/// the cap and the budget count the supersteps of every inner
+/// per-snapshot, per-batch or per-time-point run together. The
+/// exceptions are [`RunConfig`]'s:
+/// - the fault plan and the schedule perturbation act per inner BSP run
+///   of MSB, Chlonos and GoFFish;
+/// - TGB refuses the `ldg` and `temporal` placements with
+///   [`BspError::Config`]: its replicas have a key, not edges and
+///   lifespans to place by.
 #[derive(Clone, Debug)]
 pub struct RunOpts {
     /// BSP workers.
@@ -61,10 +60,11 @@ pub struct RunOpts {
     pub combiner: bool,
     /// ICM warp suppression threshold.
     pub suppression: Option<f64>,
-    /// Superstep safety cap. Spending it is the typed
+    /// Superstep safety cap over the whole run. Spending it is the typed
     /// [`graphite_bsp::error::BspError::SuperstepLimit`].
     pub max_supersteps: u64,
-    /// Optional per-query execution budget below the safety cap.
+    /// Optional per-query execution budget below the safety cap, over the
+    /// whole run.
     /// Exhausting it is the typed
     /// [`graphite_bsp::error::BspError::BudgetExceeded`] — the serving
     /// layer derives this from its admission cost model (DESIGN.md §15).
@@ -96,12 +96,12 @@ impl RunOpts {
         RunConfig {
             workers: self.workers,
             partition: self.partition,
-            recovery: self.recovery.clone(),
             bsp: BspConfig {
                 max_supersteps: self.max_supersteps,
                 superstep_budget: self.superstep_budget,
                 perturb_schedule: self.perturb_schedule,
                 fault_plan: self.fault_plan.clone(),
+                recovery: self.recovery.clone(),
                 trace: self.trace,
             },
         }
@@ -560,50 +560,47 @@ mod tests {
         }
     }
 
-    /// The superstep budget reaches every platform (each inner run of the
-    /// snapshot platforms), and a recovery schedule is a typed refusal on
-    /// the two whose workers cannot checkpoint.
+    /// The superstep budget is the whole run's on every platform: a
+    /// budget each snapshot's, batch's or time-point's inner run fits but
+    /// the walk does not is spent, and the error names the budget asked
+    /// for. Recovery is accepted everywhere, and a recovered run's digest
+    /// is the clean run's.
     #[test]
-    fn every_platform_takes_the_budget_and_refuses_what_it_cannot_run() {
+    fn every_platform_charges_its_whole_run_and_recovers() {
         let g = Arc::new(transit_graph());
-        let budgeted = RunOpts {
-            superstep_budget: Some(1),
+        // Three Chlonos batches, so no walk here is one inner run.
+        let base = RunOpts {
+            batch_size: 3,
             ..RunOpts::default()
         };
         for (algo, platform) in [
             (Algo::Bfs, Platform::Icm),
             (Algo::Bfs, Platform::Msb),
             (Algo::Bfs, Platform::Chlonos),
-            (Algo::Lcc, Platform::Goffish),
+            (Algo::Sssp, Platform::Goffish),
             (Algo::Sssp, Platform::Tgb),
         ] {
-            match try_run(algo, platform, &g, None, &budgeted) {
-                Err(RunError::Bsp(BspError::BudgetExceeded { .. })) => {}
-                other => panic!("{platform:?}: expected a spent budget, got {other:?}"),
-            }
-        }
-        let recoverable = RunOpts {
-            recovery: Some(RecoveryConfig::every(2)),
-            ..RunOpts::default()
-        };
-        for (algo, platform) in [
-            (Algo::Bfs, Platform::Chlonos),
-            (Algo::Lcc, Platform::Goffish),
-        ] {
-            match try_run(algo, platform, &g, None, &recoverable) {
-                Err(RunError::Bsp(BspError::Config { detail })) => {
-                    assert!(detail.contains("recovery"), "{detail}");
-                }
-                other => panic!("{platform:?}: expected a config error, got {other:?}"),
-            }
-        }
-        for algo in [Algo::Bfs, Algo::Sssp] {
-            let platform = if algo == Algo::Bfs {
-                Platform::Msb
-            } else {
-                Platform::Tgb
+            let run = |opts: RunOpts| try_run(algo, platform, &g, None, &opts);
+            let clean = run(base.clone()).expect("a clean run");
+            let walk = clean.metrics.supersteps;
+            let budget = |b| RunOpts {
+                superstep_budget: Some(b),
+                ..base.clone()
             };
-            assert!(try_run(algo, platform, &g, None, &recoverable).is_ok());
+            assert_eq!(
+                run(budget(walk - 1)).unwrap_err(),
+                RunError::Bsp(BspError::BudgetExceeded { budget: walk - 1 }),
+                "{platform:?}"
+            );
+            assert!(run(budget(walk)).is_ok(), "{platform:?}");
+            let recovered = run(RunOpts {
+                fault_plan: Some(FaultPlan::panic_at(1, 1)),
+                recovery: Some(RecoveryConfig::every(2)),
+                ..base.clone()
+            })
+            .expect("a recovered run");
+            assert!(recovered.metrics.recovery.rollbacks >= 1, "{platform:?}");
+            assert_eq!(recovered.digest, clean.digest, "{platform:?}");
         }
         let keyed = RunOpts {
             partition: PartitionStrategy::Ldg,

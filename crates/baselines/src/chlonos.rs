@@ -8,9 +8,7 @@
 //! several batches and lose sharing across batch boundaries (the effect the
 //! paper observes on Twitter with 5 batches).
 
-use crate::topology::{
-    refuse_recovery, run_ti_window, EdgeWeights, SnapshotResult, SnapshotTopology,
-};
+use crate::topology::{run_charged, run_ti_window, EdgeWeights, SnapshotResult, SnapshotTopology};
 use crate::vcm::{combine_push, StateTable, VcmContext, VcmProgram};
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::engine::{keep_alive, run_bsp, Inbox, Outbox, WorkerLogic};
@@ -26,10 +24,10 @@ use std::sync::Arc;
 /// Configuration of one Chlonos run.
 #[derive(Clone, Debug)]
 pub struct ChlConfig {
-    /// Workers and placement of the run; its substrate options start
-    /// every batch's inner run, so the superstep cap and budget, the
-    /// fault plan and the trace apply per batch. `recovery` must be
-    /// `None` (see [`run_chlonos`]).
+    /// The run as a whole: the superstep cap and budget are charged
+    /// across every batch's inner run, the trace spans them all, and
+    /// each inner run checkpoints under `bsp.recovery`; the fault plan
+    /// and the schedule perturbation act per batch.
     pub run: RunConfig,
     /// Window to discretize; `None` takes
     /// [`graphite_tgraph::snapshot::snapshot_window`].
@@ -198,6 +196,16 @@ where
             }
         }
     }
+
+    // The strided state table is the complete user state: every other
+    // buffer is empty at a barrier.
+    fn checkpoint(&self, buf: &mut Vec<u8>) {
+        self.table.checkpoint(buf);
+    }
+
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
+        self.table.restore(bytes)
+    }
 }
 
 /// Runs `program` over the window in batches of `batch_size` snapshots.
@@ -206,10 +214,9 @@ where
 ///
 /// # Errors
 ///
-/// [`BspError::Config`] for an unusable worker count, a recovery
-/// schedule (Chlonos workers cannot checkpoint yet) or a graph with no
-/// bounded window and none given, else the first failing batch run's
-/// [`BspError`].
+/// [`BspError::Config`] for an unusable worker count or a graph with no
+/// bounded window and none given, a spent whole-run cap or budget, else
+/// the first failing batch run's [`BspError`].
 pub fn run_chlonos<P>(
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
@@ -219,7 +226,6 @@ where
     P: VcmProgram,
     P::Msg: PartialEq,
 {
-    refuse_recovery(&config.run, "Chlonos")?;
     run_ti_window(&graph, config.window, "Chlonos", |window| {
         run_batches(&graph, &program, config, window)
     })
@@ -270,14 +276,9 @@ where
         // Keep phased programs alive through idle barriers when they
         // request an all-active next superstep.
         let mut master = keep_alive(|step, globals| program.all_active(step, globals), None);
-        let (workers, batch_metrics) = run_bsp(
-            &run.bsp,
-            None,
-            workers,
-            Arc::clone(&partition),
-            Some(&mut master),
-        )?;
-        metrics.merge(&batch_metrics);
+        let workers = run_charged(&run.bsp, &mut metrics, |bsp| {
+            run_bsp(&bsp, workers, Arc::clone(&partition), Some(&mut master))
+        })?;
         if config.collect_states {
             let mut maps: Vec<HashMap<u32, P::State>> =
                 (0..batch_len).map(|_| HashMap::new()).collect();
@@ -301,6 +302,7 @@ mod tests {
     use super::*;
     use crate::msb::{run_msb, MsbConfig};
     use crate::vcm::run_vcm;
+    use graphite_bsp::fault::FaultPlan;
     use graphite_bsp::recover::RecoveryConfig;
     use graphite_tgraph::fixtures::transit_graph;
     use graphite_tgraph::graph::VertexId;
@@ -551,25 +553,43 @@ mod tests {
         );
     }
 
+    /// Every batch's inner run checkpoints: a worker panic in each one
+    /// is rolled back and replayed to the clean run's states and counters.
     #[test]
-    fn recovery_is_refused_with_a_typed_error() {
-        let err = run_chlonos(
-            Arc::new(transit_graph()),
+    fn a_faulted_run_recovers_to_the_clean_result() {
+        let graph = Arc::new(transit_graph());
+        let bfs = || {
             Arc::new(Bfs {
                 source: VertexId(0),
-            }),
-            &ChlConfig {
-                run: RunConfig {
-                    recovery: Some(RecoveryConfig::every(2)),
-                    ..run_config(2)
-                },
-                ..chl(2, 4)
-            },
-        )
-        .expect_err("Chlonos workers cannot checkpoint");
-        assert!(
-            matches!(&err, BspError::Config { detail } if detail.contains("Chlonos")),
-            "{err:?}"
-        );
+            })
+        };
+        let clean = run_chlonos(Arc::clone(&graph), bfs(), &chl(2, 4)).unwrap();
+        let mut faulted = chl(2, 4);
+        faulted.run.bsp.fault_plan = Some(FaultPlan::panic_at(1, 2));
+        faulted.run.bsp.recovery = Some(RecoveryConfig::every(2));
+        let r = run_chlonos(Arc::clone(&graph), bfs(), &faulted).unwrap();
+        assert_eq!(r.per_snapshot, clean.per_snapshot);
+        assert_eq!(r.metrics.supersteps, clean.metrics.supersteps);
+        assert_eq!(r.metrics.counters, clean.metrics.counters);
+        assert!(r.metrics.recovery.rollbacks >= 1);
+    }
+
+    /// The budget is the whole walk's: three batches that each fit a
+    /// budget still spend it together, and the error names the budget
+    /// asked for.
+    #[test]
+    fn the_budget_spans_every_batch() {
+        let graph = Arc::new(transit_graph());
+        let bfs = Arc::new(Bfs {
+            source: VertexId(0),
+        });
+        let clean = run_chlonos(Arc::clone(&graph), Arc::clone(&bfs), &chl(2, 3)).unwrap();
+        let walk = clean.metrics.supersteps;
+        let mut tight = chl(2, 3);
+        tight.run.bsp.superstep_budget = Some(walk - 1);
+        let err = run_chlonos(Arc::clone(&graph), Arc::clone(&bfs), &tight).unwrap_err();
+        assert_eq!(err, BspError::BudgetExceeded { budget: walk - 1 });
+        tight.run.bsp.superstep_budget = Some(walk);
+        assert!(run_chlonos(graph, bfs, &tight).is_ok());
     }
 }

@@ -12,7 +12,7 @@
 //! snapshot is loaded once, as a [`SnapshotTopology`], and every inner
 //! superstep of that snapshot reads its edges from it.
 
-use crate::topology::{refuse_recovery, window_of, EdgeWeights, SnapshotResult, SnapshotTopology};
+use crate::topology::{run_charged, window_of, EdgeWeights, SnapshotResult, SnapshotTopology};
 use crate::vcm::{combine_push, StateTable, VcmEdge, VcmTopology};
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::Wire;
@@ -28,8 +28,10 @@ use std::sync::Arc;
 
 /// User logic for the GoFFish baseline.
 pub trait GofProgram: Send + Sync + 'static {
-    /// Per-vertex state, persisted across snapshots.
-    type State: Clone + Send + Sync + 'static;
+    /// Per-vertex state, persisted across snapshots; wire-encodable, so
+    /// every run can be checkpointed
+    /// ([`graphite_bsp::engine::BspConfig::recovery`]).
+    type State: Wire;
     /// Message payload (local and temporal messages share it).
     type Msg: Wire;
 
@@ -174,6 +176,7 @@ impl<P: GofProgram> GofWorker<P> {
         }
         let vid = snapshot.logical_vid(v);
         let reverse = self.program.reverse();
+        let queued = self.future_out.len();
         let state = self
             .table
             .slot(v, 0)
@@ -197,6 +200,13 @@ impl<P: GofProgram> GofWorker<P> {
         };
         counters.compute_calls += 1;
         self.program.compute(&mut ctx, state, msgs);
+        // Temporal messages are charged as messages in the superstep that
+        // sends them (they travel via disk in GoFFish); count their
+        // encoded size too.
+        for (_, _, m) in &self.future_out[queued..] {
+            counters.messages_sent += 1;
+            counters.bytes_sent += m.encoded_len() as u64 + 12;
+        }
         for (target, m) in self.local.drain(..) {
             outbox.send(VIdx(target), (target, m));
         }
@@ -246,15 +256,36 @@ impl<P: GofProgram> WorkerLogic for GofWorker<P> {
         }
         self.combined = combined;
     }
+
+    // The state table plus this time-point's temporal traffic: the
+    // messages delivered to it, which superstep 1 consumes, and the ones
+    // it has queued for later time-points. A rollback to the step-0
+    // boundary thus re-delivers the first, and drops the entries queued
+    // since the boundary instead of sending them twice.
+    fn checkpoint(&self, buf: &mut Vec<u8>) {
+        self.initial.encode(buf);
+        self.future_out.encode(buf);
+        self.table.checkpoint(buf);
+    }
+
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
+        let mut cur = bytes;
+        let initial = Vec::decode(&mut cur).ok_or("delivered temporal messages")?;
+        let future_out = Vec::decode(&mut cur).ok_or("queued temporal messages")?;
+        self.table.restore(cur)?;
+        self.initial = initial;
+        self.future_out = future_out;
+        Ok(())
+    }
 }
 
 /// Configuration of one GoFFish run.
 #[derive(Clone, Debug)]
 pub struct GofConfig {
-    /// Workers and placement of the run; its substrate options start
-    /// every time-point's inner loop, so the superstep cap and budget,
-    /// the fault plan and the trace apply per snapshot. `recovery` must
-    /// be `None` (see [`run_goffish`]).
+    /// The run as a whole: the superstep cap and budget are charged
+    /// across every time-point's inner loop, the trace spans them all,
+    /// and each inner loop checkpoints under `bsp.recovery`; the fault
+    /// plan and the schedule perturbation act per time-point.
     pub run: RunConfig,
     /// Window to walk; `None` takes
     /// [`graphite_tgraph::snapshot::snapshot_window`].
@@ -267,21 +298,19 @@ pub struct GofConfig {
 }
 
 /// Runs `program` snapshot by snapshot over the window. The metrics
-/// charge temporal messages too.
+/// charge temporal messages too, each in the superstep that sends it.
 ///
 /// # Errors
 ///
-/// [`BspError::Config`] for an unusable worker count, a recovery
-/// schedule (GoFFish workers cannot checkpoint yet) or a graph with no
-/// bounded window and none given, else the first failing snapshot run's
-/// [`BspError`].
+/// [`BspError::Config`] for an unusable worker count or a graph with no
+/// bounded window and none given, a spent whole-run cap or budget, else
+/// the first failing snapshot run's [`BspError`].
 pub fn run_goffish<P: GofProgram>(
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
     config: &GofConfig,
 ) -> Result<SnapshotResult<P::State>, BspError> {
     let run = &config.run;
-    refuse_recovery(run, "GoFFish")?;
     let window = window_of(&graph, config.window, "GoFFish")?;
     let partition = Arc::new(run.partition.build(&graph, run.workers)?);
     // Temporal messages by delivery time, `(target, payload)` in send order.
@@ -319,15 +348,11 @@ pub fn run_goffish<P: GofProgram>(
         for (v, m) in queue.remove(&t).into_iter().flatten() {
             workers[partition.worker_of(VIdx(v))].initial.push((v, m));
         }
-        let snap_metrics;
-        (workers, snap_metrics) = run_bsp(&run.bsp, None, workers, Arc::clone(&partition), None)?;
-        metrics.merge(&snap_metrics);
+        workers = run_charged(&run.bsp, &mut metrics, |bsp| {
+            run_bsp(&bsp, workers, Arc::clone(&partition), None)
+        })?;
         for worker in &mut workers {
-            // Temporal messages are charged as messages (they travel via
-            // disk in GoFFish); count their encoded size too.
             for (target, time, m) in worker.future_out.drain(..) {
-                metrics.counters.messages_sent += 1;
-                metrics.counters.bytes_sent += m.encoded_len() as u64 + 12;
                 queue.entry(time).or_default().push((target, m));
             }
         }
@@ -345,6 +370,8 @@ pub fn run_goffish<P: GofProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphite_bsp::fault::FaultPlan;
+    use graphite_bsp::recover::RecoveryConfig;
     use graphite_tgraph::fixtures::{transit_graph, transit_ids};
 
     /// Temporal SSSP under GoFFish: at each snapshot, a vertex whose cost
@@ -475,22 +502,81 @@ mod tests {
         );
     }
 
+    /// Counts the temporal messages each vertex receives, uncombined, and
+    /// sends one along every live out-edge to the next time-point: a
+    /// message delivered twice, or lost, changes a state.
+    struct Arrivals;
+
+    impl GofProgram for Arrivals {
+        type State = u64;
+        type Msg = u64;
+        fn init(&self, _vid: VertexId) -> u64 {
+            0
+        }
+        fn compute(&self, ctx: &mut GofContext<u64>, state: &mut u64, msgs: &[u64]) {
+            *state += msgs.len() as u64;
+            let t = ctx.time();
+            let targets: Vec<u32> = ctx.out_edges().iter().map(|e| e.target).collect();
+            for target in targets {
+                ctx.send_future(target, t + 1, 1);
+            }
+        }
+    }
+
+    /// Every time-point's inner loop checkpoints its states and its
+    /// temporal traffic. A panic at superstep 1 — after the other worker
+    /// has queued its sends for later time-points — rolls back to the
+    /// step-0 boundary: the temporal messages delivered to the time-point
+    /// must be handed back, and the queued ones must not be sent twice.
     #[test]
-    fn recovery_is_refused_with_a_typed_error() {
+    fn a_faulted_run_recovers_to_the_clean_result() {
+        fn check<P: GofProgram>(program: P)
+        where
+            P::State: PartialEq + std::fmt::Debug,
+        {
+            let graph = Arc::new(transit_graph());
+            let program = Arc::new(program);
+            let run = |cfg: &GofConfig| run_goffish(Arc::clone(&graph), Arc::clone(&program), cfg);
+            let clean = run(&config(2, weights(&graph))).unwrap();
+            for worker in 0..2 {
+                let mut faulted = config(2, weights(&graph));
+                faulted.run.bsp.fault_plan = Some(FaultPlan::panic_at(worker, 1));
+                faulted.run.bsp.recovery = Some(RecoveryConfig::every(2));
+                let r = run(&faulted).unwrap();
+                assert_eq!(r.per_snapshot, clean.per_snapshot, "worker {worker}");
+                assert_eq!(
+                    r.metrics.counters, clean.metrics.counters,
+                    "worker {worker}"
+                );
+                assert_eq!(r.metrics.supersteps, clean.metrics.supersteps);
+                // One rollback per time-point: the panic fires in every one.
+                assert_eq!(r.metrics.recovery.rollbacks, 9, "worker {worker}");
+            }
+        }
+        check(GofSssp {
+            source: transit_ids::A,
+        });
+        check(Arrivals);
+    }
+
+    /// The budget is the whole walk's: each time-point fits a budget the
+    /// walk as a whole does not, and the error names the budget asked
+    /// for.
+    #[test]
+    fn the_budget_spans_every_time_point() {
         let graph = Arc::new(transit_graph());
-        let mut config = config(2, weights(&graph));
-        config.run.recovery = Some(graphite_bsp::recover::RecoveryConfig::every(2));
-        let err = run_goffish(
-            graph,
-            Arc::new(GofSssp {
-                source: transit_ids::A,
-            }),
-            &config,
-        )
-        .expect_err("GoFFish workers cannot checkpoint");
-        assert!(
-            matches!(&err, BspError::Config { detail } if detail.contains("GoFFish")),
-            "{err:?}"
-        );
+        let program = Arc::new(GofSssp {
+            source: transit_ids::A,
+        });
+        let mut cfg = config(2, weights(&graph));
+        let walk = run_goffish(Arc::clone(&graph), Arc::clone(&program), &cfg)
+            .unwrap()
+            .metrics
+            .supersteps;
+        cfg.run.bsp.superstep_budget = Some(walk - 1);
+        let err = run_goffish(Arc::clone(&graph), Arc::clone(&program), &cfg).unwrap_err();
+        assert_eq!(err, BspError::BudgetExceeded { budget: walk - 1 });
+        cfg.run.bsp.superstep_budget = Some(walk);
+        assert!(run_goffish(graph, program, &cfg).is_ok());
     }
 }

@@ -3,7 +3,7 @@
 //! accumulates the per-snapshot costs, exactly as multi-snapshot analysis
 //! does in the paper. Used for the TI algorithms.
 
-use crate::topology::{run_ti_window, EdgeWeights, SnapshotResult, SnapshotTopology};
+use crate::topology::{run_charged, run_ti_window, EdgeWeights, SnapshotResult, SnapshotTopology};
 use crate::vcm::{run_vcm, VcmProgram};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::RunMetrics;
@@ -15,9 +15,10 @@ use std::sync::Arc;
 /// Configuration of one MSB run.
 #[derive(Clone, Debug)]
 pub struct MsbConfig {
-    /// The run every snapshot's inner run is started with: each one
-    /// honours every field, so the superstep cap and budget, the fault
-    /// plan and the trace apply per snapshot.
+    /// The run as a whole: the superstep cap and budget are charged
+    /// across every snapshot's inner run, the trace spans them all, and
+    /// each inner run checkpoints under `bsp.recovery`; the fault plan
+    /// and the schedule perturbation act per inner run.
     pub run: RunConfig,
     /// Window to discretize; `None` takes
     /// [`graphite_tgraph::snapshot::snapshot_window`].
@@ -37,7 +38,8 @@ pub struct MsbConfig {
 /// # Errors
 ///
 /// [`BspError::Config`] when the graph has no bounded window and none was
-/// given, else the first failing snapshot run's [`BspError`].
+/// given, a spent whole-run cap or budget, else the first failing
+/// snapshot run's [`BspError`].
 pub fn run_msb<P: VcmProgram>(
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
@@ -52,10 +54,13 @@ pub fn run_msb<P: VcmProgram>(
                 t,
                 EdgeWeights::default(),
             ));
-            let result = run_vcm(&topo, Arc::clone(&program), &config.run)?;
-            metrics.merge(&result.metrics);
+            let states = run_charged(&config.run.bsp, &mut metrics, |bsp| {
+                let run = RunConfig { bsp, ..config.run };
+                let r = run_vcm(&topo, Arc::clone(&program), &run)?;
+                Ok((r.states, r.metrics))
+            })?;
             if config.collect_states {
-                per_snapshot.push((t, result.states));
+                per_snapshot.push((t, states));
             }
         }
         Ok(SnapshotResult {

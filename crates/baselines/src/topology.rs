@@ -2,13 +2,15 @@
 //! (the snapshot MSB, Chlonos and GoFFish all execute on) and the
 //! time-expanded transformed graph (for TGB) — plus what the three
 //! snapshot platforms share beyond it: the window they walk, the
-//! static-topology reuse rule, and their one result type.
+//! static-topology reuse rule, the charging of every inner run to the
+//! whole walk, and their one result type.
 
 use crate::vcm::{VcmEdge, VcmTopology};
+use graphite_bsp::engine::BspConfig;
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::RunMetrics;
 use graphite_bsp::partition::{splitmix64, PartitionMap};
-use graphite_part::{PartitionStrategy, RunConfig};
+use graphite_part::PartitionStrategy;
 use graphite_tgraph::graph::{AdjRun, EIdx, TemporalGraph, VIdx, VertexId};
 use graphite_tgraph::property::{LabelId, PropValue};
 use graphite_tgraph::snapshot::{is_topology_static, snapshot_window};
@@ -285,17 +287,38 @@ pub(crate) fn window_of(
         })
 }
 
-/// Refuses a run that asks `platform` for checkpoint recovery, which
-/// its workers do not support yet.
+/// Runs one inner BSP run of a snapshot platform's walk, charged to the
+/// whole walk: `inner` gets `bsp` with only what the inner runs so far
+/// (folded into `walk`) left of its superstep cap and budget, and its
+/// metrics are folded into `walk` in turn. "Supersteps this run may
+/// spend" thus means the whole walk's, as on ICM and TGB.
 ///
 /// # Errors
 ///
-/// [`BspError::Config`] naming `platform` when `run.recovery` is set.
-pub(crate) fn refuse_recovery(run: &RunConfig, platform: &str) -> Result<(), BspError> {
-    run.recovery.as_ref().map_or(Ok(()), |_| {
-        let detail = format!("{platform} does not support checkpoint recovery; run it without one");
-        Err(BspError::Config { detail })
-    })
+/// `inner`'s error, where a spent cap or budget reports `bsp`'s own
+/// whole-run number, not the remainder the inner run was given.
+pub(crate) fn run_charged<T>(
+    bsp: &BspConfig,
+    walk: &mut RunMetrics,
+    inner: impl FnOnce(BspConfig) -> Result<(T, RunMetrics), BspError>,
+) -> Result<T, BspError> {
+    let spent = walk.supersteps;
+    let left = BspConfig {
+        max_supersteps: bsp.max_supersteps.saturating_sub(spent),
+        superstep_budget: bsp.superstep_budget.map(|b| b.saturating_sub(spent)),
+        ..bsp.clone()
+    };
+    let (value, metrics) = inner(left).map_err(|err| match err {
+        BspError::SuperstepLimit { .. } => BspError::SuperstepLimit {
+            limit: bsp.max_supersteps,
+        },
+        BspError::BudgetExceeded { budget } => BspError::BudgetExceeded {
+            budget: bsp.superstep_budget.unwrap_or(budget),
+        },
+        other => other,
+    })?;
+    walk.merge(&metrics);
+    Ok(value)
 }
 
 /// Runs a structure-only (TI) snapshot platform over its window: `run`

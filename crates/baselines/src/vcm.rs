@@ -18,8 +18,6 @@ use graphite_bsp::engine::{keep_alive, run_bsp, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::PartitionMap;
-use graphite_bsp::recover::Recovery;
-use graphite_bsp::snapshot::Snapshot;
 use graphite_bsp::trace::TraceSink;
 use graphite_part::{PartitionStrategy, RunConfig};
 use graphite_tgraph::graph::{VIdx, VertexId};
@@ -79,7 +77,7 @@ pub trait VcmTopology: Send + Sync + 'static {
 /// Pregel-style user logic.
 pub trait VcmProgram: Send + Sync + 'static {
     /// Per-vertex state; wire-encodable, so every run can be checkpointed
-    /// ([`RunConfig::recovery`]).
+    /// ([`graphite_bsp::engine::BspConfig::recovery`]).
     type State: Wire;
     /// Message payload.
     type Msg: Wire;
@@ -420,12 +418,9 @@ impl<T: VcmTopology, P: VcmProgram> WorkerLogic for VcmWorker<T, P> {
         }
         self.combined = combined;
     }
-}
 
-/// Checkpointing for VCM workers: the state table is the complete user
-/// state — the scratch buffers are ephemeral and the config fields never
-/// change mid-run.
-impl<T: VcmTopology, P: VcmProgram> Snapshot for VcmWorker<T, P> {
+    // The state table is the complete user state — the scratch buffers
+    // are ephemeral and the config fields never change mid-run.
     fn checkpoint(&self, buf: &mut Vec<u8>) {
         self.table.checkpoint(buf);
     }
@@ -448,13 +443,12 @@ pub fn run_vcm<T: VcmTopology, P: VcmProgram>(
     program: Arc<P>,
     config: &RunConfig,
 ) -> Result<VcmResult<P::State>, BspError> {
-    let recovery = config.recovery.as_ref().map(Recovery::new).transpose()?;
     let partition = Arc::new(topology.place(config.partition, config.workers)?);
     let workers = build_workers(topology, &program, &partition);
     // Phased programs stay alive through idle barriers when they request an
     // all-active next superstep.
     let mut master = keep_alive(move |step, globals| program.all_active(step, globals), None);
-    let (workers, metrics) = run_bsp(&config.bsp, recovery, workers, partition, Some(&mut master))?;
+    let (workers, metrics) = run_bsp(&config.bsp, workers, partition, Some(&mut master))?;
     Ok(collect_result(workers, metrics))
 }
 
@@ -493,6 +487,7 @@ fn collect_result<T: VcmTopology, P: VcmProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphite_bsp::engine::BspConfig;
     use graphite_bsp::recover::RecoveryConfig;
 
     /// A fixed little DAG topology: 0 -> 1 -> 2, 0 -> 2, with weights.
@@ -623,7 +618,10 @@ mod tests {
     #[test]
     fn zero_checkpoint_interval_is_rejected() {
         let config = RunConfig {
-            recovery: Some(RecoveryConfig::every(0)),
+            bsp: BspConfig {
+                recovery: Some(RecoveryConfig::every(0)),
+                ..Default::default()
+            },
             ..Default::default()
         };
         let err = run_vcm(&Arc::new(Dag), Arc::new(Sssp), &config)

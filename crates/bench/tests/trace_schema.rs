@@ -6,14 +6,15 @@
 //!   recordings (both made at the commit before the schema moved into one
 //!   table in `bsp::trace`).
 //! * `tracefmt::parse` inverts `RunTrace::to_jsonl` — for a recovered ICM
-//!   run at Full, a real serve health frame, real stream batch frames and
-//!   256 seeded random traces — so the JSONL file is a lossless view of
-//!   the engine's own events, and its per-step rows sum to *exactly* the
-//!   run's `RunMetrics` totals.
+//!   run at Full, a traced registry run on each of the five platforms, a
+//!   real serve health frame, real stream batch frames and 256 seeded
+//!   random traces — so the JSONL file is a lossless view of the engine's
+//!   own events, and its per-step rows sum to *exactly* the run's
+//!   `RunMetrics` totals.
 //! * No input makes the reader or a renderer panic.
 
 use graphite_algorithms::bfs::IcmBfs;
-use graphite_algorithms::registry::{Algo, Platform};
+use graphite_algorithms::registry::{try_run, Algo, Platform, RunOpts};
 use graphite_algorithms::td_paths::IcmEat;
 use graphite_algorithms::AlgLabels;
 use graphite_bench::tracefmt;
@@ -74,7 +75,6 @@ fn cfg(trace: TraceConfig) -> IcmConfig {
         run: RunConfig {
             workers: 3,
             partition: Default::default(),
-            recovery: None,
             bsp: BspConfig {
                 max_supersteps: 10_000,
                 trace,
@@ -96,7 +96,7 @@ fn recovered_eat(trace: TraceConfig, perturb: Option<u64>) -> RunMetrics {
         labels: AlgLabels::resolve(&graph),
     });
     let mut cfg = cfg(trace);
-    cfg.run.recovery = Some(RecoveryConfig::every(2));
+    cfg.run.bsp.recovery = Some(RecoveryConfig::every(2));
     cfg.run.bsp.fault_plan = Some(FaultPlan::panic_at(1, 3));
     cfg.run.bsp.perturb_schedule = perturb;
     run_icm(&graph, program, &cfg, None)
@@ -152,6 +152,33 @@ fn bfs_full_trace_round_trips_and_reconciles() {
     let report = tracefmt::render("bfs/icm", &r.metrics.trace, 3);
     assert!(report.contains("trace: bfs/icm"));
     assert!(report.contains(&format!("total: {} step(s)", r.metrics.supersteps)));
+}
+
+/// A traced registry run reconciles on every platform. The snapshot
+/// platforms' inner runs concatenate into one trace whose per-step rows
+/// sum to the whole run's totals — GoFFish's temporal messages included,
+/// which are charged in the superstep that sends them.
+#[test]
+fn every_platforms_trace_reconciles() {
+    let graph = small_graph();
+    for (algo, platform) in [
+        (Algo::Bfs, Platform::Icm),
+        (Algo::Bfs, Platform::Msb),
+        (Algo::Bfs, Platform::Chlonos),
+        (Algo::Sssp, Platform::Tgb),
+        (Algo::Sssp, Platform::Goffish),
+    ] {
+        let opts = RunOpts {
+            workers: 3,
+            source: Some(source(&graph)),
+            trace: TraceConfig::counters(),
+            ..RunOpts::default()
+        };
+        let r = try_run(algo, platform, &graph, None, &opts).expect("a traced run");
+        let label = format!("{}/{}", algo.name(), platform.name());
+        assert_round_trips(&r.metrics.trace, &label);
+        assert_reconciles(&r.metrics.trace, &r.metrics, &label);
+    }
 }
 
 #[test]

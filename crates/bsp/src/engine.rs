@@ -34,9 +34,9 @@
 //!
 //! The run loop itself lives in `RunState`, one resumable superstep at a
 //! time, and there is exactly one of it: [`run_bsp`] drives it straight
-//! through, and — handed a [`crate::recover::Recovery`] session — the same
-//! loop interleaves checkpoints and rolls back to the last
-//! [`crate::snapshot::Checkpoint`] after a recoverable fault.
+//! through, and — given a [`BspConfig::recovery`] schedule — the same
+//! loop interleaves checkpoints and rolls back to the last one after a
+//! recoverable fault ([`crate::recover`]).
 //! Deterministic fault injection ([`BspConfig::fault_plan`]) is plain
 //! configuration evaluated on every build — never `cfg`-gated — so
 //! recovery is exercised against exactly the code that ships.
@@ -50,15 +50,17 @@ pub use crate::exchange::{Inbox, Outbox};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::metrics::{now, RunMetrics, StepTiming, UserCounters};
 use crate::partition::PartitionMap;
-use crate::recover::Recovery;
-use crate::snapshot::{Checkpoint, Snapshot};
+use crate::recover::{Checkpoint, Recovery, RecoveryConfig};
 use crate::trace::{duration_ns, TraceConfig, TraceEvent, TraceSink};
 use graphite_tgraph::rng::SplitMix64;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Engine configuration.
+/// Engine configuration of one BSP run. A platform that runs several
+/// (MSB, Chlonos and GoFFish: one per snapshot, batch or time-point)
+/// starts each with what its whole run has left of `max_supersteps` and
+/// `superstep_budget`, so both limits mean the same on every platform.
 #[derive(Clone, Debug)]
 pub struct BspConfig {
     /// Hard cap on supersteps: exhausting it without halting is surfaced
@@ -89,6 +91,16 @@ pub struct BspConfig {
     /// in release builds so recovery is validated against production code
     /// paths.
     pub fault_plan: Option<FaultPlan>,
+    /// When set, the run checkpoints on this schedule and recoverable
+    /// faults — injected via [`BspConfig::fault_plan`], or real worker
+    /// panics — roll it back to the last checkpoint and replay instead of
+    /// failing it. Every worker checkpoints ([`WorkerLogic::checkpoint`]),
+    /// so any run may ask. Recovered results are bit-identical to
+    /// fault-free ones (pinned by the fault-matrix digests); only the
+    /// recovery counters of the run metrics, which never enter digests,
+    /// reveal that recovery happened. `None` (the default) fails at the
+    /// first fault.
+    pub recovery: Option<RecoveryConfig>,
     /// Structured-trace recording level (Off / Counters / Full; see
     /// [`crate::trace`]). Off by default; results and deterministic
     /// counters are bit-identical at every level.
@@ -107,6 +119,7 @@ impl Default for BspConfig {
             superstep_budget: None,
             perturb_schedule: None,
             fault_plan: None,
+            recovery: None,
             trace: TraceConfig::default(),
         }
     }
@@ -130,7 +143,9 @@ fn routing_capacity<M>(
 }
 
 /// Per-worker state and behaviour. One instance per worker; the engine
-/// hands each instance to its thread every superstep.
+/// hands each instance to its thread every superstep, and — when the run
+/// has a [`BspConfig::recovery`] schedule — captures and restores its
+/// state at superstep boundaries.
 pub trait WorkerLogic: Send {
     /// Message type exchanged between vertices.
     type Msg: Wire;
@@ -160,6 +175,22 @@ pub trait WorkerLogic: Send {
         counters: &mut UserCounters,
         sink: &mut TraceSink,
     );
+
+    /// Appends this worker's complete user state, as of a superstep
+    /// boundary, to `buf` (in the conventions of [`crate::codec::Wire`]).
+    /// Buffers that are empty at every barrier need not be written.
+    fn checkpoint(&self, buf: &mut Vec<u8>);
+
+    /// Replaces this worker's user state with the one `bytes` encodes
+    /// (written by [`WorkerLogic::checkpoint`]). The restored worker must
+    /// behave identically in every later superstep: the fault-matrix
+    /// tests pin recovered result digests bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// A static description when `bytes` is malformed; the worker state
+    /// is left unchanged in that case.
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), &'static str>;
 }
 
 /// The master hook, run at each barrier over the merged aggregators.
@@ -412,7 +443,7 @@ impl<'scope, 'env, L: WorkerLogic + 'scope> ComputePool<'scope, 'env, L> {
 
 /// The complete state of a run between superstep boundaries. [`run_bsp`]
 /// drives it to convergence; a [`Recovery`] session additionally captures
-/// it into [`Checkpoint`]s and rolls it back after faults.
+/// it into checkpoints and rolls it back after faults.
 pub(crate) struct RunState<L: WorkerLogic> {
     workers: Vec<L>,
     inboxes: Vec<Inbox<L::Msg>>,
@@ -826,7 +857,7 @@ impl<L: WorkerLogic> RunState<L> {
     fn drive<'scope>(
         &mut self,
         config: &BspConfig,
-        mut recovery: Option<Recovery<L>>,
+        mut recovery: Option<Recovery>,
         master: &mut Option<MasterHook<'_>>,
         injector: &mut FaultInjector,
         pool: &mut ComputePool<'scope, '_, L>,
@@ -875,30 +906,17 @@ impl<L: WorkerLogic> RunState<L> {
             _ => Ok(()),
         }
     }
-}
 
-impl<L: WorkerLogic + Snapshot> RunState<L> {
     /// Captures the current superstep boundary: worker states, in-flight
     /// inboxes, aggregator globals, and metrics.
     pub(crate) fn take_checkpoint(&self) -> Checkpoint {
-        let worker_states = self
-            .workers
-            .iter()
-            .map(|w| {
-                let mut buf = Vec::new();
-                w.checkpoint(&mut buf);
-                buf
-            })
-            .collect();
-        let inboxes = self
-            .inboxes
-            .iter()
-            .map(|ib| {
-                let mut buf = Vec::new();
-                ib.checkpoint(&mut buf);
-                buf
-            })
-            .collect();
+        fn blob(write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+            let mut buf = Vec::new();
+            write(&mut buf);
+            buf
+        }
+        let worker_states = self.workers.iter().map(|w| blob(|b| w.checkpoint(b)));
+        let inboxes = self.inboxes.iter().map(|ib| blob(|b| ib.checkpoint(b)));
         // The trace is monotone over the recovered run (like the recovery
         // counters), so the checkpointed metrics carry none of it: a
         // rollback must not truncate events already emitted.
@@ -906,8 +924,8 @@ impl<L: WorkerLogic + Snapshot> RunState<L> {
         metrics.trace.events.clear();
         Checkpoint {
             step: self.step,
-            worker_states,
-            inboxes,
+            worker_states: worker_states.collect(),
+            inboxes: inboxes.collect(),
             globals: self.globals.clone(),
             metrics,
         }
@@ -920,20 +938,9 @@ impl<L: WorkerLogic + Snapshot> RunState<L> {
     /// — except the recovery counters and the trace stream, which are
     /// monotone over the whole recovered run (the trace keeps the
     /// rolled-back steps' events; the recovery session marks the rewind
-    /// with a [`TraceEvent::Rollback`]).
+    /// with a [`TraceEvent::Rollback`]). `ckpt` was taken from this run,
+    /// so it holds one worker blob and one inbox blob per worker.
     pub(crate) fn rollback(&mut self, ckpt: &Checkpoint) -> Result<(), BspError> {
-        if ckpt.worker_states.len() != self.workers.len()
-            || ckpt.inboxes.len() != self.inboxes.len()
-        {
-            return Err(BspError::Checkpoint {
-                detail: format!(
-                    "checkpoint shape ({} workers, {} inboxes) does not match the run ({})",
-                    ckpt.worker_states.len(),
-                    ckpt.inboxes.len(),
-                    self.workers.len()
-                ),
-            });
-        }
         for (i, (w, blob)) in self.workers.iter_mut().zip(&ckpt.worker_states).enumerate() {
             w.restore(blob).map_err(|d| BspError::Checkpoint {
                 detail: format!("worker {i} state: {d}"),
@@ -972,19 +979,20 @@ impl<L: WorkerLogic + Snapshot> RunState<L> {
 /// at the first superstep that emits no messages. The first superstep always
 /// runs (with empty inboxes) so programs can initialize.
 ///
-/// `recovery` is the loop's fault-tolerance option. Without it, a fault —
-/// real, or injected via [`BspConfig::fault_plan`] — kills the run at first
-/// trigger. With a [`Recovery`] session (constructible only for
-/// [`Snapshot`] worker logic) recoverable faults roll the run back to the
-/// latest checkpoint and replay; the compute pool lives across checkpoints,
-/// rollbacks and retries, so recovery pays thread creation once.
+/// [`BspConfig::recovery`] is the loop's fault-tolerance option. Without
+/// it, a fault — real, or injected via [`BspConfig::fault_plan`] — kills
+/// the run at first trigger. With it, recoverable faults roll the run back
+/// to the latest checkpoint and replay; the compute pool lives across
+/// checkpoints, rollbacks and retries, so recovery pays thread creation
+/// once.
 ///
 /// # Errors
 ///
 /// Surfaces poisoned workers (worker threads panicking mid-superstep) and
 /// wire-codec corruption as [`BspError`] instead of panicking, per the
 /// failure-injection intent of DESIGN.md §7, and non-convergence within
-/// `config.max_supersteps` as [`BspError::SuperstepLimit`]. With recovery,
+/// `config.max_supersteps` as [`BspError::SuperstepLimit`]; a recovery
+/// schedule whose interval is 0 is [`BspError::Checkpoint`]. With recovery,
 /// those two fault classes trigger rollback instead, and once the session's
 /// `max_attempts` rollbacks are spent the run fails with
 /// [`BspError::RecoveryExhausted`] carrying the full fault history;
@@ -993,11 +1001,11 @@ impl<L: WorkerLogic + Snapshot> RunState<L> {
 /// [`BspError::Checkpoint`]) propagate immediately either way.
 pub fn run_bsp<L: WorkerLogic>(
     config: &BspConfig,
-    recovery: Option<Recovery<L>>,
     workers: Vec<L>,
     partition: Arc<PartitionMap>,
     mut master: Option<MasterHook<'_>>,
 ) -> Result<(Vec<L>, RunMetrics), BspError> {
+    let recovery = config.recovery.as_ref().map(Recovery::new).transpose()?;
     let mut injector = FaultInjector::new(config.fault_plan.clone());
     let mut state = RunState::new(workers, &partition)?;
     let run_start = now();
@@ -1078,6 +1086,12 @@ mod tests {
                 }
             }
         }
+
+        // These runs never recover; a rollback would be a test bug.
+        fn checkpoint(&self, _buf: &mut Vec<u8>) {}
+        fn restore(&mut self, _bytes: &[u8]) -> Result<(), &'static str> {
+            Err("token logic is not checkpointed")
+        }
     }
 
     fn run_token(n: u64, workers: usize, hops: u64) -> (Vec<TokenLogic>, RunMetrics) {
@@ -1100,7 +1114,7 @@ mod tests {
                 hops,
             })
             .collect();
-        run_bsp(config, None, logics, partition, None).unwrap()
+        run_bsp(config, logics, partition, None).unwrap()
     }
 
     #[test]
@@ -1147,14 +1161,7 @@ mod tests {
             }
             MasterDecision::Continue
         };
-        run_bsp(
-            &BspConfig::default(),
-            None,
-            logics,
-            partition,
-            Some(&mut hook),
-        )
-        .unwrap();
+        run_bsp(&BspConfig::default(), logics, partition, Some(&mut hook)).unwrap();
         assert_eq!(max_seen, (1..=6).collect::<Vec<_>>());
     }
 
@@ -1177,14 +1184,8 @@ mod tests {
                 MasterDecision::Continue
             }
         };
-        let (_, metrics) = run_bsp(
-            &BspConfig::default(),
-            None,
-            logics,
-            partition,
-            Some(&mut hook),
-        )
-        .unwrap();
+        let (_, metrics) =
+            run_bsp(&BspConfig::default(), logics, partition, Some(&mut hook)).unwrap();
         assert_eq!(metrics.supersteps, 3);
     }
 
@@ -1202,7 +1203,7 @@ mod tests {
             max_supersteps: 5,
             ..Default::default()
         };
-        let Err(err) = run_bsp(&config, None, logics, partition, None) else {
+        let Err(err) = run_bsp(&config, logics, partition, None) else {
             panic!("non-convergence must not be a silent Ok");
         };
         assert_eq!(err, BspError::SuperstepLimit { limit: 5 });
@@ -1230,7 +1231,7 @@ mod tests {
             seen: Vec::new(),
             hops: 4,
         }];
-        let (_, metrics) = run_bsp(&BspConfig::default(), None, logics, partition, None).unwrap();
+        let (_, metrics) = run_bsp(&BspConfig::default(), logics, partition, None).unwrap();
         assert!(metrics.makespan >= metrics.compute_plus);
     }
 
@@ -1244,7 +1245,7 @@ mod tests {
             seen: Vec::new(),
             hops: 1,
         }];
-        let Err(err) = run_bsp(&BspConfig::default(), None, logics, partition, None) else {
+        let Err(err) = run_bsp(&BspConfig::default(), logics, partition, None) else {
             panic!("mismatched worker count must not run");
         };
         assert_eq!(
@@ -1281,6 +1282,12 @@ mod tests {
                 outbox.send(VIdx(0), 1); // keep the run alive into step 2
             }
         }
+
+        // Stateless: nothing to capture.
+        fn checkpoint(&self, _buf: &mut Vec<u8>) {}
+        fn restore(&mut self, _bytes: &[u8]) -> Result<(), &'static str> {
+            Ok(())
+        }
     }
 
     #[test]
@@ -1293,7 +1300,7 @@ mod tests {
                 bad: vec![1],
             })
             .collect();
-        let Err(err) = run_bsp(&BspConfig::default(), None, logics, partition, None) else {
+        let Err(err) = run_bsp(&BspConfig::default(), logics, partition, None) else {
             panic!("poisoned run must not succeed");
         };
         match err {
@@ -1325,7 +1332,7 @@ mod tests {
                 perturb_schedule: perturb,
                 ..Default::default()
             };
-            let Err(err) = run_bsp(&config, None, logics, partition, None) else {
+            let Err(err) = run_bsp(&config, logics, partition, None) else {
                 panic!("poisoned run must not succeed");
             };
             let BspError::WorkerPanicked { step, workers } = err else {
@@ -1356,7 +1363,7 @@ mod tests {
             fault_plan: Some(FaultPlan::panic_at(1, 3)),
             ..Default::default()
         };
-        let Err(err) = run_bsp(&config, None, logics, partition, None) else {
+        let Err(err) = run_bsp(&config, logics, partition, None) else {
             panic!("injected fault must surface");
         };
         let BspError::WorkerPanicked { step, workers } = err else {
@@ -1390,7 +1397,7 @@ mod tests {
                 fault_plan: Some(FaultPlan::corrupt_at(dst, 2)),
                 ..Default::default()
             };
-            match run_bsp(&config, None, logics, Arc::clone(&partition), None) {
+            match run_bsp(&config, logics, Arc::clone(&partition), None) {
                 Err(BspError::Codec {
                     worker,
                     step,

@@ -14,13 +14,13 @@
 //! the paper — the programming primitives are the experimental variable,
 //! not the runtime.
 //!
-//! Runs are fault-tolerant on request: handed a [`Recovery`] session,
-//! [`run_bsp`]'s one superstep loop checkpoints worker [`Snapshot`]s and
-//! in-flight inboxes every few supersteps and rolls back on recoverable
-//! faults, while a deterministic [`FaultPlan`]
-//! on [`BspConfig`] injects worker panics and wire bit-flips to prove —
-//! via pinned digests — that recovered results are bit-identical to
-//! fault-free ones.
+//! Runs are fault-tolerant on request: given a [`BspConfig::recovery`]
+//! schedule, [`run_bsp`]'s one superstep loop checkpoints every worker's
+//! state ([`WorkerLogic::checkpoint`]) and in-flight inboxes every few
+//! supersteps and rolls back on recoverable faults, while a deterministic
+//! [`FaultPlan`] on [`BspConfig`] injects worker panics and wire
+//! bit-flips to prove — via pinned digests — that recovered results are
+//! bit-identical to fault-free ones.
 //!
 //! Every run can additionally record a structured [`trace`]: per-worker,
 //! per-superstep span events (DESIGN.md §12) that never perturb results
@@ -40,7 +40,6 @@ pub mod fault;
 pub mod metrics;
 pub mod partition;
 pub mod recover;
-pub mod snapshot;
 pub mod trace;
 
 pub use aggregate::{Agg, Aggregators, MasterDecision};
@@ -53,6 +52,5 @@ pub use error::BspError;
 pub use fault::{Fault, FaultInjector, FaultKind, FaultMode, FaultPlan};
 pub use metrics::{RecoveryMetrics, RunMetrics, StepTiming, UserCounters};
 pub use partition::{hash_partition, PartitionMap};
-pub use recover::{Recovery, RecoveryConfig};
-pub use snapshot::{Checkpoint, Snapshot};
+pub use recover::RecoveryConfig;
 pub use trace::{RunTrace, TraceConfig, TraceEvent, TraceLevel, TraceSink};

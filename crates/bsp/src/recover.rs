@@ -1,17 +1,19 @@
 //! Checkpoint/rollback recovery: an option of the one superstep loop.
 //!
-//! There is a single loop, `RunState::drive` in [`crate::engine`]; handing
-//! [`crate::engine::run_bsp`] a [`Recovery`] session makes that loop
-//! fault-tolerant: it captures a [`Checkpoint`] of the complete run state
-//! (worker [`Snapshot`] blobs, in-flight inboxes, aggregator globals,
-//! metrics) every [`RecoveryConfig::checkpoint_interval`] supersteps, and
-//! on a *recoverable* failure ([`BspError::is_recoverable`]: poisoned
-//! workers, wire corruption) rolls the run back to the latest checkpoint
-//! and replays. Replays are bit-deterministic — the fault-matrix tests pin
-//! that a recovered run's result digest is identical to the fault-free
-//! digest — because everything the computation can observe is inside the
-//! checkpoint, and everything outside it (the fault injector's
-//! fired-state, the recovery counters) is invisible to the computation.
+//! There is a single loop, `RunState::drive` in [`crate::engine`]; a
+//! [`crate::engine::BspConfig::recovery`] schedule makes that loop fault-tolerant:
+//! [`crate::engine::run_bsp`] opens a `Recovery` session that captures a
+//! `Checkpoint` of the complete run state (every worker's
+//! [`WorkerLogic::checkpoint`] blob, in-flight inboxes, aggregator
+//! globals, metrics) every [`RecoveryConfig::checkpoint_interval`]
+//! supersteps, and on a *recoverable* failure ([`BspError::is_recoverable`]:
+//! poisoned workers, wire corruption) rolls the run back to the latest
+//! checkpoint and replays. Replays are bit-deterministic — the
+//! fault-matrix tests pin that a recovered run's result digest is
+//! identical to the fault-free digest — because everything the
+//! computation can observe is inside the checkpoint, and everything
+//! outside it (the fault injector's fired-state, the recovery counters)
+//! is invisible to the computation.
 //!
 //! The retry budget is bounded: after [`RecoveryConfig::max_attempts`]
 //! rollbacks the loop gives up with [`BspError::RecoveryExhausted`],
@@ -21,17 +23,19 @@
 //! non-convergence, a checkpoint that fails to restore) propagate
 //! immediately.
 //!
-//! Checkpointability is a *compile-time* property: a [`Recovery`] can only
-//! be constructed for worker logic that is [`Snapshot`], so a run whose
-//! workers cannot be captured cannot ask for recovery at all.
+//! Every worker checkpoints: [`WorkerLogic`] requires the capture and
+//! restore of its user state, so recovery is a substrate option any run
+//! may ask for, never a property of the program. A checkpoint lives in
+//! memory for the length of one run: rollback is in-process (DESIGN.md
+//! §11).
 
+use crate::aggregate::Aggregators;
 use crate::engine::{RunState, WorkerLogic};
 use crate::error::BspError;
-use crate::snapshot::{Checkpoint, Snapshot};
+use crate::metrics::RunMetrics;
 use crate::trace::TraceEvent;
 
-/// Configuration of a recovery session, orthogonal to
-/// [`crate::engine::BspConfig`].
+/// The recovery schedule of a run ([`crate::engine::BspConfig::recovery`]).
 #[derive(Clone, Debug)]
 pub struct RecoveryConfig {
     /// Take a checkpoint after every this-many completed supersteps (a
@@ -63,34 +67,62 @@ impl RecoveryConfig {
     }
 }
 
-/// One run's recovery session: the latest checkpoint, the retry ledger, and
-/// the two [`Snapshot`]-requiring operations on the run state, captured as
-/// `fn` items at construction — which is what keeps the superstep loop
-/// itself free of the `Snapshot` bound.
+/// A captured superstep boundary: the unit a recovery session retains and
+/// a rollback restores. Worker states and inboxes are byte blobs — they
+/// round-trip through the same codec the network path uses; the
+/// aggregator/metrics control block stays an in-memory clone (aggregator
+/// keys are `&'static str` interned by user code, which bytes cannot
+/// reconstruct).
+#[derive(Debug)]
+pub(crate) struct Checkpoint {
+    /// The superstep this checkpoint sits after (0 = before the first).
+    pub(crate) step: u64,
+    /// Per-worker [`WorkerLogic::checkpoint`] blobs.
+    pub(crate) worker_states: Vec<Vec<u8>>,
+    /// Per-worker in-flight inbox blobs (messages delivered at the last
+    /// barrier, pending consumption in superstep `step + 1`).
+    pub(crate) inboxes: Vec<Vec<u8>>,
+    /// Merged aggregator globals as of the barrier.
+    pub(crate) globals: Aggregators,
+    /// Run metrics as of the barrier (recovery counters excluded on
+    /// rollback — they are monotone over the whole recovered run).
+    pub(crate) metrics: RunMetrics,
+}
+
+impl Checkpoint {
+    /// Serialized payload size: the bytes the checkpoint retains.
+    fn payload_bytes(&self) -> u64 {
+        self.worker_states
+            .iter()
+            .chain(self.inboxes.iter())
+            .map(|b| b.len() as u64)
+            .sum()
+    }
+}
+
+/// One run's recovery session: the latest checkpoint and the retry ledger.
 ///
 /// The happy path of a recovered run is the plain run plus checkpoint
 /// capture: same convergence rule, same metrics — plus
 /// [`crate::metrics::RecoveryMetrics`] accounting for checkpoints
 /// taken/bytes, rollbacks, and replayed supersteps (which never enter
 /// result digests, like the other environment-sensitive metrics).
-pub struct Recovery<L: WorkerLogic> {
+pub(crate) struct Recovery {
     checkpoint_interval: u64,
     max_attempts: u64,
     /// The newest captured boundary; each capture replaces it.
     latest: Option<Checkpoint>,
-    capture: fn(&RunState<L>) -> Checkpoint,
-    restore: fn(&mut RunState<L>, &Checkpoint) -> Result<(), BspError>,
     history: Vec<BspError>,
     since_checkpoint: u64,
 }
 
-impl<L: WorkerLogic + Snapshot> Recovery<L> {
+impl Recovery {
     /// A session over `config`, for one run.
     ///
     /// # Errors
     ///
     /// [`BspError::Checkpoint`] when `config.checkpoint_interval` is 0.
-    pub fn new(config: &RecoveryConfig) -> Result<Self, BspError> {
+    pub(crate) fn new(config: &RecoveryConfig) -> Result<Self, BspError> {
         if config.checkpoint_interval == 0 {
             return Err(BspError::Checkpoint {
                 detail: "checkpoint_interval must be at least 1".into(),
@@ -100,19 +132,15 @@ impl<L: WorkerLogic + Snapshot> Recovery<L> {
             checkpoint_interval: config.checkpoint_interval,
             max_attempts: config.max_attempts,
             latest: None,
-            capture: RunState::take_checkpoint,
-            restore: RunState::rollback,
             history: Vec::new(),
             since_checkpoint: 0,
         })
     }
-}
 
-impl<L: WorkerLogic> Recovery<L> {
     /// Captures the current boundary as the latest checkpoint, bumping the
     /// recovery counters (and, when tracing, marking the trace stream).
-    pub(crate) fn checkpoint(&mut self, state: &mut RunState<L>, tracing: bool) {
-        let ckpt = (self.capture)(state);
+    pub(crate) fn checkpoint<L: WorkerLogic>(&mut self, state: &mut RunState<L>, tracing: bool) {
+        let ckpt = state.take_checkpoint();
         let bytes = ckpt.payload_bytes();
         self.latest = Some(ckpt);
         state.metrics.recovery.checkpoints_taken += 1;
@@ -127,7 +155,11 @@ impl<L: WorkerLogic> Recovery<L> {
     }
 
     /// A superstep completed: checkpoint if the interval is due.
-    pub(crate) fn step_completed(&mut self, state: &mut RunState<L>, tracing: bool) {
+    pub(crate) fn step_completed<L: WorkerLogic>(
+        &mut self,
+        state: &mut RunState<L>,
+        tracing: bool,
+    ) {
         self.since_checkpoint += 1;
         if !state.halted && self.since_checkpoint >= self.checkpoint_interval {
             self.checkpoint(state, tracing);
@@ -136,7 +168,7 @@ impl<L: WorkerLogic> Recovery<L> {
 
     /// A superstep failed with the recoverable `err`: roll `state` back to
     /// the latest checkpoint, or give up once the retry budget is spent.
-    pub(crate) fn roll_back(
+    pub(crate) fn roll_back<L: WorkerLogic>(
         &mut self,
         state: &mut RunState<L>,
         err: BspError,
@@ -159,7 +191,7 @@ impl<L: WorkerLogic> Recovery<L> {
         // checkpoint, plus the faulted superstep's retry.
         let lost = state.step.saturating_sub(ckpt.step) + 1;
         let from_step = state.step;
-        (self.restore)(state, ckpt)?;
+        state.rollback(ckpt)?;
         if tracing {
             state.metrics.trace.push(TraceEvent::Rollback {
                 from_step,
@@ -246,9 +278,7 @@ mod tests {
                 }
             }
         }
-    }
 
-    impl Snapshot for CountingToken {
         fn checkpoint(&self, buf: &mut Vec<u8>) {
             buf.extend_from_slice(&self.total.to_le_bytes());
         }
@@ -285,8 +315,23 @@ mod tests {
         partition: Arc<PartitionMap>,
         master: Option<MasterHook<'_>>,
     ) -> Result<(Vec<CountingToken>, RunMetrics), BspError> {
-        let session = Recovery::new(recovery)?;
-        run_bsp(config, Some(session), workers, partition, master)
+        let config = BspConfig {
+            recovery: Some(recovery.clone()),
+            ..config.clone()
+        };
+        run_bsp(&config, workers, partition, master)
+    }
+
+    #[test]
+    fn payload_bytes_sums_state_and_inbox_blobs() {
+        let ckpt = Checkpoint {
+            step: 4,
+            worker_states: vec![vec![1, 2, 3], vec![4]],
+            inboxes: vec![vec![5, 6], Vec::new()],
+            globals: Aggregators::new(),
+            metrics: RunMetrics::default(),
+        };
+        assert_eq!(ckpt.payload_bytes(), 6);
     }
 
     #[test]
@@ -295,7 +340,6 @@ mod tests {
         let partition = Arc::new(PartitionMap::hash(&graph, 3).expect("partition"));
         let (plain, pm) = run_bsp(
             &BspConfig::default(),
-            None,
             logics(&graph, &partition, 8),
             Arc::clone(&partition),
             None,
@@ -327,7 +371,6 @@ mod tests {
         let partition = Arc::new(PartitionMap::hash(&graph, 3).expect("partition"));
         let (plain, pm) = run_bsp(
             &BspConfig::default(),
-            None,
             logics(&graph, &partition, 8),
             Arc::clone(&partition),
             None,
@@ -400,7 +443,6 @@ mod tests {
         let partition = Arc::new(PartitionMap::hash(&graph, 4).expect("partition"));
         let (plain, _) = run_bsp(
             &BspConfig::default(),
-            None,
             logics(&graph, &partition, 12),
             Arc::clone(&partition),
             None,
@@ -436,7 +478,6 @@ mod tests {
         let partition = Arc::new(PartitionMap::hash(&graph, 4).expect("partition"));
         let (plain, _) = run_bsp(
             &BspConfig::default(),
-            None,
             logics(&graph, &partition, 8),
             Arc::clone(&partition),
             None,

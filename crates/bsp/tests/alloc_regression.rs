@@ -71,6 +71,12 @@ impl WorkerLogic for VolumeLogic {
             }
         }
     }
+
+    // Stateless between supersteps: nothing to capture.
+    fn checkpoint(&self, _buf: &mut Vec<u8>) {}
+    fn restore(&mut self, _bytes: &[u8]) -> Result<(), &'static str> {
+        Ok(())
+    }
 }
 
 fn run_volume(workers: usize, steps: u64, volume: fn(u64) -> u64) -> RunMetrics {
@@ -84,7 +90,7 @@ fn run_volume(workers: usize, steps: u64, volume: fn(u64) -> u64) -> RunMetrics 
             volume,
         })
         .collect();
-    let (_, metrics) = run_bsp(&BspConfig::default(), None, logics, partition, None).unwrap();
+    let (_, metrics) = run_bsp(&BspConfig::default(), logics, partition, None).unwrap();
     metrics
 }
 

@@ -1,8 +1,9 @@
 //! Integration coverage of the fault-injection and recovery surface as a
 //! *consumer* of `graphite-bsp` sees it: a worker logic defined outside
-//! the crate implements [`WorkerLogic`] + [`Snapshot`] through the public
-//! re-exports alone, runs under injected faults, and recovers — proving
-//! the trait surface is sufficient without any crate-private access.
+//! the crate implements [`WorkerLogic`] — its checkpoint and restore
+//! included — through the public re-exports alone, runs under injected
+//! faults, and recovers — proving the trait surface is sufficient without
+//! any crate-private access.
 //!
 //! The ICM/VCM-level fault matrix (digest equivalence across programs,
 //! profiles and fault cells) lives in `result_digest_pin.rs`; this file
@@ -13,8 +14,8 @@
 use graphite_algorithms::bfs::IcmBfs;
 use graphite_bsp::{
     run_bsp, Aggregators, BspConfig, BspError, Fault, FaultKind, FaultMode, FaultPlan, Inbox,
-    MasterDecision, Outbox, PartitionMap, Recovery, RecoveryConfig, RunMetrics, Snapshot,
-    TraceConfig, TraceEvent, TraceSink, UserCounters, WorkerLogic,
+    MasterDecision, Outbox, PartitionMap, RecoveryConfig, RunMetrics, TraceConfig, TraceEvent,
+    TraceSink, UserCounters, WorkerLogic,
 };
 use graphite_icm::engine::{run_icm, IcmConfig};
 use graphite_icm::RunConfig;
@@ -42,7 +43,7 @@ fn ring(n: u64) -> Arc<TemporalGraph> {
 }
 
 /// A token circles the ring once per superstep, incrementing; each worker
-/// accumulates every token value it observes. Snapshot state is that
+/// accumulates every token value it observes. Its checkpoint is that
 /// accumulator — a replay that double-counted or lost a delivery breaks
 /// the total.
 #[derive(Debug)]
@@ -84,9 +85,7 @@ impl WorkerLogic for RingSum {
             }
         }
     }
-}
 
-impl Snapshot for RingSum {
     fn checkpoint(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.total.to_le_bytes());
     }
@@ -122,14 +121,17 @@ fn faulted(plan: FaultPlan) -> BspConfig {
 }
 
 /// The one way in: `recovery` is the loop's option, not another driver.
-fn run<L: WorkerLogic + Snapshot>(
+fn run<L: WorkerLogic>(
     config: &BspConfig,
     recovery: Option<&RecoveryConfig>,
     workers: Vec<L>,
     partition: &Arc<PartitionMap>,
 ) -> Result<(Vec<L>, RunMetrics), BspError> {
-    let session = recovery.map(Recovery::new).transpose()?;
-    run_bsp(config, session, workers, Arc::clone(partition), None)
+    let config = BspConfig {
+        recovery: recovery.cloned(),
+        ..config.clone()
+    };
+    run_bsp(&config, workers, Arc::clone(partition), None)
 }
 
 fn run_plain(
@@ -336,9 +338,7 @@ impl WorkerLogic for Flood {
             }
         }
     }
-}
 
-impl Snapshot for Flood {
     fn checkpoint(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.digest.to_le_bytes());
     }
@@ -568,8 +568,10 @@ fn user_master_hook_composes_with_recovery() {
 
     let (rec, seen) = hooked(&IcmConfig {
         run: RunConfig {
-            recovery: Some(RecoveryConfig::every(4)),
-            bsp: faulted(FaultPlan::panic_at(2, 6)),
+            bsp: BspConfig {
+                recovery: Some(RecoveryConfig::every(4)),
+                ..faulted(FaultPlan::panic_at(2, 6))
+            },
             ..config.run.clone()
         },
         ..config

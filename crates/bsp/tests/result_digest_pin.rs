@@ -112,7 +112,6 @@ fn icm_cfg(fault_plan: Option<FaultPlan>, perturb: Option<u64>) -> IcmConfig {
         run: RunConfig {
             workers: 4,
             partition: Default::default(),
-            recovery: None,
             bsp: BspConfig {
                 max_supersteps: 10_000,
                 perturb_schedule: perturb,
@@ -228,7 +227,7 @@ where
     P: graphite_icm::program::IntervalProgram<State = i64>,
 {
     let mut cfg = icm_cfg(Some(plan), perturb);
-    cfg.run.recovery = Some(RecoveryConfig::every(2));
+    cfg.run.bsp.recovery = Some(RecoveryConfig::every(2));
     let r =
         run_icm(graph, Arc::clone(program), &cfg, None).expect("recoverable ICM run must converge");
     (
@@ -261,18 +260,20 @@ fn vcm_topology(graph: &Arc<TemporalGraph>, params: &GenParams) -> Arc<SnapshotT
 /// in the recovery counters.
 ///
 /// `inner_runs` is false for a platform that is one BSP run (ICM, the VCM
-/// core, TGB): there a panic rolls back exactly once. MSB runs one inner
-/// run per snapshot, each of which may reach the faulted step and roll
-/// back once; the matrix then only requires that some cell rolled back.
+/// core, TGB): there a panic rolls back exactly once. MSB, Chlonos and
+/// GoFFish run one inner run per snapshot, batch or time-point, each of
+/// which may reach the faulted step and roll back once; the matrix then
+/// only requires that some cell rolled back.
 fn assert_matrix_recovers(
     label: &str,
     baseline: (u64, [u64; 8]),
     inner_runs: bool,
+    steps: &[u64],
     mut rerun: impl FnMut(FaultPlan) -> (u64, [u64; 8], RecoveryMetrics),
 ) {
     let mut rollbacks = 0;
     for worker in 0..4 {
-        for step in FAULT_STEPS {
+        for &step in steps {
             let (plan, kind) = matrix_plan(worker, step);
             let (digest, counters, recovery) = rerun(plan);
             assert_eq!(
@@ -321,13 +322,21 @@ fn recovered_icm_digests_match_fault_free() {
             labels: AlgLabels::resolve(&graph),
         });
         let bfs_base = fingerprint(&graph, Arc::clone(&bfs));
-        assert_matrix_recovers(&format!("ICM/BFS/{name}"), bfs_base, false, |plan| {
-            icm_recovered_fingerprint(&graph, &bfs, plan, None)
-        });
+        assert_matrix_recovers(
+            &format!("ICM/BFS/{name}"),
+            bfs_base,
+            false,
+            &FAULT_STEPS,
+            |plan| icm_recovered_fingerprint(&graph, &bfs, plan, None),
+        );
         let eat_base = fingerprint(&graph, Arc::clone(&eat));
-        assert_matrix_recovers(&format!("ICM/EAT/{name}"), eat_base, false, |plan| {
-            icm_recovered_fingerprint(&graph, &eat, plan, None)
-        });
+        assert_matrix_recovers(
+            &format!("ICM/EAT/{name}"),
+            eat_base,
+            false,
+            &FAULT_STEPS,
+            |plan| icm_recovered_fingerprint(&graph, &eat, plan, None),
+        );
     }
 }
 
@@ -342,35 +351,50 @@ fn recovered_vcm_digests_match_fault_free() {
         let base = run_vcm(&topo, Arc::clone(&program), &icm_cfg(None, None).run)
             .expect("fault-free VCM run must succeed");
         let baseline = (vcm_digest(base.states), counter_key(&base.metrics));
-        assert_matrix_recovers(&format!("VCM/BFS/{name}"), baseline, false, |plan| {
-            let cfg = RunConfig {
-                recovery: Some(RecoveryConfig::every(2)),
-                ..icm_cfg(Some(plan), None).run
-            };
-            let r = run_vcm(&topo, Arc::clone(&program), &cfg)
-                .expect("recoverable VCM run must converge");
-            (
-                vcm_digest(r.states),
-                counter_key(&r.metrics),
-                r.metrics.recovery,
-            )
-        });
+        assert_matrix_recovers(
+            &format!("VCM/BFS/{name}"),
+            baseline,
+            false,
+            &FAULT_STEPS,
+            |plan| {
+                let mut cfg = icm_cfg(Some(plan), None).run;
+                cfg.bsp.recovery = Some(RecoveryConfig::every(2));
+                let r = run_vcm(&topo, Arc::clone(&program), &cfg)
+                    .expect("recoverable VCM run must converge");
+                (
+                    vcm_digest(r.states),
+                    counter_key(&r.metrics),
+                    r.metrics.recovery,
+                )
+            },
+        );
     }
 }
 
-/// MSB and TGB take the fault plan and the recovery schedule through the
-/// registry like ICM does; every recovered digest equals the clean solo
-/// run's.
+/// MSB, Chlonos, TGB and GoFFish take the fault plan and the recovery
+/// schedule through the registry like ICM does; every recovered digest
+/// and counter key equals the clean solo run's. GoFFish SSSP's inner
+/// runs are one superstep each (its messages are all temporal), so its
+/// cells fault at superstep 1 too: in every time-point after the first,
+/// which received temporal messages, the rollback to the step-0 boundary
+/// must hand them back and drop the sends already queued.
 #[test]
 fn recovered_baseline_digests_match_fault_free() {
     for (name, params) in [("long", profile_long()), ("unit", profile_unit())] {
         let graph = Arc::new(generate(&params));
-        for (algo, platform) in [(Algo::Bfs, Platform::Msb), (Algo::Sssp, Platform::Tgb)] {
+        for (algo, platform) in [
+            (Algo::Bfs, Platform::Msb),
+            (Algo::Bfs, Platform::Chlonos),
+            (Algo::Sssp, Platform::Tgb),
+            (Algo::Sssp, Platform::Goffish),
+        ] {
             let run = |fault_plan, recovery| {
                 let opts = RunOpts {
                     workers: 4,
                     source: Some(source(&graph)),
                     max_supersteps: 10_000,
+                    // Several Chlonos batches, each its own inner run.
+                    batch_size: 4,
                     fault_plan,
                     recovery,
                     ..RunOpts::default()
@@ -382,10 +406,16 @@ fn recovered_baseline_digests_match_fault_free() {
             };
             let (digest, counters, _) = run(None, None);
             let label = format!("{}/{}/{name}", platform.name(), algo.name());
+            let steps: &[u64] = if platform == Platform::Goffish {
+                &[1, 2, 3]
+            } else {
+                &FAULT_STEPS
+            };
             assert_matrix_recovers(
                 &label,
                 (digest, counters),
-                platform == Platform::Msb,
+                platform != Platform::Tgb,
+                steps,
                 |plan| run(Some(plan), Some(RecoveryConfig::every(2))),
             );
         }
@@ -473,7 +503,7 @@ fn persistent_fault_exhausts_recovery_with_history() {
     });
     let plan = FaultPlan::panic_at(0, 2).persistent();
     let mut cfg = icm_cfg(Some(plan), None);
-    cfg.run.recovery = Some(RecoveryConfig {
+    cfg.run.bsp.recovery = Some(RecoveryConfig {
         max_attempts: 2,
         ..RecoveryConfig::every(2)
     });

@@ -116,7 +116,6 @@ fn icm_cfg(perturb: Option<u64>) -> IcmConfig {
         run: RunConfig {
             workers: WORKERS,
             partition: Default::default(),
-            recovery: None,
             bsp: BspConfig {
                 max_supersteps: 10_000,
                 perturb_schedule: perturb,

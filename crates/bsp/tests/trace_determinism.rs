@@ -82,7 +82,6 @@ fn icm_cfg(trace: TraceConfig, perturb: Option<u64>) -> IcmConfig {
         run: RunConfig {
             workers: 4,
             partition: Default::default(),
-            recovery: None,
             bsp: BspConfig {
                 max_supersteps: 10_000,
                 perturb_schedule: perturb,
@@ -224,7 +223,7 @@ fn recovery_markers_bracket_replayed_supersteps() {
     let baseline = bfs_run(&graph, TraceConfig::off(), None);
     let mut cfg = icm_cfg(TraceConfig::counters(), None);
     cfg.run.bsp.fault_plan = Some(FaultPlan::panic_at(1, 3));
-    cfg.run.recovery = Some(RecoveryConfig::every(2));
+    cfg.run.bsp.recovery = Some(RecoveryConfig::every(2));
     let r = run_icm(&graph, program, &cfg, None).expect("recoverable traced run must converge");
     assert_eq!(
         fnv1a(format!("{:?}", r.states).as_bytes()),

@@ -37,8 +37,6 @@ use graphite_bsp::engine::{keep_alive, run_bsp, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::PartitionMap;
-use graphite_bsp::recover::Recovery;
-use graphite_bsp::snapshot::Snapshot;
 use graphite_bsp::trace::{key, TraceSink};
 use graphite_bsp::MasterHook;
 use graphite_part::RunConfig;
@@ -52,8 +50,8 @@ use std::sync::Arc;
 /// Configuration of one GRAPHITE run.
 #[derive(Clone, Debug)]
 pub struct IcmConfig {
-    /// Workers, placement, recovery and the substrate options, honoured
-    /// field for field.
+    /// Workers, placement and the substrate options (recovery among
+    /// them), honoured field for field.
     pub run: RunConfig,
     /// Enable the inline warp combiner when the program defines one
     /// (Sec. VI; on for all the paper's experiments, ablated in Fig. 6(b)).
@@ -567,15 +565,12 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
             outbox.send(v, (iv, m));
         }
     }
-}
 
-/// Checkpointing for ICM workers: the per-vertex interval partitions are
-/// the complete user state — every other buffer is ephemeral, scatter segments
-/// live precomputed in the frozen graph, and the config fields never
-/// change mid-run. The arena iterates in ascending vertex-id order, so
-/// the encoding is byte-identical to the ordered-map representation it
-/// replaced (and stable across checkpoint/restore cycles).
-impl<P: IntervalProgram> Snapshot for IcmWorker<P> {
+    // The per-vertex interval partitions are the complete user state —
+    // every other buffer is ephemeral, scatter segments live precomputed
+    // in the frozen graph, and the config fields never change mid-run. The arena iterates in ascending vertex-id order, so
+    // the encoding is byte-identical to the ordered-map representation it
+    // replaced (and stable across checkpoint/restore cycles).
     fn checkpoint(&self, buf: &mut Vec<u8>) {
         put_varint(self.states.len() as u64, buf);
         for (v, partition) in self.states.iter() {
@@ -635,7 +630,8 @@ impl<P: IntervalProgram> Snapshot for IcmWorker<P> {
 /// runs against one loaded graph without ever giving up its handle.
 ///
 /// `master` is the optional MasterCompute hook, evaluated at every barrier
-/// (Sec. IV-A2); it composes with [`RunConfig::recovery`] — after a
+/// (Sec. IV-A2); it composes with recovery
+/// ([`graphite_bsp::engine::BspConfig::recovery`]) — after a
 /// rollback it is consulted again for the replayed supersteps.
 ///
 /// # Errors
@@ -650,7 +646,6 @@ pub fn run_icm<P: IntervalProgram>(
     master: Option<MasterHook<'_>>,
 ) -> Result<IcmResult<P::State>, BspError> {
     let run = &config.run;
-    let recovery = run.recovery.as_ref().map(Recovery::new).transpose()?;
     let partition = Arc::new(run.partition.build(graph, run.workers)?);
     let workers = build_workers(graph, &program, config, &partition);
     // Programs requesting an all-active next superstep keep the run alive
@@ -659,7 +654,7 @@ pub fn run_icm<P: IntervalProgram>(
         move |step, globals| program.all_active(step, globals),
         master,
     );
-    let (workers, metrics) = run_bsp(&run.bsp, recovery, workers, partition, Some(&mut master))?;
+    let (workers, metrics) = run_bsp(&run.bsp, workers, partition, Some(&mut master))?;
     Ok(collect_result(workers, metrics))
 }
 

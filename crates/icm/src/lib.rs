@@ -268,7 +268,10 @@ mod engine_tests {
     fn zero_checkpoint_interval_is_rejected() {
         let err = try_run(&IcmConfig {
             run: RunConfig {
-                recovery: Some(graphite_bsp::RecoveryConfig::every(0)),
+                bsp: graphite_bsp::BspConfig {
+                    recovery: Some(graphite_bsp::RecoveryConfig::every(0)),
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             ..Default::default()

@@ -40,7 +40,7 @@ pub enum EdgeDirection {
 /// combiner (Sec. VI).
 pub trait IntervalProgram: Send + Sync + 'static {
     /// Per-interval vertex state; wire-encodable, so every run can be
-    /// checkpointed (`IcmConfig::recovery`).
+    /// checkpointed (`BspConfig::recovery`).
     type State: Wire + PartialEq;
     /// Message payload (the engine pairs it with an interval on the wire).
     type Msg: Wire;

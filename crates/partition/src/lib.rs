@@ -25,9 +25,9 @@
 //! and GoFFish) or slots that have only a stable key
 //! ([`PartitionStrategy::place_keys`]: TGB's replicas, which hash and
 //! chunk but have no edges or lifespans for LDG and temporal balance to
-//! read). [`RunConfig`] — workers, placement, recovery and the substrate
-//! options — is the one configuration of a run that all five platforms
-//! embed.
+//! read). [`RunConfig`] — workers, placement and the substrate options,
+//! recovery among them — is the one configuration of a run that all five
+//! platforms embed.
 //!
 //! [`stats()`] measures what a placement actually achieved (balance
 //! factor, edge cut, interval-weighted balance, estimated cross-worker
@@ -45,7 +45,6 @@ pub use stats::{stats, PartitionStats};
 use graphite_bsp::engine::BspConfig;
 use graphite_bsp::error::BspError;
 use graphite_bsp::partition::{splitmix64, PartitionMap};
-use graphite_bsp::recover::RecoveryConfig;
 use graphite_tgraph::graph::TemporalGraph;
 
 /// The configuration of one run, shared by all five platforms: ICM's
@@ -53,15 +52,14 @@ use graphite_tgraph::graph::TemporalGraph;
 /// and TGB), Chlonos and GoFFish each embed it beside their own extras,
 /// and the registry lowers its `RunOpts` onto it in one function.
 ///
-/// Every platform honours every field, with these exceptions, each of
-/// which is typed rather than silent:
-/// - MSB, Chlonos and GoFFish run one inner BSP run per snapshot, batch
-///   or time-point. The superstep cap, the budget, the schedule
-///   perturbation, the fault plan and the trace level apply to each
-///   inner run, not to the platform's run as a whole.
-/// - Chlonos and GoFFish reject `recovery` with [`BspError::Config`]:
-///   their workers cannot checkpoint yet. A fault plan without recovery
-///   fails their run with the fault's typed error, as on every platform.
+/// Every platform honours every field over its whole run: MSB, Chlonos
+/// and GoFFish, which run one inner BSP run per snapshot, batch or
+/// time-point, charge the superstep cap and budget against the whole
+/// walk, concatenate the trace, and checkpoint and recover every inner
+/// run. Two exceptions remain:
+/// - the fault plan and the schedule perturbation act per inner BSP run,
+///   so a fault at superstep `s` fires in every inner run that reaches
+///   `s`;
 /// - TGB places replicas by key, so [`PartitionStrategy::Ldg`] and
 ///   [`PartitionStrategy::TemporalBalance`] are a [`BspError::Config`]
 ///   there ([`PartitionStrategy::place_keys`]).
@@ -73,17 +71,10 @@ pub struct RunConfig {
     /// placement-invariant — strategies only move work and message
     /// traffic between workers. Default: hash, the paper's (Sec. VII-A4).
     pub partition: PartitionStrategy,
-    /// When set, the run checkpoints on this schedule and recoverable
-    /// faults — injected via [`BspConfig::fault_plan`], or real worker
-    /// panics — roll it back to the last checkpoint and replay instead of
-    /// failing it. Recovered results are bit-identical to fault-free ones
-    /// (pinned by the fault-matrix digests); only the recovery counters of
-    /// the run metrics, which never enter digests, reveal that recovery
-    /// happened. `None` (the default) fails at the first fault.
-    pub recovery: Option<RecoveryConfig>,
     /// The substrate's own options — superstep cap and budget, schedule
-    /// perturbation, fault injection, tracing — passed to `run_bsp`
-    /// unchanged.
+    /// perturbation, fault injection, recovery, tracing — passed to
+    /// `run_bsp` (the snapshot platforms' inner runs get what is left of
+    /// the cap and budget).
     pub bsp: BspConfig,
 }
 
@@ -92,7 +83,6 @@ impl Default for RunConfig {
         RunConfig {
             workers: 4,
             partition: PartitionStrategy::default(),
-            recovery: None,
             bsp: BspConfig::default(),
         }
     }

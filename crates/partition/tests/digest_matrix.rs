@@ -133,7 +133,6 @@ fn run_cfg(strategy: PartitionStrategy, workers: usize) -> RunConfig {
     RunConfig {
         workers,
         partition: strategy,
-        recovery: None,
         bsp: BspConfig {
             max_supersteps: 10_000,
             ..Default::default()
@@ -311,7 +310,7 @@ fn faulted_runs_under_alternative_strategies_recover_to_clean_hash_digest() {
             for step in [2u64, 3] {
                 let mut cfg = icm_cfg(strategy, 4);
                 cfg.run.bsp.fault_plan = Some(FaultPlan::panic_at(1, step));
-                cfg.run.recovery = Some(RecoveryConfig::every(2));
+                cfg.run.bsp.recovery = Some(RecoveryConfig::every(2));
                 let r = run_icm(&graph, Arc::clone(&bfs), &cfg, None)
                     .expect("recoverable run must converge");
                 assert_eq!(
@@ -354,7 +353,7 @@ fn faulted_vcm_runs_under_temporal_balance_recover_to_clean_hash_digest() {
     let baseline = (vcm_digest(clean.states), inv_counters(&clean.metrics));
     let mut cfg = run_cfg(PartitionStrategy::TemporalBalance, 4);
     cfg.bsp.fault_plan = Some(FaultPlan::panic_at(1, 2));
-    cfg.recovery = Some(RecoveryConfig::every(2));
+    cfg.bsp.recovery = Some(RecoveryConfig::every(2));
     let r = run_vcm(&topo, Arc::clone(&program), &cfg).expect("recoverable VCM run must converge");
     assert_eq!(
         (vcm_digest(r.states), inv_counters(&r.metrics)),

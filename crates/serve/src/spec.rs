@@ -24,7 +24,8 @@
 //! exhaustion), `retries=` overrides the engine's serve-level retry
 //! allowance, and `faults=N` injects a seeded fault plan of `N` faults
 //! (with `RecoveryConfig::every(2)` supplied automatically; `N` is at
-//! most 64) — the chaos-soak knobs of DESIGN.md §15.
+//! most 64) — the chaos-soak knobs of DESIGN.md §15. `workers=` is at
+//! most 64, and `start=`/`deadline=` at most `i64::MAX`.
 
 use graphite_algorithms::registry::{Algo, Platform, RunOpts};
 use graphite_bsp::error::BspError;
@@ -103,6 +104,13 @@ const SEEDED_FAULT_MAX_STEP: u64 = 6;
 /// unbounded allocation in the resident engine; the chaos soak uses at
 /// most 6.
 const MAX_BATCH_FAULTS: u64 = 64;
+
+/// Largest `workers=N` a batch line may ask for. Every worker's outbox
+/// holds one batch and one frame per worker, so a run allocates `N²`
+/// exchange slots up front; the wire's `u16` worker index alone would
+/// let one line ask for about 4.3 × 10⁹ and bring the resident engine
+/// down.
+const MAX_BATCH_WORKERS: u64 = 64;
 
 impl QuerySpec {
     /// A spec for `algo` on `platform` with default parameters.
@@ -210,11 +218,15 @@ impl QuerySpec {
                 return Err(bad("malformed key=value token", tok));
             };
             let num: Option<u64> = value.parse().ok();
+            let time = |t: u64| Time::try_from(t).map_err(|_| bad("time above i64::MAX", tok));
             match (key, num) {
+                ("workers", Some(n)) if n > MAX_BATCH_WORKERS => {
+                    return Err(bad(&format!("worker count above {MAX_BATCH_WORKERS}"), tok))
+                }
                 ("workers", Some(n)) if n > 0 => spec.workers = n as usize,
                 ("source", Some(v)) => spec.source = Some(VertexId(v)),
-                ("start", Some(t)) => spec.start = t as Time,
-                ("deadline", Some(t)) => spec.deadline = Some(t as Time),
+                ("start", Some(t)) => spec.start = time(t)?,
+                ("deadline", Some(t)) => spec.deadline = Some(time(t)?),
                 ("perturb", Some(s)) => spec.perturb_schedule = Some(s),
                 ("budget", Some(b)) if b > 0 => spec.budget = Some(b),
                 ("retries", Some(r)) => spec.retries = Some(r),
@@ -332,6 +344,31 @@ mod tests {
         for tok in [
             format!("faults={}", MAX_BATCH_FAULTS + 1),
             "faults=4000000000".to_string(),
+        ] {
+            let err = QuerySpec::parse_line(&format!("bfs icm {tok}")).expect_err("over the cap");
+            let BspError::Config { detail } = &err else {
+                panic!("{tok}: expected a config error, got {err}");
+            };
+            assert!(detail.contains(&tok), "{detail}");
+        }
+        // The worker count is capped the same way: each worker's outbox
+        // holds a batch and a frame per worker, so the count is squared
+        // into allocations before the run starts.
+        let widest = QuerySpec::parse_line(&format!("bfs icm workers={MAX_BATCH_WORKERS}"))
+            .expect("the cap itself parses")
+            .expect("not blank");
+        assert_eq!(widest.workers as u64, MAX_BATCH_WORKERS);
+        // Times are `i64`: the largest parses, one past it is refused
+        // instead of wrapping negative.
+        let latest = QuerySpec::parse_line(&format!("ld gof start={0} deadline={0}", i64::MAX))
+            .expect("i64::MAX parses")
+            .expect("not blank");
+        assert_eq!((latest.start, latest.deadline), (i64::MAX, Some(i64::MAX)));
+        for tok in [
+            format!("workers={}", MAX_BATCH_WORKERS + 1),
+            "workers=65535".to_string(),
+            format!("start={}", i64::MAX as u64 + 1),
+            format!("deadline={}", u64::MAX),
         ] {
             let err = QuerySpec::parse_line(&format!("bfs icm {tok}")).expect_err("over the cap");
             let BspError::Config { detail } = &err else {

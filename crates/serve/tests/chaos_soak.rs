@@ -384,3 +384,50 @@ fn quarantine_decay_releases_after_engine_successes() {
     // second chance, not an amnesty.
     assert_eq!(engine.health().quarantined_now, 1);
 }
+
+/// Chlonos and GoFFish recover like every other platform: a faulted batch
+/// line on each completes through the engine with its clean twin's
+/// digest, by checkpoint replay inside the run, not by a serve-level
+/// retry.
+#[test]
+fn faulted_chlonos_and_goffish_lines_recover_to_the_clean_digest() {
+    let graph = Arc::new(generate(&soak_profile()));
+    let engine = ServeEngine::new(
+        Arc::clone(&graph),
+        ServeConfig {
+            max_in_flight: 2,
+            ..ServeConfig::default()
+        },
+    );
+    let parse = |line: &str| {
+        QuerySpec::parse_line(line)
+            .expect("a valid batch line")
+            .expect("not blank")
+    };
+    let mut rollbacks = 0;
+    for (faulted, clean) in [
+        ("bfs chl faults=2", "bfs chl"),
+        ("sssp gof faults=2", "sssp gof"),
+    ] {
+        let spec = parse(faulted);
+        assert!(spec.fault_plan.is_some() && spec.recovery.is_some());
+        let outcome = engine
+            .submit(spec)
+            .expect("admissible")
+            .wait()
+            .unwrap_or_else(|e| panic!("{faulted}: {e}"));
+        assert!(
+            !outcome.cached,
+            "{faulted}: faulted queries bypass the cache"
+        );
+        let digest = outcome.digest.expect("digests always computed").0;
+        assert_eq!(digest, solo_digest(&graph, &parse(clean)), "{faulted}");
+        rollbacks += outcome.metrics.recovery.rollbacks;
+    }
+    assert!(rollbacks >= 1, "no seeded fault fired");
+    let stats = engine.stats();
+    assert_eq!(stats.completed, 2, "{stats:?}");
+    assert_eq!(stats.failed + stats.budget_exceeded, 0, "{stats:?}");
+    assert_eq!(stats.retries, 0, "recovered inside the run: {stats:?}");
+    assert_eq!(stats.cache_hits, 0, "{stats:?}");
+}

@@ -12,12 +12,14 @@
 #     determinism).
 #   * crates/bsp/tests/result_digest_pin.rs — the fault matrix proper:
 #     workers x fault steps x {ICM BFS, ICM EAT, VCM BFS, MSB BFS,
-#     TGB SSSP} x two datagen profiles, recovered digests pinned against
-#     the fault-free recording,
-#     composed with schedule-perturbation seeds.
+#     Chlonos BFS, TGB SSSP, GoFFish SSSP} x two datagen profiles (the
+#     GoFFish rows also fault at superstep 1, where a rollback must hand
+#     back the temporal messages a time-point received), recovered
+#     digests pinned against the fault-free recording, composed with
+#     schedule-perturbation seeds.
 #   * crates/bsp/tests/codec_props.rs       — seeded truncation/bit-flip
 #     properties of the batch codec the corruption faults lean on.
-#   * graphite-bsp unit tests               — fault/recover/snapshot/engine
+#   * graphite-bsp unit tests               — fault/recover/engine
 #     module-level coverage, including the fault-plan primitives.
 #
 # Usage: scripts/fault_matrix.sh [extra cargo-test args...]
