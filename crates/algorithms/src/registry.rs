@@ -36,17 +36,14 @@ use std::sync::Arc;
 /// `perturb_schedule`, `fault_plan`, `recovery`) — are lowered in one
 /// place, [`RunOpts::run_config`], onto the [`RunConfig`] every platform
 /// embeds, and every platform honours each of them over its whole run:
-/// the cap and the budget count the supersteps of every inner
-/// per-snapshot, per-batch or per-time-point run together. The
-/// exceptions are [`RunConfig`]'s:
-/// - the fault plan and the schedule perturbation act per inner BSP run
-///   of MSB, Chlonos and GoFFish;
-/// - TGB refuses the `ldg` and `temporal` placements with
-///   [`BspError::Config`]: its replicas have a key, not edges and
-///   lifespans to place by.
+/// MSB, Chlonos and GoFFish walk their snapshots, batches or time-points
+/// as the phases of one BSP run. The one exception is [`RunConfig`]'s:
+/// TGB refuses the `ldg` and `temporal` placements with
+/// [`BspError::Config`]: its replicas have a key, not edges and lifespans
+/// to place by.
 #[derive(Clone, Debug)]
 pub struct RunOpts {
-    /// BSP workers.
+    /// BSP workers, at most [`RunOpts::MAX_WORKERS`].
     pub workers: usize,
     /// Source (TD traversals) — defaults to the smallest vid.
     pub source: Option<VertexId>,
@@ -90,10 +87,31 @@ pub struct RunOpts {
 }
 
 impl RunOpts {
+    /// The most workers a run may ask for. Every worker's outbox holds a
+    /// batch and a frame per worker, so a run allocates `workers²`
+    /// exchange slots before its first superstep; the wire's `u16` worker
+    /// index alone would let one request ask for about 4.3 × 10⁹.
+    pub const MAX_WORKERS: usize = 64;
+
     /// The one lowering of these options onto the configuration every
-    /// platform embeds.
-    pub fn run_config(&self) -> RunConfig {
-        RunConfig {
+    /// platform embeds — the CLI's, the serving layer's and the streaming
+    /// layer's runs alike.
+    ///
+    /// # Errors
+    ///
+    /// [`BspError::Config`] when `workers` is above
+    /// [`RunOpts::MAX_WORKERS`].
+    pub fn run_config(&self) -> Result<RunConfig, BspError> {
+        if self.workers > Self::MAX_WORKERS {
+            return Err(BspError::Config {
+                detail: format!(
+                    "{} workers is above the cap of {}",
+                    self.workers,
+                    Self::MAX_WORKERS
+                ),
+            });
+        }
+        Ok(RunConfig {
             workers: self.workers,
             partition: self.partition,
             bsp: BspConfig {
@@ -104,17 +122,21 @@ impl RunOpts {
                 recovery: self.recovery.clone(),
                 trace: self.trace,
             },
-        }
+        })
     }
 
     /// The ICM configuration of these options: [`RunOpts::run_config`]
     /// plus the combiner and the suppression threshold.
-    pub fn icm_config(&self) -> IcmConfig {
-        IcmConfig {
-            run: self.run_config(),
+    ///
+    /// # Errors
+    ///
+    /// [`RunOpts::run_config`]'s.
+    pub fn icm_config(&self) -> Result<IcmConfig, BspError> {
+        Ok(IcmConfig {
+            run: self.run_config()?,
             combiner: self.combiner,
             suppression_threshold: self.suppression,
-        }
+        })
     }
 }
 
@@ -272,7 +294,7 @@ impl Run<'_> {
         encode: fn(&P::State) -> u64,
     ) -> Result<RunOutcome, BspError> {
         let config = MsbConfig {
-            run: self.opts.run_config(),
+            run: self.opts.run_config()?,
             window: Some(self.params.window),
             collect_states: self.opts.digest,
         };
@@ -287,7 +309,7 @@ impl Run<'_> {
         P::Msg: PartialEq,
     {
         let config = ChlConfig {
-            run: self.opts.run_config(),
+            run: self.opts.run_config()?,
             window: Some(self.params.window),
             collect_states: self.opts.digest,
             batch_size: self.opts.batch_size,
@@ -303,7 +325,7 @@ impl Run<'_> {
         encode: Option<fn(&P::State) -> u64>,
     ) -> Result<RunOutcome, BspError> {
         let config = GofConfig {
-            run: self.opts.run_config(),
+            run: self.opts.run_config()?,
             window: Some(self.params.window),
             collect_states: self.opts.digest,
             weights: EdgeWeights {
@@ -323,6 +345,7 @@ impl Run<'_> {
         make: impl FnOnce(Arc<TransformedGraph>) -> P,
         project: Option<Projection<P::State>>,
     ) -> Result<RunOutcome, BspError> {
+        let run = self.opts.run_config()?;
         let transform_opts = TransformOptions {
             window: Some(self.params.window),
             ..Default::default()
@@ -336,7 +359,7 @@ impl Run<'_> {
             Some(Arc::clone(&transformed)),
             &transform_opts,
             Arc::new(make(transformed)),
-            &self.opts.run_config(),
+            &run,
         )?;
         let digest = project
             .filter(|_| self.opts.digest)
@@ -375,7 +398,7 @@ impl IcmVisitor for RunCell<'_> {
         P: IntervalProgram,
     {
         let Run { graph, opts, .. } = *self.0;
-        let r = run_icm(graph, Arc::new(program), &opts.icm_config(), None)?;
+        let r = run_icm(graph, Arc::new(program), &opts.icm_config()?, None)?;
         let digest = encode
             .filter(|_| opts.digest)
             .map(|encode| digest_interval_states(&r.states, self.0.params.window, encode));
@@ -561,14 +584,14 @@ mod tests {
     }
 
     /// The superstep budget is the whole run's on every platform: a
-    /// budget each snapshot's, batch's or time-point's inner run fits but
-    /// the walk does not is spent, and the error names the budget asked
-    /// for. Recovery is accepted everywhere, and a recovered run's digest
-    /// is the clean run's.
+    /// budget each snapshot, batch or time-point fits but the walk does
+    /// not is spent, and the error names the budget asked for. Recovery
+    /// is accepted everywhere, a fault fires once per query, and a
+    /// recovered run's digest is the clean run's.
     #[test]
     fn every_platform_charges_its_whole_run_and_recovers() {
         let g = Arc::new(transit_graph());
-        // Three Chlonos batches, so no walk here is one inner run.
+        // Three Chlonos batches, so no walk here is one phase.
         let base = RunOpts {
             batch_size: 3,
             ..RunOpts::default()
@@ -599,7 +622,7 @@ mod tests {
                 ..base.clone()
             })
             .expect("a recovered run");
-            assert!(recovered.metrics.recovery.rollbacks >= 1, "{platform:?}");
+            assert_eq!(recovered.metrics.recovery.rollbacks, 1, "{platform:?}");
             assert_eq!(recovered.digest, clean.digest, "{platform:?}");
         }
         let keyed = RunOpts {

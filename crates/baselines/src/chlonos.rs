@@ -8,26 +8,24 @@
 //! several batches and lose sharing across batch boundaries (the effect the
 //! paper observes on Twitter with 5 batches).
 
-use crate::topology::{run_charged, run_ti_window, EdgeWeights, SnapshotResult, SnapshotTopology};
-use crate::vcm::{combine_push, StateTable, VcmContext, VcmProgram};
+use crate::topology::{run_ti_window, EdgeWeights, SnapshotResult, SnapshotTopology};
+use crate::vcm::{combine_push, snapshot_states, StateTable, VcmContext, VcmProgram};
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::engine::{keep_alive, run_bsp, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
-use graphite_bsp::metrics::{RunMetrics, UserCounters};
+use graphite_bsp::metrics::UserCounters;
 use graphite_bsp::trace::TraceSink;
 use graphite_part::RunConfig;
 use graphite_tgraph::graph::{TemporalGraph, VIdx};
 use graphite_tgraph::time::{Interval, Time};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Configuration of one Chlonos run.
 #[derive(Clone, Debug)]
 pub struct ChlConfig {
-    /// The run as a whole: the superstep cap and budget are charged
-    /// across every batch's inner run, the trace spans them all, and
-    /// each inner run checkpoints under `bsp.recovery`; the fault plan
-    /// and the schedule perturbation act per batch.
+    /// The run as a whole: the batches are the phases of one BSP run, so
+    /// every option — the cap and budget, the fault plan, the
+    /// perturbation, recovery and the trace — spans the whole walk.
     pub run: RunConfig,
     /// Window to discretize; `None` takes
     /// [`graphite_tgraph::snapshot::snapshot_window`].
@@ -42,16 +40,16 @@ pub struct ChlConfig {
 /// applies to every snapshot offset in `[lo, hi)` of the current batch.
 type ChlMsg<M> = (u32, u32, u32, M);
 
-/// One BSP worker of a Chlonos batch. Its states sit in a [`StateTable`]
+/// One BSP worker of a Chlonos walk. Its states sit in a [`StateTable`]
 /// with one slot per (owned vertex, batch offset); every per-vertex list
 /// is a worker-owned buffer cleared per vertex, so a steady superstep
-/// allocates nothing.
+/// allocates nothing. Each batch is one phase: the walk's hook seats the
+/// next batch's snapshots on an emptied table.
 struct ChlWorker<P: VcmProgram> {
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
     /// The batch's snapshots, one per offset, shared by every worker.
     snapshots: Arc<[SnapshotTopology]>,
-    batch_start: Time,
     table: StateTable<P::State>,
     /// The current vertex's combined messages, one list per offset.
     per_off: Vec<Vec<P::Msg>>,
@@ -104,7 +102,7 @@ where
             let msgs = &self.per_off[off];
             // A replica outside the lifespan, or idle at this offset,
             // does not compute; its offset still closes runs below.
-            let computes = lifespan.contains_point(self.batch_start + off as Time)
+            let computes = lifespan.contains_point(self.snapshots[off].time())
                 && (step == 1 || all_active || !msgs.is_empty());
             if computes {
                 let state = self
@@ -208,15 +206,15 @@ where
     }
 }
 
-/// Runs `program` over the window in batches of `batch_size` snapshots.
-/// On a static topology one snapshot stands for all of them
-/// (Sec. VII-B6).
+/// Runs `program` over the window in batches of `batch_size` snapshots,
+/// each batch one phase of a single run. On a static topology one
+/// snapshot stands for all of them (Sec. VII-B6).
 ///
 /// # Errors
 ///
 /// [`BspError::Config`] for an unusable worker count or a graph with no
 /// bounded window and none given, a spent whole-run cap or budget, else
-/// the first failing batch run's [`BspError`].
+/// the [`BspError`] of the walk's one run.
 pub fn run_chlonos<P>(
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
@@ -227,73 +225,68 @@ where
     P::Msg: PartialEq,
 {
     run_ti_window(&graph, config.window, "Chlonos", |window| {
-        run_batches(&graph, &program, config, window)
-    })
-}
-
-/// Runs every snapshot of `window`, `batch_size` at a time.
-fn run_batches<P>(
-    graph: &Arc<TemporalGraph>,
-    program: &Arc<P>,
-    config: &ChlConfig,
-    window: Interval,
-) -> Result<SnapshotResult<P::State>, BspError>
-where
-    P: VcmProgram,
-    P::Msg: PartialEq,
-{
-    let run = &config.run;
-    let partition = Arc::new(run.partition.build(graph, run.workers)?);
-    let mut metrics = RunMetrics::default();
-    let mut per_snapshot = Vec::new();
-    let mut batch_start = window.start();
-    while batch_start < window.end() {
-        let batch_len = (window.end() - batch_start).min(config.batch_size as i64) as usize;
+        let run = &config.run;
+        let partition = Arc::new(run.partition.build(&graph, run.workers)?);
         // Chlonos runs structure-only (TI) programs, which read no edge
         // property, so its snapshots resolve none.
-        let snapshots: Arc<[SnapshotTopology]> = (0..batch_len)
-            .map(|off| {
-                SnapshotTopology::new(
-                    Arc::clone(graph),
-                    batch_start + off as Time,
-                    EdgeWeights::default(),
-                )
-            })
-            .collect();
+        let batch = |start: Time| -> Arc<[SnapshotTopology]> {
+            let end = window.end().min(start + config.batch_size as Time);
+            (start..end)
+                .map(|t| SnapshotTopology::new(Arc::clone(&graph), t, EdgeWeights::default()))
+                .collect()
+        };
+        let mut start = window.start();
+        let mut current = batch(start);
         let workers: Vec<ChlWorker<P>> = (0..run.workers)
             .map(|w| ChlWorker {
-                graph: Arc::clone(graph),
-                program: Arc::clone(program),
-                snapshots: Arc::clone(&snapshots),
-                batch_start,
-                table: StateTable::new(&partition, w, batch_len),
-                per_off: (0..batch_len).map(|_| Vec::new()).collect(),
+                graph: Arc::clone(&graph),
+                program: Arc::clone(&program),
+                snapshots: Arc::clone(&current),
+                table: StateTable::new(&partition, w, current.len()),
+                per_off: current.iter().map(|_| Vec::new()).collect(),
                 sends: Vec::new(),
                 open: Vec::new(),
                 next_open: Vec::new(),
             })
             .collect();
+        let mut per_snapshot = Vec::new();
+        // At each batch's quiescent barrier: keep its states, then seat the
+        // next batch (the last may be shorter) on emptied tables.
+        let mut next_batch = |workers: &mut [ChlWorker<P>]| {
+            let end = start + current.len() as Time;
+            let next = (end < window.end()).then(|| batch(end));
+            let stride = next.as_ref().map_or(0, |b| b.len());
+            let finished = workers
+                .iter_mut()
+                .flat_map(|w| w.table.drain(stride))
+                .collect();
+            if config.collect_states {
+                per_snapshot.extend(snapshot_states(finished, start, current.len()));
+            }
+            let Some(next) = next else {
+                return false;
+            };
+            for w in workers.iter_mut() {
+                w.snapshots = Arc::clone(&next);
+                w.per_off.resize_with(next.len(), Vec::new);
+            }
+            (current, start) = (next, end);
+            true
+        };
         // Keep phased programs alive through idle barriers when they
         // request an all-active next superstep.
         let mut master = keep_alive(|step, globals| program.all_active(step, globals), None);
-        let workers = run_charged(&run.bsp, &mut metrics, |bsp| {
-            run_bsp(&bsp, workers, Arc::clone(&partition), Some(&mut master))
-        })?;
-        if config.collect_states {
-            let mut maps: Vec<HashMap<u32, P::State>> =
-                (0..batch_len).map(|_| HashMap::new()).collect();
-            for (v, off, s) in workers.into_iter().flat_map(|w| w.table.into_states()) {
-                maps[off].insert(v, s);
-            }
-            for (off, map) in maps.into_iter().enumerate() {
-                per_snapshot.push((batch_start + off as Time, map));
-            }
-        }
-        batch_start += batch_len as Time;
-    }
-    Ok(SnapshotResult {
-        per_snapshot,
-        metrics,
+        let (_, metrics) = run_bsp(
+            &run.bsp,
+            workers,
+            partition,
+            Some(&mut master),
+            Some(&mut next_batch),
+        )?;
+        Ok(SnapshotResult {
+            per_snapshot,
+            metrics,
+        })
     })
 }
 
@@ -553,8 +546,9 @@ mod tests {
         );
     }
 
-    /// Every batch's inner run checkpoints: a worker panic in each one
-    /// is rolled back and replayed to the clean run's states and counters.
+    /// The walk checkpoints at every batch's boundary: a worker panic is
+    /// rolled back once and replayed to the clean run's states and
+    /// counters.
     #[test]
     fn a_faulted_run_recovers_to_the_clean_result() {
         let graph = Arc::new(transit_graph());
@@ -571,7 +565,7 @@ mod tests {
         assert_eq!(r.per_snapshot, clean.per_snapshot);
         assert_eq!(r.metrics.supersteps, clean.metrics.supersteps);
         assert_eq!(r.metrics.counters, clean.metrics.counters);
-        assert!(r.metrics.recovery.rollbacks >= 1);
+        assert_eq!(r.metrics.recovery.rollbacks, 1);
     }
 
     /// The budget is the whole walk's: three batches that each fit a

@@ -1,7 +1,8 @@
 //! GoFFish-TS (GOF, Sec. VII-A3): models the temporal graph as a sequence
 //! of snapshots processed *sequentially*. An outer loop walks the
 //! snapshots in time order; within each snapshot an inner vertex-centric
-//! BSP loop runs to convergence; user logic may send *local* messages
+//! BSP loop runs to convergence — one phase of a single BSP run, whose
+//! phase hook is the outer loop; user logic may send *local* messages
 //! (delivered next inner superstep, same snapshot) or *temporal* messages
 //! addressed to a future snapshot, which the outer loop delivers when it
 //! gets there. Vertex states persist across snapshots (stateful
@@ -12,13 +13,13 @@
 //! snapshot is loaded once, as a [`SnapshotTopology`], and every inner
 //! superstep of that snapshot reads its edges from it.
 
-use crate::topology::{run_charged, window_of, EdgeWeights, SnapshotResult, SnapshotTopology};
+use crate::topology::{window_of, EdgeWeights, SnapshotResult, SnapshotTopology};
 use crate::vcm::{combine_push, StateTable, VcmEdge, VcmTopology};
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::Wire;
 use graphite_bsp::engine::{run_bsp, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
-use graphite_bsp::metrics::{RunMetrics, UserCounters};
+use graphite_bsp::metrics::UserCounters;
 use graphite_bsp::trace::TraceSink;
 use graphite_part::RunConfig;
 use graphite_tgraph::graph::{TemporalGraph, VIdx, VertexId};
@@ -146,7 +147,7 @@ impl<'a, M> GofContext<'a, M> {
 /// messages change from one time-point to the next.
 struct GofWorker<P: GofProgram> {
     program: Arc<P>,
-    /// The snapshot this inner loop runs on, shared by every worker.
+    /// The current time-point's snapshot, shared by every worker.
     snapshot: Arc<SnapshotTopology>,
     horizon: Time,
     floor: Time,
@@ -259,9 +260,9 @@ impl<P: GofProgram> WorkerLogic for GofWorker<P> {
 
     // The state table plus this time-point's temporal traffic: the
     // messages delivered to it, which superstep 1 consumes, and the ones
-    // it has queued for later time-points. A rollback to the step-0
-    // boundary thus re-delivers the first, and drops the entries queued
-    // since the boundary instead of sending them twice.
+    // it has queued for later time-points. A rollback to the phase's
+    // first boundary thus re-delivers the first, and drops the entries
+    // queued since the boundary instead of sending them twice.
     fn checkpoint(&self, buf: &mut Vec<u8>) {
         self.initial.encode(buf);
         self.future_out.encode(buf);
@@ -282,10 +283,9 @@ impl<P: GofProgram> WorkerLogic for GofWorker<P> {
 /// Configuration of one GoFFish run.
 #[derive(Clone, Debug)]
 pub struct GofConfig {
-    /// The run as a whole: the superstep cap and budget are charged
-    /// across every time-point's inner loop, the trace spans them all,
-    /// and each inner loop checkpoints under `bsp.recovery`; the fault
-    /// plan and the schedule perturbation act per time-point.
+    /// The run as a whole: the time-points are the phases of one BSP run,
+    /// so every option — the cap and budget, the fault plan, the
+    /// perturbation, recovery and the trace — spans the whole walk.
     pub run: RunConfig,
     /// Window to walk; `None` takes
     /// [`graphite_tgraph::snapshot::snapshot_window`].
@@ -304,7 +304,7 @@ pub struct GofConfig {
 ///
 /// [`BspError::Config`] for an unusable worker count or a graph with no
 /// bounded window and none given, a spent whole-run cap or budget, else
-/// the first failing snapshot run's [`BspError`].
+/// the [`BspError`] of the walk's one run.
 pub fn run_goffish<P: GofProgram>(
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
@@ -313,45 +313,35 @@ pub fn run_goffish<P: GofProgram>(
     let run = &config.run;
     let window = window_of(&graph, config.window, "GoFFish")?;
     let partition = Arc::new(run.partition.build(&graph, run.workers)?);
+    let snapshot = |t| Arc::new(SnapshotTopology::new(Arc::clone(&graph), t, config.weights));
+    // A reverse program walks the window backwards.
+    let (mut t, dt) = if program.reverse() {
+        (window.end() - 1, -1)
+    } else {
+        (window.start(), 1)
+    };
+    let first = snapshot(t);
+    let workers: Vec<GofWorker<P>> = (0..run.workers)
+        .map(|w| GofWorker {
+            program: Arc::clone(&program),
+            snapshot: Arc::clone(&first),
+            horizon: window.end(),
+            floor: window.start(),
+            table: StateTable::new(&partition, w, 1),
+            initial: Vec::new(),
+            combined: Vec::new(),
+            local: Vec::new(),
+            future_out: Vec::new(),
+        })
+        .collect();
     // Temporal messages by delivery time, `(target, payload)` in send order.
     let mut queue: BTreeMap<Time, Vec<(u32, P::Msg)>> = BTreeMap::new();
-    let mut workers: Vec<GofWorker<P>> = Vec::new();
-    let mut metrics = RunMetrics::default();
     let mut per_snapshot = Vec::new();
-
-    let order: Vec<Time> = if program.reverse() {
-        window.points().rev().collect()
-    } else {
-        window.points().collect()
-    };
-    for t in order {
-        let snapshot = Arc::new(SnapshotTopology::new(Arc::clone(&graph), t, config.weights));
-        if workers.is_empty() {
-            workers = (0..run.workers)
-                .map(|w| GofWorker {
-                    program: Arc::clone(&program),
-                    snapshot: Arc::clone(&snapshot),
-                    horizon: window.end(),
-                    floor: window.start(),
-                    table: StateTable::new(&partition, w, 1),
-                    initial: Vec::new(),
-                    combined: Vec::new(),
-                    local: Vec::new(),
-                    future_out: Vec::new(),
-                })
-                .collect();
-        }
-        for worker in &mut workers {
-            worker.snapshot = Arc::clone(&snapshot);
-        }
-        // Hand the delivered temporal messages to their owners.
-        for (v, m) in queue.remove(&t).into_iter().flatten() {
-            workers[partition.worker_of(VIdx(v))].initial.push((v, m));
-        }
-        workers = run_charged(&run.bsp, &mut metrics, |bsp| {
-            run_bsp(&bsp, workers, Arc::clone(&partition), None)
-        })?;
-        for worker in &mut workers {
+    // The outer loop, run at each time-point's quiescent barrier: queue
+    // the temporal messages it sent, keep its states, then seat the next
+    // time-point and hand its messages to their owners.
+    let mut next_time_point = |workers: &mut [GofWorker<P>]| {
+        for worker in workers.iter_mut() {
             for (target, time, m) in worker.future_out.drain(..) {
                 queue.entry(time).or_default().push((target, m));
             }
@@ -360,7 +350,26 @@ pub fn run_goffish<P: GofProgram>(
             let states = workers.iter().flat_map(|w| w.table.iter());
             per_snapshot.push((t, states.map(|(v, _, s)| (v, s.clone())).collect()));
         }
-    }
+        t += dt;
+        if !window.contains_point(t) {
+            return false;
+        }
+        let snapshot = snapshot(t);
+        for worker in workers.iter_mut() {
+            worker.snapshot = Arc::clone(&snapshot);
+        }
+        for (v, m) in queue.remove(&t).into_iter().flatten() {
+            workers[partition.worker_of(VIdx(v))].initial.push((v, m));
+        }
+        true
+    };
+    let (_, metrics) = run_bsp(
+        &run.bsp,
+        workers,
+        Arc::clone(&partition),
+        None,
+        Some(&mut next_time_point),
+    )?;
     Ok(SnapshotResult {
         per_snapshot,
         metrics,
@@ -523,11 +532,14 @@ mod tests {
         }
     }
 
-    /// Every time-point's inner loop checkpoints its states and its
-    /// temporal traffic. A panic at superstep 1 — after the other worker
-    /// has queued its sends for later time-points — rolls back to the
-    /// step-0 boundary: the temporal messages delivered to the time-point
-    /// must be handed back, and the queued ones must not be sent twice.
+    /// Every time-point's phase begins with a checkpoint of the states and
+    /// the temporal traffic. Each time-point here is one superstep (every
+    /// message is temporal), so superstep 5 is the fifth time-point's
+    /// first: a panic there — after the other worker has queued its sends
+    /// for later time-points — rolls back to that phase's boundary, under
+    /// an interval longer than a phase. The temporal messages delivered to
+    /// the time-point must be handed back, and the queued ones must not be
+    /// sent twice.
     #[test]
     fn a_faulted_run_recovers_to_the_clean_result() {
         fn check<P: GofProgram>(program: P)
@@ -539,18 +551,20 @@ mod tests {
             let run = |cfg: &GofConfig| run_goffish(Arc::clone(&graph), Arc::clone(&program), cfg);
             let clean = run(&config(2, weights(&graph))).unwrap();
             for worker in 0..2 {
-                let mut faulted = config(2, weights(&graph));
-                faulted.run.bsp.fault_plan = Some(FaultPlan::panic_at(worker, 1));
-                faulted.run.bsp.recovery = Some(RecoveryConfig::every(2));
-                let r = run(&faulted).unwrap();
-                assert_eq!(r.per_snapshot, clean.per_snapshot, "worker {worker}");
-                assert_eq!(
-                    r.metrics.counters, clean.metrics.counters,
-                    "worker {worker}"
-                );
-                assert_eq!(r.metrics.supersteps, clean.metrics.supersteps);
-                // One rollback per time-point: the panic fires in every one.
-                assert_eq!(r.metrics.recovery.rollbacks, 9, "worker {worker}");
+                for step in [1, 5] {
+                    let mut faulted = config(2, weights(&graph));
+                    faulted.run.bsp.fault_plan = Some(FaultPlan::panic_at(worker, step));
+                    faulted.run.bsp.recovery = Some(RecoveryConfig::every(16));
+                    let r = run(&faulted).unwrap();
+                    let cell = format!("worker {worker}, step {step}");
+                    assert_eq!(r.per_snapshot, clean.per_snapshot, "{cell}");
+                    assert_eq!(r.metrics.counters, clean.metrics.counters, "{cell}");
+                    assert_eq!(r.metrics.supersteps, clean.metrics.supersteps);
+                    // The fault fires once per query, and the phase's
+                    // boundary is the checkpoint right before it.
+                    assert_eq!(r.metrics.recovery.rollbacks, 1, "{cell}");
+                    assert_eq!(r.metrics.recovery.supersteps_replayed, 1, "{cell}");
+                }
             }
         }
         check(GofSssp {

@@ -15,9 +15,12 @@
 //! * **GoFFish-TS** — sequential snapshots with stateful vertices and
 //!   temporal messages delivered by an outer loop (TD algorithms).
 //!
-//! Each platform keeps its own superstep loop, but all four workers run
-//! on one core in [`vcm`]: a dense state table indexed by the partition's
-//! local vertex index, and one receiver-side combiner fold.
+//! Every query is one BSP run: MSB, Chlonos and GoFFish walk their
+//! snapshots, batches or time-points as the phases of that run, each
+//! seated by a phase hook at the previous one's quiescent barrier. All
+//! four platforms' workers run on one core in [`vcm`]: a dense state
+//! table indexed by the partition's local vertex index, and one
+//! receiver-side combiner fold.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

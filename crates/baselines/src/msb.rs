@@ -3,10 +3,9 @@
 //! accumulates the per-snapshot costs, exactly as multi-snapshot analysis
 //! does in the paper. Used for the TI algorithms.
 
-use crate::topology::{run_charged, run_ti_window, EdgeWeights, SnapshotResult, SnapshotTopology};
-use crate::vcm::{run_vcm, VcmProgram};
+use crate::topology::{run_ti_window, EdgeWeights, SnapshotResult, SnapshotTopology};
+use crate::vcm::{run_walk, snapshot_states, VcmProgram, VcmWorker};
 use graphite_bsp::error::BspError;
-use graphite_bsp::metrics::RunMetrics;
 use graphite_part::RunConfig;
 use graphite_tgraph::graph::TemporalGraph;
 use graphite_tgraph::time::Interval;
@@ -15,10 +14,9 @@ use std::sync::Arc;
 /// Configuration of one MSB run.
 #[derive(Clone, Debug)]
 pub struct MsbConfig {
-    /// The run as a whole: the superstep cap and budget are charged
-    /// across every snapshot's inner run, the trace spans them all, and
-    /// each inner run checkpoints under `bsp.recovery`; the fault plan
-    /// and the schedule perturbation act per inner run.
+    /// The run as a whole: the snapshots are the phases of one BSP run,
+    /// placed once, so every option — the cap and budget, the fault plan,
+    /// the perturbation, recovery and the trace — spans the whole walk.
     pub run: RunConfig,
     /// Window to discretize; `None` takes
     /// [`graphite_tgraph::snapshot::snapshot_window`].
@@ -29,8 +27,9 @@ pub struct MsbConfig {
 }
 
 /// Runs `program` on every snapshot in the window, independently,
-/// accumulating metrics — the paper's MSB. On a static topology one
-/// snapshot stands for all of them (Sec. VII-B6).
+/// accumulating metrics — the paper's MSB. Each snapshot is one phase of
+/// a single run, which starts the program afresh on it. On a static
+/// topology one snapshot stands for all of them (Sec. VII-B6).
 ///
 /// MSB runs structure-only (TI) programs, which read no edge property, so
 /// its snapshots resolve none.
@@ -38,31 +37,37 @@ pub struct MsbConfig {
 /// # Errors
 ///
 /// [`BspError::Config`] when the graph has no bounded window and none was
-/// given, a spent whole-run cap or budget, else the first failing
-/// snapshot run's [`BspError`].
+/// given, a spent whole-run cap or budget, else the [`BspError`] of the
+/// walk's one run.
 pub fn run_msb<P: VcmProgram>(
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
     config: &MsbConfig,
 ) -> Result<SnapshotResult<P::State>, BspError> {
     run_ti_window(&graph, config.window, "MSB", |window| {
-        let mut metrics = RunMetrics::default();
+        let weights = EdgeWeights::default();
+        let snapshot = |t| Arc::new(SnapshotTopology::new(Arc::clone(&graph), t, weights));
+        let mut t = window.start();
+        let first = snapshot(t);
         let mut per_snapshot = Vec::new();
-        for t in window.points() {
-            let topo = Arc::new(SnapshotTopology::new(
-                Arc::clone(&graph),
-                t,
-                EdgeWeights::default(),
-            ));
-            let states = run_charged(&config.run.bsp, &mut metrics, |bsp| {
-                let run = RunConfig { bsp, ..config.run };
-                let r = run_vcm(&topo, Arc::clone(&program), &run)?;
-                Ok((r.states, r.metrics))
-            })?;
+        // At each snapshot's quiescent barrier: keep its states, then seat
+        // the next snapshot on emptied tables.
+        let mut next_snapshot = |workers: &mut [VcmWorker<SnapshotTopology, P>]| {
+            let finished = workers.iter_mut().flat_map(|w| w.table.drain(1)).collect();
             if config.collect_states {
-                per_snapshot.push((t, states));
+                per_snapshot.extend(snapshot_states(finished, t, 1));
             }
-        }
+            t += 1;
+            if t == window.end() {
+                return false;
+            }
+            let topology = snapshot(t);
+            for w in workers {
+                w.topology = Arc::clone(&topology);
+            }
+            true
+        };
+        let (_, metrics) = run_walk(&first, program, &config.run, Some(&mut next_snapshot))?;
         Ok(SnapshotResult {
             per_snapshot,
             metrics,
@@ -73,7 +78,7 @@ pub fn run_msb<P: VcmProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vcm::VcmContext;
+    use crate::vcm::{run_vcm, VcmContext};
     use graphite_tgraph::fixtures::transit_graph;
     use graphite_tgraph::graph::VertexId;
     use graphite_tgraph::time::Time;
@@ -135,7 +140,7 @@ mod tests {
             &config(2),
         )
         .unwrap();
-        // Window is [0,9): nine snapshot runs.
+        // Window is [0,9): nine snapshots, nine phases of one run.
         assert_eq!(r.per_snapshot.len(), 9);
         // A is level 0 everywhere.
         for t in 0..9 {

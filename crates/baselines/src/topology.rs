@@ -2,11 +2,9 @@
 //! (the snapshot MSB, Chlonos and GoFFish all execute on) and the
 //! time-expanded transformed graph (for TGB) — plus what the three
 //! snapshot platforms share beyond it: the window they walk, the
-//! static-topology reuse rule, the charging of every inner run to the
-//! whole walk, and their one result type.
+//! static-topology reuse rule, and their one result type.
 
 use crate::vcm::{VcmEdge, VcmTopology};
-use graphite_bsp::engine::BspConfig;
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::RunMetrics;
 use graphite_bsp::partition::{splitmix64, PartitionMap};
@@ -287,40 +285,6 @@ pub(crate) fn window_of(
         })
 }
 
-/// Runs one inner BSP run of a snapshot platform's walk, charged to the
-/// whole walk: `inner` gets `bsp` with only what the inner runs so far
-/// (folded into `walk`) left of its superstep cap and budget, and its
-/// metrics are folded into `walk` in turn. "Supersteps this run may
-/// spend" thus means the whole walk's, as on ICM and TGB.
-///
-/// # Errors
-///
-/// `inner`'s error, where a spent cap or budget reports `bsp`'s own
-/// whole-run number, not the remainder the inner run was given.
-pub(crate) fn run_charged<T>(
-    bsp: &BspConfig,
-    walk: &mut RunMetrics,
-    inner: impl FnOnce(BspConfig) -> Result<(T, RunMetrics), BspError>,
-) -> Result<T, BspError> {
-    let spent = walk.supersteps;
-    let left = BspConfig {
-        max_supersteps: bsp.max_supersteps.saturating_sub(spent),
-        superstep_budget: bsp.superstep_budget.map(|b| b.saturating_sub(spent)),
-        ..bsp.clone()
-    };
-    let (value, metrics) = inner(left).map_err(|err| match err {
-        BspError::SuperstepLimit { .. } => BspError::SuperstepLimit {
-            limit: bsp.max_supersteps,
-        },
-        BspError::BudgetExceeded { budget } => BspError::BudgetExceeded {
-            budget: bsp.superstep_budget.unwrap_or(budget),
-        },
-        other => other,
-    })?;
-    walk.merge(&metrics);
-    Ok(value)
-}
-
 /// Runs a structure-only (TI) snapshot platform over its window: `run`
 /// computes the snapshots of the interval it is handed. On a topology
 /// static over the window every snapshot is the same graph, and MSB and
@@ -356,7 +320,7 @@ pub struct SnapshotResult<S> {
     /// GoFFish states persist across its walk, so its entry for `t` is
     /// each vertex's state *as of* `t`.
     pub per_snapshot: Vec<(Time, HashMap<u32, S>)>,
-    /// Cumulative metrics across all snapshot runs.
+    /// The metrics of the walk's one run, every phase included.
     pub metrics: RunMetrics,
 }
 

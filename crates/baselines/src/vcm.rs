@@ -3,24 +3,26 @@
 //!
 //! The engine runs a [`VcmProgram`] over an abstract [`VcmTopology`]: a
 //! static directed graph whose vertices are dense `u32` indices. Concrete
-//! topologies adapt a single snapshot of a temporal graph (MSB) or the
-//! time-expanded transformed graph (TGB). Chlonos and GoFFish keep their
-//! own superstep loops, but one worker core serves all four platforms:
-//! the dense per-worker state table (`StateTable`, strided for Chlonos's
-//! batch offsets) and the receiver-side combiner fold (`combine_push`).
+//! topologies adapt a single snapshot of a temporal graph (MSB, one per
+//! phase of its walk) or the time-expanded transformed graph (TGB).
+//! Chlonos and GoFFish have workers of their own, but one worker core
+//! serves all four platforms: the dense per-worker state table
+//! (`StateTable`, strided for Chlonos's batch offsets) and the
+//! receiver-side combiner fold (`combine_push`).
 //! Running every baseline on the same BSP substrate and the same core as
 //! GRAPHITE keeps the programming primitives — not the runtime — as the
 //! experimental variable.
 
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::{get_varint, put_varint, Wire};
-use graphite_bsp::engine::{keep_alive, run_bsp, Inbox, Outbox, WorkerLogic};
+use graphite_bsp::engine::{keep_alive, run_bsp, Inbox, Outbox, PhaseHook, WorkerLogic};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::PartitionMap;
 use graphite_bsp::trace::TraceSink;
 use graphite_part::{PartitionStrategy, RunConfig};
 use graphite_tgraph::graph::{VIdx, VertexId};
+use graphite_tgraph::time::Time;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -234,14 +236,32 @@ impl<S> StateTable<S> {
             .filter_map(move |(i, s)| Some((self.owned[i / stride], i % stride, s.as_ref()?)))
     }
 
-    /// [`StateTable::iter`], by value.
-    pub(crate) fn into_states(self) -> impl Iterator<Item = (u32, usize, S)> {
-        let (owned, stride) = (self.owned, self.stride);
-        self.slots
-            .into_iter()
-            .enumerate()
-            .filter_map(move |(i, s)| Some((owned[i / stride], i % stride, s?)))
+    /// [`StateTable::iter`], by value: takes every state out and leaves
+    /// the table empty, with `stride` slots per vertex from now on (a
+    /// walk's next phase).
+    pub(crate) fn drain(&mut self, stride: usize) -> Vec<(u32, usize, S)> {
+        let empty = std::iter::repeat_with(|| None).take(self.owned.len() * stride);
+        let slots = std::mem::replace(&mut self.slots, empty.collect());
+        let was = std::mem::replace(&mut self.stride, stride);
+        let states = slots.into_iter().enumerate();
+        states
+            .filter_map(|(i, s)| Some((self.owned[i / was], i % was, s?)))
+            .collect()
     }
+}
+
+/// The drained `states` of a phase that ran the `len` consecutive
+/// snapshots from `start`, one map per slot offset, in time order.
+pub(crate) fn snapshot_states<S>(
+    states: Vec<(u32, usize, S)>,
+    start: Time,
+    len: usize,
+) -> impl Iterator<Item = (Time, HashMap<u32, S>)> {
+    let mut maps: Vec<HashMap<u32, S>> = (0..len).map(|_| HashMap::new()).collect();
+    for (v, off, s) in states {
+        maps[off].insert(v, s);
+    }
+    (start..).zip(maps)
 }
 
 /// The table's checkpoint: the initialized slots in ascending order, each
@@ -308,11 +328,12 @@ pub(crate) fn combine_push<M: Clone>(
 /// One BSP worker of a VCM run. Everything a superstep touches is owned
 /// here and reused: states sit in a [`StateTable`] of stride 1, and the
 /// edge, combined-message and send buffers keep their capacity from
-/// vertex to vertex, so a steady run computes without allocating.
-struct VcmWorker<T: VcmTopology, P: VcmProgram> {
-    topology: Arc<T>,
+/// vertex to vertex, so a steady run computes without allocating. A
+/// walk's phase hook swaps in its next topology and empties the table.
+pub(crate) struct VcmWorker<T: VcmTopology, P: VcmProgram> {
+    pub(crate) topology: Arc<T>,
     program: Arc<P>,
-    table: StateTable<P::State>,
+    pub(crate) table: StateTable<P::State>,
     scratch_out: Vec<VcmEdge>,
     scratch_in: Vec<VcmEdge>,
     /// The current vertex's messages after the receiver-side combiner.
@@ -443,13 +464,26 @@ pub fn run_vcm<T: VcmTopology, P: VcmProgram>(
     program: Arc<P>,
     config: &RunConfig,
 ) -> Result<VcmResult<P::State>, BspError> {
+    let (mut workers, metrics) = run_walk(topology, program, config, None)?;
+    let states = workers.iter_mut().flat_map(|w| w.table.drain(0));
+    let states = states.map(|(v, _, s)| (v, s)).collect();
+    Ok(VcmResult { states, metrics })
+}
+
+/// [`run_vcm`]'s one BSP run, placed by the first `topology` and handing
+/// `phase` the workers at each quiescent barrier (MSB's walk).
+pub(crate) fn run_walk<T: VcmTopology, P: VcmProgram>(
+    topology: &Arc<T>,
+    program: Arc<P>,
+    config: &RunConfig,
+    phase: Option<PhaseHook<'_, VcmWorker<T, P>>>,
+) -> Result<(Vec<VcmWorker<T, P>>, RunMetrics), BspError> {
     let partition = Arc::new(topology.place(config.partition, config.workers)?);
     let workers = build_workers(topology, &program, &partition);
     // Phased programs stay alive through idle barriers when they request an
     // all-active next superstep.
     let mut master = keep_alive(move |step, globals| program.all_active(step, globals), None);
-    let (workers, metrics) = run_bsp(&config.bsp, workers, partition, Some(&mut master))?;
-    Ok(collect_result(workers, metrics))
+    run_bsp(&config.bsp, workers, partition, Some(&mut master), phase)
 }
 
 /// One VCM worker per partition, with empty state tables and fresh buffers.
@@ -469,19 +503,6 @@ fn build_workers<T: VcmTopology, P: VcmProgram>(
             sends: Vec::new(),
         })
         .collect()
-}
-
-/// Merges the per-worker state tables into the result.
-fn collect_result<T: VcmTopology, P: VcmProgram>(
-    workers: Vec<VcmWorker<T, P>>,
-    metrics: RunMetrics,
-) -> VcmResult<P::State> {
-    let states = workers
-        .into_iter()
-        .flat_map(|w| w.table.into_states())
-        .map(|(v, _, s)| (v, s))
-        .collect();
-    VcmResult { states, metrics }
 }
 
 #[cfg(test)]

@@ -154,10 +154,10 @@ fn bfs_full_trace_round_trips_and_reconciles() {
     assert!(report.contains(&format!("total: {} step(s)", r.metrics.supersteps)));
 }
 
-/// A traced registry run reconciles on every platform. The snapshot
-/// platforms' inner runs concatenate into one trace whose per-step rows
-/// sum to the whole run's totals — GoFFish's temporal messages included,
-/// which are charged in the superstep that sends them.
+/// A traced registry run reconciles on every platform. A snapshot
+/// platform's trace is its one run's, whose per-step rows sum to the
+/// whole walk's totals — GoFFish's temporal messages included, which are
+/// charged in the superstep that sends them.
 #[test]
 fn every_platforms_trace_reconciles() {
     let graph = small_graph();
@@ -178,6 +178,51 @@ fn every_platforms_trace_reconciles() {
         let label = format!("{}/{}", algo.name(), platform.name());
         assert_round_trips(&r.metrics.trace, &label);
         assert_reconciles(&r.metrics.trace, &r.metrics, &label);
+    }
+}
+
+/// A snapshot platform walks its snapshots, batches or time-points as the
+/// phases of one run, so its trace is one run's: the steps run
+/// `1..=supersteps` without a repeat, and only the last one halts.
+#[test]
+fn a_snapshot_platforms_trace_is_one_run() {
+    let graph = small_graph();
+    for (algo, platform) in [
+        (Algo::Bfs, Platform::Msb),
+        (Algo::Bfs, Platform::Chlonos),
+        (Algo::Sssp, Platform::Goffish),
+    ] {
+        let opts = RunOpts {
+            workers: 3,
+            source: Some(source(&graph)),
+            batch_size: 4,
+            trace: TraceConfig::counters(),
+            ..RunOpts::default()
+        };
+        let r = try_run(algo, platform, &graph, None, &opts).expect("a traced run");
+        let ends: Vec<(u64, bool)> = r
+            .metrics
+            .trace
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::StepEnd { step, halted, .. } => Some((step, halted)),
+                _ => None,
+            })
+            .collect();
+        let label = format!("{}/{}", algo.name(), platform.name());
+        let steps: Vec<u64> = ends.iter().map(|&(step, _)| step).collect();
+        assert_eq!(
+            steps,
+            (1..=r.metrics.supersteps).collect::<Vec<_>>(),
+            "{label}: one run's steps"
+        );
+        let halted: Vec<u64> = ends.iter().filter(|e| e.1).map(|e| e.0).collect();
+        assert_eq!(
+            halted,
+            vec![r.metrics.supersteps],
+            "{label}: only the last step halts"
+        );
     }
 }
 

@@ -20,7 +20,8 @@
 //! 3. **Halt-vote monotonicity** — vertices implicitly vote to halt every
 //!    superstep (Sec. IV-A2); once a barrier observes zero messages in
 //!    flight and no `ForceContinue` master decision, the vote is final and
-//!    no further superstep may run.
+//!    no further superstep may run — unless the run's phase hook begins
+//!    another phase there, which reopens the vote.
 //!
 //! All methods compile to empty inline bodies in release builds, so the
 //! checker costs nothing in benchmarked configurations; `cargo test` (a
@@ -85,7 +86,8 @@ impl RunChecker {
     /// when rolling a run back to a checkpoint: the replayed supersteps are
     /// re-verified against the full protocol, but the step-monotonicity and
     /// halt-finality state of the abandoned attempt must not leak into the
-    /// replay.
+    /// replay. A phase continue uses it too: the final halt vote of the
+    /// quiescent barrier after `step` is reopened for the next phase.
     #[inline]
     pub fn resume(&mut self, step: u64) {
         let _ = step;

@@ -36,7 +36,10 @@
 //! time, and there is exactly one of it: [`run_bsp`] drives it straight
 //! through, and — given a [`BspConfig::recovery`] schedule — the same
 //! loop interleaves checkpoints and rolls back to the last one after a
-//! recoverable fault ([`crate::recover`]).
+//! recoverable fault ([`crate::recover`]). A run may have *phases*: given
+//! a [`PhaseHook`], a barrier at which the run would halt instead asks the
+//! hook whether another phase follows (a snapshot platform's next
+//! snapshot, batch or time-point), and the same loop carries on.
 //! Deterministic fault injection ([`BspConfig::fault_plan`]) is plain
 //! configuration evaluated on every build — never `cfg`-gated — so
 //! recovery is exercised against exactly the code that ships.
@@ -53,14 +56,15 @@ use crate::partition::PartitionMap;
 use crate::recover::{Checkpoint, Recovery, RecoveryConfig};
 use crate::trace::{duration_ns, TraceConfig, TraceEvent, TraceSink};
 use graphite_tgraph::rng::SplitMix64;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Engine configuration of one BSP run. A platform that runs several
-/// (MSB, Chlonos and GoFFish: one per snapshot, batch or time-point)
-/// starts each with what its whole run has left of `max_supersteps` and
-/// `superstep_budget`, so both limits mean the same on every platform.
+/// Engine configuration of one BSP run. Every option acts on the whole
+/// run, across all of its phases ([`PhaseHook`]): the superstep cap and
+/// budget, the fault plan and the schedule perturbation count whole-run
+/// supersteps, so each means the same on every platform.
 #[derive(Clone, Debug)]
 pub struct BspConfig {
     /// Hard cap on supersteps: exhausting it without halting is surfaced
@@ -152,7 +156,8 @@ pub trait WorkerLogic: Send {
 
     /// Executes one superstep over this worker's partition.
     ///
-    /// * `step` — 1-based superstep number;
+    /// * `step` — 1-based superstep number, of the current phase in a run
+    ///   with phases ([`PhaseHook`]);
     /// * `inbox` — messages delivered from the previous superstep (empty at
     ///   superstep 1);
     /// * `outbox` — destination for messages to deliver next superstep;
@@ -195,6 +200,17 @@ pub trait WorkerLogic: Send {
 
 /// The master hook, run at each barrier over the merged aggregators.
 pub type MasterHook<'a> = &'a mut dyn FnMut(u64, &Aggregators) -> MasterDecision;
+
+/// The phase hook of a run. It is called at each quiescent barrier —
+/// no message sent and no [`MasterDecision::ForceContinue`], where a run
+/// without phases halts — with every worker's logic, and returns whether
+/// another phase follows. When it does, the aggregator globals reset to
+/// empty and the step number workers and the master see restarts at 1;
+/// a recoverable run checkpoints there, so no rollback crosses a phase
+/// boundary. The cap, the budget, the fault plan, the perturbation seed
+/// and the trace count whole-run supersteps, and time spent in the hook
+/// is charged to neither the makespan nor any [`StepTiming`] part.
+pub type PhaseHook<'a, L> = &'a mut dyn FnMut(&mut [L]) -> bool;
 
 /// Wraps the `user` master hook so that programs requesting an all-active
 /// next superstep (`all_active(step + 1, globals)`) keep the run alive
@@ -256,7 +272,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// the end. Ownership transfer instead of shared borrows is what lets the
 /// pool threads outlive a single superstep.
 struct ComputeJob<L: WorkerLogic> {
+    /// Whole-run superstep, for the fault report.
     step: u64,
+    /// The phase's superstep, as the logic sees it.
+    phase_step: u64,
     worker: usize,
     /// Injected-fault arming for this worker at this step.
     bomb: bool,
@@ -299,11 +318,17 @@ fn execute_compute<L: WorkerLogic>(mut job: ComputeJob<L>) -> ComputeDone<L> {
     let (step, w, bomb) = (job.step, job.worker, job.bomb);
     let mut took = Duration::ZERO;
     let mut encode = Duration::ZERO;
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
         let t0 = now();
-        assert!(!bomb, "injected fault: worker {w} at superstep {step}");
+        if bomb {
+            // Unwinds without the panic hook: a recovered fault prints
+            // nothing, and `panic_message` reads the payload as usual.
+            resume_unwind(Box::new(format!(
+                "injected fault: worker {w} at superstep {step}"
+            )));
+        }
         job.logic.superstep(
-            step,
+            job.phase_step,
             &job.inbox,
             &mut job.outbox,
             &job.globals,
@@ -456,6 +481,11 @@ pub(crate) struct RunState<L: WorkerLogic> {
     pub(crate) metrics: RunMetrics,
     /// Last *completed* superstep (0 before the first).
     pub(crate) step: u64,
+    /// The superstep after which the current phase began (0 for the
+    /// first): the phase's own step number is `step - phase_start`.
+    pub(crate) phase_start: u64,
+    /// Time spent in the phase hook, which the makespan leaves out.
+    phase_time: Duration,
     /// Set when a barrier finalized the halt vote.
     pub(crate) halted: bool,
     /// Total vertices across all partitions — the superstep-1 work bound
@@ -485,6 +515,8 @@ impl<L: WorkerLogic> RunState<L> {
             checker: RunChecker::new(),
             metrics: RunMetrics::default(),
             step: 0,
+            phase_start: 0,
+            phase_time: Duration::ZERO,
             halted: false,
             total_vertices: partition.len(),
         })
@@ -492,13 +524,14 @@ impl<L: WorkerLogic> RunState<L> {
 
     /// Executes superstep `self.step + 1`: parallel compute + send-encode,
     /// the barrier, parallel receive-group. On success `self.step` advances
-    /// and `self.halted` reflects the halt vote; on error the state is
-    /// mid-superstep garbage and must be either dropped or rolled back
-    /// before reuse.
+    /// and `self.halted` reflects the halt vote, unless `phase` began
+    /// another phase at this barrier; on error the state is mid-superstep
+    /// garbage and must be either dropped or rolled back before reuse.
     fn superstep<'scope>(
         &mut self,
         config: &BspConfig,
         master: &mut Option<MasterHook<'_>>,
+        phase: &mut Option<PhaseHook<'_, L>>,
         injector: &mut FaultInjector,
         pool: &mut ComputePool<'scope, '_, L>,
     ) -> Result<(), BspError>
@@ -507,6 +540,7 @@ impl<L: WorkerLogic> RunState<L> {
     {
         let n = self.workers.len();
         let step = self.step + 1;
+        let phase_step = step - self.phase_start;
         self.checker.begin_compute(step);
         let step_start = now();
         let cap_before = routing_capacity(&self.outboxes, &self.inboxes, &self.spare, &self.tables);
@@ -549,7 +583,7 @@ impl<L: WorkerLogic> RunState<L> {
         // phase is collected — even after failures — so a panicking worker
         // cannot leave its state stranded, and *every* poisoned worker is
         // reported, not just the first.
-        let work = if step == 1 {
+        let work = if phase_step == 1 {
             self.total_vertices
         } else {
             self.inboxes.iter().map(Inbox::total_messages).sum()
@@ -575,6 +609,7 @@ impl<L: WorkerLogic> RunState<L> {
             .enumerate()
             .map(|(w, ((logic, inbox), outbox))| ComputeJob {
                 step,
+                phase_step,
                 worker: w,
                 bomb: bombs[w],
                 logic,
@@ -683,7 +718,7 @@ impl<L: WorkerLogic> RunState<L> {
             // Aggregator and counter folds are commutative, so the
             // perturbed route order cannot change their totals.
             step_partial.merge(&partial);
-            self.metrics.absorb_counters(counters);
+            self.metrics.counters += counters;
             if tracing {
                 worker_snaps[src] = Some((counters, sink.take_extras()));
             }
@@ -760,7 +795,7 @@ impl<L: WorkerLogic> RunState<L> {
             });
         }
         let after_exchange = now();
-        if step > 2
+        if phase_step > 2
             && routing_capacity(&self.outboxes, &self.inboxes, &self.spare, &self.tables)
                 > cap_before
         {
@@ -772,7 +807,7 @@ impl<L: WorkerLogic> RunState<L> {
         // Phased programs key their transitions off it.
         self.globals.sum_u64(MESSAGES_SENT_AGG, total_sent);
         let decision = match master.as_mut() {
-            Some(hook) => hook(step, &self.globals),
+            Some(hook) => hook(phase_step, &self.globals),
             None => MasterDecision::Continue,
         };
 
@@ -793,8 +828,19 @@ impl<L: WorkerLogic> RunState<L> {
         self.metrics.record_step(timing);
         std::mem::swap(&mut self.inboxes, &mut self.spare);
 
-        let idle_halt = total_sent == 0 && decision != MasterDecision::ForceContinue;
-        let halting = idle_halt || decision == MasterDecision::Halt;
+        // The phase hook runs only where the run would otherwise halt on
+        // its own, and its time is no step's and not the makespan's.
+        let quiescent = total_sent == 0 && decision == MasterDecision::Continue;
+        let next_phase = quiescent
+            && phase.as_mut().is_some_and(|hook| {
+                let t0 = now();
+                let more = hook(&mut self.workers);
+                self.phase_time += t0.elapsed();
+                more
+            });
+        // The halt vote is final here unless a phase continue reopens it.
+        let vote_final = quiescent || decision == MasterDecision::Halt;
+        let halting = vote_final && !next_phase;
         if tracing {
             // Worker events are emitted in worker order regardless of the
             // perturbed route order, so Counters-level streams stay
@@ -835,7 +881,12 @@ impl<L: WorkerLogic> RunState<L> {
                 },
             });
         }
-        self.checker.barrier(total_sent, decision, halting);
+        self.checker.barrier(total_sent, decision, vote_final);
+        if next_phase {
+            self.globals = Aggregators::new();
+            self.phase_start = step;
+            self.checker.resume(step);
+        }
         self.step = step;
         self.halted = halting;
         Ok(())
@@ -844,8 +895,9 @@ impl<L: WorkerLogic> RunState<L> {
     /// Drives the run until it halts — the only superstep loop. With a
     /// `recovery` session the virgin state is checkpointed first (the very
     /// first superstep may be the one that faults), a checkpoint follows
-    /// every `checkpoint_interval` completed supersteps, and a recoverable
-    /// failure rolls back to the latest one and replays.
+    /// every `checkpoint_interval` completed supersteps and every phase
+    /// boundary, and a recoverable failure rolls back to the latest one
+    /// and replays.
     ///
     /// # Errors
     ///
@@ -857,14 +909,15 @@ impl<L: WorkerLogic> RunState<L> {
     fn drive<'scope>(
         &mut self,
         config: &BspConfig,
-        mut recovery: Option<Recovery>,
         master: &mut Option<MasterHook<'_>>,
-        injector: &mut FaultInjector,
+        phase: &mut Option<PhaseHook<'_, L>>,
         pool: &mut ComputePool<'scope, '_, L>,
     ) -> Result<(), BspError>
     where
         L: 'scope,
     {
+        let mut recovery = config.recovery.as_ref().map(Recovery::new).transpose()?;
+        let injector = &mut FaultInjector::new(config.fault_plan.clone());
         let tracing = config.trace.is_enabled();
         if let Some(session) = &mut recovery {
             session.checkpoint(self, tracing);
@@ -872,7 +925,7 @@ impl<L: WorkerLogic> RunState<L> {
         while !self.halted {
             self.admit_next_step(config)?;
             match (
-                self.superstep(config, master, injector, pool),
+                self.superstep(config, master, phase, injector, pool),
                 &mut recovery,
             ) {
                 (Ok(()), None) => {}
@@ -979,6 +1032,11 @@ impl<L: WorkerLogic> RunState<L> {
 /// at the first superstep that emits no messages. The first superstep always
 /// runs (with empty inboxes) so programs can initialize.
 ///
+/// With a `phase` hook, that superstep ends a phase instead whenever the
+/// hook starts another ([`PhaseHook`]): the workers see step 1 again, and
+/// the run halts at the first quiescent barrier the hook lets pass.
+/// [`MasterDecision::Halt`] ends the whole run.
+///
 /// [`BspConfig::recovery`] is the loop's fault-tolerance option. Without
 /// it, a fault — real, or injected via [`BspConfig::fault_plan`] — kills
 /// the run at first trigger. With it, recoverable faults roll the run back
@@ -1004,17 +1062,16 @@ pub fn run_bsp<L: WorkerLogic>(
     workers: Vec<L>,
     partition: Arc<PartitionMap>,
     mut master: Option<MasterHook<'_>>,
+    mut phase: Option<PhaseHook<'_, L>>,
 ) -> Result<(Vec<L>, RunMetrics), BspError> {
-    let recovery = config.recovery.as_ref().map(Recovery::new).transpose()?;
-    let mut injector = FaultInjector::new(config.fault_plan.clone());
     let mut state = RunState::new(workers, &partition)?;
     let run_start = now();
     let n = state.workers.len();
     std::thread::scope(|scope| {
         let mut pool = ComputePool::start(scope, n);
-        state.drive(config, recovery, &mut master, &mut injector, &mut pool)
+        state.drive(config, &mut master, &mut phase, &mut pool)
     })?;
-    state.metrics.makespan = run_start.elapsed();
+    state.metrics.makespan = run_start.elapsed().saturating_sub(state.phase_time);
     Ok((state.workers, state.metrics))
 }
 
@@ -1114,7 +1171,7 @@ mod tests {
                 hops,
             })
             .collect();
-        run_bsp(config, logics, partition, None).unwrap()
+        run_bsp(config, logics, partition, None, None).unwrap()
     }
 
     #[test]
@@ -1161,7 +1218,14 @@ mod tests {
             }
             MasterDecision::Continue
         };
-        run_bsp(&BspConfig::default(), logics, partition, Some(&mut hook)).unwrap();
+        run_bsp(
+            &BspConfig::default(),
+            logics,
+            partition,
+            Some(&mut hook),
+            None,
+        )
+        .unwrap();
         assert_eq!(max_seen, (1..=6).collect::<Vec<_>>());
     }
 
@@ -1184,8 +1248,14 @@ mod tests {
                 MasterDecision::Continue
             }
         };
-        let (_, metrics) =
-            run_bsp(&BspConfig::default(), logics, partition, Some(&mut hook)).unwrap();
+        let (_, metrics) = run_bsp(
+            &BspConfig::default(),
+            logics,
+            partition,
+            Some(&mut hook),
+            None,
+        )
+        .unwrap();
         assert_eq!(metrics.supersteps, 3);
     }
 
@@ -1203,7 +1273,7 @@ mod tests {
             max_supersteps: 5,
             ..Default::default()
         };
-        let Err(err) = run_bsp(&config, logics, partition, None) else {
+        let Err(err) = run_bsp(&config, logics, partition, None, None) else {
             panic!("non-convergence must not be a silent Ok");
         };
         assert_eq!(err, BspError::SuperstepLimit { limit: 5 });
@@ -1231,7 +1301,7 @@ mod tests {
             seen: Vec::new(),
             hops: 4,
         }];
-        let (_, metrics) = run_bsp(&BspConfig::default(), logics, partition, None).unwrap();
+        let (_, metrics) = run_bsp(&BspConfig::default(), logics, partition, None, None).unwrap();
         assert!(metrics.makespan >= metrics.compute_plus);
     }
 
@@ -1245,7 +1315,7 @@ mod tests {
             seen: Vec::new(),
             hops: 1,
         }];
-        let Err(err) = run_bsp(&BspConfig::default(), logics, partition, None) else {
+        let Err(err) = run_bsp(&BspConfig::default(), logics, partition, None, None) else {
             panic!("mismatched worker count must not run");
         };
         assert_eq!(
@@ -1300,7 +1370,7 @@ mod tests {
                 bad: vec![1],
             })
             .collect();
-        let Err(err) = run_bsp(&BspConfig::default(), logics, partition, None) else {
+        let Err(err) = run_bsp(&BspConfig::default(), logics, partition, None, None) else {
             panic!("poisoned run must not succeed");
         };
         match err {
@@ -1332,7 +1402,7 @@ mod tests {
                 perturb_schedule: perturb,
                 ..Default::default()
             };
-            let Err(err) = run_bsp(&config, logics, partition, None) else {
+            let Err(err) = run_bsp(&config, logics, partition, None, None) else {
                 panic!("poisoned run must not succeed");
             };
             let BspError::WorkerPanicked { step, workers } = err else {
@@ -1363,7 +1433,7 @@ mod tests {
             fault_plan: Some(FaultPlan::panic_at(1, 3)),
             ..Default::default()
         };
-        let Err(err) = run_bsp(&config, logics, partition, None) else {
+        let Err(err) = run_bsp(&config, logics, partition, None, None) else {
             panic!("injected fault must surface");
         };
         let BspError::WorkerPanicked { step, workers } = err else {
@@ -1397,7 +1467,7 @@ mod tests {
                 fault_plan: Some(FaultPlan::corrupt_at(dst, 2)),
                 ..Default::default()
             };
-            match run_bsp(&config, logics, Arc::clone(&partition), None) {
+            match run_bsp(&config, logics, Arc::clone(&partition), None, None) {
                 Err(BspError::Codec {
                     worker,
                     step,
@@ -1413,6 +1483,144 @@ mod tests {
             }
         }
         assert!(hit, "no worker was a remote destination at step 2");
+    }
+
+    /// Records the step number and whether the globals were empty at
+    /// each superstep it runs; worker 0 sends itself one message in each
+    /// of a phase's first `hops` supersteps. Its checkpoint is the length
+    /// of that record, so a rollback forgets the replayed entries.
+    struct Phased {
+        worker: usize,
+        hops: u64,
+        seen: Vec<(u64, bool)>,
+    }
+
+    impl WorkerLogic for Phased {
+        type Msg = u64;
+        fn superstep(
+            &mut self,
+            step: u64,
+            _inbox: &Inbox<u64>,
+            outbox: &mut Outbox<u64>,
+            globals: &Aggregators,
+            _partial: &mut Aggregators,
+            _counters: &mut UserCounters,
+            _sink: &mut TraceSink,
+        ) {
+            let empty = globals.get_sum_u64(MESSAGES_SENT_AGG).is_none();
+            self.seen.push((step, empty));
+            if self.worker == 0 && step <= self.hops {
+                outbox.send(VIdx(0), step);
+            }
+        }
+
+        fn checkpoint(&self, buf: &mut Vec<u8>) {
+            buf.extend_from_slice(&(self.seen.len() as u64).to_le_bytes());
+        }
+        fn restore(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
+            let len: [u8; 8] = bytes.try_into().map_err(|_| "phased blob")?;
+            self.seen.truncate(u64::from_le_bytes(len) as usize);
+            Ok(())
+        }
+    }
+
+    /// Three phases of four supersteps: the hook starts two more after
+    /// the first, and says no at the third's quiescent barrier.
+    fn run_phased(config: &BspConfig) -> (Vec<Phased>, RunMetrics, Vec<u64>, u64) {
+        let graph = Arc::new(ring(4));
+        let partition = Arc::new(PartitionMap::hash(&graph, 2).expect("partition"));
+        let logics = (0..2)
+            .map(|worker| Phased {
+                worker,
+                hops: 3,
+                seen: Vec::new(),
+            })
+            .collect();
+        let (mut master_steps, mut calls) = (Vec::new(), 0);
+        let mut master = |step: u64, _: &Aggregators| {
+            master_steps.push(step);
+            MasterDecision::Continue
+        };
+        let mut hook = |workers: &mut [Phased]| {
+            assert_eq!(workers.len(), 2);
+            calls += 1;
+            calls < 3
+        };
+        let (logics, metrics) = run_bsp(
+            config,
+            logics,
+            partition,
+            Some(&mut master),
+            Some(&mut hook),
+        )
+        .unwrap();
+        (logics, metrics, master_steps, calls)
+    }
+
+    #[test]
+    fn phases_restart_the_step_number_and_the_globals_in_one_run() {
+        let config = BspConfig {
+            trace: TraceConfig::counters(),
+            ..Default::default()
+        };
+        let (logics, metrics, master_steps, calls) = run_phased(&config);
+        assert_eq!(calls, 3, "the hook runs at every quiescent barrier");
+        assert_eq!(metrics.supersteps, 12, "the cap and budget see 12");
+        let phase: Vec<(u64, bool)> = vec![(1, true), (2, false), (3, false), (4, false)];
+        assert_eq!(logics[0].seen, phase.repeat(3));
+        assert_eq!(master_steps, [1, 2, 3, 4].repeat(3));
+        let ends: Vec<(u64, bool)> = metrics
+            .trace
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::StepEnd { step, halted, .. } => Some((step, halted)),
+                _ => None,
+            })
+            .collect();
+        let want: Vec<(u64, bool)> = (1..=12).map(|step| (step, step == 12)).collect();
+        assert_eq!(ends, want, "one run's trace: whole-run steps, one halt");
+        // The phase budget counts whole-run supersteps.
+        let capped = BspConfig {
+            superstep_budget: Some(11),
+            ..Default::default()
+        };
+        let graph = Arc::new(ring(4));
+        let partition = Arc::new(PartitionMap::hash(&graph, 2).expect("partition"));
+        let logics: Vec<Phased> = (0..2)
+            .map(|worker| Phased {
+                worker,
+                hops: 3,
+                seen: Vec::new(),
+            })
+            .collect();
+        let mut hook = |_: &mut [Phased]| true;
+        let Err(err) = run_bsp(&capped, logics, partition, None, Some(&mut hook)) else {
+            panic!("an endless walk must spend its budget");
+        };
+        assert_eq!(err, BspError::BudgetExceeded { budget: 11 });
+    }
+
+    #[test]
+    fn a_fault_at_a_phase_start_rolls_back_to_its_boundary() {
+        let (clean, clean_metrics, ..) = run_phased(&BspConfig::default());
+        // Superstep 5 is the second phase's first; the interval is longer
+        // than the run, so only the boundary checkpoints exist.
+        let config = BspConfig {
+            fault_plan: Some(FaultPlan::panic_at(1, 5)),
+            recovery: Some(RecoveryConfig::every(100)),
+            ..Default::default()
+        };
+        let (logics, metrics, ..) = run_phased(&config);
+        assert_eq!(logics[0].seen, clean[0].seen);
+        assert_eq!(metrics.supersteps, clean_metrics.supersteps);
+        assert_eq!(metrics.counters, clean_metrics.counters);
+        assert_eq!(metrics.recovery.rollbacks, 1);
+        assert_eq!(metrics.recovery.supersteps_replayed, 1);
+        assert_eq!(
+            metrics.recovery.checkpoints_taken, 3,
+            "start + two boundaries"
+        );
     }
 
     #[test]

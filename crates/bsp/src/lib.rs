@@ -12,7 +12,8 @@
 //! The interval-centric engine (`graphite-icm`) and all four baseline
 //! platforms (`graphite-baselines`) execute on this substrate, so — as in
 //! the paper — the programming primitives are the experimental variable,
-//! not the runtime.
+//! not the runtime. A snapshot platform walks its snapshots as the phases
+//! of one run ([`PhaseHook`]), so every query is one BSP session.
 //!
 //! Runs are fault-tolerant on request: given a [`BspConfig::recovery`]
 //! schedule, [`run_bsp`]'s one superstep loop checkpoints every worker's
@@ -46,7 +47,8 @@ pub use aggregate::{Agg, Aggregators, MasterDecision};
 pub use check::RunChecker;
 pub use codec::Wire;
 pub use engine::{
-    keep_alive, run_bsp, BspConfig, Inbox, MasterHook, Outbox, WorkerLogic, MESSAGES_SENT_AGG,
+    keep_alive, run_bsp, BspConfig, Inbox, MasterHook, Outbox, PhaseHook, WorkerLogic,
+    MESSAGES_SENT_AGG,
 };
 pub use error::BspError;
 pub use fault::{Fault, FaultInjector, FaultKind, FaultMode, FaultPlan};

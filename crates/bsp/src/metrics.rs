@@ -99,21 +99,14 @@ pub struct RecoveryMetrics {
     pub supersteps_replayed: u64,
 }
 
-impl AddAssign for RecoveryMetrics {
-    fn add_assign(&mut self, rhs: Self) {
-        self.checkpoints_taken += rhs.checkpoints_taken;
-        self.checkpoint_bytes += rhs.checkpoint_bytes;
-        self.rollbacks += rhs.rollbacks;
-        self.supersteps_replayed += rhs.supersteps_replayed;
-    }
-}
-
 /// Full metrics of one platform run.
 #[derive(Clone, Debug, Default)]
 pub struct RunMetrics {
-    /// Number of supersteps executed.
+    /// Number of supersteps executed, over every phase of the run.
     pub supersteps: u64,
-    /// Wall-clock from the first to the last superstep.
+    /// Wall-clock from the first to the last superstep, less the time a
+    /// run with phases spent seating each next phase
+    /// ([`crate::engine::PhaseHook`]).
     pub makespan: Duration,
     /// Cumulative compute+ time (sum over supersteps of the slowest
     /// worker's compute phase).
@@ -124,10 +117,10 @@ pub struct RunMetrics {
     pub barrier: Duration,
     /// Aggregated user-logic counters over all workers and supersteps.
     pub counters: UserCounters,
-    /// Supersteps after the second whose exchange grew any reusable
-    /// buffer (outbox batches and frames, inbox storage, count tables).
-    /// Ramp-up growth in the first two supersteps is expected and not
-    /// counted; a steady workload must keep this at zero thereafter — the
+    /// Supersteps after the second of their phase whose exchange grew any
+    /// reusable buffer (outbox batches and frames, inbox storage, count
+    /// tables). Ramp-up growth in a phase's first two supersteps is
+    /// expected and not counted; a steady workload must keep this at zero thereafter — the
     /// allocation-regression test pins exactly that.
     pub routing_growths: u64,
     /// Checkpoint/rollback counters (all zero for non-recoverable runs).
@@ -146,26 +139,6 @@ impl RunMetrics {
         self.compute_plus += timing.compute;
         self.messaging += timing.messaging;
         self.barrier += timing.barrier;
-    }
-
-    /// Merges counters from one worker-superstep.
-    pub fn absorb_counters(&mut self, c: UserCounters) {
-        self.counters += c;
-    }
-
-    /// Folds several runs (e.g. one per snapshot in the MSB baseline) into
-    /// a single cumulative report, as the paper does when charging MSB the
-    /// total across snapshots.
-    pub fn merge(&mut self, other: &RunMetrics) {
-        self.supersteps += other.supersteps;
-        self.makespan += other.makespan;
-        self.compute_plus += other.compute_plus;
-        self.messaging += other.messaging;
-        self.barrier += other.barrier;
-        self.counters += other.counters;
-        self.routing_growths += other.routing_growths;
-        self.recovery += other.recovery;
-        self.trace.events.extend(other.trace.events.iter().cloned());
     }
 }
 
@@ -192,24 +165,19 @@ mod tests {
     }
 
     #[test]
-    fn run_metrics_record_and_merge() {
+    fn run_metrics_record_steps() {
         let mut m = RunMetrics::default();
         m.record_step(StepTiming {
             compute: Duration::from_millis(10),
             messaging: Duration::from_millis(4),
             barrier: Duration::from_millis(1),
         });
-        m.absorb_counters(UserCounters {
+        m.counters += UserCounters {
             compute_calls: 7,
             ..Default::default()
-        });
+        };
         assert_eq!(m.supersteps, 1);
-
-        let mut total = RunMetrics::default();
-        total.merge(&m);
-        total.merge(&m);
-        assert_eq!(total.supersteps, 2);
-        assert_eq!(total.counters.compute_calls, 14);
-        assert_eq!(total.compute_plus, Duration::from_millis(20));
+        assert_eq!(m.counters.compute_calls, 7);
+        assert_eq!(m.compute_plus, Duration::from_millis(10));
     }
 }

@@ -25,9 +25,11 @@
 //!
 //! Every worker checkpoints: [`WorkerLogic`] requires the capture and
 //! restore of its user state, so recovery is a substrate option any run
-//! may ask for, never a property of the program. A checkpoint lives in
-//! memory for the length of one run: rollback is in-process (DESIGN.md
-//! §11).
+//! may ask for, never a property of the program. A run with phases
+//! ([`crate::engine::PhaseHook`]) also checkpoints at every phase
+//! boundary, so a rollback never crosses one and the hook's own walk
+//! state needs no capture. A checkpoint lives in memory for the length
+//! of one run: rollback is in-process (DESIGN.md §11).
 
 use crate::aggregate::Aggregators;
 use crate::engine::{RunState, WorkerLogic};
@@ -154,14 +156,16 @@ impl Recovery {
         self.since_checkpoint = 0;
     }
 
-    /// A superstep completed: checkpoint if the interval is due.
+    /// A superstep completed: checkpoint if the interval is due or a
+    /// phase just began.
     pub(crate) fn step_completed<L: WorkerLogic>(
         &mut self,
         state: &mut RunState<L>,
         tracing: bool,
     ) {
         self.since_checkpoint += 1;
-        if !state.halted && self.since_checkpoint >= self.checkpoint_interval {
+        let due = self.since_checkpoint >= self.checkpoint_interval;
+        if !state.halted && (due || state.phase_start == state.step) {
             self.checkpoint(state, tracing);
         }
     }
@@ -319,7 +323,7 @@ mod tests {
             recovery: Some(recovery.clone()),
             ..config.clone()
         };
-        run_bsp(&config, workers, partition, master)
+        run_bsp(&config, workers, partition, master, None)
     }
 
     #[test]
@@ -342,6 +346,7 @@ mod tests {
             &BspConfig::default(),
             logics(&graph, &partition, 8),
             Arc::clone(&partition),
+            None,
             None,
         )
         .unwrap();
@@ -373,6 +378,7 @@ mod tests {
             &BspConfig::default(),
             logics(&graph, &partition, 8),
             Arc::clone(&partition),
+            None,
             None,
         )
         .unwrap();
@@ -446,6 +452,7 @@ mod tests {
             logics(&graph, &partition, 12),
             Arc::clone(&partition),
             None,
+            None,
         )
         .unwrap();
         // Two separate transient panics: the replay of the first runs into
@@ -480,6 +487,7 @@ mod tests {
             &BspConfig::default(),
             logics(&graph, &partition, 8),
             Arc::clone(&partition),
+            None,
             None,
         )
         .unwrap();

@@ -527,9 +527,9 @@ impl TraceEvent {
 /// The accumulated event stream of one run, carried in
 /// [`RunMetrics::trace`](crate::metrics::RunMetrics::trace).
 ///
-/// Empty when tracing is off. [`RunMetrics::merge`](crate::metrics::RunMetrics::merge)
-/// concatenates streams, so multi-run platforms (MSB/Chlonos snapshot
-/// sweeps) produce one stream whose step numbers restart per sub-run.
+/// Empty when tracing is off. A snapshot platform's walk is one run
+/// with phases ([`crate::engine::PhaseHook`]), so its stream too counts
+/// whole-run steps that never restart, and only its last step halts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunTrace {
     /// Events in emission order (see [`TraceEvent`] for the ordering

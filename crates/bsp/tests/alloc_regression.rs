@@ -90,7 +90,7 @@ fn run_volume(workers: usize, steps: u64, volume: fn(u64) -> u64) -> RunMetrics 
             volume,
         })
         .collect();
-    let (_, metrics) = run_bsp(&BspConfig::default(), logics, partition, None).unwrap();
+    let (_, metrics) = run_bsp(&BspConfig::default(), logics, partition, None, None).unwrap();
     metrics
 }
 

@@ -131,7 +131,7 @@ fn run<L: WorkerLogic>(
         recovery: recovery.cloned(),
         ..config.clone()
     };
-    run_bsp(&config, workers, Arc::clone(partition), None)
+    run_bsp(&config, workers, Arc::clone(partition), None, None)
 }
 
 fn run_plain(

@@ -22,6 +22,7 @@ use graphite_bsp::error::BspError;
 use graphite_bsp::fault::{Fault, FaultKind, FaultMode, FaultPlan};
 use graphite_bsp::metrics::{RecoveryMetrics, RunMetrics};
 use graphite_bsp::recover::RecoveryConfig;
+use graphite_bsp::trace::{RunTrace, TraceConfig, TraceEvent};
 use graphite_datagen::{generate, GenParams, LifespanModel, PropModel, Topology};
 use graphite_icm::engine::{run_icm, IcmConfig};
 use graphite_icm::RunConfig;
@@ -257,17 +258,11 @@ fn vcm_topology(graph: &Arc<TemporalGraph>, params: &GenParams) -> Arc<SnapshotT
 
 /// Asserts that every (worker, fault step) cell of the matrix recovers to
 /// the given fault-free fingerprint, and that recovery left its only trace
-/// in the recovery counters.
-///
-/// `inner_runs` is false for a platform that is one BSP run (ICM, the VCM
-/// core, TGB): there a panic rolls back exactly once. MSB, Chlonos and
-/// GoFFish run one inner run per snapshot, batch or time-point, each of
-/// which may reach the faulted step and roll back once; the matrix then
-/// only requires that some cell rolled back.
+/// in the recovery counters. Every platform is one BSP run, so a panic
+/// rolls back exactly once.
 fn assert_matrix_recovers(
     label: &str,
     baseline: (u64, [u64; 8]),
-    inner_runs: bool,
     steps: &[u64],
     mut rerun: impl FnMut(FaultPlan) -> (u64, [u64; 8], RecoveryMetrics),
 ) {
@@ -289,9 +284,6 @@ fn assert_matrix_recovers(
                 "{label}: recoverable run must checkpoint"
             );
             rollbacks += recovery.rollbacks;
-            if inner_runs {
-                continue;
-            }
             if kind == FaultKind::WorkerPanic {
                 assert_eq!(
                     recovery.rollbacks, 1,
@@ -322,21 +314,13 @@ fn recovered_icm_digests_match_fault_free() {
             labels: AlgLabels::resolve(&graph),
         });
         let bfs_base = fingerprint(&graph, Arc::clone(&bfs));
-        assert_matrix_recovers(
-            &format!("ICM/BFS/{name}"),
-            bfs_base,
-            false,
-            &FAULT_STEPS,
-            |plan| icm_recovered_fingerprint(&graph, &bfs, plan, None),
-        );
+        assert_matrix_recovers(&format!("ICM/BFS/{name}"), bfs_base, &FAULT_STEPS, |plan| {
+            icm_recovered_fingerprint(&graph, &bfs, plan, None)
+        });
         let eat_base = fingerprint(&graph, Arc::clone(&eat));
-        assert_matrix_recovers(
-            &format!("ICM/EAT/{name}"),
-            eat_base,
-            false,
-            &FAULT_STEPS,
-            |plan| icm_recovered_fingerprint(&graph, &eat, plan, None),
-        );
+        assert_matrix_recovers(&format!("ICM/EAT/{name}"), eat_base, &FAULT_STEPS, |plan| {
+            icm_recovered_fingerprint(&graph, &eat, plan, None)
+        });
     }
 }
 
@@ -351,33 +335,32 @@ fn recovered_vcm_digests_match_fault_free() {
         let base = run_vcm(&topo, Arc::clone(&program), &icm_cfg(None, None).run)
             .expect("fault-free VCM run must succeed");
         let baseline = (vcm_digest(base.states), counter_key(&base.metrics));
-        assert_matrix_recovers(
-            &format!("VCM/BFS/{name}"),
-            baseline,
-            false,
-            &FAULT_STEPS,
-            |plan| {
-                let mut cfg = icm_cfg(Some(plan), None).run;
-                cfg.bsp.recovery = Some(RecoveryConfig::every(2));
-                let r = run_vcm(&topo, Arc::clone(&program), &cfg)
-                    .expect("recoverable VCM run must converge");
-                (
-                    vcm_digest(r.states),
-                    counter_key(&r.metrics),
-                    r.metrics.recovery,
-                )
-            },
-        );
+        assert_matrix_recovers(&format!("VCM/BFS/{name}"), baseline, &FAULT_STEPS, |plan| {
+            let mut cfg = icm_cfg(Some(plan), None).run;
+            cfg.bsp.recovery = Some(RecoveryConfig::every(2));
+            let r = run_vcm(&topo, Arc::clone(&program), &cfg)
+                .expect("recoverable VCM run must converge");
+            (
+                vcm_digest(r.states),
+                counter_key(&r.metrics),
+                r.metrics.recovery,
+            )
+        });
     }
 }
 
 /// MSB, Chlonos, TGB and GoFFish take the fault plan and the recovery
 /// schedule through the registry like ICM does; every recovered digest
-/// and counter key equals the clean solo run's. GoFFish SSSP's inner
-/// runs are one superstep each (its messages are all temporal), so its
-/// cells fault at superstep 1 too: in every time-point after the first,
-/// which received temporal messages, the rollback to the step-0 boundary
-/// must hand them back and drop the sends already queued.
+/// and counter key equals the clean solo run's, and fault steps count the
+/// whole query's supersteps. GoFFish SSSP's time-points are one superstep
+/// each (its messages are all temporal), so its cells fault at superstep
+/// 1 too, and its steps 2 and 3 are the first of a later time-point.
+///
+/// The snapshot platforms walk their snapshots, batches or time-points
+/// as the phases of one run. Their extra cells fault the first superstep
+/// of the last phase — on GoFFish, the last one whose time-point received
+/// temporal messages — under a checkpoint interval longer than any phase,
+/// so the one rollback must land on the phase's own boundary checkpoint.
 #[test]
 fn recovered_baseline_digests_match_fault_free() {
     for (name, params) in [("long", profile_long()), ("unit", profile_unit())] {
@@ -393,33 +376,93 @@ fn recovered_baseline_digests_match_fault_free() {
                     workers: 4,
                     source: Some(source(&graph)),
                     max_supersteps: 10_000,
-                    // Several Chlonos batches, each its own inner run.
+                    // Several Chlonos batches, each a phase of the run.
                     batch_size: 4,
                     fault_plan,
                     recovery,
+                    trace: TraceConfig::counters(),
                     ..RunOpts::default()
                 };
                 let r = try_run(algo, platform, &graph, None, &opts)
                     .expect("a recoverable baseline run must converge");
-                let digest = r.digest.expect("a digest").0;
-                (digest, counter_key(&r.metrics), r.metrics.recovery)
+                (r.digest.expect("a digest").0, r.metrics)
             };
-            let (digest, counters, _) = run(None, None);
+            let (digest, clean) = run(None, None);
+            let baseline = (digest, counter_key(&clean));
             let label = format!("{}/{}/{name}", platform.name(), algo.name());
             let steps: &[u64] = if platform == Platform::Goffish {
                 &[1, 2, 3]
             } else {
                 &FAULT_STEPS
             };
-            assert_matrix_recovers(
-                &label,
-                (digest, counters),
-                platform != Platform::Tgb,
-                steps,
-                |plan| run(Some(plan), Some(RecoveryConfig::every(2))),
-            );
+            assert_matrix_recovers(&label, baseline, steps, |plan| {
+                let (digest, m) = run(Some(plan), Some(RecoveryConfig::every(2)));
+                (digest, counter_key(&m), m.recovery)
+            });
+            if platform == Platform::Tgb {
+                continue;
+            }
+            let (starts, longest) = phases(&clean.trace);
+            let step = *starts
+                .iter()
+                .rev()
+                .find(|&&s| {
+                    platform != Platform::Goffish || temporal_sends(&clean.trace, s - 1) > 0
+                })
+                .unwrap_or_else(|| panic!("{label}: no later phase"));
+            for worker in 0..4 {
+                let plan = FaultPlan::panic_at(worker, step);
+                let (digest, m) = run(Some(plan), Some(RecoveryConfig::every(longest + 1)));
+                let cell = format!("{label}: panic at (w{worker}, s{step}), the first of a phase");
+                assert_eq!((digest, counter_key(&m)), baseline, "{cell}");
+                assert_eq!(m.recovery.rollbacks, 1, "{cell}");
+                assert_eq!(
+                    m.recovery.supersteps_replayed, 1,
+                    "{cell}: the rollback must land on the phase boundary"
+                );
+            }
         }
     }
+}
+
+/// From a clean run's trace: the first superstep of every phase after the
+/// first, and the longest phase's length. A phase ends at a quiescent
+/// barrier that does not halt (the programs here never force a step on
+/// with no message in flight).
+fn phases(trace: &RunTrace) -> (Vec<u64>, u64) {
+    let (mut starts, mut longest, mut begun) = (Vec::new(), 0, 1);
+    for event in &trace.events {
+        if let TraceEvent::StepEnd {
+            step,
+            sent: 0,
+            halted,
+            ..
+        } = *event
+        {
+            longest = longest.max(step + 1 - begun);
+            if !halted {
+                begun = step + 1;
+                starts.push(begun);
+            }
+        }
+    }
+    (starts, longest)
+}
+
+/// Messages superstep `step` sent but did not route: GoFFish's temporal
+/// messages, queued for later time-points.
+fn temporal_sends(trace: &RunTrace, step: u64) -> u64 {
+    let (mut counted, mut routed) = (0, 0);
+    for event in &trace.events {
+        match event {
+            TraceEvent::WorkerStep {
+                step: s, counters, ..
+            } if *s == step => counted += counters.messages_sent,
+            TraceEvent::StepEnd { step: s, sent, .. } if *s == step => routed += sent,
+            _ => {}
+        }
+    }
+    counted - routed
 }
 
 /// Recovery composed with schedule perturbation: a run that is faulted,

@@ -235,8 +235,8 @@ fn vcm_bfs_is_schedule_invariant() {
     }
 }
 
-/// MSB, Chlonos and GoFFish perturb each inner run with the seed, and
-/// their digests and counters must not see it.
+/// MSB, Chlonos and GoFFish perturb their one run, every phase of the
+/// walk, with the seed, and their digests and counters must not see it.
 #[test]
 fn snapshot_platforms_are_schedule_invariant() {
     for (name, params) in [("long", profile_long()), ("unit", profile_unit())] {

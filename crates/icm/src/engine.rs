@@ -654,7 +654,7 @@ pub fn run_icm<P: IntervalProgram>(
         move |step, globals| program.all_active(step, globals),
         master,
     );
-    let (workers, metrics) = run_bsp(&run.bsp, workers, partition, Some(&mut master))?;
+    let (workers, metrics) = run_bsp(&run.bsp, workers, partition, Some(&mut master), None)?;
     Ok(collect_result(workers, metrics))
 }
 

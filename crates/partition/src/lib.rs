@@ -53,16 +53,12 @@ use graphite_tgraph::graph::TemporalGraph;
 /// and the registry lowers its `RunOpts` onto it in one function.
 ///
 /// Every platform honours every field over its whole run: MSB, Chlonos
-/// and GoFFish, which run one inner BSP run per snapshot, batch or
-/// time-point, charge the superstep cap and budget against the whole
-/// walk, concatenate the trace, and checkpoint and recover every inner
-/// run. Two exceptions remain:
-/// - the fault plan and the schedule perturbation act per inner BSP run,
-///   so a fault at superstep `s` fires in every inner run that reaches
-///   `s`;
-/// - TGB places replicas by key, so [`PartitionStrategy::Ldg`] and
-///   [`PartitionStrategy::TemporalBalance`] are a [`BspError::Config`]
-///   there ([`PartitionStrategy::place_keys`]).
+/// and GoFFish walk their snapshots, batches or time-points as the
+/// phases of one BSP run, so the superstep cap and budget, the fault
+/// plan, the schedule perturbation, recovery and the trace all count the
+/// whole walk. One exception remains: TGB places replicas by key, so
+/// [`PartitionStrategy::Ldg`] and [`PartitionStrategy::TemporalBalance`]
+/// are a [`BspError::Config`] there ([`PartitionStrategy::place_keys`]).
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     /// Number of BSP workers (the paper's cluster nodes).
@@ -72,9 +68,8 @@ pub struct RunConfig {
     /// traffic between workers. Default: hash, the paper's (Sec. VII-A4).
     pub partition: PartitionStrategy,
     /// The substrate's own options — superstep cap and budget, schedule
-    /// perturbation, fault injection, recovery, tracing — passed to
-    /// `run_bsp` (the snapshot platforms' inner runs get what is left of
-    /// the cap and budget).
+    /// perturbation, fault injection, recovery, tracing — passed to the
+    /// run's one `run_bsp`.
     pub bsp: BspConfig,
 }
 

@@ -24,8 +24,9 @@
 //! exhaustion), `retries=` overrides the engine's serve-level retry
 //! allowance, and `faults=N` injects a seeded fault plan of `N` faults
 //! (with `RecoveryConfig::every(2)` supplied automatically; `N` is at
-//! most 64) — the chaos-soak knobs of DESIGN.md §15. `workers=` is at
-//! most 64, and `start=`/`deadline=` at most `i64::MAX`.
+//! most 64) — the chaos-soak knobs of DESIGN.md §15. `start=`/`deadline=`
+//! are at most `i64::MAX`; a `workers=` above `RunOpts::MAX_WORKERS`
+//! parses, and the query's run refuses it as every run does.
 
 use graphite_algorithms::registry::{Algo, Platform, RunOpts};
 use graphite_bsp::error::BspError;
@@ -104,13 +105,6 @@ const SEEDED_FAULT_MAX_STEP: u64 = 6;
 /// unbounded allocation in the resident engine; the chaos soak uses at
 /// most 6.
 const MAX_BATCH_FAULTS: u64 = 64;
-
-/// Largest `workers=N` a batch line may ask for. Every worker's outbox
-/// holds one batch and one frame per worker, so a run allocates `N²`
-/// exchange slots up front; the wire's `u16` worker index alone would
-/// let one line ask for about 4.3 × 10⁹ and bring the resident engine
-/// down.
-const MAX_BATCH_WORKERS: u64 = 64;
 
 impl QuerySpec {
     /// A spec for `algo` on `platform` with default parameters.
@@ -220,9 +214,6 @@ impl QuerySpec {
             let num: Option<u64> = value.parse().ok();
             let time = |t: u64| Time::try_from(t).map_err(|_| bad("time above i64::MAX", tok));
             match (key, num) {
-                ("workers", Some(n)) if n > MAX_BATCH_WORKERS => {
-                    return Err(bad(&format!("worker count above {MAX_BATCH_WORKERS}"), tok))
-                }
                 ("workers", Some(n)) if n > 0 => spec.workers = n as usize,
                 ("source", Some(v)) => spec.source = Some(VertexId(v)),
                 ("start", Some(t)) => spec.start = time(t)?,
@@ -351,13 +342,20 @@ mod tests {
             };
             assert!(detail.contains(&tok), "{detail}");
         }
-        // The worker count is capped the same way: each worker's outbox
-        // holds a batch and a frame per worker, so the count is squared
-        // into allocations before the run starts.
-        let widest = QuerySpec::parse_line(&format!("bfs icm workers={MAX_BATCH_WORKERS}"))
-            .expect("the cap itself parses")
-            .expect("not blank");
-        assert_eq!(widest.workers as u64, MAX_BATCH_WORKERS);
+        // The worker count is capped where every run's options are
+        // lowered, before anything is allocated: the cap itself lowers,
+        // one past it and the wire's `u16` limit are refused.
+        for (workers, lowers) in [
+            (RunOpts::MAX_WORKERS, true),
+            (RunOpts::MAX_WORKERS + 1, false),
+            (65535, false),
+        ] {
+            let spec = QuerySpec::parse_line(&format!("bfs icm workers={workers}"))
+                .expect("a worker count parses")
+                .expect("not blank");
+            let lowered = spec.to_opts().run_config();
+            assert_eq!(lowered.is_ok(), lowers, "workers={workers}");
+        }
         // Times are `i64`: the largest parses, one past it is refused
         // instead of wrapping negative.
         let latest = QuerySpec::parse_line(&format!("ld gof start={0} deadline={0}", i64::MAX))
@@ -365,8 +363,6 @@ mod tests {
             .expect("not blank");
         assert_eq!((latest.start, latest.deadline), (i64::MAX, Some(i64::MAX)));
         for tok in [
-            format!("workers={}", MAX_BATCH_WORKERS + 1),
-            "workers=65535".to_string(),
             format!("start={}", i64::MAX as u64 + 1),
             format!("deadline={}", u64::MAX),
         ] {

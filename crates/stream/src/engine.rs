@@ -274,14 +274,14 @@ impl StreamEngine {
 
     /// The maintenance runs' configuration, lowered as every registry
     /// run's is.
-    fn icm_config(&self) -> IcmConfig {
-        RunOpts {
+    fn icm_config(&self) -> Result<IcmConfig, StreamError> {
+        let opts = RunOpts {
             workers: self.cfg.workers,
             partition: self.cfg.partition,
             perturb_schedule: self.cfg.perturb_schedule,
             ..RunOpts::default()
-        }
-        .icm_config()
+        };
+        opts.icm_config().map_err(StreamError::Run)
     }
 
     /// Registers `spec` and runs its initial from-scratch computation on
@@ -289,14 +289,15 @@ impl StreamEngine {
     ///
     /// # Errors
     ///
-    /// [`StreamError::Run`] when the initial computation fails.
+    /// [`StreamError::Run`] when the configuration is refused (more than
+    /// `RunOpts::MAX_WORKERS` workers) or the initial computation fails.
     pub fn register(&mut self, spec: AlgoSpec) -> Result<u64, StreamError> {
         let (algo, source, start) = spec.lower();
         let params = IcmParams::resolve(&self.graph, Some(source), start, None);
         let initial = Maintain {
             spec,
             graph: &self.graph,
-            cfg: &self.icm_config(),
+            cfg: &self.icm_config()?,
             window: params.window,
             start: Start::Initial,
         };
@@ -316,10 +317,14 @@ impl StreamEngine {
     /// graph, the batch count and the carried fixpoints are those of the
     /// previous batch, and the next valid batch applies as if the bad
     /// one had never arrived) or digest drift;
-    /// [`StreamError::Run`] on a failed maintenance run;
+    /// [`StreamError::Run`] on a refused configuration (nothing changed)
+    /// or a failed maintenance run;
     /// [`StreamError::DifferentialMismatch`] when an incremental result
     /// diverges from the from-scratch recomputation.
     pub fn ingest(&mut self, delta: &GraphDelta) -> Result<BatchReport, StreamError> {
+        // Lowered before the delta applies, so a refused configuration
+        // leaves the engine as it was.
+        let cfg = self.icm_config()?;
         // The overlay still holds the pre-batch graph here, so its `eid`
         // index resolves the touched edges without scanning.
         let overlay = &mut self.overlay;
@@ -333,7 +338,6 @@ impl StreamEngine {
         self.batches += 1;
         let batch = self.batches;
         let check = self.cfg.check_every > 0 && batch.is_multiple_of(self.cfg.check_every);
-        let cfg = self.icm_config();
 
         let mut algos = Vec::with_capacity(self.slots.len());
         let mut inc_compute = 0u64;

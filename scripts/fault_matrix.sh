@@ -12,11 +12,16 @@
 #     determinism).
 #   * crates/bsp/tests/result_digest_pin.rs — the fault matrix proper:
 #     workers x fault steps x {ICM BFS, ICM EAT, VCM BFS, MSB BFS,
-#     Chlonos BFS, TGB SSSP, GoFFish SSSP} x two datagen profiles (the
-#     GoFFish rows also fault at superstep 1, where a rollback must hand
-#     back the temporal messages a time-point received), recovered
-#     digests pinned against the fault-free recording, composed with
-#     schedule-perturbation seeds.
+#     Chlonos BFS, TGB SSSP, GoFFish SSSP} x two datagen profiles, fault
+#     steps counting whole-query supersteps and every injected panic
+#     rolling back exactly once; MSB, Chlonos and GoFFish also fault the
+#     first superstep of a later phase of their walk under a checkpoint
+#     interval longer than a phase (on GoFFish, a time-point that
+#     received temporal messages, which the rollback must hand back);
+#     recovered digests pinned against the fault-free recording,
+#     composed with schedule-perturbation seeds.
+#   * crates/bsp/tests/quiet_recovery.rs    — recovered faults never
+#     reach the panic hook (nothing on stderr); a real panic does.
 #   * crates/bsp/tests/codec_props.rs       — seeded truncation/bit-flip
 #     properties of the batch codec the corruption faults lean on.
 #   * graphite-bsp unit tests               — fault/recover/engine
@@ -31,6 +36,7 @@ cargo test --release -q -p graphite-bsp \
     --lib \
     --test fault_injection \
     --test result_digest_pin \
+    --test quiet_recovery \
     --test codec_props \
     "$@"
 

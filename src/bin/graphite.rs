@@ -62,6 +62,7 @@ use graphite::serve::{QuerySpec, ServeConfig, ServeEngine};
 use graphite::tgraph::graph::VertexId;
 use graphite::tgraph::io;
 use graphite::tgraph::stats::dataset_stats;
+use std::cell::Cell;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -81,8 +82,9 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// A tiny flag parser: `--name value` pairs after the positional args.
-struct Flags(Vec<String>);
+/// A tiny flag parser: `--name value` pairs after the positional args,
+/// and whether any value was bad ([`Flags::opt`]).
+struct Flags(Vec<String>, Cell<bool>);
 
 impl Flags {
     fn get(&self, name: &str) -> Option<&str> {
@@ -94,6 +96,24 @@ impl Flags {
     }
     fn has(&self, name: &str) -> bool {
         self.0.iter().any(|a| a == name)
+    }
+
+    /// The value of `--name` parsed as `T`, `None` when the flag is
+    /// absent. A missing or malformed value is reported and remembered
+    /// ([`Flags::bad`]), so no bad value ever falls back to a default.
+    fn opt<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        let raw = self.get(name);
+        let parsed = raw.and_then(|v| v.parse().ok());
+        if self.has(name) && parsed.is_none() {
+            eprintln!("bad {name} value {:?}", raw.unwrap_or(""));
+            self.1.set(true);
+        }
+        parsed
+    }
+
+    /// Whether some value [`Flags::opt`] parsed was bad: a usage error.
+    fn bad(&self) -> bool {
+        self.1.get()
     }
 }
 
@@ -163,17 +183,12 @@ fn cmd_run(path: &str, flags: &Flags) -> ExitCode {
         }
     };
     let mut opts = RunOpts::default();
-    if let Some(w) = flags.get("--workers").and_then(|v| v.parse().ok()) {
-        opts.workers = w;
-    }
-    if let Some(s) = flags.get("--source").and_then(|v| v.parse().ok()) {
-        opts.source = Some(VertexId(s));
-    }
-    if let Some(t) = flags.get("--start").and_then(|v| v.parse().ok()) {
-        opts.start = t;
-    }
-    if let Some(t) = flags.get("--deadline").and_then(|v| v.parse().ok()) {
-        opts.deadline = Some(t);
+    opts.workers = flags.opt("--workers").unwrap_or(opts.workers);
+    opts.source = flags.opt("--source").map(VertexId);
+    opts.start = flags.opt("--start").unwrap_or(opts.start);
+    opts.deadline = flags.opt("--deadline");
+    if flags.bad() {
+        return usage();
     }
     opts.digest = false;
     opts.trace = TraceConfig::from_env();
@@ -225,17 +240,10 @@ fn parse_profile(name: &str) -> Option<Profile> {
 }
 
 fn cmd_gen(profile: &str, out: &str, flags: &Flags) -> ExitCode {
-    let scale = flags
-        .get("--scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let seed = flags
-        .get("--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let stream_batches: Option<usize> = flags.get("--stream").and_then(|v| v.parse().ok());
-    if flags.has("--stream") && stream_batches.is_none() {
-        eprintln!("--stream needs a positive batch count");
+    let scale = flags.opt("--scale").unwrap_or(1);
+    let seed = flags.opt("--seed").unwrap_or(42);
+    let stream_batches: Option<usize> = flags.opt("--stream");
+    if flags.bad() {
         return usage();
     }
 
@@ -309,14 +317,8 @@ fn cmd_stream(path: &str, updates_path: &str, flags: &Flags) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let source = match flags.get("--source") {
-        Some(v) => match v.parse() {
-            Ok(s) => VertexId(s),
-            Err(_) => {
-                eprintln!("bad --source {v:?}");
-                return usage();
-            }
-        },
+    let source = match flags.opt("--source") {
+        Some(v) => VertexId(v),
         None => match graph.vertices().map(|(_, v)| v.vid).min() {
             Some(v) => v,
             None => {
@@ -325,31 +327,24 @@ fn cmd_stream(path: &str, updates_path: &str, flags: &Flags) -> ExitCode {
             }
         },
     };
-    let start = flags
-        .get("--start")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    let start = flags.opt("--start").unwrap_or(0);
     let Some(partition) = partition_flag(flags) else {
         return usage();
     };
     let defaults = StreamConfig::default();
     let cfg = StreamConfig {
-        workers: flags
-            .get("--workers")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(defaults.workers),
+        workers: flags.opt("--workers").unwrap_or(defaults.workers),
         compact_every: flags
-            .get("--compact-every")
-            .and_then(|v| v.parse().ok())
+            .opt("--compact-every")
             .unwrap_or(defaults.compact_every),
-        check_every: flags
-            .get("--check-every")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(defaults.check_every),
+        check_every: flags.opt("--check-every").unwrap_or(defaults.check_every),
         partition,
         trace: TraceConfig::from_env(),
         ..defaults
     };
+    if flags.bad() {
+        return usage();
+    }
 
     let mut engine = StreamEngine::new(graph, cfg);
     let algo_list = flags.get("--algo").unwrap_or("bfs,eat,reach");
@@ -445,29 +440,22 @@ fn cmd_serve(path: &str, batch_path: &str, flags: &Flags) -> ExitCode {
         }
     };
     let defaults = ServeConfig::default();
-    let get_num = |name: &str, default: u64| {
-        flags
-            .get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
     let cfg = ServeConfig {
-        max_in_flight: get_num("--in-flight", defaults.max_in_flight as u64) as usize,
-        max_pending: get_num("--max-pending", defaults.max_pending as u64) as usize,
-        cost_budget: get_num("--cost-budget", defaults.cost_budget),
-        cache_capacity: get_num("--cache", defaults.cache_capacity as u64) as usize,
-        retries: get_num("--retries", defaults.retries),
-        quarantine_after: get_num("--quarantine-after", defaults.quarantine_after),
-        shed_watermark: flags
-            .get("--shed-watermark")
-            .and_then(|v| v.parse().ok())
-            .or(defaults.shed_watermark),
-        default_budget: flags
-            .get("--budget")
-            .and_then(|v| v.parse().ok())
-            .or(defaults.default_budget),
+        max_in_flight: flags.opt("--in-flight").unwrap_or(defaults.max_in_flight),
+        max_pending: flags.opt("--max-pending").unwrap_or(defaults.max_pending),
+        cost_budget: flags.opt("--cost-budget").unwrap_or(defaults.cost_budget),
+        cache_capacity: flags.opt("--cache").unwrap_or(defaults.cache_capacity),
+        retries: flags.opt("--retries").unwrap_or(defaults.retries),
+        quarantine_after: flags
+            .opt("--quarantine-after")
+            .unwrap_or(defaults.quarantine_after),
+        shed_watermark: flags.opt("--shed-watermark").or(defaults.shed_watermark),
+        default_budget: flags.opt("--budget").or(defaults.default_budget),
         ..defaults
     };
+    if flags.bad() {
+        return usage();
+    }
     let engine = ServeEngine::new(graph, cfg);
     let results = engine.serve_batch(&specs);
     // Degraded-but-typed outcomes (rejected, shed, quarantined, budget)
@@ -556,17 +544,14 @@ fn cmd_serve(path: &str, batch_path: &str, flags: &Flags) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let flags = |rest: &[String]| Flags(rest.to_vec(), Cell::new(false));
     match args.as_slice() {
         [cmd, path, rest @ ..] if cmd == "stats" && rest.is_empty() => cmd_stats(path),
-        [cmd, path, rest @ ..] if cmd == "run" => cmd_run(path, &Flags(rest.to_vec())),
-        [cmd, profile, out, rest @ ..] if cmd == "gen" => {
-            cmd_gen(profile, out, &Flags(rest.to_vec()))
-        }
-        [cmd, path, batch, rest @ ..] if cmd == "serve" => {
-            cmd_serve(path, batch, &Flags(rest.to_vec()))
-        }
+        [cmd, path, rest @ ..] if cmd == "run" => cmd_run(path, &flags(rest)),
+        [cmd, profile, out, rest @ ..] if cmd == "gen" => cmd_gen(profile, out, &flags(rest)),
+        [cmd, path, batch, rest @ ..] if cmd == "serve" => cmd_serve(path, batch, &flags(rest)),
         [cmd, path, updates, rest @ ..] if cmd == "stream" => {
-            cmd_stream(path, updates, &Flags(rest.to_vec()))
+            cmd_stream(path, updates, &flags(rest))
         }
         _ => usage(),
     }

@@ -85,3 +85,71 @@ fn worker_panics_propagate() {
     .expect_err("a panicking program must not produce a result");
     assert!(err.to_string().contains("user logic exploded"), "{err}");
 }
+
+/// Every CLI flag value is a typed usage error: a malformed or missing
+/// value prints usage and exits 2 instead of running with the default,
+/// and a worker count above the cap is refused by the one lowering
+/// before any run starts. The cap is probed one past it, which would be
+/// harmless on this graph if the lowering ever let it through.
+#[test]
+fn cli_flag_values_are_typed_usage_errors() {
+    use std::process::Command;
+    let dir = std::env::temp_dir().join(format!("graphite_cli_flags_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let graph = dir.join("g.tg");
+    let graph = graph.to_str().expect("utf-8 path");
+    let cli = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_graphite"))
+            .args(args)
+            .output()
+            .expect("the CLI starts");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), stderr)
+    };
+    let (code, stderr) = cli(&["gen", "reddit", graph, "--stream", "1", "--seed", "3"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let updates = format!("{graph}.updates");
+    let run = ["run", graph, "--algo", "bfs"];
+    let stream = ["stream", graph, &updates];
+    for (cmd, flag, value) in [
+        (&run[..], "--workers", "abc"),
+        (&run[..], "--source", "zz"),
+        (&run[..], "--start", "1.5"),
+        (&run[..], "--deadline", "soon"),
+        (&stream[..], "--workers", "-1"),
+        (&stream[..], "--compact-every", "x"),
+        (&stream[..], "--check-every", "y"),
+    ] {
+        let (code, stderr) = cli(&[cmd, &[flag, value]].concat());
+        assert_eq!(code, Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(&format!("bad {flag} value")), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+    let (code, stderr) = cli(&[&run[..], &["--workers"]].concat());
+    assert_eq!(code, Some(2), "a flag without its value: {stderr}");
+    let over = (RunOpts::MAX_WORKERS + 1).to_string();
+    for cmd in [&run[..], &stream[..]] {
+        let (code, stderr) = cli(&[cmd, &["--workers", &over]].concat());
+        assert_eq!(code, Some(1), "{stderr}");
+        let cap = format!("above the cap of {}", RunOpts::MAX_WORKERS);
+        assert!(stderr.contains(&cap), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The worker cap lives in the one lowering every caller shares; it is
+/// checked here by lowering only, never by starting a run that wide.
+#[test]
+fn the_worker_cap_is_checked_by_the_one_lowering() {
+    let lowers = |workers| {
+        let opts = RunOpts {
+            workers,
+            ..Default::default()
+        };
+        (opts.run_config().is_ok(), opts.icm_config().is_ok())
+    };
+    assert_eq!(lowers(1), (true, true));
+    assert_eq!(lowers(RunOpts::MAX_WORKERS), (true, true));
+    assert_eq!(lowers(RunOpts::MAX_WORKERS + 1), (false, false));
+    assert_eq!(lowers(usize::from(u16::MAX)), (false, false));
+}
