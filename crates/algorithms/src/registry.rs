@@ -37,10 +37,8 @@ use std::sync::Arc;
 /// place, [`RunOpts::run_config`], onto the [`RunConfig`] every platform
 /// embeds, and every platform honours each of them over its whole run:
 /// MSB, Chlonos and GoFFish walk their snapshots, batches or time-points
-/// as the phases of one BSP run. The one exception is [`RunConfig`]'s:
-/// TGB refuses the `ldg` and `temporal` placements with
-/// [`BspError::Config`]: its replicas have a key, not edges and lifespans
-/// to place by.
+/// as the phases of one BSP run, and TGB places its replicas by every
+/// strategy.
 #[derive(Clone, Debug)]
 pub struct RunOpts {
     /// BSP workers, at most [`RunOpts::MAX_WORKERS`].
@@ -51,7 +49,7 @@ pub struct RunOpts {
     pub start: Time,
     /// Deadline for LD — defaults to the window's last time-point.
     pub deadline: Option<Time>,
-    /// Chlonos batch size.
+    /// Chlonos batch size, at least 1.
     pub batch_size: usize,
     /// ICM inline warp combiner.
     pub combiner: bool,
@@ -625,13 +623,31 @@ mod tests {
             assert_eq!(recovered.metrics.recovery.rollbacks, 1, "{platform:?}");
             assert_eq!(recovered.digest, clean.digest, "{platform:?}");
         }
-        let keyed = RunOpts {
-            partition: PartitionStrategy::Ldg,
+        let hash = try_run(Algo::Sssp, Platform::Tgb, &g, None, &RunOpts::default())
+            .expect("TGB under hash");
+        for partition in [PartitionStrategy::Ldg, PartitionStrategy::TemporalBalance] {
+            let opts = RunOpts {
+                partition,
+                ..RunOpts::default()
+            };
+            let placed = try_run(Algo::Sssp, Platform::Tgb, &g, None, &opts)
+                .unwrap_or_else(|e| panic!("TGB under {}: {e:?}", partition.name()));
+            assert_eq!(placed.digest, hash.digest, "TGB under {}", partition.name());
+        }
+    }
+
+    #[test]
+    fn an_empty_chlonos_batch_is_refused_up_front() {
+        let g = Arc::new(transit_graph());
+        let opts = RunOpts {
+            batch_size: 0,
             ..RunOpts::default()
         };
-        match try_run(Algo::Sssp, Platform::Tgb, &g, None, &keyed) {
-            Err(RunError::Bsp(BspError::Config { detail })) => assert!(detail.contains("ldg")),
-            other => panic!("TGB under LDG: expected a config error, got {other:?}"),
+        match try_run(Algo::Bfs, Platform::Chlonos, &g, None, &opts) {
+            Err(RunError::Bsp(BspError::Config { detail })) => {
+                assert!(detail.contains("batch_size"), "{detail}");
+            }
+            other => panic!("batch_size 0: expected a config error, got {other:?}"),
         }
     }
 

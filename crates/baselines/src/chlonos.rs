@@ -32,7 +32,8 @@ pub struct ChlConfig {
     pub window: Option<Interval>,
     /// Keep per-snapshot final states.
     pub collect_states: bool,
-    /// Snapshots per in-memory batch (the paper's memory budget knob).
+    /// Snapshots per in-memory batch (the paper's memory budget knob), at
+    /// least 1.
     pub batch_size: usize,
 }
 
@@ -212,9 +213,9 @@ where
 ///
 /// # Errors
 ///
-/// [`BspError::Config`] for an unusable worker count or a graph with no
-/// bounded window and none given, a spent whole-run cap or budget, else
-/// the [`BspError`] of the walk's one run.
+/// [`BspError::Config`] for a zero `batch_size`, an unusable worker count
+/// or a graph with no bounded window and none given, a spent whole-run
+/// cap or budget, else the [`BspError`] of the walk's one run.
 pub fn run_chlonos<P>(
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
@@ -224,6 +225,12 @@ where
     P: VcmProgram,
     P::Msg: PartialEq,
 {
+    // An empty batch would never advance the walk.
+    if config.batch_size == 0 {
+        return Err(BspError::Config {
+            detail: "Chlonos batch_size must be at least 1".to_string(),
+        });
+    }
     run_ti_window(&graph, config.window, "Chlonos", |window| {
         let run = &config.run;
         let partition = Arc::new(run.partition.build(&graph, run.workers)?);

@@ -82,9 +82,8 @@ impl<S: Clone + PartialEq> TgbResult<S> {
 ///
 /// # Errors
 ///
-/// The replica run's [`BspError`]: among them [`BspError::Config`] for a
-/// placement strategy replicas cannot be placed by (LDG and temporal
-/// balance read edges and lifespans a replica key does not have).
+/// The replica run's [`BspError`]: among them [`BspError::Config`] for an
+/// unusable worker count.
 pub fn run_tgb<P: VcmProgram>(
     graph: Arc<TemporalGraph>,
     transformed: Option<Arc<TransformedGraph>>,

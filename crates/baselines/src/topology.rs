@@ -8,7 +8,7 @@ use crate::vcm::{VcmEdge, VcmTopology};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::RunMetrics;
 use graphite_bsp::partition::{splitmix64, PartitionMap};
-use graphite_part::PartitionStrategy;
+use graphite_part::{PartitionStrategy, PlacementInput};
 use graphite_tgraph::graph::{AdjRun, EIdx, TemporalGraph, VIdx, VertexId};
 use graphite_tgraph::property::{LabelId, PropValue};
 use graphite_tgraph::snapshot::{is_topology_static, snapshot_window};
@@ -215,13 +215,33 @@ impl TransformedTopology {
     pub fn replica(&self, v: u32) -> (VIdx, Time) {
         self.transformed.replicas[v as usize]
     }
+}
 
-    /// Replica `v`'s placement key. Each replica is its own Giraph
-    /// vertex, keyed by its identity: the vertex id mixed with its
-    /// time-point.
+/// TGB's replicas are placed as the slots of the transformed graph.
+impl PlacementInput for TransformedTopology {
+    fn slots(&self) -> usize {
+        self.transformed.num_vertices()
+    }
+
+    /// Each replica is its own Giraph vertex, keyed by its identity: the
+    /// vertex id mixed with its time-point.
     fn key(&self, v: u32) -> u64 {
         let (orig, t) = self.transformed.replicas[v as usize];
         splitmix64(self.graph.vertex(orig).vid.0 ^ (t as u64).rotate_left(32))
+    }
+
+    fn neighbors(&self, v: u32, mut visit: impl FnMut(u32)) {
+        let (out, inc) = (self.transformed.out_edges(v), self.transformed.in_edges(v));
+        for e in out.iter().chain(inc) {
+            visit(e.dst);
+        }
+    }
+
+    /// 1 + out-degree: a replica and each of its edges live for one
+    /// time-point, which is what a graph vertex weighs with point
+    /// lifespans.
+    fn weight(&self, v: u32) -> u64 {
+        1 + self.transformed.out_edges(v).len() as u64
     }
 }
 
@@ -253,8 +273,7 @@ impl VcmTopology for TransformedTopology {
     }
 
     fn place(&self, strategy: PartitionStrategy, workers: usize) -> Result<PartitionMap, BspError> {
-        let slots = self.num_vertices() as u32;
-        strategy.place_keys((0..slots).map(|v| self.key(v)), workers)
+        strategy.place(self, workers)
     }
 
     fn logical_vid(&self, v: u32) -> VertexId {
@@ -442,19 +461,37 @@ mod tests {
     }
 
     #[test]
-    fn replica_partition_keys_spread() {
+    fn replicas_place_under_every_strategy() {
         let g = Arc::new(transit_graph());
         let tg = Arc::new(transform_for_paths(&g, &TransformOptions::default()));
         let topo = TransformedTopology::new(g, tg);
+        let slots = topo.num_vertices() as u32;
         // Two replicas of the same vertex get different keys.
         let (v0, _) = topo.replica(0);
-        let mut same_vertex = Vec::new();
-        for v in 0..topo.num_vertices() as u32 {
-            if topo.replica(v).0 == v0 {
-                same_vertex.push(topo.key(v));
-            }
-        }
+        let mut same_vertex: Vec<u64> = (0..slots)
+            .filter(|&v| topo.replica(v).0 == v0)
+            .map(|v| topo.key(v))
+            .collect();
         same_vertex.dedup();
         assert!(same_vertex.len() > 1);
+        for workers in [2, 3, 5] {
+            let place = |s: PartitionStrategy| topo.place(s, workers).unwrap();
+            let hash = place(PartitionStrategy::Hash);
+            for v in 0..slots {
+                let want = splitmix64(topo.key(v)) % workers as u64;
+                assert_eq!(hash.worker_of(VIdx(v)) as u64, want);
+            }
+            let chunked = place(PartitionStrategy::Chunked);
+            let seq: Vec<usize> = (0..slots).map(|v| chunked.worker_of(VIdx(v))).collect();
+            assert!(seq.windows(2).all(|w| w[0] <= w[1]), "{seq:?}");
+            for s in [PartitionStrategy::Ldg, PartitionStrategy::TemporalBalance] {
+                let (a, b) = (place(s), place(s));
+                let owned: usize = (0..workers).map(|w| a.owned_count(w)).sum();
+                assert_eq!(owned, slots as usize, "{} loses replicas", s.name());
+                for v in 0..slots {
+                    assert_eq!(a.worker_of(VIdx(v)), b.worker_of(VIdx(v)), "{}", s.name());
+                }
+            }
+        }
     }
 }

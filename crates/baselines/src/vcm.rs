@@ -61,14 +61,13 @@ pub trait VcmTopology: Send + Sync + 'static {
     /// [`VcmProgram::needs_in_edges`].
     fn in_edges(&self, v: u32, out: &mut Vec<VcmEdge>);
 
-    /// Places the dense slots on `workers` workers under `strategy`: a
-    /// snapshot by its graph's vertices, TGB's replicas by key (Giraph
-    /// hashes the vertex id; each replica hashes its replica identity).
+    /// Places the dense slots on `workers` workers under `strategy`, as
+    /// the [`graphite_part::PlacementInput`] they are the slots of: a
+    /// snapshot's graph, or TGB's transformed graph of replicas.
     ///
     /// # Errors
     ///
-    /// [`BspError::Config`] for an unusable worker count, or a strategy
-    /// the topology cannot place by.
+    /// [`BspError::Config`] for an unusable worker count.
     fn place(&self, strategy: PartitionStrategy, workers: usize) -> Result<PartitionMap, BspError>;
 
     /// The external id of the *logical* vertex behind slot `v` (for
@@ -510,6 +509,24 @@ mod tests {
     use super::*;
     use graphite_bsp::engine::BspConfig;
     use graphite_bsp::recover::RecoveryConfig;
+    use graphite_part::PlacementInput;
+
+    /// The test topologies' slots: keyed by their index, with no
+    /// neighbors and unit weight.
+    struct Slots(usize);
+
+    impl PlacementInput for Slots {
+        fn slots(&self) -> usize {
+            self.0
+        }
+        fn key(&self, v: u32) -> u64 {
+            u64::from(v)
+        }
+        fn neighbors(&self, _v: u32, _visit: impl FnMut(u32)) {}
+        fn weight(&self, _v: u32) -> u64 {
+            1
+        }
+    }
 
     /// A fixed little DAG topology: 0 -> 1 -> 2, 0 -> 2, with weights.
     struct Dag;
@@ -549,7 +566,7 @@ mod tests {
             strategy: PartitionStrategy,
             workers: usize,
         ) -> Result<PartitionMap, BspError> {
-            strategy.place_keys((0..self.num_vertices() as u32).map(u64::from), workers)
+            strategy.place(&Slots(self.num_vertices()), workers)
         }
         fn logical_vid(&self, v: u32) -> VertexId {
             VertexId(u64::from(v))
@@ -667,7 +684,7 @@ mod tests {
             strategy: PartitionStrategy,
             workers: usize,
         ) -> Result<PartitionMap, BspError> {
-            strategy.place_keys((0..self.num_vertices() as u32).map(u64::from), workers)
+            strategy.place(&Slots(self.num_vertices()), workers)
         }
         fn logical_vid(&self, v: u32) -> VertexId {
             VertexId(u64::from(v))
@@ -715,7 +732,7 @@ mod tests {
             strategy: PartitionStrategy,
             workers: usize,
         ) -> Result<PartitionMap, BspError> {
-            strategy.place_keys((0..self.num_vertices() as u32).map(u64::from), workers)
+            strategy.place(&Slots(self.num_vertices()), workers)
         }
         fn logical_vid(&self, v: u32) -> VertexId {
             VertexId(u64::from(v))

@@ -36,7 +36,11 @@ pub fn hash_partition(vid: VertexId, workers: usize) -> usize {
 
 /// Validates a requested worker count: it must be non-zero (someone has to
 /// own the vertices) and fit the `u16` worker-index wire encoding.
-fn check_workers(workers: usize) -> Result<(), BspError> {
+///
+/// # Errors
+///
+/// [`BspError::Config`] naming the count when it is out of that range.
+pub fn check_workers(workers: usize) -> Result<(), BspError> {
     if workers == 0 {
         return Err(BspError::Config {
             detail: "0 workers requested; at least 1 is required".to_string(),

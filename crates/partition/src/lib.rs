@@ -20,14 +20,14 @@
 //! | [`PartitionStrategy::Ldg`] | vertex count (capped) | neighbor affinity / edge cut | message-heavy workloads |
 //! | [`PartitionStrategy::TemporalBalance`] | interval-weighted load | temporal skew | bursty / power-law lifespans |
 //!
-//! A platform places either the vertices of a graph
-//! ([`PartitionStrategy::build`]: ICM, and the snapshots of MSB, Chlonos
-//! and GoFFish) or slots that have only a stable key
-//! ([`PartitionStrategy::place_keys`]: TGB's replicas, which hash and
-//! chunk but have no edges or lifespans for LDG and temporal balance to
-//! read). [`RunConfig`] — workers, placement and the substrate options,
-//! recovery among them — is the one configuration of a run that all five
-//! platforms embed.
+//! Every strategy reads one input, a [`PlacementInput`]: the dense slots
+//! to place, and per slot a stable hash key, its neighbors in both
+//! directions and a temporal weight. A [`TemporalGraph`] is one (ICM,
+//! and the snapshots of MSB, Chlonos and GoFFish, which place as their
+//! graph does); TGB's time-expanded graph of replicas is the other. So
+//! every platform takes every strategy. [`RunConfig`] — workers,
+//! placement and the substrate options, recovery among them — is the one
+//! configuration of a run that all five platforms embed.
 //!
 //! [`stats()`] measures what a placement actually achieved (balance
 //! factor, edge cut, interval-weighted balance, estimated cross-worker
@@ -44,8 +44,8 @@ pub use stats::{stats, PartitionStats};
 
 use graphite_bsp::engine::BspConfig;
 use graphite_bsp::error::BspError;
-use graphite_bsp::partition::{splitmix64, PartitionMap};
-use graphite_tgraph::graph::TemporalGraph;
+use graphite_bsp::partition::{check_workers, PartitionMap};
+use graphite_tgraph::graph::{TemporalGraph, VIdx};
 
 /// The configuration of one run, shared by all five platforms: ICM's
 /// `IcmConfig`, the vertex-centric core's `run_vcm` (and through it MSB
@@ -56,9 +56,7 @@ use graphite_tgraph::graph::TemporalGraph;
 /// and GoFFish walk their snapshots, batches or time-points as the
 /// phases of one BSP run, so the superstep cap and budget, the fault
 /// plan, the schedule perturbation, recovery and the trace all count the
-/// whole walk. One exception remains: TGB places replicas by key, so
-/// [`PartitionStrategy::Ldg`] and [`PartitionStrategy::TemporalBalance`]
-/// are a [`BspError::Config`] there ([`PartitionStrategy::place_keys`]).
+/// whole walk, and every platform places by every strategy.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     /// Number of BSP workers (the paper's cluster nodes).
@@ -96,7 +94,7 @@ impl Default for RunConfig {
 /// registry's `RunOpts` and the CLI (`--partition`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PartitionStrategy {
-    /// Splitmix64 of the external vertex id (of the key, for keyed slots),
+    /// Splitmix64 of the slot's key (a graph's external vertex id),
     /// modulo workers — the paper's (and Giraph's) default, and the
     /// compatibility baseline.
     #[default]
@@ -148,61 +146,88 @@ impl PartitionStrategy {
         }
     }
 
-    /// Computes the assignment for this strategy.
+    /// Places the vertices of `graph`: [`PartitionStrategy::place`] with
+    /// the graph as its input.
     ///
     /// # Errors
     ///
     /// [`BspError::Config`] when `workers` is zero or exceeds the `u16`
     /// worker-index wire encoding.
     pub fn build(&self, graph: &TemporalGraph, workers: usize) -> Result<PartitionMap, BspError> {
-        match self {
-            PartitionStrategy::Hash => PartitionMap::hash(graph, workers),
-            PartitionStrategy::Chunked => strategies::chunked(graph.num_vertices(), workers),
-            PartitionStrategy::Ldg => strategies::ldg(graph, workers),
-            PartitionStrategy::TemporalBalance => strategies::temporal_balance(graph, workers),
-        }
+        self.place(graph, workers)
     }
 
-    /// Places dense slots that have no graph behind them — TGB's replicas
-    /// — by one stable key per slot, in slot order. Hash takes
-    /// `splitmix64(key) % workers`; chunked splits the slots into
-    /// contiguous ranges, ignoring the keys.
+    /// Computes the assignment of `input`'s slots for this strategy.
     ///
     /// # Errors
     ///
-    /// [`BspError::Config`] for [`PartitionStrategy::Ldg`] and
-    /// [`PartitionStrategy::TemporalBalance`], which read edges and
-    /// lifespans that keyed slots do not have, and for a worker count
-    /// [`PartitionStrategy::build`] would refuse.
-    pub fn place_keys(
+    /// [`BspError::Config`] when `workers` is zero or exceeds the `u16`
+    /// worker-index wire encoding.
+    pub fn place<I: PlacementInput>(
         &self,
-        keys: impl ExactSizeIterator<Item = u64>,
+        input: &I,
         workers: usize,
     ) -> Result<PartitionMap, BspError> {
-        match self {
-            PartitionStrategy::Hash => {
-                // The modulus only guards the division: zero workers is
-                // refused by `from_assignment` before any entry is read.
-                let modulus = workers.max(1) as u64;
-                let assignment = keys.map(|k| (splitmix64(k) % modulus) as u16).collect();
-                PartitionMap::from_assignment(assignment, workers)
-            }
-            PartitionStrategy::Chunked => strategies::chunked(keys.len(), workers),
-            PartitionStrategy::Ldg | PartitionStrategy::TemporalBalance => Err(BspError::Config {
-                detail: format!(
-                    "the {} strategy reads a graph's edges and lifespans; \
-                     keyed slots (TGB replicas) take hash or chunked",
-                    self.name()
-                ),
-            }),
+        check_workers(workers)?;
+        let assignment = match self {
+            PartitionStrategy::Hash => strategies::hash(input, workers),
+            PartitionStrategy::Chunked => strategies::chunked(input.slots(), workers),
+            PartitionStrategy::Ldg => strategies::ldg(input, workers),
+            PartitionStrategy::TemporalBalance => strategies::temporal_balance(input, workers),
+        };
+        PartitionMap::from_assignment(assignment, workers)
+    }
+}
+
+/// What a [`PartitionStrategy`] places: `slots()` dense slots, numbered
+/// from 0, each with the three things some strategy reads. Hash reads
+/// the key, LDG the neighbors, temporal balance the weight; chunked
+/// reads only the count.
+///
+/// A [`TemporalGraph`]'s slots are its vertices: the key is the external
+/// vertex id, the neighbors are the out-edge targets and in-edge sources,
+/// and the weight is [`TemporalGraph::vertex_temporal_weight`].
+pub trait PlacementInput {
+    /// Number of slots to place.
+    fn slots(&self) -> usize;
+
+    /// Slot `v`'s stable key: hash placement puts it on
+    /// `splitmix64(key) % workers`.
+    fn key(&self, v: u32) -> u64;
+
+    /// Calls `visit` with every neighbor of slot `v`, out-neighbors then
+    /// in-neighbors, once per edge.
+    fn neighbors(&self, v: u32, visit: impl FnMut(u32));
+
+    /// Slot `v`'s temporal work: its own lifespan length plus the
+    /// lifespan lengths of its out-edges, each at least 1.
+    fn weight(&self, v: u32) -> u64;
+}
+
+impl PlacementInput for TemporalGraph {
+    fn slots(&self) -> usize {
+        self.num_vertices()
+    }
+
+    fn key(&self, v: u32) -> u64 {
+        self.vertex(VIdx(v)).vid.0
+    }
+
+    fn neighbors(&self, v: u32, mut visit: impl FnMut(u32)) {
+        let (out, inc) = (self.out_run(VIdx(v)), self.in_run(VIdx(v)));
+        for u in out.nbr.iter().chain(inc.nbr) {
+            visit(u.0);
         }
+    }
+
+    fn weight(&self, v: u32) -> u64 {
+        self.vertex_temporal_weight(VIdx(v))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphite_tgraph::graph::{VIdx, VertexId};
 
     #[test]
     fn names_round_trip_through_parse() {
@@ -218,30 +243,18 @@ mod tests {
     }
 
     #[test]
-    fn keyed_placement_hashes_or_chunks_and_refuses_the_rest() {
-        let keys: Vec<u64> = (0..11).map(|k| k * 7919).collect();
-        let hash = PartitionStrategy::Hash
-            .place_keys(keys.iter().copied(), 3)
-            .unwrap();
-        for (i, &k) in keys.iter().enumerate() {
-            let want = graphite_bsp::partition::hash_partition(VertexId(k), 3);
-            assert_eq!(hash.worker_of(VIdx(i as u32)), want);
-        }
-        let chunked = PartitionStrategy::Chunked
-            .place_keys(keys.iter().copied(), 4)
-            .unwrap();
-        let seq: Vec<usize> = (0..11).map(|i| chunked.worker_of(VIdx(i))).collect();
-        assert_eq!(seq, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3]);
-        for s in [PartitionStrategy::Ldg, PartitionStrategy::TemporalBalance] {
-            let err = s.place_keys(keys.iter().copied(), 3).unwrap_err();
-            assert!(
-                matches!(&err, BspError::Config { detail } if detail.contains(s.name())),
-                "{err:?}"
-            );
-        }
-        for s in [PartitionStrategy::Hash, PartitionStrategy::Chunked] {
-            let err = s.place_keys(keys.iter().copied(), 0).unwrap_err();
-            assert!(matches!(err, BspError::Config { .. }), "{err:?}");
+    fn every_strategy_refuses_only_an_unusable_worker_count() {
+        let g = graphite_tgraph::fixtures::transit_graph();
+        for s in PartitionStrategy::ALL {
+            for workers in [0, usize::from(u16::MAX) + 1] {
+                let err = s.build(&g, workers).unwrap_err();
+                assert!(
+                    matches!(&err, BspError::Config { detail } if detail.contains("workers")),
+                    "{} × {workers}: {err:?}",
+                    s.name()
+                );
+            }
+            assert!(s.build(&g, 1).is_ok(), "{}", s.name());
         }
     }
 }

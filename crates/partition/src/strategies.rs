@@ -1,65 +1,65 @@
 //! The in-tree placement strategies.
 //!
-//! All strategies are deterministic functions of `(graph, workers)`:
-//! vertices are streamed in dense `VIdx` order (load order is already
+//! All strategies are deterministic functions of `(input, workers)`:
+//! slots are streamed in dense order (a graph's load order is already
 //! canonicalized by the builder), scores use integer arithmetic, and every
 //! tie breaks toward the lowest worker index. No ambient randomness, no
-//! unordered iteration. Hash placement is [`PartitionMap::hash`] itself,
-//! the placement the BSP substrate has always used.
+//! unordered iteration. Each returns the assignment, one worker per slot;
+//! [`crate::PartitionStrategy::place`] has checked `workers` (at least 1,
+//! at most `u16::MAX`) before any of them runs.
 
-use graphite_bsp::error::BspError;
-use graphite_bsp::partition::PartitionMap;
+use crate::PlacementInput;
+use graphite_bsp::partition::{splitmix64, PartitionMap};
 use graphite_tgraph::graph::TemporalGraph;
 
-/// Contiguous ranges of near-equal size over `n` dense indices: the first
-/// `n % workers` workers own one extra vertex. Perfect vertex-count
-/// balance and maximal index locality, but oblivious to topology and
-/// lifespans — the locality baseline.
-pub(crate) fn chunked(n: usize, workers: usize) -> Result<PartitionMap, BspError> {
-    // Zero workers is refused by `from_assignment`; the ranges are cut
-    // over at least one so the assignment still covers every slot.
-    let ranges = workers.max(1);
+/// `splitmix64(key) % workers` per slot: for a graph, the placement the
+/// BSP substrate has always used ([`PartitionMap::hash`]).
+pub(crate) fn hash<I: PlacementInput>(input: &I, workers: usize) -> Vec<u16> {
+    let slots = input.slots() as u32;
+    (0..slots)
+        .map(|v| (splitmix64(input.key(v)) % workers as u64) as u16)
+        .collect()
+}
+
+/// Contiguous ranges of near-equal size over `n` dense slots: the first
+/// `n % workers` workers own one extra slot. Perfect count balance and
+/// maximal index locality, but oblivious to topology and lifespans — the
+/// locality baseline.
+pub(crate) fn chunked(n: usize, workers: usize) -> Vec<u16> {
     let mut assignment = Vec::with_capacity(n);
-    let base = n / ranges;
-    let extra = n % ranges;
-    for w in 0..ranges {
+    let base = n / workers;
+    let extra = n % workers;
+    for w in 0..workers {
         let size = base + usize::from(w < extra);
         assignment.resize(assignment.len() + size, w as u16);
     }
     debug_assert_eq!(assignment.len(), n);
-    PartitionMap::from_assignment(assignment, workers)
+    assignment
 }
 
 /// Linear deterministic greedy (LDG) streaming partitioner, after
-/// Stanton & Kliot: each vertex goes to the worker that already holds the
+/// Stanton & Kliot: each slot goes to the worker that already holds the
 /// most of its neighbors, discounted by how full that worker is. With
-/// capacity `C = ceil(n / workers)` and `size_w` vertices already on `w`,
+/// capacity `C = ceil(n / workers)` and `size_w` slots already on `w`,
 /// the (integer) score is `(neighbors_on_w + 1) * (C - size_w)`; the
-/// lowest-indexed maximal worker wins. The `+ 1` makes isolated vertices
+/// lowest-indexed maximal worker wins. The `+ 1` makes isolated slots
 /// prefer emptier workers, which keeps counts balanced without a separate
 /// fallback rule.
-pub(crate) fn ldg(graph: &TemporalGraph, workers: usize) -> Result<PartitionMap, BspError> {
-    let n = graph.num_vertices();
-    let capacity = n.div_ceil(workers.max(1)).max(1) as u64;
+pub(crate) fn ldg<I: PlacementInput>(input: &I, workers: usize) -> Vec<u16> {
+    let n = input.slots();
+    let capacity = n.div_ceil(workers).max(1) as u64;
     let mut assignment: Vec<u16> = Vec::with_capacity(n);
     let mut sizes = vec![0u64; workers];
     let mut neighbor_hits = vec![0u64; workers];
-    for v in graph.vertex_indices() {
+    for v in 0..n as u32 {
         neighbor_hits.fill(0);
         // Both directions: messages flow along out-edges, but placing
-        // a vertex near its in-neighbors cuts the same wires.
-        for &e in graph.out_edges(v) {
-            let u = graph.edge(e).dst;
-            if u.idx() < assignment.len() {
-                neighbor_hits[assignment[u.idx()] as usize] += 1;
+        // a slot near its in-neighbors cuts the same wires.
+        input.neighbors(v, |u| {
+            if let Some(&w) = assignment.get(u as usize) {
+                neighbor_hits[w as usize] += 1;
             }
-        }
-        for &e in graph.in_edges(v) {
-            let u = graph.edge(e).src;
-            if u.idx() < assignment.len() {
-                neighbor_hits[assignment[u.idx()] as usize] += 1;
-            }
-        }
+        });
         let mut best_w = 0usize;
         let mut best_score = 0u64;
         for w in 0..workers {
@@ -77,26 +77,20 @@ pub(crate) fn ldg(graph: &TemporalGraph, workers: usize) -> Result<PartitionMap,
         assignment.push(best_w as u16);
         sizes[best_w] += 1;
     }
-    PartitionMap::from_assignment(assignment, workers)
+    assignment
 }
 
-/// Balances *interval-weighted* load: each vertex weighs its own lifespan
-/// length plus the lifespan lengths of its out-edges
-/// ([`TemporalGraph::vertex_temporal_weight`]), and vertices are placed by
-/// longest-processing-time greedy — heaviest first, each onto the
-/// currently lightest worker. Workers end up with equal temporal work,
-/// not equal vertex counts, which is what an interval-centric engine's
-/// compute time actually tracks under skewed (bursty, power-law)
-/// lifespans.
-pub(crate) fn temporal_balance(
-    graph: &TemporalGraph,
-    workers: usize,
-) -> Result<PartitionMap, BspError> {
-    let n = graph.num_vertices();
-    let mut order: Vec<(u64, u32)> = graph
-        .vertex_indices()
-        .map(|v| (graph.vertex_temporal_weight(v), v.0))
-        .collect();
+/// Balances *interval-weighted* load: each slot weighs
+/// [`PlacementInput::weight`] (for a graph's vertex, its own lifespan
+/// length plus the lifespan lengths of its out-edges), and slots are
+/// placed by longest-processing-time greedy — heaviest first, each onto
+/// the currently lightest worker. Workers end up with equal temporal
+/// work, not equal slot counts, which is what an interval-centric
+/// engine's compute time actually tracks under skewed (bursty,
+/// power-law) lifespans.
+pub(crate) fn temporal_balance<I: PlacementInput>(input: &I, workers: usize) -> Vec<u16> {
+    let n = input.slots();
+    let mut order: Vec<(u64, u32)> = (0..n as u32).map(|v| (input.weight(v), v)).collect();
     // Heaviest first; equal weights keep dense-index order.
     order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     let mut loads = vec![0u128; workers];
@@ -108,7 +102,7 @@ pub(crate) fn temporal_balance(
         assignment[v as usize] = w as u16;
         loads[w] += u128::from(weight);
     }
-    PartitionMap::from_assignment(assignment, workers)
+    assignment
 }
 
 /// Shared helper for tests and stats: per-worker interval weight under an

@@ -13,12 +13,12 @@
 //! `bytes_sent` legitimately vary with placement and are excluded.
 //!
 //! The snapshot platforms (MSB, Chlonos, GoFFish) place a snapshot as
-//! its graph is placed, so they run the whole matrix too; TGB places its
-//! replicas by key, under hash and chunked only, and refuses the other
-//! two with a typed error. Since digests cannot see placement, the wire
-//! counters of four baseline cells under hash are pinned as well
-//! ([`PLACEMENT_PIN`]): a placement change that moves any vertex moves
-//! them.
+//! its graph is placed, and TGB places its replicas as the slots of the
+//! transformed graph, so all four run the whole matrix too. Since
+//! digests cannot see placement, the assignment every strategy builds on
+//! both profiles is pinned ([`ASSIGNMENT_PIN`]), and so are the wire
+//! counters of four baseline cells under hash ([`PLACEMENT_PIN`]): a
+//! placement change that moves any vertex or replica moves them.
 //!
 //! Two of the profiles here are byte-identical to the ones pinned in
 //! `crates/bsp/tests/result_digest_pin.rs`, so the hash baselines are
@@ -26,13 +26,12 @@
 //! anchored to the pre-partitioning recording, not merely self-consistent.
 
 use graphite_algorithms::bfs::{IcmBfs, VcmBfs};
-use graphite_algorithms::registry::{try_run, Algo, Platform, RunError, RunOpts};
+use graphite_algorithms::registry::{try_run, Algo, Platform, RunOpts};
 use graphite_algorithms::td_paths::IcmEat;
 use graphite_algorithms::AlgLabels;
 use graphite_baselines::vcm::run_vcm;
 use graphite_baselines::{EdgeWeights, SnapshotTopology};
 use graphite_bsp::engine::BspConfig;
-use graphite_bsp::error::BspError;
 use graphite_bsp::fault::FaultPlan;
 use graphite_bsp::metrics::RunMetrics;
 use graphite_bsp::recover::RecoveryConfig;
@@ -380,19 +379,18 @@ fn cell(
     algo: Algo,
     platform: Platform,
     opts: &RunOpts,
-) -> Result<((u64, [u64; 6]), u64), RunError> {
-    let r = try_run(algo, platform, graph, None, opts)?;
+) -> ((u64, [u64; 6]), u64) {
+    let r = try_run(algo, platform, graph, None, opts).expect("matrix run must succeed");
     let digest = r.digest.expect("every matrix cell publishes a digest").0;
     let remote = r.metrics.counters.remote_messages;
-    Ok(((digest, inv_counters(&r.metrics)), remote))
+    ((digest, inv_counters(&r.metrics)), remote)
 }
 
-/// MSB, Chlonos and GoFFish under every strategy and TGB under the two
-/// it can place replicas by land on the hash/4 digest and counters; TGB
-/// refuses the other two with a typed config error. Where messages cross
-/// workers at all (not GoFFish SSSP, whose messages all travel between
-/// snapshots), some strategy must move `remote_messages` off hash's: the
-/// strategy reaches the platform.
+/// MSB, Chlonos, GoFFish and TGB under every strategy land on the hash/4
+/// digest and counters. Where messages cross workers at all (not GoFFish
+/// SSSP, whose messages all travel between snapshots), some strategy
+/// must move `remote_messages` off hash's: the strategy reaches the
+/// platform.
 #[test]
 fn baseline_digests_are_placement_invariant() {
     for (pname, params) in profiles() {
@@ -404,31 +402,13 @@ fn baseline_digests_are_placement_invariant() {
             (Algo::Sssp, Platform::Tgb),
         ] {
             let label = format!("{}/{}/{pname}", platform.name(), algo.name());
-            let (base, _) = cell(&graph, algo, platform, &opts(PartitionStrategy::Hash, 4))
-                .expect("hash baseline run");
+            let (base, _) = cell(&graph, algo, platform, &opts(PartitionStrategy::Hash, 4));
             let mut hash_remote = [0; WORKER_COUNTS.len()];
             let mut moved = false;
             for strategy in PartitionStrategy::ALL {
                 for (i, workers) in WORKER_COUNTS.into_iter().enumerate() {
-                    let got = cell(&graph, algo, platform, &opts(strategy, workers));
-                    let keyed_only = platform == Platform::Tgb
-                        && matches!(
-                            strategy,
-                            PartitionStrategy::Ldg | PartitionStrategy::TemporalBalance
-                        );
-                    if keyed_only {
-                        assert!(
-                            matches!(
-                                &got,
-                                Err(RunError::Bsp(BspError::Config { detail }))
-                                    if detail.contains(strategy.name())
-                            ),
-                            "{label}: {} must be refused, got {got:?}",
-                            strategy.name()
-                        );
-                        continue;
-                    }
-                    let (fingerprint, remote) = got.expect("matrix run must succeed");
+                    let (fingerprint, remote) =
+                        cell(&graph, algo, platform, &opts(strategy, workers));
                     assert_eq!(
                         fingerprint,
                         base,
@@ -446,6 +426,113 @@ fn baseline_digests_are_placement_invariant() {
                 platform != Platform::Goffish,
                 "{label}: whether placement moved remote messages"
             );
+        }
+    }
+}
+
+/// FNV-1a digests of the assignment `PartitionStrategy::build` produces,
+/// per (profile, strategy, workers): worker of every dense vertex in
+/// index order, one byte each. Digests cannot see placement; these move
+/// when a single vertex changes worker.
+const ASSIGNMENT_PIN: [(&str, PartitionStrategy, [u64; 3]); 8] = [
+    (
+        "long",
+        PartitionStrategy::Hash,
+        [
+            0x55d4_dc0d_56ed_e086,
+            0x3656_728d_cfce_0a39,
+            0x14e1_4d92_6352_bd1a,
+        ],
+    ),
+    (
+        "long",
+        PartitionStrategy::Chunked,
+        [
+            0x6c6e_9a12_29be_a9e0,
+            0xc77a_a83f_5e8f_0b4f,
+            0x3660_f1df_b96d_01ed,
+        ],
+    ),
+    (
+        "long",
+        PartitionStrategy::Ldg,
+        [
+            0xf1c8_a888_9fd9_ab5c,
+            0x2a54_379b_f43e_bdcf,
+            0xe23e_dbb6_8827_064f,
+        ],
+    ),
+    (
+        "long",
+        PartitionStrategy::TemporalBalance,
+        [
+            0xfb5d_b538_1372_259c,
+            0x1248_7669_5ba7_ad05,
+            0x7042_06fe_bd0d_f39d,
+        ],
+    ),
+    (
+        "skew",
+        PartitionStrategy::Hash,
+        [
+            0x55d4_dc0d_56ed_e086,
+            0x3656_728d_cfce_0a39,
+            0x14e1_4d92_6352_bd1a,
+        ],
+    ),
+    (
+        "skew",
+        PartitionStrategy::Chunked,
+        [
+            0x6c6e_9a12_29be_a9e0,
+            0xc77a_a83f_5e8f_0b4f,
+            0x3660_f1df_b96d_01ed,
+        ],
+    ),
+    (
+        "skew",
+        PartitionStrategy::Ldg,
+        [
+            0x09fb_7732_43fb_29e6,
+            0x658d_620b_71f6_14d9,
+            0x1da3_01e2_c1dd_dee1,
+        ],
+    ),
+    (
+        "skew",
+        PartitionStrategy::TemporalBalance,
+        [
+            0xa32f_6152_06fb_8e29,
+            0x2ec5_a815_a407_6e21,
+            0xa7bd_f403_2b5e_3d7c,
+        ],
+    ),
+];
+
+/// The worker counts of [`ASSIGNMENT_PIN`]'s columns.
+const PINNED_WORKERS: [usize; 3] = [2, 3, 5];
+
+#[test]
+fn graph_assignments_are_pinned() {
+    for (pname, params) in profiles() {
+        let graph = generate(&params);
+        for (profile, strategy, pins) in ASSIGNMENT_PIN {
+            if profile != pname {
+                continue;
+            }
+            for (workers, pin) in PINNED_WORKERS.into_iter().zip(pins) {
+                let map = strategy.build(&graph, workers).expect("placement");
+                let bytes: Vec<u8> = graph
+                    .vertex_indices()
+                    .map(|v| map.worker_of(v) as u8)
+                    .collect();
+                assert_eq!(
+                    fnv1a(&bytes),
+                    pin,
+                    "{pname}: {} × {workers} workers moved a vertex",
+                    strategy.name()
+                );
+            }
         }
     }
 }

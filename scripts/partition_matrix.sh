@@ -9,10 +9,10 @@
 #   * crates/partition/tests/digest_matrix.rs — the matrix proper:
 #     {hash, chunked, ldg, temporal} x worker counts x {long, skew}
 #     profiles x {ICM BFS, ICM EAT, VCM BFS, MSB BFS, Chlonos BFS,
-#     GoFFish SSSP, TGB SSSP (hash and chunked; the other two are a
-#     typed refusal)}, anchored against the recorded digest pins,
-#     composed with perturbation seeds and fault-recovery plans, plus a
-#     pin of the baselines' wire counters under hash placement.
+#     GoFFish SSSP, TGB SSSP}, anchored against the recorded digest
+#     pins, composed with perturbation seeds and fault-recovery plans,
+#     plus pins of every strategy's assignment and of the baselines'
+#     wire counters under hash placement.
 #   * graphite-part unit tests — strategy construction and quality
 #     stats.
 #

@@ -13,8 +13,11 @@
 //!                 [--quarantine-after N] [--shed-watermark N] [--status]
 //! graphite stream <graph.tg> <graph.tg.updates> [--algo bfs,eat,reach]
 //!                 [--source VID] [--start T] [--workers N]
-//!                 [--compact-every K] [--check-every K]
+//!                 [--compact-every K] [--check-every K] [--partition hash]
 //! ```
+//!
+//! Every command parses its flags before it reads a file, so a bad flag
+//! value is a usage error (exit 2) whether or not the inputs exist.
 //!
 //! Example session:
 //!
@@ -48,9 +51,8 @@
 //! trace"): `GRAPHITE_TRACE=off|counters|full` sets the recording level
 //! and `GRAPHITE_TRACE_JSON=<file>` writes the `graphite-trace/1` JSONL
 //! stream for `trace_report`. Vertex placement is selected with
-//! `--partition hash|chunked|ldg|temporal` (default `hash`; results are
-//! identical either way — see DESIGN.md §13; TGB places replicas by key
-//! and refuses `ldg` and `temporal` with a configuration error).
+//! `--partition hash|chunked|ldg|temporal` (default `hash`, on every
+//! platform; results are identical either way — see DESIGN.md §13).
 
 #![forbid(unsafe_code)]
 
@@ -59,7 +61,7 @@ use graphite::bsp::trace::TraceConfig;
 use graphite::datagen::Profile;
 use graphite::part::PartitionStrategy;
 use graphite::serve::{QuerySpec, ServeConfig, ServeEngine};
-use graphite::tgraph::graph::VertexId;
+use graphite::tgraph::graph::{TemporalGraph, VertexId};
 use graphite::tgraph::io;
 use graphite::tgraph::stats::dataset_stats;
 use std::cell::Cell;
@@ -130,13 +132,21 @@ fn partition_flag(flags: &Flags) -> Option<PartitionStrategy> {
     strategy
 }
 
-fn cmd_stats(path: &str) -> ExitCode {
-    let graph = match io::load(path) {
-        Ok(g) => g,
+/// The graph at `path`, `None` (after saying why) when it cannot be
+/// loaded. Callers parse their flags first.
+fn load_graph(path: &str) -> Option<Arc<TemporalGraph>> {
+    match io::load(path) {
+        Ok(g) => Some(Arc::new(g)),
         Err(e) => {
             eprintln!("cannot load {path}: {e}");
-            return ExitCode::FAILURE;
+            None
         }
+    }
+}
+
+fn cmd_stats(path: &str) -> ExitCode {
+    let Some(graph) = load_graph(path) else {
+        return ExitCode::FAILURE;
     };
     let s = dataset_stats(&graph, None);
     println!("vertices:            {}", s.interval.vertices);
@@ -175,13 +185,6 @@ fn cmd_run(path: &str, flags: &Flags) -> ExitCode {
             }
         },
     };
-    let graph = match io::load(path) {
-        Ok(g) => Arc::new(g),
-        Err(e) => {
-            eprintln!("cannot load {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let mut opts = RunOpts::default();
     opts.workers = flags.opt("--workers").unwrap_or(opts.workers);
     opts.source = flags.opt("--source").map(VertexId);
@@ -196,6 +199,9 @@ fn cmd_run(path: &str, flags: &Flags) -> ExitCode {
         return usage();
     };
     opts.partition = partition;
+    let Some(graph) = load_graph(path) else {
+        return ExitCode::FAILURE;
+    };
 
     match try_run(algo, platform, &graph, None, &opts) {
         Ok(outcome) => {
@@ -303,30 +309,7 @@ fn cmd_gen(profile: &str, out: &str, flags: &Flags) -> ExitCode {
 fn cmd_stream(path: &str, updates_path: &str, flags: &Flags) -> ExitCode {
     use graphite::stream::prelude::*;
 
-    let graph = match io::load(path) {
-        Ok(g) => Arc::new(g),
-        Err(e) => {
-            eprintln!("cannot load {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let batches = match load_updates(updates_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot load {updates_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let source = match flags.opt("--source") {
-        Some(v) => VertexId(v),
-        None => match graph.vertices().map(|(_, v)| v.vid).min() {
-            Some(v) => v,
-            None => {
-                eprintln!("{path}: empty graph");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
+    let source: Option<u64> = flags.opt("--source");
     let start = flags.opt("--start").unwrap_or(0);
     let Some(partition) = partition_flag(flags) else {
         return usage();
@@ -345,17 +328,46 @@ fn cmd_stream(path: &str, updates_path: &str, flags: &Flags) -> ExitCode {
     if flags.bad() {
         return usage();
     }
-
-    let mut engine = StreamEngine::new(graph, cfg);
+    // Whether an algorithm streams does not depend on its source, which
+    // defaults to the loaded graph's smallest vertex id.
+    let streamable = |algo| AlgoSpec::of(algo, VertexId(0), start).is_some();
+    let mut algos = Vec::new();
     let algo_list = flags.get("--algo").unwrap_or("bfs,eat,reach");
     for name in algo_list.split(',').filter(|s| !s.is_empty()) {
-        let streamable = |algo| AlgoSpec::of(algo, source, start);
-        let Some(spec) = Algo::parse(name.trim()).and_then(streamable) else {
+        let Some(algo) = Algo::parse(name.trim()).filter(|&a| streamable(a)) else {
             eprintln!("unknown stream algo {name:?} (bfs|eat|reach)");
             return usage();
         };
+        algos.push(algo);
+    }
+
+    let Some(graph) = load_graph(path) else {
+        return ExitCode::FAILURE;
+    };
+    let batches = match load_updates(updates_path) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("cannot load {updates_path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let source = match source.map(VertexId) {
+        Some(v) => v,
+        None => match graph.vertices().map(|(_, v)| v.vid).min() {
+            Some(v) => v,
+            None => {
+                eprintln!("{path}: empty graph");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
+    let mut engine = StreamEngine::new(graph, cfg);
+    for spec in algos
+        .into_iter()
+        .filter_map(|a| AlgoSpec::of(a, source, start))
+    {
         if let Err(e) = engine.register(spec) {
-            eprintln!("cannot register {name}: {e}");
+            eprintln!("cannot register {}: {e}", spec.name());
             return ExitCode::FAILURE;
         }
     }
@@ -418,27 +430,6 @@ fn json_escape(s: &str) -> String {
 }
 
 fn cmd_serve(path: &str, batch_path: &str, flags: &Flags) -> ExitCode {
-    let graph = match io::load(path) {
-        Ok(g) => Arc::new(g),
-        Err(e) => {
-            eprintln!("cannot load {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let batch_text = match std::fs::read_to_string(batch_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {batch_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let specs = match QuerySpec::parse_batch(&batch_text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{batch_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let defaults = ServeConfig::default();
     let cfg = ServeConfig {
         max_in_flight: flags.opt("--in-flight").unwrap_or(defaults.max_in_flight),
@@ -456,6 +447,23 @@ fn cmd_serve(path: &str, batch_path: &str, flags: &Flags) -> ExitCode {
     if flags.bad() {
         return usage();
     }
+    let Some(graph) = load_graph(path) else {
+        return ExitCode::FAILURE;
+    };
+    let batch_text = match std::fs::read_to_string(batch_path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("cannot read {batch_path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let specs = match QuerySpec::parse_batch(&batch_text) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("{batch_path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let engine = ServeEngine::new(graph, cfg);
     let results = engine.serve_batch(&specs);
     // Degraded-but-typed outcomes (rejected, shed, quarantined, budget)

@@ -125,6 +125,37 @@ fn cli_flag_values_are_typed_usage_errors() {
         assert!(stderr.contains(&format!("bad {flag} value")), "{stderr}");
         assert!(stderr.contains("usage:"), "{stderr}");
     }
+    // Flags are parsed before any file is read: a bad value is a usage
+    // error even when an input does not exist.
+    let missing = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_owned();
+    let (tg, txt, upd) = (
+        missing("missing.tg"),
+        missing("missing.txt"),
+        missing("missing.updates"),
+    );
+    for (args, flag) in [
+        (
+            &["run", &tg, "--algo", "bfs", "--workers", "abc"][..],
+            "--workers",
+        ),
+        (&["serve", graph, &txt, "--retries", "x"], "--retries"),
+        (
+            &["stream", graph, &upd, "--check-every", "x"],
+            "--check-every",
+        ),
+    ] {
+        let (code, stderr) = cli(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("bad {flag} value")), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+    let (code, stderr) = cli(&["stream", graph, &upd, "--algo", "bfs,pr"]);
+    assert_eq!(
+        code,
+        Some(2),
+        "an algorithm stream cannot maintain: {stderr}"
+    );
+    assert!(stderr.contains("unknown stream algo \"pr\""), "{stderr}");
     let (code, stderr) = cli(&[&run[..], &["--workers"]].concat());
     assert_eq!(code, Some(2), "a flag without its value: {stderr}");
     let over = (RunOpts::MAX_WORKERS + 1).to_string();
