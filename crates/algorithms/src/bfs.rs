@@ -53,6 +53,10 @@ impl IntervalProgram for IcmBfs {
     fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
         Some(*a.min(b))
     }
+
+    fn exact_combine(&self) -> bool {
+        true
+    }
 }
 
 /// BFS under plain VCM (one snapshot), for the MSB and Chlonos baselines.
@@ -89,6 +93,10 @@ impl VcmProgram for VcmBfs {
 
     fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
         Some(*a.min(b))
+    }
+
+    fn exact_combine(&self) -> bool {
+        true
     }
 }
 

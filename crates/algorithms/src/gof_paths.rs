@@ -50,6 +50,10 @@ impl GofProgram for GofSssp {
     fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
         Some(*a.min(b))
     }
+
+    fn exact_combine(&self) -> bool {
+        true
+    }
 }
 
 /// Earliest Arrival Time under GoFFish.
@@ -88,6 +92,10 @@ impl GofProgram for GofEat {
 
     fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
         Some(*a.min(b))
+    }
+
+    fn exact_combine(&self) -> bool {
+        true
     }
 }
 
@@ -139,6 +147,10 @@ impl GofProgram for GofFast {
 
     fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
         Some(*a.max(b))
+    }
+
+    fn exact_combine(&self) -> bool {
+        true
     }
 }
 
@@ -208,6 +220,10 @@ impl GofProgram for GofLd {
         Some(*a.max(b))
     }
 
+    fn exact_combine(&self) -> bool {
+        true
+    }
+
     fn reverse(&self) -> bool {
         true
     }
@@ -253,6 +269,10 @@ impl GofProgram for GofTmst {
     fn combine(&self, a: &TmstState, b: &TmstState) -> Option<TmstState> {
         Some(*a.min(b))
     }
+
+    fn exact_combine(&self) -> bool {
+        true
+    }
 }
 
 /// Reachability under GoFFish.
@@ -289,6 +309,10 @@ impl GofProgram for GofReach {
 
     fn combine(&self, a: &bool, b: &bool) -> Option<bool> {
         Some(*a || *b)
+    }
+
+    fn exact_combine(&self) -> bool {
+        true
     }
 }
 

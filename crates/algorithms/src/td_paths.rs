@@ -67,6 +67,10 @@ impl IntervalProgram for IcmSssp {
     fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
         Some(*a.min(b))
     }
+
+    fn exact_combine(&self) -> bool {
+        true
+    }
 }
 
 /// Earliest Arrival Time: the message carries the arrival time instead of
@@ -113,6 +117,10 @@ impl IntervalProgram for IcmEat {
 
     fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
         Some(*a.min(b))
+    }
+
+    fn exact_combine(&self) -> bool {
+        true
     }
 }
 
@@ -181,6 +189,10 @@ impl IntervalProgram for IcmTmst {
     fn combine(&self, a: &TmstState, b: &TmstState) -> Option<TmstState> {
         Some(*a.min(b))
     }
+
+    fn exact_combine(&self) -> bool {
+        true
+    }
 }
 
 /// Fastest path (minimum journey duration): the message carries the time
@@ -242,6 +254,10 @@ impl IntervalProgram for IcmFast {
 
     fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
         Some(*a.max(b))
+    }
+
+    fn exact_combine(&self) -> bool {
+        true
     }
 }
 
@@ -323,6 +339,10 @@ impl IntervalProgram for IcmLd {
     fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
         Some(*a.max(b))
     }
+
+    fn exact_combine(&self) -> bool {
+        true
+    }
 }
 
 impl IcmLd {
@@ -385,6 +405,10 @@ impl IntervalProgram for IcmReach {
 
     fn combine(&self, a: &bool, b: &bool) -> Option<bool> {
         Some(*a || *b)
+    }
+
+    fn exact_combine(&self) -> bool {
+        true
     }
 }
 

@@ -47,6 +47,10 @@ impl VcmProgram for TgbSssp {
     fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
         Some(*a.min(b))
     }
+
+    fn exact_combine(&self) -> bool {
+        true
+    }
 }
 
 /// Reached-flag propagation; used by both EAT and RH extraction.
@@ -82,6 +86,10 @@ impl VcmProgram for TgbReach {
 
     fn combine(&self, a: &bool, b: &bool) -> Option<bool> {
         Some(*a || *b)
+    }
+
+    fn exact_combine(&self) -> bool {
+        true
     }
 }
 
@@ -143,6 +151,10 @@ impl VcmProgram for TgbFast {
 
     fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
         Some(*a.max(b))
+    }
+
+    fn exact_combine(&self) -> bool {
+        true
     }
 }
 
@@ -223,6 +235,10 @@ impl VcmProgram for TgbTmst {
     fn combine(&self, a: &TmstState, b: &TmstState) -> Option<TmstState> {
         Some(*a.min(b))
     }
+
+    fn exact_combine(&self) -> bool {
+        true
+    }
 }
 
 /// TMST parents from a [`TgbTmst`] run: the parent attached to the
@@ -287,6 +303,10 @@ impl VcmProgram for TgbLd {
 
     fn combine(&self, a: &bool, b: &bool) -> Option<bool> {
         Some(*a || *b)
+    }
+
+    fn exact_combine(&self) -> bool {
+        true
     }
 
     fn needs_in_edges(&self) -> bool {

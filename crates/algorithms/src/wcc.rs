@@ -51,6 +51,10 @@ impl IntervalProgram for IcmWcc {
     fn combine(&self, a: &u64, b: &u64) -> Option<u64> {
         Some(*a.min(b))
     }
+
+    fn exact_combine(&self) -> bool {
+        true
+    }
 }
 
 /// WCC under plain VCM (one snapshot).
@@ -80,6 +84,10 @@ impl VcmProgram for VcmWcc {
 
     fn combine(&self, a: &u64, b: &u64) -> Option<u64> {
         Some(*a.min(b))
+    }
+
+    fn exact_combine(&self) -> bool {
+        true
     }
 
     fn needs_in_edges(&self) -> bool {

@@ -11,7 +11,7 @@
 use crate::topology::{run_ti_window, EdgeWeights, SnapshotResult, SnapshotTopology};
 use crate::vcm::{combine_push, snapshot_states, StateTable, VcmContext, VcmProgram};
 use graphite_bsp::aggregate::Aggregators;
-use graphite_bsp::engine::{keep_alive, run_bsp, Inbox, Outbox, WorkerLogic};
+use graphite_bsp::engine::{keep_alive, run_bsp, Fold, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::UserCounters;
 use graphite_bsp::trace::TraceSink;
@@ -196,6 +196,18 @@ where
         }
     }
 
+    // An exact combine folds, per target, the messages of one offset
+    // range.
+    fn fold(&self) -> Option<Fold<Self::Msg>> {
+        let program = Arc::clone(&self.program);
+        self.program.exact_combine().then(|| {
+            Fold::new(
+                |&(_, lo, hi, _)| (u64::from(lo), u64::from(hi)),
+                move |(t, lo, hi, a), (.., b)| Some((*t, *lo, *hi, program.combine(a, b)?)),
+            )
+        })
+    }
+
     // The strided state table is the complete user state: every other
     // buffer is empty at a barrier.
     fn checkpoint(&self, buf: &mut Vec<u8>) {
@@ -362,6 +374,10 @@ mod tests {
         }
         fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
             Some(*a.min(b))
+        }
+
+        fn exact_combine(&self) -> bool {
+            true
         }
     }
 

@@ -14,10 +14,10 @@
 //! superstep of that snapshot reads its edges from it.
 
 use crate::topology::{window_of, EdgeWeights, SnapshotResult, SnapshotTopology};
-use crate::vcm::{combine_push, StateTable, VcmEdge, VcmTopology};
+use crate::vcm::{combine_push, sender_fold, StateTable, VcmEdge, VcmTopology};
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::Wire;
-use graphite_bsp::engine::{run_bsp, Inbox, Outbox, WorkerLogic};
+use graphite_bsp::engine::{run_bsp, Fold, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::UserCounters;
 use graphite_bsp::trace::TraceSink;
@@ -49,10 +49,20 @@ pub trait GofProgram: Send + Sync + 'static {
         msgs: &[Self::Msg],
     );
 
-    /// Optional receiver-side combiner.
+    /// Optional associative combiner, accumulator first: the receiver
+    /// folds each vertex's messages through it in delivery order.
     fn combine(&self, a: &Self::Msg, b: &Self::Msg) -> Option<Self::Msg> {
         let _ = (a, b);
         None
+    }
+
+    /// Whether [`combine`](Self::combine) is **exact** — never declining,
+    /// independent of fold order and grouping bit for bit (integer
+    /// min/max, boolean or) — so that local messages fold on the sending
+    /// side too, one per target vertex and sender. `false` (the default)
+    /// ships every message. Temporal messages never fold.
+    fn exact_combine(&self) -> bool {
+        false
     }
 
     /// Whether the walk runs backwards: snapshots in reverse time order,
@@ -206,6 +216,7 @@ impl<P: GofProgram> GofWorker<P> {
         // encoded size too.
         for (_, _, m) in &self.future_out[queued..] {
             counters.messages_sent += 1;
+            counters.wire_messages += 1;
             counters.bytes_sent += m.encoded_len() as u64 + 12;
         }
         for (target, m) in self.local.drain(..) {
@@ -256,6 +267,13 @@ impl<P: GofProgram> WorkerLogic for GofWorker<P> {
             }
         }
         self.combined = combined;
+    }
+
+    fn fold(&self) -> Option<Fold<Self::Msg>> {
+        let program = Arc::clone(&self.program);
+        sender_fold(self.program.exact_combine(), move |a, b| {
+            program.combine(a, b)
+        })
     }
 
     // The state table plus this time-point's temporal traffic: the
@@ -426,6 +444,10 @@ mod tests {
         }
         fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
             Some(*a.min(b))
+        }
+
+        fn exact_combine(&self) -> bool {
+            true
         }
     }
 

@@ -125,6 +125,10 @@ mod tests {
         fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
             Some(*a.min(b))
         }
+
+        fn exact_combine(&self) -> bool {
+            true
+        }
     }
 
     #[test]

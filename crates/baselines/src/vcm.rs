@@ -7,15 +7,17 @@
 //! phase of its walk) or the time-expanded transformed graph (TGB).
 //! Chlonos and GoFFish have workers of their own, but one worker core
 //! serves all four platforms: the dense per-worker state table
-//! (`StateTable`, strided for Chlonos's batch offsets) and the
-//! receiver-side combiner fold (`combine_push`).
+//! (`StateTable`, strided for Chlonos's batch offsets), the
+//! receiver-side combiner fold (`combine_push`) and, for an exact
+//! combine, the sender-side fold of the shared outbox (`sender_fold`,
+//! keyed by interval range for Chlonos).
 //! Running every baseline on the same BSP substrate and the same core as
 //! GRAPHITE keeps the programming primitives — not the runtime — as the
 //! experimental variable.
 
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::{get_varint, put_varint, Wire};
-use graphite_bsp::engine::{keep_alive, run_bsp, Inbox, Outbox, PhaseHook, WorkerLogic};
+use graphite_bsp::engine::{keep_alive, run_bsp, Fold, Inbox, Outbox, PhaseHook, WorkerLogic};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::PartitionMap;
@@ -96,11 +98,22 @@ pub trait VcmProgram: Send + Sync + 'static {
         msgs: &[Self::Msg],
     );
 
-    /// Optional associative message combiner (applied receiver-side before
-    /// compute, like a Giraph combiner).
+    /// Optional associative message combiner, accumulator first: the
+    /// receiver folds each vertex's messages through it in delivery order
+    /// before compute, like a Giraph combiner.
     fn combine(&self, a: &Self::Msg, b: &Self::Msg) -> Option<Self::Msg> {
         let _ = (a, b);
         None
+    }
+
+    /// Whether [`combine`](Self::combine) is **exact**: it never declines,
+    /// and its result depends neither on fold order nor on grouping, bit
+    /// for bit (integer min/max, boolean or). An exact combine also folds
+    /// on the sending side, as Giraph's combiner does: a worker merges the
+    /// messages it sends to one vertex in a superstep before they cross
+    /// the barrier. `false` (the default) ships every message.
+    fn exact_combine(&self) -> bool {
+        false
     }
 
     /// When `true` for a superstep, every active-topology vertex computes
@@ -309,7 +322,9 @@ impl<S: Wire> StateTable<S> {
 /// combiner): folds `msg` into the last message of `out` when `combine`
 /// accepts the pair, else appends a clone. Fed a vertex's messages in
 /// arrival order it folds them left to right, so an order-sensitive fold
-/// (PageRank's `f64` sum) follows message order.
+/// (PageRank's `f64` sum) follows message order. An exact combine has
+/// already folded each sender's messages per key ([`sender_fold`]); this
+/// folds across senders.
 pub(crate) fn combine_push<M: Clone>(
     out: &mut Vec<M>,
     msg: &M,
@@ -322,6 +337,16 @@ pub(crate) fn combine_push<M: Clone>(
         }
     }
     out.push(msg.clone());
+}
+
+/// The sender-side fold of a worker whose messages travel as `(target,
+/// payload)`: the destination is the whole key, so a sender ships at most
+/// one message per vertex and superstep. `None` unless `exact`.
+pub(crate) fn sender_fold<M: 'static>(
+    exact: bool,
+    combine: impl Fn(&M, &M) -> Option<M> + Send + 'static,
+) -> Option<Fold<(u32, M)>> {
+    exact.then(|| Fold::new(|_| (0, 0), move |(t, a), (_, b)| Some((*t, combine(a, b)?))))
 }
 
 /// One BSP worker of a VCM run. Everything a superstep touches is owned
@@ -437,6 +462,13 @@ impl<T: VcmTopology, P: VcmProgram> WorkerLogic for VcmWorker<T, P> {
             }
         }
         self.combined = combined;
+    }
+
+    fn fold(&self) -> Option<Fold<Self::Msg>> {
+        let program = Arc::clone(&self.program);
+        sender_fold(self.program.exact_combine(), move |a, b| {
+            program.combine(a, b)
+        })
     }
 
     // The state table is the complete user state — the scratch buffers
@@ -602,6 +634,9 @@ mod tests {
         }
         fn combine(&self, a: &i64, b: &i64) -> Option<i64> {
             Some(*a.min(b))
+        }
+        fn exact_combine(&self) -> bool {
+            true
         }
     }
 

@@ -364,9 +364,11 @@ pub fn render(label: &str, trace: &RunTrace, top_k: usize) -> String {
     }
     let _ = writeln!(
         out,
-        "total: {} step(s), {} msgs, {} remote, {} bytes, {} compute calls, {} scatter calls",
+        "total: {} step(s), {} msgs, {} wire, {} remote, {} bytes, {} compute calls, \
+         {} scatter calls",
         steps(trace).count(),
         total(trace, |c| c.messages_sent),
+        total(trace, |c| c.wire_messages),
         total(trace, |c| c.remote_messages),
         total(trace, |c| c.bytes_sent),
         total(trace, |c| c.compute_calls),
@@ -522,13 +524,13 @@ mod tests {
     const ROW_0: &str = concat!(
         "{\"ev\":\"worker_step\",\"step\":1,\"worker\":0,\"active\":3,\"msgs_in\":6,",
         "\"compute_calls\":4,\"scatter_calls\":2,\"msgs_out\":5,\"remote_msgs\":2,",
-        "\"bytes_out\":40,\"warp_invocations\":1,\"warp_suppressions\":0,",
+        "\"wire_msgs\":3,\"bytes_out\":40,\"warp_invocations\":1,\"warp_suppressions\":0,",
         "\"compute_ns\":3000,\"extras\":{\"warp_tuples\":4,\"warp_group_msgs\":12}}\n",
     );
     const ROW_1: &str = concat!(
         "{\"ev\":\"worker_step\",\"step\":1,\"worker\":1,\"active\":1,\"msgs_in\":2,",
         "\"compute_calls\":1,\"scatter_calls\":1,\"msgs_out\":1,\"remote_msgs\":1,",
-        "\"bytes_out\":8,\"warp_invocations\":0,\"warp_suppressions\":1,",
+        "\"wire_msgs\":1,\"bytes_out\":8,\"warp_invocations\":0,\"warp_suppressions\":1,",
         "\"compute_ns\":1000,\"extras\":{}}\n",
     );
     const END: &str = concat!(
@@ -675,7 +677,7 @@ mod tests {
         assert!(report.contains("checkpoint after step 1"));
         assert!(report.contains("ROLLBACK from step 2 to step 1"));
         assert!(report.contains("-- halted"));
-        assert!(report.contains("total: 1 step(s), 6 msgs"));
+        assert!(report.contains("total: 1 step(s), 6 msgs, 4 wire"));
         let extras = report.split("extras:\n").nth(1).expect("extras section");
         let rows: Vec<Vec<&str>> = extras
             .lines()

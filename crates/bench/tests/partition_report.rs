@@ -40,7 +40,7 @@ fn synthetic_trace() -> String {
         out.push_str(&format!(
             "{{\"ev\":\"worker_step\",\"step\":1,\"worker\":{worker},\"active\":5,\
              \"msgs_in\":10,\"compute_calls\":5,\"scatter_calls\":3,\"msgs_out\":8,\"remote_msgs\":4,\
-             \"bytes_out\":64,\"warp_invocations\":1,\"warp_suppressions\":0,\
+             \"wire_msgs\":8,\"bytes_out\":64,\"warp_invocations\":1,\"warp_suppressions\":0,\
              \"compute_ns\":{ns}}}\n"
         ));
     }

@@ -127,6 +127,7 @@ fn assert_reconciles(trace: &RunTrace, metrics: &RunMetrics, label: &str) {
     };
     sums_to(|c| c.messages_sent, "message");
     sums_to(|c| c.remote_messages, "remote-message");
+    sums_to(|c| c.wire_messages, "wire-message");
     sums_to(|c| c.bytes_sent, "byte");
     sums_to(|c| c.compute_calls, "compute-call");
     sums_to(|c| c.scatter_calls, "scatter-call");
@@ -419,6 +420,7 @@ fn rand_trace(rng: &mut SplitMix64) -> RunTrace {
                             scatter_calls: rand_value(rng),
                             messages_sent: rand_value(rng),
                             remote_messages: rand_value(rng),
+                            wire_messages: rand_value(rng),
                             bytes_sent: rand_value(rng),
                             warp_invocations: rand_value(rng),
                             warp_suppressions: rand_value(rng),

@@ -13,10 +13,12 @@
 //! 1. **Phase discipline** — message batches are delivered to next-step
 //!    inboxes only during the exchange phase; a delivery after the barrier
 //!    (or during compute) is a protocol violation.
-//! 2. **Ledger balance** — every message the driver counted out of an
-//!    outbox (from batch and frame lengths) is reported delivered by a
+//! 2. **Ledger balance** — every wire message the driver counted out of
+//!    an outbox (from batch and frame lengths) is reported delivered by a
 //!    receiver exactly once, and the built-in [`MESSAGES_SENT_AGG`]
-//!    aggregate published at the barrier equals that send/receive ledger.
+//!    aggregate published at the barrier equals the messages the outboxes
+//!    counted as emitted. A sender-side fold ships at most what was
+//!    emitted, and something whenever anything was.
 //! 3. **Halt-vote monotonicity** — vertices implicitly vote to halt every
 //!    superstep (Sec. IV-A2); once a barrier observes zero messages in
 //!    flight and no `ForceContinue` master decision, the vote is final and
@@ -56,7 +58,9 @@ pub struct RunChecker {
 struct Inner {
     phase: Phase,
     step: u64,
-    /// Messages recorded as emitted by outboxes this superstep.
+    /// Messages the outboxes counted as emitted this superstep.
+    emitted: u64,
+    /// Wire messages the driver handed to receivers this superstep.
     sent: u64,
     /// Messages delivered into next-step inboxes this superstep.
     delivered: u64,
@@ -74,6 +78,7 @@ impl RunChecker {
             inner: Inner {
                 phase: Phase::Barrier,
                 step: 0,
+                emitted: 0,
                 sent: 0,
                 delivered: 0,
                 halt_final: false,
@@ -96,6 +101,7 @@ impl RunChecker {
             self.inner = Inner {
                 phase: Phase::Barrier,
                 step,
+                emitted: 0,
                 sent: 0,
                 delivered: 0,
                 halt_final: false,
@@ -126,6 +132,7 @@ impl RunChecker {
             );
             self.inner.phase = Phase::Compute;
             self.inner.step = step;
+            self.inner.emitted = 0;
             self.inner.sent = 0;
             self.inner.delivered = 0;
         }
@@ -146,10 +153,11 @@ impl RunChecker {
         }
     }
 
-    /// The driver handed a receiver one batch or frame of `count` messages.
+    /// The driver handed a receiver one batch or frame: `emitted`
+    /// messages sent to it, `shipped` of them on the wire after folding.
     #[inline]
-    pub fn record_sent(&mut self, count: u64) {
-        let _ = count;
+    pub fn record_sent(&mut self, emitted: u64, shipped: u64) {
+        let _ = (emitted, shipped);
         #[cfg(debug_assertions)]
         {
             assert_eq!(
@@ -157,7 +165,12 @@ impl RunChecker {
                 Phase::Exchange,
                 "BSP invariant: outbox drained outside the exchange phase"
             );
-            self.inner.sent += count;
+            assert!(
+                shipped <= emitted && (shipped == 0) == (emitted == 0),
+                "BSP invariant: a batch ships {shipped} of {emitted} emitted messages"
+            );
+            self.inner.emitted += emitted;
+            self.inner.sent += shipped;
         }
     }
 
@@ -198,12 +211,12 @@ impl RunChecker {
                 self.inner.step, self.inner.sent, self.inner.delivered
             );
             assert_eq!(
-                aggregate_sent, self.inner.sent,
+                aggregate_sent, self.inner.emitted,
                 "BSP invariant: messages-in-flight aggregate ({aggregate_sent}) \
                  disagrees with the router ledger ({}) at superstep {}",
-                self.inner.sent, self.inner.step
+                self.inner.emitted, self.inner.step
             );
-            let idle = self.inner.sent == 0 && decision != MasterDecision::ForceContinue;
+            let idle = self.inner.emitted == 0 && decision != MasterDecision::ForceContinue;
             if idle || decision == MasterDecision::Halt {
                 // The implicit halt vote is final (or the master forced a
                 // halt): the engine must stop here.
@@ -233,7 +246,7 @@ mod tests {
     fn full_step(c: &mut RunChecker, step: u64, msgs: u64, halting: bool) {
         c.begin_compute(step);
         c.begin_exchange();
-        c.record_sent(msgs);
+        c.record_sent(msgs, msgs);
         c.record_delivered(msgs);
         c.barrier(msgs, MasterDecision::Continue, halting);
     }
@@ -260,7 +273,7 @@ mod tests {
         let mut c = RunChecker::new();
         c.begin_compute(1);
         c.begin_exchange();
-        c.record_sent(4);
+        c.record_sent(4, 4);
         c.record_delivered(3); // one message vanished
         c.barrier(4, MasterDecision::Continue, false);
     }
@@ -271,9 +284,28 @@ mod tests {
         let mut c = RunChecker::new();
         c.begin_compute(1);
         c.begin_exchange();
-        c.record_sent(4);
+        c.record_sent(4, 4);
         c.record_delivered(4);
         c.barrier(5, MasterDecision::Continue, false);
+    }
+
+    #[test]
+    fn a_folded_batch_balances_on_its_wire_count() {
+        let mut c = RunChecker::new();
+        c.begin_compute(1);
+        c.begin_exchange();
+        c.record_sent(9, 4);
+        c.record_delivered(4);
+        c.barrier(9, MasterDecision::Continue, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "ships 0 of 3 emitted")]
+    fn a_fold_that_drops_a_batch_is_caught() {
+        let mut c = RunChecker::new();
+        c.begin_compute(1);
+        c.begin_exchange();
+        c.record_sent(3, 0);
     }
 
     #[test]
@@ -290,7 +322,7 @@ mod tests {
         let mut c = RunChecker::new();
         c.begin_compute(1);
         c.begin_exchange();
-        c.record_sent(0);
+        c.record_sent(0, 0);
         c.record_delivered(0);
         c.barrier(0, MasterDecision::Continue, false); // engine claims it continues
     }
@@ -300,7 +332,7 @@ mod tests {
         let mut c = RunChecker::new();
         c.begin_compute(1);
         c.begin_exchange();
-        c.record_sent(0);
+        c.record_sent(0, 0);
         c.record_delivered(0);
         c.barrier(0, MasterDecision::ForceContinue, false);
         full_step(&mut c, 2, 0, true);

@@ -5,7 +5,8 @@
 //! partition and every superstep is two parallel phases around one global
 //! barrier (one resident OS thread per worker runs both):
 //!
-//! 1. **compute + send-encode** — each worker runs its logic, then
+//! 1. **compute + send-encode** — each worker runs its logic, folds its
+//!    batches when the program's combine is exact ([`Fold`]), then
 //!    serializes its remote batches through the [`crate::codec::Wire`]
 //!    format into per-destination frames;
 //! 2. **barrier** — the driver thread does only what must be ordered:
@@ -49,7 +50,7 @@ use crate::check::RunChecker;
 use crate::codec::{Wire, BATCH_TRAILER};
 use crate::error::BspError;
 use crate::exchange::{execute_receive, Arrival, GroupTable, ReceiveDone, ReceiveJob};
-pub use crate::exchange::{Inbox, Outbox};
+pub use crate::exchange::{Fold, FoldKey, Inbox, Outbox};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::metrics::{now, RunMetrics, StepTiming, UserCounters};
 use crate::partition::PartitionMap;
@@ -196,6 +197,14 @@ pub trait WorkerLogic: Send {
     /// A static description when `bytes` is malformed; the worker state
     /// is left unchanged in that case.
     fn restore(&mut self, bytes: &[u8]) -> Result<(), &'static str>;
+
+    /// The sender-side fold this worker's outbox applies for the whole
+    /// run, or `None` (the default) to ship every message as sent. Only a
+    /// program whose combine is exact may fold ([`Fold`]): the receivers
+    /// then see the same folded values, over fewer wire messages.
+    fn fold(&self) -> Option<Fold<Self::Msg>> {
+        None
+    }
 }
 
 /// The master hook, run at each barrier over the merged aggregators.
@@ -503,11 +512,15 @@ impl<L: WorkerLogic> RunState<L> {
             });
         }
         let n = workers.len();
+        let outboxes = workers
+            .iter()
+            .map(|w| Outbox::new(Arc::clone(partition), w.fold()))
+            .collect();
         Ok(RunState {
             workers,
             inboxes: (0..n).map(|_| Inbox::default()).collect(),
             spare: (0..n).map(|_| Inbox::default()).collect(),
-            outboxes: (0..n).map(|_| Outbox::new(Arc::clone(partition))).collect(),
+            outboxes,
             tables: (0..n)
                 .map(|w| GroupTable::new(Arc::clone(partition), w))
                 .collect(),
@@ -664,12 +677,15 @@ impl<L: WorkerLogic> RunState<L> {
 
         // --- Barrier: account, draw faults, hand frames to receivers. ---
         // The only serial part of the exchange, and it touches no message:
-        // counts come from batch and frame lengths, and each destination's
+        // the emission counts come from the outboxes' per-destination
+        // tallies, the wire counts from batch and frame lengths (fewer when
+        // a fold merged messages), and each destination's
         // arrivals — its senders' frames plus its own typed batch — are
         // *moved* into its receive job in route order, which fixes the
         // delivery order before any receiver runs.
         let mut step_partial = Aggregators::new();
         let mut total_sent = 0u64;
+        let mut total_wire = 0u64;
         // Per-worker (counter delta, sink extras) snapshots, taken in route
         // order but re-emitted in worker order at the end of the step.
         let mut worker_snaps: Vec<Option<TraceSnap>> = if tracing {
@@ -685,21 +701,24 @@ impl<L: WorkerLogic> RunState<L> {
             };
             let outbox = &mut self.outboxes[src];
             for dst in dst_order(src) {
-                let len = if dst == src {
+                let emitted = std::mem::take(&mut outbox.emitted[dst]);
+                if emitted == 0 {
+                    continue;
+                }
+                let wire = if dst == src {
                     outbox.batches[src].len()
                 } else {
                     outbox.frames[dst].count
                 } as u64;
-                if len == 0 {
-                    continue;
-                }
-                counters.messages_sent += len;
-                total_sent += len;
-                self.checker.record_sent(len);
+                counters.messages_sent += emitted;
+                counters.wire_messages += wire;
+                total_sent += emitted;
+                total_wire += wire;
+                self.checker.record_sent(emitted, wire);
                 let arrival = if dst == src {
                     Arrival::Local(std::mem::take(&mut outbox.batches[src]))
                 } else {
-                    counters.remote_messages += len;
+                    counters.remote_messages += emitted;
                     let mut frame = std::mem::take(&mut outbox.frames[dst]);
                     // The frame's size is the byte metric. The integrity
                     // trailer is framing, not payload, so it is excluded
@@ -740,7 +759,7 @@ impl<L: WorkerLogic> RunState<L> {
             });
         let before_receive = now();
         let mut received: Vec<Option<ReceiveDone<L::Msg>>> = (0..n).map(|_| None).collect();
-        if n <= 1 || total_sent as usize <= INLINE_COMPUTE_WORK {
+        if n <= 1 || total_wire as usize <= INLINE_COMPUTE_WORK {
             for (w, job) in jobs.enumerate() {
                 received[w] = Some(execute_receive(job));
             }

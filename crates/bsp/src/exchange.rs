@@ -5,13 +5,16 @@
 //! middle one is serial:
 //!
 //! 1. **Send-encode** (worker threads, tail of the compute phase): each
-//!    worker serializes its non-empty remote batches into one retained
-//!    `Frame` per destination (`Outbox::encode_remote`); the batch
-//!    bound for its own partition stays typed.
-//! 2. **Barrier** (driver thread, `engine::RunState::superstep`): counts
-//!    messages and bytes from batch and frame lengths, draws the fault
-//!    injector, and *moves* every destination's frames and local batch
-//!    into a `ReceiveJob` — handles change hands, no message is touched.
+//!    worker folds every batch under its program's exact combine, if it
+//!    declared one ([`Fold`]), then serializes its non-empty remote
+//!    batches into one retained `Frame` per destination
+//!    (`Outbox::encode_remote`); the batch bound for its own partition
+//!    stays typed.
+//! 2. **Barrier** (driver thread, `engine::RunState::superstep`): takes
+//!    the emission counts the outboxes kept at send, counts wire messages
+//!    and bytes from batch and frame lengths, draws the fault injector,
+//!    and *moves* every destination's frames and local batch into a
+//!    `ReceiveJob` — handles change hands, no message is touched.
 //! 3. **Receive-group** (worker threads again, `execute_receive`): each
 //!    destination verifies and decodes the frames addressed to it and
 //!    groups the arrivals per vertex with a stable counting scatter
@@ -21,7 +24,9 @@
 //!
 //! A vertex sees its messages ordered by **sender in route order, then
 //! send order within the sender** — per-sender FIFO, exactly what a real
-//! transport gives. Route order is decided by the driver before any
+//! transport gives. A sender-side fold keeps that order: it merges a
+//! repeated `(vertex, key)` into its first occurrence and moves no
+//! vertex's messages past one another. Route order is decided by the driver before any
 //! worker runs (`engine::schedule_order`), every receiver walks its
 //! arrivals in that order, and the scatter is stable, so nothing a thread
 //! does — finishing early, finishing late, being scheduled on another
@@ -323,9 +328,182 @@ pub(crate) struct Frame {
     pub(crate) count: usize,
 }
 
+/// The key a sender-side [`Fold`] matches messages by, beside their
+/// destination vertex: an interval message's `(start, end)`, a batched
+/// snapshot message's offset range, `(0, 0)` where the destination alone
+/// is the key.
+pub type FoldKey = (u64, u64);
+
+/// A program's sender-side fold, installed on each worker's [`Outbox`]
+/// through [`WorkerLogic::fold`](crate::engine::WorkerLogic::fold).
+///
+/// Two messages one worker sends in one superstep to the same vertex
+/// under the same key fold into one before either crosses the barrier:
+/// the later one is `combine`d into the earlier. Only an **exact** combine
+/// may be installed — total (it never declines) and independent of fold
+/// order and grouping, bit for bit: integer min/max, boolean or. The
+/// receiver still folds what arrives, so its folded values are then the
+/// ones it would have computed from every emission; only the wire is
+/// smaller. A combine that declines a pair ships the later message
+/// unfolded.
+pub struct Fold<M> {
+    key: fn(&M) -> FoldKey,
+    combine: Combine<M>,
+}
+
+/// A program's combine, accumulator first, `None` where it declines.
+type Combine<M> = Box<dyn Fn(&M, &M) -> Option<M> + Send>;
+
+impl<M> Fold<M> {
+    /// A fold matching messages by `key` and merging them with `combine`
+    /// (accumulator first).
+    pub fn new(
+        key: fn(&M) -> FoldKey,
+        combine: impl Fn(&M, &M) -> Option<M> + Send + 'static,
+    ) -> Self {
+        Fold {
+            key,
+            combine: Box::new(combine),
+        }
+    }
+}
+
+/// The 32-bit hash a `(vertex, key)` pair is filed under: a Fibonacci
+/// multiply, read from the top bits, so every input bit reaches the slot.
+#[inline]
+fn fold_hash(dst: VIdx, key: FoldKey) -> u32 {
+    let x = u64::from(dst.0) ^ key.0.rotate_left(21) ^ key.1.rotate_left(42);
+    (x.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as u32
+}
+
+/// Messages per bucket a batch is split into before it is folded: small
+/// enough that a bucket, its folded output and its key table stay in a
+/// core's private cache.
+const FOLD_BUCKET: usize = 2048;
+
+/// An outbox's fold and its scratch. A batch is folded whole when the
+/// superstep's compute ends, in two passes that touch no large structure
+/// at random: a stable *split* of the batch into buckets of destination
+/// vertices (by [`PartitionMap::local_index`] range, about
+/// [`FOLD_BUCKET`] messages each), then a *fold* of each bucket through
+/// an open-addressing table of its `(vertex, key)` pairs, so a message
+/// costs expected O(1) whatever a vertex's fan-in. The folded batch holds
+/// the buckets in vertex order and, within one, the pairs in
+/// first-occurrence order: each vertex's messages keep the order the
+/// unfolded batch delivers them in. The buckets and the table are built
+/// up in the first supersteps and kept for the run.
+struct Folder<M> {
+    fold: Fold<M>,
+    /// Local indexes of the largest partition, rounded up to a power of
+    /// two: the range the buckets split.
+    span: usize,
+    /// The batch split into buckets, each in send order; empty between
+    /// folds.
+    buckets: Vec<Vec<(VIdx, M)>>,
+    /// One bucket's pairs, `(stamp, position in the folded batch,
+    /// hash)`: a slot is filed when its stamp is the bucket's.
+    keys: Vec<(u32, u32, u32)>,
+    /// The stamp of the bucket being folded.
+    stamp: u32,
+}
+
+impl<M> Folder<M> {
+    fn new(fold: Fold<M>, partition: &PartitionMap) -> Self {
+        let largest = (0..partition.workers())
+            .map(|w| partition.owned_count(w))
+            .max()
+            .unwrap_or(0);
+        Folder {
+            fold,
+            span: largest.next_power_of_two(),
+            buckets: Vec::new(),
+            keys: Vec::new(),
+            stamp: 0,
+        }
+    }
+
+    /// Folds `batch` in place: split, then fold bucket by bucket.
+    fn fold(&mut self, batch: &mut Vec<(VIdx, M)>, partition: &PartitionMap) {
+        if batch.len() < 2 {
+            return;
+        }
+        let count = (batch.len() / FOLD_BUCKET)
+            .next_power_of_two()
+            .min(self.span);
+        if self.buckets.len() < count {
+            self.buckets.resize_with(count, Vec::new);
+        }
+        if count == 1 {
+            std::mem::swap(batch, &mut self.buckets[0]);
+        } else {
+            let shift = self.span.trailing_zeros() - count.trailing_zeros();
+            for (v, m) in batch.drain(..) {
+                self.buckets[partition.local_index(v) >> shift].push((v, m));
+            }
+        }
+        for b in 0..count {
+            let mut bucket = std::mem::take(&mut self.buckets[b]);
+            self.fold_bucket(&mut bucket, batch);
+            self.buckets[b] = bucket;
+        }
+    }
+
+    /// Drains `bucket` onto `out`, folded per `(vertex, key)`.
+    fn fold_bucket(&mut self, bucket: &mut Vec<(VIdx, M)>, out: &mut Vec<(VIdx, M)>) {
+        if bucket.len() < 2 {
+            out.append(bucket);
+            return;
+        }
+        let slots = (2 * bucket.len()).next_power_of_two();
+        if self.keys.len() < slots {
+            self.keys.resize(slots, (0, 0, 0));
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Stamps wrapped: no slot may claim the new one.
+            self.keys.fill((0, 0, 0));
+            self.stamp = 1;
+        }
+        let shift = 32 - slots.trailing_zeros();
+        for (v, m) in bucket.drain(..) {
+            let key = (self.fold.key)(&m);
+            let hash = fold_hash(v, key);
+            let mut i = (hash >> shift) as usize;
+            loop {
+                let (stamp, pos, filed) = self.keys[i];
+                if stamp != self.stamp {
+                    self.keys[i] = (self.stamp, out.len() as u32, hash);
+                    out.push((v, m));
+                    break;
+                }
+                let (u, acc) = &mut out[pos as usize];
+                if filed == hash && *u == v && (self.fold.key)(acc) == key {
+                    match (self.fold.combine)(acc, &m) {
+                        Some(folded) => *acc = folded,
+                        None => out.push((v, m)),
+                    }
+                    break;
+                }
+                i = (i + 1) & (slots - 1);
+            }
+        }
+    }
+
+    /// Forgets a fold a panic interrupted (rollback).
+    fn clear(&mut self) {
+        self.buckets.iter_mut().for_each(Vec::clear);
+    }
+
+    fn capacity_units(&self) -> usize {
+        let buckets: usize = self.buckets.iter().map(Vec::capacity).sum();
+        buckets + self.buckets.capacity() + self.keys.capacity()
+    }
+}
+
 /// Where a worker's superstep deposits outgoing messages. Routing to the
-/// owning worker happens immediately; remote batches are encoded into
-/// per-destination frames when the worker's compute ends. One outbox per
+/// owning worker happens immediately; when the worker's compute ends,
+/// every batch is folded under the program's [`Fold`], if any, and the
+/// remote ones are encoded into per-destination frames. One outbox per
 /// worker lives for the whole run — batches and frames are lent to the
 /// receivers across the barrier and come home emptied, so their capacity
 /// is reused every superstep.
@@ -335,15 +513,21 @@ pub struct Outbox<M> {
     /// One frame per destination worker (the own-partition entry stays
     /// empty: local messages are never serialized).
     pub(crate) frames: Vec<Frame>,
+    /// Messages emitted per destination worker this superstep, folded or
+    /// not: the paper's message count, which the barrier takes.
+    pub(crate) emitted: Vec<u64>,
+    folder: Option<Folder<M>>,
 }
 
 impl<M> Outbox<M> {
-    pub(crate) fn new(partition: Arc<PartitionMap>) -> Self {
+    pub(crate) fn new(partition: Arc<PartitionMap>, fold: Option<Fold<M>>) -> Self {
         let workers = partition.workers();
         Outbox {
-            partition,
             batches: (0..workers).map(|_| Vec::new()).collect(),
             frames: (0..workers).map(|_| Frame::default()).collect(),
+            emitted: vec![0; workers],
+            folder: fold.map(|fold| Folder::new(fold, &partition)),
+            partition,
         }
     }
 
@@ -351,10 +535,11 @@ impl<M> Outbox<M> {
     #[inline]
     pub fn send(&mut self, dst: VIdx, msg: M) {
         let w = self.partition.worker_of(dst);
+        self.emitted[w] += 1;
         self.batches[w].push((dst, msg));
     }
 
-    /// Messages queued so far.
+    /// Messages queued so far (before the fold).
     pub fn len(&self) -> usize {
         self.batches.iter().map(Vec::len).sum()
     }
@@ -364,8 +549,8 @@ impl<M> Outbox<M> {
         self.batches.iter().all(Vec::is_empty)
     }
 
-    /// Drops everything queued or encoded, keeping capacity (rollback
-    /// discards the faulted superstep's output).
+    /// Drops everything queued, counted or encoded, keeping capacity
+    /// (rollback discards the faulted superstep's output).
     pub(crate) fn clear(&mut self) {
         for b in &mut self.batches {
             b.clear();
@@ -374,25 +559,34 @@ impl<M> Outbox<M> {
             f.bytes.clear();
             f.count = 0;
         }
+        self.emitted.fill(0);
+        if let Some(folder) = &mut self.folder {
+            folder.clear();
+        }
     }
 
-    /// Summed capacity of the per-destination batches and frames
-    /// (allocation probe).
+    /// Summed capacity of the per-destination batches and frames and of
+    /// the fold's scratch (allocation probe).
     pub(crate) fn capacity_units(&self) -> usize {
         let batches: usize = self.batches.iter().map(Vec::capacity).sum();
         let frames: usize = self.frames.iter().map(|f| f.bytes.capacity()).sum();
-        batches + frames
+        let folder = self.folder.as_ref().map_or(0, Folder::capacity_units);
+        batches + frames + folder
     }
 }
 
 impl<M: Wire> Outbox<M> {
-    /// The send side of the exchange: serializes every non-empty batch
+    /// The send side of the exchange: folds every batch under the
+    /// outbox's [`Fold`], if any, then serializes every non-empty batch
     /// bound for another worker into that destination's frame and empties
     /// the batch. Worker `me`'s own batch is left typed.
     pub(crate) fn encode_remote(&mut self, me: usize) {
         for (dst, (batch, frame)) in self.batches.iter_mut().zip(&mut self.frames).enumerate() {
             frame.bytes.clear();
             frame.count = 0;
+            if let Some(folder) = &mut self.folder {
+                folder.fold(batch, &self.partition);
+            }
             if dst == me || batch.is_empty() {
                 continue;
             }
@@ -689,7 +883,7 @@ mod tests {
     fn encode_remote_frames_every_batch_but_its_own() {
         let mut rng = SplitMix64::new(3);
         let (partition, _) = partition(30, &mut rng);
-        let mut outbox: Outbox<u64> = Outbox::new(Arc::clone(&partition));
+        let mut outbox: Outbox<u64> = Outbox::new(Arc::clone(&partition), None);
         for v in 0..30 {
             outbox.send(VIdx(v), u64::from(v));
         }
@@ -721,5 +915,141 @@ mod tests {
             .frames
             .iter()
             .all(|f| f.count == 0 && f.bytes.is_empty()));
+    }
+
+    /// `(key, value)` messages, folded per key with an integer min.
+    type Keyed = (u64, u64);
+
+    fn min_fold() -> Fold<Keyed> {
+        Fold::new(|&(k, _)| (k, 0), |&(k, a), &(_, b)| Some((k, a.min(b))))
+    }
+
+    /// One sender's sends for one superstep over `vertices` vertices, in
+    /// the arrival patterns of [`case`]; keys come from a small range, so
+    /// repeats are common.
+    fn keyed_sends(shape: u64, vertices: u32, rng: &mut SplitMix64) -> Vec<(VIdx, Keyed)> {
+        let len = (rng.next_u64() % 300) as usize;
+        let msg = |v: VIdx, rng: &mut SplitMix64| (v, (rng.next_u64() % 3, rng.next_u64() % 1000));
+        let pick = |rng: &mut SplitMix64| VIdx((rng.next_u64() % u64::from(vertices)) as u32);
+        let mut vs: Vec<VIdx> = match shape % 5 {
+            0 => Vec::new(),
+            1 => vec![pick(rng); len],
+            _ => (0..len).map(|_| pick(rng)).collect(),
+        };
+        match shape % 5 {
+            2 => vs.sort_unstable(),
+            3 => vs.sort_unstable_by(|a, b| b.cmp(a)),
+            _ => {}
+        }
+        vs.into_iter().map(|v| msg(v, rng)).collect()
+    }
+
+    /// The barrier's hand-off of one sender's superstep: what it emitted,
+    /// and, per destination worker, the arrival it delivers there.
+    fn hand_off(outbox: &mut Outbox<Keyed>, src: usize) -> (u64, Vec<Option<Arrival<Keyed>>>) {
+        outbox.encode_remote(src);
+        let emitted = outbox.emitted.iter_mut().map(std::mem::take).sum();
+        let arrivals = (0..outbox.batches.len())
+            .map(|dst| {
+                if dst == src {
+                    let batch = std::mem::take(&mut outbox.batches[src]);
+                    (!batch.is_empty()).then_some(Arrival::Local(batch))
+                } else {
+                    let frame = std::mem::take(&mut outbox.frames[dst]);
+                    (frame.count > 0).then_some(Arrival::Remote { src, frame })
+                }
+            })
+            .collect();
+        (emitted, arrivals)
+    }
+
+    fn wire_count(arrival: &Arrival<Keyed>) -> u64 {
+        match arrival {
+            Arrival::Local(batch) => batch.len() as u64,
+            Arrival::Remote { frame, .. } => frame.count as u64,
+        }
+    }
+
+    /// Per vertex, its messages folded per key, keys in first-arrival
+    /// order.
+    fn folded_by_key(inbox: &Inbox<Keyed>) -> Vec<(VIdx, Vec<Keyed>)> {
+        let fold = |ms: &[Keyed]| {
+            let mut out: Vec<Keyed> = Vec::new();
+            for &(k, x) in ms {
+                match out.iter_mut().find(|(j, _)| *j == k) {
+                    Some(acc) => acc.1 = acc.1.min(x),
+                    None => out.push((k, x)),
+                }
+            }
+            out
+        };
+        inbox.iter().map(|(v, ms)| (v, fold(ms))).collect()
+    }
+
+    #[test]
+    fn the_sender_fold_delivers_what_the_unfolded_path_folds_to() {
+        let mut rng = SplitMix64::new(0x5e7d_f01d);
+        let vertices = 61;
+        let (partition, _) = partition(vertices as usize, &mut rng);
+        // The same outboxes serve every case, so an index entry left
+        // behind by one superstep would fold a later send into a batch
+        // entry it no longer names.
+        let outboxes = |fold: fn() -> Option<Fold<Keyed>>| -> Vec<Outbox<Keyed>> {
+            (0..3)
+                .map(|_| Outbox::new(Arc::clone(&partition), fold()))
+                .collect()
+        };
+        let mut folding = outboxes(|| Some(min_fold()));
+        let mut plain = outboxes(|| None);
+        let (mut emitted_total, mut wire_total) = (0, 0);
+        for i in 0..768u64 {
+            if i % 3 == 0 {
+                // A rolled-back superstep: its sends and its index go.
+                for outbox in &mut folding {
+                    for (v, m) in keyed_sends(4, vertices, &mut rng) {
+                        outbox.send(v, m);
+                    }
+                    outbox.clear();
+                }
+            }
+            let sends: Vec<_> = (0..3).map(|_| keyed_sends(i, vertices, &mut rng)).collect();
+            let mut inboxes = Vec::new();
+            for (path, outboxes) in [&mut folding, &mut plain].into_iter().enumerate() {
+                let mut arrivals: Vec<Vec<Arrival<Keyed>>> = (0..3).map(|_| Vec::new()).collect();
+                for (src, outbox) in outboxes.iter_mut().enumerate() {
+                    for &(v, m) in &sends[src] {
+                        outbox.send(v, m);
+                    }
+                    let (emitted, out) = hand_off(outbox, src);
+                    let wire: u64 = out.iter().flatten().map(wire_count).sum();
+                    assert_eq!(emitted, sends[src].len() as u64, "case {i}: emissions");
+                    if path == 0 {
+                        assert!(wire <= emitted, "case {i}: {wire} wire of {emitted}");
+                        (emitted_total, wire_total) = (emitted_total + emitted, wire_total + wire);
+                    } else {
+                        assert_eq!(wire, emitted, "case {i}: an unfolded outbox ships all");
+                    }
+                    for (dst, arrival) in out.into_iter().enumerate() {
+                        arrivals[dst].extend(arrival);
+                    }
+                }
+                let received: Vec<_> = arrivals
+                    .into_iter()
+                    .enumerate()
+                    .map(|(dst, arrivals)| {
+                        let done = execute_receive(ReceiveJob {
+                            inbox: Inbox::default(),
+                            table: GroupTable::new(Arc::clone(&partition), dst),
+                            arrivals,
+                        });
+                        assert_eq!(done.failed, None, "case {i}");
+                        folded_by_key(&done.inbox)
+                    })
+                    .collect();
+                inboxes.push(received);
+            }
+            assert_eq!(inboxes[0], inboxes[1], "case {i}: folded contents");
+        }
+        assert!(wire_total < emitted_total, "the fold never merged anything");
     }
 }

@@ -29,7 +29,9 @@ pub fn now() -> Instant {
 }
 
 /// Counters the user-logic layers (ICM / VCM) bump while running inside a
-/// worker superstep. Message and byte counts are bumped by the router.
+/// worker superstep. Message and byte counts are bumped by the router:
+/// emissions as the outboxes counted them at send, wire messages and
+/// bytes as they crossed the barrier.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UserCounters {
     /// Invocations of the user's compute logic (per interval-vertex for
@@ -37,10 +39,15 @@ pub struct UserCounters {
     pub compute_calls: u64,
     /// Invocations of the user's scatter logic.
     pub scatter_calls: u64,
-    /// Messages handed to the outbox.
+    /// Messages handed to the outbox — the paper's message count, before
+    /// any sender-side fold.
     pub messages_sent: u64,
-    /// Messages that crossed a worker boundary (serialized).
+    /// Of those, messages addressed to another worker's vertices.
     pub remote_messages: u64,
+    /// Messages the barrier delivered after the sender-side fold
+    /// ([`crate::exchange::Fold`]): equal to `messages_sent` for a program
+    /// that does not fold, at most it otherwise.
+    pub wire_messages: u64,
     /// Serialized bytes shipped between workers.
     pub bytes_sent: u64,
     /// Times the warp operator ran (ICM only).
@@ -56,6 +63,7 @@ impl AddAssign for UserCounters {
         self.scatter_calls += rhs.scatter_calls;
         self.messages_sent += rhs.messages_sent;
         self.remote_messages += rhs.remote_messages;
+        self.wire_messages += rhs.wire_messages;
         self.bytes_sent += rhs.bytes_sent;
         self.warp_invocations += rhs.warp_invocations;
         self.warp_suppressions += rhs.warp_suppressions;
@@ -155,12 +163,14 @@ mod tests {
         };
         let b = UserCounters {
             compute_calls: 3,
+            wire_messages: 4,
             bytes_sent: 100,
             ..Default::default()
         };
         a += b;
         assert_eq!(a.compute_calls, 5);
         assert_eq!(a.messages_sent, 5);
+        assert_eq!(a.wire_messages, 4);
         assert_eq!(a.bytes_sent, 100);
     }
 

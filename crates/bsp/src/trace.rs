@@ -73,8 +73,8 @@ extras_vocabulary! {
     WARP_GROUP_MSGS = "warp_group_msgs";
     /// ICM: wall-clock span inside the warp operator.
     WARP_NS = "warp_ns";
-    /// ICM: wall-clock span folding each active vertex's inbox through the
-    /// sender-side combiner.
+    /// ICM: wall-clock span folding each active vertex's inbox by identical
+    /// interval through the combiner, on the receiving side.
     PRECOMBINE_NS = "precombine_ns";
     /// ICM: wall-clock span applying each vertex's state writes.
     STATE_APPLY_NS = "state_apply_ns";
@@ -342,6 +342,7 @@ macro_rules! event_table {
                         scatter_calls,
                         messages_sent,
                         remote_messages,
+                        wire_messages,
                         bytes_sent,
                         warp_invocations,
                         warp_suppressions,
@@ -357,6 +358,7 @@ macro_rules! event_table {
                 $field("scatter_calls", Field::Int(scatter_calls));
                 $field("msgs_out", Field::Int(messages_sent));
                 $field("remote_msgs", Field::Int(remote_messages));
+                $field("wire_msgs", Field::Int(wire_messages));
                 $field("bytes_out", Field::Int(bytes_sent));
                 $field("warp_invocations", Field::Int(warp_invocations));
                 $field("warp_suppressions", Field::Int(warp_suppressions));

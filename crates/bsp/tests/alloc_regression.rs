@@ -8,12 +8,16 @@
 //! whose exchange grew any of those capacities; a steady run must report
 //! zero, and this test pins that.
 //!
+//! The same holds with a sender-side fold installed: its per-destination
+//! indexes are exchange buffers too, built up in the ramp-up steps and
+//! cleared, never shrunk, every superstep.
+//!
 //! A deliberately growing workload (message volume doubling every
 //! superstep) must report growth — proving the counter actually observes
 //! the buffers and the steady zero is not vacuous.
 
 use graphite_bsp::aggregate::Aggregators;
-use graphite_bsp::engine::{run_bsp, BspConfig, Inbox, Outbox, WorkerLogic};
+use graphite_bsp::engine::{run_bsp, BspConfig, Fold, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::PartitionMap;
 use graphite_bsp::trace::TraceSink;
@@ -40,12 +44,15 @@ fn ring(n: u64) -> TemporalGraph {
 }
 
 /// Every owned vertex sends `volume(step)` messages to its ring successor
-/// while `step <= steps`; the run halts when volume drops to zero.
+/// while `step <= steps`; the run halts when volume drops to zero. With
+/// `keys`, the outbox folds them by an integer min under the key
+/// `message % keys`.
 struct VolumeLogic {
     graph: Arc<TemporalGraph>,
     owned: Vec<VIdx>,
     steps: u64,
     volume: fn(u64) -> u64,
+    keys: Option<u64>,
 }
 
 impl WorkerLogic for VolumeLogic {
@@ -77,9 +84,27 @@ impl WorkerLogic for VolumeLogic {
     fn restore(&mut self, _bytes: &[u8]) -> Result<(), &'static str> {
         Ok(())
     }
+
+    fn fold(&self) -> Option<Fold<u64>> {
+        // A key function is a plain `fn`, so the modulus is one of two.
+        let key: fn(&u64) -> (u64, u64) = match self.keys? {
+            2 => |m| (m % 2, 0),
+            _ => |m| (m % 400, 0),
+        };
+        Some(Fold::new(key, |a: &u64, b: &u64| Some(*a.min(b))))
+    }
 }
 
 fn run_volume(workers: usize, steps: u64, volume: fn(u64) -> u64) -> RunMetrics {
+    run_folding(workers, steps, volume, None)
+}
+
+fn run_folding(
+    workers: usize,
+    steps: u64,
+    volume: fn(u64) -> u64,
+    keys: Option<u64>,
+) -> RunMetrics {
     let graph = Arc::new(ring(12));
     let partition = Arc::new(PartitionMap::hash(&graph, workers).expect("partition"));
     let logics = (0..workers)
@@ -88,6 +113,7 @@ fn run_volume(workers: usize, steps: u64, volume: fn(u64) -> u64) -> RunMetrics 
             owned: partition.owned_by(w),
             steps,
             volume,
+            keys,
         })
         .collect();
     let (_, metrics) = run_bsp(&BspConfig::default(), logics, partition, None, None).unwrap();
@@ -122,6 +148,27 @@ fn steady_workload_is_allocation_free_through_the_worker_pool() {
     // threads and back every step — and must come home with their capacity.
     let metrics = run_volume(3, 12, |_| 400);
     assert!(metrics.counters.remote_messages > 0, "no remote traffic");
+    assert_eq!(metrics.routing_growths, 0);
+}
+
+#[test]
+fn a_folding_workload_allocates_nothing_after_ramp_up() {
+    // Four messages per vertex fold to two on the wire: a small step,
+    // run inline.
+    let metrics = run_folding(3, 12, |_| 4, Some(2));
+    let c = &metrics.counters;
+    assert!(c.remote_messages > 0, "no remote traffic");
+    assert_eq!(2 * c.wire_messages, c.messages_sent);
+    assert_eq!(metrics.routing_growths, 0);
+}
+
+#[test]
+fn a_folding_workload_is_allocation_free_through_the_worker_pool() {
+    // 9 600 emissions fold to 4 800 wire messages a superstep — still past
+    // the inline threshold, which counts what the receivers deliver.
+    let metrics = run_folding(3, 12, |_| 800, Some(400));
+    let c = &metrics.counters;
+    assert_eq!(2 * c.wire_messages, c.messages_sent);
     assert_eq!(metrics.routing_growths, 0);
 }
 

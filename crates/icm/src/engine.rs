@@ -33,7 +33,7 @@ use crate::state::{StateArena, StateUpdates};
 use crate::warp::WarpScratch;
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::{get_varint, put_varint, Wire};
-use graphite_bsp::engine::{keep_alive, run_bsp, Inbox, Outbox, WorkerLogic};
+use graphite_bsp::engine::{keep_alive, run_bsp, Fold, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::PartitionMap;
@@ -115,7 +115,7 @@ struct IcmWorker<P: IntervalProgram> {
     /// checkpoint encodings are deterministic (and byte-identical to the
     /// ordered-map representation this replaced).
     states: StateArena<P::State>,
-    /// One vertex's inbox after sender-side precombining.
+    /// One vertex's inbox after the receiver's precombine.
     combined: Vec<(Interval, P::Msg)>,
     /// `(start, end, position)` of each inbox message, sorted when an
     /// inbox arrives out of order (the allocation-free stand-in for a
@@ -152,8 +152,10 @@ fn fold<'m, P: IntervalProgram>(
     Some(acc)
 }
 
-/// Sender-side pre-warp combining of one vertex's inbox: messages with
-/// *identical* intervals fold into one when a combiner exists. Returns
+/// The receiver's pre-warp combining of one vertex's inbox: messages with
+/// *identical* intervals fold into one, in delivery order, when a combiner
+/// exists (an exact combine already folded each sender's repeats before
+/// the barrier; this folds across senders). Returns
 /// `raw` itself when there is nothing to combine — it is already sorted
 /// with no interval repeated — otherwise `out`, which receives the inbox
 /// sorted by `(start, end)` — arrival order among equal intervals — and
@@ -564,6 +566,19 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
         for (v, iv, m) in direct {
             outbox.send(v, (iv, m));
         }
+    }
+
+    // With the combiner on, an exact combine folds each `(vertex,
+    // interval)` on the sending side too.
+    fn fold(&self) -> Option<Fold<Self::Msg>> {
+        if !(self.combiner && self.program.exact_combine()) {
+            return None;
+        }
+        let program = Arc::clone(&self.program);
+        Some(Fold::new(
+            |(iv, _)| (iv.start() as u64, iv.end() as u64),
+            move |(iv, a), (_, b)| Some((*iv, program.combine(a, b)?)),
+        ))
     }
 
     // The per-vertex interval partitions are the complete user state —

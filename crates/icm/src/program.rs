@@ -37,7 +37,7 @@ pub enum EdgeDirection {
 /// its whole lifespan; `compute(vid, ⟨τi, si⟩, M[])` may update states for
 /// sub-intervals of `τi`; `scatter(eid, ⟨τ'k, sk⟩)` may emit interval
 /// messages. An optional associative `combine` enables the inline warp
-/// combiner (Sec. VI).
+/// combiner (Sec. VI), and an exact one the sender-side fold too.
 pub trait IntervalProgram: Send + Sync + 'static {
     /// Per-interval vertex state; wire-encodable, so every run can be
     /// checkpointed (`BspConfig::recovery`).
@@ -132,14 +132,29 @@ pub trait IntervalProgram: Send + Sync + 'static {
         false
     }
 
-    /// Associative-commutative message combiner. Returning `Some` lets the
-    /// warp step fold each aligned message group to a single message before
-    /// `compute` (the inline warp combiner, Sec. VI) and lets the sender
-    /// side combine messages with identical target intervals. Return `None`
-    /// (the default) when messages cannot be combined (e.g. LCC, TC).
+    /// Associative message combiner, accumulator first. Returning `Some`
+    /// lets the receiver fold each vertex's messages with identical
+    /// intervals into one (in delivery order) and lets the warp step fold
+    /// each aligned message group to a single message before `compute`
+    /// (the inline warp combiner, Sec. VI). Return `None` (the default)
+    /// when messages cannot be combined (e.g. LCC, TC). The engine's
+    /// `combiner` switch governs every call.
     fn combine(&self, a: &Self::Msg, b: &Self::Msg) -> Option<Self::Msg> {
         let _ = (a, b);
         None
+    }
+
+    /// Whether [`combine`](Self::combine) is **exact**: it never declines,
+    /// and its result depends neither on the order nor on the grouping of
+    /// the messages it folds, bit for bit — integer min/max, boolean or.
+    /// An exact combine also folds on the sending side: a worker merges
+    /// the messages it sends to one vertex with one interval in a
+    /// superstep before they cross the barrier, so the receivers fold the
+    /// same values from fewer wire messages. `false` (the default) ships
+    /// every message; a floating-point sum must keep it, since its fold
+    /// order is part of its result.
+    fn exact_combine(&self) -> bool {
+        false
     }
 }
 

@@ -540,15 +540,18 @@ fn graph_assignments_are_pinned() {
 /// `remote_messages` and `bytes_sent` of four baseline cells on the long
 /// profile under hash, at 2 and 3 workers. Digests cannot see placement;
 /// these counters move when a single vertex or replica changes worker.
+/// The byte column was re-recorded when the sender-side fold landed (the
+/// exact combines of BFS and SSSP now fold before the wire); the remote
+/// message counts are the original recording.
 const PLACEMENT_PIN: [(Algo, Platform, usize, u64, u64); 8] = [
-    (Algo::Bfs, Platform::Msb, 2, 3282, 10842),
-    (Algo::Bfs, Platform::Msb, 3, 4201, 13821),
-    (Algo::Bfs, Platform::Chlonos, 2, 1260, 6686),
-    (Algo::Bfs, Platform::Chlonos, 3, 1571, 8269),
+    (Algo::Bfs, Platform::Msb, 2, 3282, 8381),
+    (Algo::Bfs, Platform::Msb, 3, 4201, 11476),
+    (Algo::Bfs, Platform::Chlonos, 2, 1260, 6170),
+    (Algo::Bfs, Platform::Chlonos, 3, 1571, 7803),
     (Algo::Sssp, Platform::Goffish, 2, 0, 26676),
     (Algo::Sssp, Platform::Goffish, 3, 0, 26676),
-    (Algo::Sssp, Platform::Tgb, 2, 2655, 12923),
-    (Algo::Sssp, Platform::Tgb, 3, 3474, 16910),
+    (Algo::Sssp, Platform::Tgb, 2, 2655, 9655),
+    (Algo::Sssp, Platform::Tgb, 3, 3474, 13827),
 ];
 
 #[test]

@@ -119,6 +119,10 @@ impl<P: IntervalProgram> IntervalProgram for Resumed<P> {
     fn combine(&self, a: &Self::Msg, b: &Self::Msg) -> Option<Self::Msg> {
         self.inner.combine(a, b)
     }
+
+    fn exact_combine(&self) -> bool {
+        self.inner.exact_combine()
+    }
 }
 
 /// The vertices whose warp alignment `delta` may change relative to

@@ -219,6 +219,7 @@ fn cmd_run(path: &str, flags: &Flags) -> ExitCode {
                 println!("compute calls:  {}", m.counters.compute_calls);
                 println!("scatter calls:  {}", m.counters.scatter_calls);
                 println!("messages sent:  {}", m.counters.messages_sent);
+                println!("wire messages:  {}", m.counters.wire_messages);
                 println!("remote bytes:   {}", m.counters.bytes_sent);
                 println!("warp calls:     {}", m.counters.warp_invocations);
                 println!("warp suppressed:{}", m.counters.warp_suppressions);

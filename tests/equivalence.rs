@@ -130,3 +130,28 @@ fn icm_results_are_invariant_to_engine_optimizations() {
         assert_eq!(base.digest, no_suppression.digest, "{algo:?} suppression");
     }
 }
+
+/// The sender-side fold runs only for an exact combine with the combiner
+/// on. PageRank's `f64` sum is not exact, and `combiner: false` turns
+/// every fold off: both runs ship every emission, and BFS's answer is the
+/// folded run's.
+#[test]
+fn runs_without_an_exact_combine_ship_every_emission() {
+    let g = td_graph(9);
+    let pr = run(Algo::Pr, Platform::Icm, &g, None, &opts(2)).unwrap();
+    let pr3 = run(Algo::Pr, Platform::Icm, &g, None, &opts(3)).unwrap();
+    assert_eq!(pr.digest, pr3.digest, "PageRank across worker counts");
+    let folded = run(Algo::Bfs, Platform::Icm, &g, None, &opts(2)).unwrap();
+    let mut o = opts(2);
+    o.combiner = false;
+    let bfs = run(Algo::Bfs, Platform::Icm, &g, None, &o).unwrap();
+    assert_eq!(bfs.digest, folded.digest, "BFS with and without the fold");
+    for (label, r) in [("PageRank", &pr), ("PageRank x3", &pr3), ("BFS", &bfs)] {
+        let c = &r.metrics.counters;
+        assert!(c.remote_messages > 0, "{label}: no remote traffic");
+        assert_eq!(c.wire_messages, c.messages_sent, "{label}");
+    }
+    let c = &folded.metrics.counters;
+    assert_eq!(c.messages_sent, bfs.metrics.counters.messages_sent);
+    assert!(c.wire_messages < c.messages_sent, "{c:?}");
+}

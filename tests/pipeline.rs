@@ -39,6 +39,14 @@ fn save_load_round_trip_preserves_results() {
             a.metrics.counters.compute_calls, b.metrics.counters.compute_calls,
             "{algo:?}"
         );
+        // The sender-side fold ships fewer messages than scatter emits
+        // for WCC's exact min, and every one of TC's, which does not fold.
+        let c = &a.metrics.counters;
+        match algo {
+            Algo::Wcc => assert!(c.wire_messages < c.messages_sent, "{c:?}"),
+            Algo::Tc => assert_eq!(c.wire_messages, c.messages_sent),
+            _ => assert!(c.wire_messages <= c.messages_sent, "{algo:?}"),
+        }
     }
 }
 
