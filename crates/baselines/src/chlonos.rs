@@ -9,11 +9,12 @@
 //! paper observes on Twitter with 5 batches).
 
 use crate::topology::{run_ti_window, EdgeWeights, SnapshotResult, SnapshotTopology};
-use crate::vcm::{combine_push, snapshot_states, StateTable, VcmContext, VcmProgram};
+use crate::vcm::{combine_push, snapshot_states, VcmContext, VcmProgram};
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::engine::{keep_alive, run_bsp, Fold, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::UserCounters;
+use graphite_bsp::state::StateTable;
 use graphite_bsp::trace::TraceSink;
 use graphite_part::RunConfig;
 use graphite_tgraph::graph::{TemporalGraph, VIdx};

@@ -14,12 +14,13 @@
 //! superstep of that snapshot reads its edges from it.
 
 use crate::topology::{window_of, EdgeWeights, SnapshotResult, SnapshotTopology};
-use crate::vcm::{combine_push, sender_fold, StateTable, VcmEdge, VcmTopology};
+use crate::vcm::{combine_push, sender_fold, VcmEdge, VcmTopology};
 use graphite_bsp::aggregate::Aggregators;
 use graphite_bsp::codec::Wire;
 use graphite_bsp::engine::{run_bsp, Fold, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::UserCounters;
+use graphite_bsp::state::StateTable;
 use graphite_bsp::trace::TraceSink;
 use graphite_part::RunConfig;
 use graphite_tgraph::graph::{TemporalGraph, VIdx, VertexId};

@@ -6,21 +6,23 @@
 //! topologies adapt a single snapshot of a temporal graph (MSB, one per
 //! phase of its walk) or the time-expanded transformed graph (TGB).
 //! Chlonos and GoFFish have workers of their own, but one worker core
-//! serves all four platforms: the dense per-worker state table
-//! (`StateTable`, strided for Chlonos's batch offsets), the
-//! receiver-side combiner fold (`combine_push`) and, for an exact
-//! combine, the sender-side fold of the shared outbox (`sender_fold`,
-//! keyed by interval range for Chlonos).
+//! serves all four platforms: the receiver-side combiner fold
+//! (`combine_push`) and, for an exact combine, the sender-side fold of
+//! the shared outbox (`sender_fold`, keyed by interval range for
+//! Chlonos). Their vertex states sit in `graphite-bsp`'s
+//! [`StateTable`] (strided for Chlonos's batch offsets), the table
+//! GRAPHITE's ICM worker keeps its interval partitions in too.
 //! Running every baseline on the same BSP substrate and the same core as
 //! GRAPHITE keeps the programming primitives — not the runtime — as the
 //! experimental variable.
 
 use graphite_bsp::aggregate::Aggregators;
-use graphite_bsp::codec::{get_varint, put_varint, Wire};
+use graphite_bsp::codec::Wire;
 use graphite_bsp::engine::{keep_alive, run_bsp, Fold, Inbox, Outbox, PhaseHook, WorkerLogic};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::PartitionMap;
+use graphite_bsp::state::StateTable;
 use graphite_bsp::trace::TraceSink;
 use graphite_part::{PartitionStrategy, RunConfig};
 use graphite_tgraph::graph::{VIdx, VertexId};
@@ -196,72 +198,6 @@ pub struct VcmResult<S> {
     pub metrics: RunMetrics,
 }
 
-/// The per-worker vertex state table every baseline worker runs on:
-/// `VcmWorker` (MSB, TGB) and GoFFish's worker with one slot per owned
-/// vertex, Chlonos's with one per vertex and batch offset. Slots sit in
-/// one dense vector indexed by the vertex's [`PartitionMap::local_index`]
-/// times the stride, not in a map, so a lookup is an index and a steady
-/// run allocates nothing.
-pub(crate) struct StateTable<S> {
-    partition: Arc<PartitionMap>,
-    worker: usize,
-    /// Owned vertices, ascending; `owned[i]` holds slots
-    /// `i * stride..(i + 1) * stride`. Shared, so a superstep can walk it
-    /// while it computes into the slots.
-    owned: Arc<[u32]>,
-    stride: usize,
-    /// `None` until the slot's first compute.
-    slots: Vec<Option<S>>,
-}
-
-impl<S> StateTable<S> {
-    /// An empty table of `stride` slots per vertex `worker` owns.
-    pub(crate) fn new(partition: &Arc<PartitionMap>, worker: usize, stride: usize) -> Self {
-        let owned: Arc<[u32]> = partition.owned_by(worker).iter().map(|v| v.0).collect();
-        StateTable {
-            partition: Arc::clone(partition),
-            worker,
-            slots: std::iter::repeat_with(|| None)
-                .take(owned.len() * stride)
-                .collect(),
-            owned,
-            stride,
-        }
-    }
-
-    /// The owned vertices, ascending.
-    pub(crate) fn owned(&self) -> Arc<[u32]> {
-        Arc::clone(&self.owned)
-    }
-
-    /// Slot `offset` of owned vertex `v`.
-    pub(crate) fn slot(&mut self, v: u32, offset: usize) -> &mut Option<S> {
-        &mut self.slots[self.partition.local_index(VIdx(v)) * self.stride + offset]
-    }
-
-    /// Every initialized slot as `(vertex, offset, state)`, ascending.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, usize, &S)> + '_ {
-        let stride = self.stride;
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, s)| Some((self.owned[i / stride], i % stride, s.as_ref()?)))
-    }
-
-    /// [`StateTable::iter`], by value: takes every state out and leaves
-    /// the table empty, with `stride` slots per vertex from now on (a
-    /// walk's next phase).
-    pub(crate) fn drain(&mut self, stride: usize) -> Vec<(u32, usize, S)> {
-        let empty = std::iter::repeat_with(|| None).take(self.owned.len() * stride);
-        let slots = std::mem::replace(&mut self.slots, empty.collect());
-        let was = std::mem::replace(&mut self.stride, stride);
-        let states = slots.into_iter().enumerate();
-        states
-            .filter_map(|(i, s)| Some((self.owned[i / was], i % was, s?)))
-            .collect()
-    }
-}
-
 /// The drained `states` of a phase that ran the `len` consecutive
 /// snapshots from `start`, one map per slot offset, in time order.
 pub(crate) fn snapshot_states<S>(
@@ -274,48 +210,6 @@ pub(crate) fn snapshot_states<S>(
         maps[off].insert(v, s);
     }
     (start..).zip(maps)
-}
-
-/// The table's checkpoint: the initialized slots in ascending order, each
-/// keyed `vertex * stride + offset`. At stride 1 the key is the vertex
-/// and the blob is byte for byte the old sorted-map encoding.
-impl<S: Wire> StateTable<S> {
-    pub(crate) fn checkpoint(&self, buf: &mut Vec<u8>) {
-        put_varint(self.iter().count() as u64, buf);
-        for (v, offset, s) in self.iter() {
-            put_varint(u64::from(v) * self.stride as u64 + offset as u64, buf);
-            s.encode(buf);
-        }
-    }
-
-    /// Replaces the slots with a [`StateTable::checkpoint`] blob, or
-    /// leaves them as they were when the blob names a slot this worker
-    /// does not own or is malformed.
-    pub(crate) fn restore(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
-        let mut cur = bytes;
-        let count = get_varint(&mut cur).ok_or("vertex state count")?;
-        let mut slots: Vec<Option<S>> = std::iter::repeat_with(|| None)
-            .take(self.slots.len())
-            .collect();
-        let stride = self.stride as u64;
-        for _ in 0..count {
-            let key = get_varint(&mut cur).ok_or("vertex id")?;
-            let v = u32::try_from(key / stride).map_err(|_| "vertex id exceeds u32")?;
-            let owned = (v as usize) < self.partition.len()
-                && self.partition.worker_of(VIdx(v)) == self.worker;
-            if !owned {
-                return Err("checkpoint vertex not owned by this worker");
-            }
-            let s = S::decode(&mut cur).ok_or("vertex state")?;
-            slots[self.partition.local_index(VIdx(v)) * self.stride + (key % stride) as usize] =
-                Some(s);
-        }
-        if !cur.is_empty() {
-            return Err("trailing bytes in worker checkpoint");
-        }
-        self.slots = slots;
-        Ok(())
-    }
 }
 
 /// The receiver-side combiner fold of every baseline worker (a Giraph
@@ -750,93 +644,5 @@ mod tests {
         assert_eq!(r.metrics.counters.compute_calls, 2);
         assert!(r.states.contains_key(&0));
         assert!(!r.states.contains_key(&1));
-    }
-
-    /// `n` isolated vertices keyed by their index: enough slots to spread
-    /// over several workers.
-    struct Isolated(u32);
-
-    impl VcmTopology for Isolated {
-        fn num_vertices(&self) -> usize {
-            self.0 as usize
-        }
-        fn out_edges(&self, _v: u32, _out: &mut Vec<VcmEdge>) {}
-        fn in_edges(&self, _v: u32, _out: &mut Vec<VcmEdge>) {}
-        fn place(
-            &self,
-            strategy: PartitionStrategy,
-            workers: usize,
-        ) -> Result<PartitionMap, BspError> {
-            strategy.place(&Slots(self.num_vertices()), workers)
-        }
-        fn logical_vid(&self, v: u32) -> VertexId {
-            VertexId(u64::from(v))
-        }
-    }
-
-    /// The previous checkpoint encoding, verbatim: a `HashMap` of states
-    /// written in sorted-key order.
-    fn oracle_checkpoint(states: &HashMap<u32, i64>, buf: &mut Vec<u8>) {
-        put_varint(states.len() as u64, buf);
-        let mut keys: Vec<u32> = states.keys().copied().collect();
-        keys.sort_unstable();
-        for v in keys {
-            if let Some(s) = states.get(&v) {
-                put_varint(u64::from(v), buf);
-                s.encode(buf);
-            }
-        }
-    }
-
-    fn isolated_workers(n: u32, workers: usize) -> Vec<VcmWorker<Isolated, Sssp>> {
-        let topology = Arc::new(Isolated(n));
-        let partition = Arc::new(topology.place(PartitionStrategy::Hash, workers).unwrap());
-        build_workers(&topology, &Arc::new(Sssp), &partition)
-    }
-
-    #[test]
-    fn dense_checkpoint_is_byte_equal_to_the_sorted_map_encoding() {
-        let mut rng = graphite_tgraph::rng::SplitMix64::new(29);
-        for case in 0..64 {
-            let n = 1 + rng.bounded(200) as u32;
-            let workers = 1 + rng.index(4);
-            for mut worker in isolated_workers(n, workers) {
-                // A random subset of the owned vertices is initialized, as
-                // a run leaves those that never computed unset.
-                let mut map = HashMap::new();
-                for (i, &v) in worker.table.owned.iter().enumerate() {
-                    if rng.bool() {
-                        let s = rng.range_i64(-1_000_000, 1_000_000);
-                        worker.table.slots[i] = Some(s);
-                        map.insert(v, s);
-                    }
-                }
-                let (mut got, mut want) = (Vec::new(), Vec::new());
-                worker.checkpoint(&mut got);
-                oracle_checkpoint(&map, &mut want);
-                assert_eq!(got, want, "case {case}");
-                // And the blob restores to the same table.
-                let before = worker.table.slots.clone();
-                worker.table.slots.iter_mut().for_each(|s| *s = None);
-                worker.restore(&got).unwrap();
-                assert_eq!(worker.table.slots, before, "case {case}");
-            }
-        }
-    }
-
-    #[test]
-    fn restore_rejects_a_vertex_another_worker_owns() {
-        let mut workers = isolated_workers(64, 2);
-        let foreign = workers[1].table.owned[0];
-        let mut blob = Vec::new();
-        oracle_checkpoint(&HashMap::from([(foreign, 7)]), &mut blob);
-        let err = workers[0].restore(&blob).expect_err("a foreign vertex");
-        assert_eq!(err, "checkpoint vertex not owned by this worker");
-        // Past the end of the topology is nobody's vertex either.
-        blob.clear();
-        oracle_checkpoint(&HashMap::from([(64, 7)]), &mut blob);
-        assert!(workers[0].restore(&blob).is_err());
-        // A rejected blob leaves the worker as it was.
-        assert!(workers[0].table.slots.iter().all(Option::is_none));
     }
 }

@@ -14,6 +14,7 @@
 //! Fig. 5/6 reproductions and the benchmark's `bsp.codec_ns_per_msg` probe.
 
 use graphite_tgraph::graph::VIdx;
+use graphite_tgraph::iset::IntervalPartition;
 use graphite_tgraph::time::{Interval, TIME_MAX, TIME_MIN};
 
 /// A value that can be serialized into the inter-worker wire format.
@@ -241,6 +242,26 @@ impl Wire for Interval {
     }
     fn decode(buf: &mut &[u8]) -> Option<Self> {
         get_interval(buf)
+    }
+}
+
+/// An ICM vertex state (Sec. IV-A1): the lifespan, a varint entry count,
+/// then each `(interval, state)`. Decoding goes through
+/// [`IntervalPartition::from_entries`], so entries that do not tile the
+/// lifespan are malformed input.
+impl<S: Wire> Wire for IntervalPartition<S> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.lifespan().encode(buf);
+        put_varint(self.len() as u64, buf);
+        for (iv, s) in self.iter() {
+            iv.encode(buf);
+            s.encode(buf);
+        }
+    }
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        let lifespan = Interval::decode(buf)?;
+        let entries = Vec::<(Interval, S)>::decode(buf)?;
+        IntervalPartition::from_entries(lifespan, entries)
     }
 }
 

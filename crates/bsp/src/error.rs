@@ -1,5 +1,5 @@
 //! Engine-level failures surfaced by [`crate::engine::run_bsp`], with or
-//! without a [`crate::recover::Recovery`] session.
+//! without a recovery session ([`crate::engine::BspConfig::recovery`]).
 //!
 //! DESIGN.md §7 ("failure injection") requires the engine to *surface*
 //! poisoned-worker conditions instead of panicking inside the barrier

@@ -13,7 +13,9 @@
 //! platforms (`graphite-baselines`) execute on this substrate, so — as in
 //! the paper — the programming primitives are the experimental variable,
 //! not the runtime. A snapshot platform walks its snapshots as the phases
-//! of one run ([`PhaseHook`]), so every query is one BSP session.
+//! of one run ([`PhaseHook`]), so every query is one BSP session, and
+//! every platform's workers keep their vertex states in one
+//! [`state::StateTable`].
 //!
 //! Runs are fault-tolerant on request: given a [`BspConfig::recovery`]
 //! schedule, [`run_bsp`]'s one superstep loop checkpoints every worker's
@@ -41,6 +43,7 @@ pub mod fault;
 pub mod metrics;
 pub mod partition;
 pub mod recover;
+pub mod state;
 pub mod trace;
 
 pub use aggregate::{Agg, Aggregators, MasterDecision};

@@ -88,7 +88,7 @@ pub struct StepTiming {
 }
 
 /// Counters of the checkpoint/rollback recovery layer
-/// ([`crate::recover::Recovery`]). Like [`RunMetrics::routing_growths`], these
+/// ([`crate::engine::BspConfig::recovery`]). Like [`RunMetrics::routing_growths`], these
 /// describe the *execution*, not the *result*: a recovered run must be
 /// bit-identical to a fault-free run in states and [`UserCounters`], so
 /// recovery counters never enter a result digest.

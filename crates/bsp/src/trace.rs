@@ -631,9 +631,13 @@ impl RunTrace {
     }
 }
 
-/// Minimal JSON string escaping for the run label (event keys are
-/// static identifiers and never need it).
-fn escape_into(s: &str, out: &mut String) {
+/// Appends `s` to `out` escaped as the body of a JSON string literal,
+/// without the quotes: `"` and `\` are backslash-escaped, newline,
+/// carriage return and tab get their short escapes, and every other
+/// control character below U+0020 becomes `\u00XX`. The one JSON string
+/// escaper of the workspace: the trace's run label, the CLI's JSONL rows
+/// and the bench crate's JSON writer all go through it.
+pub fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -13,6 +13,7 @@ use graphite_bsp::codec::{
     put_interval, put_interval_fixed, put_signed, put_varint, Wire, BATCH_TRAILER,
 };
 use graphite_tgraph::graph::VIdx;
+use graphite_tgraph::iset::IntervalPartition;
 use graphite_tgraph::rng::SplitMix64;
 use graphite_tgraph::time::{Interval, TIME_MAX, TIME_MIN};
 
@@ -187,6 +188,81 @@ fn icm_message_round_trips() {
         let mut s = buf.as_slice();
         assert_eq!(<(Interval, i64)>::decode(&mut s), Some(msg));
         assert!(s.is_empty());
+    }
+}
+
+/// A seeded ICM vertex state: a random lifespan split at up to six
+/// points inside it, each piece with its own value.
+fn rand_partition(rng: &mut SplitMix64) -> IntervalPartition<i64> {
+    let lifespan = rand_interval(rng);
+    let mut p = IntervalPartition::new(lifespan, rng.range_i64(-50, 50));
+    for _ in 0..rng.bounded(7) {
+        let t = rng.range_i64(-1000, 1000);
+        if lifespan.contains_point(t) {
+            p.set(Interval::from_start(t), rng.range_i64(-50, 50));
+        }
+    }
+    p
+}
+
+/// The partition encoding by hand: the lifespan, then the entries as a
+/// counted list.
+fn partition_blob(lifespan: Interval, entries: &[(Interval, i64)]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    lifespan.encode(&mut buf);
+    entries.to_vec().encode(&mut buf);
+    buf
+}
+
+#[test]
+fn interval_partition_round_trips() {
+    let mut rng = SplitMix64::new(0x0C0D_EC0A);
+    for _ in 0..CASES {
+        let p = rand_partition(&mut rng);
+        let mut buf = Vec::new();
+        p.encode(&mut buf);
+        assert_eq!(buf, partition_blob(p.lifespan(), p.entries()));
+        let mut s = buf.as_slice();
+        assert_eq!(IntervalPartition::<i64>::decode(&mut s).as_ref(), Some(&p));
+        assert!(s.is_empty(), "decoder must consume exactly its bytes");
+    }
+}
+
+/// A blob whose entries do not tile the lifespan — a gap, an overlap, a
+/// first or last entry off the lifespan's ends, no entries at all — or
+/// that is cut short decodes to `None`, never to a partition and never
+/// to a panic.
+#[test]
+fn interval_partition_rejects_non_tilings_and_truncation() {
+    let decode = |blob: &[u8]| IntervalPartition::<i64>::decode(&mut &blob[..]);
+    let lifespan = Interval::new(0, 10);
+    let (a, b) = (Interval::new(0, 4), Interval::new(4, 10));
+    assert!(decode(&partition_blob(lifespan, &[(a, 1), (b, 2)])).is_some());
+    for entries in [
+        &[(a, 1), (Interval::new(5, 10), 2)][..],
+        &[(Interval::new(0, 5), 1), (b, 2)],
+        &[(a, 1), (Interval::new(4, 9), 2)],
+        &[(Interval::new(1, 4), 1), (b, 2)],
+        &[(a, 1)],
+        &[(Interval::new(0, 11), 1)],
+        &[(b, 2), (a, 1)],
+        &[],
+    ] {
+        assert_eq!(
+            decode(&partition_blob(lifespan, entries)),
+            None,
+            "{entries:?}"
+        );
+    }
+    let mut rng = SplitMix64::new(0x0C0D_EC0B);
+    for _ in 0..CASES / 10 {
+        let mut buf = Vec::new();
+        rand_partition(&mut rng).encode(&mut buf);
+        for cut in 0..buf.len() {
+            assert_eq!(decode(&buf[..cut]), None, "cut at {cut} of {buf:?}");
+        }
+        let soup: Vec<u8> = (0..rng.index(40)).map(|_| rng.next_u64() as u8).collect();
+        let _ = decode(&soup);
     }
 }
 

@@ -17,6 +17,12 @@
 //! Vertices implicitly vote to halt every superstep; the run ends when no
 //! messages are in flight (Sec. IV-A2).
 //!
+//! A worker keeps each owned vertex's [`IntervalPartition`] in one slot of
+//! a [`StateTable`], the table every baseline platform keeps its states
+//! in: a superstep takes a vertex's partition out of its slot and puts it
+//! back, and checkpoint and restore are the table's, through the
+//! partition's [`Wire`](graphite_bsp::codec::Wire) codec.
+//!
 //! Every buffer this pipeline touches belongs to the worker and is reused
 //! across vertices and supersteps (DESIGN.md §16.3): the precombined
 //! inbox, the warp arena with its one `members` arena of groups, the
@@ -29,14 +35,14 @@
 use crate::program::{
     ComputeContext, EdgeDirection, IntervalProgram, ScatterContext, VertexContext,
 };
-use crate::state::{StateArena, StateUpdates};
+use crate::state::StateUpdates;
 use crate::warp::WarpScratch;
 use graphite_bsp::aggregate::Aggregators;
-use graphite_bsp::codec::{get_varint, put_varint, Wire};
 use graphite_bsp::engine::{keep_alive, run_bsp, Fold, Inbox, Outbox, WorkerLogic};
 use graphite_bsp::error::BspError;
 use graphite_bsp::metrics::{RunMetrics, UserCounters};
 use graphite_bsp::partition::PartitionMap;
+use graphite_bsp::state::StateTable;
 use graphite_bsp::trace::{key, TraceSink};
 use graphite_bsp::MasterHook;
 use graphite_part::RunConfig;
@@ -107,14 +113,12 @@ impl<S: Clone> IcmResult<S> {
 struct IcmWorker<P: IntervalProgram> {
     graph: Arc<TemporalGraph>,
     program: Arc<P>,
-    owned: Vec<VIdx>,
     combiner: bool,
     suppression: Option<f64>,
-    /// Per-vertex interval partitions in a flat, id-sorted arena.
-    /// Iteration is ascending by vertex id, so final-state collection and
-    /// checkpoint encodings are deterministic (and byte-identical to the
-    /// ordered-map representation this replaced).
-    states: StateArena<P::State>,
+    /// Each owned vertex's interval partition, one slot per vertex.
+    /// Iteration is ascending by vertex index, so final-state collection
+    /// and checkpoint encodings are deterministic.
+    table: StateTable<IntervalPartition<P::State>>,
     /// One vertex's inbox after the receiver's precombine.
     combined: Vec<(Interval, P::Msg)>,
     /// `(start, end, position)` of each inbox message, sorted when an
@@ -343,10 +347,9 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
         let IcmWorker {
             graph,
             program,
-            owned,
             combiner,
             suppression,
-            states,
+            table,
             combined,
             order,
             scratch,
@@ -356,13 +359,14 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
         } = self;
         let graph: &TemporalGraph = graph;
         let program: &P = program;
+        let owned = table.owned();
         let mut direct: Vec<(VIdx, Interval, P::Msg)> = Vec::new();
         if step == 1 {
             // Initialization superstep: every vertex is active for its
             // entire lifespan, with no messages. States are pre-partitioned
             // at the program's static boundaries (footnote 2), and compute
             // runs once per initial partition entry.
-            for &v in owned.iter() {
+            for v in owned.iter().map(|&v| VIdx(v)) {
                 let vctx = VertexContext { graph, vertex: v };
                 let lifespan = vctx.lifespan();
                 let init = program.init(&vctx);
@@ -401,7 +405,7 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
                 sink.timed(key::SCATTER_NS, || {
                     scatter_changes(graph, program, v, changed, step, outbox, globals, counters)
                 });
-                states.put(v, partition);
+                *table.slot(v.0, 0) = Some(partition);
             }
             for (v, iv, m) in direct {
                 outbox.send(v, (iv, m));
@@ -419,17 +423,17 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
         let active: &mut dyn Iterator<Item = (VIdx, &[Self::Msg])> = if all_active {
             everyone = owned
                 .iter()
-                .map(|&v| (v, inbox.messages_for(v).unwrap_or(&[])));
+                .map(|&v| (VIdx(v), inbox.messages_for(VIdx(v)).unwrap_or(&[])));
             &mut everyone
         } else {
             messaged = inbox.iter();
             &mut messaged
         };
         for (v, raw) in active {
-            // Take the vertex state out of the arena for the superstep and
-            // reinsert it after the writes are applied: one lookup, no
-            // re-borrow, no "checked above" unwrap.
-            let Some(mut partition) = states.take(v) else {
+            // Take the vertex state out of its slot for the superstep and
+            // put it back after the writes are applied: no re-borrow, no
+            // "checked above" unwrap.
+            let Some(mut partition) = table.slot(v.0, 0).take() else {
                 continue;
             };
             let msgs = sink.timed(key::PRECOMBINE_NS, || {
@@ -561,7 +565,7 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
             sink.timed(key::SCATTER_NS, || {
                 scatter_changes(graph, program, v, changed, step, outbox, globals, counters)
             });
-            states.put(v, partition);
+            *table.slot(v.0, 0) = Some(partition);
         }
         for (v, iv, m) in direct {
             outbox.send(v, (iv, m));
@@ -583,56 +587,13 @@ impl<P: IntervalProgram> WorkerLogic for IcmWorker<P> {
 
     // The per-vertex interval partitions are the complete user state —
     // every other buffer is ephemeral, scatter segments live precomputed
-    // in the frozen graph, and the config fields never change mid-run. The arena iterates in ascending vertex-id order, so
-    // the encoding is byte-identical to the ordered-map representation it
-    // replaced (and stable across checkpoint/restore cycles).
+    // in the frozen graph, and the config fields never change mid-run.
     fn checkpoint(&self, buf: &mut Vec<u8>) {
-        put_varint(self.states.len() as u64, buf);
-        for (v, partition) in self.states.iter() {
-            put_varint(u64::from(v.0), buf);
-            partition.lifespan().encode(buf);
-            put_varint(partition.len() as u64, buf);
-            for (iv, s) in partition.iter() {
-                iv.encode(buf);
-                s.encode(buf);
-            }
-        }
+        self.table.checkpoint(buf);
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
-        let mut cur = bytes;
-        let count = get_varint(&mut cur).ok_or("vertex state count")?;
-        let mut states = StateArena::new(&self.owned);
-        for _ in 0..count {
-            let raw = get_varint(&mut cur).ok_or("vertex id")?;
-            let v = u32::try_from(raw).map_err(|_| "vertex id exceeds u32")?;
-            let lifespan = Interval::decode(&mut cur).ok_or("vertex lifespan")?;
-            let n = get_varint(&mut cur).ok_or("partition entry count")?;
-            let mut entries: Vec<(Interval, P::State)> = Vec::new();
-            for _ in 0..n {
-                let iv = Interval::decode(&mut cur).ok_or("entry interval")?;
-                let s = P::State::decode(&mut cur).ok_or("entry state")?;
-                entries.push((iv, s));
-            }
-            // Re-validate the tiling before handing the entries to
-            // `IntervalPartition::from_entries`, which panics on violation:
-            // restore stays total even on a corrupted blob.
-            let tiles = !entries.is_empty()
-                && entries[0].0.start() == lifespan.start()
-                && entries[entries.len() - 1].0.end() == lifespan.end()
-                && entries.windows(2).all(|w| w[0].0.end() == w[1].0.start());
-            if !tiles {
-                return Err("checkpoint entries do not tile the lifespan");
-            }
-            states
-                .try_put(VIdx(v), IntervalPartition::from_entries(lifespan, entries))
-                .map_err(|_| "checkpoint vertex not owned by this worker")?;
-        }
-        if !cur.is_empty() {
-            return Err("trailing bytes in worker checkpoint");
-        }
-        self.states = states;
-        Ok(())
+        self.table.restore(bytes)
     }
 }
 
@@ -673,7 +634,7 @@ pub fn run_icm<P: IntervalProgram>(
     Ok(collect_result(workers, metrics))
 }
 
-/// One ICM worker per partition, with empty state arenas and fresh scratch.
+/// One ICM worker per partition, with empty state tables and fresh scratch.
 fn build_workers<P: IntervalProgram>(
     graph: &Arc<TemporalGraph>,
     program: &Arc<P>,
@@ -681,22 +642,18 @@ fn build_workers<P: IntervalProgram>(
     partition: &Arc<PartitionMap>,
 ) -> Vec<IcmWorker<P>> {
     (0..partition.workers())
-        .map(|w| {
-            let owned = partition.owned_by(w);
-            IcmWorker {
-                graph: Arc::clone(graph),
-                program: Arc::clone(program),
-                combiner: config.combiner,
-                suppression: config.suppression_threshold,
-                states: StateArena::new(&owned),
-                owned,
-                combined: Vec::new(),
-                order: Vec::new(),
-                scratch: WarpScratch::new(),
-                group: Vec::new(),
-                buckets: Vec::new(),
-                updates: StateUpdates::new(),
-            }
+        .map(|w| IcmWorker {
+            graph: Arc::clone(graph),
+            program: Arc::clone(program),
+            combiner: config.combiner,
+            suppression: config.suppression_threshold,
+            table: StateTable::new(partition, w, 1),
+            combined: Vec::new(),
+            order: Vec::new(),
+            scratch: WarpScratch::new(),
+            group: Vec::new(),
+            buckets: Vec::new(),
+            updates: StateUpdates::new(),
         })
         .collect()
 }
@@ -708,9 +665,9 @@ fn collect_result<P: IntervalProgram>(
 ) -> IcmResult<P::State> {
     let mut states = BTreeMap::new();
     for mut worker in workers {
-        for (v, mut partition) in worker.states.drain() {
+        for (v, _, mut partition) in worker.table.drain(0) {
             partition.coalesce();
-            let vid = worker.graph.vertex(v).vid;
+            let vid = worker.graph.vertex(VIdx(v)).vid;
             states.insert(vid, partition.into_entries());
         }
     }

@@ -59,7 +59,7 @@ pub mod warp;
 pub use engine::{run_icm, IcmConfig, IcmResult};
 pub use graphite_part::{PartitionStrategy, RunConfig};
 pub use program::{ComputeContext, EdgeDirection, IntervalProgram, ScatterContext, VertexContext};
-pub use warp::{time_join, time_warp, time_warp_spans, warp_view, JoinTuple, WarpTuple};
+pub use warp::{time_join, time_warp, time_warp_spans, JoinTuple, WarpTuple};
 
 /// The common imports: `use graphite_icm::prelude::*;`.
 pub mod prelude {
@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::program::{
         ComputeContext, EdgeDirection, IntervalProgram, ScatterContext, VertexContext,
     };
-    pub use crate::warp::{time_join, time_warp, time_warp_spans, warp_view};
+    pub use crate::warp::{time_join, time_warp, time_warp_spans};
     pub use graphite_part::RunConfig;
 }
 

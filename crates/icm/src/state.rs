@@ -1,7 +1,9 @@
 //! Dynamically partitioned vertex state management (Sec. IV-A1) as used by
-//! the engine: the per-vertex [`IntervalPartition`] plus the bookkeeping of
-//! which sub-intervals `compute` changed in the current superstep (those —
-//! and only those — feed the pre-scatter warp).
+//! the engine: the bookkeeping of which sub-intervals of a vertex's
+//! [`IntervalPartition`] `compute` changed in the current superstep (those
+//! — and only those — feed the pre-scatter warp). The partitions
+//! themselves sit in the worker's `graphite_bsp::state::StateTable`, the
+//! table every platform keeps its vertex states in.
 //!
 //! [`StateUpdates`] is a worker-owned buffer, not a per-vertex value: it
 //! collects one vertex's writes already sorted and disjoint, applies them
@@ -10,111 +12,8 @@
 //! and hands back its own `changed` list — so a steady-state superstep
 //! allocates nothing here (DESIGN.md §16.3).
 
-use graphite_tgraph::graph::VIdx;
 use graphite_tgraph::iset::IntervalPartition;
 use graphite_tgraph::time::Interval;
-
-/// Arena of per-vertex interval partitions for the vertices one worker
-/// owns (DESIGN.md §16).
-///
-/// The owned set is fixed at worker construction, so instead of a tree
-/// keyed by vertex id the arena stores one slot per owned vertex in a
-/// flat, id-sorted array: lookups are a binary search over a dense `u32`
-/// index (one cache line covers 16 candidates), and the partitions
-/// themselves sit contiguously in slot order. Iteration is always in
-/// ascending vertex-id order — exactly the order the old ordered-map
-/// representation produced — so checkpoint encodings and result collection
-/// are byte-for-byte unchanged.
-#[derive(Debug)]
-pub struct StateArena<S> {
-    /// Owned vertex ids, ascending; position = slot number.
-    index: Vec<u32>,
-    /// One slot per owned vertex, aligned with `index`. `None` until the
-    /// vertex is initialized (or while its partition is checked out for a
-    /// superstep).
-    slots: Vec<Option<IntervalPartition<S>>>,
-}
-
-impl<S> StateArena<S> {
-    /// An empty arena with one slot for each vertex in `owned`.
-    pub fn new(owned: &[VIdx]) -> Self {
-        let mut index: Vec<u32> = owned.iter().map(|v| v.0).collect();
-        index.sort_unstable();
-        index.dedup();
-        let slots = index.iter().map(|_| None).collect();
-        StateArena { index, slots }
-    }
-
-    fn slot(&self, v: VIdx) -> Option<usize> {
-        self.index.binary_search(&v.0).ok()
-    }
-
-    /// Number of vertices currently holding a partition.
-    pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// `true` when no vertex holds a partition.
-    pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(Option::is_none)
-    }
-
-    /// Checks the partition of `v` out of the arena (for a superstep), or
-    /// `None` when `v` is unowned or uninitialized.
-    pub fn take(&mut self, v: VIdx) -> Option<IntervalPartition<S>> {
-        let i = self.slot(v)?;
-        self.slots[i].take()
-    }
-
-    /// Stores the partition of owned vertex `v`.
-    ///
-    /// # Panics
-    /// Panics when `v` is not in the arena's owned set; the engine only
-    /// ever stores vertices it was constructed with.
-    #[expect(
-        clippy::expect_used,
-        reason = "the engine only stores vertices from the owned set the arena \
-                  was constructed with; a miss is a logic bug"
-    )]
-    pub fn put(&mut self, v: VIdx, partition: IntervalPartition<S>) {
-        let i = self.slot(v).expect("vertex not owned by this worker");
-        self.slots[i] = Some(partition);
-    }
-
-    /// Fallible [`put`](Self::put) for restore paths: `Err` (with the
-    /// partition handed back) when `v` is not owned, instead of panicking
-    /// on corrupted input.
-    pub fn try_put(
-        &mut self,
-        v: VIdx,
-        partition: IntervalPartition<S>,
-    ) -> Result<(), IntervalPartition<S>> {
-        match self.slot(v) {
-            Some(i) => {
-                self.slots[i] = Some(partition);
-                Ok(())
-            }
-            None => Err(partition),
-        }
-    }
-
-    /// The held partitions in ascending vertex-id order.
-    pub fn iter(&self) -> impl Iterator<Item = (VIdx, &IntervalPartition<S>)> {
-        self.index
-            .iter()
-            .zip(&self.slots)
-            .filter_map(|(&v, s)| s.as_ref().map(|p| (VIdx(v), p)))
-    }
-
-    /// Removes and yields every held partition in ascending vertex-id
-    /// order, leaving the arena empty (slots stay allocated).
-    pub fn drain(&mut self) -> impl Iterator<Item = (VIdx, IntervalPartition<S>)> + '_ {
-        self.index
-            .iter()
-            .zip(self.slots.iter_mut())
-            .filter_map(|(&v, s)| s.take().map(|p| (VIdx(v), p)))
-    }
-}
 
 /// The state writes of one vertex in one superstep, and the worker-owned
 /// buffers that apply them (DESIGN.md §16.3).

@@ -357,36 +357,30 @@ impl WarpScratch {
     }
 }
 
-/// Convenience: the warp of `outer` states against `inner` messages,
-/// yielding `(interval, &state, Vec<&message>)` views.
-pub fn warp_view<'a, S, M>(
-    outer: &'a [(Interval, S)],
-    inner: &'a [(Interval, M)],
-) -> impl Iterator<Item = (Interval, &'a S, Vec<&'a M>)> + 'a {
-    let warp = time_warp(outer, inner);
-    let views: Vec<_> = warp
-        .tuples()
-        .iter()
-        .map(|t| {
-            (
-                t.interval,
-                &outer[t.outer].1,
-                warp.group(t)
-                    .iter()
-                    .map(|&i| &inner[i as usize].1)
-                    .collect(),
-            )
-        })
-        .collect();
-    views.into_iter()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn iv(s: i64, e: i64) -> Interval {
         Interval::new(s, e)
+    }
+
+    /// The warp of `outer` states against `inner` messages as
+    /// `(interval, &state, Vec<&message>)` views.
+    fn warp_view<'a, S, M>(
+        outer: &'a [(Interval, S)],
+        inner: &'a [(Interval, M)],
+    ) -> impl Iterator<Item = (Interval, &'a S, Vec<&'a M>)> + 'a {
+        let warp = time_warp(outer, inner);
+        let views: Vec<_> = warp
+            .tuples()
+            .iter()
+            .map(|t| {
+                let group = warp.group(t).iter().map(|&i| &inner[i as usize].1);
+                (t.interval, &outer[t.outer].1, group.collect())
+            })
+            .collect();
+        views.into_iter()
     }
 
     type Entries = Vec<(Interval, &'static str)>;

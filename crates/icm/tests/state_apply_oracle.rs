@@ -33,7 +33,8 @@ fn oracle_coalesce<S: Clone + PartialEq>(partition: &mut IntervalPartition<S>) {
             _ => out.push((iv, v)),
         }
     }
-    *partition = IntervalPartition::from_entries(lifespan, out);
+    *partition =
+        IntervalPartition::from_entries(lifespan, out).expect("coalescing keeps the tiling");
 }
 
 /// The previous `StateUpdates::apply`, verbatim but for taking the write

@@ -952,17 +952,6 @@ impl TemporalGraph {
     pub fn vertex_property_at(&self, v: VIdx, label: LabelId, t: Time) -> Option<&PropValue> {
         self.v_props[v.idx()].value_at(label, t)
     }
-
-    /// Rebuilds the transient lookup structures after deserialization.
-    pub fn rebuild_after_deserialize(&mut self) {
-        self.labels.rebuild_index();
-        self.vid_index = self
-            .v_vid
-            .iter()
-            .enumerate()
-            .map(|(i, &vid)| (vid, VIdx(i as u32)))
-            .collect();
-    }
 }
 
 #[cfg(test)]

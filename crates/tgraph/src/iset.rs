@@ -189,33 +189,23 @@ impl<V: Clone> IntervalPartition<V> {
         }
     }
 
-    /// Builds a partition from pre-segmented entries.
-    ///
-    /// # Panics
-    /// Panics if the entries do not exactly tile `lifespan`.
-    pub fn from_entries(lifespan: Interval, entries: Vec<(Interval, V)>) -> Self {
+    /// Builds a partition from pre-segmented entries, or `None` when the
+    /// entries do not exactly tile `lifespan` (none at all, a gap, an
+    /// overlap, or a first or last entry off the lifespan's ends).
+    pub fn from_entries(lifespan: Interval, entries: Vec<(Interval, V)>) -> Option<Self> {
         let p = IntervalPartition { lifespan, entries };
-        p.assert_invariants();
-        p
+        p.tiles().then_some(p)
     }
 
-    fn assert_invariants(&self) {
-        assert!(
-            !self.entries.is_empty(),
-            "partition must cover its lifespan"
-        );
-        assert_eq!(
-            self.entries.first().unwrap().0.start(),
-            self.lifespan.start()
-        );
-        assert_eq!(self.entries.last().unwrap().0.end(), self.lifespan.end());
-        for w in self.entries.windows(2) {
-            assert!(
-                w[0].0.meets(w[1].0),
-                "partition entries must tile contiguously: {} then {}",
-                w[0].0,
-                w[1].0
-            );
+    /// Whether the entries exactly tile the lifespan.
+    fn tiles(&self) -> bool {
+        match (self.entries.first(), self.entries.last()) {
+            (Some((first, _)), Some((last, _))) => {
+                first.start() == self.lifespan.start()
+                    && last.end() == self.lifespan.end()
+                    && self.entries.windows(2).all(|w| w[0].0.meets(w[1].0))
+            }
+            _ => false,
         }
     }
 
@@ -390,10 +380,7 @@ impl<V: Clone + PartialEq> IntervalPartition<V> {
             }
         }
         std::mem::swap(&mut self.entries, swap);
-        debug_assert!({
-            self.assert_invariants();
-            true
-        });
+        debug_assert!(self.tiles(), "partition entries must tile the lifespan");
     }
 }
 
@@ -632,12 +619,12 @@ mod tests {
         }
 
         #[test]
-        #[should_panic(expected = "tile contiguously")]
         fn from_entries_rejects_gaps() {
-            let _ = IntervalPartition::from_entries(
+            let gap = IntervalPartition::from_entries(
                 Interval::new(0, 10),
                 vec![(Interval::new(0, 4), 1), (Interval::new(5, 10), 2)],
             );
+            assert_eq!(gap, None);
         }
     }
 }

@@ -125,17 +125,6 @@ impl LabelInterner {
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
     }
-
-    /// Rebuilds the name→id index after deserialization (the index is not
-    /// serialized).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), LabelId(i as u32)))
-            .collect();
-    }
 }
 
 /// One label's timeline inside a [`Properties`] row.
@@ -290,16 +279,6 @@ mod tests {
         assert_eq!(i.get("travel-cost"), Some(b));
         assert_eq!(i.get("missing"), None);
         assert_eq!(i.len(), 2);
-    }
-
-    #[test]
-    fn interner_index_rebuild() {
-        let mut i = LabelInterner::new();
-        let a = i.intern("x");
-        let mut j = i.clone();
-        j.index.clear();
-        j.rebuild_index();
-        assert_eq!(j.get("x"), Some(a));
     }
 
     #[test]

@@ -19,7 +19,8 @@
 # Then an end-to-end pass through the `graphite serve` CLI exercises the
 # same mechanisms from the outside, pinning the JSONL status taxonomy
 # and the exit-code contract (non-zero iff a terminal execution failure
-# occurred; degraded-but-typed outcomes exit zero).
+# occurred; degraded-but-typed outcomes exit zero; a closed stdout ends
+# the command quietly with 141, never a panic).
 #
 # Usage: scripts/chaos_soak.sh [extra cargo-test args...]
 set -euo pipefail
@@ -106,5 +107,22 @@ ok_rows="$(grep -c '"status": "ok"' "$tmp/flood.jsonl")"
     || fail "flood pass: rows do not account for all 12 queries" "$tmp/flood.jsonl"
 grep -q '"status": "health"' "$tmp/flood.jsonl" \
     || fail "flood pass: --status emitted no health row" "$tmp/flood.jsonl"
+
+# Pass 5 — closed stdout: serve writing into a pipe whose reader is
+# gone ends quietly with 141 — no panic message, not Rust's panic exit
+# 101. The fifo is opened read-write first so the write end opens
+# without blocking; closing that fd then leaves the fifo no reader, so
+# the first row's write fails with EPIPE.
+mkfifo "$tmp/closed"
+exec 3<>"$tmp/closed" 4>"$tmp/closed"
+exec 3<&-
+code=0
+"$bin" serve "$tmp/g.tg" "$tmp/recover.txt" >&4 2>"$tmp/closed.err" || code=$?
+exec 4>&-
+if grep -q panicked "$tmp/closed.err"; then
+    fail "closed-stdout pass: serve panicked" "$tmp/closed.err"
+fi
+[ "$code" -eq 141 ] \
+    || fail "closed-stdout pass: expected exit 141, got $code" "$tmp/closed.err"
 
 echo "==> chaos soak gate passed"

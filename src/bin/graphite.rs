@@ -53,11 +53,18 @@
 //! stream for `trace_report`. Vertex placement is selected with
 //! `--partition hash|chunked|ldg|temporal` (default `hash`, on every
 //! platform; results are identical either way — see DESIGN.md §13).
+//!
+//! Exit codes: 0 on success, 1 when a command fails (an input that does
+//! not load, an engine error, a terminally failed serve query), 2 on a
+//! usage error, and 141 (128 + `SIGPIPE`, what a shell reports for a
+//! tool the signal ends) when stdout closes before the command is done
+//! — `graphite run g.tg --algo bfs --counts | head -1` — which ends the
+//! command at once and quietly. No input makes it panic (exit 101).
 
 #![forbid(unsafe_code)]
 
 use graphite::algorithms::registry::{try_run, Algo, Platform, RunOpts};
-use graphite::bsp::trace::TraceConfig;
+use graphite::bsp::trace::{escape_into, TraceConfig};
 use graphite::datagen::Profile;
 use graphite::part::PartitionStrategy;
 use graphite::serve::{QuerySpec, ServeConfig, ServeEngine};
@@ -67,6 +74,31 @@ use graphite::tgraph::stats::dataset_stats;
 use std::cell::Cell;
 use std::process::ExitCode;
 use std::sync::Arc;
+
+/// The exit code of a command whose stdout closed under it.
+const CLOSED_STDOUT: i32 = 141;
+
+/// `println!` for every line the CLI writes to stdout, through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout. A closed stdout — the reader of a pipe is
+/// gone — ends the process at once with [`CLOSED_STDOUT`] and no
+/// message; any other write error ends it with exit 1, naming the error.
+fn emit(line: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    let Err(e) = writeln!(std::io::stdout().lock(), "{line}") else {
+        return;
+    };
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(CLOSED_STDOUT);
+    }
+    eprintln!("cannot write to stdout: {e}");
+    std::process::exit(1);
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -149,24 +181,27 @@ fn cmd_stats(path: &str) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let s = dataset_stats(&graph, None);
-    println!("vertices:            {}", s.interval.vertices);
-    println!("edges:               {}", s.interval.edges);
-    println!("snapshots:           {}", s.snapshots);
-    println!(
+    out!("vertices:            {}", s.interval.vertices);
+    out!("edges:               {}", s.interval.edges);
+    out!("snapshots:           {}", s.snapshots);
+    out!(
         "largest snapshot:    {} vertices, {} edges",
-        s.largest_snapshot.vertices, s.largest_snapshot.edges
+        s.largest_snapshot.vertices,
+        s.largest_snapshot.edges
     );
-    println!(
+    out!(
         "transformed graph:   {} replicas, {} edges",
-        s.transformed.vertices, s.transformed.edges
+        s.transformed.vertices,
+        s.transformed.edges
     );
-    println!(
+    out!(
         "multi-snapshot size: {} vertices, {} edges (cumulative)",
-        s.multi_snapshot.vertices, s.multi_snapshot.edges
+        s.multi_snapshot.vertices,
+        s.multi_snapshot.edges
     );
-    println!("avg vertex lifespan: {:.2}", s.avg_vertex_lifespan);
-    println!("avg edge lifespan:   {:.2}", s.avg_edge_lifespan);
-    println!("avg prop lifespan:   {:.2}", s.avg_property_lifespan);
+    out!("avg vertex lifespan: {:.2}", s.avg_vertex_lifespan);
+    out!("avg edge lifespan:   {:.2}", s.avg_edge_lifespan);
+    out!("avg prop lifespan:   {:.2}", s.avg_property_lifespan);
     ExitCode::SUCCESS
 }
 
@@ -208,7 +243,7 @@ fn cmd_run(path: &str, flags: &Flags) -> ExitCode {
             let m = &outcome.metrics;
             m.trace
                 .maybe_emit(&format!("{}/{}", algo.name(), platform.name()));
-            println!(
+            out!(
                 "{} on {}: makespan {:.2?} ({} supersteps)",
                 algo.name(),
                 platform.name(),
@@ -216,13 +251,13 @@ fn cmd_run(path: &str, flags: &Flags) -> ExitCode {
                 m.supersteps
             );
             if flags.has("--counts") {
-                println!("compute calls:  {}", m.counters.compute_calls);
-                println!("scatter calls:  {}", m.counters.scatter_calls);
-                println!("messages sent:  {}", m.counters.messages_sent);
-                println!("wire messages:  {}", m.counters.wire_messages);
-                println!("remote bytes:   {}", m.counters.bytes_sent);
-                println!("warp calls:     {}", m.counters.warp_invocations);
-                println!("warp suppressed:{}", m.counters.warp_suppressions);
+                out!("compute calls:  {}", m.counters.compute_calls);
+                out!("scatter calls:  {}", m.counters.scatter_calls);
+                out!("messages sent:  {}", m.counters.messages_sent);
+                out!("wire messages:  {}", m.counters.wire_messages);
+                out!("remote bytes:   {}", m.counters.bytes_sent);
+                out!("warp calls:     {}", m.counters.warp_invocations);
+                out!("warp suppressed:{}", m.counters.warp_suppressions);
             }
             ExitCode::SUCCESS
         }
@@ -273,12 +308,12 @@ fn cmd_gen(profile: &str, out: &str, flags: &Flags) -> ExitCode {
             return ExitCode::FAILURE;
         }
         let ops: usize = stream.batches.iter().map(|d| d.len()).sum();
-        println!(
+        out!(
             "wrote {out}: {} vertices, {} edges (base)",
             stream.base.num_vertices(),
             stream.base.num_edges()
         );
-        println!(
+        out!(
             "wrote {upath}: {batches} batches, {ops} ops, final digest {:#018x}",
             stream.final_digest
         );
@@ -299,7 +334,7 @@ fn cmd_gen(profile: &str, out: &str, flags: &Flags) -> ExitCode {
         eprintln!("cannot write {out}: {e}");
         return ExitCode::FAILURE;
     }
-    println!(
+    out!(
         "wrote {out}: {} vertices, {} edges",
         graph.num_vertices(),
         graph.num_edges()
@@ -397,10 +432,14 @@ fn cmd_stream(path: &str, updates_path: &str, flags: &Flags) -> ExitCode {
             })
             .collect::<Vec<_>>()
             .join(", ");
-        println!(
+        out!(
             "{{\"batch\": {}, \"ops\": {}, \"dirty\": {}, \
              \"graph_digest\": \"{:#018x}\", \"checked\": {}, \"algos\": [{algos}]}}",
-            report.batch, report.ops, report.dirty, report.graph_digest, report.checked
+            report.batch,
+            report.ops,
+            report.dirty,
+            report.graph_digest,
+            report.checked
         );
         trace.events.extend(batch_trace(&report).events);
     }
@@ -411,23 +450,6 @@ fn cmd_stream(path: &str, updates_path: &str, flags: &Flags) -> ExitCode {
         engine.structure_digest()
     );
     ExitCode::SUCCESS
-}
-
-/// Escapes a string into a JSON literal (the serve JSONL emitter).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn cmd_serve(path: &str, batch_path: &str, flags: &Flags) -> ExitCode {
@@ -478,7 +500,7 @@ fn cmd_serve(path: &str, batch_path: &str, flags: &Flags) -> ExitCode {
                 let digest = outcome
                     .digest
                     .map_or_else(|| "null".to_string(), |d| format!("\"{:#018x}\"", d.0));
-                println!(
+                out!(
                     "{{\"id\": {i}, \"algo\": \"{}\", \"platform\": \"{}\", \
                      \"status\": \"ok\", \"digest\": {digest}, \"supersteps\": {}, \
                      \"cached\": {}, \"micros\": {}}}",
@@ -501,7 +523,9 @@ fn cmd_serve(path: &str, batch_path: &str, flags: &Flags) -> ExitCode {
                         "error"
                     }
                 };
-                println!(
+                let mut detail = String::new();
+                escape_into(&e.to_string(), &mut detail);
+                out!(
                     "{{\"id\": {i}, \"algo\": \"{}\", \"platform\": \"{}\", \
                      \"status\": \"{status}\", \"error\": {{\"kind\": \"{}\", \
                      \"query\": \"{} {}\", \"detail\": \"{}\"}}}}",
@@ -510,14 +534,14 @@ fn cmd_serve(path: &str, batch_path: &str, flags: &Flags) -> ExitCode {
                     e.kind(),
                     spec.algo.name(),
                     spec.platform.name(),
-                    json_escape(&e.to_string())
+                    detail
                 );
             }
         }
     }
     let health = engine.health();
     if flags.has("--status") {
-        println!(
+        out!(
             "{{\"status\": \"health\", \"retries\": {}, \"recovered\": {}, \
              \"shed\": {}, \"quarantined\": {}, \"budget_exceeded\": {}, \
              \"failed\": {}, \"quarantined_now\": {}}}",

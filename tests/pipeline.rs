@@ -14,9 +14,7 @@ fn save_load_round_trip_preserves_results() {
     let g = Arc::new(generate(&GenParams::small(77)));
     let path = std::env::temp_dir().join("graphite_pipeline_test.tg");
     io::save(&g, &path).expect("save");
-    let mut reloaded = io::load(&path).expect("load");
-    reloaded.rebuild_after_deserialize();
-    let reloaded = Arc::new(reloaded);
+    let reloaded = Arc::new(io::load(&path).expect("load"));
     std::fs::remove_file(&path).ok();
 
     // Identical statistics...
@@ -191,4 +189,33 @@ fn the_worker_cap_is_checked_by_the_one_lowering() {
     assert_eq!(lowers(RunOpts::MAX_WORKERS), (true, true));
     assert_eq!(lowers(RunOpts::MAX_WORKERS + 1), (false, false));
     assert_eq!(lowers(usize::from(u16::MAX)), (false, false));
+}
+
+/// A closed stdout ends a command quietly: `stats` and `run --counts`
+/// writing into a pipe whose reader is already gone neither panic nor
+/// exit 101.
+#[test]
+fn a_closed_stdout_is_not_a_crash() {
+    use std::process::{Command, Stdio};
+    let dir = std::env::temp_dir().join(format!("graphite_cli_pipe_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let graph = dir.join("g.tg");
+    io::save(&generate(&GenParams::small(5)), &graph).expect("save");
+    let graph = graph.to_str().expect("utf-8 path");
+    for args in [
+        &["stats", graph][..],
+        &["run", graph, "--algo", "bfs", "--counts"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_graphite"))
+            .args(args)
+            .stdout(Stdio::from(writer))
+            .output()
+            .expect("the CLI starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
