@@ -29,17 +29,17 @@ impl GofProgram for GofLcc {
                 // schedule the next snapshot's wake-up.
                 *state = 0;
                 let me = ctx.vid().0;
-                let edges: Vec<_> = ctx.out_edges().to_vec();
-                for e in edges {
+                let edges = ctx.out_edges();
+                for &e in edges {
                     ctx.send_local(e.target, LccMsg::Origin(me));
                 }
             }
             2 => {
                 let g = ctx.graph();
-                let edges: Vec<_> = ctx.out_edges().to_vec();
+                let edges = ctx.out_edges();
                 for m in msgs {
                     let LccMsg::Origin(origin) = m else { continue };
-                    for e in &edges {
+                    for e in edges {
                         // Targets are dense indices; compare vids.
                         let tvid = g.vertex(graphite_tgraph::graph::VIdx(e.target)).vid.0;
                         if tvid != *origin {
@@ -85,18 +85,18 @@ impl GofProgram for GofTc {
             1 => {
                 *state = 0;
                 let me = ctx.vid().0;
-                let edges: Vec<_> = ctx.out_edges().to_vec();
-                for e in edges {
+                let edges = ctx.out_edges();
+                for &e in edges {
                     ctx.send_local(e.target, TcMsg::Origin(me));
                 }
             }
             2 => {
                 let g = ctx.graph();
                 let me = ctx.vid().0;
-                let edges: Vec<_> = ctx.out_edges().to_vec();
+                let edges = ctx.out_edges();
                 for m in msgs {
                     let TcMsg::Origin(origin) = m else { continue };
-                    for e in &edges {
+                    for e in edges {
                         let tvid = g.vertex(graphite_tgraph::graph::VIdx(e.target)).vid.0;
                         if tvid != *origin && tvid != me {
                             ctx.send_local(e.target, TcMsg::TwoHop(*origin));

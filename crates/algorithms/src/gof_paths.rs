@@ -7,7 +7,6 @@
 
 use crate::common::INF;
 use graphite_baselines::goffish::{GofContext, GofProgram};
-use graphite_bsp::codec::Wire;
 use graphite_tgraph::graph::VertexId;
 use graphite_tgraph::time::{Time, TIME_MIN};
 
@@ -40,8 +39,8 @@ impl GofProgram for GofSssp {
         if *state < INF {
             let dist = *state;
             let t = ctx.time();
-            let edges: Vec<graphite_baselines::vcm::VcmEdge> = ctx.out_edges().to_vec();
-            for e in edges {
+            let edges = ctx.out_edges();
+            for &e in edges {
                 ctx.send_future(e.target, t + e.w2, dist + e.w1);
             }
         }
@@ -83,8 +82,8 @@ impl GofProgram for GofEat {
         // Only forward once the journey can have reached us.
         if *state <= ctx.time() {
             let t = ctx.time();
-            let edges: Vec<graphite_baselines::vcm::VcmEdge> = ctx.out_edges().to_vec();
-            for e in edges {
+            let edges = ctx.out_edges();
+            for &e in edges {
                 ctx.send_future(e.target, t + e.w2, t + e.w2);
             }
         }
@@ -134,8 +133,8 @@ impl GofProgram for GofFast {
         }
         // Relay: the source starts a fresh journey at every snapshot; any
         // vertex with a known start relays it.
-        let edges: Vec<graphite_baselines::vcm::VcmEdge> = ctx.out_edges().to_vec();
-        for e in edges {
+        let edges = ctx.out_edges();
+        for &e in edges {
             if is_source {
                 ctx.send_future(e.target, t + e.w2, t);
             }
@@ -259,8 +258,8 @@ impl GofProgram for GofTmst {
         if state.0 <= ctx.time() {
             let t = ctx.time();
             let my_vid = ctx.vid().0;
-            let edges: Vec<graphite_baselines::vcm::VcmEdge> = ctx.out_edges().to_vec();
-            for e in edges {
+            let edges = ctx.out_edges();
+            for &e in edges {
                 ctx.send_future(e.target, t + e.w2, (t + e.w2, my_vid));
             }
         }
@@ -300,8 +299,8 @@ impl GofProgram for GofReach {
         }
         if *state {
             let t = ctx.time();
-            let edges: Vec<graphite_baselines::vcm::VcmEdge> = ctx.out_edges().to_vec();
-            for e in edges {
+            let edges = ctx.out_edges();
+            for &e in edges {
                 ctx.send_future(e.target, t + e.w2, true);
             }
         }
@@ -315,10 +314,6 @@ impl GofProgram for GofReach {
         true
     }
 }
-
-/// Checks that a message type is wire-compatible (compile-time helper for
-/// the registry).
-pub fn _assert_wire<M: Wire>() {}
 
 #[cfg(test)]
 mod tests {

@@ -37,8 +37,8 @@ impl VcmProgram for TgbSssp {
         }
         if (ctx.superstep() == 1 && *state < INF) || improved {
             let dist = *state;
-            let edges: Vec<_> = ctx.out_edges().to_vec();
-            for e in edges {
+            let edges = ctx.out_edges();
+            for &e in edges {
                 ctx.send(e.target, dist + e.w1);
             }
         }
@@ -77,8 +77,8 @@ impl VcmProgram for TgbReach {
             *state = true;
         }
         if (ctx.superstep() == 1 && *state) || newly {
-            let edges: Vec<_> = ctx.out_edges().to_vec();
-            for e in edges {
+            let edges = ctx.out_edges();
+            for &e in edges {
                 ctx.send(e.target, true);
             }
         }
@@ -142,8 +142,8 @@ impl VcmProgram for TgbFast {
         }
         if (ctx.superstep() == 1 && *state > TIME_MIN) || improved {
             let s = *state;
-            let edges: Vec<_> = ctx.out_edges().to_vec();
-            for e in edges {
+            let edges = ctx.out_edges();
+            for &e in edges {
                 ctx.send(e.target, s);
             }
         }
@@ -217,8 +217,8 @@ impl VcmProgram for TgbTmst {
         if (ctx.superstep() == 1 && state.0 < INF) || improved {
             let vid = ctx.vid().0;
             let carry = *state;
-            let edges: Vec<_> = ctx.out_edges().to_vec();
-            for e in edges {
+            let edges = ctx.out_edges();
+            for &e in edges {
                 if e.kind == 1 {
                     // Waiting edge: transfer the state unchanged.
                     ctx.send(e.target, carry);
@@ -294,8 +294,8 @@ impl VcmProgram for TgbLd {
             *state = true;
         }
         if (ctx.superstep() == 1 && *state) || newly {
-            let edges: Vec<_> = ctx.in_edges().to_vec();
-            for e in edges {
+            let edges = ctx.in_edges();
+            for &e in edges {
                 ctx.send(e.target, true);
             }
         }

@@ -436,8 +436,8 @@ mod tests {
                 let dist = *state;
                 let t = ctx.time();
                 let me = ctx.vertex();
-                let edges: Vec<VcmEdge> = ctx.out_edges().to_vec();
-                for e in edges {
+                let edges = ctx.out_edges();
+                for &e in edges {
                     ctx.send_future(e.target, t + e.w2, dist + e.w1);
                 }
                 ctx.send_future(me, t + 1, dist);

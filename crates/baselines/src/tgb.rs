@@ -128,8 +128,8 @@ mod tests {
             }
             if (ctx.superstep() == 1 && *state == 0) || improved {
                 let dist = *state;
-                let edges: Vec<_> = ctx.out_edges().to_vec();
-                for e in edges {
+                let edges = ctx.out_edges();
+                for &e in edges {
                     ctx.send(e.target, dist + e.w1);
                 }
             }

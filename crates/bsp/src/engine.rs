@@ -3,7 +3,8 @@
 //! This is the substrate that replaces Apache Giraph in our reproduction: a
 //! shared-nothing engine where each *worker* owns a disjoint vertex
 //! partition and every superstep is two parallel phases around one global
-//! barrier (one resident OS thread per worker runs both):
+//! barrier (the driver thread runs worker 0's share of both and one
+//! resident OS thread per other worker runs the rest):
 //!
 //! 1. **compute + send-encode** — each worker runs its logic, folds its
 //!    batches when the program's combine is exact ([`Fold`]), then
@@ -317,9 +318,9 @@ struct ComputeDone<L: WorkerLogic> {
 
 /// Runs one worker's compute phase to completion — its logic, then the
 /// send side of the exchange over what the logic emitted. The single
-/// execution path shared by the pool threads and the inline (small-step)
-/// path, so fault arming, timing and panic capture are identical wherever
-/// a superstep runs.
+/// execution path shared by the pool threads, the driver's own share of a
+/// pooled phase and the inline (small-step) path, so fault arming, timing
+/// and panic capture are identical wherever a superstep runs.
 fn execute_compute<L: WorkerLogic>(mut job: ComputeJob<L>) -> ComputeDone<L> {
     let mut partial = Aggregators::new();
     let mut counters = UserCounters::default();
@@ -380,32 +381,42 @@ enum PoolJob<L: WorkerLogic> {
     Receive(ReceiveJob<L::Msg>),
 }
 
-/// A resident pool of threads, one per worker, living for a whole run and
-/// executing both parallel phases of every superstep: compute (+ send-side
-/// encode) and receive. Spawning OS threads per superstep costs tens of
-/// microseconds per barrier — comparable to an entire superstep's compute
-/// on bench-sized graphs — so the pool amortizes thread creation across
-/// the run and synchronizes each phase with two channel hops instead of
-/// spawn + join. Threads spawn lazily at the first dispatched phase: a run
-/// whose supersteps all stay under [`INLINE_COMPUTE_WORK`] never creates
-/// them.
+/// A resident pool of threads, one per worker *after the first*, living
+/// for a whole run. In every pooled phase — compute (+ send-side encode)
+/// and receive — workers 1..n−1 run on the pool while the driver thread
+/// runs worker 0's share itself, through the same `execute_*` function the
+/// inline path calls, then collects the rest. An n-worker run therefore
+/// starts n−1 threads, and its buffers spread over one fewer malloc arena
+/// (DESIGN.md §16.4). The driver always runs worker 0, never the first
+/// worker of a perturbed join order, so which worker's buffers live on the
+/// driver thread never depends on the schedule.
+///
+/// Spawning OS threads per superstep costs tens of microseconds per
+/// barrier — comparable to an entire superstep's compute on bench-sized
+/// graphs — so the pool amortizes thread creation across the run and
+/// synchronizes each phase with two channel hops instead of spawn + join.
+/// Threads spawn lazily at the first dispatched phase: a run whose
+/// supersteps all stay under [`INLINE_COMPUTE_WORK`] never creates them.
 ///
 /// Determinism is unaffected: each phase's outputs depend only on the
 /// per-worker inputs the driver assembled, and worker panics are caught
 /// and reported through the same [`BspError::WorkerPanicked`] path
-/// (message text included) as thread-per-step joins produced.
+/// (message text included) on whichever thread the worker ran.
 struct ComputePool<'scope, 'env, L: WorkerLogic> {
     scope: &'scope std::thread::Scope<'scope, 'env>,
+    /// The run's worker count; the pool holds `n - 1` threads.
     n: usize,
+    /// Per-thread channels: index `w - 1` serves worker `w`.
     jobs: Vec<mpsc::Sender<PoolJob<L>>>,
     computed: Vec<mpsc::Receiver<ComputeDone<L>>>,
     received: Vec<mpsc::Receiver<ReceiveDone<L::Msg>>>,
 }
 
 impl<'scope, 'env, L: WorkerLogic + 'scope> ComputePool<'scope, 'env, L> {
-    /// A pool of `n` threads attached to `scope`. Threads are not created
-    /// until the first dispatch; once spawned they exit when the pool (and
-    /// with it the job senders) drops, and the scope then joins them.
+    /// A pool for an `n`-worker run, attached to `scope`. Its `n - 1`
+    /// threads are not created until the first dispatch; once spawned
+    /// they exit when the pool (and with it the job senders) drops, and
+    /// the scope then joins them.
     fn start(scope: &'scope std::thread::Scope<'scope, 'env>, n: usize) -> Self {
         ComputePool {
             scope,
@@ -417,10 +428,10 @@ impl<'scope, 'env, L: WorkerLogic + 'scope> ComputePool<'scope, 'env, L> {
     }
 
     fn ensure_spawned(&mut self) {
-        if self.jobs.len() == self.n {
+        if !self.jobs.is_empty() {
             return;
         }
-        for _ in 0..self.n {
+        for _ in 1..self.n {
             let (jtx, jrx) = mpsc::channel::<PoolJob<L>>();
             let (ctx, crx) = mpsc::channel::<ComputeDone<L>>();
             let (rtx, rrx) = mpsc::channel::<ReceiveDone<L::Msg>>();
@@ -441,24 +452,24 @@ impl<'scope, 'env, L: WorkerLogic + 'scope> ComputePool<'scope, 'env, L> {
         }
     }
 
-    /// Hands worker `w`'s next phase to its pool thread.
+    /// Hands worker `w`'s (`w ≥ 1`) next phase to its pool thread.
     fn dispatch(&mut self, step: u64, w: usize, job: PoolJob<L>) -> Result<(), BspError> {
         self.ensure_spawned();
-        self.jobs[w]
+        self.jobs[w - 1]
             .send(job)
             .map_err(|_| Self::thread_lost(step, w))
     }
 
-    /// Blocks until worker `w`'s compute phase finishes.
+    /// Blocks until worker `w`'s (`w ≥ 1`) compute phase finishes.
     fn collect_compute(&mut self, step: u64, w: usize) -> Result<ComputeDone<L>, BspError> {
-        self.computed[w]
+        self.computed[w - 1]
             .recv()
             .map_err(|_| Self::thread_lost(step, w))
     }
 
-    /// Blocks until worker `w`'s receive phase finishes.
+    /// Blocks until worker `w`'s (`w ≥ 1`) receive phase finishes.
     fn collect_receive(&mut self, step: u64, w: usize) -> Result<ReceiveDone<L::Msg>, BspError> {
-        self.received[w]
+        self.received[w - 1]
             .recv()
             .map_err(|_| Self::thread_lost(step, w))
     }
@@ -591,8 +602,9 @@ impl<L: WorkerLogic> RunState<L> {
         // come home with the per-step products. When the staged work is at
         // or below INLINE_COMPUTE_WORK the phases run sequentially right
         // here (a cross-thread wakeup costs more than the whole phase);
-        // otherwise one resident pool thread per worker runs them and the
-        // driver collects in (possibly perturbed) order. Every outstanding
+        // otherwise one resident pool thread per worker after the first
+        // runs its share, the driver runs worker 0's, then collects the
+        // rest in (possibly perturbed) order. Every outstanding
         // phase is collected — even after failures — so a panicking worker
         // cannot leave its state stranded, and *every* poisoned worker is
         // reported, not just the first.
@@ -615,7 +627,7 @@ impl<L: WorkerLogic> RunState<L> {
         let inboxes = std::mem::take(&mut self.inboxes);
         let outboxes = std::mem::take(&mut self.outboxes);
         let mut returned: Vec<Option<ComputeDone<L>>> = (0..n).map(|_| None).collect();
-        let jobs = workers
+        let mut jobs = workers
             .into_iter()
             .zip(inboxes)
             .zip(outboxes)
@@ -637,10 +649,12 @@ impl<L: WorkerLogic> RunState<L> {
                 returned[w] = Some(execute_compute(job));
             }
         } else {
+            let own = jobs.next();
             for job in jobs {
                 pool.dispatch(step, job.worker, PoolJob::Compute(job))?;
             }
-            for &w in &join_order {
+            returned[0] = own.map(execute_compute);
+            for &w in join_order.iter().filter(|&&w| w != 0) {
                 returned[w] = Some(pool.collect_compute(step, w)?);
             }
         }
@@ -764,10 +778,13 @@ impl<L: WorkerLogic> RunState<L> {
                 received[w] = Some(execute_receive(job));
             }
         } else {
-            for (w, job) in jobs.enumerate() {
+            let mut jobs = jobs.enumerate();
+            let own = jobs.next();
+            for (w, job) in jobs {
                 pool.dispatch(step, w, PoolJob::Receive(job))?;
             }
-            for &w in &join_order {
+            received[0] = own.map(|(_, job)| execute_receive(job));
+            for &w in join_order.iter().filter(|&&w| w != 0) {
                 received[w] = Some(pool.collect_receive(step, w)?);
             }
         }

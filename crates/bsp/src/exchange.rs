@@ -631,8 +631,8 @@ pub(crate) struct ReceiveDone<M> {
 
 /// The receive side of the exchange for one destination worker: decode
 /// the arrivals in route order, then group them per vertex. The single
-/// execution path shared by the pool threads and the inline (small-step)
-/// path.
+/// execution path shared by the pool threads, the driver's own share of a
+/// pooled phase and the inline (small-step) path.
 pub(crate) fn execute_receive<M: Wire>(job: ReceiveJob<M>) -> ReceiveDone<M> {
     let ReceiveJob {
         mut inbox,

@@ -181,7 +181,9 @@ impl TraceConfig {
             if let Some(level) = TraceLevel::parse(&s) {
                 return TraceConfig { level };
             }
-            eprintln!("trace: unrecognized GRAPHITE_TRACE={s:?}, tracing off");
+            note(format_args!(
+                "unrecognized GRAPHITE_TRACE={s:?}, tracing off"
+            ));
             return TraceConfig::off();
         }
         match std::env::var("GRAPHITE_TRACE_JSON") {
@@ -625,10 +627,20 @@ impl RunTrace {
             return;
         }
         match self.write_jsonl(std::path::Path::new(&path), label) {
-            Ok(()) => eprintln!("trace: wrote {} event(s) to {path}", self.events.len()),
-            Err(e) => eprintln!("trace: failed to write {path}: {e}"),
+            Ok(()) => note(format_args!(
+                "wrote {} event(s) to {path}",
+                self.events.len()
+            )),
+            Err(e) => note(format_args!("failed to write {path}: {e}")),
         }
     }
+}
+
+/// Writes one `trace: ` line to stderr. A closed stderr drops it: a
+/// trace note must not fail the run it describes.
+fn note(line: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    let _ = writeln!(std::io::stderr().lock(), "trace: {line}");
 }
 
 /// Appends `s` to `out` escaped as the body of a JSON string literal,

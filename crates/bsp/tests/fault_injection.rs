@@ -513,6 +513,110 @@ fn same_step_corruptions_on_two_destinations_cost_one_rollback() {
     assert_eq!(rm.recovery.supersteps_replayed, 2);
 }
 
+/// A [`Flood`] worker that also records, for every superstep it computes,
+/// the thread that ran it.
+struct Where {
+    flood: Flood,
+    threads: Vec<(u64, std::thread::ThreadId)>,
+}
+
+impl WorkerLogic for Where {
+    type Msg = u64;
+    fn superstep(
+        &mut self,
+        step: u64,
+        inbox: &Inbox<u64>,
+        outbox: &mut Outbox<u64>,
+        globals: &Aggregators,
+        partial: &mut Aggregators,
+        counters: &mut UserCounters,
+        sink: &mut TraceSink,
+    ) {
+        self.threads.push((step, std::thread::current().id()));
+        self.flood
+            .superstep(step, inbox, outbox, globals, partial, counters, sink);
+    }
+
+    fn checkpoint(&self, buf: &mut Vec<u8>) {
+        self.flood.checkpoint(buf);
+    }
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
+        self.flood.restore(bytes)
+    }
+}
+
+#[test]
+fn the_driver_thread_runs_worker_zero_of_every_pooled_step() {
+    let partition = flood_partition();
+    let driver = std::thread::current().id();
+    // Superstep 1 computes 512 vertices, inline on the driver; steps 2 to
+    // 6 each compute 8 192 deliveries on the pool.
+    for perturb in [None, Some(1), Some(2), Some(3)] {
+        let config = BspConfig {
+            perturb_schedule: perturb,
+            ..Default::default()
+        };
+        let workers = flood_workers(&partition)
+            .into_iter()
+            .map(|flood| Where {
+                flood,
+                threads: Vec::new(),
+            })
+            .collect();
+        let (ws, _) = run(&config, None, workers, &partition).expect("flood run");
+        for step in 2..=FLOOD_STEPS + 1 {
+            let ran: Vec<_> = ws
+                .iter()
+                .map(|w| {
+                    let at = w.threads.iter().find(|&&(s, _)| s == step);
+                    at.expect("every worker computes every step").1
+                })
+                .collect();
+            // Worker 0 on the thread that called run_bsp, whatever the
+            // join order; workers 1-3 on three distinct pool threads.
+            assert_eq!(ran[0], driver, "{perturb:?} step {step}");
+            for (w, id) in ran.iter().enumerate().skip(1) {
+                assert_ne!(*id, driver, "{perturb:?} step {step} worker {w}");
+                assert!(!ran[w + 1..].contains(id), "{perturb:?} step {step}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_panic_on_the_driver_threads_worker_is_reported_and_recovered() {
+    let partition = flood_partition();
+    let (clean, cm) = flood_run(&partition, &BspConfig::default(), None);
+    // Superstep 3 is pooled: worker 0 panics on the driver thread, worker
+    // 2 on its pool thread.
+    let plan = FaultPlan::panic_at(0, 3).and(Fault {
+        worker: 2,
+        step: 3,
+        kind: FaultKind::WorkerPanic,
+        mode: FaultMode::Transient,
+    });
+    let err = run(
+        &faulted(plan.clone()),
+        None,
+        flood_workers(&partition),
+        &partition,
+    )
+    .unwrap_err();
+    let BspError::WorkerPanicked { step, workers } = err else {
+        panic!("expected WorkerPanicked, got {err:?}");
+    };
+    assert_eq!(step, 3);
+    let indices: Vec<usize> = workers.iter().map(|(w, _)| *w).collect();
+    assert_eq!(indices, vec![0, 2], "both poisoned workers, in index order");
+    // The rollback restores all four workers, so every worker's state came
+    // home from the faulted step, the driver's own included.
+    let (rec, rm) = flood_run(&partition, &faulted(plan), Some(2));
+    assert_eq!(flood_digests(&rec), flood_digests(&clean));
+    assert_eq!(rm.counters, cm.counters);
+    assert_eq!(rm.supersteps, cm.supersteps);
+    assert_eq!(rm.recovery.rollbacks, 1);
+}
+
 #[test]
 fn fault_free_recovery_is_invisible_outside_the_checkpoints() {
     let partition = flood_partition();

@@ -2,7 +2,7 @@
 # Full local verification gate — everything CI runs, in the same order.
 # Fast failures first: the benchmark lock, formatting, then clippy (which also holds the
 # determinism conventions configured in clippy.toml and the lib headers
-# of crates/{bsp,icm,baselines}, DESIGN.md §10), then the full workspace
+# of crates/{bsp,icm,baselines}, DESIGN.md §10) and rustdoc, then the full workspace
 # test suite, the release-mode matrices, and the end-to-end benchmark's
 # smoke pass.
 #
@@ -24,6 +24,11 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc must build warning-free (bsp and icm deny missing_docs
+# outright): a broken intra-doc link fails here, same as a broken test.
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> doc link check"
 scripts/check_links.sh

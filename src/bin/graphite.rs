@@ -59,7 +59,8 @@
 //! usage error, and 141 (128 + `SIGPIPE`, what a shell reports for a
 //! tool the signal ends) when stdout closes before the command is done
 //! — `graphite run g.tg --algo bfs --counts | head -1` — which ends the
-//! command at once and quietly. No input makes it panic (exit 101).
+//! command at once and quietly. A closed stderr only drops the messages
+//! and changes no exit code. No input makes it panic (exit 101).
 
 #![forbid(unsafe_code)]
 
@@ -85,6 +86,21 @@ macro_rules! out {
     };
 }
 
+/// `eprintln!` for every line the CLI writes to stderr, through
+/// [`emit_err`].
+macro_rules! err {
+    ($($arg:tt)*) => {
+        emit_err(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stderr. A closed stderr drops the line and the
+/// command goes on, so it still ends with its own exit code.
+fn emit_err(line: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    let _ = writeln!(std::io::stderr().lock(), "{line}");
+}
+
 /// Writes one line to stdout. A closed stdout — the reader of a pipe is
 /// gone — ends the process at once with [`CLOSED_STDOUT`] and no
 /// message; any other write error ends it with exit 1, naming the error.
@@ -96,12 +112,12 @@ fn emit(line: std::fmt::Arguments<'_>) {
     if e.kind() == std::io::ErrorKind::BrokenPipe {
         std::process::exit(CLOSED_STDOUT);
     }
-    eprintln!("cannot write to stdout: {e}");
+    err!("cannot write to stdout: {e}");
     std::process::exit(1);
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
+    err!(
         "usage:\n  graphite stats <graph.tg>\n  graphite run <graph.tg> --algo \
          <bfs|wcc|scc|pr|sssp|eat|fast|ld|tmst|rh|lcc|tc>\n      [--platform icm|msb|chl|tgb|gof] \
          [--source VID] [--workers N]\n      [--partition hash|chunked|ldg|temporal] [--start T] \
@@ -139,7 +155,7 @@ impl Flags {
         let raw = self.get(name);
         let parsed = raw.and_then(|v| v.parse().ok());
         if self.has(name) && parsed.is_none() {
-            eprintln!("bad {name} value {:?}", raw.unwrap_or(""));
+            err!("bad {name} value {:?}", raw.unwrap_or(""));
             self.1.set(true);
         }
         parsed
@@ -159,7 +175,7 @@ fn partition_flag(flags: &Flags) -> Option<PartitionStrategy> {
     };
     let strategy = PartitionStrategy::parse(p);
     if strategy.is_none() {
-        eprintln!("unknown partition strategy {p:?}");
+        err!("unknown partition strategy {p:?}");
     }
     strategy
 }
@@ -170,7 +186,7 @@ fn load_graph(path: &str) -> Option<Arc<TemporalGraph>> {
     match io::load(path) {
         Ok(g) => Some(Arc::new(g)),
         Err(e) => {
-            eprintln!("cannot load {path}: {e}");
+            err!("cannot load {path}: {e}");
             None
         }
     }
@@ -207,7 +223,7 @@ fn cmd_stats(path: &str) -> ExitCode {
 
 fn cmd_run(path: &str, flags: &Flags) -> ExitCode {
     let Some(algo) = flags.get("--algo").and_then(Algo::parse) else {
-        eprintln!("missing or unknown --algo");
+        err!("missing or unknown --algo");
         return usage();
     };
     let platform = match flags.get("--platform") {
@@ -215,7 +231,7 @@ fn cmd_run(path: &str, flags: &Flags) -> ExitCode {
         Some(p) => match Platform::parse(p) {
             Some(p) => p,
             None => {
-                eprintln!("unknown platform {p:?}");
+                err!("unknown platform {p:?}");
                 return usage();
             }
         },
@@ -262,7 +278,7 @@ fn cmd_run(path: &str, flags: &Flags) -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("{e}");
+            err!("{e}");
             ExitCode::FAILURE
         }
     }
@@ -294,17 +310,17 @@ fn cmd_gen(profile: &str, out: &str, flags: &Flags) -> ExitCode {
     // `graphite stream` can replay the remaining horizon live.
     if let Some(batches) = stream_batches.filter(|&b| b > 0) {
         let Some(p) = parse_profile(profile) else {
-            eprintln!("--stream needs a parameterised profile (not ldbc)");
+            err!("--stream needs a parameterised profile (not ldbc)");
             return usage();
         };
         let stream = graphite::datagen::derive_update_stream(&p.params(scale, seed), batches);
         if let Err(e) = io::save(&stream.base, out) {
-            eprintln!("cannot write {out}: {e}");
+            err!("cannot write {out}: {e}");
             return ExitCode::FAILURE;
         }
         let upath = format!("{out}.updates");
         if let Err(e) = graphite::stream::io::save_updates(&stream.batches, &upath) {
-            eprintln!("cannot write {upath}: {e}");
+            err!("cannot write {upath}: {e}");
             return ExitCode::FAILURE;
         }
         let ops: usize = stream.batches.iter().map(|d| d.len()).sum();
@@ -325,13 +341,13 @@ fn cmd_gen(profile: &str, out: &str, flags: &Flags) -> ExitCode {
         other => match parse_profile(other) {
             Some(p) => p.generate(scale, seed),
             None => {
-                eprintln!("unknown profile {other:?}");
+                err!("unknown profile {other:?}");
                 return usage();
             }
         },
     };
     if let Err(e) = io::save(&graph, out) {
-        eprintln!("cannot write {out}: {e}");
+        err!("cannot write {out}: {e}");
         return ExitCode::FAILURE;
     }
     out!(
@@ -371,7 +387,7 @@ fn cmd_stream(path: &str, updates_path: &str, flags: &Flags) -> ExitCode {
     let algo_list = flags.get("--algo").unwrap_or("bfs,eat,reach");
     for name in algo_list.split(',').filter(|s| !s.is_empty()) {
         let Some(algo) = Algo::parse(name.trim()).filter(|&a| streamable(a)) else {
-            eprintln!("unknown stream algo {name:?} (bfs|eat|reach)");
+            err!("unknown stream algo {name:?} (bfs|eat|reach)");
             return usage();
         };
         algos.push(algo);
@@ -383,7 +399,7 @@ fn cmd_stream(path: &str, updates_path: &str, flags: &Flags) -> ExitCode {
     let batches = match load_updates(updates_path) {
         Ok(b) => b,
         Err(e) => {
-            eprintln!("cannot load {updates_path}: {e}");
+            err!("cannot load {updates_path}: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -392,7 +408,7 @@ fn cmd_stream(path: &str, updates_path: &str, flags: &Flags) -> ExitCode {
         None => match graph.vertices().map(|(_, v)| v.vid).min() {
             Some(v) => v,
             None => {
-                eprintln!("{path}: empty graph");
+                err!("{path}: empty graph");
                 return ExitCode::FAILURE;
             }
         },
@@ -403,7 +419,7 @@ fn cmd_stream(path: &str, updates_path: &str, flags: &Flags) -> ExitCode {
         .filter_map(|a| AlgoSpec::of(a, source, start))
     {
         if let Err(e) = engine.register(spec) {
-            eprintln!("cannot register {}: {e}", spec.name());
+            err!("cannot register {}: {e}", spec.name());
             return ExitCode::FAILURE;
         }
     }
@@ -416,7 +432,7 @@ fn cmd_stream(path: &str, updates_path: &str, flags: &Flags) -> ExitCode {
         let report = match engine.ingest(delta) {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("batch {}: {e}", i + 1);
+                err!("batch {}: {e}", i + 1);
                 return ExitCode::FAILURE;
             }
         };
@@ -444,7 +460,7 @@ fn cmd_stream(path: &str, updates_path: &str, flags: &Flags) -> ExitCode {
         trace.events.extend(batch_trace(&report).events);
     }
     trace.maybe_emit("stream");
-    eprintln!(
+    err!(
         "ingested {} batches; final graph digest {:#018x}",
         engine.batches(),
         engine.structure_digest()
@@ -476,14 +492,14 @@ fn cmd_serve(path: &str, batch_path: &str, flags: &Flags) -> ExitCode {
     let batch_text = match std::fs::read_to_string(batch_path) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("cannot read {batch_path}: {e}");
+            err!("cannot read {batch_path}: {e}");
             return ExitCode::FAILURE;
         }
     };
     let specs = match QuerySpec::parse_batch(&batch_text) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("{batch_path}: {e}");
+            err!("{batch_path}: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -557,7 +573,7 @@ fn cmd_serve(path: &str, batch_path: &str, flags: &Flags) -> ExitCode {
     engine.health_trace().maybe_emit("serve/health");
     let stats = engine.stats();
     let ok = results.iter().filter(|r| r.is_ok()).count();
-    eprintln!(
+    err!(
         "served {} queries: {ok} ok, {terminal_failures} errored, {} rejected, \
          {} shed, {} quarantined, {} over budget, {} retried, {} cache hits",
         stats.submitted,

@@ -217,5 +217,24 @@ fn a_closed_stdout_is_not_a_crash() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
     }
+    // A closed stderr drops the messages and keeps the command's own exit
+    // code: 1 for a failed command, 2 for a usage error.
+    let missing = dir.join("missing.tg");
+    let missing = missing.to_str().expect("utf-8 path");
+    for (args, code) in [
+        (&["run", missing, "--algo", "bfs"][..], 1),
+        (&["run", graph, "--algo", "bfs", "--workers", "abc"], 2),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_graphite"))
+            .args(args)
+            .stderr(Stdio::from(writer))
+            .output()
+            .expect("the CLI starts");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("panicked"), "{args:?}: {stdout}");
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stdout}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
